@@ -1,15 +1,19 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 Small by design: exactly the primitives the parser, pose head and router
-classifier need. Values are stored in float32 by default; every reduction
-(convolution accumulate, sums, means, log-sum-exp) runs in float64 before
-the result is cast back, so finite-difference checks stay tight. Tests may
-construct float64 tensors to run the same code as a full-precision shadow.
+classifier need. Values are stored in float32 by default. The conv and
+linear GEMMs (forward, weight and input gradients) run in the operands' own
+dtype, np.result_type(x, w): float32 nets use sgemm. The bias gradient,
+softmax, log-sum-exp cross-entropy, global average pool and weighted_sum
+accumulate in float64 before the result is cast back. Tests construct
+float64 tensors to run the same code as a full-precision shadow, so
+finite-difference checks stay tight.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +56,10 @@ class Tensor:
 class Tape:
     """Ordered record of primitive ops, replayed exactly once in reverse.
 
-    Use as a context manager around the forward pass; ops executed while a
-    tape is active append themselves. A second backward() on the same tape
-    raises, and every leaf reached from the loss receives exactly one
-    accumulated gradient per pass.
+    Use as a context manager around the forward pass; ops executed in the
+    same thread while a tape is active append themselves. A second
+    backward() on the same tape raises, and every leaf reached from the loss
+    receives exactly one accumulated gradient per pass.
     """
 
     def __init__(self):
@@ -66,24 +70,32 @@ class Tape:
         self.entries.append((output, inputs, grad_fn))
 
     def __enter__(self):
-        _ACTIVE.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _ACTIVE.pop()
+        _ACTIVE.tapes.pop()
         return False
 
 
-_ACTIVE: list[Tape] = []
+class _ActiveTapes(threading.local):
+    """Per-thread stack of entered tapes: ops in one thread never record
+    onto a tape another thread entered."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_ACTIVE = _ActiveTapes()
 
 
 def _record(output, inputs, grad_fn):
-    if _ACTIVE:
-        _ACTIVE[-1].record(output, inputs, grad_fn)
+    if _ACTIVE.tapes:
+        _ACTIVE.tapes[-1].record(output, inputs, grad_fn)
 
 
 def _recording():
-    return bool(_ACTIVE)
+    return bool(_ACTIVE.tapes)
 
 
 def backward(tape, loss):
@@ -186,7 +198,9 @@ def conv2d(x, w, b, spec):
             f"conv2d output would be empty for input {tuple(x.shape)} under {spec}"
         )
 
-    xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=np.float64)
+    dt = np.result_type(x.data, w.data)
+    wd = _cast(w.data, dt)
+    xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=dt)
     xp[:, p : p + H, p : p + W] = x.data
     sc, sh, sw = xp.strides
     patches = as_strided(
@@ -195,23 +209,22 @@ def conv2d(x, w, b, spec):
         strides=(sc, sh * r, sw * r, sh * s, sw * s),
         writeable=False,
     )
-    out_data = np.tensordot(_f64(w.data), patches, axes=([1, 2, 3], [0, 1, 2]))
-    out_data += _f64(b.data)[:, None, None]
+    out_data = np.tensordot(wd, patches, axes=([1, 2, 3], [0, 1, 2]))
+    out_data += b.data[:, None, None]
     out = Tensor(_cast(out_data, x.dtype))
 
     if _recording():
 
         def grad_fn(g):
-            g64 = _f64(g)
-            db = g64.sum(axis=(1, 2))
-            dw = np.tensordot(g64, patches, axes=([1, 2], [3, 4]))
+            gd = _cast(g, dt)
+            db = _f64(g).sum(axis=(1, 2))
+            dw = np.tensordot(gd, patches, axes=([1, 2], [3, 4]))
             dxp = np.zeros_like(xp)
-            w64 = _f64(w.data)
             for u in range(k):
                 for v in range(k):
                     # (F,C) x (F,Ho,Wo) -> (C,Ho,Wo); strides never collide
                     # within a fixed (u,v) tap, so plain slice-add is exact.
-                    contrib = np.tensordot(w64[:, :, u, v], g64, axes=(0, 0))
+                    contrib = np.tensordot(wd[:, :, u, v], gd, axes=(0, 0))
                     dxp[
                         :,
                         u * r : u * r + s * Ho : s,
@@ -275,13 +288,15 @@ def linear(x, w, b):
             f"linear shape mismatch: input {tuple(x.shape)}, weights "
             f"{tuple(w.shape)}, bias {tuple(b.shape)}"
         )
-    out = Tensor(_cast(_f64(w.data) @ _f64(x.data) + _f64(b.data), x.dtype))
+    dt = np.result_type(x.data, w.data)
+    wd, xd = _cast(w.data, dt), _cast(x.data, dt)
+    out = Tensor(_cast(wd @ xd + b.data, x.dtype))
 
     if _recording():
 
         def grad_fn(g):
-            g64 = _f64(g)
-            return _f64(w.data).T @ g64, np.outer(g64, _f64(x.data)), g64
+            gd = _cast(g, dt)
+            return wd.T @ gd, np.outer(gd, xd), _f64(g)
 
         _record(out, (x, w, b), grad_fn)
     return out
@@ -348,15 +363,15 @@ def bilinear_upsample(x, factor):
     wy = _interp_matrix(H * factor, H)
     wx = _interp_matrix(W * factor, W)
     t = np.tensordot(_f64(x.data), wy, axes=([1], [1]))  # (C, W, Hf)
-    out_data = np.tensordot(t, wx, axes=([1], [1])).transpose(0, 2, 1)  # (C, Hf, Wf)
-    out = Tensor(_cast(np.ascontiguousarray(out_data), x.dtype))
+    out_data = np.tensordot(t, wx, axes=([1], [1]))  # (C, Hf, Wf)
+    out = Tensor(_cast(out_data, x.dtype))
 
     if _recording():
 
         def grad_fn(g):
             t2 = np.tensordot(_f64(g), wy, axes=([1], [0]))  # (C, Wf, H)
-            dx = np.tensordot(t2, wx, axes=([1], [0])).transpose(0, 2, 1)
-            return (np.ascontiguousarray(dx),)
+            dx = np.tensordot(t2, wx, axes=([1], [0]))  # (C, H, W)
+            return (dx,)
 
         _record(out, (x,), grad_fn)
     return out

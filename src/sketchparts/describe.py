@@ -43,16 +43,20 @@ def _singular(name):
     return name[:-1] if name.endswith("s") else name
 
 
+def with_article(noun):
+    """Indefinite noun phrase: "an" before a vowel letter, else "a"."""
+    return f"{'an' if noun[:1].lower() in 'aeiou' else 'a'} {noun}"
+
+
 def describe(summary):
     """Deterministic sentence naming the category, pose and every part count.
 
     With an unknown category the super-category carries the noun phrase;
     with no parts the part clause is omitted.
     """
+    head = with_article(_singular(summary.supercategory))
     if summary.category:
-        head = f"a {summary.category} (a {_singular(summary.supercategory)})"
-    else:
-        head = f"a {_singular(summary.supercategory)}"
+        head = f"{with_article(summary.category)} ({head})"
     sentence = f"This is a sketch of {head} facing {PHRASES[summary.pose]}"
     items = [
         f"{count_word(count)} {pluralize(part, count)}"

@@ -45,10 +45,20 @@ def read_pgm(path):
             raise ContractViolation(f"{path}: truncated PGM header")
         return data[start:pos]
 
+    def positive_int(name):
+        tok = token()
+        try:
+            value = int(tok)
+        except ValueError:
+            value = 0
+        if value <= 0:
+            raise ContractViolation(f"{path}: PGM {name} must be a positive integer, got {tok!r}")
+        return value
+
     magic = token()
     if magic != b"P5":
         raise ContractViolation(f"{path}: not a binary PGM (magic {magic!r})")
-    width, height, maxval = int(token()), int(token()), int(token())
+    width, height, maxval = positive_int("width"), positive_int("height"), positive_int("maxval")
     if maxval != 255:
         raise ContractViolation(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ class TestPointwise:
         assert out.shape == (2, 8, 8)
         assert np.allclose(out.data, 3.0)
 
+    def test_upsample_keeps_one_hot_corner(self):
+        x = np.zeros((1, 3, 5))
+        x[0, 0, 4] = 1.0  # top-right
+        out = bilinear_upsample(t64(x), 4).data[0]
+        assert out.shape == (12, 20)
+        assert out[0, 19] == out.max() == pytest.approx(1.0)
+        assert out[:6, 10:].sum() == pytest.approx(out.sum())
+
+    def test_upsample_gradcheck_non_square(self):
+        rng = make_rng(43)
+        x = t64(rng.standard_normal((2, 3, 7)))
+        assert bilinear_upsample(x, 4).shape == (2, 12, 28)
+        gradcheck(probe(rng, lambda: bilinear_upsample(x, 4)), [x])
+
     def test_gradchecks(self):
         rng = make_rng(23)
         x = t64(rng.standard_normal((2, 4, 4)))
@@ -274,6 +290,84 @@ class TestTape:
         tape = Tape()
         relu(t64([1.0]))
         assert tape.entries == []
+
+
+    def test_other_thread_does_not_record_on_active_tape(self):
+        x = t64([1.0, -2.0])
+        with Tape() as tape:
+            relu(x)
+            before = list(tape.entries)
+            worker = threading.Thread(target=lambda: relu(x))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert tape.entries == before
+
+
+def rel_err(got, want):
+    return np.linalg.norm(np.asarray(got, np.float64) - want) / np.linalg.norm(want)
+
+
+def conv_and_grads(x, w, b, spec, direction):
+    """Output of conv2d plus the gradients of <output, direction> w.r.t. x, w, b."""
+    tensors = [Tensor(a) for a in (x, w, b)]
+    with Tape() as tape:
+        out = conv2d(*tensors, spec)
+        loss = weighted_sum(out, direction)
+    backward(tape, loss)
+    return out.data, [t.grad for t in tensors]
+
+
+class TestDtypeContract:
+    """conv2d and linear compute in the operands' dtype: float32 follows the
+    float64 shadow to sgemm precision, and float64 stays float64."""
+
+    @pytest.mark.parametrize(
+        "in_shape,spec",
+        [
+            ((1, 47, 62), ConvSpec(15, 8, stride=3)),  # router c0
+            ((64, 13, 17), ConvSpec(5, 128)),  # router c1
+            ((3, 11, 16), ConvSpec(3, 5, stride=2, dilation=2)),
+        ],
+        ids=["router_c0", "router_c1", "dilated_strided"],
+    )
+    def test_float32_conv_tracks_float64_shadow(self, in_shape, spec):
+        rng = make_rng(47)
+        C = in_shape[0]
+        k = spec.kernel
+        x = rng.standard_normal(in_shape)
+        w = rng.standard_normal((spec.out_channels, C, k, k)) / np.sqrt(C * k * k)
+        b = rng.standard_normal(spec.out_channels)
+        out_shape = (spec.out_channels, spec.out_size(in_shape[1]), spec.out_size(in_shape[2]))
+        direction = rng.standard_normal(out_shape)
+
+        out64, grads64 = conv_and_grads(x, w, b, spec, direction)
+        f32 = [a.astype(np.float32) for a in (x, w, b)]
+        out32, grads32 = conv_and_grads(*f32, spec, direction)
+
+        assert out64.dtype == np.float64 and out32.dtype == np.float32
+        assert out32.shape == out_shape
+        assert rel_err(out32, out64) < 1e-5
+        for g32, g64 in zip(grads32, grads64):
+            assert g64.dtype == np.float64 and g32.dtype == np.float32
+            assert rel_err(g32, g64) < 1e-5
+
+    def test_linear_dtypes_follow_inputs(self):
+        rng = make_rng(53)
+        x, w, b = rng.standard_normal(40), rng.standard_normal((6, 40)), rng.standard_normal(6)
+        direction = rng.standard_normal(6)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            tensors = [Tensor(a.astype(dtype)) for a in (x, w, b)]
+            with Tape() as tape:
+                out = linear(*tensors)
+                loss = weighted_sum(out, direction)
+            backward(tape, loss)
+            assert out.dtype == dtype
+            assert all(t.grad.dtype == dtype for t in tensors)
+            results[dtype] = [out.data] + [t.grad for t in tensors]
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert rel_err(got, want) < 1e-5
 
 
 class TestDeterminism:

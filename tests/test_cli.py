@@ -195,6 +195,21 @@ def test_contract_violation_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    sketches = tmp_path / "sketches"
+    sketches.mkdir()
+    (sketches / "broken.sketch.pgm").write_bytes(b"P5\nwide 8\n255\n" + bytes(64))
+    rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
+               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals",
+               "--taxonomy", str(small_corpus / "taxonomy.tax")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "broken.sketch.pgm" in err and "width" in err
+    assert "Traceback" not in err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"parser": {"iterationz": 5}}))

@@ -68,3 +68,12 @@ def test_bad_pose_rejected():
 def test_zero_count_rejected():
     with pytest.raises(ContractViolation):
         SketchSummary("X", {"head": 0}, "N")
+
+
+def test_vowel_initial_nouns_take_an():
+    s = SketchSummary("Flying Things", {"wing": 2}, "N", category="airplane")
+    assert describe(s).startswith("This is a sketch of an airplane (a Flying Thing) facing")
+    s = SketchSummary("Insects", {"wing": 4}, "N")
+    assert describe(s).startswith("This is a sketch of an Insect facing")
+    s = SketchSummary("Insects", {}, "N", category="bee")
+    assert describe(s) == "This is a sketch of a bee (an Insect) facing north."

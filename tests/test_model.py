@@ -177,6 +177,34 @@ class TestInfer:
         sketch = random_sketch(make_rng(27), 32)
         assert infer(m, 0, sketch) == infer(m, 0, sketch)
 
+    def test_corner_ink_stays_in_its_corner(self):
+        # Zero biases make every feature exactly 0 away from the ink; label 1
+        # reads a positive sum of the features and background a tiny bias, so
+        # label 1 marks where the ink's receptive field reaches.
+        m = build_model(CFG, TAX2, seed=29)
+        p = m.params
+        seg_w = np.zeros_like(p["branch0.seg.w"].data)
+        seg_w[1] = np.abs(p["branch0.seg.w"].data[1])
+        p["branch0.seg.w"] = Tensor(seg_w)
+        p["branch0.seg.b"].data[0] = 1e-3
+        for h, w in ((128, 128), (96, 160)):
+            pixels = np.zeros((h, w), dtype=np.uint8)
+            pixels[:8, -8:] = 255  # top-right corner
+            lm, _ = infer(m, 0, Raster(pixels))
+            assert (lm.height, lm.width) == (h, w)
+            assert lm.labels[0, -1] == 1
+            assert lm.labels[-1, 0] == 0
+            rows, cols = np.nonzero(lm.labels == 1)
+            assert rows.mean() < h / 2 and cols.mean() > w / 2
+
+    @pytest.mark.parametrize("shape", [(7, 300), (40, 24), (56, 88)])
+    def test_non_square_gives_h_by_w_map(self, shape):
+        m = build_model(CFG, TAX2, seed=33)
+        rng = make_rng(35)
+        sketch = Raster(np.where(rng.random(shape) < 0.15, 255, 0).astype(np.uint8))
+        lm, _ = infer(m, 1, sketch)
+        assert (lm.height, lm.width) == shape
+
     def test_pad_to_stride(self):
         s = Raster(np.full((30, 33), 255, dtype=np.uint8))
         p = pad_to_stride(s, 8)

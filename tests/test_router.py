@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sketchparts.autograd import make_rng, softmax
+from sketchparts.autograd import Tensor, make_rng, softmax
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster, mirror_v
 from sketchparts.router import (
+    RouterNet,
     build_router,
     classify_pooled,
     forward,
@@ -93,3 +94,16 @@ def test_checkpoint_digest_mismatch(tmp_path):
     save_router(net, p)
     with pytest.raises(CheckpointError, match="taxonomy"):
         load_router(p, 5, expected_digest=bytes(range(32)))
+
+
+def test_float32_pooled_scores_match_float64_cast():
+    net = build_router(4, seed=15)
+    params64 = {n: Tensor(t.data.astype(np.float64)) for n, t in net.params.items()}
+    net64 = RouterNet(net.num_classes, params64)
+    rng = make_rng(17)
+    for shape in ((64, 64), (48, 80)):
+        sketch = Raster(np.where(rng.random(shape) < 0.12, 255, 0).astype(np.uint8))
+        b32, sc32 = classify_pooled(net, sketch)
+        b64, sc64 = classify_pooled(net64, sketch)
+        assert b32 == b64
+        assert np.max(np.abs(sc32 - sc64)) < 1e-5

@@ -8,7 +8,7 @@ from sketchparts.checks import gradcheck
 from sketchparts.corpus import make_sample
 from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.imaging import LabelMap, Raster
-from sketchparts.model import ModelConfig, build_model
+from sketchparts.model import ModelConfig, build_model, infer
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import (
@@ -192,6 +192,29 @@ class TestTrainParser:
             for n in branch_before
         )
         assert changed
+
+    def test_non_square_sketches(self):
+        rng = make_rng(57)
+        samples = []
+        for i, (h, w) in enumerate(((40, 64), (64, 40))):
+            labels = np.zeros((h, w), dtype=np.uint8)
+            for part in range(1, 5):
+                labels[(part - 1) * 8 : part * 8, : w // 2] = part
+            sketch = np.where(rng.random((h, w)) < 0.15, 255, 0).astype(np.uint8)
+            samples.append(
+                PairedSample(
+                    sketch=Raster(sketch),
+                    labels=LabelMap(labels),
+                    category="cat" if i else "dog",
+                    pose="E",
+                )
+            )
+        m = build_model(ModelConfig(), TWO_CATS, seed=5)
+        log = train_parser(m, samples, TrainPlan(iterations=2, seed=6))
+        assert len(log) == 2 and all(np.isfinite(row["total"]) for row in log)
+        for s in samples:
+            lm, _ = infer(m, 0, s.sketch)
+            assert (lm.height, lm.width) == (s.sketch.height, s.sketch.width)
 
     def test_empty_dataset_rejected(self):
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
