@@ -8,6 +8,14 @@ softmax, log-sum-exp cross-entropy, global average pool and weighted_sum
 accumulate in float64 before the result is cast back. Tests construct
 float64 tensors to run the same code as a full-precision shadow, so
 finite-difference checks stay tight.
+
+Every tensor receives a gradient unless it was built with
+requires_grad=False, as the raw sketch input of model.sketch_input is:
+conv2d skips the input gradient of such a tensor, and backward() never
+fills its .grad. Conv backward is one GEMM for dw (the output gradient
+against the im2col patches, rebuilt from the padded input rather than kept
+on the tape) and one for dx (the transposed weights against the output
+gradient, scattered back by a col2im slice-add per kernel tap).
 """
 
 from __future__ import annotations
@@ -32,14 +40,15 @@ def make_rng(seed):
 class Tensor:
     """N-d float array plus the gradient slot that backward() fills."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, dtype=None):
+    def __init__(self, data, dtype=None, requires_grad=True):
         arr = np.asarray(data)
         if dtype is None:
             dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else DEFAULT_DTYPE
         self.data = np.ascontiguousarray(arr, dtype=dtype)
         self.grad = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -126,7 +135,7 @@ def backward(tape, loss):
                 holders[tid] = tensor
 
     for tid, tensor in holders.items():
-        if tid not in produced:
+        if tid not in produced and tensor.requires_grad:
             tensor.grad = pending[tid].astype(tensor.dtype, copy=False).reshape(tensor.shape)
 
 
@@ -216,20 +225,22 @@ def conv2d(x, w, b, spec):
     if _recording():
 
         def grad_fn(g):
-            gd = _cast(g, dt)
+            gd = _cast(g, dt).reshape(F, Ho * Wo)
             db = _f64(g).sum(axis=(1, 2))
-            dw = np.tensordot(gd, patches, axes=([1, 2], [3, 4]))
+            dw = (gd @ patches.reshape(C * k * k, Ho * Wo).T).reshape(F, C, k, k)
+            if not x.requires_grad:
+                return None, dw, db
+            cols = (wd.reshape(F, C * k * k).T @ gd).reshape(C, k, k, Ho, Wo)
             dxp = np.zeros_like(xp)
             for u in range(k):
                 for v in range(k):
-                    # (F,C) x (F,Ho,Wo) -> (C,Ho,Wo); strides never collide
-                    # within a fixed (u,v) tap, so plain slice-add is exact.
-                    contrib = np.tensordot(wd[:, :, u, v], gd, axes=(0, 0))
+                    # strides never collide within a fixed (u,v) tap, so
+                    # plain slice-add is exact.
                     dxp[
                         :,
                         u * r : u * r + s * Ho : s,
                         v * r : v * r + s * Wo : s,
-                    ] += contrib
+                    ] += cols[:, u, v]
             dx = dxp[:, p : p + H, p : p + W]
             return dx, dw, db
 
@@ -500,11 +511,6 @@ def weighted_sum(x, weights):
     if _recording():
         _record(out, (x,), lambda g: (g.item() * w,))
     return out
-
-
-def tsum(x):
-    """Sum of all entries as a taped scalar."""
-    return weighted_sum(x, np.ones(x.shape))
 
 
 def he_normal(rng, shape, fan_in, dtype=DEFAULT_DTYPE):

@@ -8,6 +8,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -60,12 +61,20 @@ def read_checkpoint(path, magic):
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_at = pos
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(name_at, "tensor name is not valid UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, "rank"))
+        dims_at = pos
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)  # exact, unlike np.prod, which wraps at 2**63
         payload = take(4 * n, f"payload of {name}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # an empty tensor whose other dims overflow numpy's size
+            raise CheckpointError(dims_at, f"{name}: dims {dims} too large") from None
     if pos != len(blob):
         raise CheckpointError(pos, f"{len(blob) - pos} trailing bytes")
     return digest, tensors

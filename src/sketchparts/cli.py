@@ -46,7 +46,7 @@ def _load_tax(args, fallback_root=None):
 def _run_config(args):
     if getattr(args, "config", None):
         return load_config(args.config)
-    return RunConfig()
+    return RunConfig({})
 
 
 def cmd_gen_corpus(args):

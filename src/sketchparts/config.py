@@ -27,6 +27,8 @@ CORPUS_KEYS = {"per_category", "image_size", "categories"}
 
 
 def _check_keys(given, allowed, where):
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(given).__name__}")
     unknown = set(given) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
@@ -37,8 +39,7 @@ def _plan_fields(cls):
 
 
 class RunConfig:
-    def __init__(self, raw=None, base_dir="."):
-        raw = raw or {}
+    def __init__(self, raw, base_dir="."):
         _check_keys(raw, TOP_LEVEL_KEYS, "config")
         _check_keys(raw.get("corpus", {}), CORPUS_KEYS, "corpus")
         _check_keys(raw.get("parser", {}), _plan_fields(TrainPlan), "parser")
@@ -46,10 +47,14 @@ class RunConfig:
         self.base_dir = Path(base_dir)
         self.taxonomy_path = raw.get("taxonomy")
         if self.taxonomy_path is not None:
+            if not isinstance(self.taxonomy_path, str):
+                raise ConfigError("taxonomy must be a path string")
             self.taxonomy_path = str(self.base_dir / self.taxonomy_path)
             if not Path(self.taxonomy_path).exists():
                 raise ConfigError(f"taxonomy file {self.taxonomy_path} does not exist")
         self.seed = raw.get("seed", 0)
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.corpus = dict(raw.get("corpus", {}))
         self.parser = dict(raw.get("parser", {}))
         self.router = dict(raw.get("router", {}))
@@ -71,6 +76,6 @@ def load_config(path):
         raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return RunConfig(raw, base_dir=path.parent)

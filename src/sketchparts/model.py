@@ -101,19 +101,6 @@ class Model:
     def shared_names(self):
         return [n for n in self.params if n.startswith("shared.")]
 
-    def branch_names_of(self, branch):
-        return [n for n in self.params if n.startswith(f"branch{branch}.")]
-
-    def group_names(self, name):
-        """Parameter names by optimizer group: body / seg_head / pose_head."""
-        if name == "seg_head":
-            return [n for n in self.params if ".seg." in n]
-        if name == "pose_head":
-            return [n for n in self.params if ".pose." in n]
-        if name == "body":
-            return [n for n in self.params if ".seg." not in n and ".pose." not in n]
-        raise ConfigError(f"unknown parameter group {name!r}")
-
 
 def build_model(config, taxonomy, seed):
     """He-initialized model; identical seeds give identical parameters."""
@@ -138,8 +125,11 @@ def build_model(config, taxonomy, seed):
 
 
 def sketch_input(sketch):
-    """Raster -> float tensor in [0, 1], shape (1, H, W)."""
-    return Tensor((sketch.pixels[None, :, :].astype(np.float32)) / 255.0)
+    """Raster -> float tensor in [0, 1], shape (1, H, W); a constant, so it
+    needs no gradient."""
+    return Tensor(
+        (sketch.pixels[None, :, :].astype(np.float32)) / 255.0, requires_grad=False
+    )
 
 
 def forward_shared(model, x):

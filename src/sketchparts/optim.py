@@ -8,11 +8,10 @@ faster than the body).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
 from .errors import ContractViolation
 
 
@@ -66,7 +65,3 @@ class SgdMomentum:
                 v -= (lr * p.grad).astype(v.dtype, copy=False)
                 p.data += v
         self.iteration += 1
-
-    def effective_lrs(self):
-        factor = self.lr_factor()
-        return {g.name: g.lr * factor for g in self.groups}

@@ -10,7 +10,8 @@ mini-batch 1 for the parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,6 +99,9 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
     return total, seg.data.item(), pose.data.item()
 
 
+PARSER_GROUPS = ("shared", "branch_body", "seg_head", "pose_head")
+
+
 @dataclass(frozen=True)
 class TrainPlan:
     iterations: int = 3000
@@ -108,17 +112,30 @@ class TrainPlan:
     poly_power: float = 0.9
     lam: float = 1.0
     seed: int = 0
-    freeze: tuple = ()  # of {"shared", "branch_body", "seg_head", "pose_head"}
+    freeze: tuple = ()  # of PARSER_GROUPS
     class_balance: bool = True
     balance_background: bool = True
     clip_norm: float = 10.0  # global gradient norm cap; None disables
     augment: bool = True  # draw one of the 14 rotation/mirror variants per step
 
     def __post_init__(self):
+        _require_ints(self, "iterations")
         if self.iterations < 1 or min(self.lr_body, self.lr_seg_head, self.lr_pose_head) <= 0:
             raise ConfigError("iterations and learning rates must be positive")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        unknown = [g for g in self.freeze if g not in PARSER_GROUPS]
+        if unknown:
+            raise ConfigError(
+                f"unknown freeze group(s) {unknown}; known: {list(PARSER_GROUPS)}"
+            )
+
+
+def _require_ints(plan, *names):
+    for name in names:
+        value = getattr(plan, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def clip_gradients(params, max_norm):
@@ -229,6 +246,7 @@ class RouterPlan:
     augment: bool = True
 
     def __post_init__(self):
+        _require_ints(self, "iterations", "batch_size")
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("iterations, lr and batch size must be positive")
 

@@ -108,6 +108,54 @@ class TestConv2d:
         gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
 
+class TestConvBackward:
+    """One GEMM for dw and one for dx, and no dx for inputs that need no
+    gradient."""
+
+    @pytest.mark.parametrize(
+        "in_shape,spec",
+        [
+            ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
+            ((3, 7, 10), ConvSpec(5, 4)),  # router c1
+            ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
+        ],
+        ids=["k15_s3", "k5_s1", "k3_s2_r2"],
+    )
+    def test_gradcheck_non_square(self, in_shape, spec):
+        rng = make_rng(61)
+        k = spec.kernel
+        x = t64(rng.standard_normal(in_shape))
+        w = t64(rng.standard_normal((spec.out_channels, in_shape[0], k, k)))
+        b = t64(rng.standard_normal(spec.out_channels))
+        gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_without_grad_leaves_weight_grads_bit_identical(self, dtype):
+        rng = make_rng(67)
+        spec = ConvSpec(5, 4, stride=2)
+        x = rng.standard_normal((3, 11, 14)).astype(dtype)
+        w = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        direction = rng.standard_normal((4, spec.out_size(11), spec.out_size(14)))
+        grads = {}
+        for needs in (True, False):
+            xt, wt, bt = Tensor(x, requires_grad=needs), Tensor(w), Tensor(b)
+            with Tape() as tape:
+                loss = weighted_sum(relu(conv2d(xt, wt, bt, spec)), direction)
+            backward(tape, loss)
+            assert (xt.grad is not None) == needs
+            grads[needs] = (wt.grad, bt.grad)
+        for with_x, without_x in zip(grads[True], grads[False]):
+            assert with_x.tobytes() == without_x.tobytes()
+
+    def test_leaf_without_grad_gets_none_through_any_op(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=False)
+        with Tape() as tape:
+            loss = weighted_sum(relu(x), np.ones(3))
+        backward(tape, loss)
+        assert x.grad is None
+
+
 class TestMaxpool:
     def test_constant_image(self):
         out = maxpool2d(t64(np.full((1, 5, 5), 4.0)), window=3, stride=2)

@@ -210,6 +210,34 @@ def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    name_at = 4 + 4 + 32 + 4 + 2  # magic, version, digest, count, name length
+    blob[name_at : name_at + 2] = b"\xff\xfe"
+    ckpt.write_bytes(bytes(blob))
+    sketches = tmp_path / "sketches"
+    sketches.mkdir()
+    rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
+               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals",
+               "--taxonomy", str(small_corpus / "taxonomy.tax")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"at byte {name_at}" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [{"parser": 5}, [1]])
+def test_config_value_not_an_object_exits_1(tmp_path, capsys, raw):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
+               "--categories", "cat", "--per-category", "1"])
+    assert rc == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"parser": {"iterationz": 5}}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sketchparts.autograd import Tape, Tensor, backward, make_rng, tsum, weighted_sum
+from sketchparts.autograd import Tape, Tensor, backward, make_rng, weighted_sum
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import LabelMap, Raster
 from sketchparts.model import (
@@ -32,6 +32,12 @@ CFG = ModelConfig()
 
 def random_sketch(rng, size=32):
     return Raster(np.where(rng.random((size, size)) < 0.15, 255, 0).astype(np.uint8))
+
+
+def test_sketch_input_needs_no_gradient():
+    x = sketch_input(random_sketch(make_rng(2), 16))
+    assert x.requires_grad is False
+    assert x.shape == (1, 16, 16)
 
 
 class TestBuild:

@@ -12,9 +12,11 @@ from sketchparts.model import ModelConfig, build_model, infer
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import (
+    PARSER_GROUPS,
     ClassBalance,
     RouterPlan,
     TrainPlan,
+    _parser_groups,
     compute_class_balance,
     total_loss,
     train_parser,
@@ -227,6 +229,28 @@ class TestTrainParser:
         plan = TrainPlan(iterations=50, lr_body=1e6, lr_seg_head=1e6, clip_norm=None, seed=1)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="iteration"):
             train_parser(m, samples, plan)
+
+
+class TestPlanValidation:
+    def test_unknown_freeze_group_is_named(self):
+        with pytest.raises(ConfigError, match="'shard'"):
+            TrainPlan(freeze=("shard",))
+
+    def test_every_optimizer_group_can_be_frozen(self):
+        plan = TrainPlan(freeze=PARSER_GROUPS)
+        groups = _parser_groups(build_model(ModelConfig(), ONE_BRANCH, seed=0), plan)
+        assert tuple(g.name for g in groups) == PARSER_GROUPS
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_train_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
+            TrainPlan(iterations=value)
+
+    @pytest.mark.parametrize("field", ["iterations", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+    def test_router_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RouterPlan(**{field: value})
 
 
 class TestTrainRouter:
