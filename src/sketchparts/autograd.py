@@ -16,6 +16,13 @@ fills its .grad. Conv backward is one GEMM for dw (the output gradient
 against the im2col patches, rebuilt from the padded input rather than kept
 on the tape) and one for dx (the transposed weights against the output
 gradient, scattered back by a col2im slice-add per kernel tap).
+
+Max pooling is a running np.maximum over the window x window strided tap
+slices of the zero-padded input, so no window is ever copied out. Only
+while a tape records does the same loop keep the winning tap's offset,
+replaced where a later tap is strictly greater (the first maximum in scan
+order wins); backward scatters the output gradient with one float64
+np.bincount over those flat indices.
 """
 
 from __future__ import annotations
@@ -262,24 +269,37 @@ def maxpool2d(x, window, stride):
 
     xp = np.zeros((C, Hp, Wp), dtype=x.dtype)
     xp[:, :H, :W] = x.data
-    sc, sh, sw = xp.strides
-    wins = as_strided(
-        xp,
-        shape=(C, Ho, Wo, window, window),
-        strides=(sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    ).reshape(C, Ho, Wo, window * window)
-    flat_arg = wins.argmax(axis=3)
-    out = Tensor(np.take_along_axis(wins, flat_arg[..., None], axis=3)[..., 0])
+    taps = [
+        (u * Wp + v, xp[:, u : u + stride * Ho : stride, v : v + stride * Wo : stride])
+        for u in range(window)
+        for v in range(window)
+    ]
+    best = taps[0][1].copy()
+    recording = _recording()
+    if recording:
+        # offset of the winning tap from its window's top-left corner in
+        # the flattened padded input; strict > keeps the first maximum.
+        arg = np.zeros(best.shape, dtype=np.intp)
+        better = np.empty(best.shape, dtype=bool)
+    for offset, tap in taps[1:]:
+        if recording:
+            np.greater(tap, best, out=better)
+            # an arithmetic select: a masked store is several times slower
+            arg += better * (offset - arg)
+        np.maximum(best, tap, out=best)
+    out = Tensor(best)
 
-    if _recording():
+    if recording:
 
         def grad_fn(g):
-            dxp = np.zeros((C, Hp * Wp), dtype=np.float64)
-            ci, hi, wi = np.indices((C, Ho, Wo))
-            rows = hi * stride + flat_arg // window
-            cols = wi * stride + flat_arg % window
-            np.add.at(dxp, (ci.ravel(), (rows * Wp + cols).ravel()), _f64(g).ravel())
+            corner = (
+                np.arange(C)[:, None, None] * (Hp * Wp)
+                + np.arange(0, Hp - window + 1, stride)[:, None] * Wp
+                + np.arange(0, Wp - window + 1, stride)
+            )
+            dxp = np.bincount(
+                (corner + arg).ravel(), weights=_f64(g).ravel(), minlength=C * Hp * Wp
+            )
             return (dxp.reshape(C, Hp, Wp)[:, :H, :W],)
 
         _record(out, (x,), grad_fn)
@@ -346,20 +366,20 @@ def global_average_pool(x):
 
 def _interp_matrix(n_out, n_in):
     # align-corners-false sample grid with clamped edges, mirror-symmetric
-    # by construction so resampling commutes exactly with flips.
+    # by construction so resampling commutes exactly with flips: the first
+    # half of the rows is computed and reflected onto the second half.
     m = np.zeros((n_out, n_in), dtype=np.float64)
-    scale = n_in / n_out
-    for i in range((n_out + 1) // 2):
-        src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
-        lo = int(math.floor(src))
-        hi = min(lo + 1, n_in - 1)
-        t = src - lo
-        m[i, lo] += 1.0 - t
-        m[i, hi] += t
-        j = n_out - 1 - i
-        if j != i:
-            m[j, n_in - 1 - lo] += 1.0 - t
-            m[j, n_in - 1 - hi] += t
+    i = np.arange((n_out + 1) // 2)
+    src = np.clip((i + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(np.intp)
+    hi = np.minimum(lo + 1, n_in - 1)
+    t = src - lo
+    np.add.at(m, (i, lo), 1.0 - t)
+    np.add.at(m, (i, hi), t)
+    k = n_out // 2  # rows below k have a distinct mirror row
+    j = n_out - 1 - i[:k]
+    np.add.at(m, (j, n_in - 1 - lo[:k]), 1.0 - t[:k])
+    np.add.at(m, (j, n_in - 1 - hi[:k]), t[:k])
     return m
 
 

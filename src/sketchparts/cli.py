@@ -66,7 +66,7 @@ def cmd_gen_corpus(args):
         per_category=corpus_opts["per_category"],
         seed=seed,
         image_size=corpus_opts.get("image_size", 128),
-        categories=tuple(corpus_opts.get("categories", ())),
+        categories=corpus_opts.get("categories", ()),
     )
     written = gen_corpus(spec, args.out)
     print(f"wrote {len(written)} samples under {args.out}")

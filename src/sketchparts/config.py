@@ -61,8 +61,6 @@ class RunConfig:
 
     def train_plan(self, **overrides):
         merged = {**self.parser, **{k: v for k, v in overrides.items() if v is not None}}
-        if "freeze" in merged:
-            merged["freeze"] = tuple(merged["freeze"])
         return TrainPlan(**merged)
 
     def router_plan(self, **overrides):

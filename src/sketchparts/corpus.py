@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .imaging import LabelMap, Raster
 from .pgm import read_pgm, write_pgm
 from .poses import POSES, direction
-from .taxonomy import Taxonomy, load_taxonomy
+from .taxonomy import Taxonomy, load_taxonomy_file
 
 DEFAULT_TAXONOMY_TEXT = """\
 super Small Animals
@@ -56,9 +57,18 @@ class CorpusSpec:
     per_category: int
     seed: int
     image_size: int = 128
-    categories: tuple = ()  # empty means every taxonomy category
+    categories: tuple = ()  # empty means every taxonomy category; a list is stored as a tuple
 
     def __post_init__(self):
+        for name in ("per_category", "image_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.categories, (list, tuple)) or not all(
+            isinstance(c, str) for c in self.categories
+        ):
+            raise ConfigError(f"categories must be a list of names, got {self.categories!r}")
+        object.__setattr__(self, "categories", tuple(self.categories))
         if self.per_category < 1:
             raise ConfigError(f"per_category must be positive, got {self.per_category}")
         if self.image_size < 32:
@@ -303,7 +313,7 @@ def load_corpus(root, taxonomy=None):
     """Read a dataset directory back into PairedSamples (sorted by path)."""
     root = Path(root)
     if taxonomy is None:
-        taxonomy = load_taxonomy((root / "taxonomy.tax").read_text(encoding="utf-8"))
+        taxonomy = load_taxonomy_file(root / "taxonomy.tax")
     poses = {}
     with open(root / "poses.csv", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -127,8 +127,14 @@ def load_taxonomy(text):
 
 
 def load_taxonomy_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_taxonomy(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TaxonomyParseError(line_no, f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return load_taxonomy(text)
 
 
 def _jaccard(a, b):

@@ -10,6 +10,7 @@ mini-batch 1 for the parser.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -112,18 +113,32 @@ class TrainPlan:
     poly_power: float = 0.9
     lam: float = 1.0
     seed: int = 0
-    freeze: tuple = ()  # of PARSER_GROUPS
+    freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
     class_balance: bool = True
     balance_background: bool = True
     clip_norm: float = 10.0  # global gradient norm cap; None disables
     augment: bool = True  # draw one of the 14 rotation/mirror variants per step
 
     def __post_init__(self):
-        _require_ints(self, "iterations")
+        _require_types(
+            self,
+            ints=("iterations", "seed"),
+            reals=("lr_body", "lr_seg_head", "lr_pose_head", "momentum", "poly_power", "lam"),
+            bools=("class_balance", "balance_background", "augment"),
+        )
+        if self.clip_norm is not None:
+            _require_types(self, reals=("clip_norm",))
+            if self.clip_norm <= 0:
+                raise ConfigError(f"clip_norm must be positive or null, got {self.clip_norm}")
         if self.iterations < 1 or min(self.lr_body, self.lr_seg_head, self.lr_pose_head) <= 0:
             raise ConfigError("iterations and learning rates must be positive")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not isinstance(self.freeze, (list, tuple)) or not all(
+            isinstance(g, str) for g in self.freeze
+        ):
+            raise ConfigError(f"freeze must be a list of group names, got {self.freeze!r}")
+        object.__setattr__(self, "freeze", tuple(self.freeze))
         unknown = [g for g in self.freeze if g not in PARSER_GROUPS]
         if unknown:
             raise ConfigError(
@@ -131,11 +146,22 @@ class TrainPlan:
             )
 
 
-def _require_ints(plan, *names):
-    for name in names:
+def _require_types(plan, ints=(), reals=(), bools=()):
+    """Reject plan fields of the wrong type, as read from a JSON config:
+    integers (bool excluded, never negative), finite real numbers and bools."""
+    for name in ints:
         value = getattr(plan, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+    for name in reals:
+        value = getattr(plan, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not real or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    for name in bools:
+        value = getattr(plan, name)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def clip_gradients(params, max_norm):
@@ -246,7 +272,12 @@ class RouterPlan:
     augment: bool = True
 
     def __post_init__(self):
-        _require_ints(self, "iterations", "batch_size")
+        _require_types(
+            self,
+            ints=("iterations", "batch_size", "seed"),
+            reals=("lr", "momentum", "poly_power"),
+            bools=("augment",),
+        )
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("iterations, lr and batch size must be positive")
 

@@ -4,6 +4,8 @@ Everything here is deliberately written as plain loops over pixels and
 dicts, independent of the library's vectorized paths.
 """
 
+import math
+
 import numpy as np
 
 
@@ -78,6 +80,57 @@ def conv2d_bruteforce(x, w, b, stride, dilation, pad):
                             )
                 out[f, i, j] = acc + b[f]
     return out
+
+
+def maxpool2d_bruteforce(x, window, stride, g):
+    """Window-loop max pool of x[C,H,W] and the input gradient for output
+    gradient g. Windows start every `stride` pixels until one reaches the
+    bottom/right edge, and cells past the edge read as zero. The first
+    maximum in scan order wins; gradients add up where windows overlap."""
+    C, H, W = x.shape
+
+    def starts(size):
+        n = 1
+        while (n - 1) * stride + window < size:
+            n += 1
+        return n
+
+    Ho, Wo = starts(H), starts(W)
+    out = np.zeros((C, Ho, Wo))
+    dx = np.zeros((C, H, W))
+    for c in range(C):
+        for i in range(Ho):
+            for j in range(Wo):
+                best, at = None, None
+                for u in range(window):
+                    for v in range(window):
+                        r, q = i * stride + u, j * stride + v
+                        val = x[c, r, q] if r < H and q < W else 0.0
+                        if best is None or val > best:
+                            best, at = val, (r, q)
+                out[c, i, j] = best
+                if at[0] < H and at[1] < W:
+                    dx[c, at[0], at[1]] += g[c, i, j]
+    return out, dx
+
+
+def interp_matrix_loop(n_out, n_in):
+    """Row loop building the mirror-symmetric bilinear resampling matrix:
+    row i and its mirror row n_out-1-i get reflected weights."""
+    m = np.zeros((n_out, n_in), dtype=np.float64)
+    scale = n_in / n_out
+    for i in range((n_out + 1) // 2):
+        src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
+        lo = int(math.floor(src))
+        hi = min(lo + 1, n_in - 1)
+        t = src - lo
+        m[i, lo] += 1.0 - t
+        m[i, hi] += t
+        j = n_out - 1 - i
+        if j != i:
+            m[j, n_in - 1 - lo] += 1.0 - t
+            m[j, n_in - 1 - hi] += t
+    return m
 
 
 def enumerate_assignments(slots):

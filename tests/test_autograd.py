@@ -3,10 +3,12 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import conv2d_bruteforce, interp_matrix_loop, maxpool2d_bruteforce
 from sketchparts.autograd import (
     ConvSpec,
     Tape,
     Tensor,
+    _interp_matrix,
     backward,
     bilinear_upsample,
     conv2d,
@@ -36,31 +38,6 @@ def probe(rng, op):
     return lambda: weighted_sum(op(), w)
 
 
-def conv2d_loops(x, w, b, stride, dilation, pad):
-    """Six-loop reference convolution; the oracle conv2d must match."""
-    C, H, W = x.shape
-    F, _, k, _ = w.shape
-    xp = np.zeros((C, H + 2 * pad, W + 2 * pad), dtype=np.float64)
-    xp[:, pad : pad + H, pad : pad + W] = x
-    eff = dilation * (k - 1) + 1
-    Ho = (H + 2 * pad - eff) // stride + 1
-    Wo = (W + 2 * pad - eff) // stride + 1
-    out = np.zeros((F, Ho, Wo))
-    for f in range(F):
-        for i in range(Ho):
-            for j in range(Wo):
-                acc = 0.0
-                for c in range(C):
-                    for u in range(k):
-                        for v in range(k):
-                            acc += (
-                                xp[c, i * stride + u * dilation, j * stride + v * dilation]
-                                * w[f, c, u, v]
-                            )
-                out[f, i, j] = acc + b[f]
-    return out
-
-
 class TestConv2d:
     def test_identity_size_kernel(self):
         out = conv2d(
@@ -87,7 +64,7 @@ class TestConv2d:
         b = rng.standard_normal(3)
         spec = ConvSpec(kernel=3, out_channels=3, stride=stride, dilation=dilation, pad=pad)
         got = conv2d(t64(x), t64(w), t64(b), spec).data
-        want = conv2d_loops(x, w, b, stride, dilation, pad)
+        want = conv2d_bruteforce(x, w, b, stride, dilation, pad)
         assert np.allclose(got, want, atol=1e-6)
 
     def test_channel_mismatch_raises(self):
@@ -177,6 +154,34 @@ class TestMaxpool:
         x = t64(vals * 0.1)
         err = gradcheck(probe(rng, lambda: maxpool2d(x, 3, 2)), [x], tol=1e-3)
         assert err < 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1)])
+    @pytest.mark.parametrize("shape", [(3, 7, 10), (2, 9, 4), (2, 1, 2)])
+    def test_matches_window_loop_with_ties(self, shape, window, stride, dtype):
+        rng = np.random.default_rng(sum(shape) * 10 + window * 3 + stride)
+        # few distinct integers, negatives included: ties everywhere, and the
+        # zero padding past the edge can win
+        vals = rng.integers(-2, 3, size=shape).astype(np.float64)
+        x = Tensor(vals, dtype=dtype)
+        with Tape() as tape:
+            out = maxpool2d(x, window, stride)
+            g = rng.standard_normal(out.shape)
+            loss = weighted_sum(out, g)
+        backward(tape, loss)
+        want_out, want_dx = maxpool2d_bruteforce(vals, window, stride, g)
+        # the gradient accumulates in float64 before the cast to x's dtype
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_dx.astype(dtype))
+        untaped = maxpool2d(Tensor(vals, dtype=dtype), window, stride)
+        assert np.array_equal(untaped.data, want_out)
+
+
+def test_interp_matrix_matches_row_loop():
+    for n_in in [*range(1, 40), 96, 112, 128, 144, 168, 300]:
+        for n_out in range(1, 200):
+            got = _interp_matrix(n_out, n_in)
+            assert np.array_equal(got, interp_matrix_loop(n_out, n_in)), (n_out, n_in)
 
 
 class TestLinear:

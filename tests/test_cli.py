@@ -238,6 +238,53 @@ def test_config_value_not_an_object_exits_1(tmp_path, capsys, raw):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,raw,message",
+    [
+        ("train-parser", {"parser": {"lr_body": "fast"}}, "lr_body must be a finite number"),
+        ("train-parser", {"parser": {"freeze": 5}}, "freeze must be a list"),
+        ("train-router", {"router": {"momentum": "x"}}, "momentum must be a finite number"),
+    ],
+)
+def test_config_bad_plan_value_exits_1(small_corpus, tmp_path, capsys, command, raw, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    rc = main([command, "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+               "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "corpus,message",
+    [
+        ({"per_category": "x"}, "per_category must be an integer"),
+        ({"per_category": True}, "per_category must be an integer"),
+        ({"image_size": 64.0}, "image_size must be an integer"),
+        ({"categories": "cat"}, "categories must be a list"),
+        ({"categories": [1]}, "categories must be a list"),
+    ],
+)
+def test_config_bad_corpus_value_exits_1(tmp_path, capsys, corpus, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"corpus": corpus}))
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_non_utf8_taxonomy_exits_1(tmp_path, capsys):
+    tax = tmp_path / "bad.tax"
+    tax.write_bytes(b"super S\ncat thing : a, b\n\xff\xfe\n")
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--taxonomy", str(tax)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "UTF-8" in err and "Traceback" not in err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"parser": {"iterationz": 5}}))

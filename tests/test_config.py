@@ -93,6 +93,8 @@ def test_fuzz_only_config_errors_escape(tmp_path_factory, value):
     path.write_text(json.dumps(value))
     try:
         cfg = load_config(path)
+        plans = cfg.train_plan(), cfg.router_plan()
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    assert isinstance(plans[0], TrainPlan) and isinstance(plans[1], RouterPlan)

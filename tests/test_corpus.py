@@ -67,6 +67,28 @@ def test_unknown_category_rejected():
         CorpusSpec(TAX, per_category=2, seed=0, categories=("submarine",)).category_list()
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"per_category": "x"}, "per_category must be an integer"),
+        ({"per_category": 2.0}, "per_category must be an integer"),
+        ({"per_category": True}, "per_category must be an integer"),
+        ({"image_size": "64"}, "image_size must be an integer"),
+        ({"image_size": False}, "image_size must be an integer"),
+        ({"categories": 5}, "categories must be a list"),
+        ({"categories": "cat"}, "categories must be a list"),
+        ({"categories": ["cat", 2]}, "categories must be a list"),
+    ],
+)
+def test_spec_value_types_rejected(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        CorpusSpec(TAX, **{"per_category": 2, "seed": 0, **kwargs})
+
+
+def test_spec_category_list_stored_as_tuple():
+    assert CorpusSpec(TAX, per_category=1, seed=0, categories=["cat"]).categories == ("cat",)
+
+
 def test_every_part_present_every_sample():
     for ci, cat in enumerate(TAX.categories):
         ids = set(TAX.category_part_ids(cat).values())

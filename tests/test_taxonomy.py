@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchparts.errors import ContractViolation, TaxonomyParseError
 from sketchparts.taxonomy import (
+    Taxonomy,
     assign_new_category,
     cluster_supercategories,
     load_taxonomy,
+    load_taxonomy_file,
 )
 
 ELEVEN_CATEGORY_TEXT = """
@@ -160,3 +164,52 @@ class TestAssignNewCategory:
         before = t.to_text()
         assign_new_category(t, {"head", "wing"})
         assert t.to_text() == before
+
+
+def test_non_utf8_file_names_the_line(tmp_path):
+    path = tmp_path / "bad.tax"
+    path.write_bytes(b"super S\ncat thing : a, b\n\xff\xfe\n")
+    with pytest.raises(TaxonomyParseError, match="UTF-8") as exc:
+        load_taxonomy_file(path)
+    assert exc.value.line_no == 3
+
+
+def test_file_matches_text(tmp_path):
+    path = tmp_path / "ok.tax"
+    path.write_bytes(ELEVEN_CATEGORY_TEXT.replace("\n", "\r\n").encode("utf-8"))
+    assert load_taxonomy_file(path).to_text() == load_taxonomy(ELEVEN_CATEGORY_TEXT).to_text()
+
+
+names = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+taxonomy_line = st.one_of(
+    names,
+    st.builds("super {}".format, names),
+    st.builds(
+        lambda name, parts, sep: f"cat {name}{sep}{', '.join(parts)}",
+        names,
+        st.lists(names, max_size=4),
+        st.sampled_from([" : ", ":", " ", ""]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(taxonomy_line, max_size=8).map("\n".join))
+def test_fuzz_only_parse_errors_escape(text):
+    try:
+        tax = load_taxonomy(text)
+    except TaxonomyParseError:
+        return
+    assert isinstance(tax, Taxonomy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_fuzz_file_bytes_only_parse_errors_escape(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "t.tax"
+    path.write_bytes(data)
+    try:
+        tax = load_taxonomy_file(path)
+    except TaxonomyParseError:
+        return
+    assert isinstance(tax, Taxonomy)

@@ -252,6 +252,50 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             RouterPlan(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["lr_body", "lr_seg_head", "lr_pose_head", "momentum", "poly_power", "lam"]
+    )
+    @pytest.mark.parametrize("value", ["fast", None, True, float("nan"), [1.0]])
+    def test_train_reals_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            TrainPlan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lr", "momentum", "poly_power"])
+    @pytest.mark.parametrize("value", ["x", None, False, float("inf")])
+    def test_router_reals_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            RouterPlan(**{field: value})
+
+    @pytest.mark.parametrize("value", ["a", True, 0, -1.0])
+    def test_clip_norm_positive_number_or_none(self, value):
+        with pytest.raises(ConfigError, match="clip_norm"):
+            TrainPlan(clip_norm=value)
+        assert TrainPlan(clip_norm=None).clip_norm is None
+        assert TrainPlan(clip_norm=3).clip_norm == 3
+
+    @pytest.mark.parametrize("value", [5, "shared", None, [1], ("shared", None)])
+    def test_freeze_must_be_a_list_of_names(self, value):
+        with pytest.raises(ConfigError, match="freeze must be a list"):
+            TrainPlan(freeze=value)
+
+    def test_freeze_list_is_stored_as_tuple(self):
+        assert TrainPlan(freeze=["shared", "seg_head"]).freeze == ("shared", "seg_head")
+
+    @pytest.mark.parametrize("plan", [TrainPlan, RouterPlan])
+    @pytest.mark.parametrize("value", ["0", -1, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, plan, value):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            plan(seed=value)
+
+    @pytest.mark.parametrize("field", ["class_balance", "balance_background", "augment"])
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_flags_must_be_bools(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be true or false"):
+            TrainPlan(**{field: value})
+        if field == "augment":
+            with pytest.raises(ConfigError, match="augment must be true or false"):
+                RouterPlan(augment=value)
+
 
 class TestTrainRouter:
     def test_log_and_determinism(self):
