@@ -3,13 +3,17 @@
 Layout: 4-byte magic, u32 LE version, 32-byte taxonomy digest, u32 tensor
 count, then per tensor: u16 name length + UTF-8 name, u8 rank, u32 dims,
 float32 LE payload in C order. Saving the same tensors twice produces
-identical bytes.
+identical bytes. A save goes to a temporary file beside the target and is
+renamed over it only once complete, so a failed save leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
 
 import numpy as np
 
@@ -21,19 +25,30 @@ VERSION = 1
 def write_checkpoint(path, magic, digest, named_tensors):
     if len(magic) != 4 or len(digest) != 32:
         raise CheckpointError(0, f"bad magic/digest lengths {len(magic)}/{len(digest)}")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<I", len(named_tensors)))
-        for name, tensor in named_tensors:
-            encoded = name.encode("utf-8")
-            data = np.ascontiguousarray(tensor.data, dtype=np.float32)
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+    path = os.fspath(path)
+    directory, base = os.path.split(path)
+    tmp = os.path.join(directory, f".{base}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(digest)
+            fh.write(struct.pack("<I", len(named_tensors)))
+            for name, tensor in named_tensors:
+                encoded = name.encode("utf-8")
+                data = np.ascontiguousarray(tensor.data, dtype=np.float32)
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                fh.write(data.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path, magic):

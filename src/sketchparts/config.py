@@ -22,6 +22,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .training import RouterPlan, TrainPlan
 
+FORMAT_VERSION = 1
 TOP_LEVEL_KEYS = {"format_version", "taxonomy", "seed", "corpus", "parser", "router"}
 CORPUS_KEYS = {"per_category", "image_size", "categories"}
 
@@ -44,6 +45,9 @@ class RunConfig:
         _check_keys(raw.get("corpus", {}), CORPUS_KEYS, "corpus")
         _check_keys(raw.get("parser", {}), _plan_fields(TrainPlan), "parser")
         _check_keys(raw.get("router", {}), _plan_fields(RouterPlan), "router")
+        version = raw.get("format_version", FORMAT_VERSION)
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ConfigError(f"format_version must be {FORMAT_VERSION}, got {version!r}")
         self.base_dir = Path(base_dir)
         self.taxonomy_path = raw.get("taxonomy")
         if self.taxonomy_path is not None:

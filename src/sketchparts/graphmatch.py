@@ -9,12 +9,23 @@ polar position. Matching two graphs is a quadratic assignment relaxed as a
 reweighted random walk on the candidate-correspondence affinity matrix,
 with Sinkhorn-bistochastic reweighting, under two hard constraints:
 global matches only global, and locals match only within the same part id.
+
+`rrwm_match_all` runs many walks in lockstep over one concatenated vector,
+so re-ranking a list costs a few array passes per iteration instead of a
+few per walk. Sinkhorn groups are numbered apart across problems, so one
+bincount normalizes them all; per-problem maxima come from a reduceat; a
+walk leaves the lockstep once it converges and is no longer computed. The
+results are bit-identical to walking each problem alone: each `A @ x` and
+each normalizing total is still taken per problem, because a shared
+summation (add.reduceat) adds in another order and moves the last bits.
+`rrwm_match` is the same solver on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -60,10 +71,10 @@ def build_graph(lm):
     if foreground == 0:
         return AttributeGraph({}, 0.0, (), {}, {})
 
-    keep = [c for c in comps if c.area >= MIN_AREA_FRACTION * foreground]
+    kept = np.array([c.area >= MIN_AREA_FRACTION * foreground for c in comps])
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     nodes = []
-    for c in keep:
+    for c in compress(comps, kept):
         nodes.append(
             LocalNode(
                 part_id=c.part_id,
@@ -78,29 +89,32 @@ def build_graph(lm):
     for n in nodes:
         histogram[n.part_id] = histogram.get(n.part_id, 0) + 1
 
-    # adjacency: any 4-neighbouring pixel pair from two kept components
-    kept_at = np.full(len(comps), -1, dtype=int)
-    next_slot = 0
-    for original_idx, c in enumerate(comps):
-        if c.area >= MIN_AREA_FRACTION * foreground:
-            kept_at[original_idx] = next_slot
-            next_slot += 1
-    edges = {}
+    # adjacency: any 4-neighbouring pixel pair from two kept components.
+    # Pairs are gathered row-pass first, each pass in scan order; the first
+    # occurrence of an unordered pair decides which direction gets atan2 and
+    # which the wrapped reverse, and edges enter the dict in that order.
+    kept_at = np.where(kept, np.cumsum(kept) - 1, -1)
     lab = comp_map
+    ka, kb = [], []
     for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
         touching = (a >= 0) & (b >= 0) & (a != b)
-        for ia, ib in zip(a[touching].ravel(), b[touching].ravel()):
-            ka, kb = kept_at[ia], kept_at[ib]
-            if ka < 0 or kb < 0 or ka == kb:
-                continue
-            if (ka, kb) in edges:
-                continue
-            dy = nodes[kb].centroid[0] - nodes[ka].centroid[0]
-            dx = nodes[kb].centroid[1] - nodes[ka].centroid[1]
-            r = math.hypot(dy, dx)
-            theta = math.atan2(dy, dx)
-            edges[(ka, kb)] = (r, theta)
-            edges[(kb, ka)] = (r, _wrap_angle(theta + math.pi))
+        ka.append(kept_at[a[touching]])
+        kb.append(kept_at[b[touching]])
+    ka, kb = np.concatenate(ka), np.concatenate(kb)
+    both = (ka >= 0) & (kb >= 0)
+    ka, kb = ka[both], kb[both]
+    _, first = np.unique(
+        np.minimum(ka, kb) * len(nodes) + np.maximum(ka, kb), return_index=True
+    )
+    first.sort()
+    edges = {}
+    for i, j in zip(ka[first].tolist(), kb[first].tolist()):
+        dy = nodes[j].centroid[0] - nodes[i].centroid[0]
+        dx = nodes[j].centroid[1] - nodes[i].centroid[1]
+        r = math.hypot(dy, dx)
+        theta = math.atan2(dy, dx)
+        edges[(i, j)] = (r, theta)
+        edges[(j, i)] = (r, _wrap_angle(theta + math.pi))
 
     anchors = {}
     for i, n in enumerate(nodes):
@@ -207,49 +221,69 @@ class MatchResult:
     relaxed: np.ndarray  # final walk distribution over candidates
 
 
-def _sinkhorn(x, rows, cols, iterations):
-    q = x.copy()
-    for _ in range(iterations):
-        row_sum = np.bincount(rows, weights=q, minlength=rows.max() + 1)
-        q = q / row_sum[rows]
-        col_sum = np.bincount(cols, weights=q, minlength=cols.max() + 1)
-        q = q / col_sum[cols]
-    return q
+def _group_ids(problem, node):
+    """Dense ids for (problem, node) pairs, so groups never span problems."""
+    return np.unique(problem * (node.max() + 2) + node + 1, return_inverse=True)[1]
 
 
-def rrwm_match(affinity, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8):
-    """Reweighted random walk over the affinity matrix, then greedy one-to-one
-    discretization. Never emits a pair outside the candidate list, so the
-    matching constraints hold by construction."""
-    candidates = affinity.candidates
-    if not candidates:
+def rrwm_match_all(
+    affinities, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8
+):
+    """Reweighted random walk over each affinity matrix, in lockstep, then
+    greedy one-to-one discretization; one MatchResult per affinity, in
+    order. Sinkhorn normalizes one row group per query node and one column
+    group per candidate node (the global pair gets its own row and column).
+    A walk stops when it converges or its total is not positive. Never
+    emits a pair outside the candidate list, so the matching constraints
+    hold by construction."""
+    if not affinities:
+        return []
+    if any(not aff.candidates for aff in affinities):
         raise ContractViolation("empty candidate list")
-    A = affinity.matrix
-    m = len(candidates)
-    # bistochastic normalization groups: one row per query node, one column
-    # per candidate node (the global pair gets its own row and column)
-    qs = sorted({i for i, _ in candidates})
-    cs = sorted({a for _, a in candidates})
-    rows = np.array([qs.index(i) for i, _ in candidates])
-    cols = np.array([cs.index(a) for _, a in candidates])
+    n = len(affinities)
+    sizes = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
+    pairs = np.array([pair for aff in affinities for pair in aff.candidates]).reshape(-1, 2)
+    problem = np.repeat(np.arange(n), sizes)
+    rows = _group_ids(problem, pairs[:, 0])
+    cols = _group_ids(problem, pairs[:, 1])
 
-    x = np.full(m, 1.0 / m)
-    converged = False
+    x = np.repeat(1.0 / sizes, sizes)
+    live = np.arange(n)
+    relaxed = [None] * n
+    converged = [False] * n
     for _ in range(max_iterations):
-        walked = A @ x
-        sharp = np.exp(beta * x / x.max())
-        jump = _sinkhorn(sharp, rows, cols, sinkhorn_iterations)
+        if not live.size:
+            break
+        ends = np.cumsum(sizes[live])
+        starts = ends - sizes[live]
+        owner = np.repeat(np.arange(live.size), sizes[live])
+        walked = np.concatenate(
+            [affinities[p].matrix @ x[s:e] for p, s, e in zip(live, starts, ends)]
+        )
+        jump = np.exp(beta * x / np.maximum.reduceat(x, starts)[owner])
+        for _ in range(sinkhorn_iterations):
+            jump = jump / np.bincount(rows, weights=jump)[rows]
+            jump = jump / np.bincount(cols, weights=jump)[cols]
         y = alpha * walked + (1.0 - alpha) * jump
-        total = y.sum()
-        if total <= 0:
-            break
-        y = y / total
-        if np.abs(y - x).max() < tol:
-            x = y
-            converged = True
-            break
-        x = y
+        total = np.array([y[s:e].sum() for s, e in zip(starts, ends)])
+        stuck = total <= 0
+        y = y / np.where(stuck, 1.0, total)[owner]
+        done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < tol)
+        leaving = stuck | done
+        for k in np.flatnonzero(leaving):
+            relaxed[live[k]] = (y if done[k] else x)[starts[k] : ends[k]]
+            converged[live[k]] = bool(done[k])
+        walking = ~leaving[owner]
+        x, rows, cols = y[walking], rows[walking], cols[walking]
+        live = live[~leaving]
+    ends = np.cumsum(sizes[live])
+    for p, s, e in zip(live, ends - sizes[live], ends):
+        relaxed[p] = x[s:e]
+    return [_discretize(aff, r, c) for aff, r, c in zip(affinities, relaxed, converged)]
 
+
+def _discretize(affinity, x, converged):
+    candidates = affinity.candidates
     order = np.argsort(-x, kind="stable")
     used_q, used_c = set(), set()
     chosen = []
@@ -260,11 +294,16 @@ def rrwm_match(affinity, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_itera
         used_q.add(i)
         used_c.add(a)
         chosen.append(idx)
-    indicator = np.zeros(m)
+    indicator = np.zeros(len(candidates))
     indicator[chosen] = 1.0
-    score = float(indicator @ A @ indicator)
+    score = float(indicator @ affinity.matrix @ indicator)
     pairs = {candidates[idx][0]: candidates[idx][1] for idx in chosen}
     return MatchResult(pairs, score, converged, x)
+
+
+def rrwm_match(affinity, **kwargs):
+    """One affinity through rrwm_match_all."""
+    return rrwm_match_all([affinity], **kwargs)[0]
 
 
 def match_maps(query_lm, cand_lm, sigmas=MatchSigmas(), **kwargs):
@@ -284,9 +323,8 @@ def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
     qg = build_graph(query_lm)
-    scored = []
-    for rank, (cid, lm) in enumerate(head):
-        result = rrwm_match(build_affinity(qg, build_graph(lm), sigmas))
-        scored.append((-result.score, rank, cid))
-    scored.sort()
+    results = rrwm_match_all([build_affinity(qg, build_graph(lm), sigmas) for _, lm in head])
+    scored = sorted(
+        (-result.score, rank, cid) for rank, ((cid, _), result) in enumerate(zip(head, results))
+    )
     return [cid for _, _, cid in scored] + [cid for cid, _ in tail]

@@ -212,28 +212,14 @@ def rescale(x, factor):
 
 
 def resize(x, out_h, out_w):
-    """Resample to a new size; the sample grid is mirror-symmetric, so
-    resize(mirror(x)) equals mirror(resize(x)) bit for bit."""
+    """Resample a Raster to a new size; the sample grid is mirror-symmetric,
+    so resize(mirror(x)) equals mirror(resize(x)) bit for bit."""
     if out_h < 1 or out_w < 1:
         raise ContractViolation(f"resize target must be positive, got {out_h}x{out_w}")
-    if isinstance(x, Raster):
-        wy = _interp_matrix(out_h, x.height)
-        wx = _interp_matrix(out_w, x.width)
-        vals = wy @ x.pixels.astype(np.float64) @ wx.T
-        return Raster(np.where(vals >= 128.0, INK, 0).astype(np.uint8))
-    rows = _nearest_grid(out_h, x.height)
-    cols = _nearest_grid(out_w, x.width)
-    return LabelMap(x.labels[np.ix_(rows, cols)])
-
-
-def _nearest_grid(n_out, n_in):
-    idx = np.empty(n_out, dtype=int)
-    scale = n_in / n_out
-    for i in range((n_out + 1) // 2):
-        src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
-        idx[i] = int(math.floor(src + 0.5))
-        idx[n_out - 1 - i] = n_in - 1 - idx[i]
-    return idx
+    wy = _interp_matrix(out_h, x.height)
+    wx = _interp_matrix(out_w, x.width)
+    vals = wy @ x.pixels.astype(np.float64) @ wx.T
+    return Raster(np.where(vals >= 128.0, INK, 0).astype(np.uint8))
 
 
 def pad_blank(x, top, bottom, left, right):
@@ -289,10 +275,18 @@ def label_components(lm):
     """
     labels = lm.labels
     found = []
-    for pid in lm.ids():
-        comp, n = ndimage.label(labels == pid, structure=FOUR_CONN)
+    # each id is labelled only inside its bounding box; value_indices lists
+    # a component's pixels in the box's scan order, which the box corner's
+    # offset turns into the whole map's scan order
+    for pid, box in enumerate(ndimage.find_objects(labels), start=1):
+        if box is None:
+            continue
+        comp, n = ndimage.label(labels[box] == pid, structure=FOUR_CONN)
+        where = ndimage.value_indices(comp, ignore_value=0)
         for k in range(1, n + 1):
-            rows, cols = np.nonzero(comp == k)
+            rows, cols = where[k]
+            rows = rows + box[0].start
+            cols = cols + box[1].start
             centroid = (rows.mean().item(), cols.mean().item())
             found.append(
                 Component(

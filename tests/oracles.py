@@ -148,3 +148,139 @@ def enumerate_assignments(slots):
                 yield from rec(i + 1, used | {cand}, acc + [cand])
 
     yield from rec(0, frozenset(), [])
+
+
+def label_components_loop(lm):
+    """Per-id component labelling with one whole-map scan per component:
+    (components, index map) in the library's order and dtypes."""
+    from scipy import ndimage
+
+    from sketchparts.imaging import FOUR_CONN, Component
+
+    labels = lm.labels
+    found = []
+    for pid in lm.ids():
+        comp, n = ndimage.label(labels == pid, structure=FOUR_CONN)
+        for k in range(1, n + 1):
+            rows, cols = np.nonzero(comp == k)
+            found.append(
+                Component(
+                    part_id=pid,
+                    pixels=np.column_stack([rows, cols]),
+                    area=rows.size,
+                    centroid=(rows.mean().item(), cols.mean().item()),
+                )
+            )
+    found.sort(key=lambda c: (c.part_id, c.centroid[0], c.centroid[1]))
+    index_map = np.full(labels.shape, -1, dtype=np.int32)
+    for i, c in enumerate(found):
+        index_map[c.pixels[:, 0], c.pixels[:, 1]] = i
+    return found, index_map
+
+
+def build_graph_loop(lm):
+    """Attribute graph with edges found by a loop over every touching pixel
+    pair, row pass then column pass; the first pair seen for two nodes
+    gives the forward direction."""
+    from sketchparts.graphmatch import (
+        MIN_AREA_FRACTION,
+        AttributeGraph,
+        LocalNode,
+        _angular_extent,
+        _wrap_angle,
+    )
+
+    h, w = lm.labels.shape
+    comps, comp_map = label_components_loop(lm)
+    foreground = int((lm.labels != 0).sum())
+    if foreground == 0:
+        return AttributeGraph({}, 0.0, (), {}, {})
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    kept_at = {}
+    nodes = []
+    for original_idx, c in enumerate(comps):
+        if c.area < MIN_AREA_FRACTION * foreground:
+            continue
+        kept_at[original_idx] = len(nodes)
+        nodes.append(
+            LocalNode(
+                part_id=c.part_id,
+                area=c.area,
+                area_fraction=c.area / foreground,
+                subtended=_angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
+                centroid=(c.centroid[0] / h, c.centroid[1] / w),
+            )
+        )
+    histogram = {}
+    for n in nodes:
+        histogram[n.part_id] = histogram.get(n.part_id, 0) + 1
+
+    edges = {}
+    neighbours = [(r, c, r, c + 1) for r in range(h) for c in range(w - 1)]
+    neighbours += [(r, c, r + 1, c) for r in range(h - 1) for c in range(w)]
+    for r0, c0, r1, c1 in neighbours:
+        ka = kept_at.get(int(comp_map[r0, c0]), -1)
+        kb = kept_at.get(int(comp_map[r1, c1]), -1)
+        if ka < 0 or kb < 0 or ka == kb or (ka, kb) in edges:
+            continue
+        dy = nodes[kb].centroid[0] - nodes[ka].centroid[0]
+        dx = nodes[kb].centroid[1] - nodes[ka].centroid[1]
+        r, theta = math.hypot(dy, dx), math.atan2(dy, dx)
+        edges[(ka, kb)] = (r, theta)
+        edges[(kb, ka)] = (r, _wrap_angle(theta + math.pi))
+
+    anchors = {}
+    for i, n in enumerate(nodes):
+        dy = n.centroid[0] - 0.5
+        dx = n.centroid[1] - 0.5
+        anchors[i] = (math.hypot(dy, dx), math.atan2(dy, dx))
+    return AttributeGraph(histogram, foreground / (h * w), tuple(nodes), edges, anchors)
+
+
+def rrwm_match_loop(
+    affinity, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8
+):
+    """One reweighted random walk on its own vectors, then greedy
+    one-to-one discretization, as a MatchResult."""
+    from sketchparts.graphmatch import MatchResult
+
+    candidates = affinity.candidates
+    A = affinity.matrix
+    m = len(candidates)
+    qs = sorted({i for i, _ in candidates})
+    cs = sorted({a for _, a in candidates})
+    rows = np.array([qs.index(i) for i, _ in candidates])
+    cols = np.array([cs.index(a) for _, a in candidates])
+
+    x = np.full(m, 1.0 / m)
+    converged = False
+    for _ in range(max_iterations):
+        walked = A @ x
+        q = np.exp(beta * x / x.max())
+        for _ in range(sinkhorn_iterations):
+            q = q / np.bincount(rows, weights=q)[rows]
+            q = q / np.bincount(cols, weights=q)[cols]
+        y = alpha * walked + (1.0 - alpha) * q
+        total = y.sum()
+        if total <= 0:
+            break
+        y = y / total
+        if np.abs(y - x).max() < tol:
+            x = y
+            converged = True
+            break
+        x = y
+
+    used_q, used_c = set(), set()
+    chosen = []
+    for idx in np.argsort(-x, kind="stable"):
+        i, a = candidates[idx]
+        if i in used_q or a in used_c:
+            continue
+        used_q.add(i)
+        used_c.add(a)
+        chosen.append(idx)
+    indicator = np.zeros(m)
+    indicator[chosen] = 1.0
+    score = float(indicator @ A @ indicator)
+    return MatchResult({candidates[k][0]: candidates[k][1] for k in chosen}, score, converged, x)

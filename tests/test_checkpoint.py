@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchparts.checkpoint import VERSION, read_checkpoint
+from sketchparts.autograd import Tensor
+from sketchparts.checkpoint import VERSION, read_checkpoint, write_checkpoint
 from sketchparts.errors import CheckpointError
 
 MAGIC = b"TEST"
@@ -19,6 +21,40 @@ def record(name, dims, payload=b""):
         struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
         + struct.pack(f"<{len(dims)}I", *dims) + payload
     )
+
+
+TENSORS = [
+    ("w", Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))),
+    ("b", Tensor(np.array([1.5], dtype=np.float32))),
+]
+
+
+def test_save_writes_the_documented_layout(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, MAGIC, DIGEST, TENSORS)
+    assert path.read_bytes() == (
+        HEADER + struct.pack("<I", 2)
+        + record(b"w", (2, 3), np.arange(6, dtype="<f4").tobytes())
+        + record(b"b", (1,), np.array([1.5], dtype="<f4").tobytes())
+    )
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def test_failed_overwrite_keeps_the_old_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, MAGIC, DIGEST, TENSORS[:1])
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_checkpoint(path, MAGIC, DIGEST, TENSORS + [("\ud800", TENSORS[1][1])])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    assert list(read_checkpoint(path, MAGIC)[1]) == ["w"]
+
+
+def test_failed_first_save_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_checkpoint(tmp_path / "m.ckpt", MAGIC, DIGEST, [("\ud800", TENSORS[1][1])])
+    assert os.listdir(tmp_path) == []
 
 
 def test_non_utf8_name_names_its_offset(tmp_path):

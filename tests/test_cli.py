@@ -238,6 +238,18 @@ def test_config_value_not_an_object_exits_1(tmp_path, capsys, raw):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [99, "x", None])
+def test_config_bad_format_version_exits_1(tmp_path, capsys, version):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format_version": version}))
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
+               "--categories", "cat", "--per-category", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "format_version must be 1" in err and "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize(
     "command,raw,message",
     [

@@ -29,7 +29,20 @@ def test_section_must_be_an_object(tmp_path, section, value):
         load_config(write(tmp_path, {section: value}))
 
 
-@pytest.mark.parametrize("raw", [{"taxonomy": 5}, {"seed": "1"}, {"seed": -1}, {"seed": 1.5}])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"taxonomy": 5},
+        {"seed": "1"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"format_version": 99},
+        {"format_version": "x"},
+        {"format_version": None},
+        {"format_version": True},
+        {"format_version": 1.0},
+    ],
+)
 def test_bad_scalar_values(tmp_path, raw):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, raw))
@@ -43,7 +56,9 @@ def test_non_utf8_file(tmp_path):
 
 
 def test_valid_config_loads(tmp_path):
-    cfg = load_config(write(tmp_path, {"seed": 3, "parser": {"iterations": 7}}))
+    cfg = load_config(
+        write(tmp_path, {"format_version": 1, "seed": 3, "parser": {"iterations": 7}})
+    )
     assert isinstance(cfg, RunConfig) and cfg.seed == 3
     assert cfg.train_plan().iterations == 7
 

@@ -8,6 +8,7 @@ from sketchparts.autograd import make_rng
 from sketchparts.errors import ContractViolation
 from sketchparts.graphmatch import (
     GLOBAL,
+    Affinity,
     AttributeGraph,
     LocalNode,
     build_affinity,
@@ -15,8 +16,11 @@ from sketchparts.graphmatch import (
     match_maps,
     rerank,
     rrwm_match,
+    rrwm_match_all,
 )
-from sketchparts.imaging import LabelMap
+from sketchparts.imaging import LabelMap, label_components
+
+from oracles import build_graph_loop, label_components_loop, rrwm_match_loop
 
 
 # --------------------------------------------------------------------------
@@ -333,3 +337,115 @@ class TestRerank:
         result = match_maps(a, a)
         assert result.pairs[GLOBAL] == GLOBAL
         assert result.score > 0
+
+
+# --------------------------------------------------------------------------
+# the vectorised paths against the loop oracles, compared exactly
+
+
+def patchwork(rng, h, w, ids=(1, 2, 3, 255), rects=6, specks=4):
+    """Overlapping rectangles of random part ids plus single-pixel specks."""
+    lm = np.zeros((h, w), dtype=np.uint8)
+    for _ in range(rects):
+        r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+        rh, rw = int(rng.integers(1, h // 2 + 2)), int(rng.integers(1, w // 2 + 2))
+        lm[r : r + rh, c : c + rw] = rng.choice(ids)
+    for _ in range(specks):
+        lm[int(rng.integers(0, h)), int(rng.integers(0, w))] = rng.choice(ids)
+    return LabelMap(lm)
+
+
+def oracle_maps():
+    """Hand-made edge cases, then random maps, square and not."""
+    maps = {
+        "background": np.zeros((6, 9), dtype=np.uint8),
+        "one_pixel": np.pad(np.array([[7]], dtype=np.uint8), ((2, 3), (4, 1))),
+        "whole_map_id_255": np.full((3, 5), 255, dtype=np.uint8),
+        # part 2 sorts after part 1, so each first contact runs from node 1 to node 0
+        "vertical_first_contact": np.array([[2, 2, 2], [2, 2, 2], [1, 1, 1], [1, 1, 1]]),
+        "right_to_left": np.array([[2, 2, 1, 1], [2, 2, 1, 1]]),
+        # the row pass meets 2|1, the later column pass 1-over-2
+        "row_then_column": np.array([[0, 0, 1, 1], [2, 2, 1, 1], [2, 2, 2, 0]]),
+        "border_parts": np.array(
+            [[3, 3, 0, 0, 4], [0, 0, 0, 0, 4], [0, 5, 5, 0, 0], [255, 0, 0, 0, 6]]
+        ),
+        "one_id_many_pieces": np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]),
+    }
+    out = [(name, LabelMap(np.asarray(a, dtype=np.uint8))) for name, a in maps.items()]
+    rng = make_rng(41)
+    for h, w in ((1, 1), (1, 9), (9, 1), (17, 40), (40, 17), (32, 32), (48, 30)):
+        for k in range(3):
+            out.append((f"random_{h}x{w}_{k}", patchwork(rng, h, w)))
+    return out
+
+
+ORACLE_MAPS = oracle_maps()
+
+
+def assert_same_match(got, want):
+    assert list(got.pairs.items()) == list(want.pairs.items())
+    assert got.score == want.score
+    assert got.converged == want.converged
+    assert got.relaxed.tobytes() == want.relaxed.tobytes()
+
+
+class TestAgainstLoopOracles:
+    @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
+    def test_label_components_exact(self, name, lm):
+        comps, index_map = label_components(lm)
+        want, want_map = label_components_loop(lm)
+        assert index_map.dtype == want_map.dtype and np.array_equal(index_map, want_map)
+        assert len(comps) == len(want)
+        for c, o in zip(comps, want):
+            assert (c.part_id, c.area, c.centroid) == (o.part_id, o.area, o.centroid)
+            assert c.pixels.dtype == o.pixels.dtype and np.array_equal(c.pixels, o.pixels)
+
+    @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
+    def test_build_graph_exact(self, name, lm):
+        g, want = build_graph(lm), build_graph_loop(lm)
+        assert g == want
+        assert list(g.edges.items()) == list(want.edges.items())
+
+    def test_lockstep_batch_exact(self):
+        rng = make_rng(43)
+        affinities = []
+        for n in (1, 2, 3, 5, 6):
+            g, structure = synth_graph(rng, n)
+            h, _ = perturb_and_permute(g, structure, rng, eps=0.05)
+            affinities.append(build_affinity(g, h))
+        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
+        affinities += [build_affinity(a, b) for a, b in zip(graphs, graphs[5:])]
+        # a walk whose total is negative stops before it divides
+        affinities.append(Affinity([(GLOBAL, GLOBAL)], np.array([[-100.0]]), None, None))
+        for cap in (4, 300):
+            want = [rrwm_match_loop(aff, max_iterations=cap) for aff in affinities]
+            got = rrwm_match_all(affinities, max_iterations=cap)
+            assert len(got) == len(want)
+            for r, o in zip(got, want):
+                assert_same_match(r, o)
+        # the capped batch mixes walks that converged with walks cut off
+        capped = [rrwm_match_loop(aff, max_iterations=4).converged for aff in affinities]
+        assert any(capped) and not all(capped[:-1])
+
+    def test_single_walk_and_empty_batch(self):
+        g, structure = synth_graph(make_rng(47), 4)
+        aff = build_affinity(g, g)
+        assert_same_match(rrwm_match(aff), rrwm_match_loop(aff))
+        assert rrwm_match_all([]) == []
+        with pytest.raises(ContractViolation):
+            rrwm_match_all([aff, Affinity([], np.zeros((0, 0)), g, g)])
+
+    def test_rerank_matches_per_candidate_loop(self):
+        rng = make_rng(53)
+        for _ in range(3):
+            query = patchwork(rng, 24, 20)
+            pool = [(f"c{k}", patchwork(rng, 24, 20)) for k in range(9)]
+            pool += [(f"r{k}", random_labelmap(rng)) for k in range(3)]
+            top = 10
+            qg = build_graph_loop(query)
+            scored = sorted(
+                (-rrwm_match_loop(build_affinity(qg, build_graph_loop(lm))).score, rank, cid)
+                for rank, (cid, lm) in enumerate(pool[:top])
+            )
+            want = [cid for _, _, cid in scored] + [cid for cid, _ in pool[top:]]
+            assert rerank(query, pool, top_t=top) == want

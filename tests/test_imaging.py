@@ -13,7 +13,6 @@ from sketchparts.imaging import (
     dilate_square,
     mirror_v,
     rescale,
-    resize,
     rotate,
 )
 from sketchparts.pgm import read_pgm, write_pgm
