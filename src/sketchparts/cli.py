@@ -18,7 +18,7 @@ import numpy as np
 from .augment import sketchify
 from .checks import run_selfcheck
 from .config import RunConfig, load_config
-from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus
+from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses_csv
 from .describe import describe
 from .errors import CheckpointError, ConfigError, ContractViolation, TaxonomyParseError
 from .graphmatch import rerank
@@ -178,18 +178,23 @@ def cmd_infer(args):
     return 0
 
 
+def _predicted_pose(json_path):
+    try:
+        record = json.loads(json_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{json_path}: {exc}") from None
+    if not isinstance(record, dict) or not isinstance(record.get("pose"), str):
+        raise ConfigError(f'{json_path}: expected a JSON object with a string "pose"')
+    return record["pose"]
+
+
 def cmd_eval(args):
     gt_root = Path(args.gt)
     pred_root = Path(args.pred)
     pairs = []
     pose_preds, pose_truths = [], []
-    poses = {}
     poses_csv = gt_root / "poses.csv"
-    if poses_csv.exists():
-        with open(poses_csv, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            poses = {rel: pose for rel, pose in reader}
+    poses = read_poses_csv(poses_csv) if poses_csv.exists() else {}
     for gt_path in sorted(gt_root.rglob("*.labels.pgm")):
         rel = gt_path.relative_to(gt_root)
         category = rel.parent.name
@@ -210,8 +215,7 @@ def cmd_eval(args):
         ]
         json_path = next((p for p in json_candidates if p.exists()), None)
         if json_path is not None and rel_sketch in poses:
-            with open(json_path, encoding="utf-8") as fh:
-                pose_preds.append(json.load(fh)["pose"])
+            pose_preds.append(_predicted_pose(json_path))
             pose_truths.append(poses[rel_sketch])
     if not pairs:
         raise ConfigError(f"no ground-truth label maps under {gt_root}")
@@ -233,11 +237,11 @@ def cmd_eval(args):
 
 def cmd_rerank(args):
     query = LabelMap(read_pgm(args.query))
-    ranking = [
-        line.strip()
-        for line in Path(args.ranking).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    try:
+        text = Path(args.ranking).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.ranking} is not UTF-8 text (byte {exc.start})") from None
+    ranking = [line.strip() for line in text.splitlines() if line.strip()]
     db = Path(args.db)
     candidates = []
     for cid in ranking:

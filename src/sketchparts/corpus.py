@@ -309,17 +309,35 @@ def gen_corpus(spec, root):
     return [r for r, _ in rows]
 
 
+def read_poses_csv(path):
+    """Relative sketch path -> pose from a poses.csv: a header row, then
+    rows of exactly two fields. Malformed text raises ConfigError naming
+    the file."""
+    poses = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) is None:
+                raise ConfigError(f"{path} is empty; expected a header row")
+            for row in reader:
+                if len(row) != 2:
+                    raise ConfigError(
+                        f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}"
+                    )
+                poses[row[0]] = row[1]
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return poses
+
+
 def load_corpus(root, taxonomy=None):
     """Read a dataset directory back into PairedSamples (sorted by path)."""
     root = Path(root)
     if taxonomy is None:
         taxonomy = load_taxonomy_file(root / "taxonomy.tax")
-    poses = {}
-    with open(root / "poses.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for rel, pose in reader:
-            poses[rel] = pose
+    poses = read_poses_csv(root / "poses.csv")
     samples = []
     for rel in sorted(poses):
         sketch_path = root / rel

@@ -19,6 +19,12 @@ results are bit-identical to walking each problem alone: each `A @ x` and
 each normalizing total is still taken per problem, because a shared
 summation (add.reduceat) adds in another order and moves the last bits.
 `rrwm_match` is the same solver on a batch of one.
+
+Gallery graphs are built once per map: `graph_of` keeps a map's graph on
+the (immutable) LabelMap itself, so re-ranking one gallery for many queries
+builds each candidate's graph on first use only. The query graph is built
+fresh, since a query is used once. Kept graphs are shared; treat them as
+read-only.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
@@ -123,6 +130,18 @@ def build_graph(lm):
         anchors[i] = (math.hypot(dy, dx), math.atan2(dy, dx))
 
     return AttributeGraph(histogram, foreground / (h * w), tuple(nodes), edges, anchors)
+
+
+def graph_of(lm):
+    """build_graph(lm), built on the map's first use and kept on the map.
+
+    A LabelMap is immutable, so its graph stays valid for as long as the
+    map lives and dies with it. Two threads may both build it on first
+    use; either equal graph is kept.
+    """
+    if lm._graph is None:
+        lm._graph = build_graph(lm)
+    return lm._graph
 
 
 def _wrap_angle(t):
@@ -307,7 +326,7 @@ def rrwm_match(affinity, **kwargs):
 
 
 def match_maps(query_lm, cand_lm, sigmas=MatchSigmas(), **kwargs):
-    affinity = build_affinity(build_graph(query_lm), build_graph(cand_lm), sigmas)
+    affinity = build_affinity(build_graph(query_lm), graph_of(cand_lm), sigmas)
     return rrwm_match(affinity, **kwargs)
 
 
@@ -316,14 +335,15 @@ def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
 
     candidates is an ordered list of (id, LabelMap), best first. Scored
     entries sort by descending match score, stable against the initial
-    order; everything beyond top_t keeps its position.
+    order; everything beyond top_t keeps its position. Candidate graphs
+    come from graph_of; the query graph is built fresh.
     """
-    if top_t < 0:
-        raise ContractViolation(f"top_t must be >= 0, got {top_t}")
+    if isinstance(top_t, bool) or not isinstance(top_t, Integral) or top_t < 0:
+        raise ContractViolation(f"top_t must be an integer >= 0, got {top_t!r}")
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
     qg = build_graph(query_lm)
-    results = rrwm_match_all([build_affinity(qg, build_graph(lm), sigmas) for _, lm in head])
+    results = rrwm_match_all([build_affinity(qg, graph_of(lm), sigmas) for _, lm in head])
     scored = sorted(
         (-result.score, rank, cid) for rank, ((cid, _), result) in enumerate(zip(head, results))
     )

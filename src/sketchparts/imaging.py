@@ -49,15 +49,28 @@ class Raster:
 
 
 class LabelMap:
-    """2-d per-pixel part ids, 0 = background."""
+    """2-d per-pixel part ids, 0 = background.
 
-    __slots__ = ("labels",)
+    Immutable: the map keeps its own read-only C-contiguous copy of the
+    labels, so later writes to the caller's array cannot reach it. That is
+    what lets the map carry a memo, `_graph`, which `graphmatch.graph_of`
+    fills with the map's part graph on first use.
+    """
+
+    __slots__ = ("_labels", "_graph")
 
     def __init__(self, labels):
         a = np.asarray(labels)
         if a.ndim != 2:
             raise ContractViolation(f"label map must be 2-d, got shape {a.shape}")
-        self.labels = np.ascontiguousarray(a, dtype=np.uint8)
+        a = np.array(a, dtype=np.uint8, order="C")
+        a.flags.writeable = False
+        self._labels = a
+        self._graph = None
+
+    @property
+    def labels(self):
+        return self._labels
 
     @property
     def height(self):

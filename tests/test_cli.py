@@ -324,3 +324,76 @@ def test_train_router_cli_smoke(small_corpus, tmp_path):
     assert rc == 0
     assert (out / "router.ckpt").exists()
     assert len((out / "router_log.csv").read_text().splitlines()) == 3
+
+
+def test_rerank_non_utf8_ranking_exits_1(tmp_path, capsys):
+    lm = np.zeros((8, 8), dtype=np.uint8)
+    lm[2:6, 2:6] = 1
+    write_pgm(tmp_path / "q.pgm", lm)
+    (tmp_path / "r.txt").write_bytes(b"only\n\xff\xfe\n")
+    rc = main(["rerank", "--query", str(tmp_path / "q.pgm"),
+               "--ranking", str(tmp_path / "r.txt"), "--db", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "r.txt" in err and "UTF-8" in err and "Traceback" not in err
+
+
+BAD_POSES_CSV = [
+    (b"", "is empty"),
+    (b"relative_path,pose\ncat/0000.sketch.pgm\n", "line 2: expected 2 fields, got 1"),
+    (b"relative_path,pose\ncat/0000.sketch.pgm,E,extra\n", "line 2: expected 2 fields, got 3"),
+    (b"relative_path,pose\ncat/0000.sketch.pgm,\xff\n", "not UTF-8"),
+]
+
+
+POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8"]
+
+
+@pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)
+def test_eval_bad_poses_csv_exits_1(small_corpus, capsys, raw, message):
+    (small_corpus / "poses.csv").write_bytes(raw)
+    rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "poses.csv" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)
+def test_train_parser_bad_poses_csv_exits_1(small_corpus, tmp_path, capsys, raw, message):
+    (small_corpus / "poses.csv").write_bytes(raw)
+    rc = main(["train-parser", "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+               "--iterations", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "poses.csv" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b'{"pose": ', "Expecting value"),
+        (b"\xff\xfe", "can't decode"),
+        (b'["E"]', 'expected a JSON object with a string "pose"'),
+        (b'{"supercategory": "x"}', 'expected a JSON object with a string "pose"'),
+        (b'{"pose": 3}', 'expected a JSON object with a string "pose"'),
+    ],
+    ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string"],
+)
+def test_eval_bad_prediction_json_exits_1(small_corpus, capsys, raw, message):
+    (small_corpus / "cat" / "0000.json").write_bytes(raw)
+    rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "0000.json" in err and message in err and "Traceback" not in err
+
+
+def test_eval_reads_predicted_poses(small_corpus, tmp_path):
+    for rel in sorted(small_corpus.rglob("*.sketch.pgm")):
+        stem = rel.name.replace(".sketch.pgm", "")
+        (rel.parent / f"{stem}.json").write_text(json.dumps({"pose": "N"}))
+    out = tmp_path / "report"
+    rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus),
+               "--out", str(out)])
+    assert rc == 0
+    assert "accuracy8," in (out / "pose.csv").read_text()

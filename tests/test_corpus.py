@@ -103,3 +103,20 @@ def test_sample_sketch_has_ink_and_blank_interior():
     assert 0.02 < ink < 0.5  # outline drawing, not a filled silhouette
     body = s.labels.labels == TAX.category_part_ids("cat")["body"]
     assert (s.sketch.pixels[body] == 0).any()
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (b"", "is empty"),
+        (b"relative_path,pose\ncat/0000.sketch.pgm\n", "expected 2 fields"),
+        (b"relative_path,pose\n\xff,E\n", "not UTF-8"),
+    ],
+    ids=["empty", "one_field", "not_utf8"],
+)
+def test_load_corpus_bad_poses_csv_rejected(tmp_path, raw, message):
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), tmp_path / "c")
+    (tmp_path / "c" / "poses.csv").write_bytes(raw)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_corpus(tmp_path / "c")
+    assert "poses.csv" in str(exc.value)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sketchparts import graphmatch
 from sketchparts.autograd import make_rng
 from sketchparts.errors import ContractViolation
 from sketchparts.graphmatch import (
@@ -13,6 +14,7 @@ from sketchparts.graphmatch import (
     LocalNode,
     build_affinity,
     build_graph,
+    graph_of,
     match_maps,
     rerank,
     rrwm_match,
@@ -338,6 +340,19 @@ class TestRerank:
         assert result.pairs[GLOBAL] == GLOBAL
         assert result.score > 0
 
+    @pytest.mark.parametrize("top_t", [-1, 2.5, 3.0, True, False, "5", None])
+    def test_bad_top_t_rejected(self, top_t):
+        rng = make_rng(39)
+        pool = [(f"c{k}", random_labelmap(rng)) for k in range(3)]
+        with pytest.raises(ContractViolation):
+            rerank(random_labelmap(rng), pool, top_t=top_t)
+
+    def test_numpy_integer_top_t_accepted(self):
+        rng = make_rng(39)
+        query = random_labelmap(rng)
+        pool = [(f"c{k}", random_labelmap(rng)) for k in range(4)]
+        assert rerank(query, pool, top_t=np.int64(2)) == rerank(query, pool, top_t=2)
+
 
 # --------------------------------------------------------------------------
 # the vectorised paths against the loop oracles, compared exactly
@@ -449,3 +464,68 @@ class TestAgainstLoopOracles:
             )
             want = [cid for _, _, cid in scored] + [cid for cid, _ in pool[top:]]
             assert rerank(query, pool, top_t=top) == want
+
+
+# --------------------------------------------------------------------------
+# candidate graphs kept on their maps
+
+
+KEPT_MAPS = [
+    ("random", random_labelmap(make_rng(59))),
+    ("patchwork", patchwork(make_rng(61), 30, 22)),
+    ("background", LabelMap(np.zeros((5, 7)))),
+]
+
+
+class TestGraphOf:
+    @pytest.mark.parametrize("name,lm", KEPT_MAPS, ids=[n for n, _ in KEPT_MAPS])
+    def test_kept_graph_equals_a_fresh_build(self, name, lm):
+        g = graph_of(lm)
+        assert graph_of(lm) is g
+        want = build_graph(lm)
+        assert g == want
+        assert list(g.edges.items()) == list(want.edges.items())
+        assert list(g.anchors.items()) == list(want.anchors.items())
+        assert list(g.histogram.items()) == list(want.histogram.items())
+
+    def test_rerank_builds_each_candidate_graph_once(self, monkeypatch):
+        calls = []
+        real = graphmatch.build_graph
+
+        def counted(lm):
+            calls.append(lm)
+            return real(lm)
+
+        monkeypatch.setattr(graphmatch, "build_graph", counted)
+        rng = make_rng(67)
+        pool = [(f"c{k}", patchwork(rng, 20, 16)) for k in range(50)]
+        query = patchwork(rng, 20, 16)
+        cold = rerank(query, pool)
+        assert len(calls) == 51
+        warm = rerank(query, pool)
+        assert len(calls) == 52 and calls[-1] is query  # only the query graph again
+        assert warm == cold
+        rerank(patchwork(rng, 20, 16), pool[:10] + [("new", patchwork(rng, 20, 16))])
+        assert len(calls) == 54  # the new query and the new candidate
+
+    def test_cold_and_warm_rerank_agree_with_the_loop_oracle(self):
+        rng = make_rng(71)
+        pool = [(f"c{k}", patchwork(rng, 24, 20)) for k in range(12)]
+        queries = [patchwork(rng, 24, 20) for _ in range(3)]
+        # a fresh copy of the gallery for each query is the cold path
+        cold = [rerank(q, [(cid, LabelMap(lm.labels)) for cid, lm in pool]) for q in queries]
+        warm = [rerank(q, pool) for q in queries]
+        assert warm == cold
+        for q, got in zip(queries, warm):
+            qg = build_graph_loop(q)
+            scored = sorted(
+                (-rrwm_match_loop(build_affinity(qg, build_graph_loop(lm))).score, rank, cid)
+                for rank, (cid, lm) in enumerate(pool)
+            )
+            assert got == [cid for _, _, cid in scored]
+
+    def test_match_maps_keeps_only_the_candidate_graph(self):
+        rng = make_rng(73)
+        a, b = random_labelmap(rng), random_labelmap(rng)
+        match_maps(a, b)
+        assert a._graph is None and b._graph is graph_of(b)

@@ -98,6 +98,26 @@ class TestDilate:
             assert (d5.pixels >= d3.pixels).all()
 
 
+class TestLabelMapImmutable:
+    def test_labels_are_read_only(self):
+        lm = LabelMap(np.zeros((3, 4), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            lm.labels[0, 0] = 1
+        with pytest.raises(AttributeError):
+            lm.labels = np.ones((3, 4), dtype=np.uint8)
+        assert lm.labels.flags.c_contiguous and not lm.labels.any()
+
+    @pytest.mark.parametrize("source", ["uint8", "int64", "fortran"])
+    def test_source_writes_do_not_reach_the_map(self, source):
+        a = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        a = {"uint8": a, "int64": a.astype(np.int64), "fortran": np.asfortranarray(a)}[source]
+        lm = LabelMap(a)
+        before = lm.labels.copy()
+        a[...] = 200
+        assert np.array_equal(lm.labels, before)
+        assert lm.labels.flags.c_contiguous and lm.labels.dtype == np.uint8
+
+
 class TestGeometry:
     def test_rotate_zero_identity(self):
         r = random_ink(make_rng(11))
