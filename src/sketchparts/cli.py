@@ -236,21 +236,34 @@ def cmd_eval(args):
 
 
 def cmd_rerank(args):
-    query = LabelMap(read_pgm(args.query))
-    try:
-        text = Path(args.ranking).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{args.ranking} is not UTF-8 text (byte {exc.start})") from None
-    ranking = [line.strip() for line in text.splitlines() if line.strip()]
+    if len(args.query) != len(args.ranking):
+        raise ConfigError(
+            f"--query names {len(args.query)} sketches but --ranking names "
+            f"{len(args.ranking)} files; give one ranking per query"
+        )
     db = Path(args.db)
-    candidates = []
-    for cid in ranking:
-        path = db / f"{cid}.labels.pgm"
-        if not path.exists():
-            raise ConfigError(f"candidate label map {path} does not exist")
-        candidates.append((cid, LabelMap(read_pgm(path))))
-    reordered = rerank(query, candidates, top_t=args.top)
-    text = "\n".join(reordered) + "\n"
+    # Each gallery map is read once and shared by every query that ranks it,
+    # so graphmatch.graph_of builds its part graph once per run.
+    gallery = {}
+    blocks = []
+    for query_path, ranking_path in zip(args.query, args.ranking):
+        query = LabelMap(read_pgm(query_path))
+        try:
+            text = Path(ranking_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{ranking_path} is not UTF-8 text (byte {exc.start})") from None
+        candidates = []
+        for cid in (line.strip() for line in text.splitlines()):
+            if not cid:
+                continue
+            if cid not in gallery:
+                path = db / f"{cid}.labels.pgm"
+                if not path.exists():
+                    raise ConfigError(f"candidate label map {path} does not exist")
+                gallery[cid] = LabelMap(read_pgm(path))
+            candidates.append((cid, gallery[cid]))
+        blocks.append("\n".join(rerank(query, candidates, top_t=args.top)) + "\n")
+    text = "\n".join(blocks)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -358,11 +371,13 @@ def build_arg_parser():
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("rerank", help="re-rank retrieval results by part graphs")
-    sp.add_argument("--query", required=True)
-    sp.add_argument("--ranking", required=True)
+    sp.add_argument("--query", required=True, nargs="+", help="query label maps")
+    sp.add_argument("--ranking", required=True, nargs="+",
+                    help="one file of candidate ids per query, best first")
     sp.add_argument("--db", required=True)
     sp.add_argument("--top", type=int, default=50)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out", default=None,
+                    help="re-ranked lists in query order, separated by a blank line")
     sp.set_defaults(fn=cmd_rerank)
 
     sp = sub.add_parser("describe", help="template description for a label map")

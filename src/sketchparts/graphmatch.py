@@ -22,7 +22,8 @@ summation (add.reduceat) adds in another order and moves the last bits.
 
 Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
-builds each candidate's graph on first use only. The query graph is built
+builds each candidate's graph on first use only (the `rerank` CLI reads
+each gallery map once for all its queries). The query graph is built
 fresh, since a query is used once. Kept graphs are shared; treat them as
 read-only.
 """

@@ -65,7 +65,8 @@ class LabelMap:
             raise ContractViolation(f"label map must be 2-d, got shape {a.shape}")
         a = np.array(a, dtype=np.uint8, order="C")
         a.flags.writeable = False
-        self._labels = a
+        # A view of a read-only array cannot be made writeable again.
+        self._labels = a.view()
         self._graph = None
 
     @property

@@ -138,6 +138,62 @@ def test_rerank_cli(tmp_path):
     assert sorted(reordered) == sorted(ids)
 
 
+def _rerank_db(tmp_path, n_cand=6, n_query=3):
+    rng = np.random.default_rng(9)
+    db = tmp_path / "db"
+    db.mkdir()
+    ids = []
+    for k in range(n_cand):
+        lm = np.zeros((16, 16), dtype=np.uint8)
+        for part in (1, 2):
+            r, c = rng.integers(1, 10, size=2)
+            lm[r : r + 4, c : c + 4] = part
+        write_pgm(db / f"cand{k}.labels.pgm", lm)
+        ids.append(f"cand{k}")
+    queries, rankings = [], []
+    for q in range(n_query):
+        write_pgm(tmp_path / f"q{q}.pgm", read_pgm(db / f"cand{q}.labels.pgm"))
+        (tmp_path / f"r{q}.txt").write_text("\n".join(rng.permutation(ids)) + "\n")
+        queries.append(str(tmp_path / f"q{q}.pgm"))
+        rankings.append(str(tmp_path / f"r{q}.txt"))
+    return db, queries, rankings
+
+
+def test_rerank_several_queries_match_one_at_a_time(tmp_path):
+    db, queries, rankings = _rerank_db(tmp_path)
+    singles = []
+    for k, (q, r) in enumerate(zip(queries, rankings)):
+        out = tmp_path / f"one{k}.txt"
+        assert main(["rerank", "--query", q, "--ranking", r, "--db", str(db),
+                     "--out", str(out)]) == 0
+        singles.append(out.read_text())
+    out = tmp_path / "all.txt"
+    assert main(["rerank", "--query", *queries, "--ranking", *rankings, "--db", str(db),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(singles)
+
+
+def test_rerank_several_queries_build_each_gallery_graph_once(tmp_path, monkeypatch):
+    import sketchparts.graphmatch as gm
+
+    db, queries, rankings = _rerank_db(tmp_path, n_cand=6, n_query=3)
+    calls = []
+    real = gm.build_graph
+    monkeypatch.setattr(gm, "build_graph", lambda lm: calls.append(lm) or real(lm))
+    assert main(["rerank", "--query", *queries, "--ranking", *rankings, "--db", str(db),
+                 "--out", str(tmp_path / "all.txt")]) == 0
+    # one graph per query plus one per distinct gallery map
+    assert len(calls) == 3 + 6
+
+
+def test_rerank_query_ranking_count_mismatch_exits_1(tmp_path, capsys):
+    db, queries, rankings = _rerank_db(tmp_path)
+    rc = main(["rerank", "--query", *queries, "--ranking", *rankings[:2], "--db", str(db)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "3 sketches" in err and "2 files" in err and "Traceback" not in err
+
+
 def test_rerank_default_top_is_50(tmp_path, capsys):
     db = tmp_path / "db"
     db.mkdir()

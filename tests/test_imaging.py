@@ -107,6 +107,12 @@ class TestLabelMapImmutable:
             lm.labels = np.ones((3, 4), dtype=np.uint8)
         assert lm.labels.flags.c_contiguous and not lm.labels.any()
 
+    def test_labels_cannot_be_made_writeable(self):
+        lm = LabelMap(np.zeros((3, 4), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            lm.labels.flags.writeable = True
+        assert not lm.labels.flags.writeable
+
     @pytest.mark.parametrize("source", ["uint8", "int64", "fortran"])
     def test_source_writes_do_not_reach_the_map(self, source):
         a = np.arange(12, dtype=np.uint8).reshape(3, 4)
