@@ -364,22 +364,33 @@ def global_average_pool(x):
     return out
 
 
-def _interp_matrix(n_out, n_in):
-    # align-corners-false sample grid with clamped edges, mirror-symmetric
-    # by construction so resampling commutes exactly with flips: the first
-    # half of the rows is computed and reflected onto the second half.
-    m = np.zeros((n_out, n_in), dtype=np.float64)
+def _interp_taps(n_out, n_in):
+    """The two source taps behind each of n_out samples: (lo, w_lo, hi, w_hi).
+
+    An align-corners-false sample grid with clamped edges, mirror-symmetric
+    by construction so resampling commutes exactly with flips: the first
+    half of the samples is computed and reflected onto the second half.
+    """
     i = np.arange((n_out + 1) // 2)
     src = np.clip((i + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, n_in - 1)
     t = src - lo
-    np.add.at(m, (i, lo), 1.0 - t)
-    np.add.at(m, (i, hi), t)
-    k = n_out // 2  # rows below k have a distinct mirror row
-    j = n_out - 1 - i[:k]
-    np.add.at(m, (j, n_in - 1 - lo[:k]), 1.0 - t[:k])
-    np.add.at(m, (j, n_in - 1 - hi[:k]), t[:k])
+    k = n_out // 2  # samples below k have a distinct mirror sample
+    return (
+        np.concatenate([lo, n_in - 1 - hi[:k][::-1]]),
+        np.concatenate([1.0 - t, t[:k][::-1]]),
+        np.concatenate([hi, n_in - 1 - lo[:k][::-1]]),
+        np.concatenate([t, 1.0 - t[:k][::-1]]),
+    )
+
+
+def _interp_matrix(n_out, n_in):
+    lo, w_lo, hi, w_hi = _interp_taps(n_out, n_in)
+    m = np.zeros((n_out, n_in), dtype=np.float64)
+    rows = np.arange(n_out)
+    np.add.at(m, (rows, lo), w_lo)
+    np.add.at(m, (rows, hi), w_hi)
     return m
 
 

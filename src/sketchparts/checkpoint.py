@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CheckpointError
 
 VERSION = 1
+COUNT_AT = 40  # byte offset of the tensor count, after magic, version and digest
 
 
 def write_checkpoint(path, magic, digest, named_tensors):
@@ -52,7 +53,8 @@ def write_checkpoint(path, magic, digest, named_tensors):
 
 
 def read_checkpoint(path, magic):
-    """Returns (digest, ordered dict name -> float32 array)."""
+    """Returns (digest, ordered dict name -> float32 array, dict name -> byte
+    offset of the tensor's record)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -73,8 +75,9 @@ def read_checkpoint(path, magic):
         raise CheckpointError(4, f"unsupported version {version}")
     digest = take(32, "taxonomy digest")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors = {}
+    tensors, offsets = {}, {}
     for _ in range(count):
+        record_at = pos
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name_at = pos
         try:
@@ -90,6 +93,24 @@ def read_checkpoint(path, magic):
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         except ValueError:  # an empty tensor whose other dims overflow numpy's size
             raise CheckpointError(dims_at, f"{name}: dims {dims} too large") from None
+        offsets[name] = record_at
     if pos != len(blob):
         raise CheckpointError(pos, f"{len(blob) - pos} trailing bytes")
-    return digest, tensors
+    return digest, tensors, offsets
+
+
+def check_layout(tensors, offsets, shapes, what):
+    """Refuse checkpoint tensors that differ from `shapes`, the ordered
+    name -> shape layout of `what`. The error names the byte offset of the
+    first tensor that differs, or of the tensor count when only the count
+    does."""
+    for i, (got, want) in enumerate(zip(tensors, shapes)):
+        if got != want:
+            raise CheckpointError(offsets[got], f"tensor {i} is {got!r}, {what} expects {want!r}")
+    if len(tensors) != len(shapes):
+        raise CheckpointError(COUNT_AT, f"{len(tensors)} tensors, {what} expects {len(shapes)}")
+    for name, want in shapes.items():
+        if tensors[name].shape != want:
+            raise CheckpointError(
+                offsets[name], f"{name}: shape {tensors[name].shape}, {what} expects {want}"
+            )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .autograd import _interp_matrix
+from .autograd import _interp_taps
 from .errors import ContractViolation
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -225,46 +225,59 @@ def rescale(x, factor):
     return _transform(x, rows, cols)
 
 
-def resize(x, out_h, out_w):
-    """Resample a Raster to a new size; the sample grid is mirror-symmetric,
-    so resize(mirror(x)) equals mirror(resize(x)) bit for bit."""
-    if out_h < 1 or out_w < 1:
-        raise ContractViolation(f"resize target must be positive, got {out_h}x{out_w}")
-    wy = _interp_matrix(out_h, x.height)
-    wx = _interp_matrix(out_w, x.width)
-    vals = wy @ x.pixels.astype(np.float64) @ wx.T
-    return Raster(np.where(vals >= 128.0, INK, 0).astype(np.uint8))
+def view_shape(height, width, side):
+    """A height x width shape scaled so its longer side is `side`, aspect kept."""
+    longer = max(height, width)
+    return max(1, round(side * height / longer)), max(1, round(side * width / longer))
 
 
-def pad_blank(x, top, bottom, left, right):
-    if isinstance(x, Raster):
-        return Raster(np.pad(x.pixels, ((top, bottom), (left, right)), constant_values=0))
-    return LabelMap(np.pad(x.labels, ((top, bottom), (left, right)), constant_values=0))
+def _axis_taps(start, length, n_src, n_out):
+    """The two (index, weight) taps behind each of n_out samples of the
+    window [start, start + length) of an n_src-pixel axis. A tap off the
+    axis reads blank paper: weight 0 at a clamped index."""
+    lo, w_lo, hi, w_hi = _interp_taps(n_out, length)
+    taps = []
+    for idx, weight in ((lo + start, w_lo), (hi + start, w_hi)):
+        inside = (idx >= 0) & (idx < n_src)
+        taps.append((np.clip(idx, 0, n_src - 1), np.where(inside, weight, 0.0)))
+    return taps
 
 
-def crops_and_pad(sketch, crop_fraction=0.9):
-    """Six views of a sketch: four corner crops, one centre crop (each
-    crop_fraction of each side, scaled back up), and one blank-padded
-    shrunken view. crop_fraction is expected in (0, 1]."""
+def grey_view(sketch, top, left, height, width, shape):
+    """The window [top, top + height) x [left, left + width) of a sketch,
+    resampled bilinearly to `shape` as float32 ink density in [0, 1], not
+    re-thresholded. Parts of the window off the canvas read blank.
+
+    Every sample is the sum of two tap products, so the view of a mirrored
+    window is the mirrored view bit for bit.
+    """
+    (r0, a0), (r1, a1) = _axis_taps(top, height, sketch.height, shape[0])
+    (c0, b0), (c1, b1) = _axis_taps(left, width, sketch.width, shape[1])
+    px = sketch.pixels
+    rows = px[r0] * a0[:, None] + px[r1] * a1[:, None]
+    out = rows[:, c0] * b0 + rows[:, c1] * b1
+    return (out / INK).astype(np.float32)
+
+
+def crops_and_pad(sketch, crop_fraction, side):
+    """Six grey views of a sketch, each of the shape whose longer side is
+    `side`: four corner crops and one centre crop (each crop_fraction of each
+    side), and the sketch blank-padded so it fills crop_fraction of the view.
+    Each view is resampled once from the full-resolution sketch."""
+    if not 0 < crop_fraction <= 1:
+        raise ContractViolation(f"crop fraction must be in (0, 1], got {crop_fraction}")
     h, w = sketch.height, sketch.width
+    shape = view_shape(h, w, side)
     ch = max(1, round(crop_fraction * h))
     cw = max(1, round(crop_fraction * w))
-    px = sketch.pixels
-    corners = [
-        px[:ch, :cw],
-        px[:ch, w - cw :],
-        px[h - ch :, :cw],
-        px[h - ch :, w - cw :],
-    ]
-    top = (h - ch) // 2
-    left = (w - cw) // 2
-    center = px[top : top + ch, left : left + cw]
-    views = [resize(Raster(c), h, w) for c in corners + [center]]
+    crops = [(0, 0), (0, w - cw), (h - ch, 0), (h - ch, w - cw), ((h - ch) // 2, (w - cw) // 2)]
+    views = [grey_view(sketch, top, left, ch, cw, shape) for top, left in crops]
 
     margin_r = round(h * (1 - crop_fraction) / (2 * crop_fraction))
     margin_c = round(w * (1 - crop_fraction) / (2 * crop_fraction))
-    padded = pad_blank(sketch, margin_r, margin_r, margin_c, margin_c)
-    views.append(resize(padded, h, w))
+    views.append(
+        grey_view(sketch, -margin_r, -margin_c, h + 2 * margin_r, w + 2 * margin_c, shape)
+    )
     return views
 
 

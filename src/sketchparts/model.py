@@ -25,7 +25,7 @@ from .autograd import (
     make_rng,
     relu,
 )
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_layout, read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, ContractViolation
 from .imaging import LabelMap, Raster
 from .nets import init_stack, out_channels, run_stack, stride_product
@@ -222,19 +222,13 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path, config, taxonomy):
     """Rebuild a model from a checkpoint; refuses a mismatched taxonomy."""
-    digest, tensors = read_checkpoint(path, MODEL_MAGIC)
+    digest, tensors, offsets = read_checkpoint(path, MODEL_MAGIC)
     if digest != taxonomy.digest():
         raise CheckpointError(
             8, "checkpoint was written for a different taxonomy (digest mismatch)"
         )
     model = build_model(config, taxonomy, seed=0)
-    names = list(model.params)
-    if names != list(tensors):
-        missing = set(names) ^ set(tensors)
-        raise CheckpointError(40, f"parameter names do not match config ({sorted(missing)[:4]})")
-    for name in names:
-        want = model.params[name].shape
-        if tensors[name].shape != want:
-            raise CheckpointError(40, f"{name}: shape {tensors[name].shape} != {want}")
-        model.params[name] = Tensor(tensors[name])
+    shapes = {name: t.shape for name, t in model.params.items()}
+    check_layout(tensors, offsets, shapes, "the model config")
+    model.params = {name: Tensor(a) for name, a in tensors.items()}
     return model

@@ -3,6 +3,17 @@
 The net is a plain conv stack: 15x15/3 x64, pool, 5x5 x128, pool, three
 3x3 x256, pool, 1x1 x512, dropout 0.7, then global average pooling and a
 1x1 stage (a linear map on the pooled vector) down to K scores.
+
+The router sees every sketch at one routing size: each view is cut from the
+full-resolution sketch and resampled once, bilinearly, so that its longer
+side is ROUTER_SIDE = 64 pixels with the aspect ratio kept. The resampled
+view stays grey (ink density in [0, 1]); it is not re-binarised. Training
+and inference build that input with the same function, `router_input` for
+the whole sketch and `imaging.crops_and_pad` for the 12 pooled views.
+
+The side is pinned to the weights by the checkpoint magic. A checkpoint of
+the earlier router, which saw binary views at the sketch's own size, is
+refused with a CheckpointError that asks for retraining.
 """
 
 from __future__ import annotations
@@ -10,13 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import ConvSpec, Tensor, dropout, global_average_pool, he_normal, linear, make_rng, softmax
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_layout, read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ContractViolation
-from .imaging import crops_and_pad, mirror_v
-from .model import sketch_input
-from .nets import init_stack, out_channels, run_stack
+from .imaging import crops_and_pad, grey_view, mirror_v, view_shape
+from .nets import init_stack, run_stack
 
-ROUTER_MAGIC = b"SKRC"
+ROUTER_SIDE = 64
+CROP_FRACTION = 0.9
+ROUTER_MAGIC = b"SKR2"  # routers trained on grey ROUTER_SIDE views
+RETIRED_MAGIC = b"SKRC"  # routers trained on binary views at the sketch's own size
 
 ROUTER_STACK = (
     ConvSpec(15, 64, stride=3),
@@ -54,29 +67,39 @@ def build_router(num_classes, seed, digest=b"\x00" * 32):
     return RouterNet(num_classes, params, digest)
 
 
-def forward(net, sketch, rng=None, training=False):
-    """Logits for one sketch raster."""
-    x = run_stack(
-        sketch_input(sketch), ROUTER_STACK, "stack", net.params, rng=rng, training=training
-    )
+def router_input(sketch):
+    """The whole sketch as the router sees it: a grey view at ROUTER_SIDE."""
+    h, w = sketch.height, sketch.width
+    return grey_view(sketch, 0, 0, h, w, view_shape(h, w, ROUTER_SIDE))
+
+
+def forward(net, view, rng=None, training=False):
+    """Logits for one router view, a 2-d float32 array whose longer side is
+    ROUTER_SIDE."""
+    if view.ndim != 2 or max(view.shape) != ROUTER_SIDE:
+        raise ContractViolation(
+            f"router views are {ROUTER_SIDE} px on the longer side, got {view.shape}"
+        )
+    x = Tensor(view[None], requires_grad=False)
+    x = run_stack(x, ROUTER_STACK, "stack", net.params, rng=rng, training=training)
     x = dropout(x, DROPOUT_P, rng, training=training)
     pooled = global_average_pool(x)
     return linear(pooled, net.params["head.w"], net.params["head.b"])
 
 
-def classify_pooled(net, sketch, crop_fraction=0.9, single_view=False):
+def classify_pooled(net, sketch, single_view=False):
     """Average post-softmax scores over 12 views: the six crop/pad views of
     the sketch and of its mirror image.
 
     Scores are accumulated per view pair, so mirroring the input permutes
     each pair only and the pooled result is bit-identical. single_view=True
-    degenerates to a plain forward pass over the unmodified sketch.
+    degenerates to a plain forward pass over `router_input(sketch)`.
     """
     if single_view:
-        scores = softmax(forward(net, sketch)).data.astype(np.float64)
+        scores = softmax(forward(net, router_input(sketch))).data.astype(np.float64)
         return int(scores.argmax()), scores
-    views = crops_and_pad(sketch, crop_fraction)
-    mirrored = crops_and_pad(mirror_v(sketch), crop_fraction)
+    views = crops_and_pad(sketch, CROP_FRACTION, ROUTER_SIDE)
+    mirrored = crops_and_pad(mirror_v(sketch), CROP_FRACTION, ROUTER_SIDE)
     total = np.zeros(net.num_classes, dtype=np.float64)
     for v, mv in zip(views, mirrored):
         pair = softmax(forward(net, v)).data.astype(np.float64) + softmax(
@@ -92,15 +115,18 @@ def save_router(net, path):
 
 
 def load_router(path, num_classes, expected_digest=None):
-    digest, tensors = read_checkpoint(path, ROUTER_MAGIC)
+    with open(path, "rb") as fh:
+        if fh.read(len(RETIRED_MAGIC)) == RETIRED_MAGIC:
+            raise CheckpointError(
+                0,
+                f"router checkpoint predates routing on grey {ROUTER_SIDE} px views; "
+                "retrain it with train-router",
+            )
+    digest, tensors, offsets = read_checkpoint(path, ROUTER_MAGIC)
     if expected_digest is not None and digest != expected_digest:
         raise CheckpointError(8, "router was trained against a different taxonomy")
     net = build_router(num_classes, seed=0, digest=digest)
-    names = list(net.params)
-    if names != list(tensors):
-        raise CheckpointError(40, "parameter names do not match the router layout")
-    for name in names:
-        if tensors[name].shape != net.params[name].shape:
-            raise CheckpointError(40, f"{name}: unexpected shape {tensors[name].shape}")
-        net.params[name] = Tensor(tensors[name])
+    shapes = {name: t.shape for name, t in net.params.items()}
+    check_layout(tensors, offsets, shapes, "the router layout")
+    net.params = {name: Tensor(a) for name, a in tensors.items()}
     return net

@@ -33,7 +33,7 @@ from .errors import ConfigError, ContractViolation
 from .model import forward_branch, forward_shared, pad_to_stride, route, sketch_input
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
-from .router import classify_pooled
+from .router import classify_pooled, router_input
 from .router import forward as router_forward
 
 
@@ -286,8 +286,9 @@ def train_router(net, labelled, plan):
     """Train the K-way classifier on (Raster, class index) pairs.
 
     With augment=True every draw applies one of the 70 classifier
-    augmentations on the fly, which samples the expanded dataset uniformly
-    without materializing it.
+    augmentations on the fly, at full resolution, which samples the
+    expanded dataset uniformly without materializing it. The drawn sketch
+    then reaches the net through `router_input`, as at inference.
     """
     if not labelled:
         raise ContractViolation("training set is empty")
@@ -312,8 +313,9 @@ def train_router(net, labelled, plan):
             batch_loss = None
             for pick, var in zip(picks, variants):
                 sketch, label = labelled[int(pick)]
-                view = cls_variant(sketch, int(var)) if plan.augment else sketch
-                logits = router_forward(net, view, rng=rng, training=True)
+                if plan.augment:
+                    sketch = cls_variant(sketch, int(var))
+                logits = router_forward(net, router_input(sketch), rng=rng, training=True)
                 term = softmax_ce(logits, label)
                 batch_loss = term if batch_loss is None else add(batch_loss, term)
             loss = scale(batch_loss, 1.0 / plan.batch_size)

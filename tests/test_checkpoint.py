@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchparts.autograd import Tensor
-from sketchparts.checkpoint import VERSION, read_checkpoint, write_checkpoint
+from sketchparts.checkpoint import COUNT_AT, VERSION, read_checkpoint, write_checkpoint
+from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT
 from sketchparts.errors import CheckpointError
+from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, load_checkpoint
+from sketchparts.router import ROUTER_MAGIC, build_router, load_router
+from sketchparts.taxonomy import load_taxonomy
 
 MAGIC = b"TEST"
 DIGEST = bytes(range(32))
@@ -101,8 +105,63 @@ def test_fuzz_only_checkpoint_errors_escape(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
     path.write_bytes(blob)
     try:
-        digest, tensors = read_checkpoint(path, MAGIC)
+        digest, tensors, offsets = read_checkpoint(path, MAGIC)
     except CheckpointError:
         return
     assert len(digest) == 32
     assert all(a.dtype == np.float32 for a in tensors.values())
+    assert list(offsets) == list(tensors)
+    assert all(len(HEADER) + 4 <= at < len(blob) for at in offsets.values())
+
+
+def record_at(named, index):
+    """Byte offset of tensor `index`'s record, from the documented layout."""
+    at = len(HEADER) + 4
+    for name, t in named[:index]:
+        at += 2 + len(name.encode("utf-8")) + 1 + 4 * t.data.ndim + 4 * t.data.size
+    return at
+
+
+def saved_net(which):
+    """(ordered named tensors, magic, digest, loader) of a seeded parser or router."""
+    if which == "router":
+        net = build_router(3, seed=1)
+        return net.parameters(), ROUTER_MAGIC, net.digest, lambda p: load_router(p, 3)
+    tax = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
+    config = ModelConfig()
+    model = build_model(config, tax, seed=1)
+    return model.parameters(), MODEL_MAGIC, tax.digest(), lambda p: load_checkpoint(p, config, tax)
+
+
+def refused_at(tmp_path, named, magic, digest, load):
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, magic, digest, named)
+    with pytest.raises(CheckpointError) as info:
+        load(path)
+    return info.value
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_wrong_shape_names_the_tensors_real_offset(tmp_path, net):
+    named, *rest = saved_net(net)
+    name, t = named[2]
+    named[2] = (name, Tensor(np.zeros(t.shape[:-1] + (t.shape[-1] + 1,), dtype=np.float32)))
+    err = refused_at(tmp_path, named, *rest)
+    assert err.offset == record_at(named, 2) > COUNT_AT
+    assert name in str(err) and f"byte {err.offset}:" in str(err)
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_wrong_name_names_the_tensors_real_offset(tmp_path, net):
+    named, *rest = saved_net(net)
+    named[2] = ("renamed", named[2][1])
+    err = refused_at(tmp_path, named, *rest)
+    assert err.offset == record_at(named, 2)
+    assert "renamed" in str(err)
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_missing_tensor_names_the_count(tmp_path, net):
+    named, *rest = saved_net(net)
+    err = refused_at(tmp_path, named[:-1], *rest)
+    assert err.offset == COUNT_AT

@@ -9,7 +9,8 @@ from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
 from sketchparts.imaging import LabelMap
 from sketchparts.model import ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
-from sketchparts.router import build_router, save_router
+from sketchparts.checkpoint import write_checkpoint
+from sketchparts.router import RETIRED_MAGIC, build_router, save_router
 from sketchparts.taxonomy import load_taxonomy
 
 TAX = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
@@ -380,6 +381,44 @@ def test_train_router_cli_smoke(small_corpus, tmp_path):
     assert rc == 0
     assert (out / "router.ckpt").exists()
     assert len((out / "router_log.csv").read_text().splitlines()) == 3
+
+
+def test_train_router_then_infer_round_trip(small_corpus, tmp_path):
+    parser = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), parser)
+    runs = []
+    for name in ("a", "b"):
+        run = tmp_path / name
+        assert main(["train-router", "--train", str(small_corpus), "--out", str(run / "train"),
+                     "--iterations", "2", "--batch-size", "2", "--seed", "1"]) == 0
+        router = run / "train" / "router.ckpt"
+        assert main(["infer", "--model", str(parser), "--router", str(router),
+                     "--sketches", str(small_corpus), "--out", str(run / "preds")]) == 0
+        runs.append(run)
+    records = sorted((runs[0] / "preds").glob("*.json"))
+    assert len(records) == 4
+    for path in records:
+        scores = json.loads(path.read_text())["router_scores"]
+        assert len(scores) == TAX.num_branches
+        assert sum(scores) == pytest.approx(1.0, abs=1e-6)
+    files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
+    assert len(files) == 2 + 2 * len(records)
+    for rel in files:
+        assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
+
+
+def test_infer_with_an_old_router_exits_1(small_corpus, tmp_path, capsys):
+    parser = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), parser)
+    old = tmp_path / "old.ckpt"
+    net = build_router(TAX.num_branches, seed=1, digest=TAX.digest())
+    write_checkpoint(old, RETIRED_MAGIC, net.digest, net.parameters())
+    rc = main(["infer", "--model", str(parser), "--router", str(old),
+               "--sketches", str(small_corpus), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "retrain" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rerank_non_utf8_ranking_exits_1(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sketchparts.autograd import make_rng
+from sketchparts.autograd import _interp_matrix, make_rng
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import (
     INK,
@@ -11,9 +11,11 @@ from sketchparts.imaging import (
     connected_components,
     crops_and_pad,
     dilate_square,
+    grey_view,
     mirror_v,
     rescale,
     rotate,
+    view_shape,
 )
 from sketchparts.pgm import read_pgm, write_pgm
 
@@ -166,26 +168,67 @@ class TestGeometry:
 
 class TestCropsAndPad:
     def test_six_views(self):
-        views = crops_and_pad(random_ink(make_rng(29), 32, 32), 0.9)
+        views = crops_and_pad(random_ink(make_rng(29), 32, 32), 0.9, 64)
         assert len(views) == 6
-        assert all(v.pixels.shape == (32, 32) for v in views)
+        for v in views:
+            assert v.shape == (64, 64) and v.dtype == np.float32
+            assert v.min() >= 0.0 and v.max() <= 1.0
 
     def test_fraction_one_collapses_views(self):
         r = random_ink(make_rng(31), 20, 20)
-        views = crops_and_pad(r, 1.0)
-        assert all(v == r for v in views)
+        density = (r.pixels / INK).astype(np.float32)
+        assert all(np.array_equal(v, density) for v in crops_and_pad(r, 1.0, 20))
+        first, *rest = crops_and_pad(r, 1.0, 64)
+        assert all(np.array_equal(v, first) for v in rest)
 
     def test_mirror_swaps_corner_crops_exactly(self):
         rng = make_rng(37)
-        for _ in range(5):
-            r = random_ink(rng, 27, 33, 0.3)  # odd sizes stress the grid
-            tl, tr, bl, br, center, padded = crops_and_pad(r, 0.8)
-            mtl, mtr, mbl, mbr, mcenter, mpadded = crops_and_pad(mirror_v(r), 0.8)
-            assert mtl == mirror_v(tr)
-            assert mtr == mirror_v(tl)
-            assert mbl == mirror_v(br)
-            assert mbr == mirror_v(bl)
-            assert mpadded == mirror_v(padded)
+        for shape in ((27, 33), (150, 131), (33, 27)):  # odd sizes stress the grid
+            for _ in range(3):
+                r = random_ink(rng, *shape, 0.3)
+                tl, tr, bl, br, center, padded = crops_and_pad(r, 0.8, 64)
+                mtl, mtr, mbl, mbr, mcenter, mpadded = crops_and_pad(mirror_v(r), 0.8, 64)
+                assert np.array_equal(mtl, np.fliplr(tr))
+                assert np.array_equal(mtr, np.fliplr(tl))
+                assert np.array_equal(mbl, np.fliplr(br))
+                assert np.array_equal(mbr, np.fliplr(bl))
+                assert np.array_equal(mpadded, np.fliplr(padded))
+
+    @pytest.mark.parametrize("window", [(0, 0, 37, 29), (3, 5, 30, 20), (-4, -3, 45, 35)])
+    @pytest.mark.parametrize("shape", [(64, 50), (9, 7)])
+    def test_grey_view_matches_the_dense_resample(self, window, shape):
+        r = random_ink(make_rng(47), 37, 29, 0.3)
+        top, left, h, w = window
+        canvas = np.pad(r.pixels.astype(np.float64), 8)  # blank beyond the sketch
+        crop = canvas[top + 8 : top + 8 + h, left + 8 : left + 8 + w]
+        want = _interp_matrix(shape[0], h) @ crop @ _interp_matrix(shape[1], w).T / INK
+        got = grey_view(r, top, left, h, w, shape)
+        assert got.shape == shape
+        assert np.allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("fraction", [0, -0.2, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ContractViolation, match="crop fraction"):
+            crops_and_pad(random_ink(make_rng(41), 16, 16), fraction, 64)
+
+    def test_views_stay_grey(self):
+        r = random_ink(make_rng(43), 128, 128)
+        values = np.unique(np.concatenate([v.ravel() for v in crops_and_pad(r, 0.9, 64)]))
+        assert ((values > 0) & (values < 1)).any()
+
+    def test_padded_view_reads_blank_off_canvas(self):
+        full = Raster(np.full((40, 40), INK, dtype=np.uint8))
+        padded = crops_and_pad(full, 0.5, 40)[-1]
+        assert padded[0, 0] == 0.0 and padded[-1, -1] == 0.0
+        assert padded[20, 20] == 1.0
+
+    @pytest.mark.parametrize(
+        "shape,side,want",
+        [((128, 128), 64, (64, 64)), ((112, 144), 64, (50, 64)), ((300, 8), 64, (64, 2)),
+         ((2, 200), 64, (1, 64)), ((1, 1), 64, (64, 64))],
+    )
+    def test_view_shape_scales_the_longer_side(self, shape, side, want):
+        assert view_shape(*shape, side) == want
 
 
 class TestComponents:

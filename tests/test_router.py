@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
+from sketchparts import router as router_module
+from sketchparts import training as training_module
 from sketchparts.autograd import Tensor, make_rng, softmax
+from sketchparts.checkpoint import write_checkpoint
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster, mirror_v
 from sketchparts.router import (
+    RETIRED_MAGIC,
+    ROUTER_SIDE,
     RouterNet,
     build_router,
     classify_pooled,
     forward,
     load_router,
+    router_input,
     save_router,
 )
+from sketchparts.training import RouterPlan, train_router
 
 
 def random_sketch(rng, size=64):
@@ -20,7 +27,7 @@ def random_sketch(rng, size=64):
 
 def test_five_way_scores():
     net = build_router(5, seed=1)
-    logits = forward(net, random_sketch(make_rng(2)))
+    logits = forward(net, router_input(random_sketch(make_rng(2))))
     assert logits.shape == (5,)
 
 
@@ -33,7 +40,7 @@ def test_same_seed_identical_init():
 
 def test_blank_sketch_finite():
     net = build_router(4, seed=3)
-    logits = forward(net, Raster(np.zeros((64, 64), dtype=np.uint8)))
+    logits = forward(net, router_input(Raster(np.zeros((64, 64), dtype=np.uint8))))
     assert np.isfinite(logits.data).all()
 
 
@@ -63,9 +70,9 @@ def test_pooled_exactly_mirror_invariant():
 
 def test_single_view_reduces_to_plain_forward():
     net = build_router(3, seed=15)
-    s = random_sketch(make_rng(17))
+    s = random_sketch(make_rng(17), ROUTER_SIDE)
     branch, scores = classify_pooled(net, s, single_view=True)
-    plain = softmax(forward(net, s)).data
+    plain = softmax(forward(net, s.pixels.astype(np.float32) / 255)).data
     assert np.allclose(scores, plain)
     assert branch == int(plain.argmax())
 
@@ -107,3 +114,72 @@ def test_float32_pooled_scores_match_float64_cast():
         b64, sc64 = classify_pooled(net64, sketch)
         assert b32 == b64
         assert np.max(np.abs(sc32 - sc64)) < 1e-5
+
+
+@pytest.fixture()
+def seen_views(monkeypatch):
+    """Every view that reaches the router net, at inference or in training."""
+    seen = []
+    real = router_module.forward
+
+    def recording(net, view, rng=None, training=False):
+        seen.append(view.copy())
+        return real(net, view, rng=rng, training=training)
+
+    monkeypatch.setattr(router_module, "forward", recording)
+    monkeypatch.setattr(training_module, "router_forward", recording)
+    return seen
+
+
+def test_sketch_sizes_reach_the_net_at_one_shape(seen_views):
+    net = build_router(3, seed=25)
+    for size in (128, 256, 512):
+        seen_views.clear()
+        classify_pooled(net, random_sketch(make_rng(size), size))
+        assert [v.shape for v in seen_views] == [(ROUTER_SIDE, ROUTER_SIDE)] * 12
+
+
+def test_non_square_sketch_keeps_its_aspect_ratio(seen_views):
+    net = build_router(3, seed=27)
+    sketch = Raster(np.where(make_rng(29).random((112, 144)) < 0.12, 255, 0).astype(np.uint8))
+    classify_pooled(net, sketch)
+    classify_pooled(net, sketch, single_view=True)
+    assert [v.shape for v in seen_views] == [(50, 64)] * 13
+
+
+def test_training_and_single_view_feed_the_same_input(seen_views):
+    net = build_router(3, seed=31)
+    sketch = Raster(np.where(make_rng(33).random((90, 120)) < 0.12, 255, 0).astype(np.uint8))
+    train_router(net, [(sketch, 1)], RouterPlan(iterations=1, batch_size=1, augment=False))
+    (trained_on,) = seen_views
+    seen_views.clear()
+    classify_pooled(net, sketch, single_view=True)
+    (routed_on,) = seen_views
+    assert trained_on.dtype == np.float32
+    assert np.array_equal(trained_on, routed_on)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 200), (300, 8)])
+def test_extreme_shapes_still_route(shape):
+    net = build_router(3, seed=35)
+    sketch = Raster(np.where(make_rng(37).random(shape) < 0.5, 255, 0).astype(np.uint8))
+    for single_view in (False, True):
+        branch, scores = classify_pooled(net, sketch, single_view=single_view)
+        assert 0 <= branch < 3
+        assert np.isfinite(scores).all()
+        assert scores.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("side", [ROUTER_SIDE // 2, 2 * ROUTER_SIDE])
+def test_net_refuses_views_of_another_size(side):
+    with pytest.raises(ContractViolation, match="longer side"):
+        forward(build_router(3, seed=39), np.zeros((side, side), dtype=np.float32))
+
+
+def test_old_router_checkpoint_refused(tmp_path):
+    net = build_router(4, seed=41)
+    p = tmp_path / "old.ckpt"
+    write_checkpoint(p, RETIRED_MAGIC, net.digest, net.parameters())
+    with pytest.raises(CheckpointError, match="retrain") as info:
+        load_router(p, 4)
+    assert info.value.offset == 0
