@@ -10,6 +10,20 @@ reweighted random walk on the candidate-correspondence affinity matrix,
 with Sinkhorn-bistochastic reweighting, under two hard constraints:
 global matches only global, and locals match only within the same part id.
 
+`build_affinities` builds the affinity matrices of one query against many
+candidate graphs in one array pass. Each graph's attributes are read as
+`GraphArrays` (node attributes; radius and angle matrices over the local
+nodes plus the global node as one extra index, NaN where no edge exists).
+The candidate pairs of every problem come from one part-id comparison, the
+unary and pairwise terms are gathered from those arrays, and one scatter
+writes every matrix into one flat buffer. The matrices are bit-identical to
+filling each cell alone: subtraction, abs, division and sqrt run in numpy,
+which rounds them as Python does, but exp, atan2, sin, cos and hypot go
+through `math` on the gathered values, because numpy's vectorised versions
+differ from libm in the last bit on a few percent of inputs. The histogram
+term stays an exact integer min/max ratio. `build_affinity` is the same
+builder on a batch of one.
+
 `rrwm_match_all` runs many walks in lockstep over one concatenated vector,
 so re-ranking a list costs a few array passes per iteration instead of a
 few per walk. Sinkhorn groups are numbered apart across problems, so one
@@ -18,22 +32,29 @@ walk leaves the lockstep once it converges and is no longer computed. The
 results are bit-identical to walking each problem alone: each `A @ x` and
 each normalizing total is still taken per problem, because a shared
 summation (add.reduceat) adds in another order and moves the last bits.
-`rrwm_match` is the same solver on a batch of one.
+One stable lexsort orders the candidates of every walk for the greedy
+discretization. `rrwm_match` is the same solver on a batch of one.
 
 Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
 builds each candidate's graph on first use only (the `rerank` CLI reads
 each gallery map once for all its queries). The query graph is built
-fresh, since a query is used once. Kept graphs are shared; treat them as
-read-only.
+fresh, since a query is used once. A graph builds its GraphArrays on
+first use and keeps them (`AttributeGraph.arrays`, not a dataclass field,
+so graphs still compare by their five fields), so a kept gallery graph
+carries its arrays from query to query while a hand-built graph gets them
+on the fly. Kept graphs and their arrays are shared; treat them as
+read-only (the arrays are).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +75,20 @@ class LocalNode:
     centroid: tuple  # (row, col) normalized to [0, 1)
 
 
+class GraphArrays(NamedTuple):
+    """An AttributeGraph's attributes as arrays, for gathering affinity terms.
+
+    Rows follow the graph's node order. The edge matrices index the local
+    nodes 0..n-1 and the global node as n, so its anchor edges fill the
+    last row and column; a cell is NaN where the graph has no edge.
+    """
+
+    part: np.ndarray  # (n,) part ids
+    nodes: np.ndarray  # (n, 4): subtended, centroid row, centroid col, area fraction
+    edges: np.ndarray  # (2, n + 1, n + 1): radius, angle
+    hist: np.ndarray  # (k, 2): part id, instance count
+
+
 @dataclass(frozen=True)
 class AttributeGraph:
     histogram: dict  # part id -> instance count
@@ -61,6 +96,30 @@ class AttributeGraph:
     nodes: tuple
     edges: dict  # (i, j) -> (r, theta), stored in both directions
     anchors: dict  # i -> (r, theta) relative to the image centre
+
+    @cached_property
+    def arrays(self):
+        """GraphArrays of this graph, built on first use and kept with it
+        (not a field, so graphs still compare by their five fields)."""
+        n = len(self.nodes)
+        part = np.array([nd.part_id for nd in self.nodes], dtype=np.int64)
+        nodes = np.array(
+            [(nd.subtended, *nd.centroid, nd.area_fraction) for nd in self.nodes],
+            dtype=np.float64,
+        ).reshape(n, 4)
+        edges = np.full((2, n + 1, n + 1), np.nan)
+        if self.edges:
+            i, j = np.array(list(self.edges), dtype=np.intp).T
+            edges[:, i, j] = np.array(list(self.edges.values()), dtype=np.float64).T
+        if self.anchors:
+            i = np.array(list(self.anchors), dtype=np.intp)
+            edges[:, i, n] = edges[:, n, i] = np.array(
+                list(self.anchors.values()), dtype=np.float64
+            ).T
+        hist = np.array(list(self.histogram.items()), dtype=np.int64).reshape(-1, 2)
+        for a in (part, nodes, edges, hist):
+            a.flags.writeable = False
+        return GraphArrays(part, nodes, edges, hist)
 
 
 def _angular_extent(rows, cols, cy, cx):
@@ -137,7 +196,8 @@ def graph_of(lm):
     """build_graph(lm), built on the map's first use and kept on the map.
 
     A LabelMap is immutable, so its graph stays valid for as long as the
-    map lives and dies with it. Two threads may both build it on first
+    map lives and dies with it, and with the graph its GraphArrays, once
+    a first match has built them. Two threads may both build it on first
     use; either equal graph is kept.
     """
     if lm._graph is None:
@@ -147,10 +207,6 @@ def graph_of(lm):
 
 def _wrap_angle(t):
     return math.atan2(math.sin(t), math.cos(t))
-
-
-def _angle_dist(a, b):
-    return abs(_wrap_angle(a - b))
 
 
 @dataclass(frozen=True)
@@ -169,68 +225,119 @@ class Affinity:
     cand: AttributeGraph
 
 
-def _hist_similarity(ha, hb):
-    keys = set(ha) | set(hb)
-    if not keys:
-        return 1.0
-    lo = sum(min(ha.get(k, 0), hb.get(k, 0)) for k in keys)
-    hi = sum(max(ha.get(k, 0), hb.get(k, 0)) for k in keys)
-    return lo / hi if hi else 1.0
+def build_affinities(q, graphs, sigmas=MatchSigmas()):
+    """One constrained candidate list and affinity matrix per graph in
+    `graphs`, each matched against the query graph `q`, built in one pass.
+
+    Candidates are (query node, candidate node) pairs: the global pair
+    first, then every pair of local nodes with the same part id, query node
+    major. Unary terms sit on the diagonal: closeness in angular extent and
+    centroid, weighted by the geometric mean of the two instance areas
+    (fractions, so everything stays in [0, 1]); the global pair scores the
+    part-type histograms. Off-diagonal terms compare the polar edge
+    attributes of correspondence pairs whose edge exists in both graphs;
+    local-global anchor edges take part with the same formula. Pairs that
+    share a query or a candidate node never reinforce each other.
+
+    Every matrix is a C-contiguous view of one shared buffer.
+    """
+    if not graphs:
+        return []
+    n = len(graphs)
+    qa = q.arrays
+    cas = [g.arrays for g in graphs]
+    sizes = np.array([len(ca.part) for ca in cas], dtype=np.intp)
+    node_owner = np.repeat(np.arange(n), sizes)
+
+    # candidate pairs of every problem from one part-id comparison, ordered
+    # by problem, then query node, then candidate node
+    qi, k = np.nonzero(qa.part[:, None] == np.concatenate([ca.part for ca in cas]))
+    by_problem = np.argsort(node_owner[k], kind="stable")
+    qi, k = qi[by_problem], k[by_problem]
+    m = np.bincount(node_owner[k], minlength=n) + 1  # candidates per problem
+    ends = np.cumsum(m)
+    starts = ends - m
+    total = int(ends[-1])
+    problem = np.repeat(np.arange(n), m)
+    local = np.ones(total, dtype=bool)
+    local[starts] = False
+    cq = np.full(total, GLOBAL)
+    cq[local] = qi
+    cc = np.full(total, GLOBAL)
+    cc[local] = k - (np.cumsum(sizes) - sizes)[node_owner[k]]
+    pairs = list(zip(cq.tolist(), cc.tolist()))
+
+    # unary terms: histogram overlap on the global pairs, as the integer
+    # ratio sum(min) / sum(max) over both histograms' part ids ...
+    hists = [ca.hist for ca in cas]
+    hist = np.concatenate(hists)
+    hist_owner = np.repeat(np.arange(n), [len(h) for h in hists])
+    shared = np.minimum(qa.hist[:, 1, None], hist[:, 1]) * (qa.hist[:, 0, None] == hist[:, 0])
+    lo = np.bincount(hist_owner, shared.sum(axis=0), minlength=n)
+    hi = qa.hist[:, 1].sum() + np.bincount(hist_owner, hist[:, 1], minlength=n) - lo
+    similarity = np.divide(lo, hi, out=np.ones(n), where=hi != 0)
+    cand_area = np.array([g.area_fraction for g in graphs], dtype=np.float64)
+    diag = np.empty(total)
+    diag[starts] = similarity * np.sqrt(q.area_fraction * cand_area)
+    # ... and extent and centroid closeness on the local pairs
+    qv, cv = qa.nodes[qi], np.concatenate([ca.nodes for ca in cas])[k]
+    d_ext = np.abs(qv[:, 0] - cv[:, 0])
+    d_cen = _apply(math.hypot, qv[:, 1] - cv[:, 1], qv[:, 2] - cv[:, 2])
+    closeness = _apply(math.exp, -d_ext / sigmas.subtended - d_cen / sigmas.centroid)
+    diag[local] = closeness * np.sqrt(qv[:, 3] * cv[:, 3])
+
+    # pairwise terms: each candidate r with every later candidate c of its
+    # problem, unless the two share a query or a candidate node ...
+    later = ends[problem] - np.arange(total) - 1
+    r = np.repeat(np.arange(total), later)
+    c = r + 1 + np.arange(r.size) - np.repeat(np.cumsum(later) - later, later)
+    apart = (cq[r] != cq[c]) & (cc[r] != cc[c])
+    r, c = r[apart], c[apart]
+    # ... and unless either graph lacks the edge. Edge matrices index the
+    # global node as n, one past the graph's local nodes.
+    qnode = np.where(cq == GLOBAL, len(qa.part), cq)
+    eq = qa.edges.reshape(2, -1)[:, qnode[r] * (len(qa.part) + 1) + qnode[c]]
+    side = sizes + 1
+    edge_start = np.cumsum(side * side) - side * side
+    cnode = np.where(cc == GLOBAL, sizes[problem], cc)
+    pr = problem[r]
+    at = edge_start[pr] + cnode[r] * side[pr] + cnode[c]
+    ec = np.concatenate([ca.edges.reshape(2, -1) for ca in cas], axis=1)[:, at]
+    both = ~(np.isnan(eq[0]) | np.isnan(ec[0]))
+    r, c, eq, ec = r[both], c[both], eq[:, both], ec[:, both]
+    t = (eq[1] - ec[1]).tolist()
+    wrapped = map(math.atan2, map(math.sin, t), map(math.cos, t))  # _wrap_angle
+    d_theta = np.abs(np.fromiter(wrapped, np.float64, len(t)))
+    pairwise = _apply(math.exp, -np.abs(eq[0] - ec[0]) / sigmas.radius - d_theta / sigmas.theta)
+
+    # one scatter into one buffer holding every matrix
+    area = m * m
+    matrix_start = np.cumsum(area) - area
+    pos = np.arange(total) - starts[problem]
+    row = matrix_start[problem] + pos * m[problem]
+    buf = np.zeros(int(area.sum()))
+    buf[row + pos] = diag
+    buf[row[r] + pos[c]] = pairwise
+    buf[row[c] + pos[r]] = pairwise
+    return [
+        Affinity(pairs[s:e], buf[o : o + size * size].reshape(size, size), q, g)
+        for s, e, o, size, g in zip(
+            starts.tolist(), ends.tolist(), matrix_start.tolist(), m.tolist(), graphs
+        )
+    ]
+
+
+def _apply(fn, *columns):
+    """fn over float64 arrays elementwise through Python floats, so results
+    match the scalar math functions to the last bit (numpy's vectorised
+    exp, arctan2 and hypot can differ from them in the last bit)."""
+    return np.fromiter(map(fn, *(col.tolist() for col in columns)), np.float64, columns[0].size)
 
 
 def build_affinity(q, c, sigmas=MatchSigmas()):
-    """Constrained candidate list plus its affinity matrix.
-
-    Unary terms sit on the diagonal: closeness in angular extent and
-    centroid, weighted by the geometric mean of the two instance areas
-    (fractions, so everything stays in [0, 1]). Off-diagonal terms compare
-    the polar edge attributes of correspondence pairs whose edge exists in
-    both graphs; local-global anchor edges take part with the same formula.
-    """
-    candidates = [(GLOBAL, GLOBAL)]
-    for i, nq in enumerate(q.nodes):
-        for a, nc in enumerate(c.nodes):
-            if nq.part_id == nc.part_id:
-                candidates.append((i, a))
-    m = len(candidates)
-    A = np.zeros((m, m))
-
-    for idx, (i, a) in enumerate(candidates):
-        if i == GLOBAL:
-            A[idx, idx] = _hist_similarity(q.histogram, c.histogram) * math.sqrt(
-                q.area_fraction * c.area_fraction
-            )
-        else:
-            nq, nc = q.nodes[i], c.nodes[a]
-            d_ext = abs(nq.subtended - nc.subtended)
-            d_cen = math.hypot(
-                nq.centroid[0] - nc.centroid[0], nq.centroid[1] - nc.centroid[1]
-            )
-            A[idx, idx] = math.exp(
-                -d_ext / sigmas.subtended - d_cen / sigmas.centroid
-            ) * math.sqrt(nq.area_fraction * nc.area_fraction)
-
-    def edge_between(graph, i, j):
-        if i == GLOBAL:
-            return graph.anchors.get(j)
-        if j == GLOBAL:
-            return graph.anchors.get(i)
-        return graph.edges.get((i, j))
-
-    for m1, (i, a) in enumerate(candidates):
-        for m2 in range(m1 + 1, m):
-            j, b = candidates[m2]
-            if i == j or a == b:
-                continue  # one-to-one conflicts never reinforce each other
-            eq = edge_between(q, i, j)
-            ec = edge_between(c, a, b)
-            if eq is None or ec is None:
-                continue
-            val = math.exp(
-                -abs(eq[0] - ec[0]) / sigmas.radius - _angle_dist(eq[1], ec[1]) / sigmas.theta
-            )
-            A[m1, m2] = A[m2, m1] = val
-    return Affinity(candidates, A, q, c)
+    """The candidate list and affinity matrix of one pair of graphs; see
+    build_affinities."""
+    return build_affinities(q, [c], sigmas)[0]
 
 
 @dataclass
@@ -264,6 +371,7 @@ def rrwm_match_all(
     sizes = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
     pairs = np.array([pair for aff in affinities for pair in aff.candidates]).reshape(-1, 2)
     problem = np.repeat(np.arange(n), sizes)
+    matrices = [aff.matrix for aff in affinities]
     rows = _group_ids(problem, pairs[:, 0])
     cols = _group_ids(problem, pairs[:, 1])
 
@@ -277,15 +385,17 @@ def rrwm_match_all(
         ends = np.cumsum(sizes[live])
         starts = ends - sizes[live]
         owner = np.repeat(np.arange(live.size), sizes[live])
+        spans = list(zip(starts.tolist(), ends.tolist()))
         walked = np.concatenate(
-            [affinities[p].matrix @ x[s:e] for p, s, e in zip(live, starts, ends)]
+            [matrices[p] @ x[s:e] for p, (s, e) in zip(live.tolist(), spans)]
         )
         jump = np.exp(beta * x / np.maximum.reduceat(x, starts)[owner])
         for _ in range(sinkhorn_iterations):
             jump = jump / np.bincount(rows, weights=jump)[rows]
             jump = jump / np.bincount(cols, weights=jump)[cols]
         y = alpha * walked + (1.0 - alpha) * jump
-        total = np.array([y[s:e].sum() for s, e in zip(starts, ends)])
+        # np.add.reduce is what y[s:e].sum() runs, without its Python wrapper
+        total = np.array([np.add.reduce(y[s:e]) for s, e in spans])
         stuck = total <= 0
         y = y / np.where(stuck, 1.0, total)[owner]
         done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < tol)
@@ -299,12 +409,20 @@ def rrwm_match_all(
     ends = np.cumsum(sizes[live])
     for p, s, e in zip(live, ends - sizes[live], ends):
         relaxed[p] = x[s:e]
-    return [_discretize(aff, r, c) for aff, r, c in zip(affinities, relaxed, converged)]
+    # one stable sort orders every walk's candidates: by problem, then by
+    # descending weight, ties in candidate order
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    order = (np.lexsort((-np.concatenate(relaxed), problem)) - np.repeat(starts, sizes)).tolist()
+    return [
+        _discretize(aff, r, c, order[s:e])
+        for aff, r, c, s, e in zip(affinities, relaxed, converged, starts.tolist(), ends.tolist())
+    ]
 
 
-def _discretize(affinity, x, converged):
+def _discretize(affinity, x, converged, order):
+    """Greedy one-to-one pick of candidates in `order`, heaviest first."""
     candidates = affinity.candidates
-    order = np.argsort(-x, kind="stable")
     used_q, used_c = set(), set()
     chosen = []
     for idx in order:
@@ -327,8 +445,8 @@ def rrwm_match(affinity, **kwargs):
 
 
 def match_maps(query_lm, cand_lm, sigmas=MatchSigmas(), **kwargs):
-    affinity = build_affinity(build_graph(query_lm), graph_of(cand_lm), sigmas)
-    return rrwm_match(affinity, **kwargs)
+    affinities = build_affinities(build_graph(query_lm), [graph_of(cand_lm)], sigmas)
+    return rrwm_match_all(affinities, **kwargs)[0]
 
 
 def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
@@ -344,7 +462,7 @@ def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
     qg = build_graph(query_lm)
-    results = rrwm_match_all([build_affinity(qg, graph_of(lm), sigmas) for _, lm in head])
+    results = rrwm_match_all(build_affinities(qg, [graph_of(lm) for _, lm in head], sigmas))
     scored = sorted(
         (-result.score, rank, cid) for rank, ((cid, _), result) in enumerate(zip(head, results))
     )

@@ -20,15 +20,14 @@ from .autograd import (
     bilinear_upsample,
     conv2d,
     global_average_pool,
-    he_normal,
     linear,
     make_rng,
     relu,
 )
-from .checkpoint import check_layout, read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, ContractViolation
 from .imaging import LabelMap, Raster
-from .nets import init_stack, out_channels, run_stack, stride_product
+from .nets import init_params, load_params, run_stack, stack_layout, stride_product
 from .poses import POSES
 
 MODEL_MAGIC = b"SKPC"
@@ -102,26 +101,27 @@ class Model:
         return [n for n in self.params if n.startswith("shared.")]
 
 
-def build_model(config, taxonomy, seed):
-    """He-initialized model; identical seeds give identical parameters."""
-    rng = make_rng(seed)
-    params = {}
-    ch = init_stack(rng, 1, config.shared_stack, "shared", params)
-    branch_in = ch
+def model_layout(config, taxonomy):
+    """(name, shape, fan_in) of every model parameter, in creation order."""
+    layout, shared_out = stack_layout(1, config.shared_stack, "shared")
     for b in range(taxonomy.num_branches):
         prefix = f"branch{b}"
-        ch = init_stack(rng, branch_in, config.branch_stack, prefix, params)
+        branch, ch = stack_layout(shared_out, config.branch_stack, prefix)
         n_out = taxonomy.n_parts(b) + 1
-        params[f"{prefix}.seg.w"] = he_normal(rng, (n_out, ch, 1, 1), fan_in=ch)
-        params[f"{prefix}.seg.b"] = Tensor(np.zeros(n_out, dtype=np.float32))
-        pose_in = n_out
-        pose_stack = config.pose.stack()
-        pose_in = init_stack(rng, pose_in, pose_stack, f"{prefix}.pose", params)
-        params[f"{prefix}.pose.fc.w"] = he_normal(
-            rng, (len(POSES), pose_in), fan_in=pose_in
-        )
-        params[f"{prefix}.pose.fc.b"] = Tensor(np.zeros(len(POSES), dtype=np.float32))
-    return Model(config, taxonomy, params)
+        pose, pose_in = stack_layout(n_out, config.pose.stack(), f"{prefix}.pose")
+        layout += branch
+        layout += [(f"{prefix}.seg.w", (n_out, ch, 1, 1), ch), (f"{prefix}.seg.b", (n_out,), None)]
+        layout += pose
+        layout += [
+            (f"{prefix}.pose.fc.w", (len(POSES), pose_in), pose_in),
+            (f"{prefix}.pose.fc.b", (len(POSES),), None),
+        ]
+    return layout
+
+
+def build_model(config, taxonomy, seed):
+    """He-initialized model; identical seeds give identical parameters."""
+    return Model(config, taxonomy, init_params(make_rng(seed), model_layout(config, taxonomy)))
 
 
 def sketch_input(sketch):
@@ -227,8 +227,5 @@ def load_checkpoint(path, config, taxonomy):
         raise CheckpointError(
             8, "checkpoint was written for a different taxonomy (digest mismatch)"
         )
-    model = build_model(config, taxonomy, seed=0)
-    shapes = {name: t.shape for name, t in model.params.items()}
-    check_layout(tensors, offsets, shapes, "the model config")
-    model.params = {name: Tensor(a) for name, a in tensors.items()}
-    return model
+    params = load_params(tensors, offsets, model_layout(config, taxonomy), "the model config")
+    return Model(config, taxonomy, params)

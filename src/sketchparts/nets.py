@@ -3,35 +3,56 @@
 A stack is a sequence of ConvSpec entries (conv + relu) interleaved with
 ("maxpool", window, stride) and ("dropout", p) markers. Parameters live in
 a flat name -> Tensor dict so checkpointing and optimizer grouping stay
-trivial.
+trivial. A net describes its parameters once, as a layout: an ordered list
+of (name, shape, fan_in). `init_params` draws a new net from it and
+`load_params` checks a checkpoint against it, so loading draws no random
+numbers.
 """
 
 from __future__ import annotations
 
 from .autograd import ConvSpec, conv2d, dropout, he_normal, maxpool2d, relu
 from .autograd import Tensor
+from .checkpoint import check_layout
 from .errors import ConfigError
 
 import numpy as np
 
 
-def init_stack(rng, in_channels, stack, prefix, params):
-    """Append He-initialized parameters for every conv in the stack."""
+def stack_layout(in_channels, stack, prefix):
+    """(name, shape, fan_in) of every parameter of the stack in creation
+    order, and the stack's output channels. fan_in is None for biases."""
+    layout = []
     ch = in_channels
     ci = 0
     for entry in stack:
         if isinstance(entry, ConvSpec):
             k = entry.kernel
-            shape = (entry.out_channels, ch, k, k)
-            params[f"{prefix}.c{ci}.w"] = he_normal(rng, shape, fan_in=ch * k * k)
-            params[f"{prefix}.c{ci}.b"] = Tensor(np.zeros(entry.out_channels, dtype=np.float32))
+            layout.append((f"{prefix}.c{ci}.w", (entry.out_channels, ch, k, k), ch * k * k))
+            layout.append((f"{prefix}.c{ci}.b", (entry.out_channels,), None))
             ch = entry.out_channels
             ci += 1
-        elif entry[0] in ("maxpool", "dropout"):
-            continue
-        else:
+        elif entry[0] not in ("maxpool", "dropout"):
             raise ConfigError(f"unknown stack entry {entry!r}")
-    return ch
+    return layout, ch
+
+
+def init_params(rng, layout):
+    """Parameters for a (name, shape, fan_in) layout, drawn in its order:
+    He-initialized weights, zero biases (fan_in None)."""
+    return {
+        name: he_normal(rng, shape, fan_in)
+        if fan_in is not None
+        else Tensor(np.zeros(shape, dtype=np.float32))
+        for name, shape, fan_in in layout
+    }
+
+
+def load_params(tensors, offsets, layout, what):
+    """Checkpoint tensors (from read_checkpoint) as parameters, refused by
+    check_layout unless their names and shapes follow `layout`."""
+    check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)
+    return {name: Tensor(a) for name, a in tensors.items()}
 
 
 def run_stack(x, stack, prefix, params, rng=None, training=False):
@@ -47,14 +68,6 @@ def run_stack(x, stack, prefix, params, rng=None, training=False):
         else:
             raise ConfigError(f"unknown stack entry {entry!r}")
     return x
-
-
-def out_channels(stack, in_channels):
-    ch = in_channels
-    for entry in stack:
-        if isinstance(entry, ConvSpec):
-            ch = entry.out_channels
-    return ch
 
 
 def stride_product(stack):

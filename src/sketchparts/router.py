@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import ConvSpec, Tensor, dropout, global_average_pool, he_normal, linear, make_rng, softmax
-from .checkpoint import check_layout, read_checkpoint, write_checkpoint
+from .autograd import ConvSpec, Tensor, dropout, global_average_pool, linear, make_rng, softmax
+from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ContractViolation
 from .imaging import crops_and_pad, grey_view, mirror_v, view_shape
-from .nets import init_stack, run_stack
+from .nets import init_params, load_params, run_stack, stack_layout
 
 ROUTER_SIDE = 64
 CROP_FRACTION = 0.9
@@ -56,15 +56,16 @@ class RouterNet:
         return list(self.params.items())
 
 
-def build_router(num_classes, seed, digest=b"\x00" * 32):
+def router_layout(num_classes):
+    """(name, shape, fan_in) of every router parameter, in creation order."""
     if num_classes < 2:
         raise ContractViolation(f"router needs at least 2 classes, got {num_classes}")
-    rng = make_rng(seed)
-    params = {}
-    ch = init_stack(rng, 1, ROUTER_STACK, "stack", params)
-    params["head.w"] = he_normal(rng, (num_classes, ch), fan_in=ch)
-    params["head.b"] = Tensor(np.zeros(num_classes, dtype=np.float32))
-    return RouterNet(num_classes, params, digest)
+    layout, ch = stack_layout(1, ROUTER_STACK, "stack")
+    return layout + [("head.w", (num_classes, ch), ch), ("head.b", (num_classes,), None)]
+
+
+def build_router(num_classes, seed, digest=b"\x00" * 32):
+    return RouterNet(num_classes, init_params(make_rng(seed), router_layout(num_classes)), digest)
 
 
 def router_input(sketch):
@@ -125,8 +126,5 @@ def load_router(path, num_classes, expected_digest=None):
     digest, tensors, offsets = read_checkpoint(path, ROUTER_MAGIC)
     if expected_digest is not None and digest != expected_digest:
         raise CheckpointError(8, "router was trained against a different taxonomy")
-    net = build_router(num_classes, seed=0, digest=digest)
-    shapes = {name: t.shape for name, t in net.params.items()}
-    check_layout(tensors, offsets, shapes, "the router layout")
-    net.params = {name: Tensor(a) for name, a in tensors.items()}
-    return net
+    params = load_params(tensors, offsets, router_layout(num_classes), "the router layout")
+    return RouterNet(num_classes, params, digest)

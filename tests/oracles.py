@@ -284,3 +284,63 @@ def rrwm_match_loop(
     indicator[chosen] = 1.0
     score = float(indicator @ A @ indicator)
     return MatchResult({candidates[k][0]: candidates[k][1] for k in chosen}, score, converged, x)
+
+
+def build_affinity_loop(q, c, sigmas=None):
+    """Affinity of one graph pair, one matrix cell at a time: the global
+    pair first, then same-part local pairs query node major; each unordered
+    candidate pair looks its edges up in the graphs' dicts."""
+    from sketchparts.graphmatch import GLOBAL, Affinity, MatchSigmas
+
+    sigmas = sigmas or MatchSigmas()
+
+    def wrap(t):
+        return math.atan2(math.sin(t), math.cos(t))
+
+    def hist_similarity(ha, hb):
+        keys = set(ha) | set(hb)
+        if not keys:
+            return 1.0
+        lo = sum(min(ha.get(k, 0), hb.get(k, 0)) for k in keys)
+        hi = sum(max(ha.get(k, 0), hb.get(k, 0)) for k in keys)
+        return lo / hi if hi else 1.0
+
+    def edge_between(graph, i, j):
+        if i == GLOBAL:
+            return graph.anchors.get(j)
+        if j == GLOBAL:
+            return graph.anchors.get(i)
+        return graph.edges.get((i, j))
+
+    candidates = [(GLOBAL, GLOBAL)]
+    for i, nq in enumerate(q.nodes):
+        for a, nc in enumerate(c.nodes):
+            if nq.part_id == nc.part_id:
+                candidates.append((i, a))
+    m = len(candidates)
+    A = np.zeros((m, m))
+    for idx, (i, a) in enumerate(candidates):
+        if i == GLOBAL:
+            A[idx, idx] = hist_similarity(q.histogram, c.histogram) * math.sqrt(
+                q.area_fraction * c.area_fraction
+            )
+        else:
+            nq, nc = q.nodes[i], c.nodes[a]
+            d_ext = abs(nq.subtended - nc.subtended)
+            d_cen = math.hypot(nq.centroid[0] - nc.centroid[0], nq.centroid[1] - nc.centroid[1])
+            A[idx, idx] = math.exp(
+                -d_ext / sigmas.subtended - d_cen / sigmas.centroid
+            ) * math.sqrt(nq.area_fraction * nc.area_fraction)
+    for m1, (i, a) in enumerate(candidates):
+        for m2 in range(m1 + 1, m):
+            j, b = candidates[m2]
+            if i == j or a == b:
+                continue
+            eq = edge_between(q, i, j)
+            ec = edge_between(c, a, b)
+            if eq is None or ec is None:
+                continue
+            A[m1, m2] = A[m2, m1] = math.exp(
+                -abs(eq[0] - ec[0]) / sigmas.radius - abs(wrap(eq[1] - ec[1])) / sigmas.theta
+            )
+    return Affinity(candidates, A, q, c)

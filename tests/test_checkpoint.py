@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchparts import autograd, nets
+from sketchparts import model as model_module
+from sketchparts import router as router_module
 from sketchparts.autograd import Tensor
 from sketchparts.checkpoint import COUNT_AT, VERSION, read_checkpoint, write_checkpoint
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT
@@ -165,3 +168,22 @@ def test_missing_tensor_names_the_count(tmp_path, net):
     named, *rest = saved_net(net)
     err = refused_at(tmp_path, named[:-1], *rest)
     assert err.offset == COUNT_AT
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_load_builds_no_throwaway_net(tmp_path, monkeypatch, net):
+    named, magic, digest, load = saved_net(net)
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, magic, digest, named)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading drew random numbers")
+
+    for module in (autograd, nets, model_module, router_module):
+        for name in ("he_normal", "make_rng"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_draws)
+    loaded = load(path).parameters()
+    assert [name for name, _ in loaded] == [name for name, _ in named]
+    for (_, got), (_, want) in zip(loaded, named):
+        assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()

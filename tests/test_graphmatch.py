@@ -12,6 +12,7 @@ from sketchparts.graphmatch import (
     Affinity,
     AttributeGraph,
     LocalNode,
+    build_affinities,
     build_affinity,
     build_graph,
     graph_of,
@@ -22,7 +23,7 @@ from sketchparts.graphmatch import (
 )
 from sketchparts.imaging import LabelMap, label_components
 
-from oracles import build_graph_loop, label_components_loop, rrwm_match_loop
+from oracles import build_affinity_loop, build_graph_loop, label_components_loop, rrwm_match_loop
 
 
 # --------------------------------------------------------------------------
@@ -404,6 +405,16 @@ def assert_same_match(got, want):
     assert got.relaxed.tobytes() == want.relaxed.tobytes()
 
 
+def assert_same_affinities(got, q, graphs):
+    assert len(got) == len(graphs)
+    for aff, c in zip(got, graphs):
+        want = build_affinity_loop(q, c)
+        assert aff.candidates == want.candidates
+        assert aff.matrix.shape == want.matrix.shape and aff.matrix.flags.c_contiguous
+        assert aff.matrix.tobytes() == want.matrix.tobytes()
+        assert aff.query is q and aff.cand is c
+
+
 class TestAgainstLoopOracles:
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_label_components_exact(self, name, lm):
@@ -430,6 +441,9 @@ class TestAgainstLoopOracles:
             affinities.append(build_affinity(g, h))
         graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
         affinities += [build_affinity(a, b) for a, b in zip(graphs, graphs[5:])]
+        # every local weight tied: the greedy pick runs in candidate order
+        tied = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(7)]
+        affinities.append(Affinity(tied, np.zeros((22, 22)), None, None))
         # a walk whose total is negative stops before it divides
         affinities.append(Affinity([(GLOBAL, GLOBAL)], np.array([[-100.0]]), None, None))
         for cap in (4, 300):
@@ -441,6 +455,41 @@ class TestAgainstLoopOracles:
         # the capped batch mixes walks that converged with walks cut off
         capped = [rrwm_match_loop(aff, max_iterations=4).converged for aff in affinities]
         assert any(capped) and not all(capped[:-1])
+
+    @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
+    def test_affinities_exact_on_map_graphs(self, name, lm):
+        q = build_graph(lm)
+        graphs = [build_graph(other) for _, other in ORACLE_MAPS]
+        assert_same_affinities(build_affinities(q, graphs), q, graphs)
+
+    def test_affinities_exact_on_synthetic_graphs(self):
+        rng = make_rng(79)
+        for n in (1, 2, 3, 5, 8):
+            g, structure = synth_graph(rng, n)
+            h, _ = perturb_and_permute(g, structure, rng, eps=0.05)
+            others = [h, g, synth_graph(rng, n + 1)[0], synth_graph(rng, 4, part_pool=(1, 9))[0]]
+            assert_same_affinities(build_affinities(g, others), g, others)
+
+    def test_affinities_exact_on_mixed_batch(self):
+        background = build_graph(LabelMap(np.zeros((6, 9), dtype=np.uint8)))
+        global_only = AttributeGraph({4: 2}, 0.3, (), {}, {})
+        rng = make_rng(83)
+        q, _ = synth_graph(rng, 6)
+        disjoint, _ = synth_graph(rng, 4, part_pool=(7, 8))  # no part id shared with q
+        # anchors only, as selfcheck builds them
+        anchors_only = AttributeGraph(q.histogram, 0.5, q.nodes, {}, q.anchors)
+        # self-loops never reinforce two pairs that share a node
+        loops = {(i, i): (0.0, 0.0) for i in range(len(q.nodes))}
+        looped = AttributeGraph(q.histogram, 0.4, q.nodes, {**q.edges, **loops}, q.anchors)
+        maps = [build_graph(lm) for _, lm in ORACLE_MAPS[3:9]]
+        batch = [background, global_only, disjoint, anchors_only, looped, q] + maps + [disjoint]
+        for query in (q, looped, background, global_only, disjoint, maps[-1]):
+            affinities = build_affinities(query, batch)
+            assert_same_affinities(affinities, query, batch)
+            assert all(aff.matrix.base is affinities[0].matrix.base for aff in affinities)
+        assert_same_affinities([build_affinity(q, disjoint)], q, [disjoint])
+        assert build_affinity(q, disjoint).candidates == [(GLOBAL, GLOBAL)]
+        assert build_affinities(q, []) == []
 
     def test_single_walk_and_empty_batch(self):
         g, structure = synth_graph(make_rng(47), 4)
@@ -459,7 +508,7 @@ class TestAgainstLoopOracles:
             top = 10
             qg = build_graph_loop(query)
             scored = sorted(
-                (-rrwm_match_loop(build_affinity(qg, build_graph_loop(lm))).score, rank, cid)
+                (-rrwm_match_loop(build_affinity_loop(qg, build_graph_loop(lm))).score, rank, cid)
                 for rank, (cid, lm) in enumerate(pool[:top])
             )
             want = [cid for _, _, cid in scored] + [cid for cid, _ in pool[top:]]
@@ -519,10 +568,18 @@ class TestGraphOf:
         for q, got in zip(queries, warm):
             qg = build_graph_loop(q)
             scored = sorted(
-                (-rrwm_match_loop(build_affinity(qg, build_graph_loop(lm))).score, rank, cid)
+                (-rrwm_match_loop(build_affinity_loop(qg, build_graph_loop(lm))).score, rank, cid)
                 for rank, (cid, lm) in enumerate(pool)
             )
             assert got == [cid for _, _, cid in scored]
+
+    def test_kept_graph_keeps_its_arrays(self):
+        lm = patchwork(make_rng(89), 20, 16)
+        arrays = graph_of(lm).arrays
+        rerank(patchwork(make_rng(97), 20, 16), [("c", lm)])
+        assert graph_of(lm).arrays is arrays
+        assert not arrays.edges.flags.writeable
+        assert graph_of(lm) == build_graph(lm)  # the arrays are no field
 
     def test_match_maps_keeps_only_the_candidate_graph(self):
         rng = make_rng(73)
