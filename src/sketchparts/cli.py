@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .augment import sketchify
 from .checks import run_selfcheck
 from .config import RunConfig, load_config
@@ -26,7 +24,7 @@ from .imaging import LabelMap, Raster
 from .metrics import iou_report, pose_eval
 from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .pgm import read_pgm, write_pgm
-from .pipeline import infer_record, part_counts, summarize
+from .pipeline import infer_record, summarize
 from .poses import POSES
 from .router import build_router, load_router, save_router
 from .taxonomy import load_taxonomy, load_taxonomy_file

@@ -29,11 +29,19 @@ so re-ranking a list costs a few array passes per iteration instead of a
 few per walk. Sinkhorn groups are numbered apart across problems, so one
 bincount normalizes them all; per-problem maxima come from a reduceat; a
 walk leaves the lockstep once it converges and is no longer computed. The
-results are bit-identical to walking each problem alone: each `A @ x` and
-each normalizing total is still taken per problem, because a shared
-summation (add.reduceat) adds in another order and moves the last bits.
-One stable lexsort orders the candidates of every walk for the greedy
-discretization. `rrwm_match` is the same solver on a batch of one.
+products and totals are taken per size class: problems with the same
+candidate count m are sorted next to each other, their matrices stacked
+into one C-contiguous (b, m, m) array, and each iteration makes one stacked
+matmul and one row-wise add.reduce per class. The results are
+bit-identical to walking each problem alone, because both calls run the
+same kernel on each slice as on one problem (a shared summation such as
+add.reduceat adds in another order and moves the last bits). That holds
+only for C-contiguous matrices, as a Fortran-ordered A @ x rounds
+differently, so `Affinity` keeps its matrix in C order. The greedy
+discretization runs in lockstep too: one stable lexsort orders every
+walk's candidates, step t tries each problem's t-th heaviest, and the
+scores come from stacked indicator products. `rrwm_match` is the same
+solver on a batch of one.
 
 Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
@@ -52,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from numbers import Integral
 from typing import NamedTuple
 
@@ -224,6 +232,12 @@ class Affinity:
     query: AttributeGraph
     cand: AttributeGraph
 
+    def __post_init__(self):
+        # C order pins the rounding of A @ x, which the walk's stacked
+        # product reproduces only for C-contiguous matrices; a no-op (the same
+        # array, its base kept) for the views build_affinities makes
+        self.matrix = np.ascontiguousarray(self.matrix)
+
 
 def build_affinities(q, graphs, sigmas=MatchSigmas()):
     """One constrained candidate list and affinity matrix per graph in
@@ -353,6 +367,19 @@ def _group_ids(problem, node):
     return np.unique(problem * (node.max() + 2) + node + 1, return_inverse=True)[1]
 
 
+def _size_classes(stacks):
+    """Where each non-empty (b, m, m) stack's problems sit in the walk: the
+    stack, its span of the concatenated vector, its span of the problems,
+    and (b, m)."""
+    layout, s, k = [], 0, 0
+    for stack in stacks:
+        b, m = stack.shape[:2]
+        if b:
+            layout.append((stack, slice(s, s + b * m), slice(k, k + b), (b, m)))
+            s, k = s + b * m, k + b
+    return layout
+
+
 def rrwm_match_all(
     affinities, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8
 ):
@@ -362,81 +389,123 @@ def rrwm_match_all(
     group per candidate node (the global pair gets its own row and column).
     A walk stops when it converges or its total is not positive. Never
     emits a pair outside the candidate list, so the matching constraints
-    hold by construction."""
+    hold by construction.
+
+    Problems are walked sorted by candidate count m (a stable sort), so the
+    problems of one size class fill one run of the concatenated vector and
+    their matrices one C-contiguous (b, m, m) stack. Each iteration makes one
+    stacked matmul and one row-wise add.reduce per class. Both run the same
+    kernel on each slice as on a problem walked alone (the gemv of a
+    C-contiguous matrix, the pairwise sum of one contiguous row), so every
+    product and total keeps its bits. That rests on each matrix being
+    C-contiguous, which Affinity ensures: a Fortran-ordered A @ x rounds
+    differently. A class's stack is compressed on the iterations where walks
+    leave it. The greedy pick runs in lockstep too: step t tries every
+    problem's t-th heaviest candidate, and the scores come from the stacked
+    indicator products."""
     if not affinities:
         return []
     if any(not aff.candidates for aff in affinities):
         raise ContractViolation("empty candidate list")
     n = len(affinities)
     sizes = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
-    pairs = np.array([pair for aff in affinities for pair in aff.candidates]).reshape(-1, 2)
+    by_size = np.argsort(sizes, kind="stable").tolist()
+    sizes = sizes[by_size]
+    affs = [affinities[p] for p in by_size]
+    flat = [pair for aff in affs for pair in aff.candidates]
+    pairs = np.fromiter(chain.from_iterable(flat), np.intp, 2 * len(flat)).reshape(-1, 2)
     problem = np.repeat(np.arange(n), sizes)
-    matrices = [aff.matrix for aff in affinities]
-    rows = _group_ids(problem, pairs[:, 0])
-    cols = _group_ids(problem, pairs[:, 1])
+    row_of = _group_ids(problem, pairs[:, 0])
+    col_of = _group_ids(problem, pairs[:, 1])
+    class_end = (np.flatnonzero(np.diff(sizes, append=0)) + 1).tolist()
+    stacks = [
+        np.stack([aff.matrix for aff in affs[s:e]])
+        for s, e in zip([0, *class_end[:-1]], class_end)
+    ]
 
     x = np.repeat(1.0 / sizes, sizes)
+    rows, cols = row_of, col_of
     live = np.arange(n)
+    walking = stacks
     relaxed = [None] * n
     converged = [False] * n
+    moved = True
     for _ in range(max_iterations):
         if not live.size:
             break
-        ends = np.cumsum(sizes[live])
-        starts = ends - sizes[live]
-        owner = np.repeat(np.arange(live.size), sizes[live])
-        spans = list(zip(starts.tolist(), ends.tolist()))
-        walked = np.concatenate(
-            [matrices[p] @ x[s:e] for p, (s, e) in zip(live.tolist(), spans)]
-        )
+        if moved:
+            ends = np.cumsum(sizes[live])
+            starts = ends - sizes[live]
+            owner = np.repeat(np.arange(live.size), sizes[live])
+            layout = _size_classes(walking)
+            walked = np.empty(x.size)
+            total = np.empty(live.size)
+        for stack, values, _, (b, m) in layout:
+            np.matmul(stack, x[values].reshape(b, m, 1), out=walked[values].reshape(b, m, 1))
         jump = np.exp(beta * x / np.maximum.reduceat(x, starts)[owner])
         for _ in range(sinkhorn_iterations):
             jump = jump / np.bincount(rows, weights=jump)[rows]
             jump = jump / np.bincount(cols, weights=jump)[cols]
         y = alpha * walked + (1.0 - alpha) * jump
-        # np.add.reduce is what y[s:e].sum() runs, without its Python wrapper
-        total = np.array([np.add.reduce(y[s:e]) for s, e in spans])
+        for _, values, probs, (b, m) in layout:
+            np.add.reduce(y[values].reshape(b, m), axis=1, out=total[probs])
         stuck = total <= 0
         y = y / np.where(stuck, 1.0, total)[owner]
         done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < tol)
         leaving = stuck | done
+        moved = bool(leaving.any())
+        if not moved:
+            x = y
+            continue
         for k in np.flatnonzero(leaving):
             relaxed[live[k]] = (y if done[k] else x)[starts[k] : ends[k]]
             converged[live[k]] = bool(done[k])
-        walking = ~leaving[owner]
-        x, rows, cols = y[walking], rows[walking], cols[walking]
-        live = live[~leaving]
+        staying = ~leaving
+        walking = [
+            stack[staying[probs]] if leaving[probs].any() else stack
+            for stack, _, probs, _ in layout
+        ]
+        keep = staying[owner]
+        x, rows, cols = y[keep], rows[keep], cols[keep]
+        live = live[staying]
     ends = np.cumsum(sizes[live])
     for p, s, e in zip(live, ends - sizes[live], ends):
         relaxed[p] = x[s:e]
-    # one stable sort orders every walk's candidates: by problem, then by
-    # descending weight, ties in candidate order
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    order = (np.lexsort((-np.concatenate(relaxed), problem)) - np.repeat(starts, sizes)).tolist()
-    return [
-        _discretize(aff, r, c, order[s:e])
-        for aff, r, c, s, e in zip(affinities, relaxed, converged, starts.tolist(), ends.tolist())
-    ]
 
-
-def _discretize(affinity, x, converged, order):
-    """Greedy one-to-one pick of candidates in `order`, heaviest first."""
-    candidates = affinity.candidates
-    used_q, used_c = set(), set()
-    chosen = []
-    for idx in order:
-        i, a = candidates[idx]
-        if i in used_q or a in used_c:
-            continue
-        used_q.add(i)
-        used_c.add(a)
-        chosen.append(idx)
-    indicator = np.zeros(len(candidates))
-    indicator[chosen] = 1.0
-    score = float(indicator @ affinity.matrix @ indicator)
-    pairs = {candidates[idx][0]: candidates[idx][1] for idx in chosen}
-    return MatchResult(pairs, score, converged, x)
+    # greedy one-to-one pick, every problem in lockstep: step t tries each
+    # problem's t-th heaviest candidate (ties in candidate order), unless a
+    # pick of an earlier step took its row or column group
+    starts = np.cumsum(sizes) - sizes
+    heaviest = np.lexsort((-np.concatenate(relaxed), problem))
+    rank = np.arange(problem.size) - starts[problem]
+    tries = heaviest[np.argsort(rank, kind="stable")]
+    step_end = np.cumsum(np.bincount(rank)).tolist()
+    taken = np.zeros(tries.size, dtype=bool)
+    row_used = np.zeros(row_of.max() + 1, dtype=bool)
+    col_used = np.zeros(col_of.max() + 1, dtype=bool)
+    for s, e in zip([0, *step_end[:-1]], step_end):
+        tried = tries[s:e]
+        r, c = row_of[tried], col_of[tried]
+        free = ~(row_used[r] | col_used[c])
+        row_used[r[free]] = True
+        col_used[c[free]] = True
+        taken[s:e] = free
+    picked = tries[taken]
+    picked = picked[np.argsort(problem[picked], kind="stable")]  # each problem's in pick order
+    indicator = np.zeros(problem.size)
+    indicator[picked] = 1.0
+    score = np.empty(n)
+    for stack, values, probs, (b, m) in _size_classes(stacks):
+        ind = indicator[values]
+        score[probs] = (ind.reshape(b, 1, m) @ stack @ ind.reshape(b, m, 1)).reshape(b)
+    pick_end = np.cumsum(np.bincount(problem[picked], minlength=n)).tolist()
+    picked = picked.tolist()
+    results = [None] * n
+    for p, (s, e) in enumerate(zip([0, *pick_end[:-1]], pick_end)):
+        results[by_size[p]] = MatchResult(
+            dict(map(flat.__getitem__, picked[s:e])), float(score[p]), converged[p], relaxed[p]
+        )
+    return results
 
 
 def rrwm_match(affinity, **kwargs):

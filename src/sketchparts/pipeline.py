@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .describe import SketchSummary, describe
 from .errors import CheckpointError, ContractViolation
 from .imaging import connected_components
 from .metrics import iou_report, pose_eval
 from .model import infer
-from .poses import POSES
 from .router import classify_pooled
 
 RECORD_VERSION = 1

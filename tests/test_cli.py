@@ -1,16 +1,14 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
-from sketchparts.imaging import LabelMap
 from sketchparts.model import ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import write_checkpoint
-from sketchparts.router import RETIRED_MAGIC, build_router, save_router
+from sketchparts.router import RETIRED_MAGIC, build_router
 from sketchparts.taxonomy import load_taxonomy
 
 TAX = load_taxonomy(DEFAULT_TAXONOMY_TEXT)

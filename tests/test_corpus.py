@@ -1,7 +1,6 @@
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sketchparts.autograd import make_rng

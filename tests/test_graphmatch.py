@@ -456,6 +456,84 @@ class TestAgainstLoopOracles:
         capped = [rrwm_match_loop(aff, max_iterations=4).converged for aff in affinities]
         assert any(capped) and not all(capped[:-1])
 
+    def test_size_classes_leave_on_different_iterations(self):
+        rng = make_rng(53)
+        # 2 x 2 complete local pairs plus the global pair: five candidates
+        tied = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(2) for a in range(2)]
+        wide = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(3)]
+        walk = rng.random((5, 5))
+        five = {
+            "stuck": Affinity(tied, np.full((5, 5), -100.0), None, None),  # total < 0 at once
+            "converged": Affinity(tied, np.zeros((5, 5)), None, None),  # fixed at step 2
+            "capped": Affinity(tied, walk + walk.T, None, None),  # walks past step 4
+        }
+        batch = list(five.values()) + [
+            # a class whose walks all leave at step 2, while others walk on
+            Affinity(wide, np.zeros((10, 10)), None, None),
+            Affinity(wide, np.zeros((10, 10)), None, None),
+            # single-candidate problems, stuck and converged at step 1
+            Affinity([(GLOBAL, GLOBAL)], np.array([[-1.0]]), None, None),
+            Affinity([(GLOBAL, GLOBAL)], np.array([[0.5]]), None, None),
+        ]
+        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
+        batch += build_affinities(graphs[-1], graphs)
+        shuffled = [batch[k] for k in rng.permutation(len(batch))]
+        sizes = [len(aff.candidates) for aff in shuffled]
+        assert len(set(sizes)) < len(sizes) and sizes != sorted(sizes)
+        for cap in (0, 1, 4, 300):
+            got = rrwm_match_all(shuffled, max_iterations=cap)
+            assert len(got) == len(shuffled)
+            for r, aff in zip(got, shuffled):
+                assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
+        # at a cap of 4 the five-candidate class loses one walk at each of
+        # steps 1 and 2 and keeps the third to the end
+        capped = {k: rrwm_match_loop(aff, max_iterations=4) for k, aff in five.items()}
+        uniform = np.full(5, 0.2).tobytes()
+        assert not capped["stuck"].converged and capped["stuck"].relaxed.tobytes() == uniform
+        assert capped["converged"].converged
+        assert not rrwm_match_loop(five["converged"], max_iterations=1).converged
+        assert not capped["capped"].converged and capped["capped"].relaxed.tobytes() != uniform
+        assert rrwm_match_loop(five["capped"]).converged
+
+    def test_stacked_kernels_keep_the_per_slice_bits(self):
+        # the size-class walk rests on these: a stacked matmul, a row-wise
+        # add.reduce and a stacked indicator product round each slice as the
+        # 2-D call on one C-contiguous matrix does
+        rng = make_rng(59)
+        for m in range(1, 41):
+            for b in (1, 3):
+                stack = rng.random((b, m, m)) - 0.25
+                x = rng.random(b * m)
+                walked = np.empty(b * m)
+                np.matmul(stack, x.reshape(b, m, 1), out=walked.reshape(b, m, 1))
+                total = np.empty(b)
+                np.add.reduce(x.reshape(b, m), axis=1, out=total)
+                ind = (rng.random((b, m)) < 0.5).astype(np.float64)
+                score = (ind.reshape(b, 1, m) @ stack @ ind.reshape(b, m, 1)).reshape(b)
+                for k in range(b):
+                    a, v = np.ascontiguousarray(stack[k]), x[k * m : (k + 1) * m]
+                    assert walked[k * m : (k + 1) * m].tobytes() == (a @ v).tobytes()
+                    assert total[k] == np.add.reduce(v.copy())
+                    assert score[k] == float(ind[k] @ a @ ind[k])
+
+    def test_non_c_ordered_matrices_walk_as_their_c_copy(self):
+        rng = make_rng(61)
+        g, structure = synth_graph(rng, 8)
+        h, _ = perturb_and_permute(g, structure, rng, eps=0.05)
+        aff = build_affinity(g, h)
+        m = len(aff.candidates)
+        skewed = rng.random((m, m))
+        fortran = Affinity(aff.candidates, np.asfortranarray(aff.matrix), g, h)
+        transposed = Affinity(aff.candidates, skewed.T, g, h)
+        batch = [fortran, aff, transposed]
+        for a in batch:
+            assert a.matrix.flags.c_contiguous
+        assert fortran.matrix.tobytes() == aff.matrix.tobytes()
+        assert np.array_equal(transposed.matrix, skewed.T)
+        got = rrwm_match_all(batch)
+        for r, a in zip(got, batch):
+            assert_same_match(r, rrwm_match_loop(a))
+
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_affinities_exact_on_map_graphs(self, name, lm):
         q = build_graph(lm)

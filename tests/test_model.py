@@ -3,7 +3,7 @@ import pytest
 
 from sketchparts.autograd import Tape, Tensor, backward, make_rng, weighted_sum
 from sketchparts.errors import CheckpointError, ContractViolation
-from sketchparts.imaging import LabelMap, Raster
+from sketchparts.imaging import Raster
 from sketchparts.model import (
     ModelConfig,
     build_model,
