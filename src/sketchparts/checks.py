@@ -1,6 +1,12 @@
 """Self-contained invariant checks: finite-difference gradients plus the
 brute-force oracles behind `selfcheck`.
 
+This module is the one home of every oracle that `selfcheck` runs
+(`gradcheck` with its `probe` direction, `iou_bruteforce`,
+`balance_bruteforce`, `best_assignment`), and the tests import them from
+here. Loop replicas of production code that only the tests use stay in
+`tests/oracles.py`.
+
 The gradient checker only ever calls forward evaluations, so it is an
 independent oracle for the taped backward pass. Run it on float64 tensors;
 float32 storage drowns the difference quotient in rounding noise. The
@@ -65,6 +71,78 @@ def gradcheck(fn, tensors, eps=1e-3, tol=1e-4):
     return err
 
 
+def probe(rng, op):
+    """Collapse an op's output to a scalar against a fixed random direction."""
+    from .autograd import weighted_sum
+
+    w = rng.standard_normal(op().shape)
+    return lambda: weighted_sum(op(), w)
+
+
+def iou_bruteforce(pred, gt):
+    """Per-part IOU of two label arrays by explicit pixel counting;
+    returns (dict, sIOU)."""
+    pairs = list(zip(gt.reshape(-1).tolist(), pred.reshape(-1).tolist()))
+    out = {}
+    for part in sorted({g for g, _ in pairs if g != 0}):
+        inter = truth = predicted = 0
+        for g, q in pairs:
+            truth += g == part
+            predicted += q == part
+            inter += g == part and q == part
+        union = truth + predicted - inter
+        out[part] = inter / union if union else 0.0
+    return out, (sum(out.values()) / len(out) if out else 0.0)
+
+
+def balance_bruteforce(label_arrays, n_labels, include_background):
+    """alpha per label from plain dict counting over label arrays."""
+    pixels, images = {}, {}
+    for arr in label_arrays:
+        values = arr.reshape(-1).tolist()
+        for v in values:
+            pixels[v] = pixels.get(v, 0) + 1
+        for v in set(values):
+            images[v] = images.get(v, 0) + 1
+    start = 0 if include_background else 1
+    f = {label: pixels.get(label, 0) / images[label] for label in range(start, n_labels)}
+    fs = sorted(f.values())
+    n = len(fs)
+    median = fs[n // 2] if n % 2 else (fs[n // 2 - 1] + fs[n // 2]) / 2
+    alpha = {label: median / f[label] for label in f}
+    if not include_background:
+        alpha[0] = 1.0
+    return alpha
+
+
+def best_assignment(affinity):
+    """Exhaustive max of x^T A x over complete constrained assignments:
+    the global pair plus a one-to-one matching within each part. Returns
+    (pairs, score); the first assignment reaching the maximum wins."""
+    from .graphmatch import GLOBAL
+
+    groups = {}
+    for side, graph in enumerate((affinity.query, affinity.cand)):
+        for i, node in enumerate(graph.nodes):
+            groups.setdefault(node.part_id, ([], []))[side].append(i)
+    if any(len(qs) != len(cs) for qs, cs in groups.values()):
+        raise ValueError("each part needs as many query as candidate nodes")
+    group_perms = [
+        [list(zip(qs, p)) for p in itertools.permutations(cs)]
+        for _, (qs, cs) in sorted(groups.items())
+    ]
+    index = {pair: k for k, pair in enumerate(affinity.candidates)}
+    best_score, best_pairs = -1.0, None
+    for combo in itertools.product(*group_perms):
+        pairs = [(GLOBAL, GLOBAL)] + [pair for group in combo for pair in group]
+        x = np.zeros(len(affinity.candidates))
+        x[[index[pair] for pair in pairs]] = 1.0
+        score = float(x @ affinity.matrix @ x)
+        if score > best_score:
+            best_score, best_pairs = score, dict(pairs)
+    return best_pairs, best_score
+
+
 # ---------------------------------------------------------------------------
 # the selfcheck suite
 
@@ -73,13 +151,6 @@ def _t64(rng, shape):
     from .autograd import Tensor
 
     return Tensor(rng.standard_normal(shape))
-
-
-def _probe(rng, op):
-    from .autograd import weighted_sum
-
-    w = rng.standard_normal(op().shape)
-    return lambda: weighted_sum(op(), w)
 
 
 def _check_gradients(rng):
@@ -101,20 +172,20 @@ def _check_gradients(rng):
     w = _t64(rng, (3, 2, 3, 3))
     b = _t64(rng, (3,))
     spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2, pad=2)
-    gradcheck(_probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
+    gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
     pool_in = _t64(rng, (1, 6, 6))
     pool_in.data[:] = rng.permutation(36).reshape(1, 6, 6) * 0.1
-    gradcheck(_probe(rng, lambda: maxpool2d(pool_in, 3, 2)), [pool_in], tol=1e-3)
+    gradcheck(probe(rng, lambda: maxpool2d(pool_in, 3, 2)), [pool_in], tol=1e-3)
 
     v = _t64(rng, (4,))
     lw = _t64(rng, (3, 4))
     lb = _t64(rng, (3,))
-    gradcheck(_probe(rng, lambda: linear(v, lw, lb)), [v, lw, lb])
-    gradcheck(_probe(rng, lambda: relu(x)), [x], tol=1e-3)
-    gradcheck(_probe(rng, lambda: global_average_pool(x)), [x])
-    gradcheck(_probe(rng, lambda: bilinear_upsample(x, 2)), [x])
-    gradcheck(_probe(rng, lambda: softmax(v)), [v])
+    gradcheck(probe(rng, lambda: linear(v, lw, lb)), [v, lw, lb])
+    gradcheck(probe(rng, lambda: relu(x)), [x], tol=1e-3)
+    gradcheck(probe(rng, lambda: global_average_pool(x)), [x])
+    gradcheck(probe(rng, lambda: bilinear_upsample(x, 2)), [x])
+    gradcheck(probe(rng, lambda: softmax(v)), [v])
 
     logits = _t64(rng, (4, 6))
     targets = rng.integers(0, 4, size=6)
@@ -123,20 +194,8 @@ def _check_gradients(rng):
 
     drop_rng_seed = int(rng.integers(1 << 30))
     gradcheck(
-        _probe(rng, lambda: dropout(x, 0.4, make_rng(drop_rng_seed), training=True)), [x]
+        probe(rng, lambda: dropout(x, 0.4, make_rng(drop_rng_seed), training=True)), [x]
     )
-
-
-def _check_route_identity(rng):
-    from .model import recombine, route
-
-    for _ in range(200):
-        n = int(rng.integers(0, 10))
-        k = int(rng.integers(1, 5))
-        bia = [int(v) for v in rng.integers(0, k, size=n)]
-        items = list(range(n))
-        if recombine(route(items, bia, k), bia) != items:
-            raise AssertionError(f"route/recombine broke on {bia}")
 
 
 def _check_class_balance(rng):
@@ -156,21 +215,9 @@ def _check_class_balance(rng):
             PairedSample(Raster(np.zeros_like(a)), LabelMap(a), "thing", "E") for a in arrays
         ]
         got = compute_class_balance(samples, 0, tax, balance_background=True)
-        # plain dict-counting oracle
-        pixels, images = {}, {}
-        for a in arrays:
-            seen = set()
-            for v in a.reshape(-1):
-                pixels[int(v)] = pixels.get(int(v), 0) + 1
-                seen.add(int(v))
-            for v in seen:
-                images[v] = images.get(v, 0) + 1
-        f = {c: pixels.get(c, 0) / images[c] for c in range(4)}
-        fs = sorted(f.values())
-        median = (fs[1] + fs[2]) / 2
+        want = balance_bruteforce(arrays, 4, include_background=True)
         for c in range(4):
-            want = median / f[c]
-            if abs(got.weights[c] - want) > 1e-12:
+            if abs(got.weights[c] - want[c]) > 1e-12:
                 raise AssertionError(f"class balance differs at label {c}")
 
 
@@ -182,20 +229,9 @@ def _check_iou(rng):
         gt = (rng.random((8, 8)) * 4).astype(np.uint8)
         pred = (rng.random((8, 8)) * 4).astype(np.uint8)
         got_parts, got_siou = sketch_iou(LabelMap(pred), LabelMap(gt))
-        parts = sorted({int(v) for v in gt.reshape(-1) if v})
-        want = {}
-        for part in parts:
-            inter = t = p = 0
-            for r in range(8):
-                for c in range(8):
-                    t += gt[r, c] == part
-                    p += pred[r, c] == part
-                    inter += (gt[r, c] == part) and (pred[r, c] == part)
-            union = t + p - inter
-            want[part] = inter / union if union else 0.0
+        want, siou = iou_bruteforce(pred, gt)
         if got_parts != want:
             raise AssertionError("sketch_iou differs from pixel-count oracle")
-        siou = sum(want.values()) / len(want) if want else 0.0
         if abs(got_siou - siou) > 1e-15:
             raise AssertionError("sIOU differs from pixel-count oracle")
 
@@ -216,30 +252,11 @@ def _check_rrwm(rng):
             i: (math.hypot(c[0] - 0.5, c[1] - 0.5), math.atan2(c[0] - 0.5, c[1] - 0.5))
             for i, c in enumerate(cents)
         }
-        hist = {}
-        for p in parts:
-            hist[p] = hist.get(p, 0) + 1
+        hist = {p: parts.count(p) for p in parts}
         g = AttributeGraph(hist, 0.5, nodes, {}, anchors)
         aff = build_affinity(g, g)
         result = rrwm_match(aff)
-        # enumerate every constrained complete assignment
-        groups = {}
-        for i, node in enumerate(nodes):
-            groups.setdefault(node.part_id, []).append(i)
-        index = {pair: k for k, pair in enumerate(aff.candidates)}
-        best, best_pairs = -1.0, None
-        perms_per_group = [
-            [list(zip(idxs, perm)) for perm in itertools.permutations(idxs)]
-            for idxs in groups.values()
-        ]
-        for combo in itertools.product(*perms_per_group):
-            pairs = [(GLOBAL, GLOBAL)] + [p for grp in combo for p in grp]
-            x = np.zeros(len(aff.candidates))
-            for pair in pairs:
-                x[index[pair]] = 1.0
-            s = float(x @ aff.matrix @ x)
-            if s > best:
-                best, best_pairs = s, dict(pairs)
+        best_pairs, _ = best_assignment(aff)
         if result.pairs != best_pairs:
             raise AssertionError("rrwm disagrees with exhaustive enumeration")
         if result.pairs[GLOBAL] != GLOBAL:
@@ -267,7 +284,6 @@ def run_selfcheck(seed=0):
 
     checks = [
         ("gradients-vs-finite-differences", _check_gradients),
-        ("route-recombine-identity", _check_route_identity),
         ("class-balance-oracle", _check_class_balance),
         ("iou-oracle", _check_iou),
         ("rrwm-permutation-oracle", _check_rrwm),

@@ -31,9 +31,11 @@ from .taxonomy import load_taxonomy, load_taxonomy_file
 from .training import train_parser, train_router
 
 
-def _load_tax(args, fallback_root=None):
-    if getattr(args, "taxonomy", None):
-        return load_taxonomy_file(args.taxonomy)
+def _load_tax(args, cfg=None, fallback_root=None):
+    """--taxonomy, then the config's taxonomy, then <root>/taxonomy.tax, then the default."""
+    path = args.taxonomy or (cfg.taxonomy_path if cfg else None)
+    if path:
+        return load_taxonomy_file(path)
     if fallback_root is not None:
         candidate = Path(fallback_root) / "taxonomy.tax"
         if candidate.exists():
@@ -49,7 +51,7 @@ def _run_config(args):
 
 def cmd_gen_corpus(args):
     cfg = _run_config(args)
-    tax = _load_tax(args)
+    tax = _load_tax(args, cfg)
     corpus_opts = dict(cfg.corpus)
     if args.per_category is not None:
         corpus_opts["per_category"] = args.per_category
@@ -90,7 +92,7 @@ def _write_loss_log(path, log, fields):
 
 def cmd_train_parser(args):
     cfg = _run_config(args)
-    tax = _load_tax(args, fallback_root=args.train)
+    tax = _load_tax(args, cfg, fallback_root=args.train)
     samples, _ = load_corpus(args.train, tax)
     seed = args.seed if args.seed is not None else cfg.seed
     plan = cfg.train_plan(
@@ -119,7 +121,7 @@ def cmd_train_parser(args):
 
 def cmd_train_router(args):
     cfg = _run_config(args)
-    tax = _load_tax(args, fallback_root=args.train)
+    tax = _load_tax(args, cfg, fallback_root=args.train)
     samples, _ = load_corpus(args.train, tax)
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in samples]
     seed = args.seed if args.seed is not None else cfg.seed
@@ -358,7 +360,6 @@ def build_arg_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--force-branch", default=None)
-    common(sp, config=False)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="IOU and pose reports for predictions")

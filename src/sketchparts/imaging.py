@@ -328,7 +328,3 @@ def label_components(lm):
     for i, c in enumerate(found):
         index_map[c.pixels[:, 0], c.pixels[:, 1]] = i
     return found, index_map
-
-
-def connected_components(lm):
-    return label_components(lm)[0]

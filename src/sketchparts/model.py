@@ -3,9 +3,9 @@
 Level zero is a trunk shared by every category. Level one holds one expert
 per super-category: the trunk's remaining blocks, a 1x1 segmentation head
 with one output channel per branch part plus background, and a pose head
-that reads the pre-softmax, pre-upsample segmentation scores. Routing is a
-pure scatter by branch index; recombination restores mini-batch order, so
-backpropagation through a routed batch matches an unrouted network.
+that reads the pre-softmax, pre-upsample segmentation scores. A sketch runs
+through the trunk and then through the one expert it is routed to
+(`forward_branch`), in training as in inference.
 """
 
 from __future__ import annotations
@@ -162,33 +162,6 @@ def forward_branch(model, branch, features):
 
     scores_up = bilinear_upsample(scores, model.config.stride)
     return scores_up, pose_logits
-
-
-def route(items, branch_index_array, num_branches):
-    """Scatter mini-batch items to per-branch lists, keeping relative order."""
-    bia = list(branch_index_array)
-    if len(items) != len(bia):
-        raise ContractViolation(f"{len(items)} items vs {len(bia)} branch indices")
-    out = [[] for _ in range(num_branches)]
-    for item, b in zip(items, bia):
-        if not 0 <= b < num_branches:
-            raise ContractViolation(f"branch index {b} out of range [0, {num_branches})")
-        out[b].append(item)
-    return out
-
-
-def recombine(branch_lists, branch_index_array):
-    """Exact inverse of route: gather per-branch lists back to batch order."""
-    iters = [iter(lst) for lst in branch_lists]
-    out = []
-    for b in branch_index_array:
-        try:
-            out.append(next(iters[b]))
-        except StopIteration:
-            raise ContractViolation("branch lists shorter than the index array") from None
-    if any(next(it, None) is not None for it in iters):
-        raise ContractViolation("branch lists longer than the index array")
-    return out
 
 
 def pad_to_stride(sketch, stride):

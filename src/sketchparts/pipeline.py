@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .describe import SketchSummary, describe
 from .errors import CheckpointError, ContractViolation
-from .imaging import connected_components
+from .imaging import label_components
 from .metrics import iou_report, pose_eval
 from .model import infer
 from .router import classify_pooled
@@ -15,7 +15,7 @@ RECORD_VERSION = 1
 def part_counts(labelmap, taxonomy, branch):
     """Connected-instance counts keyed by part name, in branch id order."""
     by_id = {}
-    for comp in connected_components(labelmap):
+    for comp in label_components(labelmap)[0]:
         by_id[comp.part_id] = by_id.get(comp.part_id, 0) + 1
     names = taxonomy.part_names(branch)
     counts = {}

@@ -30,7 +30,7 @@ from .autograd import (
     zero_grads,
 )
 from .errors import ConfigError, ContractViolation
-from .model import forward_branch, forward_shared, pad_to_stride, route, sketch_input
+from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
 from .router import classify_pooled, router_input
@@ -235,8 +235,7 @@ def train_parser(model, samples, plan):
         padded = pad_to_stride(sample.sketch, model.config.stride)
         with Tape() as tape:
             feats = forward_shared(model, sketch_input(padded))
-            routed = route([feats], [branch], model.num_branches)
-            scores, pose_logits = forward_branch(model, branch, routed[branch][0])
+            scores, pose_logits = forward_branch(model, branch, feats)
             if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
                 scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
             loss, seg_v, pose_v = total_loss(

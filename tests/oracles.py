@@ -1,60 +1,15 @@
-"""Brute-force reference implementations used by unit and acceptance tests.
+"""Loop replicas of production code, used only by the tests.
 
-Everything here is deliberately written as plain loops over pixels and
-dicts, independent of the library's vectorized paths.
+Each function redoes one vectorized library path (convolution, max pooling,
+the resampling matrix, component labelling, graph, affinity, the RRWM walk)
+as plain loops, and the tests compare the library against it. No package
+code calls them, so they stay out of the package; the oracles `selfcheck`
+also runs live in `sketchparts.checks`.
 """
 
 import math
 
 import numpy as np
-
-
-def iou_bruteforce(pred, gt):
-    """Per-part IOU by explicit pixel counting; returns (dict, sIOU)."""
-    h, w = gt.shape
-    parts = sorted({int(v) for v in gt.reshape(-1) if v != 0})
-    out = {}
-    for part in parts:
-        n_ii = 0
-        t_i = 0
-        predicted_as_i = 0
-        for r in range(h):
-            for c in range(w):
-                if gt[r, c] == part:
-                    t_i += 1
-                    if pred[r, c] == part:
-                        n_ii += 1
-                if pred[r, c] == part:
-                    predicted_as_i += 1
-        union = t_i + predicted_as_i - n_ii
-        out[part] = n_ii / union if union else 0.0
-    siou = sum(out.values()) / len(out) if out else 0.0
-    return out, siou
-
-
-def balance_bruteforce(label_arrays, n_labels, include_background):
-    """alpha per label from plain dict counting over label arrays."""
-    pixels = {}
-    images = {}
-    start = 0 if include_background else 1
-    for arr in label_arrays:
-        seen = set()
-        for v in arr.reshape(-1):
-            v = int(v)
-            pixels[v] = pixels.get(v, 0) + 1
-            seen.add(v)
-        for v in seen:
-            images[v] = images.get(v, 0) + 1
-    f = {}
-    for label in range(start, n_labels):
-        f[label] = pixels.get(label, 0) / images[label]
-    fs = sorted(f.values())
-    n = len(fs)
-    median = fs[n // 2] if n % 2 else (fs[n // 2 - 1] + fs[n // 2]) / 2
-    alpha = {label: median / f[label] for label in f}
-    if not include_background:
-        alpha[0] = 1.0
-    return alpha
 
 
 def conv2d_bruteforce(x, w, b, stride, dilation, pad):
@@ -131,23 +86,6 @@ def interp_matrix_loop(n_out, n_in):
             m[j, n_in - 1 - lo] += 1.0 - t
             m[j, n_in - 1 - hi] += t
     return m
-
-
-def enumerate_assignments(slots):
-    """All one-to-one assignments given per-query candidate lists.
-
-    slots is a list of candidate tuples per query node; yields tuples with
-    one choice per node, no candidate reused, or None for unmatched.
-    """
-    def rec(i, used, acc):
-        if i == len(slots):
-            yield tuple(acc)
-            return
-        for cand in slots[i]:
-            if cand not in used:
-                yield from rec(i + 1, used | {cand}, acc + [cand])
-
-    yield from rec(0, frozenset(), [])
 
 
 def label_components_loop(lm):

@@ -23,19 +23,12 @@ from sketchparts.autograd import (
     weighted_softmax_ce,
     weighted_sum,
 )
-from sketchparts.checks import gradcheck
+from sketchparts.checks import gradcheck, probe
 from sketchparts.errors import ContractViolation
 
 
 def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64))
-
-
-def probe(rng, op):
-    """Collapse an op's output to a scalar against a fixed random direction."""
-    shape = op().shape
-    w = rng.standard_normal(shape)
-    return lambda: weighted_sum(op(), w)
 
 
 class TestConv2d:

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -226,7 +227,27 @@ def test_selfcheck_cli(capsys):
     rc = main(["selfcheck"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "6/6 checks passed" in out
+    assert "5/5 checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "module,name,check,perturb",
+    [
+        ("metrics", "sketch_iou", "iou-oracle", lambda got: (got[0], got[1] + 1e-9)),
+        ("training", "compute_class_balance", "class-balance-oracle",
+         lambda got: type(got)(got.weights * (1 + 1e-9))),
+        ("graphmatch", "rrwm_match", "rrwm-permutation-oracle",
+         lambda got: type(got)({}, got.score, got.converged, got.relaxed)),
+    ],
+)
+def test_selfcheck_fails_on_a_perturbed_result(monkeypatch, capsys, module, name, check, perturb):
+    mod = importlib.import_module(f"sketchparts.{module}")
+    real = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda *args, **kwargs: perturb(real(*args, **kwargs)))
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check}" in out
+    assert "4/5 checks passed" in out
 
 
 def test_selfcheck_deterministic_output(capsys):
@@ -350,6 +371,21 @@ def test_non_utf8_taxonomy_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 3" in err and "UTF-8" in err and "Traceback" not in err
+
+
+def test_config_taxonomy_used_unless_flag_given(tmp_path):
+    tiny = tmp_path / "tiny.tax"
+    tiny.write_text("super Small Animals\ncat cat : head, body, leg, tail\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"taxonomy": "tiny.tax"}))
+    args = ["gen-corpus", "--config", str(cfg), "--per-category", "1", "--size", "32"]
+    assert main([*args, "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "taxonomy.tax").read_bytes() == tiny.read_bytes()
+    assert sorted(p.name for p in (tmp_path / "c").iterdir() if p.is_dir()) == ["cat"]
+    flag = tmp_path / "flag.tax"
+    flag.write_text("super Four Wheelers\ncat bus : body, wheel, window\n")
+    assert main([*args, "--out", str(tmp_path / "d"), "--taxonomy", str(flag)]) == 0
+    assert (tmp_path / "d" / "taxonomy.tax").read_bytes() == flag.read_bytes()
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

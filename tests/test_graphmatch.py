@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from sketchparts import graphmatch
 from sketchparts.autograd import make_rng
+from sketchparts.checks import best_assignment
 from sketchparts.errors import ContractViolation
 from sketchparts.graphmatch import (
     GLOBAL,
@@ -100,36 +100,6 @@ def perturb_and_permute(graph, structure, rng, eps=0.02):
         tuple(sorted((placement[i], placement[j]))) for i, j in structure
     }
     return _assemble(tuple(new_nodes), new_structure), placement
-
-
-def oracle_best_assignment(affinity):
-    """Exhaustive max of x^T A x over complete constrained assignments."""
-    q, c = affinity.query, affinity.cand
-    index = {pair: k for k, pair in enumerate(affinity.candidates)}
-    by_part_q = {}
-    by_part_c = {}
-    for i, n in enumerate(q.nodes):
-        by_part_q.setdefault(n.part_id, []).append(i)
-    for a, n in enumerate(c.nodes):
-        by_part_c.setdefault(n.part_id, []).append(a)
-    assert sorted(by_part_q) == sorted(by_part_c)
-
-    group_perms = []
-    for part in sorted(by_part_q):
-        qs, cs = by_part_q[part], by_part_c[part]
-        assert len(qs) == len(cs)
-        group_perms.append([list(zip(qs, p)) for p in itertools.permutations(cs)])
-
-    best_score, best_pairs = -1.0, None
-    for combo in itertools.product(*group_perms):
-        pairs = [(GLOBAL, GLOBAL)] + [pair for group in combo for pair in group]
-        x = np.zeros(len(affinity.candidates))
-        for pair in pairs:
-            x[index[pair]] = 1.0
-        score = float(x @ affinity.matrix @ x)
-        if score > best_score:
-            best_score, best_pairs = score, dict(pairs)
-    return best_pairs, best_score
 
 
 def check_constraints(result, q, c):
@@ -272,7 +242,7 @@ class TestRrwm:
             aff = build_affinity(g, h)
             result = rrwm_match(aff)
             check_constraints(result, g, h)
-            oracle_pairs, oracle_score = oracle_best_assignment(aff)
+            oracle_pairs, _ = best_assignment(aff)
             if result.pairs == oracle_pairs:
                 agree += 1
         assert agree / trials >= 0.95

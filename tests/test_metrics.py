@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import iou_bruteforce
 from sketchparts.autograd import make_rng
+from sketchparts.checks import iou_bruteforce
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import LabelMap
 from sketchparts.metrics import (

@@ -12,8 +12,6 @@ from sketchparts.model import (
     infer,
     load_checkpoint,
     pad_to_stride,
-    recombine,
-    route,
     save_checkpoint,
     sketch_input,
 )
@@ -82,37 +80,18 @@ class TestBuild:
         with pytest.raises(ContractViolation, match="stride"):
             forward_shared(m, sketch_input(Raster(np.zeros((30, 30), dtype=np.uint8))))
 
+    def test_bad_branch_rejected(self):
+        m = build_model(CFG, TAX2, seed=2)
+        feats = forward_shared(m, sketch_input(Raster(np.zeros((32, 32), dtype=np.uint8))))
+        with pytest.raises(ContractViolation, match="branch 2 out of range"):
+            forward_branch(m, 2, feats)
+
     def test_forward_pure(self):
         m = build_model(CFG, TAX2, seed=4)
         s = random_sketch(make_rng(5))
         a = forward_shared(m, sketch_input(s))
         b = forward_shared(m, sketch_input(s))
         assert np.array_equal(a.data, b.data)
-
-
-class TestRouting:
-    def test_example_scatter(self):
-        branches = route(["a", "b", "c"], [1, 0, 1], 2)
-        assert branches == [["b"], ["a", "c"]]
-        assert recombine(branches, [1, 0, 1]) == ["a", "b", "c"]
-
-    def test_single_branch_passthrough(self):
-        items = list(range(5))
-        assert route(items, [0] * 5, 1) == [items]
-        assert recombine([items], [0] * 5) == items
-
-    def test_bad_branch_id(self):
-        with pytest.raises(ContractViolation):
-            route(["a"], [2], 2)
-
-    def test_thousand_random_roundtrips(self):
-        rng = make_rng(77)
-        for _ in range(1000):
-            n = int(rng.integers(0, 12))
-            k = int(rng.integers(1, 5))
-            bia = [int(b) for b in rng.integers(0, k, size=n)]
-            items = [object() for _ in range(n)]
-            assert recombine(route(items, bia, k), bia) == items
 
 
 def tie_branches(model):
@@ -131,24 +110,22 @@ class TestRoutedEquivalence:
         rng = make_rng(13)
         batch = [random_sketch(rng) for _ in range(6)]
         bia = [int(b) for b in rng.integers(0, 2, size=6)]
+        assert set(bia) == {0, 1}
         probes = [rng.standard_normal((4, 32, 32)) for _ in batch]
 
         def run(route_by):
             with Tape() as tape:
-                feats = [forward_shared(m, sketch_input(s)) for s in batch]
-                routed = route(feats, route_by, 2)
                 outs = [
-                    [forward_branch(m, b, f)[0] for f in branch_feats]
-                    for b, branch_feats in enumerate(routed)
+                    forward_branch(m, b, forward_shared(m, sketch_input(s)))[0]
+                    for s, b in zip(batch, route_by)
                 ]
-                ordered = recombine([outs[0], outs[1]], route_by)
                 total = None
-                for out, p in zip(ordered, probes):
+                for out, p in zip(outs, probes):
                     term = weighted_sum(out, p)
                     total = term if total is None else _add(total, term)
             backward(tape, total)
             shared_grads = {n: m.params[n].grad.copy() for n in m.shared_names()}
-            outputs = [o.data.copy() for o in ordered]
+            outputs = [o.data.copy() for o in outs]
             for _, t in m.parameters():
                 t.grad = None
             return outputs, shared_grads

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import balance_bruteforce
 from sketchparts.augment import PairedSample
 from sketchparts.autograd import Tensor, make_rng
-from sketchparts.checks import gradcheck
+from sketchparts.checks import balance_bruteforce, gradcheck
 from sketchparts.corpus import make_sample
 from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.imaging import LabelMap, Raster
