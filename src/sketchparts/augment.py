@@ -1,8 +1,9 @@
 """Sketchification and the two augmentation families.
 
 A sketchified image is the union of a photo's prominent edges and the
-contours of its part annotation, thickened by a 3x3 dilation, so region
-boundaries survive as ink even where a real photo's edges are faint.
+contours of its part annotation, thickened by a STROKE_SIDE x STROKE_SIDE
+dilation, so region boundaries survive as ink even where a real photo's
+edges are faint. The edges are `canny`'s at its default thresholds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .poses import MIRROR, POSES
 SEG_ROTATIONS = (0.0, 10.0, -10.0, 20.0, -20.0, 30.0, -30.0)
 CLS_ROTATIONS = (0.0, 4.0, -4.0, 8.0, -8.0, 12.0, -12.0)
 CLS_SCALES = (1.0, 0.97, 1.03, 0.93, 1.07)
+STROKE_SIDE = 3
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,14 @@ def label_boundary(lm):
     return Raster(np.where(diff, INK, 0).astype(np.uint8))
 
 
-def sketchify(photo, labels, low=0.2, high=0.4, dilation_side=3):
+def sketchify(photo, labels):
     """Merge photo edges with annotation contours and thicken the strokes."""
     if (photo.height, photo.width) != (labels.height, labels.width):
         raise ContractViolation(
             f"photo {photo.width}x{photo.height} vs labels {labels.width}x{labels.height}"
         )
-    edges = canny(photo, low=low, high=high)
-    merged = np.maximum(edges.pixels, label_boundary(labels).pixels)
-    return dilate_square(Raster(merged), dilation_side)
+    merged = np.maximum(canny(photo).pixels, label_boundary(labels).pixels)
+    return dilate_square(Raster(merged), STROKE_SIDE)
 
 
 SEG_COMBOS = tuple((mirrored, deg) for mirrored in (False, True) for deg in SEG_ROTATIONS)

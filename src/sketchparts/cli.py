@@ -160,18 +160,23 @@ def cmd_infer(args):
         router = load_router(args.router, tax.num_branches, expected_digest=tax.digest())
     elif not args.force_branch:
         raise ContractViolation("infer needs --router or --force-branch")
+    jobs = {}  # output name -> (sketch path, category)
+    for path in _sketch_files(args.sketches):
+        category = path.parent.name if path.parent.name in tax.categories else None
+        stem = path.name.replace(".sketch.pgm", "").replace(".pgm", "")
+        name = f"{category}_{stem}" if category else stem
+        if name in jobs:
+            raise ConfigError(f"{jobs[name][0]} and {path} would both write {name}.pred.pgm")
+        jobs[name] = path, category
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for path in _sketch_files(args.sketches):
+    for name, (path, category) in jobs.items():
         sketch = Raster(read_pgm(path))
-        category = path.parent.name if path.parent.name in tax.categories else None
         record, labelmap = infer_record(
             parser, router, sketch, force_branch=args.force_branch, category=category
         )
-        stem = path.name.replace(".sketch.pgm", "").replace(".pgm", "")
-        prefix = f"{category}_" if category else ""
-        write_pgm(out / f"{prefix}{stem}.pred.pgm", labelmap.labels)
-        with open(out / f"{prefix}{stem}.json", "w", encoding="utf-8") as fh:
+        write_pgm(out / f"{name}.pred.pgm", labelmap.labels)
+        with open(out / f"{name}.json", "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
     print(f"wrote predictions under {out}")

@@ -9,6 +9,8 @@ polar position. Matching two graphs is a quadratic assignment relaxed as a
 reweighted random walk on the candidate-correspondence affinity matrix,
 with Sinkhorn-bistochastic reweighting, under two hard constraints:
 global matches only global, and locals match only within the same part id.
+The affinity bandwidths and the walk's settings (those of Cho, Lee & Lee,
+ECCV 2010) are module constants; only the walk's iteration cap is not.
 
 `build_affinities` builds the affinity matrices of one query against many
 candidate graphs in one array pass. Each graph's attributes are read as
@@ -72,6 +74,14 @@ from .imaging import label_components
 GLOBAL = -1  # node index of the global node in correspondence pairs
 
 MIN_AREA_FRACTION = 1e-3  # instances below 0.1% of the foreground are noise
+SIGMA_SUBTENDED = 0.5  # affinity bandwidth of the angular extent difference,
+SIGMA_CENTROID = 0.25  # of the centroid distance,
+SIGMA_RADIUS = 0.25  # of the edge length difference
+SIGMA_THETA = 0.5  # and of the edge angle difference
+ALPHA = 0.2  # RRWM: weight of the walk against the reweighting jump
+BETA = 30.0  # RRWM: inflation of the reweighting jump
+SINKHORN_ITERATIONS = 10  # RRWM: Sinkhorn rounds per iteration
+TOL = 1e-8  # RRWM: a walk has converged once no entry moves by this much
 
 
 @dataclass(frozen=True)
@@ -217,14 +227,6 @@ def _wrap_angle(t):
     return math.atan2(math.sin(t), math.cos(t))
 
 
-@dataclass(frozen=True)
-class MatchSigmas:
-    subtended: float = 0.5
-    centroid: float = 0.25
-    radius: float = 0.25
-    theta: float = 0.5
-
-
 @dataclass
 class Affinity:
     candidates: list  # (query node index, candidate node index); GLOBAL pairs first
@@ -239,7 +241,7 @@ class Affinity:
         self.matrix = np.ascontiguousarray(self.matrix)
 
 
-def build_affinities(q, graphs, sigmas=MatchSigmas()):
+def build_affinities(q, graphs):
     """One constrained candidate list and affinity matrix per graph in
     `graphs`, each matched against the query graph `q`, built in one pass.
 
@@ -297,7 +299,7 @@ def build_affinities(q, graphs, sigmas=MatchSigmas()):
     qv, cv = qa.nodes[qi], np.concatenate([ca.nodes for ca in cas])[k]
     d_ext = np.abs(qv[:, 0] - cv[:, 0])
     d_cen = _apply(math.hypot, qv[:, 1] - cv[:, 1], qv[:, 2] - cv[:, 2])
-    closeness = _apply(math.exp, -d_ext / sigmas.subtended - d_cen / sigmas.centroid)
+    closeness = _apply(math.exp, -d_ext / SIGMA_SUBTENDED - d_cen / SIGMA_CENTROID)
     diag[local] = closeness * np.sqrt(qv[:, 3] * cv[:, 3])
 
     # pairwise terms: each candidate r with every later candidate c of its
@@ -322,7 +324,7 @@ def build_affinities(q, graphs, sigmas=MatchSigmas()):
     t = (eq[1] - ec[1]).tolist()
     wrapped = map(math.atan2, map(math.sin, t), map(math.cos, t))  # _wrap_angle
     d_theta = np.abs(np.fromiter(wrapped, np.float64, len(t)))
-    pairwise = _apply(math.exp, -np.abs(eq[0] - ec[0]) / sigmas.radius - d_theta / sigmas.theta)
+    pairwise = _apply(math.exp, -np.abs(eq[0] - ec[0]) / SIGMA_RADIUS - d_theta / SIGMA_THETA)
 
     # one scatter into one buffer holding every matrix
     area = m * m
@@ -348,10 +350,10 @@ def _apply(fn, *columns):
     return np.fromiter(map(fn, *(col.tolist() for col in columns)), np.float64, columns[0].size)
 
 
-def build_affinity(q, c, sigmas=MatchSigmas()):
+def build_affinity(q, c):
     """The candidate list and affinity matrix of one pair of graphs; see
     build_affinities."""
-    return build_affinities(q, [c], sigmas)[0]
+    return build_affinities(q, [c])[0]
 
 
 @dataclass
@@ -380,9 +382,7 @@ def _size_classes(stacks):
     return layout
 
 
-def rrwm_match_all(
-    affinities, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8
-):
+def rrwm_match_all(affinities, max_iterations=300):
     """Reweighted random walk over each affinity matrix, in lockstep, then
     greedy one-to-one discretization; one MatchResult per affinity, in
     order. Sinkhorn normalizes one row group per query node and one column
@@ -442,16 +442,16 @@ def rrwm_match_all(
             total = np.empty(live.size)
         for stack, values, _, (b, m) in layout:
             np.matmul(stack, x[values].reshape(b, m, 1), out=walked[values].reshape(b, m, 1))
-        jump = np.exp(beta * x / np.maximum.reduceat(x, starts)[owner])
-        for _ in range(sinkhorn_iterations):
+        jump = np.exp(BETA * x / np.maximum.reduceat(x, starts)[owner])
+        for _ in range(SINKHORN_ITERATIONS):
             jump = jump / np.bincount(rows, weights=jump)[rows]
             jump = jump / np.bincount(cols, weights=jump)[cols]
-        y = alpha * walked + (1.0 - alpha) * jump
+        y = ALPHA * walked + (1.0 - ALPHA) * jump
         for _, values, probs, (b, m) in layout:
             np.add.reduce(y[values].reshape(b, m), axis=1, out=total[probs])
         stuck = total <= 0
         y = y / np.where(stuck, 1.0, total)[owner]
-        done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < tol)
+        done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < TOL)
         leaving = stuck | done
         moved = bool(leaving.any())
         if not moved:
@@ -508,17 +508,16 @@ def rrwm_match_all(
     return results
 
 
-def rrwm_match(affinity, **kwargs):
+def rrwm_match(affinity):
     """One affinity through rrwm_match_all."""
-    return rrwm_match_all([affinity], **kwargs)[0]
+    return rrwm_match_all([affinity])[0]
 
 
-def match_maps(query_lm, cand_lm, sigmas=MatchSigmas(), **kwargs):
-    affinities = build_affinities(build_graph(query_lm), [graph_of(cand_lm)], sigmas)
-    return rrwm_match_all(affinities, **kwargs)[0]
+def match_maps(query_lm, cand_lm):
+    return rrwm_match(build_affinity(build_graph(query_lm), graph_of(cand_lm)))
 
 
-def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
+def rerank(query_lm, candidates, top_t=50):
     """Re-order the first top_t of an initial ranking by graph similarity.
 
     candidates is an ordered list of (id, LabelMap), best first. Scored
@@ -531,7 +530,7 @@ def rerank(query_lm, candidates, top_t=50, sigmas=MatchSigmas()):
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
     qg = build_graph(query_lm)
-    results = rrwm_match_all(build_affinities(qg, [graph_of(lm) for _, lm in head], sigmas))
+    results = rrwm_match_all(build_affinities(qg, [graph_of(lm) for _, lm in head]))
     scored = sorted(
         (-result.score, rank, cid) for rank, ((cid, _), result) in enumerate(zip(head, results))
     )

@@ -20,6 +20,7 @@ from .errors import ContractViolation
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 INK = 255
+CANNY_SIGMA = 1.4  # Gaussian smoothing before the Sobel gradients, in pixels
 
 
 class Raster:
@@ -95,20 +96,20 @@ class LabelMap:
 # edges and morphology
 
 
-def canny(photo, low=0.2, high=0.4, sigma=1.4):
+def canny(photo, low=0.2, high=0.4):
     """Edges of a photo as an ink raster.
 
-    Gaussian smooth, Sobel gradients, non-maximum suppression along the
-    quantized gradient direction, then hysteresis. `low`/`high` are
-    fractions of the peak gradient magnitude; at low = high = 0 every
-    ridge pixel with any gradient at all is marked.
+    Gaussian smooth by CANNY_SIGMA, Sobel gradients, non-maximum
+    suppression along the quantized gradient direction, then hysteresis.
+    `low`/`high` are fractions of the peak gradient magnitude; at
+    low = high = 0 every ridge pixel with any gradient at all is marked.
     """
     if photo.pixels.size == 0:
         raise ContractViolation("canny on an empty raster")
     if not 0 <= low <= high:
         raise ContractViolation(f"need 0 <= low <= high, got {low}/{high}")
 
-    img = ndimage.gaussian_filter(photo.pixels.astype(np.float64), sigma=sigma, mode="nearest")
+    img = ndimage.gaussian_filter(photo.pixels.astype(np.float64), CANNY_SIGMA, mode="nearest")
     gx = ndimage.sobel(img, axis=1, mode="nearest")
     gy = ndimage.sobel(img, axis=0, mode="nearest")
     mag = np.hypot(gx, gy)

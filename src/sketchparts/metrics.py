@@ -36,18 +36,6 @@ def sketch_iou(pred, gt):
     return per_part, sum(per_part.values()) / len(per_part)
 
 
-def category_aiou(sious):
-    if len(sious) == 0:
-        raise ContractViolation("cannot average an empty sIOU list")
-    return float(np.mean(sious))
-
-
-def grand_average(per_category):
-    if len(per_category) == 0:
-        raise ContractViolation("cannot average an empty aIOU list")
-    return float(np.mean(list(per_category)))
-
-
 @dataclass
 class IouReport:
     per_sketch: list  # (category, sIOU)
@@ -83,12 +71,15 @@ def iou_report(pairs):
         bucket = parts_by_cat.setdefault(category, {})
         for part, v in per_part.items():
             bucket.setdefault(part, []).append(v)
-    per_category = {c: category_aiou(v) for c, v in by_cat.items()}
+    if not per_sketch:
+        raise ContractViolation("cannot average an empty list of predictions")
+    per_category = {c: float(np.mean(v)) for c, v in by_cat.items()}
     part_means = {
         c: {p: float(np.mean(vs)) for p, vs in parts.items()}
         for c, parts in parts_by_cat.items()
     }
-    return IouReport(per_sketch, per_category, grand_average(per_category.values()), part_means)
+    grand = float(np.mean(list(per_category.values())))
+    return IouReport(per_sketch, per_category, grand, part_means)
 
 
 @dataclass

@@ -5,29 +5,22 @@ per super-category: the trunk's remaining blocks, a 1x1 segmentation head
 with one output channel per branch part plus background, and a pose head
 that reads the pre-softmax, pre-upsample segmentation scores. A sketch runs
 through the trunk and then through the one expert it is routed to
-(`forward_branch`), in training as in inference.
+(`forward_branch`), in training as in inference. Every pose head runs
+POSE_STACK through `nets.run_head`, as the router runs its own stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (
-    ConvSpec,
-    Tensor,
-    bilinear_upsample,
-    conv2d,
-    global_average_pool,
-    linear,
-    make_rng,
-    relu,
-)
+from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, ContractViolation
 from .imaging import LabelMap, Raster
-from .nets import init_params, load_params, run_stack, stack_layout, stride_product
+from .nets import head_layout, init_params, load_params, run_head, run_stack, stack_layout
+from .nets import stride_product
 from .poses import POSES
 
 MODEL_MAGIC = b"SKPC"
@@ -41,26 +34,18 @@ DESK_TRUNK = (
     ConvSpec(3, 128, dilation=2),
 )
 
-
-@dataclass(frozen=True)
-class PoseHeadSpec:
-    """Two dilated k=3 s=2 r=2 convs, one big k=11 template conv, FC to 8."""
-
-    channels: tuple = (32, 32)
-    template_filters: int = 32
-    template_kernel: int = 11
-
-    def stack(self):
-        convs = [ConvSpec(3, ch, stride=2, dilation=2) for ch in self.channels]
-        convs.append(ConvSpec(self.template_kernel, self.template_filters))
-        return tuple(convs)
+# two dilated k=3 s=2 r=2 convs, one big k=11 template conv; run_head adds FC to 8
+POSE_STACK = (
+    ConvSpec(3, 32, stride=2, dilation=2),
+    ConvSpec(3, 32, stride=2, dilation=2),
+    ConvSpec(11, 32),
+)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     trunk: tuple = DESK_TRUNK
     split_index: int = 5  # trunk[:split] is shared, trunk[split:] per branch
-    pose: PoseHeadSpec = field(default_factory=PoseHeadSpec)
 
     def __post_init__(self):
         if not 0 < self.split_index <= len(self.trunk):
@@ -87,18 +72,8 @@ class Model:
         self.taxonomy = taxonomy
         self.params = params  # ordered name -> Tensor
 
-    @property
-    def num_branches(self):
-        return self.taxonomy.num_branches
-
-    def seg_channels(self, branch):
-        return self.taxonomy.n_parts(branch) + 1
-
     def parameters(self):
         return list(self.params.items())
-
-    def shared_names(self):
-        return [n for n in self.params if n.startswith("shared.")]
 
 
 def model_layout(config, taxonomy):
@@ -108,14 +83,9 @@ def model_layout(config, taxonomy):
         prefix = f"branch{b}"
         branch, ch = stack_layout(shared_out, config.branch_stack, prefix)
         n_out = taxonomy.n_parts(b) + 1
-        pose, pose_in = stack_layout(n_out, config.pose.stack(), f"{prefix}.pose")
         layout += branch
         layout += [(f"{prefix}.seg.w", (n_out, ch, 1, 1), ch), (f"{prefix}.seg.b", (n_out,), None)]
-        layout += pose
-        layout += [
-            (f"{prefix}.pose.fc.w", (len(POSES), pose_in), pose_in),
-            (f"{prefix}.pose.fc.b", (len(POSES),), None),
-        ]
+        layout += head_layout(n_out, POSE_STACK, f"{prefix}.pose", f"{prefix}.pose.fc", len(POSES))
     return layout
 
 
@@ -146,20 +116,15 @@ def forward_branch(model, branch, features):
 
     The pose head consumes the pre-softmax scores before upsampling.
     """
-    if not 0 <= branch < model.num_branches:
-        raise ContractViolation(f"branch {branch} out of range [0, {model.num_branches})")
+    n = model.taxonomy.num_branches
+    if not 0 <= branch < n:
+        raise ContractViolation(f"branch {branch} out of range [0, {n})")
     prefix = f"branch{branch}"
     p = model.params
     x = run_stack(features, model.config.branch_stack, prefix, p)
-    seg_spec = ConvSpec(1, model.seg_channels(branch))
+    seg_spec = ConvSpec(1, model.taxonomy.n_parts(branch) + 1)
     scores = conv2d(x, p[f"{prefix}.seg.w"], p[f"{prefix}.seg.b"], seg_spec)
-
-    y = scores
-    for i, spec in enumerate(model.config.pose.stack()):
-        y = relu(conv2d(y, p[f"{prefix}.pose.c{i}.w"], p[f"{prefix}.pose.c{i}.b"], spec))
-    pooled = global_average_pool(y)
-    pose_logits = linear(pooled, p[f"{prefix}.pose.fc.w"], p[f"{prefix}.pose.fc.b"])
-
+    pose_logits = run_head(scores, POSE_STACK, f"{prefix}.pose", f"{prefix}.pose.fc", p)
     scores_up = bilinear_upsample(scores, model.config.stride)
     return scores_up, pose_logits
 

@@ -1,18 +1,19 @@
 """Building and running conv stacks from layer descriptors.
 
 A stack is a sequence of ConvSpec entries (conv + relu) interleaved with
-("maxpool", window, stride) and ("dropout", p) markers. Parameters live in
-a flat name -> Tensor dict so checkpointing and optimizer grouping stay
-trivial. A net describes its parameters once, as a layout: an ordered list
-of (name, shape, fan_in). `init_params` draws a new net from it and
-`load_params` checks a checkpoint against it, so loading draws no random
-numbers.
+("maxpool", window, stride) and ("dropout", p) markers. A head, run by
+`run_head` for the router and every pose head, is a stack, then global
+average pooling, then a linear map `fc`. Parameters live in a flat name ->
+Tensor dict so checkpointing and optimizer grouping stay trivial. A net
+describes its parameters once, as a layout: an ordered list of (name,
+shape, fan_in). `init_params` draws a new net from it and `load_params`
+checks a checkpoint against it, so loading draws no random numbers.
 """
 
 from __future__ import annotations
 
-from .autograd import ConvSpec, conv2d, dropout, he_normal, maxpool2d, relu
-from .autograd import Tensor
+from .autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, he_normal, linear
+from .autograd import maxpool2d, relu
 from .checkpoint import check_layout
 from .errors import ConfigError
 
@@ -35,6 +36,13 @@ def stack_layout(in_channels, stack, prefix):
         elif entry[0] not in ("maxpool", "dropout"):
             raise ConfigError(f"unknown stack entry {entry!r}")
     return layout, ch
+
+
+def head_layout(in_channels, stack, prefix, fc, n_out):
+    """stack_layout's entries for `stack`, then those of the linear map `fc`
+    from the stack's output channels to n_out scores."""
+    layout, ch = stack_layout(in_channels, stack, prefix)
+    return layout + [(f"{fc}.w", (n_out, ch), ch), (f"{fc}.b", (n_out,), None)]
 
 
 def init_params(rng, layout):
@@ -68,6 +76,12 @@ def run_stack(x, stack, prefix, params, rng=None, training=False):
         else:
             raise ConfigError(f"unknown stack entry {entry!r}")
     return x
+
+
+def run_head(x, stack, prefix, fc, params, rng=None, training=False):
+    """Scores of a head: the stack, global average pooling, then `fc`."""
+    pooled = global_average_pool(run_stack(x, stack, prefix, params, rng, training))
+    return linear(pooled, params[f"{fc}.w"], params[f"{fc}.b"])
 
 
 def stride_product(stack):

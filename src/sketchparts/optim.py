@@ -15,13 +15,6 @@ import numpy as np
 from .errors import ContractViolation
 
 
-def poly_lr(base, iteration, max_iterations, power=0.9):
-    """Polynomially decayed learning rate; equals `base` at iteration 0."""
-    if iteration > max_iterations:
-        raise ContractViolation(f"iteration {iteration} exceeds max {max_iterations}")
-    return base * (1.0 - iteration / max_iterations) ** power
-
-
 @dataclass
 class ParamGroup:
     name: str

@@ -1,8 +1,8 @@
 """K-way super-category sketch classifier with multi-crop pooled inference.
 
-The net is a plain conv stack: 15x15/3 x64, pool, 5x5 x128, pool, three
-3x3 x256, pool, 1x1 x512, dropout 0.7, then global average pooling and a
-1x1 stage (a linear map on the pooled vector) down to K scores.
+The net is one head (`nets.run_head`): ROUTER_STACK, that is 15x15/3 x64,
+pool, 5x5 x128, pool, three 3x3 x256, pool, 1x1 x512, dropout 0.7, then
+global average pooling and the linear map `head` down to K scores.
 
 The router sees every sketch at one routing size: each view is cut from the
 full-resolution sketch and resampled once, bilinearly, so that its longer
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import ConvSpec, Tensor, dropout, global_average_pool, linear, make_rng, softmax
+from .autograd import ConvSpec, Tensor, make_rng, softmax
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ContractViolation
 from .imaging import crops_and_pad, grey_view, mirror_v, view_shape
-from .nets import init_params, load_params, run_stack, stack_layout
+from .nets import head_layout, init_params, load_params, run_head
 
 ROUTER_SIDE = 64
 CROP_FRACTION = 0.9
@@ -41,9 +41,8 @@ ROUTER_STACK = (
     ConvSpec(3, 256),
     ("maxpool", 3, 2),
     ConvSpec(1, 512),
+    ("dropout", 0.7),
 )
-
-DROPOUT_P = 0.7
 
 
 class RouterNet:
@@ -60,8 +59,7 @@ def router_layout(num_classes):
     """(name, shape, fan_in) of every router parameter, in creation order."""
     if num_classes < 2:
         raise ContractViolation(f"router needs at least 2 classes, got {num_classes}")
-    layout, ch = stack_layout(1, ROUTER_STACK, "stack")
-    return layout + [("head.w", (num_classes, ch), ch), ("head.b", (num_classes,), None)]
+    return head_layout(1, ROUTER_STACK, "stack", "head", num_classes)
 
 
 def build_router(num_classes, seed, digest=b"\x00" * 32):
@@ -82,10 +80,7 @@ def forward(net, view, rng=None, training=False):
             f"router views are {ROUTER_SIDE} px on the longer side, got {view.shape}"
         )
     x = Tensor(view[None], requires_grad=False)
-    x = run_stack(x, ROUTER_STACK, "stack", net.params, rng=rng, training=training)
-    x = dropout(x, DROPOUT_P, rng, training=training)
-    pooled = global_average_pool(x)
-    return linear(pooled, net.params["head.w"], net.params["head.b"])
+    return run_head(x, ROUTER_STACK, "stack", "head", net.params, rng, training)
 
 
 def classify_pooled(net, sketch, single_view=False):

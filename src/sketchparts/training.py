@@ -207,6 +207,10 @@ def train_parser(model, samples, plan):
         raise ContractViolation("training set is empty")
     tax = model.taxonomy
     branches = [tax.branch_of(s.category) for s in samples]
+    for s, b in zip(samples, branches):
+        top, n = int(s.labels.labels.max()), tax.n_parts(b)
+        if top > n:
+            raise ConfigError(f"a {s.category} label map holds part id {top}, outside 0..{n}")
     if plan.class_balance:
         balances = {
             b: compute_class_balance(samples, b, tax, plan.balance_background)

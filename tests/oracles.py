@@ -175,12 +175,10 @@ def build_graph_loop(lm):
     return AttributeGraph(histogram, foreground / (h * w), tuple(nodes), edges, anchors)
 
 
-def rrwm_match_loop(
-    affinity, alpha=0.2, beta=30.0, sinkhorn_iterations=10, max_iterations=300, tol=1e-8
-):
+def rrwm_match_loop(affinity, max_iterations=300):
     """One reweighted random walk on its own vectors, then greedy
     one-to-one discretization, as a MatchResult."""
-    from sketchparts.graphmatch import MatchResult
+    from sketchparts.graphmatch import ALPHA, BETA, SINKHORN_ITERATIONS, TOL, MatchResult
 
     candidates = affinity.candidates
     A = affinity.matrix
@@ -194,16 +192,16 @@ def rrwm_match_loop(
     converged = False
     for _ in range(max_iterations):
         walked = A @ x
-        q = np.exp(beta * x / x.max())
-        for _ in range(sinkhorn_iterations):
+        q = np.exp(BETA * x / x.max())
+        for _ in range(SINKHORN_ITERATIONS):
             q = q / np.bincount(rows, weights=q)[rows]
             q = q / np.bincount(cols, weights=q)[cols]
-        y = alpha * walked + (1.0 - alpha) * q
+        y = ALPHA * walked + (1.0 - ALPHA) * q
         total = y.sum()
         if total <= 0:
             break
         y = y / total
-        if np.abs(y - x).max() < tol:
+        if np.abs(y - x).max() < TOL:
             x = y
             converged = True
             break
@@ -224,13 +222,12 @@ def rrwm_match_loop(
     return MatchResult({candidates[k][0]: candidates[k][1] for k in chosen}, score, converged, x)
 
 
-def build_affinity_loop(q, c, sigmas=None):
+def build_affinity_loop(q, c):
     """Affinity of one graph pair, one matrix cell at a time: the global
     pair first, then same-part local pairs query node major; each unordered
     candidate pair looks its edges up in the graphs' dicts."""
-    from sketchparts.graphmatch import GLOBAL, Affinity, MatchSigmas
-
-    sigmas = sigmas or MatchSigmas()
+    from sketchparts.graphmatch import GLOBAL, Affinity
+    from sketchparts.graphmatch import SIGMA_CENTROID, SIGMA_RADIUS, SIGMA_SUBTENDED, SIGMA_THETA
 
     def wrap(t):
         return math.atan2(math.sin(t), math.cos(t))
@@ -267,7 +264,7 @@ def build_affinity_loop(q, c, sigmas=None):
             d_ext = abs(nq.subtended - nc.subtended)
             d_cen = math.hypot(nq.centroid[0] - nc.centroid[0], nq.centroid[1] - nc.centroid[1])
             A[idx, idx] = math.exp(
-                -d_ext / sigmas.subtended - d_cen / sigmas.centroid
+                -d_ext / SIGMA_SUBTENDED - d_cen / SIGMA_CENTROID
             ) * math.sqrt(nq.area_fraction * nc.area_fraction)
     for m1, (i, a) in enumerate(candidates):
         for m2 in range(m1 + 1, m):
@@ -279,6 +276,6 @@ def build_affinity_loop(q, c, sigmas=None):
             if eq is None or ec is None:
                 continue
             A[m1, m2] = A[m2, m1] = math.exp(
-                -abs(eq[0] - ec[0]) / sigmas.radius - abs(wrap(eq[1] - ec[1])) / sigmas.theta
+                -abs(eq[0] - ec[0]) / SIGMA_RADIUS - abs(wrap(eq[1] - ec[1])) / SIGMA_THETA
             )
     return Affinity(candidates, A, q, c)

@@ -12,12 +12,15 @@ from sketchparts.autograd import (
     backward,
     bilinear_upsample,
     conv2d,
+    crop2d,
     dropout,
     global_average_pool,
     linear,
     make_rng,
     maxpool2d,
     relu,
+    reshape,
+    scale,
     softmax,
     softmax_ce,
     weighted_softmax_ce,
@@ -263,6 +266,23 @@ class TestPointwise:
             return dropout(x, 0.4, make_rng(mask_rng_seed), training=True)
 
         gradcheck(probe(rng, dropped), [x])
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: crop2d(x, 2, 4),
+            lambda x: scale(x, -1.7),
+            lambda x: reshape(x, (5, 6)),
+            global_average_pool,
+            relu,
+            lambda x: dropout(x, 0.4, make_rng(31), training=True),
+        ],
+        ids=["crop2d", "scale", "reshape", "global_average_pool", "relu", "dropout"],
+    )
+    def test_gradcheck_asymmetric_shape(self, op):
+        rng = make_rng(47)
+        x = t64(rng.standard_normal((2, 3, 5)))
+        gradcheck(probe(rng, lambda: op(x)), [x], tol=1e-3)
 
 
 class TestWeightedCrossEntropy:

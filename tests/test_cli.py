@@ -286,6 +286,26 @@ def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_infer_refuses_colliding_output_names(small_corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    sketches = tmp_path / "sketches"
+    for sub, src in (("a", "cat/0000"), ("b", "car/0000")):
+        (sketches / sub).mkdir(parents=True)
+        (sketches / sub / "0000.pgm").write_bytes(
+            (small_corpus / f"{src}.sketch.pgm").read_bytes()
+        )
+    out = tmp_path / "o"
+    rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
+               "--out", str(out), "--force-branch", "Small Animals",
+               "--taxonomy", str(small_corpus / "taxonomy.tax")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(sketches / "a" / "0000.pgm") in err and str(sketches / "b" / "0000.pgm") in err
+    assert "0000.pred.pgm" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
@@ -406,6 +426,20 @@ def test_train_parser_cli_smoke(small_corpus, tmp_path):
     log = (out / "train_log.csv").read_text().splitlines()
     assert log[0] == "iter,seg_loss,pose_loss,total,lr"
     assert len(log) == 5
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-class-balance"]], ids=["balanced", "uniform"])
+def test_train_parser_refuses_a_part_id_outside_the_branch(small_corpus, tmp_path, capsys, flags):
+    labels_path = small_corpus / "cat" / "0001.labels.pgm"
+    labels = read_pgm(labels_path)
+    labels[0, 0] = 9  # cat's branch has parts 1..4
+    write_pgm(labels_path, labels)
+    rc = main(["train-parser", "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+               "--iterations", "1", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cat" in err and "part id 9" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_router_cli_smoke(small_corpus, tmp_path):

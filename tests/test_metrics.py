@@ -7,13 +7,7 @@ from sketchparts.autograd import make_rng
 from sketchparts.checks import iou_bruteforce
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import LabelMap
-from sketchparts.metrics import (
-    category_aiou,
-    grand_average,
-    iou_report,
-    pose_eval,
-    sketch_iou,
-)
+from sketchparts.metrics import iou_report, pose_eval, sketch_iou
 from sketchparts.poses import POSES
 
 
@@ -67,17 +61,17 @@ class TestSketchIou:
 
 
 class TestAverages:
-    def test_singleton_identity(self):
-        assert category_aiou([0.7]) == 0.7
-
-    def test_two_sketches(self):
-        assert category_aiou([0.4, 0.6]) == pytest.approx(0.5)
+    def test_categories_average_sketches_and_grand_averages_categories(self):
+        gt = LabelMap(np.array([[1, 1], [0, 0]], dtype=np.uint8))
+        miss = LabelMap(np.array([[0, 0], [1, 1]], dtype=np.uint8))
+        report = iou_report([("a", gt, gt), ("a", miss, gt), ("b", gt, gt)])
+        assert report.per_sketch == [("a", 1.0), ("a", 0.0), ("b", 1.0)]
+        assert report.per_category == {"a": 0.5, "b": 1.0}
+        assert report.grand == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            category_aiou([])
-        with pytest.raises(ContractViolation):
-            grand_average([])
+        with pytest.raises(ContractViolation, match="empty"):
+            iou_report([])
 
     def test_report_values_in_unit_interval(self):
         rng = make_rng(7)

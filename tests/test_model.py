@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sketchparts.autograd import Tape, Tensor, backward, make_rng, weighted_sum
+from sketchparts.autograd import ConvSpec, Tape, Tensor, backward, conv2d, global_average_pool
+from sketchparts.autograd import linear, make_rng, relu, weighted_sum
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster
 from sketchparts.model import (
@@ -59,6 +60,23 @@ class TestBuild:
         assert m.params["branch0.pose.c1.w"].shape[2:] == (3, 3)
         assert m.params["branch0.pose.c2.w"].shape == (32, 32, 11, 11)
         assert m.params["branch0.pose.fc.w"].shape == (8, 32)
+
+    def test_pose_logits_are_convs_then_pool_then_linear(self):
+        m = build_model(CFG, TAX2, seed=41)
+        sketch = Raster(np.where(make_rng(43).random((48, 80)) < 0.15, 255, 0))
+        feats = forward_shared(m, sketch_input(sketch))
+        p = m.params
+
+        def conv(y, name, spec):
+            return conv2d(y, p[f"branch1.{name}.w"], p[f"branch1.{name}.b"], spec)
+
+        scores = conv(relu(conv(feats, "c0", ConvSpec(3, 128, dilation=2))), "seg", ConvSpec(1, 6))
+        y = relu(conv(scores, "pose.c0", ConvSpec(3, 32, stride=2, dilation=2)))
+        y = relu(conv(y, "pose.c1", ConvSpec(3, 32, stride=2, dilation=2)))
+        y = relu(conv(y, "pose.c2", ConvSpec(11, 32)))
+        want = linear(global_average_pool(y), p["branch1.pose.fc.w"], p["branch1.pose.fc.b"])
+        _, got = forward_branch(m, 1, feats)
+        assert np.array_equal(got.data, want.data)
 
     def test_forward_shapes(self):
         m = build_model(CFG, TAX2, seed=2)
@@ -124,7 +142,9 @@ class TestRoutedEquivalence:
                     term = weighted_sum(out, p)
                     total = term if total is None else _add(total, term)
             backward(tape, total)
-            shared_grads = {n: m.params[n].grad.copy() for n in m.shared_names()}
+            shared_grads = {
+                n: t.grad.copy() for n, t in m.params.items() if n.startswith("shared.")
+            }
             outputs = [o.data.copy() for o in outs]
             for _, t in m.parameters():
                 t.grad = None

@@ -3,7 +3,7 @@ import pytest
 
 from sketchparts.autograd import Tensor
 from sketchparts.errors import ContractViolation
-from sketchparts.optim import ParamGroup, SgdMomentum, poly_lr
+from sketchparts.optim import ParamGroup, SgdMomentum
 
 
 def make_param(values):
@@ -12,17 +12,12 @@ def make_param(values):
     return p
 
 
-def test_poly_lr_starts_at_base():
-    assert poly_lr(0.05, 0, 1000) == pytest.approx(0.05)
-
-
-def test_poly_lr_decays():
-    assert poly_lr(1.0, 500, 1000, power=0.9) == pytest.approx(0.5**0.9)
-
-
-def test_poly_lr_past_max_raises():
-    with pytest.raises(ContractViolation):
-        poly_lr(1.0, 1001, 1000)
+def test_lr_factor_decays_polynomially():
+    p = make_param([1.0])
+    opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=0.05)], max_iterations=1000)
+    assert opt.lr_factor() == 1.0
+    opt.iteration = 500
+    assert opt.lr_factor() == pytest.approx(0.5**0.9)
 
 
 def test_zero_momentum_is_plain_sgd():

@@ -3,7 +3,8 @@ import pytest
 
 from sketchparts import router as router_module
 from sketchparts import training as training_module
-from sketchparts.autograd import Tensor, make_rng, softmax
+from sketchparts.autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, linear
+from sketchparts.autograd import make_rng, maxpool2d, relu, softmax
 from sketchparts.checkpoint import write_checkpoint
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster, mirror_v
@@ -75,6 +76,29 @@ def test_single_view_reduces_to_plain_forward():
     plain = softmax(forward(net, s.pixels.astype(np.float32) / 255)).data
     assert np.allclose(scores, plain)
     assert branch == int(plain.argmax())
+
+
+def test_forward_is_convs_then_dropout_then_pool_then_linear():
+    net = build_router(3, seed=43)
+    view = router_input(Raster(np.where(make_rng(45).random((48, 80)) < 0.12, 255, 0)))
+    p = net.params
+
+    def conv(y, i, spec):
+        return relu(conv2d(y, p[f"stack.c{i}.w"], p[f"stack.c{i}.b"], spec))
+
+    y = conv(Tensor(view[None], requires_grad=False), 0, ConvSpec(15, 64, stride=3))
+    y = maxpool2d(conv(maxpool2d(y, 3, 2), 1, ConvSpec(5, 128)), 3, 2)
+    for i in (2, 3, 4):
+        y = conv(y, i, ConvSpec(3, 256))
+    y = conv(maxpool2d(y, 3, 2), 5, ConvSpec(1, 512))
+    assert y.shape[0] == 512
+    dropped = dropout(y, 0.7, make_rng(47), training=True)
+    want = linear(global_average_pool(dropped), p["head.w"], p["head.b"])
+    got = forward(net, view, rng=make_rng(47), training=True)
+    assert np.array_equal(got.data, want.data)
+    plain = linear(global_average_pool(y), p["head.w"], p["head.b"])
+    assert np.array_equal(forward(net, view).data, plain.data)
+    assert not np.array_equal(got.data, plain.data)
 
 
 def test_inference_deterministic():

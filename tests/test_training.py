@@ -181,12 +181,12 @@ class TestTrainParser:
     def test_freeze_shared_bit_identical(self):
         samples = tiny_corpus()
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
-        before = {n: m.params[n].data.tobytes() for n in m.shared_names()}
+        before = {n: t.data.tobytes() for n, t in m.params.items() if n.startswith("shared.")}
         branch_before = {
             n: m.params[n].data.tobytes() for n in m.params if n.startswith("branch0.")
         }
         train_parser(m, samples, TrainPlan(iterations=6, seed=4, freeze=("shared",)))
-        after = {n: m.params[n].data.tobytes() for n in m.shared_names()}
+        after = {n: t.data.tobytes() for n, t in m.params.items() if n.startswith("shared.")}
         assert before == after
         changed = any(
             m.params[n].data.tobytes() != branch_before[n]
