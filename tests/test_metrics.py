@@ -61,7 +61,15 @@ class TestSketchIou:
 
 
 class TestAverages:
-    def test_categories_average_sketches_and_grand_averages_categories(self):
+    def test_singleton_identity(self):
+        gt = LabelMap(np.array([[1, 1], [0, 2]], dtype=np.uint8))
+        pred = LabelMap(np.array([[1, 0], [0, 2]], dtype=np.uint8))
+        report = iou_report([("a", pred, gt)])
+        (_, v), = report.per_sketch
+        assert report.per_category == {"a": v}
+        assert report.grand == v
+
+    def test_two_sketches(self):
         gt = LabelMap(np.array([[1, 1], [0, 0]], dtype=np.uint8))
         miss = LabelMap(np.array([[0, 0], [1, 1]], dtype=np.uint8))
         report = iou_report([("a", gt, gt), ("a", miss, gt), ("b", gt, gt)])

@@ -12,10 +12,17 @@ def make_param(values):
     return p
 
 
-def test_lr_factor_decays_polynomially():
+def test_poly_lr_starts_at_base():
     p = make_param([1.0])
     opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=0.05)], max_iterations=1000)
     assert opt.lr_factor() == 1.0
+    opt.step()
+    assert np.allclose(p.data, [1.0 - 0.05])
+
+
+def test_poly_lr_decays():
+    p = make_param([1.0])
+    opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=1.0)], max_iterations=1000)
     opt.iteration = 500
     assert opt.lr_factor() == pytest.approx(0.5**0.9)
 
