@@ -15,7 +15,9 @@ conv2d skips the input gradient of such a tensor, and backward() never
 fills its .grad. Conv backward is one GEMM for dw (the output gradient
 against the im2col patches, rebuilt from the padded input rather than kept
 on the tape) and one for dx (the transposed weights against the output
-gradient, scattered back by a col2im slice-add per kernel tap).
+gradient, scattered back by a col2im slice-add per kernel tap; a tap that
+reads only zero padding along a side is skipped, since the crop to the
+input drops everything it would write).
 
 Max pooling is a running np.maximum over the window x window strided tap
 slices of the zero-padded input, so no window is ever copied out. Only
@@ -239,8 +241,12 @@ def conv2d(x, w, b, spec):
                 return None, dw, db
             cols = (wd.reshape(F, C * k * k).T @ gd).reshape(C, k, k, Ho, Wo)
             dxp = np.zeros_like(xp)
-            for u in range(k):
-                for v in range(k):
+            # a tap whose rows or columns all fall in the zero padding only
+            # writes cells that the crop below drops
+            live_u = [u for u in range(k) if u * r + s * (Ho - 1) >= p and u * r < p + H]
+            live_v = [v for v in range(k) if v * r + s * (Wo - 1) >= p and v * r < p + W]
+            for u in live_u:
+                for v in live_v:
                     # strides never collide within a fixed (u,v) tap, so
                     # plain slice-add is exact.
                     dxp[

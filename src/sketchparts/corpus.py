@@ -7,6 +7,21 @@ vector and the tail opposite, so pose stays recoverable from the part
 layout alone. A flat-gray synthetic photo accompanies every label map;
 sketchifying that pair produces the training sketch.
 
+Each part primitive evaluates its float64 arithmetic only on the canvas
+window that can contain the part, widened by one pixel against rounding,
+and leaves the rest of its mask False. The window is exact: every cell
+outside it is False on the whole-canvas grid too.
+- A superellipse of power p > 0 has rho = (|x|^p + |y|^p)^(1/p) >=
+  max(|x|, |y|) in its own (rotated, radius-scaled) frame, and a cell is
+  inside only when rho <= 1 + amp * sin(...) <= peak = 1 + |amp|. So an
+  inside cell has |x| <= peak and |y| <= peak, which puts it at most
+  peak * (|cos| rx + |sin| ry) from the centre horizontally and
+  peak * (|sin| rx + |cos| ry) vertically.
+- A capsule's nearest segment point lies in the segment's bounding box, so
+  an inside cell is within half_width of that box.
+Inside the window each cell gets the same arithmetic, so the masks, and so
+every corpus byte, are those of the whole-canvas evaluation.
+
 Dataset layout on disk:
 
     <root>/taxonomy.tax
@@ -49,6 +64,9 @@ cat bird : body, wing, tail
 """
 
 BACKGROUND_GRAY = 248
+# largest canvas side a corpus is drawn at; far past it a single figure's
+# masks no longer fit in memory
+MAX_IMAGE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,10 @@ class CorpusSpec:
             raise ConfigError(f"per_category must be positive, got {self.per_category}")
         if self.image_size < 32:
             raise ConfigError(f"image size {self.image_size} is too small to draw on")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ConfigError(
+                f"image size {self.image_size} is above the maximum of {MAX_IMAGE_SIZE}"
+            )
 
     def category_list(self):
         cats = list(self.categories) if self.categories else list(self.taxonomy.categories)
@@ -87,14 +109,33 @@ class CorpusSpec:
 # mask primitives
 
 
-def _grid(size):
-    return np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64))
+def _span(lo, hi, size):
+    """Canvas indices [start, stop) within one pixel of [lo, hi], clipped to
+    the canvas; start == stop when the interval misses it."""
+    start = min(size, max(0, math.ceil(lo - 1)))
+    return start, max(start, min(size, math.floor(hi + 1) + 1))
 
 
-def _ellipse(jj, ii, cx, cy, rx, ry, tilt=0.0, wobble=None, power=2.0):
+def _window(size, x_lo, x_hi, y_lo, y_hi):
+    """An all-False size x size mask, the float64 column and row coordinates
+    of its cells within one pixel of the box [x_lo, x_hi] x [y_lo, y_hi],
+    and the slices of those cells in the mask."""
+    j0, j1 = _span(x_lo, x_hi, size)
+    i0, i1 = _span(y_lo, y_hi, size)
+    cols = np.arange(j0, j1, dtype=np.float64)
+    rows = np.arange(i0, i1, dtype=np.float64)
+    jj, ii = np.meshgrid(cols, rows)
+    return np.zeros((size, size), dtype=bool), jj, ii, (slice(i0, i1), slice(j0, j1))
+
+
+def _ellipse(size, cx, cy, rx, ry, tilt=0.0, wobble=None, power=2.0):
+    c, s = math.cos(tilt), math.sin(tilt)
+    peak = 1.0 if wobble is None else 1.0 + abs(wobble[0])
+    half_w = peak * (abs(c) * rx + abs(s) * ry)
+    half_h = peak * (abs(s) * rx + abs(c) * ry)
+    mask, jj, ii, window = _window(size, cx - half_w, cx + half_w, cy - half_h, cy + half_h)
     dx, dy = jj - cx, ii - cy
     if tilt:
-        c, s = math.cos(tilt), math.sin(tilt)
         dx, dy = c * dx + s * dy, -s * dx + c * dy
     x, y = dx / rx, dy / ry
     rho = (np.abs(x) ** power + np.abs(y) ** power) ** (1.0 / power)
@@ -102,16 +143,24 @@ def _ellipse(jj, ii, cx, cy, rx, ry, tilt=0.0, wobble=None, power=2.0):
     if wobble is not None:
         amp, freq, phase = wobble
         lim = 1.0 + amp * np.sin(freq * np.arctan2(y, x) + phase)
-    return rho <= lim
+    mask[window] = rho <= lim
+    return mask
 
 
-def _box(jj, ii, cx, cy, rx, ry, tilt=0.0):
+def _box(size, cx, cy, rx, ry, tilt=0.0):
     # superellipse of power 4 reads as a rounded rectangle
-    return _ellipse(jj, ii, cx, cy, rx, ry, tilt=tilt, power=4.0)
+    return _ellipse(size, cx, cy, rx, ry, tilt=tilt, power=4.0)
 
 
-def _capsule(jj, ii, p0, p1, half_width):
+def _capsule(size, p0, p1, half_width):
     (x0, y0), (x1, y1) = p0, p1
+    mask, jj, ii, window = _window(
+        size,
+        min(x0, x1) - half_width,
+        max(x0, x1) + half_width,
+        min(y0, y1) - half_width,
+        max(y0, y1) + half_width,
+    )
     vx, vy = x1 - x0, y1 - y0
     norm2 = vx * vx + vy * vy
     if norm2 == 0:
@@ -119,7 +168,8 @@ def _capsule(jj, ii, p0, p1, half_width):
     else:
         t = np.clip(((jj - x0) * vx + (ii - y0) * vy) / norm2, 0.0, 1.0)
     dist = np.hypot(jj - (x0 + t * vx), ii - (y0 + t * vy))
-    return dist <= half_width
+    mask[window] = dist <= half_width
+    return mask
 
 
 def _ellipse_radius_along(rx, ry, ux, uy):
@@ -131,7 +181,6 @@ def _ellipse_radius_along(rx, ry, ux, uy):
 
 
 def _animal(size, pose, rng, p):
-    jj, ii = _grid(size)
     u = size / 128.0
     ux, uy = direction(pose)
     scale = u * rng.uniform(0.94, 1.06)
@@ -141,14 +190,14 @@ def _animal(size, pose, rng, p):
     brx = p["body_rx"] * scale * rng.uniform(0.95, 1.05)
     bry = p["body_ry"] * scale * rng.uniform(0.95, 1.05)
     wob = (rng.uniform(0.015, 0.04), rng.integers(2, 5), rng.uniform(0, 2 * math.pi))
-    body = _ellipse(jj, ii, cx, cy, brx, bry, wobble=wob)
+    body = _ellipse(size, cx, cy, brx, bry, wobble=wob)
 
     # head sits along the facing direction, slightly overlapping the body
     jit = math.radians(rng.uniform(-8, 8))
     hx, hy = math.cos(jit) * ux - math.sin(jit) * uy, math.sin(jit) * ux + math.cos(jit) * uy
     hr = p["head_r"] * scale * rng.uniform(0.95, 1.05)
     reach = _ellipse_radius_along(brx, bry, hx, hy) + hr * 0.55
-    head = _ellipse(jj, ii, cx + hx * reach, cy + hy * reach, hr, hr * 0.92, wobble=wob)
+    head = _ellipse(size, cx + hx * reach, cy + hy * reach, hr, hr * 0.92, wobble=wob)
 
     legs = np.zeros_like(body)
     leg_len = p["leg_len"] * scale
@@ -157,7 +206,7 @@ def _animal(size, pose, rng, p):
         x0 = cx + fx * brx
         y0 = cy + bry * 0.55
         lean = rng.uniform(-0.12, 0.12)
-        legs |= _capsule(jj, ii, (x0, y0), (x0 + lean * leg_len, y0 + leg_len), leg_hw)
+        legs |= _capsule(size, (x0, y0), (x0 + lean * leg_len, y0 + leg_len), leg_hw)
 
     # tail leaves the rear and sweeps to the side of the facing axis
     tx, ty = -hx, -hy
@@ -166,14 +215,13 @@ def _animal(size, pose, rng, p):
     sweep = rng.uniform(0.45, 0.75) * (1 if rng.random() < 0.5 else -1)
     tlen = p["tail_len"] * scale
     t1 = (t0[0] + (tx - ty * sweep) * tlen * 0.8, t0[1] + (ty + tx * sweep) * tlen * 0.8)
-    tail = _capsule(jj, ii, t0, t1, p["tail_w"] * scale / 2.0)
+    tail = _capsule(size, t0, t1, p["tail_w"] * scale / 2.0)
 
     # tail after legs so back views keep it visible
     return [("body", body), ("leg", legs), ("tail", tail), ("head", head)]
 
 
 def _vehicle(size, pose, rng, p):
-    jj, ii = _grid(size)
     u = size / 128.0
     ux, uy = direction(pose)
     scale = u * rng.uniform(0.94, 1.06)
@@ -184,7 +232,7 @@ def _vehicle(size, pose, rng, p):
     wf = 0.55 + 0.45 * abs(ux)
     brx = p["body_rx"] * wf * scale * rng.uniform(0.96, 1.04)
     bry = p["body_ry"] * scale * rng.uniform(0.96, 1.04)
-    body = _box(jj, ii, cx, cy, brx, bry)
+    body = _box(size, cx, cy, brx, bry)
 
     wheels = np.zeros_like(body)
     wr = p["wheel_r"] * scale * rng.uniform(0.95, 1.05)
@@ -192,7 +240,7 @@ def _vehicle(size, pose, rng, p):
     span = brx - wr * 1.15
     for k in range(n_wheels):
         frac = -1.0 if n_wheels == 1 else -1.0 + 2.0 * k / (n_wheels - 1)
-        wheels |= _ellipse(jj, ii, cx + frac * span, cy + bry * 0.92, wr, wr)
+        wheels |= _ellipse(size, cx + frac * span, cy + bry * 0.92, wr, wr)
 
     # window cluster hangs toward the rear, away from the facing direction
     windows = np.zeros_like(body)
@@ -203,13 +251,12 @@ def _vehicle(size, pose, rng, p):
     spread = min(brx * 0.55, (n_win - 1) * win_r * 1.4) if n_win > 1 else 0.0
     for k in range(n_win):
         frac = 0.0 if n_win == 1 else -1.0 + 2.0 * k / (n_win - 1)
-        windows |= _box(jj, ii, wx + frac * spread, wy, win_r, win_r * 0.9)
+        windows |= _box(size, wx + frac * spread, wy, win_r, win_r * 0.9)
 
     return [("body", body), ("wheel", wheels), ("window", windows)]
 
 
 def _flyer(size, pose, rng, p):
-    jj, ii = _grid(size)
     u = size / 128.0
     ux, uy = direction(pose)
     theta = math.atan2(uy, ux)
@@ -220,12 +267,11 @@ def _flyer(size, pose, rng, p):
     blen = p["body_len"] * scale * rng.uniform(0.95, 1.05)
     bw = p["body_w"] * scale * rng.uniform(0.95, 1.05)
     wob = (rng.uniform(0.01, 0.03), rng.integers(2, 4), rng.uniform(0, 2 * math.pi))
-    body = _ellipse(jj, ii, cx, cy, blen, bw, tilt=theta, wobble=wob, power=p["nose"])
+    body = _ellipse(size, cx, cy, blen, bw, tilt=theta, wobble=wob, power=p["nose"])
 
     sweep = math.radians(p["wing_sweep"] + rng.uniform(-6, 6))
     wings = _ellipse(
-        jj,
-        ii,
+        size,
         cx + ux * blen * 0.08,
         cy + uy * blen * 0.08,
         p["wing_span"] * scale,
@@ -235,8 +281,7 @@ def _flyer(size, pose, rng, p):
     )
 
     tail = _ellipse(
-        jj,
-        ii,
+        size,
         cx - ux * blen * 0.95,
         cy - uy * blen * 0.95,
         p["tail_span"] * scale,

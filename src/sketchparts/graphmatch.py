@@ -513,10 +513,6 @@ def rrwm_match(affinity):
     return rrwm_match_all([affinity])[0]
 
 
-def match_maps(query_lm, cand_lm):
-    return rrwm_match(build_affinity(build_graph(query_lm), graph_of(cand_lm)))
-
-
 def rerank(query_lm, candidates, top_t=50):
     """Re-order the first top_t of an initial ranking by graph similarity.
 

@@ -2,7 +2,8 @@
 
 Each function redoes one vectorized library path (convolution, max pooling,
 the resampling matrix, component labelling, graph, affinity, the RRWM walk)
-as plain loops, and the tests compare the library against it. No package
+as plain loops, or one windowed path (the corpus mask primitives) over the
+whole canvas, and the tests compare the library against it. No package
 code calls them, so they stay out of the package; the oracles `selfcheck`
 also runs live in `sketchparts.checks`.
 """
@@ -67,6 +68,40 @@ def maxpool2d_bruteforce(x, window, stride, g):
                 if at[0] < H and at[1] < W:
                     dx[c, at[0], at[1]] += g[c, i, j]
     return out, dx
+
+
+def _full_grid(size):
+    return np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64))
+
+
+def ellipse_full_grid(size, cx, cy, rx, ry, tilt=0.0, wobble=None, power=2.0):
+    """corpus._ellipse evaluated on every cell of the size x size canvas."""
+    jj, ii = _full_grid(size)
+    dx, dy = jj - cx, ii - cy
+    if tilt:
+        c, s = math.cos(tilt), math.sin(tilt)
+        dx, dy = c * dx + s * dy, -s * dx + c * dy
+    x, y = dx / rx, dy / ry
+    rho = (np.abs(x) ** power + np.abs(y) ** power) ** (1.0 / power)
+    lim = 1.0
+    if wobble is not None:
+        amp, freq, phase = wobble
+        lim = 1.0 + amp * np.sin(freq * np.arctan2(y, x) + phase)
+    return rho <= lim
+
+
+def capsule_full_grid(size, p0, p1, half_width):
+    """corpus._capsule evaluated on every cell of the size x size canvas."""
+    jj, ii = _full_grid(size)
+    (x0, y0), (x1, y1) = p0, p1
+    vx, vy = x1 - x0, y1 - y0
+    norm2 = vx * vx + vy * vy
+    if norm2 == 0:
+        t = np.zeros_like(jj)
+    else:
+        t = np.clip(((jj - x0) * vx + (ii - y0) * vy) / norm2, 0.0, 1.0)
+    dist = np.hypot(jj - (x0 + t * vx), ii - (y0 + t * vy))
+    return dist <= half_width
 
 
 def interp_matrix_loop(n_out, n_in):

@@ -91,8 +91,9 @@ class TestConvBackward:
             ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
             ((3, 7, 10), ConvSpec(5, 4)),  # router c1
             ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
+            ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
         ],
-        ids=["k15_s3", "k5_s1", "k3_s2_r2"],
+        ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5"],
     )
     def test_gradcheck_non_square(self, in_shape, spec):
         rng = make_rng(61)
@@ -394,8 +395,9 @@ class TestDtypeContract:
             ((1, 47, 62), ConvSpec(15, 8, stride=3)),  # router c0
             ((64, 13, 17), ConvSpec(5, 128)),  # router c1
             ((3, 11, 16), ConvSpec(3, 5, stride=2, dilation=2)),
+            ((2, 4, 5), ConvSpec(11, 3)),
         ],
-        ids=["router_c0", "router_c1", "dilated_strided"],
+        ids=["router_c0", "router_c1", "dilated_strided", "k11_over_4x5"],
     )
     def test_float32_conv_tracks_float64_shadow(self, in_shape, spec):
         rng = make_rng(47)

@@ -373,6 +373,7 @@ def test_config_bad_plan_value_exits_1(small_corpus, tmp_path, capsys, command, 
         ({"image_size": 64.0}, "image_size must be an integer"),
         ({"categories": "cat"}, "categories must be a list"),
         ({"categories": [1]}, "categories must be a list"),
+        ({"image_size": 1000000}, "above the maximum"),
     ],
 )
 def test_config_bad_corpus_value_exits_1(tmp_path, capsys, corpus, message):
@@ -382,6 +383,15 @@ def test_config_bad_corpus_value_exits_1(tmp_path, capsys, corpus, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_gen_corpus_oversize_exits_1(tmp_path, capsys):
+    out = tmp_path / "c"
+    rc = main(["gen-corpus", "--out", str(out), "--size", "1000000", "--per-category", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1000000" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_non_utf8_taxonomy_exits_1(tmp_path, capsys):

@@ -1,11 +1,17 @@
 import hashlib
+import itertools
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import capsule_full_grid, ellipse_full_grid
+from sketchparts import corpus
 from sketchparts.autograd import make_rng
 from sketchparts.corpus import (
     DEFAULT_TAXONOMY_TEXT,
+    MAX_IMAGE_SIZE,
     CorpusSpec,
     draw_figure,
     gen_corpus,
@@ -77,6 +83,8 @@ def test_unknown_category_rejected():
         ({"categories": 5}, "categories must be a list"),
         ({"categories": "cat"}, "categories must be a list"),
         ({"categories": ["cat", 2]}, "categories must be a list"),
+        ({"image_size": 31}, "too small"),
+        ({"image_size": MAX_IMAGE_SIZE + 1}, f"above the maximum of {MAX_IMAGE_SIZE}"),
     ],
 )
 def test_spec_value_types_rejected(kwargs, message):
@@ -119,3 +127,70 @@ def test_load_corpus_bad_poses_csv_rejected(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=message) as exc:
         load_corpus(tmp_path / "c")
     assert "poses.csv" in str(exc.value)
+
+
+# canvas sides: the smallest allowed, odd, just under the default and twice it
+WINDOW_SIZES = (32, 33, 127, 256)
+
+
+def edge_centres(size):
+    """Centres inside the canvas, on its first and last cells, and off each side."""
+    return [(size * 0.41, size * 0.57), (0.0, size - 1.0), (size - 1.0, 0.0),
+            (-6.5, size * 0.5), (size * 0.3, size + 4.25), (-30.0, -30.0)]
+
+
+@pytest.mark.parametrize("size", WINDOW_SIZES)
+def test_windowed_ellipse_matches_full_grid(size):
+    options = (
+        edge_centres(size),
+        [(9.5, 4.25), (0.4, 0.7), (size * 0.45, 3.0), (2.5, size * 0.3)],  # radii
+        [0.0, 0.4, math.pi / 2, 2.9],  # tilts
+        [None, (0.04, 3, 1.0), (-0.3, 2, 5.0)],  # wobbles
+        [1.6, 2.0, 3.0, 4.0],  # powers
+    )
+    # a seeded draw of 120 of the 1152 combinations keeps the 256 px case fast
+    rng = np.random.default_rng(size)
+    for _ in range(120):
+        (cx, cy), (rx, ry), tilt, wobble, power = (o[rng.integers(len(o))] for o in options)
+        args = (size, cx, cy, rx, ry, tilt, wobble, power)
+        got = corpus._ellipse(*args)
+        assert got.shape == (size, size)
+        assert np.array_equal(got, ellipse_full_grid(*args)), args
+
+
+@pytest.mark.parametrize("size", WINDOW_SIZES)
+def test_windowed_capsule_matches_full_grid(size):
+    ends = [(0.0, 0.0), (17.5, -3.0), (-9.0, 12.25), (0.0, size * 0.8)]  # the first is zero length
+    for (cx, cy), (vx, vy), half_width in itertools.product(
+        edge_centres(size), ends, (0.3, 1.0, 6.5)
+    ):
+        args = (size, (cx, cy), (cx + vx, cy + vy), half_width)
+        got = corpus._capsule(*args)
+        assert got.shape == (size, size)
+        assert np.array_equal(got, capsule_full_grid(*args)), args
+
+
+def test_windowed_figures_match_full_grid(monkeypatch):
+    """Every category and pose, drawn with the windowed primitives and again
+    with the full-grid ones, gives the same photo and labels."""
+
+    def draw_all():
+        cases = itertools.product(enumerate(TAX.categories), POSES)
+        return [
+            draw_figure(
+                cat,
+                pose,
+                make_rng((19, ci, k)),
+                WINDOW_SIZES[k % len(WINDOW_SIZES)],
+                TAX.category_part_ids(cat),
+            )
+            for k, ((ci, cat), pose) in enumerate(cases)
+        ]
+
+    windowed = draw_all()
+    # _box draws through _ellipse, so it follows the patch
+    monkeypatch.setattr(corpus, "_ellipse", ellipse_full_grid)
+    monkeypatch.setattr(corpus, "_capsule", capsule_full_grid)
+    for (wp, wl), (fp, fl) in zip(windowed, draw_all(), strict=True):
+        assert np.array_equal(wp.pixels, fp.pixels)
+        assert np.array_equal(wl.labels, fl.labels)

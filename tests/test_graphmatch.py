@@ -16,7 +16,6 @@ from sketchparts.graphmatch import (
     build_affinity,
     build_graph,
     graph_of,
-    match_maps,
     rerank,
     rrwm_match,
     rrwm_match_all,
@@ -307,7 +306,7 @@ class TestRerank:
     def test_match_maps_smoke(self):
         rng = make_rng(37)
         a = random_labelmap(rng)
-        result = match_maps(a, a)
+        result = rrwm_match(build_affinity(build_graph(a), graph_of(a)))
         assert result.pairs[GLOBAL] == GLOBAL
         assert result.score > 0
 
@@ -632,5 +631,5 @@ class TestGraphOf:
     def test_match_maps_keeps_only_the_candidate_graph(self):
         rng = make_rng(73)
         a, b = random_labelmap(rng), random_labelmap(rng)
-        match_maps(a, b)
+        rrwm_match(build_affinity(build_graph(a), graph_of(b)))
         assert a._graph is None and b._graph is graph_of(b)
