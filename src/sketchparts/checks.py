@@ -278,7 +278,7 @@ def _check_augmentation(rng):
         raise AssertionError("augment_cls cardinality is not 70")
 
 
-def run_selfcheck(seed=0):
+def run_selfcheck(seed):
     """Run every invariant check; returns a list of (name, passed, detail)."""
     from .autograd import make_rng
 

@@ -49,25 +49,24 @@ def _run_config(args):
     return RunConfig({})
 
 
+def _seed(args, cfg):
+    """--seed, else the config's seed; a negative one is refused before any work."""
+    seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
+    return seed
+
+
 def cmd_gen_corpus(args):
     cfg = _run_config(args)
     tax = _load_tax(args, cfg)
-    corpus_opts = dict(cfg.corpus)
-    if args.per_category is not None:
-        corpus_opts["per_category"] = args.per_category
-    if args.size is not None:
-        corpus_opts["image_size"] = args.size
-    if args.categories:
-        corpus_opts["categories"] = tuple(args.categories.split(","))
-    corpus_opts.setdefault("per_category", 10)
-    seed = args.seed if args.seed is not None else cfg.seed
-    spec = CorpusSpec(
-        tax,
-        per_category=corpus_opts["per_category"],
-        seed=seed,
-        image_size=corpus_opts.get("image_size", 128),
-        categories=corpus_opts.get("categories", ()),
-    )
+    flags = {
+        "per_category": args.per_category,
+        "image_size": args.size,
+        "categories": tuple(args.categories.split(",")) if args.categories else None,
+    }
+    given = {k: v for k, v in flags.items() if v is not None}
+    spec = CorpusSpec(tax, seed=_seed(args, cfg), **{"per_category": 10, **cfg.corpus, **given})
     written = gen_corpus(spec, args.out)
     print(f"wrote {len(written)} samples under {args.out}")
     return 0
@@ -82,19 +81,25 @@ def cmd_sketchify(args):
     return 0
 
 
-def _write_loss_log(path, log, fields):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _save_run(args, plan, log, save, net, checkpoint, log_csv):
+    """Write the trained net and its loss log, one column per log key, under --out."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save(net, out / checkpoint)
+    with open(out / log_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(list(log[0]))
         for row in log:
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    print(f"trained {plan.iterations} iterations; wrote {out / checkpoint}")
+    return 0
 
 
 def cmd_train_parser(args):
     cfg = _run_config(args)
     tax = _load_tax(args, cfg, fallback_root=args.train)
-    samples, _ = load_corpus(args.train, tax)
-    seed = args.seed if args.seed is not None else cfg.seed
+    samples = load_corpus(args.train)
+    seed = _seed(args, cfg)
     plan = cfg.train_plan(
         iterations=args.iterations,
         lr_body=args.lr_body,
@@ -111,20 +116,15 @@ def cmd_train_parser(args):
     else:
         model = build_model(ModelConfig(), tax, seed=seed)
     log = train_parser(model, samples, plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, out / "model.ckpt")
-    _write_loss_log(out / "train_log.csv", log, ["iter", "seg_loss", "pose_loss", "total", "lr"])
-    print(f"trained {plan.iterations} iterations; wrote {out / 'model.ckpt'}")
-    return 0
+    return _save_run(args, plan, log, save_checkpoint, model, "model.ckpt", "train_log.csv")
 
 
 def cmd_train_router(args):
     cfg = _run_config(args)
     tax = _load_tax(args, cfg, fallback_root=args.train)
-    samples, _ = load_corpus(args.train, tax)
+    samples = load_corpus(args.train)
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in samples]
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg)
     plan = cfg.router_plan(
         iterations=args.iterations,
         lr=args.lr,
@@ -134,12 +134,7 @@ def cmd_train_router(args):
     )
     net = build_router(tax.num_branches, seed=seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_router(net, out / "router.ckpt")
-    _write_loss_log(out / "router_log.csv", log, ["iter", "loss", "lr"])
-    print(f"trained {plan.iterations} iterations; wrote {out / 'router.ckpt'}")
-    return 0
+    return _save_run(args, plan, log, save_router, net, "router.ckpt", "router_log.csv")
 
 
 def _sketch_files(path):
@@ -168,6 +163,8 @@ def cmd_infer(args):
         if name in jobs:
             raise ConfigError(f"{jobs[name][0]} and {path} would both write {name}.pred.pgm")
         jobs[name] = path, category
+    if not jobs:
+        raise ConfigError(f"no sketches under {args.sketches}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (path, category) in jobs.items():
@@ -293,7 +290,7 @@ def cmd_describe(args):
 
 
 def cmd_selfcheck(args):
-    results = run_selfcheck(seed=args.seed if args.seed is not None else 0)
+    results = run_selfcheck(_seed(args, RunConfig({})))
     failed = 0
     for name, ok, detail in results:
         mark = "ok  " if ok else "FAIL"

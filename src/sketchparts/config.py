@@ -1,16 +1,19 @@
 """Run configuration: a JSON file of section -> known keys.
 
-Unknown keys anywhere are rejected so typos fail loudly. Sections mirror
-the plan/spec dataclasses:
+Unknown keys anywhere are rejected so typos fail loudly. The "parser" and
+"router" keys are the fields of training.TrainPlan and RouterPlan:
 
     {
       "format_version": 1,
       "taxonomy": "path/to/taxonomy.tax",
       "seed": 0,
       "corpus": {"per_category": 40, "image_size": 128, "categories": [...]},
-      "parser": {"iterations": 14000, "lr_body": 0.01, ...},
-      "router": {"iterations": 400, "lr": 0.0007, ...}
+      "parser": {"iterations": 3000, "lr_body": 0.0005, "clip_norm": null, ...},
+      "router": {"iterations": 400, "lr": 0.0007, "batch_size": 32, ...}
     }
+
+Momentum and the rate decay power are no keys; optim.MOMENTUM and POLY_POWER
+fix them.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from .errors import ConfigError
 from .imaging import LabelMap, Raster
 from .pgm import read_pgm, write_pgm
 from .poses import POSES, direction
-from .taxonomy import Taxonomy, load_taxonomy_file
+from .taxonomy import Taxonomy
 
 DEFAULT_TAXONOMY_TEXT = """\
 super Small Animals
@@ -78,10 +78,12 @@ class CorpusSpec:
     categories: tuple = ()  # empty means every taxonomy category; a list is stored as a tuple
 
     def __post_init__(self):
-        for name in ("per_category", "image_size"):
+        for name in ("per_category", "image_size", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed}")
         if not isinstance(self.categories, (list, tuple)) or not all(
             isinstance(c, str) for c in self.categories
         ):
@@ -117,14 +119,14 @@ def _span(lo, hi, size):
 
 
 def _window(size, x_lo, x_hi, y_lo, y_hi):
-    """An all-False size x size mask, the float64 column and row coordinates
-    of its cells within one pixel of the box [x_lo, x_hi] x [y_lo, y_hi],
-    and the slices of those cells in the mask."""
+    """An all-False size x size mask, the float64 column coordinates (a row
+    vector) and row coordinates (a column vector) of its cells within one
+    pixel of the box [x_lo, x_hi] x [y_lo, y_hi], and the slices of those
+    cells in the mask. The vectors broadcast to the window's grid."""
     j0, j1 = _span(x_lo, x_hi, size)
     i0, i1 = _span(y_lo, y_hi, size)
-    cols = np.arange(j0, j1, dtype=np.float64)
-    rows = np.arange(i0, i1, dtype=np.float64)
-    jj, ii = np.meshgrid(cols, rows)
+    jj = np.arange(j0, j1, dtype=np.float64)[None, :]
+    ii = np.arange(i0, i1, dtype=np.float64)[:, None]
     return np.zeros((size, size), dtype=bool), jj, ii, (slice(i0, i1), slice(j0, j1))
 
 
@@ -377,11 +379,9 @@ def read_poses_csv(path):
     return poses
 
 
-def load_corpus(root, taxonomy=None):
+def load_corpus(root):
     """Read a dataset directory back into PairedSamples (sorted by path)."""
     root = Path(root)
-    if taxonomy is None:
-        taxonomy = load_taxonomy_file(root / "taxonomy.tax")
     poses = read_poses_csv(root / "poses.csv")
     samples = []
     for rel in sorted(poses):
@@ -396,4 +396,4 @@ def load_corpus(root, taxonomy=None):
                 pose=poses[rel],
             )
         )
-    return samples, taxonomy
+    return samples

@@ -178,7 +178,8 @@ def _inside(rows, cols, shape):
 
 def _transform(x, rows, cols):
     """Resample a Raster (bilinear, threshold 128) or LabelMap (nearest) at
-    the given source coordinates; out-of-canvas reads blank/background."""
+    the given source coordinates, two arrays that broadcast to the output
+    grid; out-of-canvas reads blank/background."""
     if isinstance(x, Raster):
         vals = _bilinear_sample(x.pixels.astype(np.float64), rows, cols)
         vals[~_inside(rows, cols, x.pixels.shape)] = 0.0
@@ -187,9 +188,7 @@ def _transform(x, rows, cols):
     rn = np.rint(rows).astype(int)
     cn = np.rint(cols).astype(int)
     ok = (rn >= 0) & (rn < h) & (cn >= 0) & (cn < w)
-    out = np.zeros_like(x.labels)
-    out[ok] = x.labels[rn[ok], cn[ok]]
-    return LabelMap(out)
+    return LabelMap(np.where(ok, x.labels[rn.clip(0, h - 1), cn.clip(0, w - 1)], 0))
 
 
 def rotate(x, degrees):
@@ -199,8 +198,8 @@ def rotate(x, degrees):
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = math.radians(degrees)
     cos, sin = math.cos(theta), math.sin(theta)
-    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dy, dx = ii - cy, jj - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    dx = np.arange(w, dtype=np.float64)[None, :] - cx
     rows = cos * dy + sin * dx + cy
     cols = -sin * dy + cos * dx + cx
     return _transform(x, rows, cols)
@@ -220,9 +219,8 @@ def rescale(x, factor):
     arr = x.pixels if isinstance(x, Raster) else x.labels
     h, w = arr.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    rows = (ii - cy) / factor + cy
-    cols = (jj - cx) / factor + cx
+    rows = (np.arange(h, dtype=np.float64)[:, None] - cy) / factor + cy
+    cols = (np.arange(w, dtype=np.float64)[None, :] - cx) / factor + cx
     return _transform(x, rows, cols)
 
 

@@ -3,7 +3,8 @@
 Update rule per parameter: v <- mu*v - lr*g, p <- p + v, with
 lr(t) = base * (1 - t/max_iterations)**power shared across groups and a
 per-group base rate (the segmentation output layer and the pose head train
-faster than the body).
+faster than the body). The parser and the router share mu = MOMENTUM and
+power = POLY_POWER.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+
+MOMENTUM = 0.9
+POLY_POWER = 0.9
 
 
 @dataclass
@@ -25,11 +29,9 @@ class ParamGroup:
 class SgdMomentum:
     """Velocity state for a set of named parameter groups."""
 
-    def __init__(self, groups, momentum=0.9, max_iterations=20000, power=0.9):
+    def __init__(self, groups, max_iterations):
         self.groups = list(groups)
-        self.momentum = momentum
         self.max_iterations = max_iterations
-        self.power = power
         self.iteration = 0
         self.velocity = {}
         for group in self.groups:
@@ -37,7 +39,7 @@ class SgdMomentum:
                 self.velocity[name] = np.zeros_like(p.data)
 
     def lr_factor(self):
-        return (1.0 - self.iteration / self.max_iterations) ** self.power
+        return (1.0 - self.iteration / self.max_iterations) ** POLY_POWER
 
     def step(self, frozen=()):
         """Apply one update; groups named in `frozen` stay bit-identical."""
@@ -54,7 +56,7 @@ class SgdMomentum:
                 if p.grad is None:
                     continue
                 v = self.velocity[name]
-                v *= self.momentum
+                v *= MOMENTUM
                 v -= (lr * p.grad).astype(v.dtype, copy=False)
                 p.data += v
         self.iteration += 1

@@ -1,11 +1,10 @@
-"""End-to-end orchestration: route, parse, describe, evaluate."""
+"""End-to-end orchestration: route, parse, describe."""
 
 from __future__ import annotations
 
 from .describe import SketchSummary, describe
 from .errors import CheckpointError, ContractViolation
 from .imaging import label_components
-from .metrics import iou_report, pose_eval
 from .model import infer
 from .router import classify_pooled
 
@@ -71,30 +70,3 @@ def infer_record(parser, router, sketch, force_branch=None, category=None):
     }
     return record, labelmap
 
-
-def evaluate_iou(parser, samples, force_branch=None, router=None):
-    """IOU report over paired samples, routing by ground truth category
-    unless a router or an explicit branch name is given."""
-    tax = parser.taxonomy
-    pairs = []
-    for s in samples:
-        if force_branch is not None:
-            branch = tax.branch_index(force_branch)
-        elif router is not None:
-            branch, _ = classify_pooled(router, s.sketch)
-        else:
-            branch = tax.branch_of(s.category)
-        pred, _ = infer(parser, branch, s.sketch)
-        pairs.append((s.category, pred, s.labels))
-    return iou_report(pairs)
-
-
-def evaluate_pose(parser, samples, merge=True):
-    """Pose confusion report, routing by ground-truth category."""
-    tax = parser.taxonomy
-    preds, truths = [], []
-    for s in samples:
-        _, pose = infer(parser, tax.branch_of(s.category), s.sketch)
-        preds.append(pose)
-        truths.append(s.pose)
-    return pose_eval(preds, truths, merge=merge)

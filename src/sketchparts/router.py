@@ -83,17 +83,13 @@ def forward(net, view, rng=None, training=False):
     return run_head(x, ROUTER_STACK, "stack", "head", net.params, rng, training)
 
 
-def classify_pooled(net, sketch, single_view=False):
+def classify_pooled(net, sketch):
     """Average post-softmax scores over 12 views: the six crop/pad views of
     the sketch and of its mirror image.
 
     Scores are accumulated per view pair, so mirroring the input permutes
-    each pair only and the pooled result is bit-identical. single_view=True
-    degenerates to a plain forward pass over `router_input(sketch)`.
+    each pair only and the pooled result is bit-identical.
     """
-    if single_view:
-        scores = softmax(forward(net, router_input(sketch))).data.astype(np.float64)
-        return int(scores.argmax()), scores
     views = crops_and_pad(sketch, CROP_FRACTION, ROUTER_SIDE)
     mirrored = crops_and_pad(mirror_v(sketch), CROP_FRACTION, ROUTER_SIDE)
     total = np.zeros(net.num_classes, dtype=np.float64)

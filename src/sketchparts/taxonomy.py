@@ -142,20 +142,18 @@ def _jaccard(a, b):
     return len(a & b) / union if union else 0.0
 
 
-def cluster_supercategories(part_sets, k, mode="jaccard"):
+def cluster_supercategories(part_sets, k):
     """Greedily merge the most part-alike clusters until k remain.
 
     part_sets maps category name to its part-name set. Similarity is the
-    Jaccard ratio of the clusters' pooled part sets ("jaccard") or the raw
-    intersection size ("count"). Ties break on lexicographically smallest
-    cluster-name pair. Returns sorted tuples of member categories.
+    Jaccard ratio of the clusters' pooled part sets. Ties break on
+    lexicographically smallest cluster-name pair. Returns sorted tuples of
+    member categories.
     """
     if k < 1:
         raise ContractViolation(f"cluster count must be >= 1, got {k}")
     if k > len(part_sets):
         raise ContractViolation(f"cannot form {k} clusters from {len(part_sets)} categories")
-    if mode not in ("jaccard", "count"):
-        raise ContractViolation(f"unknown clustering mode {mode!r}")
 
     clusters = {(name,): frozenset(parts) for name, parts in part_sets.items()}
     while len(clusters) > k:
@@ -164,12 +162,7 @@ def cluster_supercategories(part_sets, k, mode="jaccard"):
             for b in sorted(clusters):
                 if a >= b:
                     continue
-                sim = (
-                    _jaccard(clusters[a], clusters[b])
-                    if mode == "jaccard"
-                    else float(len(clusters[a] & clusters[b]))
-                )
-                key = (-sim, a, b)
+                key = (-_jaccard(clusters[a], clusters[b]), a, b)
                 if best is None or key < best[0]:
                     best = (key, a, b)
         _, a, b = best

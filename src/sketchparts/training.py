@@ -3,9 +3,9 @@
 Per-pixel cross-entropy is rebalanced by alpha_c = M / f_c, where f_c is a
 label's average pixel mass over the images containing it and M the median
 of those masses, so small parts weigh more. The combined objective adds
-the pose cross-entropy scaled by lambda (grid-searched optimum 1.0). Both
-loops are plain SGD with momentum 0.9 under polynomial rate decay,
-mini-batch 1 for the parser.
+the pose cross-entropy scaled by lambda (grid-searched optimum 1.0). The
+parser (mini-batch 1) and the router train through one step loop, `_sgd`:
+SGD with momentum under polynomial rate decay (`optim.SgdMomentum`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import ConfigError, ContractViolation
 from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
-from .router import classify_pooled, router_input
+from .router import router_input
 from .router import forward as router_forward
 
 
@@ -109,8 +109,6 @@ class TrainPlan:
     lr_body: float = 5e-4
     lr_seg_head: float = 5e-3
     lr_pose_head: float = 2.5e-2
-    momentum: float = 0.9
-    poly_power: float = 0.9
     lam: float = 1.0
     seed: int = 0
     freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
@@ -123,7 +121,7 @@ class TrainPlan:
         _require_types(
             self,
             ints=("iterations", "seed"),
-            reals=("lr_body", "lr_seg_head", "lr_pose_head", "momentum", "poly_power", "lam"),
+            reals=("lr_body", "lr_seg_head", "lr_pose_head", "lam"),
             bools=("class_balance", "balance_background", "augment"),
         )
         if self.clip_norm is not None:
@@ -166,35 +164,50 @@ def _require_types(plan, ints=(), reals=(), bools=()):
 
 def clip_gradients(params, max_norm):
     """Scale all gradients down so their joint L2 norm is at most max_norm."""
-    if max_norm is None:
-        return
-    total = 0.0
-    for t in params:
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
+    grads = [t for t in params if t.grad is not None]
+    norm = np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in grads))
     if norm > max_norm:
         factor = max_norm / norm
-        for t in params:
-            if t.grad is not None:
-                t.grad = t.grad * factor
+        for t in grads:
+            t.grad = t.grad * factor
+
+
+def _sgd(opt, params, forward_step, clip_norm, frozen):
+    """The shared step loop: one optimizer step per forward_step() call.
+
+    forward_step() runs one taped forward pass and returns (loss, log row).
+    Gradients are clipped to clip_norm unless it is None; the groups named
+    in `frozen` stay fixed. Each log row gains "iter" first and, last, the
+    rate of the first parameter group at that step.
+    """
+    log = []
+    for it in range(opt.max_iterations):
+        with Tape() as tape:
+            loss, row = forward_step()
+        if not np.isfinite(loss.data.item()):
+            raise RuntimeError(f"loss became non-finite at iteration {it}")
+        backward(tape, loss)
+        if clip_norm is not None:
+            clip_gradients(params, clip_norm)
+        lr = opt.lr_factor() * opt.groups[0].lr
+        opt.step(frozen=frozen)
+        zero_grads(params)
+        log.append({"iter": it, **row, "lr": lr})
+    return log
+
+
+def _parser_group(name):
+    if name.startswith("shared."):
+        return "shared"
+    return "seg_head" if ".seg." in name else "pose_head" if ".pose." in name else "branch_body"
 
 
 def _parser_groups(model, plan):
-    p = model.params
-    shared = [(n, p[n]) for n in model.params if n.startswith("shared.")]
-    body = [
-        (n, p[n])
-        for n in model.params
-        if n.startswith("branch") and ".seg." not in n and ".pose." not in n
-    ]
-    seg = [(n, p[n]) for n in model.params if ".seg." in n]
-    pose = [(n, p[n]) for n in model.params if ".pose." in n]
+    """PARSER_GROUPS in order, each with its base rate."""
+    rates = (plan.lr_body, plan.lr_body, plan.lr_seg_head, plan.lr_pose_head)
     return [
-        ParamGroup("shared", shared, plan.lr_body),
-        ParamGroup("branch_body", body, plan.lr_body),
-        ParamGroup("seg_head", seg, plan.lr_seg_head),
-        ParamGroup("pose_head", pose, plan.lr_pose_head),
+        ParamGroup(g, [(n, t) for n, t in model.params.items() if _parser_group(n) == g], lr)
+        for g, lr in zip(PARSER_GROUPS, rates)
     ]
 
 
@@ -219,49 +232,29 @@ def train_parser(model, samples, plan):
     else:
         balances = {b: ClassBalance.uniform(tax.n_parts(b) + 1) for b in set(branches)}
 
-    opt = SgdMomentum(
-        _parser_groups(model, plan),
-        momentum=plan.momentum,
-        max_iterations=plan.iterations,
-        power=plan.poly_power,
-    )
     rng = make_rng((plan.seed, 0xC0FFEE))
-    params = [t for _, t in model.parameters()]
-    log = []
     order = []
-    for it in range(plan.iterations):
+
+    def forward_step():
         if not order:
-            order = list(rng.permutation(len(samples)))
+            order.extend(rng.permutation(len(samples)))
         idx = int(order.pop())
         sample, branch = samples[idx], branches[idx]
         if plan.augment:
             sample = seg_variant(sample, int(rng.integers(0, len(SEG_COMBOS))))
         padded = pad_to_stride(sample.sketch, model.config.stride)
-        with Tape() as tape:
-            feats = forward_shared(model, sketch_input(padded))
-            scores, pose_logits = forward_branch(model, branch, feats)
-            if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
-                scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
-            loss, seg_v, pose_v = total_loss(
-                scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
-            )
-        if not np.isfinite(loss.data.item()):
-            raise RuntimeError(f"loss became non-finite at iteration {it}")
-        backward(tape, loss)
-        clip_gradients(params, plan.clip_norm)
-        lr = opt.lr_factor() * plan.lr_body
-        opt.step(frozen=plan.freeze)
-        zero_grads(params)
-        log.append(
-            {
-                "iter": it,
-                "seg_loss": seg_v,
-                "pose_loss": pose_v,
-                "total": loss.data.item(),
-                "lr": lr,
-            }
+        feats = forward_shared(model, sketch_input(padded))
+        scores, pose_logits = forward_branch(model, branch, feats)
+        if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
+            scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
+        loss, seg_v, pose_v = total_loss(
+            scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
         )
-    return log
+        return loss, {"seg_loss": seg_v, "pose_loss": pose_v, "total": loss.data.item()}
+
+    opt = SgdMomentum(_parser_groups(model, plan), plan.iterations)
+    params = [t for _, t in model.parameters()]
+    return _sgd(opt, params, forward_step, plan.clip_norm, plan.freeze)
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,6 @@ class RouterPlan:
     iterations: int = 400
     lr: float = 7e-4
     batch_size: int = 32
-    momentum: float = 0.9
-    poly_power: float = 0.9
     seed: int = 0
     augment: bool = True
 
@@ -278,7 +269,7 @@ class RouterPlan:
         _require_types(
             self,
             ints=("iterations", "batch_size", "seed"),
-            reals=("lr", "momentum", "poly_power"),
+            reals=("lr",),
             bools=("augment",),
         )
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
@@ -298,44 +289,23 @@ def train_router(net, labelled, plan):
     for _, label in labelled:
         if not 0 <= label < net.num_classes:
             raise ContractViolation(f"class label {label} out of range [0, {net.num_classes})")
-    groups = [ParamGroup("router", net.parameters(), plan.lr)]
-    opt = SgdMomentum(
-        groups, momentum=plan.momentum, max_iterations=plan.iterations, power=plan.poly_power
-    )
     rng = make_rng((plan.seed, 0xB0A7))
-    params = [t for _, t in net.parameters()]
-    log = []
-    for it in range(plan.iterations):
+
+    def forward_step():
         picks = rng.integers(0, len(labelled), size=plan.batch_size)
-        variants = (
-            rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
-            if plan.augment
-            else np.zeros(plan.batch_size, dtype=int)
-        )
-        with Tape() as tape:
-            batch_loss = None
-            for pick, var in zip(picks, variants):
-                sketch, label = labelled[int(pick)]
-                if plan.augment:
-                    sketch = cls_variant(sketch, int(var))
-                logits = router_forward(net, router_input(sketch), rng=rng, training=True)
-                term = softmax_ce(logits, label)
-                batch_loss = term if batch_loss is None else add(batch_loss, term)
-            loss = scale(batch_loss, 1.0 / plan.batch_size)
-        if not np.isfinite(loss.data.item()):
-            raise RuntimeError(f"loss became non-finite at iteration {it}")
-        backward(tape, loss)
-        lr = opt.lr_factor() * plan.lr
-        opt.step()
-        zero_grads(params)
-        log.append({"iter": it, "loss": loss.data.item(), "lr": lr})
-    return log
+        if plan.augment:
+            variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
+        batch_loss = None
+        for i, pick in enumerate(picks):
+            sketch, label = labelled[int(pick)]
+            if plan.augment:
+                sketch = cls_variant(sketch, int(variants[i]))
+            logits = router_forward(net, router_input(sketch), rng=rng, training=True)
+            term = softmax_ce(logits, label)
+            batch_loss = term if batch_loss is None else add(batch_loss, term)
+        loss = scale(batch_loss, 1.0 / plan.batch_size)
+        return loss, {"loss": loss.data.item()}
 
-
-def router_accuracy(net, labelled, pooled=True):
-    """Fraction of (sketch, class) pairs the router classifies correctly."""
-    hits = 0
-    for sketch, label in labelled:
-        pred, _ = classify_pooled(net, sketch, single_view=not pooled)
-        hits += int(pred == label)
-    return hits / len(labelled)
+    opt = SgdMomentum([ParamGroup("router", net.parameters(), plan.lr)], plan.iterations)
+    params = [t for _, t in net.parameters()]
+    return _sgd(opt, params, forward_step, None, ())

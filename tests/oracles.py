@@ -2,8 +2,9 @@
 
 Each function redoes one vectorized library path (convolution, max pooling,
 the resampling matrix, component labelling, graph, affinity, the RRWM walk)
-as plain loops, or one windowed path (the corpus mask primitives) over the
-whole canvas, and the tests compare the library against it. No package
+as plain loops, or one windowed or broadcast path (the corpus mask
+primitives, rotation and rescaling) over the whole canvas grid, and the
+tests compare the library against it. No package
 code calls them, so they stay out of the package; the oracles `selfcheck`
 also runs live in `sketchparts.checks`.
 """
@@ -11,6 +12,8 @@ also runs live in `sketchparts.checks`.
 import math
 
 import numpy as np
+
+from sketchparts.imaging import LabelMap, Raster, _bilinear_sample, _inside
 
 
 def conv2d_bruteforce(x, w, b, stride, dilation, pad):
@@ -102,6 +105,43 @@ def capsule_full_grid(size, p0, p1, half_width):
         t = np.clip(((jj - x0) * vx + (ii - y0) * vy) / norm2, 0.0, 1.0)
     dist = np.hypot(jj - (x0 + t * vx), ii - (y0 + t * vy))
     return dist <= half_width
+
+
+def _resample_full_grid(x, rows, cols):
+    """imaging._transform on full h x w coordinate grids, nearest labels
+    looked up through a boolean mask."""
+    if isinstance(x, Raster):
+        vals = _bilinear_sample(x.pixels.astype(np.float64), rows, cols)
+        vals[~_inside(rows, cols, x.pixels.shape)] = 0.0
+        return Raster(np.where(vals >= 128.0, 255, 0).astype(np.uint8))
+    h, w = x.labels.shape
+    rn = np.rint(rows).astype(int)
+    cn = np.rint(cols).astype(int)
+    ok = (rn >= 0) & (rn < h) & (cn >= 0) & (cn < w)
+    out = np.zeros_like(x.labels)
+    out[ok] = x.labels[rn[ok], cn[ok]]
+    return LabelMap(out)
+
+
+def _centred_grid(x):
+    h, w = (x.pixels if isinstance(x, Raster) else x.labels).shape
+    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    return ii - cy, jj - cx, cy, cx
+
+
+def rotate_full_grid(x, degrees):
+    """imaging.rotate with every source coordinate held in a full grid."""
+    dy, dx, cy, cx = _centred_grid(x)
+    theta = math.radians(degrees)
+    cos, sin = math.cos(theta), math.sin(theta)
+    return _resample_full_grid(x, cos * dy + sin * dx + cy, -sin * dy + cos * dx + cx)
+
+
+def rescale_full_grid(x, factor):
+    """imaging.rescale with every source coordinate held in a full grid."""
+    dy, dx, cy, cx = _centred_grid(x)
+    return _resample_full_grid(x, dy / factor + cy, dx / factor + cx)
 
 
 def interp_matrix_loop(n_out, n_in):

@@ -351,7 +351,7 @@ def test_config_bad_format_version_exits_1(tmp_path, capsys, version):
     [
         ("train-parser", {"parser": {"lr_body": "fast"}}, "lr_body must be a finite number"),
         ("train-parser", {"parser": {"freeze": 5}}, "freeze must be a list"),
-        ("train-router", {"router": {"momentum": "x"}}, "momentum must be a finite number"),
+        ("train-router", {"router": {"lr": "x"}}, "lr must be a finite number"),
     ],
 )
 def test_config_bad_plan_value_exits_1(small_corpus, tmp_path, capsys, command, raw, message):
@@ -425,6 +425,51 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                "--categories", "cat", "--per-category", "1"])
     assert rc == 1
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["parser", "router"])
+@pytest.mark.parametrize("key", ["momentum", "poly_power"])
+def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path, capsys,
+                                                          section, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({section: {key: 0.9}}))
+    command = "train-parser" if section == "parser" else "train-router"
+    rc = main([command, "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+               "--config", str(cfg), "--iterations", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"unknown {section} key(s): ['{key}']" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "selfcheck"])
+def test_negative_seed_exits_1_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "c"
+    argv = [command, "--seed", "-1"]
+    if command == "gen-corpus":
+        argv += ["--out", str(out), "--per-category", "1", "--categories", "cat"]
+    rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing", "empty"])
+def test_infer_without_sketches_exits_1(small_corpus, tmp_path, capsys, where):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    sketches = tmp_path / "sketches"
+    if where == "empty":
+        sketches.mkdir()
+    out = tmp_path / "o"
+    rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
+               "--out", str(out), "--force-branch", "Small Animals"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: no sketches under {sketches}\n"
+    assert not out.exists()
 
 
 def test_train_parser_cli_smoke(small_corpus, tmp_path):

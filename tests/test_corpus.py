@@ -45,11 +45,11 @@ def test_counts_on_disk(tmp_path):
 def test_labels_valid_under_branch(tmp_path):
     spec = CorpusSpec(TAX, per_category=4, seed=7)
     gen_corpus(spec, tmp_path / "c")
-    samples, tax = load_corpus(tmp_path / "c")
+    samples = load_corpus(tmp_path / "c")
     assert len(samples) == 4 * len(TAX.categories)
     for s in samples:
-        branch = tax.branch_of(s.category)
-        valid = set(tax.part_ids[branch].values())
+        branch = TAX.branch_of(s.category)
+        valid = set(TAX.part_ids[branch].values())
         assert set(s.labels.ids()) <= valid
         assert s.pose in POSES
 
@@ -85,6 +85,8 @@ def test_unknown_category_rejected():
         ({"categories": ["cat", 2]}, "categories must be a list"),
         ({"image_size": 31}, "too small"),
         ({"image_size": MAX_IMAGE_SIZE + 1}, f"above the maximum of {MAX_IMAGE_SIZE}"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
     ],
 )
 def test_spec_value_types_rejected(kwargs, message):

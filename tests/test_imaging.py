@@ -18,6 +18,7 @@ from sketchparts.imaging import (
     view_shape,
 )
 from sketchparts.pgm import read_pgm, write_pgm
+from oracles import rescale_full_grid, rotate_full_grid
 
 
 def random_ink(rng, h=24, w=24, density=0.2):
@@ -156,6 +157,24 @@ class TestGeometry:
     def test_rescale_one_identity(self):
         r = random_ink(make_rng(23))
         assert rescale(r, 1.0) == r
+
+    @pytest.mark.parametrize("shape", [(24, 24), (17, 30), (31, 9)])
+    @pytest.mark.parametrize(
+        "op,oracle,amount",
+        [
+            (rotate, rotate_full_grid, 13.0),
+            (rotate, rotate_full_grid, -30.0),
+            (rescale, rescale_full_grid, 0.93),
+            (rescale, rescale_full_grid, 1.5),
+        ],
+        ids=["rotate13", "rotate-30", "rescale0.93", "rescale1.5"],
+    )
+    def test_broadcast_coordinates_match_the_full_grid(self, shape, op, oracle, amount):
+        rng = make_rng(shape)
+        r = random_ink(rng, *shape, density=0.4)
+        lm = LabelMap((rng.random(shape) * 6).astype(np.uint8))
+        assert np.array_equal(op(r, amount).pixels, oracle(r, amount).pixels)
+        assert np.array_equal(op(lm, amount).labels, oracle(lm, amount).labels)
 
     def test_rotate_moves_content(self):
         img = np.zeros((32, 32), dtype=np.uint8)

@@ -3,7 +3,7 @@ import pytest
 
 from sketchparts.autograd import Tensor
 from sketchparts.errors import ContractViolation
-from sketchparts.optim import ParamGroup, SgdMomentum
+from sketchparts.optim import MOMENTUM, POLY_POWER, ParamGroup, SgdMomentum
 
 
 def make_param(values):
@@ -24,23 +24,18 @@ def test_poly_lr_decays():
     p = make_param([1.0])
     opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=1.0)], max_iterations=1000)
     opt.iteration = 500
-    assert opt.lr_factor() == pytest.approx(0.5**0.9)
-
-
-def test_zero_momentum_is_plain_sgd():
-    p = make_param([1.0, 2.0])
-    opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=0.1)], momentum=0.0, max_iterations=100)
-    opt.step()
-    assert np.allclose(p.data, [0.9, 1.9])
+    assert opt.lr_factor() == pytest.approx(0.5**POLY_POWER)
+    assert POLY_POWER == 0.9
 
 
 def test_momentum_accumulates_velocity():
     p = make_param([0.0])
-    opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=1.0)], momentum=0.5, max_iterations=10**6)
+    opt = SgdMomentum([ParamGroup("all", [("p", p)], lr=1.0)], max_iterations=10**6)
     opt.step()  # v = -1, p = -1
     p.grad = np.ones_like(p.data)
-    opt.step()  # v = -0.5 - lr*1 ~ -1.5 (tiny poly decay), p ~ -2.5
-    assert p.data[0] == pytest.approx(-2.5, abs=1e-3)
+    opt.step()  # v = -0.9 - lr*1 ~ -1.9 (tiny poly decay), p ~ -2.9
+    assert MOMENTUM == 0.9
+    assert p.data[0] == pytest.approx(-2.9, abs=1e-3)
 
 
 def test_frozen_group_bit_identical():

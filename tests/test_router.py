@@ -72,10 +72,9 @@ def test_pooled_exactly_mirror_invariant():
 def test_single_view_reduces_to_plain_forward():
     net = build_router(3, seed=15)
     s = random_sketch(make_rng(17), ROUTER_SIDE)
-    branch, scores = classify_pooled(net, s, single_view=True)
+    scores = softmax(forward(net, router_input(s))).data
     plain = softmax(forward(net, s.pixels.astype(np.float32) / 255)).data
-    assert np.allclose(scores, plain)
-    assert branch == int(plain.argmax())
+    assert np.array_equal(scores, plain)
 
 
 def test_forward_is_convs_then_dropout_then_pool_then_linear():
@@ -167,8 +166,8 @@ def test_non_square_sketch_keeps_its_aspect_ratio(seen_views):
     net = build_router(3, seed=27)
     sketch = Raster(np.where(make_rng(29).random((112, 144)) < 0.12, 255, 0).astype(np.uint8))
     classify_pooled(net, sketch)
-    classify_pooled(net, sketch, single_view=True)
-    assert [v.shape for v in seen_views] == [(50, 64)] * 13
+    assert [v.shape for v in seen_views] == [(50, 64)] * 12
+    assert router_input(sketch).shape == (50, 64)
 
 
 def test_training_and_single_view_feed_the_same_input(seen_views):
@@ -176,9 +175,7 @@ def test_training_and_single_view_feed_the_same_input(seen_views):
     sketch = Raster(np.where(make_rng(33).random((90, 120)) < 0.12, 255, 0).astype(np.uint8))
     train_router(net, [(sketch, 1)], RouterPlan(iterations=1, batch_size=1, augment=False))
     (trained_on,) = seen_views
-    seen_views.clear()
-    classify_pooled(net, sketch, single_view=True)
-    (routed_on,) = seen_views
+    routed_on = router_input(sketch)
     assert trained_on.dtype == np.float32
     assert np.array_equal(trained_on, routed_on)
 
@@ -187,9 +184,10 @@ def test_training_and_single_view_feed_the_same_input(seen_views):
 def test_extreme_shapes_still_route(shape):
     net = build_router(3, seed=35)
     sketch = Raster(np.where(make_rng(37).random(shape) < 0.5, 255, 0).astype(np.uint8))
-    for single_view in (False, True):
-        branch, scores = classify_pooled(net, sketch, single_view=single_view)
-        assert 0 <= branch < 3
+    branch, pooled = classify_pooled(net, sketch)
+    single = softmax(forward(net, router_input(sketch))).data.astype(np.float64)
+    assert 0 <= branch < 3
+    for scores in (pooled, single):
         assert np.isfinite(scores).all()
         assert scores.sum() == pytest.approx(1.0, abs=1e-6)
 

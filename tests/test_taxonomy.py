@@ -128,11 +128,6 @@ class TestClustering:
         b = cluster_supercategories(dict(reversed(self.PART_SETS.items())), 2)
         assert a == b
 
-    def test_count_mode(self):
-        clusters = cluster_supercategories(self.PART_SETS, 4, mode="count")
-        # cow/horse share 4 parts, the most of any pair by raw count
-        assert ("cow", "horse") in clusters
-
 
 class TestAssignNewCategory:
     def test_exact_copy_maps_home(self):

@@ -6,8 +6,10 @@ from sketchparts.autograd import Tensor, make_rng
 from sketchparts.checks import balance_bruteforce, gradcheck
 from sketchparts.corpus import make_sample
 from sketchparts.errors import ConfigError, ContractViolation
+from sketchparts import training as training_module
 from sketchparts.imaging import LabelMap, Raster
 from sketchparts.model import ModelConfig, build_model, infer
+from sketchparts.optim import POLY_POWER
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import (
@@ -217,6 +219,28 @@ class TestTrainParser:
             lm, _ = infer(m, 0, s.sketch)
             assert (lm.height, lm.width) == (s.sketch.height, s.sketch.width)
 
+    @pytest.mark.parametrize("clip_norm,calls", [(10.0, 3), (None, 0)])
+    def test_clips_once_per_step_unless_clip_norm_is_none(self, monkeypatch, clip_norm, calls):
+        seen = []
+        real = training_module.clip_gradients
+
+        def counting(params, max_norm):
+            seen.append(max_norm)
+            return real(params, max_norm)
+
+        monkeypatch.setattr(training_module, "clip_gradients", counting)
+        m = build_model(ModelConfig(), TWO_CATS, seed=2)
+        train_parser(m, tiny_corpus(2), TrainPlan(iterations=3, seed=1, clip_norm=clip_norm))
+        assert seen == [clip_norm] * calls
+
+    def test_log_rows_and_decayed_rate(self):
+        plan = TrainPlan(iterations=4, seed=3, lr_body=0.01)
+        log = train_parser(build_model(ModelConfig(), TWO_CATS, seed=1), tiny_corpus(), plan)
+        assert [list(row) for row in log] == [["iter", "seg_loss", "pose_loss", "total", "lr"]] * 4
+        assert [row["iter"] for row in log] == [0, 1, 2, 3]
+        for it, row in enumerate(log):
+            assert row["lr"] == (1.0 - it / 4) ** POLY_POWER * 0.01
+
     def test_empty_dataset_rejected(self):
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
         with pytest.raises(ContractViolation):
@@ -251,15 +275,13 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             RouterPlan(**{field: value})
 
-    @pytest.mark.parametrize(
-        "field", ["lr_body", "lr_seg_head", "lr_pose_head", "momentum", "poly_power", "lam"]
-    )
+    @pytest.mark.parametrize("field", ["lr_body", "lr_seg_head", "lr_pose_head", "lam"])
     @pytest.mark.parametrize("value", ["fast", None, True, float("nan"), [1.0]])
     def test_train_reals_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             TrainPlan(**{field: value})
 
-    @pytest.mark.parametrize("field", ["lr", "momentum", "poly_power"])
+    @pytest.mark.parametrize("field", ["lr"])
     @pytest.mark.parametrize("value", ["x", None, False, float("inf")])
     def test_router_reals_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
@@ -310,6 +332,19 @@ class TestTrainRouter:
         log2 = train_router(n2, data, plan)
         assert len(log1) == 3
         assert log1 == log2
+
+    def test_never_clips_and_logs_decayed_rate(self, monkeypatch):
+        def refuse(params, max_norm):
+            raise AssertionError("the router step clipped its gradients")
+
+        monkeypatch.setattr(training_module, "clip_gradients", refuse)
+        data = [(Raster(np.zeros((32, 32), dtype=np.uint8)), i % 2) for i in range(2)]
+        plan = RouterPlan(iterations=3, batch_size=2, seed=1, lr=0.002)
+        log = train_router(build_router(2, seed=5), data, plan)
+        assert [list(row) for row in log] == [["iter", "loss", "lr"]] * 3
+        for it, row in enumerate(log):
+            assert row["iter"] == it
+            assert row["lr"] == (1.0 - it / 3) ** POLY_POWER * 0.002
 
     def test_bad_label_rejected(self):
         net = build_router(2, seed=5)
