@@ -12,19 +12,31 @@ finite-difference checks stay tight.
 Every tensor receives a gradient unless it was built with
 requires_grad=False, as the raw sketch input of model.sketch_input is:
 conv2d skips the input gradient of such a tensor, and backward() never
-fills its .grad. Conv backward is one GEMM for dw (the output gradient
-against the im2col patches, rebuilt from the padded input rather than kept
-on the tape) and one for dx (the transposed weights against the output
-gradient, scattered back by a col2im slice-add per kernel tap; a tap that
-reads only zero padding along a side is skipped, since the crop to the
-input drops everything it would write).
+fills its .grad. backward() sums the gradients one tensor receives in tape
+order. From the third on it adds them in place into the sum it allocated
+at the second, unless the add would promote that sum's dtype; it never
+writes into an array a grad_fn returned or received, which may be a view
+or passed to two inputs.
 
-Max pooling is a running np.maximum over the window x window strided tap
-slices of the zero-padded input, so no window is ever copied out. Only
-while a tape records does the same loop keep the winning tap's offset,
-replaced where a later tap is strictly greater (the first maximum in scan
-order wins); backward scatters the output gradient with one float64
-np.bincount over those flat indices.
+Conv forward builds its im2col patch matrix in two copies: the k column
+shifts of every zero-padded row, then each tap's rows of that buffer, which
+for stride 1 are whole contiguous Ho*Wo runs. One GEMM multiplies it by
+the (F, C*k*k) weights. Conv backward is one GEMM for dw (the output
+gradient against the same patch matrix, rebuilt from the padded input
+rather than kept on the tape) and one for dx (the transposed weights
+against the output gradient). The dx columns are laid out channel-last and
+scattered into an (Hp, Wp, C) buffer by one slice-add per kernel tap, in
+tap order, so each add runs over rows of Wo*C values; a tap that reads
+only zero padding along a side is skipped, since the crop to the input
+drops everything it would write.
+
+Max pooling is separable: a running np.maximum over the window's column
+taps of each zero-padded row, then over the window's row taps of those row
+maxima, so no window is ever copied out. Only while a tape records does the
+same loop keep the winning column per row, then the winning row, each
+replaced only where a later tap is strictly greater: the first maximum in
+the window's row-major scan order wins. Backward scatters the output
+gradient with one float64 np.bincount over those flat indices.
 """
 
 from __future__ import annotations
@@ -34,7 +46,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolation
 
@@ -126,22 +137,32 @@ def backward(tape, loss):
 
     pending = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
+    # ids whose pending sum is an array this loop allocated: the only sums
+    # it adds into in place, and only while the add keeps their dtype. A
+    # grad_fn may return a view of its input gradient, or one array for two
+    # inputs, so those are never written.
+    owned = set()
     produced = {id(out) for out, _, _ in tape.entries}
 
     for out, inputs, grad_fn in reversed(tape.entries):
         g = pending.pop(id(out), None)
         holders.pop(id(out), None)
+        owned.discard(id(out))
         if g is None:
             continue  # not on the path from loss
         for tensor, grad in zip(inputs, grad_fn(g)):
             if grad is None:
                 continue
             tid = id(tensor)
-            if tid in pending:
-                pending[tid] = pending[tid] + grad
-            else:
+            acc = pending.get(tid)
+            if acc is None:
                 pending[tid] = grad
                 holders[tid] = tensor
+            elif tid in owned and np.result_type(acc, grad) == acc.dtype:
+                np.add(acc, grad, out=acc)
+            else:
+                pending[tid] = acc + grad
+                owned.add(tid)
 
     for tid, tensor in holders.items():
         if tid not in produced and tensor.requires_grad:
@@ -194,6 +215,20 @@ class ConvSpec:
         return (size + 2 * self.padding - eff) // self.stride + 1
 
 
+def _im2col(xp, k, s, r, Ho, Wo):
+    """Patch matrix (C*k*k, Ho*Wo) of the padded input xp[C,Hp,Wp], rows in
+    (channel, tap row, tap column) order. Two copies: the k column shifts
+    of every padded row, then each tap's rows of those shifts."""
+    C, Hp, _ = xp.shape
+    sc, sh, sw = xp.strides
+    # shifts[c, v, h, j] = xp[c, h, v*r + j*s]; the ndarray constructor
+    # makes these strided views at a fraction of as_strided's cost
+    shifts = np.ndarray((C, k, Hp, Wo), xp.dtype, xp, 0, (sc, sw * r, sh, sw * s)).copy()
+    tc, tv, th, tw = shifts.strides
+    taps = np.ndarray((C, k, k, Ho, Wo), xp.dtype, shifts, 0, (tc, th * r, tv, th * s, tw))
+    return taps.reshape(C * k * k, Ho * Wo)
+
+
 def conv2d(x, w, b, spec):
     """Strided, dilated cross-correlation of x[C,H,W] with w[F,C,k,k] + b[F].
 
@@ -217,17 +252,10 @@ def conv2d(x, w, b, spec):
         )
 
     dt = np.result_type(x.data, w.data)
-    wd = _cast(w.data, dt)
+    wd = _cast(w.data, dt).reshape(F, C * k * k)
     xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=dt)
     xp[:, p : p + H, p : p + W] = x.data
-    sc, sh, sw = xp.strides
-    patches = as_strided(
-        xp,
-        shape=(C, k, k, Ho, Wo),
-        strides=(sc, sh * r, sw * r, sh * s, sw * s),
-        writeable=False,
-    )
-    out_data = np.tensordot(wd, patches, axes=([1, 2, 3], [0, 1, 2]))
+    out_data = (wd @ _im2col(xp, k, s, r, Ho, Wo)).reshape(F, Ho, Wo)
     out_data += b.data[:, None, None]
     out = Tensor(_cast(out_data, x.dtype))
 
@@ -236,11 +264,14 @@ def conv2d(x, w, b, spec):
         def grad_fn(g):
             gd = _cast(g, dt).reshape(F, Ho * Wo)
             db = _f64(g).sum(axis=(1, 2))
-            dw = (gd @ patches.reshape(C * k * k, Ho * Wo).T).reshape(F, C, k, k)
+            dw = (gd @ _im2col(xp, k, s, r, Ho, Wo).T).reshape(F, C, k, k)
             if not x.requires_grad:
                 return None, dw, db
-            cols = (wd.reshape(F, C * k * k).T @ gd).reshape(C, k, k, Ho, Wo)
-            dxp = np.zeros_like(xp)
+            # channel-last columns and input gradient, so each tap's add
+            # runs over whole rows of Wo*C values
+            cols = (wd.T @ gd).reshape(C, k, k, Ho, Wo)
+            cols = np.ascontiguousarray(cols.transpose(1, 2, 3, 4, 0))
+            dxp = np.zeros((H + 2 * p, W + 2 * p, C), dtype=dt)
             # a tap whose rows or columns all fall in the zero padding only
             # writes cells that the crop below drops
             live_u = [u for u in range(k) if u * r + s * (Ho - 1) >= p and u * r < p + H]
@@ -250,11 +281,10 @@ def conv2d(x, w, b, spec):
                     # strides never collide within a fixed (u,v) tap, so
                     # plain slice-add is exact.
                     dxp[
-                        :,
                         u * r : u * r + s * Ho : s,
                         v * r : v * r + s * Wo : s,
-                    ] += cols[:, u, v]
-            dx = dxp[:, p : p + H, p : p + W]
+                    ] += cols[u, v]
+            dx = dxp[p : p + H, p : p + W].transpose(2, 0, 1)
             return dx, dw, db
 
         _record(out, (x, w, b), grad_fn)
@@ -275,41 +305,51 @@ def maxpool2d(x, window, stride):
 
     xp = np.zeros((C, Hp, Wp), dtype=x.dtype)
     xp[:, :H, :W] = x.data
-    taps = [
-        (u * Wp + v, xp[:, u : u + stride * Ho : stride, v : v + stride * Wo : stride])
-        for u in range(window)
-        for v in range(window)
-    ]
-    best = taps[0][1].copy()
     recording = _recording()
-    if recording:
-        # offset of the winning tap from its window's top-left corner in
-        # the flattened padded input; strict > keeps the first maximum.
-        arg = np.zeros(best.shape, dtype=np.intp)
-        better = np.empty(best.shape, dtype=bool)
-    for offset, tap in taps[1:]:
-        if recording:
-            np.greater(tap, best, out=better)
-            # an arithmetic select: a masked store is several times slower
-            arg += better * (offset - arg)
-        np.maximum(best, tap, out=best)
+    # separable: the max over each row's column taps, then over the row taps
+    rows, col_arg = _running_max(
+        [xp[:, :, v : v + stride * Wo : stride] for v in range(window)], recording
+    )
+    best, row_arg = _running_max(
+        [rows[:, u : u + stride * Ho : stride] for u in range(window)], recording
+    )
     out = Tensor(best)
 
     if recording:
 
         def grad_fn(g):
-            corner = (
-                np.arange(C)[:, None, None] * (Hp * Wp)
-                + np.arange(0, Hp - window + 1, stride)[:, None] * Wp
-                + np.arange(0, Wp - window + 1, stride)
+            # each output's winning row of the padded input, counted over
+            # all channels, then that row's winning column
+            flat = row_arg + (
+                np.arange(C)[:, None, None] * Hp + np.arange(0, Hp - window + 1, stride)[:, None]
             )
-            dxp = np.bincount(
-                (corner + arg).ravel(), weights=_f64(g).ravel(), minlength=C * Hp * Wp
-            )
+            j = np.arange(Wo)
+            col = col_arg.ravel().take(flat * Wo + j)
+            flat *= Wp
+            flat += col
+            flat += j * stride
+            dxp = np.bincount(flat.ravel(), weights=_f64(g).ravel(), minlength=C * Hp * Wp)
             return (dxp.reshape(C, Hp, Wp)[:, :H, :W],)
 
         _record(out, (x,), grad_fn)
     return out
+
+
+def _running_max(taps, recording):
+    """Elementwise max over equal-shape taps, and, while a tape records, the
+    index of the winning tap: strict > keeps the first maximum."""
+    best = taps[0].copy()
+    arg = None
+    if recording:
+        arg = np.zeros(best.shape, dtype=np.min_scalar_type(len(taps) - 1))
+        better = np.empty(best.shape, dtype=bool)
+    for i, tap in enumerate(taps[1:], start=1):
+        if recording:
+            np.greater(tap, best, out=better)
+            # an arithmetic select: a masked store is several times slower
+            arg += better * (i - arg)
+        np.maximum(best, tap, out=best)
+    return best, arg
 
 
 # ---------------------------------------------------------------------------

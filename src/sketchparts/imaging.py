@@ -117,29 +117,31 @@ def canny(photo, low=0.2, high=0.4):
     if peak == 0.0:
         return Raster(np.zeros_like(photo.pixels))
 
+    # only pixels at or above the low threshold can become edges, so the
+    # direction and the neighbour test are computed at those alone
+    rows, cols = np.nonzero((mag >= low * peak) & (mag > 0))
+    m = mag[rows, cols]
     # quantize direction to 4 bins and compare against both neighbours;
     # strict on the first neighbour so 2-wide plateaus keep one pixel
     # rows grow downward, so theta = pi/4 steps down-right across the image
-    angle = np.mod(np.arctan2(gy, gx), np.pi)
+    angle = np.mod(np.arctan2(gy[rows, cols], gx[rows, cols]), np.pi)
     bins = ((angle + np.pi / 8) // (np.pi / 4)).astype(int) % 4
-    offsets = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
+    dr, dc = np.array([(0, 1), (1, 1), (1, 0), (1, -1)])[bins].T
     padded = np.pad(mag, 1, mode="constant")
-    keep = np.zeros_like(mag, dtype=bool)
-    h, w = mag.shape
-    for b, (dr, dc) in offsets.items():
-        n1 = padded[1 - dr : 1 - dr + h, 1 - dc : 1 - dc + w]
-        n2 = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-        keep |= (bins == b) & (mag > n1) & (mag >= n2)
-    ridge = keep & (mag > 0)
+    n1 = padded[rows + 1 - dr, cols + 1 - dc]
+    n2 = padded[rows + 1 + dr, cols + 1 + dc]
+    ridge = (m > n1) & (m >= n2)
 
-    weak = ridge & (mag >= low * peak)
-    strong = ridge & (mag >= high * peak)
+    weak = np.zeros(mag.shape, dtype=bool)
+    weak[rows[ridge], cols[ridge]] = True
+    strong = weak & (mag >= high * peak)
     if not strong.any():
         return Raster(np.zeros_like(photo.pixels))
     comp, n = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
-    keep_ids = np.unique(comp[strong])
-    edges = np.isin(comp, keep_ids[keep_ids > 0])
-    return Raster(np.where(edges, INK, 0).astype(np.uint8))
+    # a weak component is kept when it holds a strong pixel
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[comp[strong]] = True
+    return Raster(np.where(keep[comp], INK, 0).astype(np.uint8))
 
 
 def dilate_square(r, side):
@@ -292,6 +294,16 @@ class Component:
     centroid: tuple  # (row, col) floats
 
 
+def _label_parts(labels):
+    """(part id, bounding box, 4-connected labels inside the box, count) of
+    each nonzero id in a label array, in id order; each id is labelled only
+    inside its bounding box."""
+    for pid, box in enumerate(ndimage.find_objects(labels), start=1):
+        if box is not None:
+            comp, n = ndimage.label(labels[box] == pid, structure=FOUR_CONN)
+            yield pid, box, comp, n
+
+
 def label_components(lm):
     """4-connected components of every nonzero part id.
 
@@ -301,13 +313,9 @@ def label_components(lm):
     """
     labels = lm.labels
     found = []
-    # each id is labelled only inside its bounding box; value_indices lists
-    # a component's pixels in the box's scan order, which the box corner's
-    # offset turns into the whole map's scan order
-    for pid, box in enumerate(ndimage.find_objects(labels), start=1):
-        if box is None:
-            continue
-        comp, n = ndimage.label(labels[box] == pid, structure=FOUR_CONN)
+    # value_indices lists a component's pixels in its box's scan order,
+    # which the box corner's offset turns into the whole map's scan order
+    for pid, box, comp, n in _label_parts(labels):
         where = ndimage.value_indices(comp, ignore_value=0)
         for k in range(1, n + 1):
             rows, cols = where[k]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .describe import SketchSummary, describe
 from .errors import CheckpointError, ContractViolation
-from .imaging import label_components
+from .imaging import _label_parts
 from .model import infer
 from .router import classify_pooled
 
@@ -13,15 +13,10 @@ RECORD_VERSION = 1
 
 def part_counts(labelmap, taxonomy, branch):
     """Connected-instance counts keyed by part name, in branch id order."""
-    by_id = {}
-    for comp in label_components(labelmap)[0]:
-        by_id[comp.part_id] = by_id.get(comp.part_id, 0) + 1
     names = taxonomy.part_names(branch)
-    counts = {}
-    for pid in sorted(by_id):
-        if 1 <= pid <= len(names):
-            counts[names[pid - 1]] = by_id[pid]
-    return counts
+    return {
+        names[pid - 1]: n for pid, _, _, n in _label_parts(labelmap.labels) if pid <= len(names)
+    }
 
 
 def summarize(labelmap, taxonomy, branch, pose, category=None):

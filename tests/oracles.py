@@ -1,19 +1,20 @@
 """Loop replicas of production code, used only by the tests.
 
-Each function redoes one vectorized library path (convolution, max pooling,
-the resampling matrix, component labelling, graph, affinity, the RRWM walk)
-as plain loops, or one windowed or broadcast path (the corpus mask
-primitives, rotation and rescaling) over the whole canvas grid, and the
-tests compare the library against it. No package
-code calls them, so they stay out of the package; the oracles `selfcheck`
-also runs live in `sketchparts.checks`.
+Each function redoes one vectorized library path (convolution, its col2im
+scatter, max pooling, the resampling matrix, component labelling, graph,
+affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
+(the corpus mask primitives, rotation and rescaling, Canny's direction
+and ridge test) over the whole canvas grid, and the tests compare the
+library against it. No package code calls them, so they stay out of the
+package; the oracles `selfcheck` also runs live in `sketchparts.checks`.
 """
 
 import math
 
 import numpy as np
+from scipy import ndimage
 
-from sketchparts.imaging import LabelMap, Raster, _bilinear_sample, _inside
+from sketchparts.imaging import CANNY_SIGMA, INK, LabelMap, Raster, _bilinear_sample, _inside
 
 
 def conv2d_bruteforce(x, w, b, stride, dilation, pad):
@@ -39,6 +40,23 @@ def conv2d_bruteforce(x, w, b, stride, dilation, pad):
                             )
                 out[f, i, j] = acc + b[f]
     return out
+
+
+def col2im_loop(cols, height, width, stride, dilation, pad):
+    """Input gradient of a conv from its float32 tap columns cols[C,k,k,Ho,Wo]:
+    every column value is added, one float32 add at a time and taps in (row,
+    column) order, into the zero-padded input, which is then cropped."""
+    C, k, _, Ho, Wo = cols.shape
+    dxp = np.zeros((C, height + 2 * pad, width + 2 * pad), dtype=np.float32)
+    for u in range(k):
+        for v in range(k):
+            for c in range(C):
+                for i in range(Ho):
+                    for j in range(Wo):
+                        dxp[c, u * dilation + i * stride, v * dilation + j * stride] += cols[
+                            c, u, v, i, j
+                        ]
+    return dxp[:, pad : pad + height, pad : pad + width]
 
 
 def maxpool2d_bruteforce(x, window, stride, g):
@@ -142,6 +160,36 @@ def rescale_full_grid(x, factor):
     """imaging.rescale with every source coordinate held in a full grid."""
     dy, dx, cy, cx = _centred_grid(x)
     return _resample_full_grid(x, dy / factor + cy, dx / factor + cx)
+
+
+def canny_full_grid(photo, low, high):
+    """imaging.canny with the direction bins and the neighbour test taken at
+    every pixel, and hysteresis keeping the ids np.unique finds under a
+    strong pixel."""
+    img = ndimage.gaussian_filter(photo.pixels.astype(np.float64), CANNY_SIGMA, mode="nearest")
+    gx = ndimage.sobel(img, axis=1, mode="nearest")
+    gy = ndimage.sobel(img, axis=0, mode="nearest")
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    if peak == 0.0:
+        return Raster(np.zeros_like(photo.pixels))
+    angle = np.mod(np.arctan2(gy, gx), np.pi)
+    bins = ((angle + np.pi / 8) // (np.pi / 4)).astype(int) % 4
+    padded = np.pad(mag, 1, mode="constant")
+    keep = np.zeros_like(mag, dtype=bool)
+    h, w = mag.shape
+    for b, (dr, dc) in enumerate([(0, 1), (1, 1), (1, 0), (1, -1)]):
+        n1 = padded[1 - dr : 1 - dr + h, 1 - dc : 1 - dc + w]
+        n2 = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+        keep |= (bins == b) & (mag > n1) & (mag >= n2)
+    ridge = keep & (mag > 0)
+    weak = ridge & (mag >= low * peak)
+    strong = ridge & (mag >= high * peak)
+    if not strong.any():
+        return Raster(np.zeros_like(photo.pixels))
+    comp, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
+    ids = np.unique(comp[strong])
+    return Raster(np.where(np.isin(comp, ids[ids > 0]), INK, 0).astype(np.uint8))
 
 
 def interp_matrix_loop(n_out, n_in):

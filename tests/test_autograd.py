@@ -3,12 +3,13 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import conv2d_bruteforce, interp_matrix_loop, maxpool2d_bruteforce
+from oracles import col2im_loop, conv2d_bruteforce, interp_matrix_loop, maxpool2d_bruteforce
 from sketchparts.autograd import (
     ConvSpec,
     Tape,
     Tensor,
     _interp_matrix,
+    add,
     backward,
     bilinear_upsample,
     conv2d,
@@ -81,20 +82,23 @@ class TestConv2d:
         gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
 
+BACKWARD_SHAPES = pytest.mark.parametrize(
+    "in_shape,spec",
+    [
+        ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
+        ((3, 7, 10), ConvSpec(5, 4)),  # router c1
+        ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
+        ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
+    ],
+    ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5"],
+)
+
+
 class TestConvBackward:
     """One GEMM for dw and one for dx, and no dx for inputs that need no
     gradient."""
 
-    @pytest.mark.parametrize(
-        "in_shape,spec",
-        [
-            ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
-            ((3, 7, 10), ConvSpec(5, 4)),  # router c1
-            ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
-            ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
-        ],
-        ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5"],
-    )
+    @BACKWARD_SHAPES
     def test_gradcheck_non_square(self, in_shape, spec):
         rng = make_rng(61)
         k = spec.kernel
@@ -102,6 +106,27 @@ class TestConvBackward:
         w = t64(rng.standard_normal((spec.out_channels, in_shape[0], k, k)))
         b = t64(rng.standard_normal(spec.out_channels))
         gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
+
+    @BACKWARD_SHAPES
+    def test_float32_input_grad_is_the_col2im_loop(self, in_shape, spec):
+        rng = make_rng(71)
+        C, H, W = in_shape
+        F, k = spec.out_channels, spec.kernel
+        Ho, Wo = spec.out_size(H), spec.out_size(W)
+        x = Tensor(rng.standard_normal(in_shape).astype(np.float32))
+        w = Tensor(rng.standard_normal((F, C, k, k)).astype(np.float32))
+        b = Tensor(rng.standard_normal(F).astype(np.float32))
+        direction = rng.standard_normal((F, Ho, Wo)).astype(np.float32)
+        with Tape() as tape:
+            loss = weighted_sum(conv2d(x, w, b, spec), direction)
+        backward(tape, loss)
+        # the dx GEMM as conv2d runs it, then every tap added in order
+        cols = w.data.reshape(F, C * k * k).T @ direction.reshape(F, Ho * Wo)
+        want = col2im_loop(
+            cols.reshape(C, k, k, Ho, Wo), H, W, spec.stride, spec.dilation, spec.padding
+        )
+        assert x.grad.dtype == np.float32
+        assert x.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_input_without_grad_leaves_weight_grads_bit_identical(self, dtype):
@@ -153,7 +178,7 @@ class TestMaxpool:
         assert err < 1e-3
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1)])
+    @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1), (3, 1), (4, 3)])
     @pytest.mark.parametrize("shape", [(3, 7, 10), (2, 9, 4), (2, 1, 2)])
     def test_matches_window_loop_with_ties(self, shape, window, stride, dtype):
         rng = np.random.default_rng(sum(shape) * 10 + window * 3 + stride)
@@ -345,6 +370,53 @@ class TestTape:
             total = add(loss, loss2)
         backward(tape, total)
         assert np.allclose(x.grad, [2.0, 2.0])
+
+    def test_accumulation_is_the_tape_order_sum_and_mutates_no_grad_fn_array(self):
+        rng = make_rng(73)
+        x = Tensor(rng.standard_normal(6).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
+        b = Tensor(np.zeros(4, dtype=np.float32))
+        d = [rng.standard_normal(shape) for shape in ((2, 3), 6, 6, 4, 4)]
+        with Tape() as tape:
+            alias = reshape(x, (2, 3))  # passes x a view of its own gradient
+            twice = add(x, x)  # passes x one gradient array twice
+            terms = [
+                weighted_sum(alias, d[0]),
+                weighted_sum(twice, d[1]),
+                weighted_sum(x, d[2]),  # a float64 gradient
+                weighted_sum(linear(x, w, b), d[3]),  # float32 gradients
+                weighted_sum(linear(x, w, b), d[4]),
+            ]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = add(loss, term)
+
+        to_x, seen = [], []
+
+        def watched(inputs, grad_fn):
+            def run(g):
+                grads = grad_fn(g)
+                seen.append((g, g.copy()))
+                for tensor, grad in zip(inputs, grads):
+                    if grad is not None:
+                        seen.append((grad, grad.copy()))
+                        if tensor is x:
+                            to_x.append(grad.copy())
+                return grads
+
+            return run
+
+        tape.entries = [(out, ins, watched(ins, fn)) for out, ins, fn in tape.entries]
+        backward(tape, loss)
+
+        assert [g.dtype for g in to_x] == [np.float32] * 2 + [np.float64] * 4
+        want = to_x[0]
+        for g in to_x[1:]:
+            want = want + g
+        assert x.grad.dtype == np.float32
+        assert x.grad.tobytes() == want.astype(np.float32).tobytes()
+        for arr, before in seen:
+            assert arr.tobytes() == before.tobytes()
 
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sketchparts.graphmatch import (
     rrwm_match_all,
 )
 from sketchparts.imaging import LabelMap, label_components
+from sketchparts.pipeline import part_counts
 
 from oracles import build_affinity_loop, build_graph_loop, label_components_loop, rrwm_match_loop
 
@@ -367,6 +369,16 @@ def oracle_maps():
 ORACLE_MAPS = oracle_maps()
 
 
+class PartNames:
+    """Taxonomy stand-in: the same part names for every branch, id 1 first."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def part_names(self, branch):
+        return self.names
+
+
 def assert_same_match(got, want):
     assert list(got.pairs.items()) == list(want.pairs.items())
     assert got.score == want.score
@@ -394,6 +406,15 @@ class TestAgainstLoopOracles:
         for c, o in zip(comps, want):
             assert (c.part_id, c.area, c.centroid) == (o.part_id, o.area, o.centroid)
             assert c.pixels.dtype == o.pixels.dtype and np.array_equal(c.pixels, o.pixels)
+
+    @pytest.mark.parametrize("named", [3, 255])
+    @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
+    def test_part_counts_are_label_components_per_id(self, name, lm, named):
+        names = [f"part{i}" for i in range(1, named + 1)]
+        per_id = Counter(c.part_id for c in label_components(lm)[0])
+        want = {names[pid - 1]: per_id[pid] for pid in sorted(per_id) if pid <= named}
+        got = part_counts(lm, PartNames(names), branch=0)
+        assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_build_graph_exact(self, name, lm):

@@ -18,7 +18,7 @@ from sketchparts.imaging import (
     view_shape,
 )
 from sketchparts.pgm import read_pgm, write_pgm
-from oracles import rescale_full_grid, rotate_full_grid
+from oracles import canny_full_grid, rescale_full_grid, rotate_full_grid
 
 
 def random_ink(rng, h=24, w=24, density=0.2):
@@ -50,6 +50,25 @@ class TestCanny:
     def test_empty_raster_rejected(self):
         with pytest.raises(ContractViolation):
             canny(Raster(np.zeros((0, 0), dtype=np.uint8)))
+
+    @pytest.mark.parametrize("low,high", [(0.2, 0.4), (0.0, 0.0), (0.1, 0.9), (0.5, 0.5)])
+    def test_matches_full_grid_oracle(self, low, high):
+        rng = make_rng(83)
+        yy, xx = np.mgrid[:40, :52]
+        photos = [
+            rng.integers(0, 256, size=(37, 52)),  # noise: ridges everywhere
+            rng.integers(0, 3, size=(40, 40)) * 100,  # plateaus and ties
+            127 + 100 * np.sin(xx / 3) * np.cos(yy / 4),
+            np.pad(np.full((20, 9), 200), ((5, 12), (30, 1))),
+            # a step of 50 over a step of 100: away from where the halves
+            # meet, the upper ridge sits at exactly half the peak
+            np.where(xx[:40, :40] >= 20, np.where(yy[:40, :40] < 20, 50, 100), 0),
+            np.full((1, 7), 3),
+        ]
+        for a in photos:
+            photo = Raster(np.clip(a, 0, 255).astype(np.uint8))
+            want = canny_full_grid(photo, low, high)
+            assert canny(photo, low, high).pixels.tobytes() == want.pixels.tobytes()
 
 
 class TestDilate:
