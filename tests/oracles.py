@@ -4,7 +4,8 @@ Each function redoes one vectorized library path (convolution, its col2im
 scatter, max pooling, the resampling matrix, component labelling, graph,
 affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
 (the corpus mask primitives, rotation and rescaling, Canny's direction
-and ridge test) over the whole canvas grid, and the tests compare the
+and ridge test) over the whole canvas grid, or one two-lane path (pooled
+routing) as the serial loop it replaced, and the tests compare the
 library against it. No package code calls them, so they stay out of the
 package; the oracles `selfcheck` also runs live in `sketchparts.checks`.
 """
@@ -14,7 +15,10 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from sketchparts.autograd import softmax
 from sketchparts.imaging import CANNY_SIGMA, INK, LabelMap, Raster, _bilinear_sample, _inside
+from sketchparts.imaging import crops_and_pad, mirror_v
+from sketchparts.router import CROP_FRACTION, ROUTER_SIDE, forward
 
 
 def conv2d_bruteforce(x, w, b, stride, dilation, pad):
@@ -402,3 +406,19 @@ def build_affinity_loop(q, c):
                 -abs(eq[0] - ec[0]) / SIGMA_RADIUS - abs(wrap(eq[1] - ec[1])) / SIGMA_THETA
             )
     return Affinity(candidates, A, q, c)
+
+
+def classify_pooled_serial(net, sketch):
+    """router.classify_pooled as one serial loop in the calling thread: each
+    view and its mirror forwarded in turn, the pair's float64 probabilities
+    added into the total in view order."""
+    views = crops_and_pad(sketch, CROP_FRACTION, ROUTER_SIDE)
+    mirrored = crops_and_pad(mirror_v(sketch), CROP_FRACTION, ROUTER_SIDE)
+    total = np.zeros(net.num_classes, dtype=np.float64)
+    for v, mv in zip(views, mirrored):
+        pair = softmax(forward(net, v)).data.astype(np.float64) + softmax(
+            forward(net, mv)
+        ).data.astype(np.float64)
+        total += pair
+    scores = total / (2 * len(views))
+    return int(scores.argmax()), scores

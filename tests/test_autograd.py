@@ -61,8 +61,11 @@ class TestConv2d:
         b = rng.standard_normal(3)
         spec = ConvSpec(kernel=3, out_channels=3, stride=stride, dilation=dilation, pad=pad)
         got = conv2d(t64(x), t64(w), t64(b), spec).data
+        with Tape():
+            taped = conv2d(t64(x), t64(w), t64(b), spec).data
         want = conv2d_bruteforce(x, w, b, stride, dilation, pad)
         assert np.allclose(got, want, atol=1e-6)
+        assert taped.tobytes() == got.tobytes()
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ContractViolation, match=r"\(2, 4, 4\)"):
@@ -89,8 +92,9 @@ BACKWARD_SHAPES = pytest.mark.parametrize(
         ((3, 7, 10), ConvSpec(5, 4)),  # router c1
         ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
         ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
+        ((3, 5, 7), ConvSpec(1, 4)),  # router c5: no padding, so no padded copy
     ],
-    ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5"],
+    ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5", "k1_unpadded"],
 )
 
 
@@ -179,7 +183,9 @@ class TestMaxpool:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1), (3, 1), (4, 3)])
-    @pytest.mark.parametrize("shape", [(3, 7, 10), (2, 9, 4), (2, 1, 2)])
+    # (2, 9, 7) under (3, 2), like the router's later pools, has no window
+    # overhanging the input, so nothing is padded
+    @pytest.mark.parametrize("shape", [(3, 7, 10), (2, 9, 4), (2, 1, 2), (2, 9, 7)])
     def test_matches_window_loop_with_ties(self, shape, window, stride, dtype):
         rng = np.random.default_rng(sum(shape) * 10 + window * 3 + stride)
         # few distinct integers, negatives included: ties everywhere, and the

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import classify_pooled_serial
 from sketchparts import router as router_module
 from sketchparts import training as training_module
 from sketchparts.autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, linear
@@ -180,7 +187,10 @@ def test_training_and_single_view_feed_the_same_input(seen_views):
     assert np.array_equal(trained_on, routed_on)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 200), (300, 8)])
+EXTREME_SHAPES = [(1, 1), (2, 200), (300, 8)]
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES)
 def test_extreme_shapes_still_route(shape):
     net = build_router(3, seed=35)
     sketch = Raster(np.where(make_rng(37).random(shape) < 0.5, 255, 0).astype(np.uint8))
@@ -205,3 +215,156 @@ def test_old_router_checkpoint_refused(tmp_path):
     with pytest.raises(CheckpointError, match="retrain") as info:
         load_router(p, 4)
     assert info.value.offset == 0
+
+
+@pytest.mark.parametrize(
+    "openblas,omp,cpus,want",
+    [
+        ("1", None, 2, True),
+        (None, "1", 2, True),
+        ("2", "1", 2, False),  # OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS
+        (None, None, 2, False),  # threaded BLAS: the lane would compete with it
+        ("1", None, 1, False),
+    ],
+)
+def test_lane_runs_only_on_two_cpus_with_blas_pinned(monkeypatch, openblas, omp, cpus, want):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert router_module._lane_wanted() is want
+    # where the affinity call is missing, the CPU count stands in for it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert router_module._lane_wanted() is want
+
+
+@pytest.fixture(params=[True, False], ids=["lane", "serial"])
+def lane(request, monkeypatch):
+    """classify_pooled with the mirror lane forced on, or forced off."""
+    monkeypatch.setattr(router_module, "_lane_wanted", lambda: request.param)
+    return request.param
+
+
+def pooled_bytes(result):
+    branch, scores = result
+    return branch, scores.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape,ink",
+    [((128, 128), 0.12), ((112, 144), 0.12), ((96, 168), 0.12), ((128, 128), 0.0)]
+    + [(shape, 0.5) for shape in EXTREME_SHAPES],
+    ids=["128x128", "112x144", "96x168", "blank", "1x1", "2x200", "300x8"],
+)
+def test_pooled_scores_are_the_serial_loops_bytes(lane, shape, ink):
+    net = build_router(3, seed=49)
+    sketch = Raster(np.where(make_rng(51).random(shape) < ink, 255, 0).astype(np.uint8))
+    assert pooled_bytes(classify_pooled(net, sketch)) == pooled_bytes(
+        classify_pooled_serial(net, sketch)
+    )
+
+
+def test_lane_routes_the_mirror_half_on_its_worker(lane, monkeypatch):
+    net = build_router(3, seed=53)
+    real = router_module.forward
+    threads = []
+
+    def recording(net, view, rng=None, training=False):
+        threads.append(threading.current_thread())
+        return real(net, view, rng=rng, training=training)
+
+    monkeypatch.setattr(router_module, "forward", recording)
+    classify_pooled(net, random_sketch(make_rng(55)))
+    here = threading.current_thread()
+    assert len(threads) == 12
+    assert sum(t is here for t in threads) == (6 if lane else 12)
+
+
+def test_concurrent_callers_get_the_serial_bytes(lane):
+    net = build_router(3, seed=57)
+    sketches = [random_sketch(make_rng(59 + i), 96) for i in range(3)]
+    want = [pooled_bytes(classify_pooled_serial(net, s)) for s in sketches]
+    got = {}
+
+    def caller(i):
+        got[i] = [pooled_bytes(classify_pooled(net, s)) for s in sketches[i:] + sketches[:i]]
+
+    # more callers than CPUs, switching threads as often as the interpreter can
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {i: want[i:] + want[:i] for i in range(3)}
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_raising_half_leaves_the_lane_working(monkeypatch, failing):
+    monkeypatch.setattr(router_module, "_lane_wanted", lambda: True)
+    net = build_router(3, seed=63)
+    sketch = random_sketch(make_rng(65))
+    want = pooled_bytes(classify_pooled_serial(net, sketch))
+    real = router_module.forward
+    caller = threading.current_thread()
+
+    def failing_forward(net, view, rng=None, training=False):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise ContractViolation(f"injected on the {failing}")
+        return real(net, view, rng=rng, training=training)
+
+    monkeypatch.setattr(router_module, "forward", failing_forward)
+    with pytest.raises(ContractViolation, match=f"injected on the {failing}"):
+        classify_pooled(net, sketch)
+    monkeypatch.setattr(router_module, "forward", real)
+    assert pooled_bytes(classify_pooled(net, sketch)) == want
+
+
+FORKED_CHILD = """
+import os, sys, threading, time
+import numpy as np
+from sketchparts import router
+from sketchparts.autograd import make_rng
+from sketchparts.imaging import Raster
+
+router._lane_wanted = lambda: True
+net = router.build_router(3, seed=67)
+sketch = Raster(np.where(make_rng(69).random((80, 64)) < 0.12, 255, 0).astype(np.uint8))
+if threading.active_count() != 1:
+    sys.exit("the lane was started before its first use")
+want = router.classify_pooled(net, sketch)[1].tobytes()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if router.classify_pooled(net, sketch)[1].tobytes() == want else 3)
+deadline = time.monotonic() + 45
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child's classify_pooled hung")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing on this platform")
+def test_a_forked_child_routes_on_a_lane_of_its_own():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", FORKED_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
