@@ -19,25 +19,24 @@ writes into an array a grad_fn returned or received, which may be a view
 or passed to two inputs.
 
 Conv forward builds its im2col patch matrix in two copies: the k column
-shifts of every zero-padded row (of the input itself when the padding is
-0), then each tap's rows of that buffer, which for stride 1 are whole
-contiguous Ho*Wo runs. One GEMM multiplies it by the (F, C*k*k) weights.
-Conv backward is one GEMM for dw (the output gradient against the same
-patch matrix, rebuilt from the padded input rather than kept on the tape)
-and one for dx (the transposed weights against the output gradient). The dx
-columns are laid out channel-last and scattered into an (Hp, Wp, C) buffer
-by one slice-add per kernel tap, in tap order, so each add runs over rows
-of Wo*C values; a tap that reads only zero padding along a side is skipped,
-since the crop to the input drops everything it would write.
+shifts of every zero-padded row, then each tap's rows of that buffer, which
+for stride 1 are whole contiguous Ho*Wo runs. One GEMM multiplies it by
+the (F, C*k*k) weights. Conv backward is one GEMM for dw (the output
+gradient against the same patch matrix, rebuilt from the padded input
+rather than kept on the tape) and one for dx (the transposed weights
+against the output gradient). The dx columns are laid out channel-last and
+scattered into an (Hp, Wp, C) buffer by one slice-add per kernel tap, in
+tap order, so each add runs over rows of Wo*C values; a tap that reads
+only zero padding along a side is skipped, since the crop to the input
+drops everything it would write.
 
 Max pooling is separable: a running np.maximum over the window's column
-taps of each row, zero-padded only where the last window overhangs the
-input, then over the window's row taps of those row maxima, so no window is
-ever copied out. Only while a tape records does the same loop keep the
-winning column per row, then the winning row, each replaced only where a
-later tap is strictly greater: the first maximum in the window's row-major
-scan order wins. Backward scatters the output gradient with one float64
-np.bincount over those flat indices.
+taps of each zero-padded row, then over the window's row taps of those row
+maxima, so no window is ever copied out. Only while a tape records does the
+same loop keep the winning column per row, then the winning row, each
+replaced only where a later tap is strictly greater: the first maximum in
+the window's row-major scan order wins. Backward scatters the output
+gradient with one float64 np.bincount over those flat indices.
 """
 
 from __future__ import annotations
@@ -254,11 +253,8 @@ def conv2d(x, w, b, spec):
 
     dt = np.result_type(x.data, w.data)
     wd = _cast(w.data, dt).reshape(F, C * k * k)
-    if p:
-        xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=dt)
-        xp[:, p : p + H, p : p + W] = x.data
-    else:
-        xp = _cast(x.data, dt)
+    xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=dt)
+    xp[:, p : p + H, p : p + W] = x.data
     out_data = (wd @ _im2col(xp, k, s, r, Ho, Wo)).reshape(F, Ho, Wo)
     out_data += b.data[:, None, None]
     out = Tensor(_cast(out_data, x.dtype))
@@ -307,11 +303,8 @@ def maxpool2d(x, window, stride):
     Hp = (Ho - 1) * stride + window
     Wp = (Wo - 1) * stride + window
 
-    if Hp == H and Wp == W:
-        xp = x.data
-    else:
-        xp = np.zeros((C, Hp, Wp), dtype=x.dtype)
-        xp[:, :H, :W] = x.data
+    xp = np.zeros((C, Hp, Wp), dtype=x.dtype)
+    xp[:, :H, :W] = x.data
     recording = _recording()
     # separable: the max over each row's column taps, then over the row taps
     rows, col_arg = _running_max(

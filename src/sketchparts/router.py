@@ -15,16 +15,15 @@ The side is pinned to the weights by the checkpoint magic. A checkpoint of
 the earlier router, which saw binary views at the sketch's own size, is
 refused with a CheckpointError that asks for retraining.
 
-Pooled inference runs on two CPU lanes when it can: one worker thread
-routes the mirror's six views while the calling thread routes the
-sketch's own six, and the pairs are summed in the serial order, so the
-scores are bit-identical either way. The lane runs only when the process
-may use at least two CPUs and BLAS was pinned to one thread
-(OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS, is "1"). Under threaded
-BLAS the GEMMs already occupy the second CPU, and adding the lane on top
-was slower than the serial loop (by 3% to 18% in alternated runs on a
-2-vCPU VM). The worker is built on first use, not at import, and rebuilt
-in a forked child, whose inherited worker thread would not exist.
+Pooled inference runs on two CPU lanes: one worker thread routes the
+mirror's six views while the calling thread routes the sketch's own six,
+and the pairs are summed in the serial order, so the scores are the bytes
+of a serial loop. The lanes pay with BLAS pinned to one thread
+(OPENBLAS_NUM_THREADS=1, as the benchmark and CI run). Under threaded BLAS
+they compete with BLAS's own threads for the same CPUs, and routing was
+about 14% slower than the serial loop on a 2-vCPU VM. The worker is built
+on first use, not at import, and rebuilt in a forked child, whose
+inherited worker thread would not exist.
 """
 
 from __future__ import annotations
@@ -98,19 +97,6 @@ def forward(net, view, rng=None, training=False):
     return run_head(x, ROUTER_STACK, "stack", "head", net.params, rng, training)
 
 
-def _lane_wanted():
-    """True when the process may use at least two CPUs and BLAS was pinned
-    to one thread, the only setting in which the mirror lane pays."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    blas = os.environ.get("OPENBLAS_NUM_THREADS")
-    if blas is None:
-        blas = os.environ.get("OMP_NUM_THREADS")
-    return cpus >= 2 and blas == "1"
-
-
 _lane = None  # the one-worker mirror lane, built on first use
 _lane_lock = threading.Lock()
 
@@ -154,24 +140,16 @@ def classify_pooled(net, sketch):
     Scores are accumulated per view pair, so mirroring the input permutes
     each pair only and the pooled result is bit-identical.
 
-    When the process may use two CPUs and BLAS is pinned to one thread, the
-    mirror's six views run on the worker lane while the calling thread runs
-    the sketch's own six; otherwise all twelve run here (under threaded BLAS
-    the lane competes with BLAS's own threads, see the module docstring).
-    Either way the scores are the same bytes. The function is
-    inference-only: tapes are per thread, so the worker never records onto
-    a Tape the caller entered.
+    The mirror's six views run on the worker lane while the calling thread
+    runs the sketch's own six. The function is inference-only: tapes are
+    per thread, so the worker never records onto a Tape the caller entered.
     """
-    if _lane_wanted():
-        future = _mirror_lane().submit(_mirror_probs, net, sketch)
-        try:
-            own = _view_probs(net, sketch)
-        finally:
-            future.exception()  # waits: no call leaves its half queued on the lane
-        mirrored = future.result()
-    else:
+    future = _mirror_lane().submit(_mirror_probs, net, sketch)
+    try:
         own = _view_probs(net, sketch)
-        mirrored = _mirror_probs(net, sketch)
+    finally:
+        future.exception()  # waits: no call leaves its half queued on the lane
+    mirrored = future.result()
     total = np.zeros(net.num_classes, dtype=np.float64)
     for a, b in zip(own, mirrored):
         total += a + b

@@ -92,7 +92,7 @@ BACKWARD_SHAPES = pytest.mark.parametrize(
         ((3, 7, 10), ConvSpec(5, 4)),  # router c1
         ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
         ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
-        ((3, 5, 7), ConvSpec(1, 4)),  # router c5: no padding, so no padded copy
+        ((3, 5, 7), ConvSpec(1, 4)),  # router c5: 1x1, no padding
     ],
     ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5", "k1_unpadded"],
 )
@@ -184,7 +184,7 @@ class TestMaxpool:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1), (3, 1), (4, 3)])
     # (2, 9, 7) under (3, 2), like the router's later pools, has no window
-    # overhanging the input, so nothing is padded
+    # overhanging the input
     @pytest.mark.parametrize("shape", [(3, 7, 10), (2, 9, 4), (2, 1, 2), (2, 9, 7)])
     def test_matches_window_loop_with_ties(self, shape, window, stride, dtype):
         rng = np.random.default_rng(sum(shape) * 10 + window * 3 + stride)

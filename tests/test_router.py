@@ -217,37 +217,6 @@ def test_old_router_checkpoint_refused(tmp_path):
     assert info.value.offset == 0
 
 
-@pytest.mark.parametrize(
-    "openblas,omp,cpus,want",
-    [
-        ("1", None, 2, True),
-        (None, "1", 2, True),
-        ("2", "1", 2, False),  # OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS
-        (None, None, 2, False),  # threaded BLAS: the lane would compete with it
-        ("1", None, 1, False),
-    ],
-)
-def test_lane_runs_only_on_two_cpus_with_blas_pinned(monkeypatch, openblas, omp, cpus, want):
-    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert router_module._lane_wanted() is want
-    # where the affinity call is missing, the CPU count stands in for it
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert router_module._lane_wanted() is want
-
-
-@pytest.fixture(params=[True, False], ids=["lane", "serial"])
-def lane(request, monkeypatch):
-    """classify_pooled with the mirror lane forced on, or forced off."""
-    monkeypatch.setattr(router_module, "_lane_wanted", lambda: request.param)
-    return request.param
-
-
 def pooled_bytes(result):
     branch, scores = result
     return branch, scores.tobytes()
@@ -259,7 +228,7 @@ def pooled_bytes(result):
     + [(shape, 0.5) for shape in EXTREME_SHAPES],
     ids=["128x128", "112x144", "96x168", "blank", "1x1", "2x200", "300x8"],
 )
-def test_pooled_scores_are_the_serial_loops_bytes(lane, shape, ink):
+def test_pooled_scores_are_the_serial_loops_bytes(shape, ink):
     net = build_router(3, seed=49)
     sketch = Raster(np.where(make_rng(51).random(shape) < ink, 255, 0).astype(np.uint8))
     assert pooled_bytes(classify_pooled(net, sketch)) == pooled_bytes(
@@ -267,7 +236,7 @@ def test_pooled_scores_are_the_serial_loops_bytes(lane, shape, ink):
     )
 
 
-def test_lane_routes_the_mirror_half_on_its_worker(lane, monkeypatch):
+def test_lane_routes_the_mirror_half_on_its_worker(monkeypatch):
     net = build_router(3, seed=53)
     real = router_module.forward
     threads = []
@@ -280,10 +249,10 @@ def test_lane_routes_the_mirror_half_on_its_worker(lane, monkeypatch):
     classify_pooled(net, random_sketch(make_rng(55)))
     here = threading.current_thread()
     assert len(threads) == 12
-    assert sum(t is here for t in threads) == (6 if lane else 12)
+    assert sum(t is here for t in threads) == 6
 
 
-def test_concurrent_callers_get_the_serial_bytes(lane):
+def test_concurrent_callers_get_the_serial_bytes():
     net = build_router(3, seed=57)
     sketches = [random_sketch(make_rng(59 + i), 96) for i in range(3)]
     want = [pooled_bytes(classify_pooled_serial(net, s)) for s in sketches]
@@ -309,7 +278,6 @@ def test_concurrent_callers_get_the_serial_bytes(lane):
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_a_raising_half_leaves_the_lane_working(monkeypatch, failing):
-    monkeypatch.setattr(router_module, "_lane_wanted", lambda: True)
     net = build_router(3, seed=63)
     sketch = random_sketch(make_rng(65))
     want = pooled_bytes(classify_pooled_serial(net, sketch))
@@ -335,7 +303,6 @@ from sketchparts import router
 from sketchparts.autograd import make_rng
 from sketchparts.imaging import Raster
 
-router._lane_wanted = lambda: True
 net = router.build_router(3, seed=67)
 sketch = Raster(np.where(make_rng(69).random((80, 64)) < 0.12, 255, 0).astype(np.uint8))
 if threading.active_count() != 1:
