@@ -217,7 +217,7 @@ def _check_class_balance(rng):
         got = compute_class_balance(samples, 0, tax, balance_background=True)
         want = balance_bruteforce(arrays, 4, include_background=True)
         for c in range(4):
-            if abs(got.weights[c] - want[c]) > 1e-12:
+            if abs(got[c] - want[c]) > 1e-12:
                 raise AssertionError(f"class balance differs at label {c}")
 
 

@@ -32,9 +32,11 @@ def infer_record(parser, router, sketch, force_branch=None, category=None):
     """Full inference for one sketch: route, parse, describe.
 
     Returns (record dict, predicted LabelMap). force_branch (a
-    super-category name) bypasses the router, reproducing the perfect-router
-    condition and unseen-category probes. The parser and router must have
-    been built against the same taxonomy.
+    super-category name) picks the expert in place of the router's choice,
+    reproducing the perfect-router condition and unseen-category probes.
+    When a router is passed too, `classify_pooled` still runs and its scores
+    are recorded; the router may be None only with force_branch. The parser
+    and router must have been built against the same taxonomy.
     """
     tax = parser.taxonomy
     if router is not None:

@@ -21,15 +21,13 @@ and the pairs are summed in the serial order, so the scores are the bytes
 of a serial loop. The lanes pay with BLAS pinned to one thread
 (OPENBLAS_NUM_THREADS=1, as the benchmark and CI run). Under threaded BLAS
 they compete with BLAS's own threads for the same CPUs, and routing was
-about 14% slower than the serial loop on a 2-vCPU VM. The worker is built
-on first use, not at import, and rebuilt in a forked child, whose
-inherited worker thread would not exist.
+about 14% slower than the serial loop on a 2-vCPU VM. The worker lives for
+one call: it starts inside `classify_pooled` and has ended when the call
+returns or raises, so no thread is alive between calls and a fork is safe.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -97,40 +95,12 @@ def forward(net, view, rng=None, training=False):
     return run_head(x, ROUTER_STACK, "stack", "head", net.params, rng, training)
 
 
-_lane = None  # the one-worker mirror lane, built on first use
-_lane_lock = threading.Lock()
-
-
-def _mirror_lane():
-    global _lane
-    with _lane_lock:
-        if _lane is None:
-            _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="router-mirror")
-        return _lane
-
-
-def _forget_lane():
-    # a forked child inherits the executor but not its worker thread, so a
-    # job submitted to it would never run
-    global _lane, _lane_lock
-    _lane = None
-    _lane_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane)
-
-
 def _view_probs(net, sketch):
     """float64 softmax scores of the six crop/pad views of a sketch."""
     return [
         softmax(forward(net, v)).data.astype(np.float64)
         for v in crops_and_pad(sketch, CROP_FRACTION, ROUTER_SIDE)
     ]
-
-
-def _mirror_probs(net, sketch):
-    return _view_probs(net, mirror_v(sketch))
 
 
 def classify_pooled(net, sketch):
@@ -140,18 +110,16 @@ def classify_pooled(net, sketch):
     Scores are accumulated per view pair, so mirroring the input permutes
     each pair only and the pooled result is bit-identical.
 
-    The mirror's six views run on the worker lane while the calling thread
-    runs the sketch's own six. The function is inference-only: tapes are
-    per thread, so the worker never records onto a Tape the caller entered.
+    The mirror's six views run on a worker thread started for this call,
+    while the calling thread runs the sketch's own six; the worker has ended
+    when the call returns or raises. The function is inference-only: tapes
+    are per thread, so the worker never records onto a Tape the caller entered.
     """
-    future = _mirror_lane().submit(_mirror_probs, net, sketch)
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="router-mirror") as lane:
+        mirrored = lane.submit(_view_probs, net, mirror_v(sketch))
         own = _view_probs(net, sketch)
-    finally:
-        future.exception()  # waits: no call leaves its half queued on the lane
-    mirrored = future.result()
     total = np.zeros(net.num_classes, dtype=np.float64)
-    for a, b in zip(own, mirrored):
+    for a, b in zip(own, mirrored.result()):
         total += a + b
     scores = total / (2 * len(own))
     return int(scores.argmax()), scores

@@ -37,19 +37,11 @@ from .router import router_input
 from .router import forward as router_forward
 
 
-@dataclass(frozen=True)
-class ClassBalance:
-    """Per-label loss weights for one branch; index = branch label id."""
-
-    weights: np.ndarray
-
-    @classmethod
-    def uniform(cls, n_labels):
-        return cls(np.ones(n_labels))
-
-
 def compute_class_balance(samples, branch, taxonomy, balance_background=True):
     """alpha_c = M / f_c with f_c = (pixels of c) / (images containing c).
+
+    Returns the float64 per-label loss weights of the branch, indexed by
+    branch label id.
 
     Labels never seen in the branch's samples are a configuration error.
     Background (label 0) takes part in the balancing by default; with
@@ -77,11 +69,12 @@ def compute_class_balance(samples, branch, taxonomy, balance_background=True):
     median = np.median(f[start:])
     weights = np.ones(n_labels)
     weights[start:] = median / f[start:]
-    return ClassBalance(weights)
+    return weights
 
 
 def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
-    """Weighted segmentation CE plus lam times the 8-way pose CE.
+    """Weighted segmentation CE, with per-label weights `balance`, plus lam
+    times the 8-way pose CE.
 
     Returns (taped scalar, seg value, pose value).
     """
@@ -91,7 +84,7 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
             f"scores {w}x{h} vs labels {labelmap.width}x{labelmap.height}"
         )
     flat = reshape(seg_scores, (n_labels, h * w))
-    seg = weighted_softmax_ce(flat, labelmap.labels.reshape(-1), balance.weights)
+    seg = weighted_softmax_ce(flat, labelmap.labels.reshape(-1), balance)
     if lam == 0.0:
         return seg, seg.data.item(), 0.0
     target = POSE_INDEX[pose_label] if isinstance(pose_label, str) else int(pose_label)
@@ -230,7 +223,7 @@ def train_parser(model, samples, plan):
             for b in sorted(set(branches))
         }
     else:
-        balances = {b: ClassBalance.uniform(tax.n_parts(b) + 1) for b in set(branches)}
+        balances = {b: np.ones(tax.n_parts(b) + 1) for b in set(branches)}
 
     rng = make_rng((plan.seed, 0xC0FFEE))
     order = []

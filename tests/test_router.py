@@ -246,10 +246,14 @@ def test_lane_routes_the_mirror_half_on_its_worker(monkeypatch):
         return real(net, view, rng=rng, training=training)
 
     monkeypatch.setattr(router_module, "forward", recording)
+    before = threading.active_count()
     classify_pooled(net, random_sketch(make_rng(55)))
     here = threading.current_thread()
     assert len(threads) == 12
     assert sum(t is here for t in threads) == 6
+    # the worker lives for the one call
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in threads if t is not here)
 
 
 def test_concurrent_callers_get_the_serial_bytes():
@@ -283,17 +287,24 @@ def test_a_raising_half_leaves_the_lane_working(monkeypatch, failing):
     want = pooled_bytes(classify_pooled_serial(net, sketch))
     real = router_module.forward
     caller = threading.current_thread()
+    workers = set()
 
     def failing_forward(net, view, rng=None, training=False):
+        if threading.current_thread() is not caller:
+            workers.add(threading.current_thread())
         if (threading.current_thread() is caller) == (failing == "caller"):
             raise ContractViolation(f"injected on the {failing}")
         return real(net, view, rng=rng, training=training)
 
     monkeypatch.setattr(router_module, "forward", failing_forward)
+    before = threading.active_count()
     with pytest.raises(ContractViolation, match=f"injected on the {failing}"):
         classify_pooled(net, sketch)
+    assert threading.active_count() == before
+    assert workers and not any(t.is_alive() for t in workers)
     monkeypatch.setattr(router_module, "forward", real)
     assert pooled_bytes(classify_pooled(net, sketch)) == want
+    assert threading.active_count() == before
 
 
 FORKED_CHILD = """
@@ -306,8 +317,10 @@ from sketchparts.imaging import Raster
 net = router.build_router(3, seed=67)
 sketch = Raster(np.where(make_rng(69).random((80, 64)) < 0.12, 255, 0).astype(np.uint8))
 if threading.active_count() != 1:
-    sys.exit("the lane was started before its first use")
+    sys.exit("a thread was started before the first routed call")
 want = router.classify_pooled(net, sketch)[1].tobytes()
+if threading.active_count() != 1:
+    sys.exit("a thread outlived the routed call")
 pid = os.fork()
 if pid == 0:
     os._exit(0 if router.classify_pooled(net, sketch)[1].tobytes() == want else 3)
