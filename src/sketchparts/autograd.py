@@ -590,7 +590,7 @@ def weighted_sum(x, weights):
     return out
 
 
-def he_normal(rng, shape, fan_in, dtype=DEFAULT_DTYPE):
+def he_normal(rng, shape, fan_in):
     """He fan-in init used for all conv/linear weights."""
     std = math.sqrt(2.0 / fan_in)
-    return Tensor((rng.standard_normal(shape) * std).astype(dtype))
+    return Tensor((rng.standard_normal(shape) * std).astype(DEFAULT_DTYPE))

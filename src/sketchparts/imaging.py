@@ -50,7 +50,7 @@ class Raster:
 
 
 class LabelMap:
-    """2-d per-pixel part ids, 0 = background.
+    """2-d per-pixel part ids in 0..255, 0 = background.
 
     Immutable: the map keeps its own read-only C-contiguous copy of the
     labels, so later writes to the caller's array cannot reach it. That is
@@ -64,6 +64,8 @@ class LabelMap:
         a = np.asarray(labels)
         if a.ndim != 2:
             raise ContractViolation(f"label map must be 2-d, got shape {a.shape}")
+        if a.dtype != np.uint8 and a.size and not 0 <= a.min() <= a.max() <= 255:
+            raise ContractViolation(f"label ids must lie in 0..255, got {a.min()}..{a.max()}")
         a = np.array(a, dtype=np.uint8, order="C")
         a.flags.writeable = False
         # A view of a read-only array cannot be made writeable again.

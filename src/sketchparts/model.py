@@ -1,38 +1,39 @@
 """The two-level parser: shared trunk, hard-routed expert branches, pose heads.
 
-Level zero is a trunk shared by every category. Level one holds one expert
-per super-category: the trunk's remaining blocks, a 1x1 segmentation head
+Level zero is SHARED_STACK, five convs shared by every category. Level one
+holds one expert per super-category: BRANCH_STACK, a 1x1 segmentation head
 with one output channel per branch part plus background, and a pose head
-that reads the pre-softmax, pre-upsample segmentation scores. A sketch runs
-through the trunk and then through the one expert it is routed to
-(`forward_branch`), in training as in inference. Every pose head runs
-POSE_STACK through `nets.run_head`, as the router runs its own stack.
+that reads the pre-softmax, pre-upsample segmentation scores. The convs
+downsample by STRIDE. A sketch runs through the trunk and then through the
+one expert it is routed to (`forward_branch`), in training as in inference.
+Every pose head runs POSE_STACK through `nets.run_head`, as the router does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
 from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import CheckpointError, ConfigError, ContractViolation
+from .errors import CheckpointError, ContractViolation
 from .imaging import LabelMap, Raster
 from .nets import head_layout, init_params, load_params, run_head, run_stack, stack_layout
-from .nets import stride_product
 from .poses import POSES
 
 MODEL_MAGIC = b"SKPC"
 
-DESK_TRUNK = (
+SHARED_STACK = (
     ConvSpec(3, 16, stride=2),
     ConvSpec(3, 32, stride=2),
     ConvSpec(3, 64, stride=2),
     ConvSpec(3, 64, dilation=2),
     ConvSpec(3, 128, dilation=2),
-    ConvSpec(3, 128, dilation=2),
 )
+BRANCH_STACK = (ConvSpec(3, 128, dilation=2),)
+STRIDE = math.prod(spec.stride for spec in SHARED_STACK + BRANCH_STACK)
 
 # two dilated k=3 s=2 r=2 convs, one big k=11 template conv; run_head adds FC to 8
 POSE_STACK = (
@@ -44,26 +45,12 @@ POSE_STACK = (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    trunk: tuple = DESK_TRUNK
-    split_index: int = 5  # trunk[:split] is shared, trunk[split:] per branch
+    """The fixed architecture, with no fields. It remains a class because
+    `build_model`, `load_checkpoint` and the benchmark take it or read it."""
 
-    def __post_init__(self):
-        if not 0 < self.split_index <= len(self.trunk):
-            raise ConfigError(
-                f"split index {self.split_index} outside trunk of {len(self.trunk)} blocks"
-            )
-
-    @property
-    def shared_stack(self):
-        return self.trunk[: self.split_index]
-
-    @property
-    def branch_stack(self):
-        return self.trunk[self.split_index :]
-
-    @property
-    def stride(self):
-        return stride_product(self.trunk)
+    shared_stack = SHARED_STACK
+    branch_stack = BRANCH_STACK
+    stride = STRIDE
 
 
 class Model:

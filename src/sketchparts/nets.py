@@ -82,13 +82,3 @@ def run_head(x, stack, prefix, fc, params, rng=None, training=False):
     """Scores of a head: the stack, global average pooling, then `fc`."""
     pooled = global_average_pool(run_stack(x, stack, prefix, params, rng, training))
     return linear(pooled, params[f"{fc}.w"], params[f"{fc}.b"])
-
-
-def stride_product(stack):
-    s = 1
-    for entry in stack:
-        if isinstance(entry, ConvSpec):
-            s *= entry.stride
-        elif entry[0] == "maxpool":
-            s *= entry[2]
-    return s

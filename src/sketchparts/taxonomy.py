@@ -10,7 +10,8 @@ Taxonomy text is line based:
 Every category belongs to exactly one super-category (one expert branch).
 Within a branch, part names shared across categories map to a single id;
 ids run 1..n per branch in order of first appearance, 0 is background
-everywhere and is never listed as a part.
+everywhere and is never listed as a part. Label maps and PGMs hold ids in
+8 bits, so a branch has at most 255 parts.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def load_taxonomy(text):
                 raise TaxonomyParseError(line_no, f"category {name!r} repeats a part")
             categories[name] = parts
             supercategories[current].append(name)
+            if len({p for c in supercategories[current] for p in categories[c]}) > 255:
+                raise TaxonomyParseError(line_no, f"super-category {current!r}: over 255 parts")
         else:
             raise TaxonomyParseError(line_no, f"unrecognized line {line!r}")
     if not supercategories:

@@ -145,6 +145,14 @@ class TestLabelMapImmutable:
         assert np.array_equal(lm.labels, before)
         assert lm.labels.flags.c_contiguous and lm.labels.dtype == np.uint8
 
+    @pytest.mark.parametrize("value", [-1, 256, 300])
+    def test_ids_outside_eight_bits_rejected(self, value):
+        with pytest.raises(ContractViolation, match="0..255"):
+            LabelMap(np.array([[0, 1], [2, value]]))
+
+    def test_ids_at_the_eight_bit_bounds_kept(self):
+        assert LabelMap(np.array([[0, 255]], dtype=np.int64)).labels.tolist() == [[0, 255]]
+
 
 class TestGeometry:
     def test_rotate_zero_identity(self):

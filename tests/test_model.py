@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,34 @@ cat b1 : q1, q2, q3, q4, q5
 
 TAX2 = load_taxonomy(TWO_BRANCH_TEXT)
 CFG = ModelConfig()
+
+
+SIX_CONV_TRUNK = (
+    ConvSpec(3, 16, stride=2),
+    ConvSpec(3, 32, stride=2),
+    ConvSpec(3, 64, stride=2),
+    ConvSpec(3, 64, dilation=2),
+    ConvSpec(3, 128, dilation=2),
+    ConvSpec(3, 128, dilation=2),
+)
+
+
+class TestArchitecture:
+    def test_config_has_no_fields(self):
+        assert dataclasses.fields(ModelConfig) == ()
+
+    # the architecture is fixed, so the trunk and its split point are not arguments
+    @pytest.mark.parametrize(
+        "name, value", [("trunk", SIX_CONV_TRUNK), ("split_index", 5)], ids=["trunk", "split"]
+    )
+    def test_config_takes_no_arguments(self, name, value):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ModelConfig(**{name: value})
+
+    def test_six_conv_trunk_downsamples_by_eight(self):
+        assert CFG.stride == 8
+        assert CFG.shared_stack + CFG.branch_stack == SIX_CONV_TRUNK
+        assert len(CFG.branch_stack) == 1
 
 
 def random_sketch(rng, size=32):

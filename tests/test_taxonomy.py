@@ -77,6 +77,16 @@ def test_empty_part_list_rejected():
         load_taxonomy("super S\ncat a :\n")
 
 
+def test_branch_of_more_than_255_parts_rejected_at_its_line():
+    # part ids are stored in 8-bit label maps and PGMs; shared names count once
+    names = [f"p{i}" for i in range(1, 257)]
+    text = "super S\ncat a : " + ", ".join(names[:200]) + "\ncat b : " + ", ".join(names[100:255])
+    tax = load_taxonomy(text + "\nsuper T\ncat c : " + ", ".join(names[:200]) + "\n")
+    assert [tax.n_parts(b) for b in range(2)] == [255, 200]
+    with pytest.raises(TaxonomyParseError, match="line 4: super-category 'S': over 255 parts"):
+        load_taxonomy(text + "\ncat c : p1, p256\n")
+
+
 def test_digest_stable_and_sensitive():
     t1 = load_taxonomy(ELEVEN_CATEGORY_TEXT)
     t2 = load_taxonomy(ELEVEN_CATEGORY_TEXT)
