@@ -95,8 +95,9 @@ def iou_bruteforce(pred, gt):
     return out, (sum(out.values()) / len(out) if out else 0.0)
 
 
-def balance_bruteforce(label_arrays, n_labels, include_background):
-    """alpha per label from plain dict counting over label arrays."""
+def balance_bruteforce(label_arrays, n_labels):
+    """alpha per label, background included, from plain dict counting over
+    label arrays."""
     pixels, images = {}, {}
     for arr in label_arrays:
         values = arr.reshape(-1).tolist()
@@ -104,15 +105,11 @@ def balance_bruteforce(label_arrays, n_labels, include_background):
             pixels[v] = pixels.get(v, 0) + 1
         for v in set(values):
             images[v] = images.get(v, 0) + 1
-    start = 0 if include_background else 1
-    f = {label: pixels.get(label, 0) / images[label] for label in range(start, n_labels)}
+    f = {label: pixels.get(label, 0) / images[label] for label in range(n_labels)}
     fs = sorted(f.values())
     n = len(fs)
     median = fs[n // 2] if n % 2 else (fs[n // 2 - 1] + fs[n // 2]) / 2
-    alpha = {label: median / f[label] for label in f}
-    if not include_background:
-        alpha[0] = 1.0
-    return alpha
+    return {label: median / f[label] for label in f}
 
 
 def best_assignment(affinity):
@@ -214,8 +211,8 @@ def _check_class_balance(rng):
         samples = [
             PairedSample(Raster(np.zeros_like(a)), LabelMap(a), "thing", "E") for a in arrays
         ]
-        got = compute_class_balance(samples, 0, tax, balance_background=True)
-        want = balance_bruteforce(arrays, 4, include_background=True)
+        got = compute_class_balance(samples, 0, tax)
+        want = balance_bruteforce(arrays, 4)
         for c in range(4):
             if abs(got[c] - want[c]) > 1e-12:
                 raise AssertionError(f"class balance differs at label {c}")

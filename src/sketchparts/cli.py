@@ -2,7 +2,8 @@
 
 Subcommands cover the full pipeline: gen-corpus, sketchify, train-parser,
 train-router, infer, eval, rerank, describe, selfcheck. Every run with the
-same seeds and inputs writes byte-identical outputs.
+same seeds and inputs, at the same BLAS thread count, writes byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -108,8 +109,6 @@ def cmd_train_parser(args):
         lam=args.lam,
         seed=seed,
         freeze=("shared",) if args.freeze_shared else None,
-        class_balance=False if args.no_class_balance else None,
-        balance_background=False if args.no_balance_background else None,
     )
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
@@ -130,7 +129,6 @@ def cmd_train_router(args):
         lr=args.lr,
         batch_size=args.batch_size,
         seed=seed,
-        augment=False if args.no_augment else None,
     )
     net = build_router(tax.num_branches, seed=seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
@@ -225,7 +223,7 @@ def cmd_eval(args):
     print(report.table())
     outputs = {}
     if pose_preds:
-        pose_report = pose_eval(pose_preds, pose_truths, merge=args.merge4)
+        pose_report = pose_eval(pose_preds, pose_truths)
         print(pose_report.table())
         outputs["pose.csv"] = pose_report.csv()
     outputs["iou.csv"] = report.csv()
@@ -339,8 +337,6 @@ def build_arg_parser():
     sp.add_argument("--lr-pose", type=float, default=None)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--freeze-shared", action="store_true")
-    sp.add_argument("--no-class-balance", action="store_true")
-    sp.add_argument("--no-balance-background", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_train_parser)
 
@@ -351,7 +347,6 @@ def build_arg_parser():
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
-    sp.add_argument("--no-augment", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_train_router)
 
@@ -364,11 +359,10 @@ def build_arg_parser():
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 
-    sp = sub.add_parser("eval", help="IOU and pose reports for predictions")
+    sp = sub.add_parser("eval", help="IOU, 8-way and 4-way pose reports for predictions")
     sp.add_argument("--pred", required=True)
     sp.add_argument("--gt", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--merge4", action="store_true")
+    sp.add_argument("--out", default=None, help="directory for iou.csv and pose.csv")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("rerank", help="re-rank retrieval results by part graphs")

@@ -9,11 +9,13 @@ Unknown keys anywhere are rejected so typos fail loudly. The "parser" and
       "seed": 0,
       "corpus": {"per_category": 40, "image_size": 128, "categories": [...]},
       "parser": {"iterations": 3000, "lr_body": 0.0005, "clip_norm": null, ...},
-      "router": {"iterations": 400, "lr": 0.0007, "batch_size": 32, ...}
+      "router": {"iterations": 400, "lr": 0.0007, "batch_size": 32, "seed": 0}
     }
 
-Momentum and the rate decay power are no keys; optim.MOMENTUM and POLY_POWER
-fix them.
+These are no keys: momentum and the rate decay power (optim.MOMENTUM and
+POLY_POWER fix them), and the on/off switches class_balance, augment and
+background balancing (training always balances every label, background
+included, and always augments).
 """
 
 from __future__ import annotations

@@ -86,19 +86,18 @@ def iou_report(pairs):
 class PoseReport:
     matrix8: np.ndarray  # truth rows x prediction columns, POSES order
     accuracy8: float
-    matrix4: np.ndarray | None  # FOUR_WAY order after merging, or None
-    accuracy4: float | None
+    matrix4: np.ndarray  # FOUR_WAY order after merging
+    accuracy4: float
 
     def csv(self):
         lines = ["labels," + ",".join(POSES)]
         for i, p in enumerate(POSES):
             lines.append(p + "," + ",".join(str(int(v)) for v in self.matrix8[i]))
         lines.append(f"accuracy8,{self.accuracy8!r}")
-        if self.matrix4 is not None:
-            lines.append("labels4," + ",".join(FOUR_WAY))
-            for i, p in enumerate(FOUR_WAY):
-                lines.append(p + "," + ",".join(str(int(v)) for v in self.matrix4[i]))
-            lines.append(f"accuracy4,{self.accuracy4!r}")
+        lines.append("labels4," + ",".join(FOUR_WAY))
+        for i, p in enumerate(FOUR_WAY):
+            lines.append(p + "," + ",".join(str(int(v)) for v in self.matrix4[i]))
+        lines.append(f"accuracy4,{self.accuracy4!r}")
         return "\n".join(lines) + "\n"
 
     def table(self):
@@ -107,17 +106,16 @@ class PoseReport:
         for i, p in enumerate(POSES):
             rows.append(f"{p:>5} " + "".join(f"{int(v):>5}" for v in self.matrix8[i]))
         rows.append(f"8-way accuracy: {self.accuracy8:.4f}")
-        if self.matrix4 is not None:
-            rows.append("      " + "".join(f"{p:>5}" for p in FOUR_WAY))
-            for i, p in enumerate(FOUR_WAY):
-                rows.append(f"{p:>5} " + "".join(f"{int(v):>5}" for v in self.matrix4[i]))
-            rows.append(f"4-way accuracy: {self.accuracy4:.4f}")
+        rows.append("      " + "".join(f"{p:>5}" for p in FOUR_WAY))
+        for i, p in enumerate(FOUR_WAY):
+            rows.append(f"{p:>5} " + "".join(f"{int(v):>5}" for v in self.matrix4[i]))
+        rows.append(f"4-way accuracy: {self.accuracy4:.4f}")
         return "\n".join(rows)
 
 
-def pose_eval(preds, truths, merge=True):
-    """Confusion matrices and accuracies; the merged view folds NE,SE into E
-    and NW,SW into W on both sides before scoring."""
+def pose_eval(preds, truths):
+    """8-way and 4-way confusion matrices and accuracies; the 4-way view
+    folds NE,SE into E and NW,SW into W on both sides before scoring."""
     if len(preds) != len(truths):
         raise ContractViolation(f"{len(preds)} predictions vs {len(truths)} truths")
     for label in list(preds) + list(truths):
@@ -127,8 +125,6 @@ def pose_eval(preds, truths, merge=True):
     for p, t in zip(preds, truths):
         m8[POSE_INDEX[t], POSE_INDEX[p]] += 1
     acc8 = float(np.trace(m8) / len(preds)) if preds else 1.0
-    if not merge:
-        return PoseReport(m8, acc8, None, None)
     idx4 = {p: FOUR_WAY.index(MERGE4[p]) for p in POSES}
     m4 = np.zeros((4, 4), dtype=np.int64)
     for p, t in zip(preds, truths):

@@ -129,7 +129,9 @@ def save_router(net, path):
     write_checkpoint(path, ROUTER_MAGIC, net.digest, net.parameters())
 
 
-def load_router(path, num_classes, expected_digest=None):
+def load_router(path, num_classes, expected_digest):
+    """Rebuild a router from a checkpoint; refuses one trained against a
+    taxonomy whose digest is not expected_digest."""
     with open(path, "rb") as fh:
         if fh.read(len(RETIRED_MAGIC)) == RETIRED_MAGIC:
             raise CheckpointError(
@@ -138,7 +140,7 @@ def load_router(path, num_classes, expected_digest=None):
                 "retrain it with train-router",
             )
     digest, tensors, offsets = read_checkpoint(path, ROUTER_MAGIC)
-    if expected_digest is not None and digest != expected_digest:
+    if digest != expected_digest:
         raise CheckpointError(8, "router was trained against a different taxonomy")
     params = load_params(tensors, offsets, router_layout(num_classes), "the router layout")
     return RouterNet(num_classes, params, digest)

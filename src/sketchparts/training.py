@@ -1,11 +1,14 @@
 """Loss construction and the training loops.
 
-Per-pixel cross-entropy is rebalanced by alpha_c = M / f_c, where f_c is a
-label's average pixel mass over the images containing it and M the median
-of those masses, so small parts weigh more. The combined objective adds
-the pose cross-entropy scaled by lambda (grid-searched optimum 1.0). The
-parser (mini-batch 1) and the router train through one step loop, `_sgd`:
-SGD with momentum under polynomial rate decay (`optim.SgdMomentum`).
+Per-pixel cross-entropy is always rebalanced by alpha_c = M / f_c, where
+f_c is a label's average pixel mass over the images containing it and M
+the median of those masses, over every label, background included, so
+small parts weigh more. The combined objective adds the pose cross-entropy
+scaled by lambda (grid-searched optimum 1.0). Training always augments:
+each parser step draws one of the 14 rotation/mirror variants of its
+sample, and each router draw one of the 70 classifier variants. The parser
+(mini-batch 1) and the router train through one step loop, `_sgd`: SGD
+with momentum under polynomial rate decay (`optim.SgdMomentum`).
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ from .router import router_input
 from .router import forward as router_forward
 
 
-def compute_class_balance(samples, branch, taxonomy, balance_background=True):
+def compute_class_balance(samples, branch, taxonomy):
     """alpha_c = M / f_c with f_c = (pixels of c) / (images containing c).
 
     Returns the float64 per-label loss weights of the branch, indexed by
-    branch label id.
+    branch label id. Every label takes part, background (label 0) included.
 
     Labels never seen in the branch's samples are a configuration error.
-    Background (label 0) takes part in the balancing by default; with
-    balance_background=False its weight is pinned to 1.
     """
     n_labels = taxonomy.n_parts(branch) + 1
     pixel_count = np.zeros(n_labels, dtype=np.float64)
@@ -57,19 +58,14 @@ def compute_class_balance(samples, branch, taxonomy, balance_background=True):
         for i, c in zip(ids, counts):
             pixel_count[i] += c
             image_count[i] += 1
-    start = 0 if balance_background else 1
-    for label in range(start, n_labels):
+    for label in range(n_labels):
         if image_count[label] == 0:
             name = "background" if label == 0 else taxonomy.part_names(branch)[label - 1]
             raise ConfigError(
                 f"label {label} ({name}) of branch {branch} is absent from the dataset"
             )
-    f = np.ones(n_labels)
-    f[start:] = pixel_count[start:] / image_count[start:]
-    median = np.median(f[start:])
-    weights = np.ones(n_labels)
-    weights[start:] = median / f[start:]
-    return weights
+    f = pixel_count / image_count
+    return np.median(f) / f
 
 
 def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
@@ -105,17 +101,13 @@ class TrainPlan:
     lam: float = 1.0
     seed: int = 0
     freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
-    class_balance: bool = True
-    balance_background: bool = True
     clip_norm: float = 10.0  # global gradient norm cap; None disables
-    augment: bool = True  # draw one of the 14 rotation/mirror variants per step
 
     def __post_init__(self):
         _require_types(
             self,
             ints=("iterations", "seed"),
             reals=("lr_body", "lr_seg_head", "lr_pose_head", "lam"),
-            bools=("class_balance", "balance_background", "augment"),
         )
         if self.clip_norm is not None:
             _require_types(self, reals=("clip_norm",))
@@ -137,9 +129,9 @@ class TrainPlan:
             )
 
 
-def _require_types(plan, ints=(), reals=(), bools=()):
+def _require_types(plan, ints=(), reals=()):
     """Reject plan fields of the wrong type, as read from a JSON config:
-    integers (bool excluded, never negative), finite real numbers and bools."""
+    integers (bool excluded, never negative) and finite real numbers."""
     for name in ints:
         value = getattr(plan, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
@@ -149,10 +141,6 @@ def _require_types(plan, ints=(), reals=(), bools=()):
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not real or not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    for name in bools:
-        value = getattr(plan, name)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def clip_gradients(params, max_norm):
@@ -217,13 +205,7 @@ def train_parser(model, samples, plan):
         top, n = int(s.labels.labels.max()), tax.n_parts(b)
         if top > n:
             raise ConfigError(f"a {s.category} label map holds part id {top}, outside 0..{n}")
-    if plan.class_balance:
-        balances = {
-            b: compute_class_balance(samples, b, tax, plan.balance_background)
-            for b in sorted(set(branches))
-        }
-    else:
-        balances = {b: np.ones(tax.n_parts(b) + 1) for b in set(branches)}
+    balances = {b: compute_class_balance(samples, b, tax) for b in sorted(set(branches))}
 
     rng = make_rng((plan.seed, 0xC0FFEE))
     order = []
@@ -232,9 +214,8 @@ def train_parser(model, samples, plan):
         if not order:
             order.extend(rng.permutation(len(samples)))
         idx = int(order.pop())
-        sample, branch = samples[idx], branches[idx]
-        if plan.augment:
-            sample = seg_variant(sample, int(rng.integers(0, len(SEG_COMBOS))))
+        sample = seg_variant(samples[idx], int(rng.integers(0, len(SEG_COMBOS))))
+        branch = branches[idx]
         padded = pad_to_stride(sample.sketch, model.config.stride)
         feats = forward_shared(model, sketch_input(padded))
         scores, pose_logits = forward_branch(model, branch, feats)
@@ -256,15 +237,9 @@ class RouterPlan:
     lr: float = 7e-4
     batch_size: int = 32
     seed: int = 0
-    augment: bool = True
 
     def __post_init__(self):
-        _require_types(
-            self,
-            ints=("iterations", "batch_size", "seed"),
-            reals=("lr",),
-            bools=("augment",),
-        )
+        _require_types(self, ints=("iterations", "batch_size", "seed"), reals=("lr",))
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("iterations, lr and batch size must be positive")
 
@@ -272,10 +247,10 @@ class RouterPlan:
 def train_router(net, labelled, plan):
     """Train the K-way classifier on (Raster, class index) pairs.
 
-    With augment=True every draw applies one of the 70 classifier
-    augmentations on the fly, at full resolution, which samples the
-    expanded dataset uniformly without materializing it. The drawn sketch
-    then reaches the net through `router_input`, as at inference.
+    Every draw applies one of the 70 classifier augmentations on the fly,
+    at full resolution, which samples the expanded dataset uniformly
+    without materializing it. The drawn sketch then reaches the net through
+    `router_input`, as at inference.
     """
     if not labelled:
         raise ContractViolation("training set is empty")
@@ -286,13 +261,11 @@ def train_router(net, labelled, plan):
 
     def forward_step():
         picks = rng.integers(0, len(labelled), size=plan.batch_size)
-        if plan.augment:
-            variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
+        variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
         batch_loss = None
-        for i, pick in enumerate(picks):
+        for pick, variant in zip(picks, variants):
             sketch, label = labelled[int(pick)]
-            if plan.augment:
-                sketch = cls_variant(sketch, int(variants[i]))
+            sketch = cls_variant(sketch, int(variant))
             logits = router_forward(net, router_input(sketch), rng=rng, training=True)
             term = softmax_ce(logits, label)
             batch_loss = term if batch_loss is None else add(batch_loss, term)

@@ -129,7 +129,7 @@ def saved_net(which):
     """(ordered named tensors, magic, digest, loader) of a seeded parser or router."""
     if which == "router":
         net = build_router(3, seed=1)
-        return net.parameters(), ROUTER_MAGIC, net.digest, lambda p: load_router(p, 3)
+        return net.parameters(), ROUTER_MAGIC, net.digest, lambda p: load_router(p, 3, net.digest)
     tax = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
     config = ModelConfig()
     model = build_model(config, tax, seed=1)

@@ -6,9 +6,9 @@ import pytest
 
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
-from sketchparts.model import ModelConfig, build_model, save_checkpoint
+from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
-from sketchparts.checkpoint import write_checkpoint
+from sketchparts.checkpoint import read_checkpoint, write_checkpoint
 from sketchparts.router import RETIRED_MAGIC, build_router
 from sketchparts.taxonomy import load_taxonomy
 
@@ -258,10 +258,19 @@ def test_selfcheck_deterministic_output(capsys):
     assert first == second
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-corpus", "--nonsense"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(tmp_path, capsys):
+    train = ["--train", str(tmp_path), "--out", str(tmp_path / "run")]
+    for argv in (
+        ["gen-corpus", "--out", str(tmp_path / "c"), "--nonsense"],
+        ["train-parser", *train, "--no-class-balance"],
+        ["train-parser", *train, "--no-balance-background"],
+        ["train-router", *train, "--no-augment"],
+        ["eval", "--pred", str(tmp_path), "--gt", str(tmp_path), "--merge4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 def test_contract_violation_exits_1(tmp_path, capsys):
@@ -427,8 +436,19 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section", ["parser", "router"])
-@pytest.mark.parametrize("key", ["momentum", "poly_power"])
+@pytest.mark.parametrize(
+    "key,section",
+    [
+        ("momentum", "parser"),
+        ("momentum", "router"),
+        ("poly_power", "parser"),
+        ("poly_power", "router"),
+        ("class_balance", "parser"),
+        ("balance_background", "parser"),
+        ("augment", "parser"),
+        ("augment", "router"),
+    ],
+)
 def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path, capsys,
                                                           section, key):
     cfg = tmp_path / "run.json"
@@ -483,14 +503,39 @@ def test_train_parser_cli_smoke(small_corpus, tmp_path):
     assert len(log) == 5
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-class-balance"]], ids=["balanced", "uniform"])
-def test_train_parser_refuses_a_part_id_outside_the_branch(small_corpus, tmp_path, capsys, flags):
+def test_fine_tune_keeps_frozen_shared_layers(small_corpus, tmp_path, capsys):
+    base = ["train-parser", "--train", str(small_corpus), "--iterations", "2", "--seed", "1"]
+    assert main([*base, "--out", str(tmp_path / "init")]) == 0
+    init = tmp_path / "init" / "model.ckpt"
+    assert main([*base, "--out", str(tmp_path / "tuned"), "--init", str(init),
+                 "--freeze-shared"]) == 0
+    _, before, _ = read_checkpoint(init, MODEL_MAGIC)
+    _, after, _ = read_checkpoint(tmp_path / "tuned" / "model.ckpt", MODEL_MAGIC)
+    assert list(after) == list(before)
+    shared = [n for n in before if n.startswith("shared.")]
+    assert shared and all(after[n].tobytes() == before[n].tobytes() for n in shared)
+    assert any(after[n].tobytes() != before[n].tobytes() for n in before
+               if n.startswith("branch"))
+    capsys.readouterr()
+
+    other = tmp_path / "other.ckpt"
+    tiny = load_taxonomy("super Small Animals\ncat cat : head, body, leg, tail\n")
+    save_checkpoint(build_model(ModelConfig(), tiny, seed=1), other)
+    rc = main([*base, "--out", str(tmp_path / "refused"), "--init", str(other)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:") and "taxonomy" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "refused").exists()
+
+
+def test_train_parser_refuses_a_part_id_outside_the_branch(small_corpus, tmp_path, capsys):
     labels_path = small_corpus / "cat" / "0001.labels.pgm"
     labels = read_pgm(labels_path)
     labels[0, 0] = 9  # cat's branch has parts 1..4
     write_pgm(labels_path, labels)
     rc = main(["train-parser", "--train", str(small_corpus), "--out", str(tmp_path / "run"),
-               "--iterations", "1", *flags])
+               "--iterations", "1"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "cat" in err and "part id 9" in err and "Traceback" not in err
@@ -500,7 +545,7 @@ def test_train_parser_refuses_a_part_id_outside_the_branch(small_corpus, tmp_pat
 def test_train_router_cli_smoke(small_corpus, tmp_path):
     out = tmp_path / "run"
     rc = main(["train-router", "--train", str(small_corpus), "--out", str(out),
-               "--iterations", "2", "--batch-size", "2", "--seed", "1", "--no-augment"])
+               "--iterations", "2", "--batch-size", "2", "--seed", "1"])
     assert rc == 0
     assert (out / "router.ckpt").exists()
     assert len((out / "router_log.csv").read_text().splitlines()) == 3
@@ -614,4 +659,5 @@ def test_eval_reads_predicted_poses(small_corpus, tmp_path):
     rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus),
                "--out", str(out)])
     assert rc == 0
-    assert "accuracy8," in (out / "pose.csv").read_text()
+    pose = (out / "pose.csv").read_text()
+    assert "accuracy8," in pose and "accuracy4," in pose

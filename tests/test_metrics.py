@@ -127,7 +127,3 @@ class TestPoseEval:
     def test_unknown_label_rejected(self):
         with pytest.raises(ContractViolation):
             pose_eval(["EAST"], ["E"])
-
-    def test_merge_false_skips_fourway(self):
-        report = pose_eval(["E"], ["E"], merge=False)
-        assert report.matrix4 is None and report.accuracy4 is None

@@ -177,12 +177,21 @@ def test_non_square_sketch_keeps_its_aspect_ratio(seen_views):
     assert router_input(sketch).shape == (50, 64)
 
 
-def test_training_and_single_view_feed_the_same_input(seen_views):
+def test_training_and_single_view_feed_the_same_input(seen_views, monkeypatch):
+    drawn = []
+    real_variant = training_module.cls_variant
+
+    def recording_variant(sketch, index):
+        drawn.append(real_variant(sketch, index))
+        return drawn[-1]
+
+    monkeypatch.setattr(training_module, "cls_variant", recording_variant)
     net = build_router(3, seed=31)
     sketch = Raster(np.where(make_rng(33).random((90, 120)) < 0.12, 255, 0).astype(np.uint8))
-    train_router(net, [(sketch, 1)], RouterPlan(iterations=1, batch_size=1, augment=False))
+    train_router(net, [(sketch, 1)], RouterPlan(iterations=1, batch_size=1))
     (trained_on,) = seen_views
-    routed_on = router_input(sketch)
+    (variant,) = drawn
+    routed_on = router_input(variant)
     assert trained_on.dtype == np.float32
     assert np.array_equal(trained_on, routed_on)
 
@@ -213,7 +222,7 @@ def test_old_router_checkpoint_refused(tmp_path):
     p = tmp_path / "old.ckpt"
     write_checkpoint(p, RETIRED_MAGIC, net.digest, net.parameters())
     with pytest.raises(CheckpointError, match="retrain") as info:
-        load_router(p, 4)
+        load_router(p, 4, net.digest)
     assert info.value.offset == 0
 
 

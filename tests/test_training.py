@@ -38,24 +38,27 @@ def lm_sample(labels, pose="E", category="thing"):
 
 class TestClassBalance:
     def test_handworked_median_example(self):
-        # part alpha: 200 px over 2 images -> f=100; part beta: 10 px over
-        # one image -> f=10; even-rule median 55 -> alphas 0.55 and 5.5
+        # background: 590 px over 2 images -> f=295; part alpha: 200 px over
+        # 2 images -> f=100; part beta: 10 px over one image -> f=10; median
+        # 100 -> alphas 100/295, 1 and 10
         img1 = np.zeros((20, 20), dtype=np.uint8)
         img1[:5, :20] = 1  # 100 px of alpha
         img2 = np.zeros((20, 20), dtype=np.uint8)
         img2[:5, :20] = 1
         img2[10, :10] = 2  # 10 px of beta
         samples = [lm_sample(img1), lm_sample(img2)]
-        cb = compute_class_balance(samples, 0, ONE_BRANCH, balance_background=False)
-        assert cb[1] == pytest.approx(0.55)
-        assert cb[2] == pytest.approx(5.5)
-        assert cb[0] == 1.0
+        cb = compute_class_balance(samples, 0, ONE_BRANCH)
+        assert cb[0] == pytest.approx(100 / 295)
+        assert cb[1] == pytest.approx(1.0)
+        assert cb[2] == pytest.approx(10.0)
 
     def test_equal_masses_give_unit_weights(self):
         img = np.zeros((8, 8), dtype=np.uint8)
         img[0, :4] = 1
         img[1, :4] = 2
-        cb = compute_class_balance([lm_sample(img)], 0, ONE_BRANCH, balance_background=False)
+        # f = 56 for background and 4 for each part: the median is 4
+        cb = compute_class_balance([lm_sample(img)], 0, ONE_BRANCH)
+        assert cb[0] == pytest.approx(4 / 56)
         assert cb[1] == pytest.approx(1.0)
         assert cb[2] == pytest.approx(1.0)
 
@@ -72,8 +75,7 @@ class TestClassBalance:
         with pytest.raises(ConfigError, match="beta"):
             compute_class_balance([lm_sample(img)], 0, ONE_BRANCH)
 
-    @pytest.mark.parametrize("bg", [True, False])
-    def test_matches_bruteforce_oracle(self, bg):
+    def test_matches_bruteforce_oracle(self):
         rng = make_rng(7)
         tax = load_taxonomy("super S\ncat thing : a, b, c\n")
         for _ in range(25):
@@ -82,8 +84,8 @@ class TestClassBalance:
                 arr = (rng.random((8, 8)) * 4).astype(np.uint8)
                 arr[0, :] = [1, 2, 3, 1, 2, 3, 1, 2]  # ensure every label occurs
                 samples.append(lm_sample(arr, category="thing"))
-            got = compute_class_balance(samples, 0, tax, balance_background=bg)
-            want = balance_bruteforce([s.labels.labels for s in samples], 4, bg)
+            got = compute_class_balance(samples, 0, tax)
+            want = balance_bruteforce([s.labels.labels for s in samples], 4)
             for label, alpha in want.items():
                 assert got[label] == pytest.approx(alpha)
 
@@ -98,13 +100,14 @@ class TestClassBalance:
         assert np.allclose(a, b)
 
     def test_odd_median_label_gets_unit_weight(self):
-        tax = load_taxonomy("super S\ncat thing : a, b, c\n")
+        # background and two parts are three labels, so the median is one of them
         img = np.zeros((12, 12), dtype=np.uint8)
         img[0, :] = 1  # 12 px
-        img[1:4, :] = 2  # 36 px
-        img[4:10, :] = 3  # 72 px
-        cb = compute_class_balance([lm_sample(img)], 0, tax, balance_background=False)
+        img[1:4, :] = 2  # 36 px; the other 96 px are background
+        cb = compute_class_balance([lm_sample(img)], 0, ONE_BRANCH)
         assert cb[2] == pytest.approx(1.0)  # f=36 is the median
+        assert cb[0] == pytest.approx(36 / 96)
+        assert cb[1] == pytest.approx(3.0)
 
 
 class TestTotalLoss:
@@ -307,15 +310,6 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="seed must be an integer"):
             plan(seed=value)
 
-    @pytest.mark.parametrize("field", ["class_balance", "balance_background", "augment"])
-    @pytest.mark.parametrize("value", ["no", 0, None])
-    def test_flags_must_be_bools(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be true or false"):
-            TrainPlan(**{field: value})
-        if field == "augment":
-            with pytest.raises(ConfigError, match="augment must be true or false"):
-                RouterPlan(augment=value)
-
 
 class TestTrainRouter:
     def test_log_and_determinism(self):
@@ -324,7 +318,7 @@ class TestTrainRouter:
             (Raster(np.where(rng.random((64, 64)) < 0.1, 255, 0).astype(np.uint8)), i % 2)
             for i in range(6)
         ]
-        plan = RouterPlan(iterations=3, batch_size=4, seed=9, augment=False)
+        plan = RouterPlan(iterations=3, batch_size=4, seed=9)
         n1 = build_router(2, seed=5)
         log1 = train_router(n1, data, plan)
         n2 = build_router(2, seed=5)
