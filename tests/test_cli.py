@@ -259,18 +259,31 @@ def test_selfcheck_deterministic_output(capsys):
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
-    train = ["--train", str(tmp_path), "--out", str(tmp_path / "run")]
-    for argv in (
-        ["gen-corpus", "--out", str(tmp_path / "c"), "--nonsense"],
-        ["train-parser", *train, "--no-class-balance"],
-        ["train-parser", *train, "--no-balance-background"],
-        ["train-router", *train, "--no-augment"],
-        ["eval", "--pred", str(tmp_path), "--gt", str(tmp_path), "--merge4"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-corpus", "--out", str(tmp_path / "c"), "--nonsense"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("train-parser", "--no-class-balance"),
+        ("train-parser", "--no-balance-background"),
+        ("train-router", "--no-augment"),
+        ("eval", "--merge4"),
+    ],
+)
+def test_retired_switch_flag_exits_2(tmp_path, capsys, command, flag):
+    if command == "eval":
+        required = ["--pred", str(tmp_path), "--gt", str(tmp_path)]
+    else:
+        required = ["--train", str(tmp_path), "--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_contract_violation_exits_1(tmp_path, capsys):

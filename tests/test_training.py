@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,28 @@ class TestPlanValidation:
 
     def test_freeze_list_is_stored_as_tuple(self):
         assert TrainPlan(freeze=["shared", "seg_head"]).freeze == ("shared", "seg_head")
+
+    def test_plan_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainPlan)] == [
+            "iterations", "lr_body", "lr_seg_head", "lr_pose_head", "lam", "seed", "freeze",
+            "clip_norm",
+        ]
+        assert [f.name for f in dataclasses.fields(RouterPlan)] == [
+            "iterations", "lr", "batch_size", "seed",
+        ]
+
+    @pytest.mark.parametrize(
+        "plan,field",
+        [
+            (TrainPlan, "class_balance"),
+            (TrainPlan, "balance_background"),
+            (TrainPlan, "augment"),
+            (RouterPlan, "augment"),
+        ],
+    )
+    def test_retired_switch_is_not_a_plan_keyword(self, plan, field):
+        with pytest.raises(TypeError, match=field):
+            plan(**{field: True})
 
     @pytest.mark.parametrize("plan", [TrainPlan, RouterPlan])
     @pytest.mark.parametrize("value", ["0", -1, 1.0])
