@@ -12,11 +12,16 @@ finite-difference checks stay tight.
 Every tensor receives a gradient unless it was built with
 requires_grad=False, as the raw sketch input of model.sketch_input is:
 conv2d skips the input gradient of such a tensor, and backward() never
-fills its .grad. backward() sums the gradients one tensor receives in tape
-order. From the third on it adds them in place into the sum it allocated
-at the second, unless the add would promote that sum's dtype; it never
-writes into an array a grad_fn returned or received, which may be a view
-or passed to two inputs.
+fills its .grad. One accumulation rule, GradientSum, sums the gradients
+one tensor receives in the order they arrive: the first is kept as given,
+the second allocates the sum, and later ones add into it in place unless
+the add would promote its dtype. So no array a grad_fn returned or
+received, which may be a view or passed to two inputs, is ever written.
+backward(tape, loss) fills the leaves' .grad from such a sum;
+backward(tape, loss, into=total) adds the leaf gradients to the caller's
+GradientSum `total` instead. Tapes replayed into one sum, the last recorded
+first, give the leaves the bytes that one tape holding all their entries in
+recording order gives in its single reverse replay.
 
 Conv forward builds its im2col patch matrix in two copies: the k column
 shifts of every zero-padded row, then each tap's rows of that buffer, which
@@ -127,46 +132,73 @@ def _recording():
     return bool(_ACTIVE.tapes)
 
 
-def backward(tape, loss):
-    """Replay `tape` in reverse from scalar `loss`, filling leaf .grad slots."""
+class GradientSum:
+    """Per-tensor gradient sums, each the sum of what add() was given for
+    that tensor, in call order.
+
+    A tensor's first gradient is kept as given. The second allocates their
+    sum; later ones add into that sum in place, unless the add would promote
+    its dtype. So no array a caller passed in is ever written: a grad_fn may
+    return a view of its input gradient, or one array for two inputs.
+    """
+
+    def __init__(self):
+        self._sums = {}  # id(tensor) -> [tensor, sum, allocated here]
+
+    def add(self, tensor, grad):
+        entry = self._sums.get(id(tensor))
+        if entry is None:
+            self._sums[id(tensor)] = [tensor, grad, False]
+        elif entry[2] and np.result_type(entry[1], grad) == entry[1].dtype:
+            np.add(entry[1], grad, out=entry[1])
+        else:
+            entry[1] = entry[1] + grad
+            entry[2] = True
+
+    def pop(self, tensor):
+        """The tensor's sum, which the sum forgets; None if it has none."""
+        entry = self._sums.pop(id(tensor), None)
+        return None if entry is None else entry[1]
+
+    def assign(self):
+        """Set each tensor's .grad to its sum, in the tensor's dtype and shape."""
+        for tensor, total, _ in self._sums.values():
+            tensor.grad = total.astype(tensor.dtype, copy=False).reshape(tensor.shape)
+
+
+def backward(tape, loss, into=None):
+    """Replay `tape` in reverse from scalar `loss`.
+
+    The gradients of the tape's leaves (the tensors no entry produced) go to
+    the GradientSum `into` in the order the replay reaches them; without
+    one, they go to a new sum whose totals fill the leaves' .grad slots.
+    """
     if tape.consumed:
         raise ContractViolation("tape has already been replayed backward once")
     if loss.data.size != 1:
         raise ContractViolation(f"loss must be scalar, got shape {tuple(loss.shape)}")
     tape.consumed = True
 
-    pending = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
-    # ids whose pending sum is an array this loop allocated: the only sums
-    # it adds into in place, and only while the add keeps their dtype. A
-    # grad_fn may return a view of its input gradient, or one array for two
-    # inputs, so those are never written.
-    owned = set()
+    leaves = GradientSum() if into is None else into
+    pending = GradientSum()
     produced = {id(out) for out, _, _ in tape.entries}
 
+    def receive(tensor, grad):
+        if id(tensor) in produced:
+            pending.add(tensor, grad)
+        elif tensor.requires_grad:
+            leaves.add(tensor, grad)
+
+    receive(loss, np.ones_like(loss.data))
     for out, inputs, grad_fn in reversed(tape.entries):
-        g = pending.pop(id(out), None)
-        holders.pop(id(out), None)
-        owned.discard(id(out))
+        g = pending.pop(out)
         if g is None:
             continue  # not on the path from loss
         for tensor, grad in zip(inputs, grad_fn(g)):
-            if grad is None:
-                continue
-            tid = id(tensor)
-            acc = pending.get(tid)
-            if acc is None:
-                pending[tid] = grad
-                holders[tid] = tensor
-            elif tid in owned and np.result_type(acc, grad) == acc.dtype:
-                np.add(acc, grad, out=acc)
-            else:
-                pending[tid] = acc + grad
-                owned.add(tid)
-
-    for tid, tensor in holders.items():
-        if tid not in produced and tensor.requires_grad:
-            tensor.grad = pending[tid].astype(tensor.dtype, copy=False).reshape(tensor.shape)
+            if grad is not None:
+                receive(tensor, grad)
+    if into is None:
+        leaves.assign()
 
 
 def zero_grads(tensors):
@@ -291,6 +323,12 @@ def conv2d(x, w, b, spec):
     return out
 
 
+def pool_out_size(size, window, stride):
+    """Output positions of maxpool2d along a side: ceil((S-w)/s)+1, and one
+    window for a side shorter than it."""
+    return max(0, -(-(size - window) // stride)) + 1
+
+
 def maxpool2d(x, window, stride):
     """Max over window x window patches; right/bottom zero-padded so every
     window start inside ceil((S-w)/s)+1 positions is covered. Gradient goes
@@ -298,8 +336,7 @@ def maxpool2d(x, window, stride):
     if window < 1 or stride < 1:
         raise ContractViolation(f"window/stride must be >= 1, got {window}/{stride}")
     C, H, W = x.shape
-    Ho = max(0, -(-(H - window) // stride)) + 1
-    Wo = max(0, -(-(W - window) // stride)) + 1
+    Ho, Wo = pool_out_size(H, window, stride), pool_out_size(W, window, stride)
     Hp = (Ho - 1) * stride + window
     Wp = (Wo - 1) * stride + window
 

@@ -2,11 +2,21 @@
 
 Subcommands cover the full pipeline: gen-corpus, sketchify, train-parser,
 train-router, infer, eval, rerank, describe, selfcheck. Every run with the
-same seeds and inputs, at the same BLAS thread count, writes byte-identical
-outputs.
+same seeds and inputs writes byte-identical outputs.
+
+BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
+another order, so train-router would write other weights, and pooled
+routing's two lanes would compete with BLAS's threads for the same CPUs.
 """
 
 from __future__ import annotations
+
+import os
+
+# before any import that loads numpy, which reads them once
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import csv

@@ -13,7 +13,7 @@ checks a checkpoint against it, so loading draws no random numbers.
 from __future__ import annotations
 
 from .autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, he_normal, linear
-from .autograd import maxpool2d, relu
+from .autograd import maxpool2d, pool_out_size, relu
 from .checkpoint import check_layout
 from .errors import ConfigError
 
@@ -61,6 +61,20 @@ def load_params(tensors, offsets, layout, what):
     check_layout unless their names and shapes follow `layout`."""
     check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)
     return {name: Tensor(a) for name, a in tensors.items()}
+
+
+def stack_shape(shape, stack):
+    """The (C, H, W) shape that run_stack gives for a (C, H, W) input, from
+    the layer geometry alone."""
+    c, h, w = shape
+    for entry in stack:
+        if isinstance(entry, ConvSpec):
+            c, h, w = entry.out_channels, entry.out_size(h), entry.out_size(w)
+        elif entry[0] == "maxpool":
+            h, w = pool_out_size(h, entry[1], entry[2]), pool_out_size(w, entry[1], entry[2])
+        elif entry[0] != "dropout":
+            raise ConfigError(f"unknown stack entry {entry!r}")
+    return c, h, w
 
 
 def run_stack(x, stack, prefix, params, rng=None, training=False):

@@ -19,11 +19,12 @@ Pooled inference runs on two CPU lanes: one worker thread routes the
 mirror's six views while the calling thread routes the sketch's own six,
 and the pairs are summed in the serial order, so the scores are the bytes
 of a serial loop. The lanes pay with BLAS pinned to one thread
-(OPENBLAS_NUM_THREADS=1, as the benchmark and CI run). Under threaded BLAS
-they compete with BLAS's own threads for the same CPUs, and routing was
-about 14% slower than the serial loop on a 2-vCPU VM. The worker lives for
-one call: it starts inside `classify_pooled` and has ended when the call
-returns or raises, so no thread is alive between calls and a fork is safe.
+(OPENBLAS_NUM_THREADS=1, which the CLI sets unless the user does, and the
+benchmark and CI run). Under threaded BLAS they compete with BLAS's own
+threads for the same CPUs, and routing was about 14% slower than the
+serial loop on a 2-vCPU VM. The worker lives for one call: it starts
+inside `classify_pooled` and has ended when the call returns or raises, so
+no thread is alive between calls and a fork is safe.
 """
 
 from __future__ import annotations

@@ -8,11 +8,16 @@ scaled by lambda (grid-searched optimum 1.0). Training always augments:
 each parser step draws one of the 14 rotation/mirror variants of its
 sample, and each router draw one of the 70 classifier variants. The parser
 (mini-batch 1) and the router train through one step loop, `_sgd`: SGD
-with momentum under polynomial rate decay (`optim.SgdMomentum`).
+with momentum under polynomial rate decay (`optim.SgdMomentum`). A router
+step streams its mini-batch: each draw is recorded and replayed on a tape
+of its own into one `autograd.GradientSum`, so the step's memory does not
+grow with batch_size, and its weights and losses are the bytes of one tape
+over the whole batch.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,6 +26,7 @@ import numpy as np
 
 from .augment import CLS_COMBOS, SEG_COMBOS, cls_variant, seg_variant
 from .autograd import (
+    GradientSum,
     Tape,
     add,
     backward,
@@ -34,9 +40,10 @@ from .autograd import (
 )
 from .errors import ConfigError, ContractViolation
 from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
+from .nets import stack_shape
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
-from .router import router_input
+from .router import ROUTER_STACK, router_input
 from .router import forward as router_forward
 
 
@@ -153,21 +160,19 @@ def clip_gradients(params, max_norm):
             t.grad = t.grad * factor
 
 
-def _sgd(opt, params, forward_step, clip_norm, frozen):
-    """The shared step loop: one optimizer step per forward_step() call.
+def _sgd(opt, params, step, clip_norm, frozen):
+    """The shared step loop: one optimizer step per step() call.
 
-    forward_step() runs one taped forward pass and returns (loss, log row).
+    step() fills the parameters' .grad and returns (loss, log row).
     Gradients are clipped to clip_norm unless it is None; the groups named
     in `frozen` stay fixed. Each log row gains "iter" first and, last, the
     rate of the first parameter group at that step.
     """
     log = []
     for it in range(opt.max_iterations):
-        with Tape() as tape:
-            loss, row = forward_step()
+        loss, row = step()
         if not np.isfinite(loss.data.item()):
             raise RuntimeError(f"loss became non-finite at iteration {it}")
-        backward(tape, loss)
         if clip_norm is not None:
             clip_gradients(params, clip_norm)
         lr = opt.lr_factor() * opt.groups[0].lr
@@ -210,25 +215,27 @@ def train_parser(model, samples, plan):
     rng = make_rng((plan.seed, 0xC0FFEE))
     order = []
 
-    def forward_step():
+    def step():
         if not order:
             order.extend(rng.permutation(len(samples)))
         idx = int(order.pop())
         sample = seg_variant(samples[idx], int(rng.integers(0, len(SEG_COMBOS))))
         branch = branches[idx]
         padded = pad_to_stride(sample.sketch, model.config.stride)
-        feats = forward_shared(model, sketch_input(padded))
-        scores, pose_logits = forward_branch(model, branch, feats)
-        if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
-            scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
-        loss, seg_v, pose_v = total_loss(
-            scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
-        )
+        with Tape() as tape:
+            feats = forward_shared(model, sketch_input(padded))
+            scores, pose_logits = forward_branch(model, branch, feats)
+            if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
+                scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
+            loss, seg_v, pose_v = total_loss(
+                scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
+            )
+        backward(tape, loss)
         return loss, {"seg_loss": seg_v, "pose_loss": pose_v, "total": loss.data.item()}
 
     opt = SgdMomentum(_parser_groups(model, plan), plan.iterations)
     params = [t for _, t in model.parameters()]
-    return _sgd(opt, params, forward_step, plan.clip_norm, plan.freeze)
+    return _sgd(opt, params, step, plan.clip_norm, plan.freeze)
 
 
 @dataclass(frozen=True)
@@ -251,6 +258,14 @@ def train_router(net, labelled, plan):
     at full resolution, which samples the expanded dataset uniformly
     without materializing it. The drawn sketch then reaches the net through
     `router_input`, as at inference.
+
+    A step streams its batch: each draw runs forward and backward on a tape
+    of its own, last draw first, into one GradientSum, so the step holds one
+    draw's activations whatever the batch size. Draw i's dropout reads a
+    copy of the generator taken where a loop over the draws in order would
+    read it. The leaves then receive their gradients in the order that one
+    tape over the whole batch would give them, and the weights and losses
+    are its bytes.
     """
     if not labelled:
         raise ContractViolation("training set is empty")
@@ -259,19 +274,33 @@ def train_router(net, labelled, plan):
             raise ContractViolation(f"class label {label} out of range [0, {net.num_classes})")
     rng = make_rng((plan.seed, 0xB0A7))
 
-    def forward_step():
+    def step():
         picks = rng.integers(0, len(labelled), size=plan.batch_size)
         variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
-        batch_loss = None
+        draws = []
         for pick, variant in zip(picks, variants):
             sketch, label = labelled[int(pick)]
-            sketch = cls_variant(sketch, int(variant))
-            logits = router_forward(net, router_input(sketch), rng=rng, training=True)
-            term = softmax_ce(logits, label)
-            batch_loss = term if batch_loss is None else add(batch_loss, term)
+            view = router_input(cls_variant(sketch, int(variant)))
+            draws.append((view, label, copy.deepcopy(rng)))
+            # skip this draw's dropout mask: ROUTER_STACK ends in its one
+            # dropout, which draws a number per element of the stack output
+            rng.random(stack_shape((1, *view.shape), ROUTER_STACK))
+        grads = GradientSum()
+        terms = [None] * plan.batch_size
+        for i in reversed(range(plan.batch_size)):
+            view, label, draw_rng = draws[i]
+            with Tape() as tape:
+                terms[i] = softmax_ce(router_forward(net, view, rng=draw_rng, training=True), label)
+                # the gradient the batch mean hands each term
+                share = scale(terms[i], 1.0 / plan.batch_size)
+            backward(tape, share, into=grads)
+        grads.assign()
+        batch_loss = terms[0]
+        for term in terms[1:]:
+            batch_loss = add(batch_loss, term)
         loss = scale(batch_loss, 1.0 / plan.batch_size)
         return loss, {"loss": loss.data.item()}
 
     opt = SgdMomentum([ParamGroup("router", net.parameters(), plan.lr)], plan.iterations)
     params = [t for _, t in net.parameters()]
-    return _sgd(opt, params, forward_step, None, ())
+    return _sgd(opt, params, step, None, ())

@@ -5,7 +5,8 @@ scatter, max pooling, the resampling matrix, component labelling, graph,
 affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
 (the corpus mask primitives, rotation and rescaling, Canny's direction
 and ridge test) over the whole canvas grid, or one two-lane path (pooled
-routing) as the serial loop it replaced, and the tests compare the
+routing) as the serial loop it replaced, or one streamed path (the router's
+mini-batch) as the single tape it replaced, and the tests compare the
 library against it. No package code calls them, so they stay out of the
 package; the oracles `selfcheck` also runs live in `sketchparts.checks`.
 """
@@ -15,10 +16,13 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from sketchparts.autograd import softmax
+from sketchparts.augment import CLS_COMBOS, cls_variant
+from sketchparts.autograd import Tape, add, backward, make_rng, scale, softmax, softmax_ce
+from sketchparts.autograd import zero_grads
 from sketchparts.imaging import CANNY_SIGMA, INK, LabelMap, Raster, _bilinear_sample, _inside
 from sketchparts.imaging import crops_and_pad, mirror_v
-from sketchparts.router import CROP_FRACTION, ROUTER_SIDE, forward
+from sketchparts.optim import ParamGroup, SgdMomentum
+from sketchparts.router import CROP_FRACTION, ROUTER_SIDE, forward, router_input
 
 
 def conv2d_bruteforce(x, w, b, stride, dilation, pad):
@@ -422,3 +426,29 @@ def classify_pooled_serial(net, sketch):
         total += pair
     scores = total / (2 * len(views))
     return int(scores.argmax()), scores
+
+
+def train_router_one_tape(net, labelled, plan):
+    """training.train_router as one tape per step: every draw of the batch
+    forwarded in order on the same generator, the terms summed with add,
+    scaled by 1/batch_size and replayed backward once."""
+    rng = make_rng((plan.seed, 0xB0A7))
+    opt = SgdMomentum([ParamGroup("router", net.parameters(), plan.lr)], plan.iterations)
+    log = []
+    for it in range(plan.iterations):
+        picks = rng.integers(0, len(labelled), size=plan.batch_size)
+        variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
+        with Tape() as tape:
+            batch_loss = None
+            for pick, variant in zip(picks, variants):
+                sketch, label = labelled[int(pick)]
+                view = router_input(cls_variant(sketch, int(variant)))
+                term = softmax_ce(forward(net, view, rng=rng, training=True), label)
+                batch_loss = term if batch_loss is None else add(batch_loss, term)
+            loss = scale(batch_loss, 1.0 / plan.batch_size)
+        backward(tape, loss)
+        lr = opt.lr_factor() * opt.groups[0].lr
+        opt.step()
+        zero_grads([t for _, t in net.parameters()])
+        log.append({"iter": it, "loss": loss.data.item(), "lr": lr})
+    return log

@@ -6,6 +6,7 @@ import pytest
 from oracles import col2im_loop, conv2d_bruteforce, interp_matrix_loop, maxpool2d_bruteforce
 from sketchparts.autograd import (
     ConvSpec,
+    GradientSum,
     Tape,
     Tensor,
     _interp_matrix,
@@ -363,6 +364,8 @@ class TestTape:
         backward(tape, loss)
         with pytest.raises(ContractViolation, match="already"):
             backward(tape, loss)
+        with pytest.raises(ContractViolation, match="already"):
+            backward(tape, loss, into=GradientSum())
 
     def test_shared_input_accumulates_once(self):
         x = t64([1.0, 2.0])
@@ -377,27 +380,26 @@ class TestTape:
         backward(tape, total)
         assert np.allclose(x.grad, [2.0, 2.0])
 
-    def test_accumulation_is_the_tape_order_sum_and_mutates_no_grad_fn_array(self):
+    # one tape over all six terms, or a tape over the first five and one over
+    # the last, replayed last first into one GradientSum: w's float32 sum is
+    # then (g5 + g4) + g3, as in one tape, never g5 + (g4 + g3)
+    @pytest.mark.parametrize("tapes", [[range(6)], [range(5), range(5, 6)]], ids=["one", "two"])
+    def test_accumulation_is_the_tape_order_sum_and_mutates_no_grad_fn_array(self, tapes):
         rng = make_rng(73)
         x = Tensor(rng.standard_normal(6).astype(np.float32))
         w = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         b = Tensor(np.zeros(4, dtype=np.float32))
-        d = [rng.standard_normal(shape) for shape in ((2, 3), 6, 6, 4, 4)]
-        with Tape() as tape:
-            alias = reshape(x, (2, 3))  # passes x a view of its own gradient
-            twice = add(x, x)  # passes x one gradient array twice
-            terms = [
-                weighted_sum(alias, d[0]),
-                weighted_sum(twice, d[1]),
-                weighted_sum(x, d[2]),  # a float64 gradient
-                weighted_sum(linear(x, w, b), d[3]),  # float32 gradients
-                weighted_sum(linear(x, w, b), d[4]),
-            ]
-            loss = terms[0]
-            for term in terms[1:]:
-                loss = add(loss, term)
+        d = [rng.standard_normal(shape) for shape in ((2, 3), 6, 6, 4, 4, 4)]
+        terms = [
+            lambda: weighted_sum(reshape(x, (2, 3)), d[0]),  # x gets a view of its gradient
+            lambda: weighted_sum(add(x, x), d[1]),  # x gets one gradient array twice
+            lambda: weighted_sum(x, d[2]),  # a float64 gradient
+            lambda: weighted_sum(linear(x, w, b), d[3]),  # float32 x, w; float64 b
+            lambda: weighted_sum(linear(x, w, b), d[4]),
+            lambda: weighted_sum(linear(x, w, b), d[5]),
+        ]
 
-        to_x, seen = [], []
+        received, seen = {id(x): [], id(w): [], id(b): []}, []
 
         def watched(inputs, grad_fn):
             def run(g):
@@ -406,23 +408,49 @@ class TestTape:
                 for tensor, grad in zip(inputs, grads):
                     if grad is not None:
                         seen.append((grad, grad.copy()))
-                        if tensor is x:
-                            to_x.append(grad.copy())
+                        if id(tensor) in received:
+                            received[id(tensor)].append(grad.copy())
                 return grads
 
             return run
 
-        tape.entries = [(out, ins, watched(ins, fn)) for out, ins, fn in tape.entries]
-        backward(tape, loss)
+        def record(parts):
+            with Tape() as tape:
+                loss = terms[parts[0]]()
+                for k in parts[1:]:
+                    loss = add(loss, terms[k]())
+            return tape, loss
 
-        assert [g.dtype for g in to_x] == [np.float32] * 2 + [np.float64] * 4
-        want = to_x[0]
-        for g in to_x[1:]:
-            want = want + g
-        assert x.grad.dtype == np.float32
-        assert x.grad.tobytes() == want.astype(np.float32).tobytes()
+        def replay(tape, loss, into=None):
+            tape.entries = [(out, ins, watched(ins, fn)) for out, ins, fn in tape.entries]
+            backward(tape, loss, into)
+
+        recorded = [record(parts) for parts in tapes]
+        if len(recorded) == 1:
+            replay(*recorded[0])
+        else:
+            total = GradientSum()
+            for tape, loss in reversed(recorded):
+                replay(tape, loss, total)
+            total.assign()
+
+        to_x, to_w, to_b = (received[id(t)] for t in (x, w, b))
+        assert [g.dtype for g in to_x] == [np.float32] * 3 + [np.float64] * 4
+        assert [g.dtype for g in to_w] == [np.float32] * 3
+        assert [g.dtype for g in to_b] == [np.float64] * 3
+        for leaf, grads in ((x, to_x), (w, to_w), (b, to_b)):
+            want = grads[0]
+            for g in grads[1:]:
+                want = want + g
+            assert leaf.grad.dtype == np.float32
+            assert leaf.grad.tobytes() == want.astype(np.float32).tobytes()
         for arr, before in seen:
             assert arr.tobytes() == before.tobytes()
+        got = [t.grad.tobytes() for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        replay(*record(range(6)))
+        assert got == [t.grad.tobytes() for t in (x, w, b)]
 
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0])

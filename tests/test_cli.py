@@ -1,5 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +566,27 @@ def test_train_router_cli_smoke(small_corpus, tmp_path):
     assert rc == 0
     assert (out / "router.ckpt").exists()
     assert len((out / "router_log.csv").read_text().splitlines()) == 3
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_router_pins_blas_unless_the_user_sets_it(small_corpus, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for name, blas in (("unset", {}), ("pinned", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "sketchparts.cli", "train-router", "--train",
+             str(small_corpus), "--out", str(out), "--iterations", "2", "--batch-size", "2",
+             "--seed", "3"],
+            capture_output=True, text=True, env={**base, **blas}, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        runs[name] = [(out / f).read_bytes() for f in ("router.ckpt", "router_log.csv")]
+    assert runs["unset"] == runs["pinned"]
 
 
 def test_train_router_then_infer_round_trip(small_corpus, tmp_path):

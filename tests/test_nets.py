@@ -3,7 +3,9 @@ import pytest
 
 from sketchparts.autograd import ConvSpec, Tensor, make_rng
 from sketchparts.errors import ConfigError
-from sketchparts.nets import init_params, run_stack, stack_layout
+from sketchparts.model import SHARED_STACK
+from sketchparts.nets import init_params, run_stack, stack_layout, stack_shape
+from sketchparts.router import ROUTER_STACK
 
 CONV = ConvSpec(3, 4)
 
@@ -18,3 +20,14 @@ def test_unknown_stack_marker_rejected(marker):
     x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
     with pytest.raises(ConfigError, match="unknown stack entry"):
         run_stack(x, (CONV, marker), "s", params)
+
+
+@pytest.mark.parametrize("stack", [ROUTER_STACK, SHARED_STACK], ids=["router", "shared"])
+@pytest.mark.parametrize(
+    "side", [(64, 64), (40, 100), (63, 37), (33, 33), (1, 1), (1, 9)],
+    ids=["square", "wide", "odd", "odd_square", "pixel", "row"],
+)
+def test_stack_shape_is_run_stack_output_shape(stack, side):
+    params = init_params(make_rng(3), stack_layout(1, stack, "s")[0])
+    x = Tensor(np.ones((1, *side), dtype=np.float32), requires_grad=False)
+    assert stack_shape((1, *side), stack) == run_stack(x, stack, "s", params).shape

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import train_router_one_tape
 from sketchparts.augment import PairedSample
 from sketchparts.autograd import Tensor, make_rng
 from sketchparts.checks import balance_bruteforce, gradcheck
@@ -362,6 +364,38 @@ class TestTrainRouter:
         for it, row in enumerate(log):
             assert row["iter"] == it
             assert row["lr"] == (1.0 - it / 3) ** POLY_POWER * 0.002
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_streamed_batch_is_the_bytes_of_one_tape(self, batch_size):
+        rng = make_rng(29)
+        ink = lambda h, w: Raster(np.where(rng.random((h, w)) < 0.1, 255, 0).astype(np.uint8))
+        wide = np.where(rng.random((96, 160)) < 0.1, 255, 0).astype(np.uint8)
+        sketches = [ink(64, 64), ink(80, 80), ink(48, 64), ink(64, 36), Raster(wide[30:70, 20:120])]
+        data = [(s, i % 3) for i, s in enumerate(sketches)]
+        plan = RouterPlan(iterations=3, batch_size=batch_size, seed=11)
+        streamed, one_tape = build_router(3, seed=4), build_router(3, seed=4)
+        log = train_router(streamed, data, plan)
+        assert log == train_router_one_tape(one_tape, data, plan)
+        assert [row["loss"] for row in log] != [log[0]["loss"]] * 3
+        for name, t in streamed.params.items():
+            assert t.data.tobytes() == one_tape.params[name].data.tobytes(), name
+
+    def test_step_memory_does_not_grow_with_batch_size(self):
+        rng = make_rng(31)
+        data = [
+            (Raster(np.where(rng.random((64, 64)) < 0.1, 255, 0).astype(np.uint8)), i % 2)
+            for i in range(4)
+        ]
+        peaks = []
+        for batch_size in (4, 16):
+            net = build_router(2, seed=5)
+            tracemalloc.start()
+            try:
+                train_router(net, data, RouterPlan(iterations=1, batch_size=batch_size, seed=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
     def test_bad_label_rejected(self):
         net = build_router(2, seed=5)
