@@ -77,6 +77,15 @@ def stack_shape(shape, stack):
     return c, h, w
 
 
+def skip_stack_rng(rng, shape, stack):
+    """Advance `rng` as run_stack(x, stack, ..., rng, training=True) does for
+    an x of (C, H, W) `shape`, without running the stack: each dropout with
+    p > 0 draws rng.random(x.shape) for its mask, as `autograd.dropout` does."""
+    for i, entry in enumerate(stack):
+        if not isinstance(entry, ConvSpec) and entry[0] == "dropout" and entry[1] > 0.0:
+            rng.random(stack_shape(shape, stack[:i]))
+
+
 def run_stack(x, stack, prefix, params, rng=None, training=False):
     ci = 0
     for entry in stack:

@@ -40,7 +40,7 @@ from .autograd import (
 )
 from .errors import ConfigError, ContractViolation
 from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
-from .nets import stack_shape
+from .nets import skip_stack_rng
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
 from .router import ROUTER_STACK, router_input
@@ -282,9 +282,7 @@ def train_router(net, labelled, plan):
             sketch, label = labelled[int(pick)]
             view = router_input(cls_variant(sketch, int(variant)))
             draws.append((view, label, copy.deepcopy(rng)))
-            # skip this draw's dropout mask: ROUTER_STACK ends in its one
-            # dropout, which draws a number per element of the stack output
-            rng.random(stack_shape((1, *view.shape), ROUTER_STACK))
+            skip_stack_rng(rng, (1, *view.shape), ROUTER_STACK)
         grads = GradientSum()
         terms = [None] * plan.batch_size
         for i in reversed(range(plan.batch_size)):
