@@ -21,6 +21,10 @@ from .errors import CheckpointError
 
 VERSION = 1
 COUNT_AT = 40  # byte offset of the tensor count, after magic, version and digest
+# magics of formats no loader reads any more, each with why it is refused
+RETIRED = {
+    b"SKRC": "router checkpoint predates routing on grey views; retrain it with train-router",
+}
 
 
 def write_checkpoint(path, magic, digest, named_tensors):
@@ -54,7 +58,8 @@ def write_checkpoint(path, magic, digest, named_tensors):
 
 def read_checkpoint(path, magic):
     """Returns (digest, ordered dict name -> float32 array, dict name -> byte
-    offset of the tensor's record)."""
+    offset of the tensor's record). A RETIRED magic is refused with its
+    reason."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -68,6 +73,8 @@ def read_checkpoint(path, magic):
         return chunk
 
     got_magic = take(4, "magic")
+    if got_magic in RETIRED:
+        raise CheckpointError(0, RETIRED[got_magic])
     if got_magic != magic:
         raise CheckpointError(0, f"bad magic {got_magic!r}, expected {magic!r}")
     (version,) = struct.unpack("<I", take(4, "version"))

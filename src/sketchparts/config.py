@@ -1,7 +1,8 @@
 """Run configuration: a JSON file of section -> known keys.
 
 Unknown keys anywhere are rejected so typos fail loudly. The "parser" and
-"router" keys are the fields of training.TrainPlan and RouterPlan:
+"router" keys are the fields of training.TrainPlan and RouterPlan, less
+their seed: a run has one seed, the top-level "seed" or --seed.
 
     {
       "format_version": 1,
@@ -9,7 +10,7 @@ Unknown keys anywhere are rejected so typos fail loudly. The "parser" and
       "seed": 0,
       "corpus": {"per_category": 40, "image_size": 128, "categories": [...]},
       "parser": {"iterations": 3000, "lr_body": 0.0005, "clip_norm": null, ...},
-      "router": {"iterations": 400, "lr": 0.0007, "batch_size": 32, "seed": 0}
+      "router": {"iterations": 400, "lr": 0.0007, "batch_size": 32}
     }
 
 These are no keys: momentum and the rate decay power (optim.MOMENTUM and
@@ -40,16 +41,16 @@ def _check_keys(given, allowed, where):
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
 
 
-def _plan_fields(cls):
-    return {f.name for f in dataclasses.fields(cls)}
+def _plan_keys(cls):
+    return {f.name for f in dataclasses.fields(cls)} - {"seed"}
 
 
 class RunConfig:
     def __init__(self, raw, base_dir="."):
         _check_keys(raw, TOP_LEVEL_KEYS, "config")
         _check_keys(raw.get("corpus", {}), CORPUS_KEYS, "corpus")
-        _check_keys(raw.get("parser", {}), _plan_fields(TrainPlan), "parser")
-        _check_keys(raw.get("router", {}), _plan_fields(RouterPlan), "router")
+        _check_keys(raw.get("parser", {}), _plan_keys(TrainPlan), "parser")
+        _check_keys(raw.get("router", {}), _plan_keys(RouterPlan), "router")
         version = raw.get("format_version", FORMAT_VERSION)
         if type(version) is not int or version != FORMAT_VERSION:
             raise ConfigError(f"format_version must be {FORMAT_VERSION}, got {version!r}")

@@ -89,6 +89,9 @@ class CorpusSpec:
         ):
             raise ConfigError(f"categories must be a list of names, got {self.categories!r}")
         object.__setattr__(self, "categories", tuple(self.categories))
+        repeated = sorted({c for c in self.categories if self.categories.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"categories name {repeated} more than once")
         if self.per_category < 1:
             raise ConfigError(f"per_category must be positive, got {self.per_category}")
         if self.image_size < 32:

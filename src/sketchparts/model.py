@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
-from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import CheckpointError, ContractViolation
+from .checkpoint import write_checkpoint
+from .errors import ContractViolation
 from .imaging import LabelMap, Raster
 from .nets import head_layout, init_params, load_params, run_head, run_stack, stack_layout
 from .poses import POSES
@@ -147,10 +147,6 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path, config, taxonomy):
     """Rebuild a model from a checkpoint; refuses a mismatched taxonomy."""
-    digest, tensors, offsets = read_checkpoint(path, MODEL_MAGIC)
-    if digest != taxonomy.digest():
-        raise CheckpointError(
-            8, "checkpoint was written for a different taxonomy (digest mismatch)"
-        )
-    params = load_params(tensors, offsets, model_layout(config, taxonomy), "the model config")
+    layout = model_layout(config, taxonomy)
+    params = load_params(path, MODEL_MAGIC, taxonomy.digest(), layout, "the model config")
     return Model(config, taxonomy, params)

@@ -13,9 +13,9 @@ checks a checkpoint against it, so loading draws no random numbers.
 from __future__ import annotations
 
 from .autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, he_normal, linear
-from .autograd import maxpool2d, pool_out_size, relu
-from .checkpoint import check_layout
-from .errors import ConfigError
+from .autograd import maxpool2d, relu
+from .checkpoint import check_layout, read_checkpoint
+from .errors import CheckpointError, ConfigError
 
 import numpy as np
 
@@ -56,34 +56,17 @@ def init_params(rng, layout):
     }
 
 
-def load_params(tensors, offsets, layout, what):
-    """Checkpoint tensors (from read_checkpoint) as parameters, refused by
-    check_layout unless their names and shapes follow `layout`."""
+def load_params(path, magic, digest, layout, what):
+    """The parameters of the checkpoint at `path`, refused unless it holds
+    `magic` and taxonomy `digest` and its tensors' names and shapes follow
+    `layout` (check_layout)."""
+    got, tensors, offsets = read_checkpoint(path, magic)
+    if got != digest:
+        raise CheckpointError(
+            8, "checkpoint was written for a different taxonomy (digest mismatch)"
+        )
     check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)
     return {name: Tensor(a) for name, a in tensors.items()}
-
-
-def stack_shape(shape, stack):
-    """The (C, H, W) shape that run_stack gives for a (C, H, W) input, from
-    the layer geometry alone."""
-    c, h, w = shape
-    for entry in stack:
-        if isinstance(entry, ConvSpec):
-            c, h, w = entry.out_channels, entry.out_size(h), entry.out_size(w)
-        elif entry[0] == "maxpool":
-            h, w = pool_out_size(h, entry[1], entry[2]), pool_out_size(w, entry[1], entry[2])
-        elif entry[0] != "dropout":
-            raise ConfigError(f"unknown stack entry {entry!r}")
-    return c, h, w
-
-
-def skip_stack_rng(rng, shape, stack):
-    """Advance `rng` as run_stack(x, stack, ..., rng, training=True) does for
-    an x of (C, H, W) `shape`, without running the stack: each dropout with
-    p > 0 draws rng.random(x.shape) for its mask, as `autograd.dropout` does."""
-    for i, entry in enumerate(stack):
-        if not isinstance(entry, ConvSpec) and entry[0] == "dropout" and entry[1] > 0.0:
-            rng.random(stack_shape(shape, stack[:i]))
 
 
 def run_stack(x, stack, prefix, params, rng=None, training=False):

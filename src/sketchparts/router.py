@@ -13,7 +13,8 @@ the whole sketch and `imaging.crops_and_pad` for the 12 pooled views.
 
 The side is pinned to the weights by the checkpoint magic. A checkpoint of
 the earlier router, which saw binary views at the sketch's own size, is
-refused with a CheckpointError that asks for retraining.
+refused (`checkpoint.RETIRED`) with a CheckpointError that asks for
+retraining.
 
 Pooled inference runs on two CPU lanes: one worker thread routes the
 mirror's six views while the calling thread routes the sketch's own six,
@@ -34,15 +35,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .autograd import ConvSpec, Tensor, make_rng, softmax
-from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import CheckpointError, ContractViolation
+from .checkpoint import write_checkpoint
+from .errors import ContractViolation
 from .imaging import crops_and_pad, grey_view, mirror_v, view_shape
 from .nets import head_layout, init_params, load_params, run_head
 
 ROUTER_SIDE = 64
 CROP_FRACTION = 0.9
 ROUTER_MAGIC = b"SKR2"  # routers trained on grey ROUTER_SIDE views
-RETIRED_MAGIC = b"SKRC"  # routers trained on binary views at the sketch's own size
 
 ROUTER_STACK = (
     ConvSpec(15, 64, stride=3),
@@ -133,15 +133,6 @@ def save_router(net, path):
 def load_router(path, num_classes, expected_digest):
     """Rebuild a router from a checkpoint; refuses one trained against a
     taxonomy whose digest is not expected_digest."""
-    with open(path, "rb") as fh:
-        if fh.read(len(RETIRED_MAGIC)) == RETIRED_MAGIC:
-            raise CheckpointError(
-                0,
-                f"router checkpoint predates routing on grey {ROUTER_SIDE} px views; "
-                "retrain it with train-router",
-            )
-    digest, tensors, offsets = read_checkpoint(path, ROUTER_MAGIC)
-    if digest != expected_digest:
-        raise CheckpointError(8, "router was trained against a different taxonomy")
-    params = load_params(tensors, offsets, router_layout(num_classes), "the router layout")
-    return RouterNet(num_classes, params, digest)
+    layout = router_layout(num_classes)
+    params = load_params(path, ROUTER_MAGIC, expected_digest, layout, "the router layout")
+    return RouterNet(num_classes, params, expected_digest)

@@ -6,18 +6,18 @@ the median of those masses, over every label, background included, so
 small parts weigh more. The combined objective adds the pose cross-entropy
 scaled by lambda (grid-searched optimum 1.0). Training always augments:
 each parser step draws one of the 14 rotation/mirror variants of its
-sample, and each router draw one of the 70 classifier variants. The parser
-(mini-batch 1) and the router train through one step loop, `_sgd`: SGD
-with momentum under polynomial rate decay (`optim.SgdMomentum`). A router
-step streams its mini-batch: each draw is recorded and replayed on a tape
-of its own into one `autograd.GradientSum`, so the step's memory does not
-grow with batch_size, and its weights and losses are the bytes of one tape
-over the whole batch.
+sample. A router draw is a pick, one of the 70 classifier variants and a
+dropout seed of its own. The parser (mini-batch 1) and the router train
+through one step loop, `_sgd`: SGD with momentum under polynomial rate
+decay (`optim.SgdMomentum`). A router step streams its mini-batch: each
+draw is recorded and replayed on a tape of its own into one
+`autograd.GradientSum`, so the step's memory does not grow with
+batch_size, and its weights and losses are the bytes of one tape over the
+whole batch.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,10 +40,9 @@ from .autograd import (
 )
 from .errors import ConfigError, ContractViolation
 from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
-from .nets import skip_stack_rng
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
-from .router import ROUTER_STACK, router_input
+from .router import router_input
 from .router import forward as router_forward
 
 
@@ -92,7 +91,7 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
         return seg, seg.data.item(), 0.0
     target = POSE_INDEX[pose_label] if isinstance(pose_label, str) else int(pose_label)
     pose = softmax_ce(pose_logits, target)
-    total = add(seg, scale(pose, lam)) if lam != 1.0 else add(seg, pose)
+    total = add(seg, scale(pose, lam))
     return total, seg.data.item(), pose.data.item()
 
 
@@ -259,13 +258,14 @@ def train_router(net, labelled, plan):
     without materializing it. The drawn sketch then reaches the net through
     `router_input`, as at inference.
 
-    A step streams its batch: each draw runs forward and backward on a tape
-    of its own, last draw first, into one GradientSum, so the step holds one
-    draw's activations whatever the batch size. Draw i's dropout reads a
-    copy of the generator taken where a loop over the draws in order would
-    read it. The leaves then receive their gradients in the order that one
-    tape over the whole batch would give them, and the weights and losses
-    are its bytes.
+    A step draws the batch's picks, variants and dropout seeds, in that
+    order. Each draw is a pick, a variant and its own seed, so no draw
+    depends on another. The step streams its batch: each draw runs forward
+    and backward on a tape of its own, last draw first, into one
+    GradientSum, so the step holds one draw's activations whatever the batch
+    size. The leaves receive their gradients in the order that one tape over
+    the whole batch would give them, and the weights and losses are its
+    bytes.
     """
     if not labelled:
         raise ContractViolation("training set is empty")
@@ -277,18 +277,15 @@ def train_router(net, labelled, plan):
     def step():
         picks = rng.integers(0, len(labelled), size=plan.batch_size)
         variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
-        draws = []
-        for pick, variant in zip(picks, variants):
-            sketch, label = labelled[int(pick)]
-            view = router_input(cls_variant(sketch, int(variant)))
-            draws.append((view, label, copy.deepcopy(rng)))
-            skip_stack_rng(rng, (1, *view.shape), ROUTER_STACK)
+        seeds = rng.integers(0, 2**63, size=plan.batch_size)
         grads = GradientSum()
         terms = [None] * plan.batch_size
         for i in reversed(range(plan.batch_size)):
-            view, label, draw_rng = draws[i]
+            sketch, label = labelled[int(picks[i])]
+            view = router_input(cls_variant(sketch, int(variants[i])))
             with Tape() as tape:
-                terms[i] = softmax_ce(router_forward(net, view, rng=draw_rng, training=True), label)
+                logits = router_forward(net, view, rng=make_rng(int(seeds[i])), training=True)
+                terms[i] = softmax_ce(logits, label)
                 # the gradient the batch mean hands each term
                 share = scale(terms[i], 1.0 / plan.batch_size)
             backward(tape, share, into=grads)

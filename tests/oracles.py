@@ -429,21 +429,24 @@ def classify_pooled_serial(net, sketch):
 
 
 def train_router_one_tape(net, labelled, plan):
-    """training.train_router as one tape per step: every draw of the batch
-    forwarded in order on the same generator, the terms summed with add,
-    scaled by 1/batch_size and replayed backward once."""
+    """training.train_router as one tape per step: every draw of the batch,
+    a pick, a variant and its own dropout seed, forwarded in order on the
+    same tape, the terms summed with add, scaled by 1/batch_size and
+    replayed backward once."""
     rng = make_rng((plan.seed, 0xB0A7))
     opt = SgdMomentum([ParamGroup("router", net.parameters(), plan.lr)], plan.iterations)
     log = []
     for it in range(plan.iterations):
         picks = rng.integers(0, len(labelled), size=plan.batch_size)
         variants = rng.integers(0, len(CLS_COMBOS), size=plan.batch_size)
+        seeds = rng.integers(0, 2**63, size=plan.batch_size)
         with Tape() as tape:
             batch_loss = None
-            for pick, variant in zip(picks, variants):
+            for pick, variant, seed in zip(picks, variants, seeds):
                 sketch, label = labelled[int(pick)]
                 view = router_input(cls_variant(sketch, int(variant)))
-                term = softmax_ce(forward(net, view, rng=rng, training=True), label)
+                logits = forward(net, view, rng=make_rng(int(seed)), training=True)
+                term = softmax_ce(logits, label)
                 batch_loss = term if batch_loss is None else add(batch_loss, term)
             loss = scale(batch_loss, 1.0 / plan.batch_size)
         backward(tape, loss)

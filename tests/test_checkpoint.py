@@ -10,7 +10,7 @@ from sketchparts import autograd, nets
 from sketchparts import model as model_module
 from sketchparts import router as router_module
 from sketchparts.autograd import Tensor
-from sketchparts.checkpoint import COUNT_AT, VERSION, read_checkpoint, write_checkpoint
+from sketchparts.checkpoint import COUNT_AT, RETIRED, VERSION, read_checkpoint, write_checkpoint
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT
 from sketchparts.errors import CheckpointError
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, load_checkpoint
@@ -70,6 +70,16 @@ def test_non_utf8_name_names_its_offset(tmp_path):
     with pytest.raises(CheckpointError, match="UTF-8") as info:
         read_checkpoint(path, MAGIC)
     assert info.value.offset == NAME_AT
+
+
+@pytest.mark.parametrize("retired", sorted(RETIRED))
+def test_retired_magic_refused_with_its_reason(tmp_path, retired):
+    path = tmp_path / "old.ckpt"
+    write_checkpoint(path, retired, DIGEST, TENSORS)
+    for magic in (MAGIC, MODEL_MAGIC, ROUTER_MAGIC):
+        with pytest.raises(CheckpointError) as info:
+            read_checkpoint(path, magic)
+        assert info.value.offset == 0 and RETIRED[retired] in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
-from sketchparts.router import RETIRED_MAGIC, build_router
+from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 
 TAX = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
@@ -400,6 +400,7 @@ def test_config_bad_plan_value_exits_1(small_corpus, tmp_path, capsys, command, 
         ({"categories": "cat"}, "categories must be a list"),
         ({"categories": [1]}, "categories must be a list"),
         ({"image_size": 1000000}, "above the maximum"),
+        ({"categories": ["cat", "cat"]}, "categories name ['cat'] more than once"),
     ],
 )
 def test_config_bad_corpus_value_exits_1(tmp_path, capsys, corpus, message):
@@ -464,6 +465,10 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         ("balance_background", "parser"),
         ("augment", "parser"),
         ("augment", "router"),
+        # a run has one seed, the top-level one or --seed, which would
+        # override a section's unseen
+        ("seed", "parser"),
+        ("seed", "router"),
     ],
 )
 def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path, capsys,
@@ -477,6 +482,16 @@ def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path
     err = capsys.readouterr().err
     assert f"unknown {section} key(s): ['{key}']" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--per-category", "2",
+               "--categories", "cat,cat"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: categories name ['cat'] more than once\n"
+    assert captured.out == ""
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("command", ["gen-corpus", "selfcheck"])
@@ -618,7 +633,7 @@ def test_infer_with_an_old_router_exits_1(small_corpus, tmp_path, capsys):
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), parser)
     old = tmp_path / "old.ckpt"
     net = build_router(TAX.num_branches, seed=1, digest=TAX.digest())
-    write_checkpoint(old, RETIRED_MAGIC, net.digest, net.parameters())
+    write_checkpoint(old, b"SKRC", net.digest, net.parameters())  # binary-view routers
     rc = main(["infer", "--model", str(parser), "--router", str(old),
                "--sketches", str(small_corpus), "--out", str(tmp_path / "o")])
     assert rc == 1

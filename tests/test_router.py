@@ -16,7 +16,6 @@ from sketchparts.checkpoint import write_checkpoint
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster, mirror_v
 from sketchparts.router import (
-    RETIRED_MAGIC,
     ROUTER_SIDE,
     RouterNet,
     build_router,
@@ -220,7 +219,7 @@ def test_net_refuses_views_of_another_size(side):
 def test_old_router_checkpoint_refused(tmp_path):
     net = build_router(4, seed=41)
     p = tmp_path / "old.ckpt"
-    write_checkpoint(p, RETIRED_MAGIC, net.digest, net.parameters())
+    write_checkpoint(p, b"SKRC", net.digest, net.parameters())  # binary-view routers
     with pytest.raises(CheckpointError, match="retrain") as info:
         load_router(p, 4, net.digest)
     assert info.value.offset == 0

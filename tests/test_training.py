@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -379,6 +380,29 @@ class TestTrainRouter:
         assert [row["loss"] for row in log] != [log[0]["loss"]] * 3
         for name, t in streamed.params.items():
             assert t.data.tobytes() == one_tape.params[name].data.tobytes(), name
+
+    def test_draws_dropout_ignores_the_other_draws_view_shapes(self, monkeypatch):
+        rng = make_rng(37)
+        ink = lambda h, w: Raster(np.where(rng.random((h, w)) < 0.1, 255, 0).astype(np.uint8))
+        a = ink(64, 64)
+        real_forward = training_module.router_forward
+        runs = []
+        # B's views end in dropout masks of (512, 1, 2), then of (512, 2, 2)
+        for b in (ink(40, 100), ink(80, 80)):
+            calls = []
+
+            def spy(net, view, rng=None, training=False):
+                calls.append((view.tobytes(), copy.deepcopy(rng).random(4).tobytes()))
+                return real_forward(net, view, rng=rng, training=training)
+
+            monkeypatch.setattr(training_module, "router_forward", spy)
+            plan = RouterPlan(iterations=2, batch_size=8, seed=3)
+            train_router(build_router(2, seed=5), [(a, 0), (b, 1)], plan)
+            runs.append(calls)
+        # only A's views are in both runs
+        a_views = {view for view, _ in runs[0]} & {view for view, _ in runs[1]}
+        a_draws = [[call for call in calls if call[0] in a_views] for calls in runs]
+        assert a_draws[0] and a_draws[0] == a_draws[1]
 
     def test_step_memory_does_not_grow_with_batch_size(self):
         rng = make_rng(31)
