@@ -181,6 +181,36 @@ def test_missing_tensor_names_the_count(tmp_path, net):
 
 
 @pytest.mark.parametrize("net", ["parser", "router"])
+def test_extra_tensor_names_the_count(tmp_path, net):
+    named, *rest = saved_net(net)
+    err = refused_at(tmp_path, named + [("extra", named[0][1])], *rest)
+    assert err.offset == COUNT_AT
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_another_taxonomy_refused_at_its_digest(tmp_path, net):
+    named, magic, digest, load = saved_net(net)
+    err = refused_at(tmp_path, named, magic, bytes(b ^ 0xFF for b in digest), load)
+    assert err.offset == 8 and "different taxonomy" in str(err)
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_the_other_nets_checkpoint_refused_at_its_magic(tmp_path, net):
+    named, magic, digest, load = saved_net(net)
+    other = ROUTER_MAGIC if magic == MODEL_MAGIC else MODEL_MAGIC
+    err = refused_at(tmp_path, named, other, digest, load)
+    assert err.offset == 0 and "bad magic" in str(err)
+
+
+@pytest.mark.parametrize("retired", sorted(RETIRED))
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_loaders_refuse_a_retired_magic_with_its_reason(tmp_path, net, retired):
+    named, _, digest, load = saved_net(net)
+    err = refused_at(tmp_path, named, retired, digest, load)
+    assert err.offset == 0 and str(err) == f"at byte 0: {RETIRED[retired]}"
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
 def test_load_builds_no_throwaway_net(tmp_path, monkeypatch, net):
     named, magic, digest, load = saved_net(net)
     path = tmp_path / "net.ckpt"

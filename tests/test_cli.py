@@ -484,6 +484,21 @@ def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "command,checkpoint,extra",
+    [("train-parser", "model.ckpt", []), ("train-router", "router.ckpt", ["--batch-size", "2"])],
+)
+def test_config_seed_is_the_runs_seed(small_corpus, tmp_path, command, checkpoint, extra):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    base = [command, "--train", str(small_corpus), "--iterations", "1", *extra]
+    runs = {"config": ["--config", str(cfg)], "flag": ["--seed", "5"], "default": []}
+    for name, args in runs.items():
+        assert main([*base, "--out", str(tmp_path / name), *args]) == 0
+    ckpt = {name: (tmp_path / name / checkpoint).read_bytes() for name in runs}
+    assert ckpt["config"] == ckpt["flag"] != ckpt["default"]
+
+
 def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
     rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--per-category", "2",
                "--categories", "cat,cat"])

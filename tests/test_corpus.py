@@ -84,6 +84,8 @@ def test_unknown_category_rejected():
         ({"categories": "cat"}, "categories must be a list"),
         ({"categories": ["cat", 2]}, "categories must be a list"),
         ({"categories": ["cat", "dog", "cat"]}, r"categories name \['cat'\] more than once"),
+        ({"categories": ["dog", "cat", "cat", "dog"]},
+         r"categories name \['cat', 'dog'\] more than once"),
         ({"image_size": 31}, "too small"),
         ({"image_size": MAX_IMAGE_SIZE + 1}, f"above the maximum of {MAX_IMAGE_SIZE}"),
         ({"seed": -1}, "seed must be an integer >= 0"),

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import train_router_one_tape
 from sketchparts.augment import PairedSample
-from sketchparts.autograd import Tensor, make_rng
+from sketchparts.autograd import Tape, Tensor, add, backward, make_rng, softmax_ce
 from sketchparts.checks import balance_bruteforce, gradcheck
 from sketchparts.corpus import make_sample
 from sketchparts.errors import ConfigError, ContractViolation
@@ -15,6 +15,7 @@ from sketchparts import training as training_module
 from sketchparts.imaging import LabelMap, Raster
 from sketchparts.model import ModelConfig, build_model, infer
 from sketchparts.optim import POLY_POWER
+from sketchparts.poses import POSE_INDEX
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import (
@@ -159,6 +160,41 @@ class TestTotalLoss:
             return total_loss(scores, self.labels, balance, pose_logits, "NW", 1.0)[0]
 
         gradcheck(f, [scores, pose_logits], tol=1e-3)
+
+    def _taped(self, lam):
+        """total_loss on fresh leaves of this case's scores and pose logits,
+        replayed backward: (total bytes, scores grad, pose logits grad)."""
+        scores, pose_logits = Tensor(self.scores.data), Tensor(self.pose_logits.data)
+        with Tape() as tape:
+            total = total_loss(scores, self.labels, self.balance, pose_logits, "E", lam)[0]
+        backward(tape, total)
+        return total.data.tobytes(), scores.grad, pose_logits.grad
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 3.0])
+    def test_total_adds_lambda_times_pose(self, lam):
+        total, seg, pose = total_loss(
+            self.scores, self.labels, self.balance, self.pose_logits, "E", lam
+        )
+        assert total.data.item() == pytest.approx(seg + lam * pose, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_pose_gradient_scales_with_lambda(self, lam):
+        _, scores_one, pose_one = self._taped(1.0)
+        _, scores_lam, pose_lam = self._taped(lam)
+        assert np.array_equal(scores_lam, scores_one)
+        np.testing.assert_allclose(pose_lam, lam * pose_one, rtol=1e-12)
+
+    def test_lambda_one_is_the_bytes_of_the_unscaled_sum(self):
+        # scale(pose, 1.0) is exact forward and backward
+        scores, pose_logits = Tensor(self.scores.data), Tensor(self.pose_logits.data)
+        with Tape() as tape:
+            seg = total_loss(scores, self.labels, self.balance, pose_logits, "E", 0.0)[0]
+            unscaled = add(seg, softmax_ce(pose_logits, POSE_INDEX["E"]))
+        backward(tape, unscaled)
+        total, scores_grad, pose_grad = self._taped(1.0)
+        assert total == unscaled.data.tobytes()
+        assert scores_grad.tobytes() == scores.grad.tobytes()
+        assert pose_grad.tobytes() == pose_logits.grad.tobytes()
 
 
 TWO_CATS = load_taxonomy(
