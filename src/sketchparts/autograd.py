@@ -3,10 +3,11 @@
 Small by design: exactly the primitives the parser, pose head and router
 classifier need. Values are stored in float32 by default. The conv and
 linear GEMMs (forward, weight and input gradients) run in the operands' own
-dtype, np.result_type(x, w): float32 nets use sgemm. The bias gradient,
-softmax, log-sum-exp cross-entropy, global average pool and weighted_sum
-accumulate in float64 before the result is cast back. Tests construct
-float64 tensors to run the same code as a full-precision shadow, so
+dtype, np.result_type(x, w): float32 nets use sgemm. Softmax and the
+log-sum-exp cross-entropy compute in float64; the bias gradient, global
+average pool, weighted_sum and max-pool scatter sum float32 data in place,
+float64 being the reduction's own dtype. Results are cast back. Tests run
+float64 tensors through the same code as a full-precision shadow, so
 finite-difference checks stay tight.
 
 Every tensor receives a gradient unless it was built with
@@ -28,12 +29,12 @@ shifts of every zero-padded row, then each tap's rows of that buffer, which
 for stride 1 are whole contiguous Ho*Wo runs. One GEMM multiplies it by
 the (F, C*k*k) weights. Conv backward is one GEMM for dw (the output
 gradient against the same patch matrix, rebuilt from the padded input
-rather than kept on the tape) and one for dx (the transposed weights
-against the output gradient). The dx columns are laid out channel-last and
-scattered into an (Hp, Wp, C) buffer by one slice-add per kernel tap, in
-tap order, so each add runs over rows of Wo*C values; a tap that reads
-only zero padding along a side is skipped, since the crop to the input
-drops everything it would write.
+rather than kept on the tape) and one for dx (the transposed output
+gradient against the weights), whose (Ho*Wo, C*k*k) product is already
+channel-last: each tap's (Ho, Wo, C) slab of it is added into an (Hp, Wp,
+C) buffer, one slice-add per tap in tap order over rows of Wo*C values; a
+tap that reads only zero padding along a side is skipped, since the crop to
+the input drops everything it would write.
 
 Max pooling is separable: a running np.maximum over the window's column
 taps of each zero-padded row, then over the window's row taps of those row
@@ -295,14 +296,13 @@ def conv2d(x, w, b, spec):
 
         def grad_fn(g):
             gd = _cast(g, dt).reshape(F, Ho * Wo)
-            db = _f64(g).sum(axis=(1, 2))
+            db = g.sum(axis=(1, 2), dtype=np.float64)
             dw = (gd @ _im2col(xp, k, s, r, Ho, Wo).T).reshape(F, C, k, k)
             if not x.requires_grad:
                 return None, dw, db
             # channel-last columns and input gradient, so each tap's add
             # runs over whole rows of Wo*C values
-            cols = (wd.T @ gd).reshape(C, k, k, Ho, Wo)
-            cols = np.ascontiguousarray(cols.transpose(1, 2, 3, 4, 0))
+            cols = (gd.T @ wd).reshape(Ho, Wo, C, k, k)
             dxp = np.zeros((H + 2 * p, W + 2 * p, C), dtype=dt)
             # a tap whose rows or columns all fall in the zero padding only
             # writes cells that the crop below drops
@@ -315,7 +315,7 @@ def conv2d(x, w, b, spec):
                     dxp[
                         u * r : u * r + s * Ho : s,
                         v * r : v * r + s * Wo : s,
-                    ] += cols[u, v]
+                    ] += cols[:, :, :, u, v]
             dx = dxp[p : p + H, p : p + W].transpose(2, 0, 1)
             return dx, dw, db
 
@@ -365,7 +365,7 @@ def maxpool2d(x, window, stride):
             flat *= Wp
             flat += col
             flat += j * stride
-            dxp = np.bincount(flat.ravel(), weights=_f64(g).ravel(), minlength=C * Hp * Wp)
+            dxp = np.bincount(flat.ravel(), weights=g.ravel(), minlength=C * Hp * Wp)
             return (dxp.reshape(C, Hp, Wp)[:, :H, :W],)
 
         _record(out, (x,), grad_fn)
@@ -441,7 +441,7 @@ def dropout(x, p, rng, training):
 def global_average_pool(x):
     """Spatial mean of x[C,H,W] -> [C]."""
     C, H, W = x.shape
-    out = Tensor(_cast(_f64(x.data).mean(axis=(1, 2)), x.dtype))
+    out = Tensor(_cast(x.data.mean(axis=(1, 2), dtype=np.float64), x.dtype))
     if _recording():
         _record(out, (x,), lambda g: (np.broadcast_to(_f64(g)[:, None, None] / (H * W), x.shape),))
     return out
@@ -472,8 +472,8 @@ def _interp_matrix(n_out, n_in):
     lo, w_lo, hi, w_hi = _interp_taps(n_out, n_in)
     m = np.zeros((n_out, n_in), dtype=np.float64)
     rows = np.arange(n_out)
-    np.add.at(m, (rows, lo), w_lo)
-    np.add.at(m, (rows, hi), w_hi)
+    m[rows, lo] = w_lo
+    m[rows, hi] += w_hi
     return m
 
 
@@ -621,7 +621,7 @@ def weighted_sum(x, weights):
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != x.shape:
         raise ContractViolation(f"weighted_sum shape mismatch: {tuple(x.shape)} vs {w.shape}")
-    out = Tensor(np.asarray((_f64(x.data) * w).sum()), dtype=x.dtype)
+    out = Tensor(np.asarray((x.data * w).sum()), dtype=x.dtype)
     if _recording():
         _record(out, (x,), lambda g: (g.item() * w,))
     return out

@@ -52,7 +52,8 @@ def compute_class_balance(samples, branch, taxonomy):
     Returns the float64 per-label loss weights of the branch, indexed by
     branch label id. Every label takes part, background (label 0) included.
 
-    Labels never seen in the branch's samples are a configuration error.
+    Labels never seen in the branch's samples are a configuration error; a
+    part id past the branch's parts breaks the contract.
     """
     n_labels = taxonomy.n_parts(branch) + 1
     pixel_count = np.zeros(n_labels, dtype=np.float64)
@@ -60,10 +61,14 @@ def compute_class_balance(samples, branch, taxonomy):
     for s in samples:
         if taxonomy.branch_of(s.category) != branch:
             continue
-        ids, counts = np.unique(s.labels.labels, return_counts=True)
-        for i, c in zip(ids, counts):
-            pixel_count[i] += c
-            image_count[i] += 1
+        counts = np.bincount(s.labels.labels.ravel(), minlength=n_labels)
+        if counts.size > n_labels:
+            raise ContractViolation(
+                f"{s.category} label map holds part id {counts.size - 1}, but branch "
+                f"{branch} has parts 1..{n_labels - 1}"
+            )
+        pixel_count += counts
+        image_count += counts > 0
     for label in range(n_labels):
         if image_count[label] == 0:
             name = "background" if label == 0 else taxonomy.part_names(branch)[label - 1]

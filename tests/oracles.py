@@ -6,9 +6,11 @@ affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
 (the corpus mask primitives, rotation and rescaling, Canny's direction
 and ridge test) over the whole canvas grid, or one two-lane path (pooled
 routing) as the serial loop it replaced, or one streamed path (the router's
-mini-batch) as the single tape it replaced, and the tests compare the
-library against it. No package code calls them, so they stay out of the
-package; the oracles `selfcheck` also runs live in `sketchparts.checks`.
+mini-batch) as the single tape it replaced, or one in-place path (conv
+backward's channel-last dx columns and float64 bias sum) as the copies it
+replaced, and the tests compare the library against it. No package code
+calls them, so they stay out of the package; the oracles `selfcheck` also
+runs live in `sketchparts.checks`.
 """
 
 import math
@@ -18,7 +20,7 @@ from scipy import ndimage
 
 from sketchparts.augment import CLS_COMBOS, cls_variant
 from sketchparts.autograd import Tape, add, backward, make_rng, scale, softmax, softmax_ce
-from sketchparts.autograd import zero_grads
+from sketchparts.autograd import _im2col, zero_grads
 from sketchparts.imaging import CANNY_SIGMA, INK, LabelMap, Raster, _bilinear_sample, _inside
 from sketchparts.imaging import crops_and_pad, mirror_v
 from sketchparts.optim import ParamGroup, SgdMomentum
@@ -65,6 +67,31 @@ def col2im_loop(cols, height, width, stride, dilation, pad):
                             c, u, v, i, j
                         ]
     return dxp[:, pad : pad + height, pad : pad + width]
+
+
+def conv2d_grads_transposed(x, w, g, spec):
+    """conv2d's gradients (dx, dw, db) for output gradient g[F,Ho,Wo], with
+    the dx columns from the transposed-weights GEMM, (C*k*k, Ho*Wo), copied
+    channel-last before every tap's slab is added, and the bias gradient
+    summed over a float64 copy of g."""
+    C, H, W = x.shape
+    F, _, k, _ = w.shape
+    _, Ho, Wo = g.shape
+    p, s, r = spec.padding, spec.stride, spec.dilation
+    dt = np.result_type(x, w)
+    wd = w.astype(dt, copy=False).reshape(F, C * k * k)
+    gd = g.astype(dt, copy=False).reshape(F, Ho * Wo)
+    xp = np.zeros((C, H + 2 * p, W + 2 * p), dtype=dt)
+    xp[:, p : p + H, p : p + W] = x
+    db = g.astype(np.float64).sum(axis=(1, 2))
+    dw = (gd @ _im2col(xp, k, s, r, Ho, Wo).T).reshape(F, C, k, k)
+    cols = (wd.T @ gd).reshape(C, k, k, Ho, Wo)
+    cols = np.ascontiguousarray(cols.transpose(1, 2, 3, 4, 0))
+    dxp = np.zeros((H + 2 * p, W + 2 * p, C), dtype=dt)
+    for u in range(k):
+        for v in range(k):
+            dxp[u * r : u * r + s * Ho : s, v * r : v * r + s * Wo : s] += cols[u, v]
+    return dxp[p : p + H, p : p + W].transpose(2, 0, 1), dw, db
 
 
 def maxpool2d_bruteforce(x, window, stride, g):

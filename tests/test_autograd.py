@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import col2im_loop, conv2d_bruteforce, interp_matrix_loop, maxpool2d_bruteforce
+from oracles import col2im_loop, conv2d_bruteforce, conv2d_grads_transposed, interp_matrix_loop
+from oracles import maxpool2d_bruteforce
 from sketchparts.autograd import (
     ConvSpec,
     GradientSum,
@@ -125,13 +126,36 @@ class TestConvBackward:
         with Tape() as tape:
             loss = weighted_sum(conv2d(x, w, b, spec), direction)
         backward(tape, loss)
-        # the dx GEMM as conv2d runs it, then every tap added in order
+        # the dx GEMM, whose bytes match conv2d's channel-last (gd.T @ wd)
+        # form, then every tap added in order
         cols = w.data.reshape(F, C * k * k).T @ direction.reshape(F, Ho * Wo)
         want = col2im_loop(
             cols.reshape(C, k, k, Ho, Wo), H, W, spec.stride, spec.dilation, spec.padding
         )
         assert x.grad.dtype == np.float32
         assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @BACKWARD_SHAPES
+    def test_grads_are_the_transposed_column_bytes(self, in_shape, spec, dtype):
+        rng = make_rng(73)
+        C, H, W = in_shape
+        F, k = spec.out_channels, spec.kernel
+        x = rng.standard_normal(in_shape).astype(dtype)
+        w = rng.standard_normal((F, C, k, k)).astype(dtype)
+        with Tape() as tape:
+            conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(F, dtype=dtype)), spec)
+        ((_, _, grad_fn),) = tape.entries
+        g = rng.standard_normal((F, spec.out_size(H), spec.out_size(W))).astype(dtype)
+        # a conv's input gradient, passed back to the conv before it, is
+        # channel-last in memory
+        channel_last = np.ascontiguousarray(g.transpose(1, 2, 0)).transpose(2, 0, 1)
+        for given in (g, channel_last):
+            got = grad_fn(given)
+            want = conv2d_grads_transposed(x, w, given, spec)
+            for name, a, b in zip(("dx", "dw", "db"), got, want):
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_input_without_grad_leaves_weight_grads_bit_identical(self, dtype):
@@ -204,6 +228,44 @@ class TestMaxpool:
         assert np.array_equal(x.grad, want_dx.astype(dtype))
         untaped = maxpool2d(Tensor(vals, dtype=dtype), window, stride)
         assert np.array_equal(untaped.data, want_out)
+
+
+# 128x96 spans more than one of numpy's 8192-element casting buffers
+UPCAST_SHAPES = pytest.mark.parametrize(
+    "shape", [(1, 19, 25), (3, 7, 10), (16, 9, 13), (2, 128, 96)]
+)
+
+
+class TestFloat64ReductionsInPlace:
+    """A float64 sum over float32 data, read in place, gives the bytes of
+    the same sum over a float64 copy."""
+
+    @UPCAST_SHAPES
+    def test_global_average_pool(self, shape):
+        x = make_rng(5).standard_normal(shape).astype(np.float32)
+        want = x.astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+        assert global_average_pool(Tensor(x)).data.tobytes() == want.tobytes()
+
+    @UPCAST_SHAPES
+    def test_weighted_sum(self, shape):
+        rng = make_rng(6)
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal(shape)
+        want = np.float32((x.astype(np.float64) * w).sum())
+        assert weighted_sum(Tensor(x), w).data.tobytes() == want.tobytes()
+
+    @UPCAST_SHAPES
+    def test_maxpool2d_backward(self, shape):
+        rng = make_rng(8)
+        x = rng.standard_normal(shape).astype(np.float32)
+        with Tape() as tape:
+            out = maxpool2d(Tensor(x), 3, 2)
+        ((_, _, grad_fn),) = tape.entries
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        (got,) = grad_fn(g)
+        # the window loop adds a float64 copy of g in the scatter's order
+        _, want = maxpool2d_bruteforce(x, 3, 2, g.astype(np.float64))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_interp_matrix_matches_row_loop():

@@ -81,6 +81,12 @@ class TestClassBalance:
         with pytest.raises(ConfigError, match="beta"):
             compute_class_balance([lm_sample(img)], 0, ONE_BRANCH)
 
+    def test_part_id_past_the_branch_is_contract_violation(self):
+        img = np.zeros((6, 6), dtype=np.uint8)
+        img[0, :3] = [1, 2, 9]
+        with pytest.raises(ContractViolation, match=r"thing label map holds part id 9\b"):
+            compute_class_balance([lm_sample(img)], 0, ONE_BRANCH)
+
     def test_matches_bruteforce_oracle(self):
         rng = make_rng(7)
         tax = load_taxonomy("super S\ncat thing : a, b, c\n")
