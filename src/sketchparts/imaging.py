@@ -2,9 +2,11 @@
 
 Rasters are 8-bit, 0 = blank paper and 255 = full ink (photos may use the
 whole gray range). Label maps carry a part id per pixel, 0 = background.
-Geometric resampling is written out explicitly rather than deferred to a
-library so that flips commute exactly with resizing; Gaussian smoothing,
-Sobel and component labelling come from scipy.
+Everything is written in numpy alone. Geometric resampling is explicit so
+that flips commute exactly with resizing. Gaussian smoothing, Sobel and
+dilation reproduce scipy.ndimage's filters byte for byte, and one run-based
+labeller finds connected components for Canny's hysteresis and for part
+instances.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .autograd import _interp_taps
 from .errors import ContractViolation
@@ -21,6 +22,20 @@ from .errors import ContractViolation
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 INK = 255
 CANNY_SIGMA = 1.4  # Gaussian smoothing before the Sobel gradients, in pixels
+
+
+def _gaussian_weights(sigma):
+    """The 1-d Gaussian scipy.ndimage.gaussian_filter builds at its default
+    truncate of 4, by the same expression, normalised by its sum."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return phi / phi.sum()
+
+
+_GAUSSIAN = _gaussian_weights(CANNY_SIGMA)
+_SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
+_SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
 
 
 class Raster:
@@ -98,11 +113,47 @@ class LabelMap:
 # edges and morphology
 
 
+def _correlate1d(x, weights, axis):
+    """scipy.ndimage.correlate1d(x, weights, axis, mode="nearest") of a
+    float64 array, for odd-length weights symmetric or antisymmetric about
+    their centre c.
+
+    The operations and their order are those of scipy's inner loop for such
+    weights, so the bytes match, signed zeros included: out = x*w[c], then
+    out += (x[-j] + x[+j]) * w[c-j] (with - for antisymmetric weights) for
+    j = c, ..., 1, where x[-j] and x[+j] are the pixels j steps back and
+    forward along `axis`, clamped to the edge.
+    """
+    c = len(weights) // 2
+    pair = np.subtract if weights[0] == -weights[-1] else np.add
+    n = x.shape[axis]
+    padded = np.take(x, np.clip(np.arange(-c, n + c), 0, n - 1), axis=axis)
+    lead = (slice(None),) * axis
+
+    def shifted(j):
+        return padded[lead + (slice(c + j, c + j + n),)]
+
+    out = x * weights[c]
+    term = np.empty_like(out)
+    for j in range(c, 0, -1):
+        pair(shifted(-j), shifted(j), out=term)
+        term *= weights[c - j]
+        out += term
+    return out
+
+
+def _sobel(img, axis):
+    """scipy.ndimage.sobel(img, axis, mode="nearest"): the derivative along
+    `axis`, then the smoothing along the other axis, as its two passes."""
+    return _correlate1d(_correlate1d(img, _SOBEL_DIFF, axis), _SOBEL_SMOOTH, 1 - axis)
+
+
 def canny(photo, low=0.2, high=0.4):
     """Edges of a photo as an ink raster.
 
-    Gaussian smooth by CANNY_SIGMA, Sobel gradients, non-maximum
-    suppression along the quantized gradient direction, then hysteresis.
+    Gaussian smooth by CANNY_SIGMA (scipy.ndimage.gaussian_filter's two
+    passes, axis 0 first), Sobel gradients, non-maximum suppression along the
+    quantized gradient direction, then hysteresis over 8-connected ridges.
     `low`/`high` are fractions of the peak gradient magnitude; at
     low = high = 0 every ridge pixel with any gradient at all is marked.
     """
@@ -111,9 +162,10 @@ def canny(photo, low=0.2, high=0.4):
     if not 0 <= low <= high:
         raise ContractViolation(f"need 0 <= low <= high, got {low}/{high}")
 
-    img = ndimage.gaussian_filter(photo.pixels.astype(np.float64), CANNY_SIGMA, mode="nearest")
-    gx = ndimage.sobel(img, axis=1, mode="nearest")
-    gy = ndimage.sobel(img, axis=0, mode="nearest")
+    img = photo.pixels.astype(np.float64)
+    img = _correlate1d(_correlate1d(img, _GAUSSIAN, 0), _GAUSSIAN, 1)
+    gx = _sobel(img, 1)
+    gy = _sobel(img, 0)
     mag = np.hypot(gx, gy)
     peak = mag.max()
     if peak == 0.0:
@@ -129,7 +181,8 @@ def canny(photo, low=0.2, high=0.4):
     angle = np.mod(np.arctan2(gy[rows, cols], gx[rows, cols]), np.pi)
     bins = ((angle + np.pi / 8) // (np.pi / 4)).astype(int) % 4
     dr, dc = np.array([(0, 1), (1, 1), (1, 0), (1, -1)])[bins].T
-    padded = np.pad(mag, 1, mode="constant")
+    padded = np.zeros((mag.shape[0] + 2, mag.shape[1] + 2))
+    padded[1:-1, 1:-1] = mag
     n1 = padded[rows + 1 - dr, cols + 1 - dc]
     n2 = padded[rows + 1 + dr, cols + 1 + dc]
     ridge = (m > n1) & (m >= n2)
@@ -139,20 +192,28 @@ def canny(photo, low=0.2, high=0.4):
     strong = weak & (mag >= high * peak)
     if not strong.any():
         return Raster(np.zeros_like(photo.pixels))
-    comp, n = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
+    comp, ids = label(weak, connectivity=8)
     # a weak component is kept when it holds a strong pixel
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[comp[strong]] = True
-    return Raster(np.where(keep[comp], INK, 0).astype(np.uint8))
+    ink = np.zeros(ids.size + 1, dtype=np.uint8)
+    ink[comp[strong]] = INK
+    return Raster(np.take(ink, comp))
 
 
 def dilate_square(r, side):
-    """Morphological dilation by a side x side square element."""
+    """Morphological dilation by a side x side square element.
+
+    scipy.ndimage.maximum_filter with blank paper beyond the edge, written
+    as a max of shifted copies down the rows, then across the columns. Max
+    is exact, so the order cannot change a byte.
+    """
     if side < 1 or side % 2 == 0:
         raise ContractViolation(f"structuring element side must be odd and >= 1, got {side}")
-    if side == 1:
-        return Raster(r.pixels.copy())
-    ink = ndimage.maximum_filter(r.pixels, size=side, mode="constant", cval=0)
+    ink = r.pixels.copy()
+    for view in (ink, ink.T):
+        src = view.copy()
+        for s in range(1, min(side // 2, len(view) - 1) + 1):
+            np.maximum(view[s:], src[:-s], out=view[s:])
+            np.maximum(view[:-s], src[s:], out=view[:-s])
     return Raster(ink)
 
 
@@ -296,14 +357,65 @@ class Component:
     centroid: tuple  # (row, col) floats
 
 
-def _label_parts(labels):
-    """(part id, bounding box, 4-connected labels inside the box, count) of
-    each nonzero id in a label array, in id order; each id is labelled only
-    inside its bounding box."""
-    for pid, box in enumerate(ndimage.find_objects(labels), start=1):
-        if box is not None:
-            comp, n = ndimage.label(labels[box] == pid, structure=FOUR_CONN)
-            yield pid, box, comp, n
+def label(ids, connectivity=4):
+    """Connected components of equal nonzero ids: (components, part_ids).
+
+    Two pixels join when they hold the same nonzero id and share an edge
+    (connectivity 4) or an edge or a corner (8). `components` is an int32
+    map numbering each pixel's component 1..n, 0 on background, in raster
+    order of each component's first pixel as ndimage.label numbers them;
+    part_ids[k - 1] is the id component k carries.
+
+    The work is on runs, the maximal stretches of one id along a row. A run
+    meets the runs of the row above that overlap its span, widened by a
+    pixel each side at connectivity 8. Each round hooks the later root of
+    every unjoined pair under the earlier and pointer-jumps every run to its
+    root, so a component's root ends up its first run.
+    """
+    if connectivity not in (4, 8):
+        raise ContractViolation(f"connectivity must be 4 or 8, got {connectivity}")
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ContractViolation(f"ids must be 2-d, got shape {ids.shape}")
+    flat = ids.ravel()
+    if flat.size == 0:
+        return np.zeros(ids.shape, dtype=np.int32), flat
+    w = ids.shape[1]
+    change = np.empty(flat.size, dtype=bool)
+    change[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    change[::w] = True
+    seg = np.flatnonzero(change)  # stretches of one value within a row
+    seg_end = np.append(seg[1:], flat.size)
+    inked = flat[seg] != 0
+    start, end = seg[inked], seg_end[inked]
+
+    below = np.flatnonzero(start >= w)
+    lo, hi = start[below] - w, end[below] - w  # the span a row up
+    if connectivity == 8:
+        row = lo - lo % w
+        lo, hi = np.maximum(lo - 1, row), np.minimum(hi + 1, row + w)
+    first = np.searchsorted(end, lo, side="right")
+    count = np.searchsorted(start, hi) - first
+    b = np.repeat(below, count)
+    a = np.arange(b.size) + np.repeat(first - np.cumsum(count) + count, count)
+    same = flat[start[a]] == flat[start[b]]
+    a, b = a[same], b[same]
+
+    parent = np.arange(start.size)
+    while a.size:
+        parent[b] = a  # every b is a root and a < b
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        a, b = parent[a], parent[b]
+        apart = a != b
+        a, b = np.minimum(a[apart], b[apart]), np.maximum(a[apart], b[apart])
+
+    root = parent == np.arange(start.size)
+    seg_comp = np.zeros(seg.size, dtype=np.int32)
+    seg_comp[inked] = np.cumsum(root, dtype=np.int32)[parent]
+    components = np.repeat(seg_comp, seg_end - seg).reshape(ids.shape)
+    return components, flat[start[root]]
 
 
 def label_components(lm):
@@ -311,29 +423,31 @@ def label_components(lm):
 
     Returns (components, index_map) where index_map holds each pixel's
     position in the component list, -1 for background. Components are
-    ordered by (part id, centroid row, centroid col).
+    ordered by (part id, centroid row, centroid col), ties in `label`'s
+    raster order. Each component lists its pixels in scan order.
     """
-    labels = lm.labels
-    found = []
-    # value_indices lists a component's pixels in its box's scan order,
-    # which the box corner's offset turns into the whole map's scan order
-    for pid, box, comp, n in _label_parts(labels):
-        where = ndimage.value_indices(comp, ignore_value=0)
-        for k in range(1, n + 1):
-            rows, cols = where[k]
-            rows = rows + box[0].start
-            cols = cols + box[1].start
-            centroid = (rows.mean().item(), cols.mean().item())
-            found.append(
-                Component(
-                    part_id=pid,
-                    pixels=np.column_stack([rows, cols]),
-                    area=rows.size,
-                    centroid=centroid,
-                )
-            )
-    found.sort(key=lambda c: (c.part_id, c.centroid[0], c.centroid[1]))
-    index_map = np.full(labels.shape, -1, dtype=np.int32)
-    for i, c in enumerate(found):
-        index_map[c.pixels[:, 0], c.pixels[:, 1]] = i
-    return found, index_map
+    comp, part_ids = label(lm.labels)
+    flat = comp.ravel()
+    inked = np.flatnonzero(flat > 0)
+    owner = flat[inked]
+    # one stable sort groups the pixels by component, each in scan order
+    order = inked[np.argsort(owner, kind="stable")]
+    area = np.bincount(owner, minlength=part_ids.size + 1)[1:]
+    pixels = np.column_stack(np.divmod(order, lm.width))
+    offsets = np.cumsum(area) - area
+    # coordinate sums are whole numbers, exact in float64 in any order, so
+    # sum / area is the bytes `mean` gives
+    centroids = np.add.reduceat(pixels, offsets) / area[:, None]
+    rank = np.lexsort((centroids[:, 1], centroids[:, 0], part_ids))
+    found = [
+        Component(
+            part_id=int(part_ids[k]),
+            pixels=pixels[offsets[k] : offsets[k] + area[k]],
+            area=int(area[k]),
+            centroid=tuple(centroids[k].tolist()),
+        )
+        for k in rank
+    ]
+    position = np.full(part_ids.size + 1, -1, dtype=np.int32)
+    position[rank + 1] = np.arange(rank.size, dtype=np.int32)
+    return found, np.take(position, comp)

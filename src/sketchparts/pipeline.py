@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .describe import SketchSummary, describe
 from .errors import CheckpointError, ContractViolation
-from .imaging import _label_parts
+from .imaging import label
 from .model import infer
 from .router import classify_pooled
 
@@ -14,9 +16,8 @@ RECORD_VERSION = 1
 def part_counts(labelmap, taxonomy, branch):
     """Connected-instance counts keyed by part name, in branch id order."""
     names = taxonomy.part_names(branch)
-    return {
-        names[pid - 1]: n for pid, _, _, n in _label_parts(labelmap.labels) if pid <= len(names)
-    }
+    counts = np.bincount(label(labelmap.labels)[1], minlength=len(names) + 1)
+    return {names[pid - 1]: int(counts[pid]) for pid in np.flatnonzero(counts[: len(names) + 1])}
 
 
 def summarize(labelmap, taxonomy, branch, pose, category=None):

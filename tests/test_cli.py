@@ -619,6 +619,53 @@ def test_train_router_pins_blas_unless_the_user_sets_it(small_corpus, tmp_path):
     assert runs["unset"] == runs["pinned"]
 
 
+NO_SCIPY_RUN = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"refused: {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from sketchparts.cli import main
+
+d = sys.argv[1]
+ranking = f"{d}/ranking.txt"
+with open(ranking, "w") as fh:
+    fh.write("car/0000\\ncar/0001\\ncat/0000\\ncat/0001\\n")
+commands = [
+    ["gen-corpus", "--out", f"{d}/corpus", "--categories", "cat,car", "--per-category", "2"],
+    ["train-parser", "--train", f"{d}/corpus", "--out", f"{d}/parser", "--iterations", "2"],
+    ["train-router", "--train", f"{d}/corpus", "--out", f"{d}/router", "--iterations", "1",
+     "--batch-size", "2"],
+    ["infer", "--model", f"{d}/parser/model.ckpt", "--router", f"{d}/router/router.ckpt",
+     "--sketches", f"{d}/corpus", "--out", f"{d}/preds"],
+    ["rerank", "--query", f"{d}/corpus/car/0000.labels.pgm", "--ranking", ranking,
+     "--db", f"{d}/corpus", "--out", f"{d}/reranked.txt"],
+]
+codes = [main(argv) for argv in commands]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_every_command_runs_with_scipy_refused(tmp_path):
+    """The package runs on numpy alone: with any scipy import refused, every
+    command a corpus goes through exits 0 and no scipy module is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+    assert (tmp_path / "reranked.txt").read_text().split()[0] == "car/0000"
+
+
 def test_train_router_then_infer_round_trip(small_corpus, tmp_path):
     parser = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), parser)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from sketchparts.autograd import _interp_matrix, make_rng
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import (
+    _GAUSSIAN,
+    CANNY_SIGMA,
     INK,
     LabelMap,
     Raster,
+    _correlate1d,
+    _sobel,
     canny,
     crops_and_pad,
     dilate_square,
     grey_view,
+    label,
     label_components,
     mirror_v,
     rescale,
@@ -19,6 +25,10 @@ from sketchparts.imaging import (
 )
 from sketchparts.pgm import read_pgm, write_pgm
 from oracles import canny_full_grid, rescale_full_grid, rotate_full_grid
+
+
+# Sides shorter than the Gaussian's 6-pixel radius, non-square and odd shapes.
+SCIPY_SHAPES = [(1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (97, 131)]
 
 
 def random_ink(rng, h=24, w=24, density=0.2):
@@ -64,6 +74,7 @@ class TestCanny:
             # meet, the upper ridge sits at exactly half the peak
             np.where(xx[:40, :40] >= 20, np.where(yy[:40, :40] < 20, 50, 100), 0),
             np.full((1, 7), 3),
+            *(rng.integers(0, 256, size=shape) for shape in SCIPY_SHAPES),
         ]
         for a in photos:
             photo = Raster(np.clip(a, 0, 255).astype(np.uint8))
@@ -118,6 +129,106 @@ class TestDilate:
             d5 = dilate_square(r, 5)
             assert (d3.pixels >= r.pixels).all()
             assert (d5.pixels >= d3.pixels).all()
+
+
+EIGHT_CONN = np.ones((3, 3), dtype=bool)
+
+
+def scipy_inputs(shape, seed):
+    """Integer photos, signed floats, and signed zeros among small integers."""
+    rng = make_rng(seed)
+    return [
+        rng.integers(0, 256, size=shape).astype(np.float64),
+        rng.normal(size=shape) * 50,
+        rng.integers(-2, 3, size=shape) * rng.choice([0.0, -0.0, 1.0], size=shape),
+    ]
+
+
+class TestMatchesScipy:
+    """The numpy filters and labeller against scipy.ndimage, byte for byte."""
+
+    @pytest.mark.parametrize("shape", SCIPY_SHAPES)
+    def test_gaussian_and_sobel(self, shape):
+        for x in scipy_inputs(shape, 11):
+            want = ndimage.gaussian_filter(x, CANNY_SIGMA, mode="nearest")
+            got = _correlate1d(_correlate1d(x, _GAUSSIAN, 0), _GAUSSIAN, 1)
+            assert got.tobytes() == want.tobytes()
+            for axis in (0, 1):
+                want = ndimage.sobel(x, axis=axis, mode="nearest")
+                assert _sobel(x, axis).tobytes() == want.tobytes()
+
+    def test_sobel_second_pass_keeps_the_sign_of_zero(self):
+        # on a negative plateau both passes write -0.0 where scipy does, and
+        # the sign of that zero turns arctan2's angle from 0 to -pi
+        x = np.full((4, 5), -3.0)
+        x[0, :2] = 0.0
+        gy, gx = _sobel(x, 0), _sobel(x, 1)
+        want_gy = ndimage.sobel(x, axis=0, mode="nearest")
+        want_gx = ndimage.sobel(x, axis=1, mode="nearest")
+        assert gy.tobytes() == want_gy.tobytes() and gx.tobytes() == want_gx.tobytes()
+        assert np.signbit(want_gy[want_gy == 0]).all() and np.signbit(want_gx[2:]).all()
+        assert np.arctan2(gy, gx).tobytes() == np.arctan2(want_gy, want_gx).tobytes()
+        assert np.arctan2(gy, gx)[3, 0] == -np.pi
+
+    @pytest.mark.parametrize("shape", [*SCIPY_SHAPES, (128, 128)])
+    def test_label_numbers_binary_maps_like_ndimage(self, shape):
+        rng = make_rng(13)
+        for density in (0.05, 0.3, 0.6):
+            mask = rng.random(shape) < density
+            for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
+                want, n = ndimage.label(mask, structure=structure)
+                got, ids = label(mask, connectivity)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert ids.size == n and ids.all()
+
+    def test_label_splits_ids_like_ndimage_per_id(self):
+        rng = make_rng(14)
+        for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
+            for _ in range(20):
+                ids = rng.integers(0, 4, size=(23, 17)) * (rng.random((23, 17)) < 0.7)
+                comp, part_ids = label(ids, connectivity)
+                for pid in range(1, 4):
+                    want, n = ndimage.label(ids == pid, structure=structure)
+                    mine = np.flatnonzero(part_ids == pid) + 1
+                    # the same pixel sets, numbered in the same order
+                    assert mine.size == n
+                    assert np.array_equal(np.searchsorted(mine, comp[ids == pid]) + 1,
+                                          want[ids == pid])
+
+    def test_diagonal_touch_joins_only_at_eight(self):
+        # id 2 touches itself along the diagonal, id 3 along the
+        # anti-diagonal, and each touches the other at an edge or a corner
+        ids = np.array([[2, 0, 0, 3], [0, 2, 3, 0], [0, 2, 0, 0], [3, 0, 0, 0]], dtype=np.uint8)
+        four, four_ids = label(ids, 4)
+        eight, eight_ids = label(ids, 8)
+        assert four_ids.tolist() == [2, 3, 2, 3, 3]
+        assert eight_ids.tolist() == [2, 3, 3]
+        assert four[0, 0] != four[1, 1] and four[0, 3] != four[1, 2]
+        assert eight[0, 0] == eight[1, 1] == eight[2, 1] and eight[0, 3] == eight[1, 2]
+        assert eight[1, 2] != eight[1, 1] and eight[3, 0] != eight[1, 2]
+        for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
+            for pid in (2, 3):
+                _, n = ndimage.label(ids == pid, structure=structure)
+                assert (label(ids, connectivity)[1] == pid).sum() == n
+
+    def test_label_empty_and_bad_connectivity(self):
+        comp, ids = label(np.zeros((0, 5), dtype=np.uint8))
+        assert comp.shape == (0, 5) and comp.dtype == np.int32 and ids.size == 0
+        comp, ids = label(np.zeros((3, 5), dtype=np.uint8))
+        assert not comp.any() and ids.size == 0
+        with pytest.raises(ContractViolation):
+            label(np.ones((2, 2), dtype=np.uint8), connectivity=6)
+
+    @pytest.mark.parametrize("shape", SCIPY_SHAPES)
+    @pytest.mark.parametrize("side", [1, 3, 5, 9, 15, 301])
+    def test_dilate_square(self, shape, side):
+        rng = make_rng(15)
+        for density in (0.02, 0.3):
+            ink = np.where(rng.random(shape) < density, rng.integers(1, 256, shape), 0)
+            r = Raster(ink.astype(np.uint8))
+            want = ndimage.maximum_filter(r.pixels, size=side, mode="constant", cval=0)
+            got = dilate_square(r, side).pixels
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestLabelMapImmutable:
