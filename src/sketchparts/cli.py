@@ -2,7 +2,9 @@
 
 Subcommands cover the full pipeline: gen-corpus, sketchify, train-parser,
 train-router, infer, eval, rerank, describe, selfcheck. Every run with the
-same seeds and inputs writes byte-identical outputs.
+same seeds and inputs writes byte-identical outputs. Run settings come from
+flags alone: a flag left out takes the default of the corpus.CorpusSpec,
+training.TrainPlan or training.RouterPlan field it sets.
 
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
@@ -26,7 +28,6 @@ from pathlib import Path
 
 from .augment import sketchify
 from .checks import run_selfcheck
-from .config import RunConfig, load_config
 from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses_csv
 from .describe import describe
 from .errors import CheckpointError, ConfigError, ContractViolation, TaxonomyParseError
@@ -39,14 +40,13 @@ from .pipeline import infer_record, summarize
 from .poses import POSES
 from .router import build_router, load_router, save_router
 from .taxonomy import load_taxonomy, load_taxonomy_file
-from .training import train_parser, train_router
+from .training import RouterPlan, TrainPlan, train_parser, train_router
 
 
-def _load_tax(args, cfg=None, fallback_root=None):
-    """--taxonomy, then the config's taxonomy, then <root>/taxonomy.tax, then the default."""
-    path = args.taxonomy or (cfg.taxonomy_path if cfg else None)
-    if path:
-        return load_taxonomy_file(path)
+def _load_tax(args, fallback_root=None):
+    """--taxonomy, then <root>/taxonomy.tax, then the default."""
+    if args.taxonomy:
+        return load_taxonomy_file(args.taxonomy)
     if fallback_root is not None:
         candidate = Path(fallback_root) / "taxonomy.tax"
         if candidate.exists():
@@ -54,30 +54,27 @@ def _load_tax(args, cfg=None, fallback_root=None):
     return load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
-def _run_config(args):
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return RunConfig({})
+def _seed(args):
+    """--seed; a negative one is refused before any work."""
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
+    return args.seed
 
 
-def _seed(args, cfg):
-    """--seed, else the config's seed; a negative one is refused before any work."""
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
-    return seed
+def _given(**flags):
+    """The flags that were given, so the plan's own defaults fill the rest."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def cmd_gen_corpus(args):
-    cfg = _run_config(args)
-    tax = _load_tax(args, cfg)
-    flags = {
-        "per_category": args.per_category,
-        "image_size": args.size,
-        "categories": tuple(args.categories.split(",")) if args.categories else None,
-    }
-    given = {k: v for k, v in flags.items() if v is not None}
-    spec = CorpusSpec(tax, seed=_seed(args, cfg), **{"per_category": 10, **cfg.corpus, **given})
+    tax = _load_tax(args)
+    categories = tuple(args.categories.split(",")) if args.categories else None
+    spec = CorpusSpec(
+        tax,
+        per_category=args.per_category,
+        seed=_seed(args),
+        **_given(image_size=args.size, categories=categories),
+    )
     written = gen_corpus(spec, args.out)
     print(f"wrote {len(written)} samples under {args.out}")
     return 0
@@ -107,18 +104,19 @@ def _save_run(args, plan, log, save, net, checkpoint, log_csv):
 
 
 def cmd_train_parser(args):
-    cfg = _run_config(args)
-    tax = _load_tax(args, cfg, fallback_root=args.train)
+    tax = _load_tax(args, fallback_root=args.train)
     samples = load_corpus(args.train)
-    seed = _seed(args, cfg)
-    plan = cfg.train_plan(
-        iterations=args.iterations,
-        lr_body=args.lr_body,
-        lr_seg_head=args.lr_seg,
-        lr_pose_head=args.lr_pose,
-        lam=args.lam,
+    seed = _seed(args)
+    plan = TrainPlan(
         seed=seed,
-        freeze=("shared",) if args.freeze_shared else None,
+        **_given(
+            iterations=args.iterations,
+            lr_body=args.lr_body,
+            lr_seg_head=args.lr_seg,
+            lr_pose_head=args.lr_pose,
+            lam=args.lam,
+            freeze=("shared",) if args.freeze_shared else None,
+        ),
     )
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
@@ -129,16 +127,12 @@ def cmd_train_parser(args):
 
 
 def cmd_train_router(args):
-    cfg = _run_config(args)
-    tax = _load_tax(args, cfg, fallback_root=args.train)
+    tax = _load_tax(args, fallback_root=args.train)
     samples = load_corpus(args.train)
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in samples]
-    seed = _seed(args, cfg)
-    plan = cfg.router_plan(
-        iterations=args.iterations,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        seed=seed,
+    seed = _seed(args)
+    plan = RouterPlan(
+        seed=seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
     )
     net = build_router(tax.num_branches, seed=seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
@@ -163,6 +157,8 @@ def cmd_infer(args):
         router = load_router(args.router, tax.num_branches, expected_digest=tax.digest())
     elif not args.force_branch:
         raise ContractViolation("infer needs --router or --force-branch")
+    if args.force_branch:
+        tax.branch_index(args.force_branch)  # an unknown name is refused before --out is made
     jobs = {}  # output name -> (sketch path, category)
     for path in _sketch_files(args.sketches):
         category = path.parent.name if path.parent.name in tax.categories else None
@@ -298,7 +294,7 @@ def cmd_describe(args):
 
 
 def cmd_selfcheck(args):
-    results = run_selfcheck(_seed(args, RunConfig({})))
+    results = run_selfcheck(_seed(args))
     failed = 0
     for name, ok, detail in results:
         mark = "ok  " if ok else "FAIL"
@@ -315,19 +311,13 @@ def build_arg_parser():
     p = argparse.ArgumentParser(prog="sketchparts", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, seed=True, config=True):
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-        if config:
-            sp.add_argument("--config", default=None)
-
     sp = sub.add_parser("gen-corpus", help="write a synthetic paired corpus")
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy", default=None)
-    sp.add_argument("--per-category", type=int, default=None)
+    sp.add_argument("--per-category", type=int, default=10)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--categories", default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_gen_corpus)
 
     sp = sub.add_parser("sketchify", help="photo + labels -> sketchified raster")
@@ -347,7 +337,7 @@ def build_arg_parser():
     sp.add_argument("--lr-pose", type=float, default=None)
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--freeze-shared", action="store_true")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_train_parser)
 
     sp = sub.add_parser("train-router", help="train the super-category classifier")
@@ -357,7 +347,7 @@ def build_arg_parser():
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_train_router)
 
     sp = sub.add_parser("infer", help="route and parse sketches")
@@ -394,7 +384,7 @@ def build_arg_parser():
     sp.set_defaults(fn=cmd_describe)
 
     sp = sub.add_parser("selfcheck", help="run the invariant suite")
-    common(sp, config=False)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_selfcheck)
 
     return p

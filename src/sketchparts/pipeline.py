@@ -14,10 +14,18 @@ RECORD_VERSION = 1
 
 
 def part_counts(labelmap, taxonomy, branch):
-    """Connected-instance counts keyed by part name, in branch id order."""
+    """Connected-instance counts keyed by part name, in branch id order.
+
+    A part id past the branch's parts breaks the contract.
+    """
     names = taxonomy.part_names(branch)
     counts = np.bincount(label(labelmap.labels)[1], minlength=len(names) + 1)
-    return {names[pid - 1]: int(counts[pid]) for pid in np.flatnonzero(counts[: len(names) + 1])}
+    if counts.size > len(names) + 1:
+        raise ContractViolation(
+            f"label map holds part id {counts.size - 1}, but branch {branch} "
+            f"has parts 1..{len(names)}"
+        )
+    return {names[pid - 1]: int(counts[pid]) for pid in np.flatnonzero(counts)}
 
 
 def summarize(labelmap, taxonomy, branch, pose, category=None):

@@ -101,6 +101,7 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
 
 
 PARSER_GROUPS = ("shared", "branch_body", "seg_head", "pose_head")
+CLIP_NORM = 10.0  # the parser's global gradient norm cap
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,6 @@ class TrainPlan:
     lam: float = 1.0
     seed: int = 0
     freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
-    clip_norm: float = 10.0  # global gradient norm cap; None disables
 
     def __post_init__(self):
         _require_types(
@@ -120,10 +120,6 @@ class TrainPlan:
             ints=("iterations", "seed"),
             reals=("lr_body", "lr_seg_head", "lr_pose_head", "lam"),
         )
-        if self.clip_norm is not None:
-            _require_types(self, reals=("clip_norm",))
-            if self.clip_norm <= 0:
-                raise ConfigError(f"clip_norm must be positive or null, got {self.clip_norm}")
         if self.iterations < 1 or min(self.lr_body, self.lr_seg_head, self.lr_pose_head) <= 0:
             raise ConfigError("iterations and learning rates must be positive")
         if self.lam < 0:
@@ -141,8 +137,8 @@ class TrainPlan:
 
 
 def _require_types(plan, ints=(), reals=()):
-    """Reject plan fields of the wrong type, as read from a JSON config:
-    integers (bool excluded, never negative) and finite real numbers."""
+    """Reject plan fields of the wrong type, as a library caller may pass
+    them: integers (bool excluded, never negative) and finite real numbers."""
     for name in ints:
         value = getattr(plan, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
@@ -169,16 +165,19 @@ def _sgd(opt, params, step, clip_norm, frozen):
 
     step() fills the parameters' .grad and returns (loss, log row).
     Gradients are clipped to clip_norm unless it is None; the groups named
-    in `frozen` stay fixed. Each log row gains "iter" first and, last, the
-    rate of the first parameter group at that step.
+    in `frozen` stay fixed, and their gradients count toward no clip. Each
+    log row gains "iter" first and, last, the rate of the first parameter
+    group at that step.
     """
+    fixed = {id(t) for g in opt.groups if g.name in frozen for _, t in g.params}
+    stepped = [t for t in params if id(t) not in fixed]
     log = []
     for it in range(opt.max_iterations):
         loss, row = step()
         if not np.isfinite(loss.data.item()):
             raise RuntimeError(f"loss became non-finite at iteration {it}")
         if clip_norm is not None:
-            clip_gradients(params, clip_norm)
+            clip_gradients(stepped, clip_norm)
         lr = opt.lr_factor() * opt.groups[0].lr
         opt.step(frozen=frozen)
         zero_grads(params)
@@ -210,10 +209,6 @@ def train_parser(model, samples, plan):
         raise ContractViolation("training set is empty")
     tax = model.taxonomy
     branches = [tax.branch_of(s.category) for s in samples]
-    for s, b in zip(samples, branches):
-        top, n = int(s.labels.labels.max()), tax.n_parts(b)
-        if top > n:
-            raise ConfigError(f"a {s.category} label map holds part id {top}, outside 0..{n}")
     balances = {b: compute_class_balance(samples, b, tax) for b in sorted(set(branches))}
 
     rng = make_rng((plan.seed, 0xC0FFEE))
@@ -239,7 +234,7 @@ def train_parser(model, samples, plan):
 
     opt = SgdMomentum(_parser_groups(model, plan), plan.iterations)
     params = [t for _, t in model.parameters()]
-    return _sgd(opt, params, step, plan.clip_norm, plan.freeze)
+    return _sgd(opt, params, step, CLIP_NORM, plan.freeze)
 
 
 @dataclass(frozen=True)

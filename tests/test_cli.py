@@ -85,6 +85,12 @@ def test_infer_and_eval_cli(small_corpus, tmp_path):
     assert "description" in record
     # untrained model routed to a 4-part branch: ids stay within 0..4
     assert read_pgm(preds[0]).max() <= 4
+    # eval pairs each <category>_<stem> prediction with its ground truth
+    report = tmp_path / "report"
+    assert main(["eval", "--pred", str(out), "--gt", str(small_corpus), "--out", str(report)]) == 0
+    iou = (report / "iou.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in iou[1:]] == ["car", "cat", "GRAND"]
+    assert "accuracy8," in (report / "pose.csv").read_text()
 
 
 def test_infer_is_byte_deterministic(small_corpus, tmp_path):
@@ -100,6 +106,17 @@ def test_infer_is_byte_deterministic(small_corpus, tmp_path):
         outs.append(out)
     for rel in sorted(p.name for p in outs[0].iterdir()):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def test_infer_unknown_forced_branch_exits_1_before_writing(small_corpus, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    out = tmp_path / "o"
+    rc = main(["infer", "--model", str(ckpt), "--sketches", str(small_corpus),
+               "--out", str(out), "--force-branch", "Nope"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown super-category 'Nope'\n"
+    assert not out.exists()
 
 
 def test_eval_identical_dirs_perfect(small_corpus, capsys):
@@ -227,6 +244,19 @@ def test_describe_cli(tmp_path, capsys):
     assert "one head" in text and "one body" in text
 
 
+def test_describe_refuses_a_part_id_outside_the_branch(tmp_path, capsys):
+    lm = np.zeros((32, 32), dtype=np.uint8)
+    lm[4:12, 4:12] = 1  # head
+    lm[14:26, 4:28] = 9  # cat's branch has parts 1..4
+    write_pgm(tmp_path / "l.pgm", lm)
+    rc = main(["describe", "--labels", str(tmp_path / "l.pgm"), "--category", "cat",
+               "--pose", "W"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "part id 9" in captured.err and "Traceback" not in captured.err
+
+
 def test_selfcheck_cli(capsys):
     rc = main(["selfcheck"])
     assert rc == 0
@@ -276,11 +306,16 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
         ("train-parser", "--no-balance-background"),
         ("train-router", "--no-augment"),
         ("eval", "--merge4"),
+        ("gen-corpus", "--config"),
+        ("train-parser", "--config"),
+        ("train-router", "--config"),
     ],
 )
 def test_retired_switch_flag_exits_2(tmp_path, capsys, command, flag):
     if command == "eval":
         required = ["--pred", str(tmp_path), "--gt", str(tmp_path)]
+    elif command == "gen-corpus":
+        required = ["--out", str(tmp_path / "run")]
     else:
         required = ["--train", str(tmp_path), "--out", str(tmp_path / "run")]
     with pytest.raises(SystemExit) as exc:
@@ -350,66 +385,31 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("raw", [{"parser": 5}, [1]])
-def test_config_value_not_an_object_exits_1(tmp_path, capsys, raw):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
-               "--categories", "cat", "--per-category", "1"])
-    assert rc == 1
-    assert "must be a JSON object" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("version", [99, "x", None])
-def test_config_bad_format_version_exits_1(tmp_path, capsys, version):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"format_version": version}))
-    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
-               "--categories", "cat", "--per-category", "1"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "format_version must be 1" in err and "Traceback" not in err
-    assert not (tmp_path / "c").exists()
-
-
 @pytest.mark.parametrize(
-    "command,raw,message",
+    "command,flags,message",
     [
-        ("train-parser", {"parser": {"lr_body": "fast"}}, "lr_body must be a finite number"),
-        ("train-parser", {"parser": {"freeze": 5}}, "freeze must be a list"),
-        ("train-router", {"router": {"lr": "x"}}, "lr must be a finite number"),
+        ("train-parser", ["--lam", "-1"], "lambda must be >= 0"),
+        ("train-parser", ["--lr-body", "nan"], "lr_body must be a finite number"),
+        ("train-parser", ["--iterations", "0"], "iterations and learning rates must be positive"),
+        ("train-router", ["--batch-size", "0"], "batch size must be positive"),
+        ("train-router", ["--lr", "inf"], "lr must be a finite number"),
+        ("gen-corpus", ["--per-category", "0"], "per_category must be positive"),
+        ("gen-corpus", ["--size", "16"], "too small to draw on"),
     ],
 )
-def test_config_bad_plan_value_exits_1(small_corpus, tmp_path, capsys, command, raw, message):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    rc = main([command, "--train", str(small_corpus), "--out", str(tmp_path / "run"),
-               "--config", str(cfg)])
+def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, command, flags,
+                                                message):
+    out = tmp_path / "run"
+    required = ["--out", str(out)]
+    if command != "gen-corpus":
+        required += ["--train", str(small_corpus)]
+    rc = main([command, *required, *flags])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize(
-    "corpus,message",
-    [
-        ({"per_category": "x"}, "per_category must be an integer"),
-        ({"per_category": True}, "per_category must be an integer"),
-        ({"image_size": 64.0}, "image_size must be an integer"),
-        ({"categories": "cat"}, "categories must be a list"),
-        ({"categories": [1]}, "categories must be a list"),
-        ({"image_size": 1000000}, "above the maximum"),
-        ({"categories": ["cat", "cat"]}, "categories name ['cat'] more than once"),
-    ],
-)
-def test_config_bad_corpus_value_exits_1(tmp_path, capsys, corpus, message):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"corpus": corpus}))
-    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_gen_corpus_oversize_exits_1(tmp_path, capsys):
@@ -430,73 +430,27 @@ def test_non_utf8_taxonomy_exits_1(tmp_path, capsys):
     assert "line 3" in err and "UTF-8" in err and "Traceback" not in err
 
 
-def test_config_taxonomy_used_unless_flag_given(tmp_path):
+def test_taxonomy_flag_picks_the_corpus_taxonomy(tmp_path):
     tiny = tmp_path / "tiny.tax"
     tiny.write_text("super Small Animals\ncat cat : head, body, leg, tail\n")
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"taxonomy": "tiny.tax"}))
-    args = ["gen-corpus", "--config", str(cfg), "--per-category", "1", "--size", "32"]
-    assert main([*args, "--out", str(tmp_path / "c")]) == 0
-    assert (tmp_path / "c" / "taxonomy.tax").read_bytes() == tiny.read_bytes()
-    assert sorted(p.name for p in (tmp_path / "c").iterdir() if p.is_dir()) == ["cat"]
-    flag = tmp_path / "flag.tax"
-    flag.write_text("super Four Wheelers\ncat bus : body, wheel, window\n")
-    assert main([*args, "--out", str(tmp_path / "d"), "--taxonomy", str(flag)]) == 0
-    assert (tmp_path / "d" / "taxonomy.tax").read_bytes() == flag.read_bytes()
-
-
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"parser": {"iterationz": 5}}))
-    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(cfg),
-               "--categories", "cat", "--per-category", "1"])
-    assert rc == 1
-    assert "unknown" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "key,section",
-    [
-        ("momentum", "parser"),
-        ("momentum", "router"),
-        ("poly_power", "parser"),
-        ("poly_power", "router"),
-        ("class_balance", "parser"),
-        ("balance_background", "parser"),
-        ("augment", "parser"),
-        ("augment", "router"),
-        # a run has one seed, the top-level one or --seed, which would
-        # override a section's unseen
-        ("seed", "parser"),
-        ("seed", "router"),
-    ],
-)
-def test_config_momentum_and_decay_power_are_unknown_keys(small_corpus, tmp_path, capsys,
-                                                          section, key):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({section: {key: 0.9}}))
-    command = "train-parser" if section == "parser" else "train-router"
-    rc = main([command, "--train", str(small_corpus), "--out", str(tmp_path / "run"),
-               "--config", str(cfg), "--iterations", "1"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"unknown {section} key(s): ['{key}']" in err and "Traceback" not in err
-    assert not (tmp_path / "run").exists()
+    out = tmp_path / "c"
+    assert main(["gen-corpus", "--taxonomy", str(tiny), "--per-category", "1", "--size", "32",
+                 "--out", str(out)]) == 0
+    assert (out / "taxonomy.tax").read_bytes() == tiny.read_bytes()
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["cat"]
 
 
 @pytest.mark.parametrize(
     "command,checkpoint,extra",
     [("train-parser", "model.ckpt", []), ("train-router", "router.ckpt", ["--batch-size", "2"])],
 )
-def test_config_seed_is_the_runs_seed(small_corpus, tmp_path, command, checkpoint, extra):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": 5}))
+def test_seed_flag_defaults_to_0(small_corpus, tmp_path, command, checkpoint, extra):
     base = [command, "--train", str(small_corpus), "--iterations", "1", *extra]
-    runs = {"config": ["--config", str(cfg)], "flag": ["--seed", "5"], "default": []}
+    runs = {"default": [], "zero": ["--seed", "0"], "five": ["--seed", "5"]}
     for name, args in runs.items():
         assert main([*base, "--out", str(tmp_path / name), *args]) == 0
     ckpt = {name: (tmp_path / name / checkpoint).read_bytes() for name in runs}
-    assert ckpt["config"] == ckpt["flag"] != ckpt["default"]
+    assert ckpt["default"] == ckpt["zero"] != ckpt["five"]
 
 
 def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
