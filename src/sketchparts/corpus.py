@@ -338,11 +338,12 @@ def make_sample(category, pose, rng, size, taxonomy):
 
 def gen_corpus(spec, root):
     """Write the dataset under `root`; same spec and seed give identical bytes."""
+    categories = spec.category_list()  # an unknown category is refused before root is made
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "taxonomy.tax").write_text(spec.taxonomy.to_text(), encoding="utf-8")
     rows = []
-    for ci, category in enumerate(spec.category_list()):
+    for ci, category in enumerate(categories):
         (root / category).mkdir(exist_ok=True)
         for i in range(spec.per_category):
             rng = make_rng((spec.seed, ci, i))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sketchparts import cli
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
@@ -393,8 +395,30 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
         ("train-parser", ["--iterations", "0"], "iterations and learning rates must be positive"),
         ("train-router", ["--batch-size", "0"], "batch size must be positive"),
         ("train-router", ["--lr", "inf"], "lr must be a finite number"),
+        ("train-parser", ["--lr-seg", "0"], "iterations and learning rates must be positive"),
+        ("train-parser", ["--lr-pose", "-1"], "iterations and learning rates must be positive"),
+        ("train-parser", ["--lam", "inf"], "lam must be a finite number"),
+        ("train-parser", ["--lam", "nan"], "lam must be a finite number"),
+        ("train-parser", ["--iterations", "-2"], "iterations must be an integer >= 0"),
+        ("train-parser", ["--lr-body=-inf"], "lr_body must be a finite number"),
+        ("train-parser", ["--lr-seg", "nan"], "lr_seg_head must be a finite number"),
+        ("train-parser", ["--lr-pose", "inf"], "lr_pose_head must be a finite number"),
+        ("train-parser", ["--taxonomy", "missing.tax"], "No such file"),
+        ("train-router", ["--batch-size", "0"], "batch size must be positive"),
+        ("train-router", ["--lr", "inf"], "lr must be a finite number"),
+        ("train-router", ["--iterations", "0"], "iterations, lr and batch size must be positive"),
+        ("train-router", ["--lr", "0"], "iterations, lr and batch size must be positive"),
+        ("train-router", ["--lr", "nan"], "lr must be a finite number"),
+        ("train-router", ["--batch-size", "-3"], "batch_size must be an integer >= 0"),
+        ("train-router", ["--iterations", "-1"], "iterations must be an integer >= 0"),
+        ("train-router", ["--taxonomy", "missing.tax"], "No such file"),
         ("gen-corpus", ["--per-category", "0"], "per_category must be positive"),
         ("gen-corpus", ["--size", "16"], "too small to draw on"),
+        ("gen-corpus", ["--per-category", "-1"], "per_category must be positive"),
+        ("gen-corpus", ["--size", "4096"], "above the maximum of 2048"),
+        ("gen-corpus", ["--categories", "nope"], "no figure template for category 'nope'"),
+        ("gen-corpus", ["--categories", "cat,nope"], "no figure template for category 'nope'"),
+        ("gen-corpus", ["--taxonomy", "missing.tax"], "No such file"),
     ],
 )
 def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, command, flags,
@@ -410,6 +434,107 @@ def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, 
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,kind",
+    [
+        ("train-parser", ["--iterations", "2.5"], "int"),
+        ("train-parser", ["--lam", "x"], "float"),
+        ("train-parser", ["--seed", "1.5"], "int"),
+        ("train-router", ["--batch-size", "4.0"], "int"),
+        ("train-router", ["--lr", "fast"], "float"),
+        ("gen-corpus", ["--per-category", "3.0"], "int"),
+        ("gen-corpus", ["--size", "x"], "int"),
+        ("gen-corpus", ["--seed", "x"], "int"),
+        ("selfcheck", ["--seed", "2.0"], "int"),
+    ],
+)
+def test_flag_of_the_wrong_type_exits_2(tmp_path, capsys, command, flags, kind):
+    out = tmp_path / "run"
+    required = {"selfcheck": [], "gen-corpus": ["--out", str(out)]}.get(
+        command, ["--train", str(tmp_path), "--out", str(out)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *flags])
+    assert exc.value.code == 2
+    assert f"invalid {kind} value: '{flags[1]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Built(Exception):
+    """Carries the spec or plan a command built, before it trains or writes."""
+
+
+def _built(monkeypatch, argv):
+    def stop(*args):
+        raise _Built(*args)
+
+    for name in ("gen_corpus", "train_parser", "train_router"):
+        monkeypatch.setattr(cli, name, stop)
+    with pytest.raises(_Built) as exc:
+        main(argv)
+    return exc.value.args
+
+
+@pytest.mark.parametrize(
+    "command,flags,changed",
+    [
+        ("gen-corpus", [], {}),
+        ("gen-corpus", ["--per-category", "3"], {"per_category": 3}),
+        ("gen-corpus", ["--size", "40"], {"image_size": 40}),
+        ("gen-corpus", ["--categories", "car,cat"], {"categories": ("car", "cat")}),
+        ("gen-corpus", ["--seed", "9"], {"seed": 9}),
+        ("train-parser", [], {}),
+        ("train-parser", ["--iterations", "7"], {"iterations": 7}),
+        ("train-parser", ["--lr-body", "0.5"], {"lr_body": 0.5}),
+        ("train-parser", ["--lr-seg", "0.25"], {"lr_seg_head": 0.25}),
+        ("train-parser", ["--lr-pose", "0.125"], {"lr_pose_head": 0.125}),
+        ("train-parser", ["--lam", "0"], {"lam": 0.0}),
+        ("train-parser", ["--seed", "9"], {"seed": 9}),
+        ("train-parser", ["--freeze-shared"], {"freeze": ("shared",)}),
+        ("train-router", [], {}),
+        ("train-router", ["--iterations", "7"], {"iterations": 7}),
+        ("train-router", ["--lr", "0.5"], {"lr": 0.5}),
+        ("train-router", ["--batch-size", "3"], {"batch_size": 3}),
+        ("train-router", ["--seed", "9"], {"seed": 9}),
+    ],
+)
+def test_each_flag_sets_its_field_and_the_rest_keep_their_defaults(
+    small_corpus, tmp_path, monkeypatch, command, flags, changed
+):
+    out = tmp_path / "run"
+    required = ["--out", str(out)] + (["--train", str(small_corpus)] * (command != "gen-corpus"))
+    args = _built(monkeypatch, [command, *required, *flags])
+    built = args[0] if command == "gen-corpus" else args[-1]
+    defaults = {"per_category": 10, "seed": 0}  # argparse's, where the spec has none
+    for f in dataclasses.fields(built):
+        if f.name != "taxonomy":
+            default = defaults[f.name] if f.default is dataclasses.MISSING else f.default
+            assert getattr(built, f.name) == changed.get(f.name, default), f.name
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-parser", "train-router"])
+@pytest.mark.parametrize("source", ["flag", "corpus", "default"])
+def test_taxonomy_is_the_flag_then_the_corpus_file_then_the_default(
+    small_corpus, tmp_path, monkeypatch, command, source
+):
+    flag_tax = (
+        "super Pets\ncat cat : head, body, leg, tail\nsuper Cars\ncat car : body, wheel, window\n"
+    )
+    corpus_tax = flag_tax.replace("Pets", "Small Animals")
+    (tmp_path / "flag.tax").write_text(flag_tax)
+    (small_corpus / "taxonomy.tax").write_text(corpus_tax)
+    argv = [command, "--train", str(small_corpus), "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv += ["--taxonomy", str(tmp_path / "flag.tax")]
+    elif source == "default":
+        (small_corpus / "taxonomy.tax").unlink()
+    expected = {"flag": flag_tax, "corpus": corpus_tax, "default": DEFAULT_TAXONOMY_TEXT}
+    net = _built(monkeypatch, argv)[0]
+    digest = net.taxonomy.digest() if command == "train-parser" else net.digest
+    assert digest == load_taxonomy(expected[source]).digest()
 
 
 def test_gen_corpus_oversize_exits_1(tmp_path, capsys):
@@ -463,12 +588,14 @@ def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("command", ["gen-corpus", "selfcheck"])
-def test_negative_seed_exits_1_before_writing(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["gen-corpus", "selfcheck", "train-parser", "train-router"])
+def test_negative_seed_exits_1_before_writing(small_corpus, tmp_path, capsys, command):
     out = tmp_path / "c"
     argv = [command, "--seed", "-1"]
     if command == "gen-corpus":
         argv += ["--out", str(out), "--per-category", "1", "--categories", "cat"]
+    elif command != "selfcheck":
+        argv += ["--train", str(small_corpus), "--out", str(out)]
     rc = main(argv)
     assert rc == 1
     captured = capsys.readouterr()
