@@ -630,4 +630,7 @@ def weighted_sum(x, weights):
 def he_normal(rng, shape, fan_in):
     """He fan-in init used for all conv/linear weights."""
     std = math.sqrt(2.0 / fan_in)
-    return Tensor((rng.standard_normal(shape) * std).astype(DEFAULT_DTYPE))
+    # allocated before the float64 draw, so the freed draw leaves no heap hole under the weight
+    out = np.empty(shape, DEFAULT_DTYPE)
+    np.multiply(rng.standard_normal(shape), std, out=out)
+    return Tensor(out)

@@ -41,12 +41,12 @@ def write_checkpoint(path, magic, digest, named_tensors):
             fh.write(struct.pack("<I", len(named_tensors)))
             for name, tensor in named_tensors:
                 encoded = name.encode("utf-8")
-                data = np.ascontiguousarray(tensor.data, dtype=np.float32)
+                data = np.ascontiguousarray(tensor.data, dtype="<f4")
                 fh.write(struct.pack("<H", len(encoded)))
                 fh.write(encoded)
                 fh.write(struct.pack("<B", data.ndim))
                 fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                fh.write(data.tobytes())
+                fh.write(data)  # the array's own buffer, not a tobytes() copy
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -59,20 +59,22 @@ def write_checkpoint(path, magic, digest, named_tensors):
 def read_checkpoint(path, magic):
     """Returns (digest, ordered dict name -> float32 array, dict name -> byte
     offset of the tensor's record). A RETIRED magic is refused with its
-    reason."""
+    reason. Payloads are read through a view of the file's bytes, so each
+    tensor is copied once, into its own array."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)
     pos = 0
 
     def take(n, what):
         nonlocal pos
         if pos + n > len(blob):
             raise CheckpointError(pos, f"truncated while reading {what}")
-        chunk = blob[pos : pos + n]
+        chunk = view[pos : pos + n]
         pos += n
         return chunk
 
-    got_magic = take(4, "magic")
+    got_magic = take(4, "magic").tobytes()
     if got_magic in RETIRED:
         raise CheckpointError(0, RETIRED[got_magic])
     if got_magic != magic:
@@ -80,7 +82,7 @@ def read_checkpoint(path, magic):
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise CheckpointError(4, f"unsupported version {version}")
-    digest = take(32, "taxonomy digest")
+    digest = take(32, "taxonomy digest").tobytes()
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors, offsets = {}, {}
     for _ in range(count):
@@ -88,7 +90,7 @@ def read_checkpoint(path, magic):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name_at = pos
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = take(name_len, "name").tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(name_at, "tensor name is not valid UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, "rank"))

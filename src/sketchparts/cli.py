@@ -105,7 +105,6 @@ def _save_run(args, plan, log, save, net, checkpoint, log_csv):
 
 def cmd_train_parser(args):
     tax = _load_tax(args, fallback_root=args.train)
-    samples = load_corpus(args.train)
     seed = _seed(args)
     plan = TrainPlan(
         seed=seed,
@@ -118,6 +117,7 @@ def cmd_train_parser(args):
             freeze=("shared",) if args.freeze_shared else None,
         ),
     )
+    samples = load_corpus(args.train)  # after the plan, so a bad flag value is refused first
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
     else:
@@ -128,12 +128,11 @@ def cmd_train_parser(args):
 
 def cmd_train_router(args):
     tax = _load_tax(args, fallback_root=args.train)
-    samples = load_corpus(args.train)
-    labelled = [(s.sketch, tax.branch_of(s.category)) for s in samples]
     seed = _seed(args)
     plan = RouterPlan(
         seed=seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
     )
+    labelled = [(s.sketch, tax.branch_of(s.category)) for s in load_corpus(args.train)]
     net = build_router(tax.num_branches, seed=seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
     return _save_run(args, plan, log, save_router, net, "router.ckpt", "router_log.csv")

@@ -153,7 +153,7 @@ def _require_types(plan, ints=(), reals=()):
 def clip_gradients(params, max_norm):
     """Scale all gradients down so their joint L2 norm is at most max_norm."""
     grads = [t for t in params if t.grad is not None]
-    norm = np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in grads))
+    norm = np.sqrt(sum(float(np.square(t.grad, dtype=np.float64).sum()) for t in grads))
     if norm > max_norm:
         factor = max_norm / norm
         for t in grads:

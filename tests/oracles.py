@@ -7,7 +7,8 @@ affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
 and ridge test) over the whole canvas grid, or one two-lane path (pooled
 routing) as the serial loop it replaced, or one streamed path (the router's
 mini-batch) as the single tape it replaced, or one in-place path (conv
-backward's channel-last dx columns and float64 bias sum) as the copies it
+backward's channel-last dx columns and float64 bias sum, He init's weight
+written by its draw, the clip's float64 squares) as the copies it
 replaced, and the tests compare the library against it. No package code
 calls them, so they stay out of the package; the oracles `selfcheck` also
 runs live in `sketchparts.checks`.
@@ -482,3 +483,19 @@ def train_router_one_tape(net, labelled, plan):
         zero_grads([t for _, t in net.parameters()])
         log.append({"iter": it, "loss": loss.data.item(), "lr": lr})
     return log
+
+
+def he_normal_astype(rng, shape, fan_in):
+    """autograd.he_normal as the draw, scaled in float64, then cast to a new
+    float32 array."""
+    std = math.sqrt(2.0 / fan_in)
+    return (rng.standard_normal(shape) * std).astype(np.float32)
+
+
+def grad_norm_upcast(params):
+    """training.clip_gradients' joint L2 norm, each squared norm taken over
+    an upcast float64 copy of the gradient and then its square, two
+    temporaries."""
+    return np.sqrt(
+        sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in params if t.grad is not None)
+    )

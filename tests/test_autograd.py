@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import col2im_loop, conv2d_bruteforce, conv2d_grads_transposed, interp_matrix_loop
-from oracles import maxpool2d_bruteforce
+from oracles import he_normal_astype, maxpool2d_bruteforce
 from sketchparts.autograd import (
     ConvSpec,
     GradientSum,
@@ -18,6 +18,7 @@ from sketchparts.autograd import (
     crop2d,
     dropout,
     global_average_pool,
+    he_normal,
     linear,
     make_rng,
     maxpool2d,
@@ -266,6 +267,20 @@ class TestFloat64ReductionsInPlace:
         # the window loop adds a float64 copy of g in the scatter's order
         _, want = maxpool2d_bruteforce(x, 3, 2, g.astype(np.float64))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("shape", [(256, 256, 3, 3), (128, 128, 3, 3), (8, 32), (5,)])
+def test_he_normal_writes_the_bytes_of_the_cast_draw(seed, shape):
+    """The float32 weight written by its draw holds the draw's float64
+    scaling cast to float32, and takes as many draws from the generator."""
+    fan_in = int(np.prod(shape[1:]))
+    rng, oracle_rng = make_rng(seed), make_rng(seed)
+    got = he_normal(rng, shape, fan_in).data
+    want = he_normal_astype(oracle_rng, shape, fan_in)
+    assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
 def test_interp_matrix_matches_row_loop():

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,24 @@ def test_save_writes_the_documented_layout(tmp_path):
         + record(b"b", (1,), np.array([1.5], dtype="<f4").tobytes())
     )
     assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def test_save_writes_any_array_as_c_order_little_endian_float32(tmp_path):
+    path = tmp_path / "m.ckpt"
+    odd = [
+        ("t", Tensor(np.arange(6, dtype=np.float64).reshape(2, 3).T)),
+        ("s", Tensor(np.float32(2.5))),
+        ("e", Tensor(np.zeros((0, 3), dtype=np.float32))),
+    ]
+    write_checkpoint(path, MAGIC, DIGEST, odd)
+    want = HEADER + struct.pack("<I", len(odd))
+    for name, t in odd:
+        data = np.ascontiguousarray(t.data, dtype="<f4")
+        want += record(name.encode(), data.shape, data.tobytes())
+    assert path.read_bytes() == want
+    _, tensors, _ = read_checkpoint(path, MAGIC)
+    for name, t in odd:
+        assert np.array_equal(tensors[name], t.data) and tensors[name].dtype == np.float32
 
 
 def test_failed_overwrite_keeps_the_old_checkpoint(tmp_path):
@@ -227,3 +246,19 @@ def test_load_builds_no_throwaway_net(tmp_path, monkeypatch, net):
     assert [name for name, _ in loaded] == [name for name, _ in named]
     for (_, got), (_, want) in zip(loaded, named):
         assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+
+
+def test_router_load_copies_each_payload_once(tmp_path):
+    """Loading holds the file's bytes and the loaded tensors, and no second
+    copy of any payload."""
+    named, magic, digest, load = saved_net("router")
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, magic, digest, named)
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.data.nbytes for _, t in loaded.parameters())
+    assert peak <= path.stat().st_size + kept + 2**19, (peak, kept)

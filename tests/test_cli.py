@@ -437,6 +437,25 @@ def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("train-parser", ["--lam", "-1"], "lambda must be >= 0"),
+        ("train-router", ["--batch-size", "0"], "batch size must be positive"),
+    ],
+)
+def test_bad_flag_value_is_refused_before_the_corpus_is_read(tmp_path, capsys, command, flags,
+                                                            message):
+    out = tmp_path / "run"
+    rc = main([command, "--train", str(tmp_path / "missing"), "--out", str(out), *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err and "poses.csv" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,flags,kind",
     [
         ("train-parser", ["--iterations", "2.5"], "int"),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import train_router_one_tape
+from oracles import grad_norm_upcast, train_router_one_tape
 from sketchparts.augment import PairedSample
 from sketchparts.autograd import Tape, Tensor, add, backward, make_rng, softmax_ce
 from sketchparts.checks import balance_bruteforce, gradcheck
@@ -23,6 +23,7 @@ from sketchparts.training import (
     RouterPlan,
     TrainPlan,
     _parser_groups,
+    clip_gradients,
     compute_class_balance,
     total_loss,
     train_parser,
@@ -214,6 +215,26 @@ def tiny_corpus(n=4, size=64):
         cat = "cat" if i % 2 else "dog"
         samples.append(make_sample(cat, ["E", "W", "N", "S"][i % 4], make_rng((55, i)), size, TWO_CATS))
     return samples
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_clip_norm_matches_the_upcast_oracle_bit_for_bit(seed):
+    """A clip at exactly the oracle's norm leaves the gradients as they are;
+    a clip one float64 step below it scales them by max_norm / norm."""
+    rng = make_rng(seed)
+    model = build_model(ModelConfig(), TWO_CATS, seed=seed)
+    params = [t for _, t in model.parameters()] + [t for _, t in build_router(2, seed=seed).parameters()]
+    for t in params:
+        t.grad = (rng.standard_normal(t.shape) * rng.uniform(1e-3, 10.0)).astype(np.float32)
+    params[1].grad = None  # a parameter without a gradient counts toward no norm
+    norm = grad_norm_upcast(params)
+    grads = [None if t.grad is None else t.grad.copy() for t in params]
+    clip_gradients(params, norm)
+    assert all(t.grad is g is None or t.grad.tobytes() == g.tobytes() for t, g in zip(params, grads))
+    below = np.nextafter(norm, 0.0)
+    clip_gradients(params, below)
+    for t, g in zip(params, grads):
+        assert t.grad is g is None or t.grad.tobytes() == (g * (below / norm)).tobytes()
 
 
 class TestTrainParser:
