@@ -26,24 +26,31 @@ differ from libm in the last bit on a few percent of inputs. The histogram
 term stays an exact integer min/max ratio. `build_affinity` is the same
 builder on a batch of one.
 
-`rrwm_match_all` runs many walks in lockstep over one concatenated vector,
-so re-ranking a list costs a few array passes per iteration instead of a
-few per walk. Sinkhorn groups are numbered apart across problems, so one
-bincount normalizes them all; per-problem maxima come from a reduceat; a
-walk leaves the lockstep once it converges and is no longer computed. The
-products and totals are taken per size class: problems with the same
-candidate count m are sorted next to each other, their matrices stacked
-into one C-contiguous (b, m, m) array, and each iteration makes one stacked
-matmul and one row-wise add.reduce per class. The results are
-bit-identical to walking each problem alone, because both calls run the
+The builder sets the walk order: problems sorted by candidate count m (a
+stable sort), so the problems of one size class fill one run of the
+concatenated candidate vector and their matrices one C-contiguous
+(b, m, m) block of the buffer, a view that the walk uses as it is. Sinkhorn
+row and column group ids are arithmetic, problem * (nodes + 1) + node + 1
+with the global node as 0, so groups never span problems and one bincount
+normalizes them all.
+
+One walk core runs many walks in lockstep over one concatenated vector, so
+re-ranking a list costs a few array passes per iteration instead of a few
+per walk: per-problem maxima come from a reduceat, and a walk leaves the
+lockstep once it converges and is no longer computed. Each iteration makes
+one stacked matmul and one row-wise add.reduce per size class. The results
+are bit-identical to walking each problem alone, because both calls run the
 same kernel on each slice as on one problem (a shared summation such as
 add.reduceat adds in another order and moves the last bits). That holds
 only for C-contiguous matrices, as a Fortran-ordered A @ x rounds
 differently, so `Affinity` keeps its matrix in C order. The greedy
 discretization runs in lockstep too: one stable lexsort orders every
 walk's candidates, step t tries each problem's t-th heaviest, and the
-scores come from stacked indicator products. `rrwm_match` is the same
-solver on a batch of one.
+scores come from stacked indicator products. `rerank` calls the core on
+the builder's arrays and reads only the scores. `rrwm_match_all` is the
+adapter for `Affinity` lists: it sorts and stacks them, numbers their
+groups by the same arithmetic, and wraps each result in a `MatchResult`;
+`rrwm_match` is that adapter on a batch of one.
 
 Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
@@ -241,24 +248,24 @@ class Affinity:
         self.matrix = np.ascontiguousarray(self.matrix)
 
 
-def build_affinities(q, graphs):
-    """One constrained candidate list and affinity matrix per graph in
-    `graphs`, each matched against the query graph `q`, built in one pass.
+class _Problems(NamedTuple):
+    """Matching problems of one query laid out in walk order: sorted by
+    candidate count m (a stable sort), so each size class fills one run of
+    the concatenated candidate vector and its matrices one C-contiguous
+    (b, m, m) block of one buffer."""
 
-    Candidates are (query node, candidate node) pairs: the global pair
-    first, then every pair of local nodes with the same part id, query node
-    major. Unary terms sit on the diagonal: closeness in angular extent and
-    centroid, weighted by the geometric mean of the two instance areas
-    (fractions, so everything stays in [0, 1]); the global pair scores the
-    part-type histograms. Off-diagonal terms compare the polar edge
-    attributes of correspondence pairs whose edge exists in both graphs;
-    local-global anchor edges take part with the same formula. Pairs that
-    share a query or a candidate node never reinforce each other.
+    order: np.ndarray  # (n,) the caller's index of the problem at each walk position
+    m: np.ndarray  # (n,) candidates per problem, ascending
+    cq: np.ndarray  # query node of each candidate (GLOBAL for the global pair)
+    cc: np.ndarray  # candidate node of each candidate
+    rows: np.ndarray  # Sinkhorn row group of each candidate, one per (problem, query node)
+    cols: np.ndarray  # Sinkhorn column group, one per (problem, candidate node)
+    stacks: list  # one (b, m, m) view of the buffer per size class
 
-    Every matrix is a C-contiguous view of one shared buffer.
-    """
-    if not graphs:
-        return []
+
+def _affinity_problems(q, graphs):
+    """The query graph `q` against each of the (non-empty) `graphs`, in walk
+    order; see build_affinities."""
     n = len(graphs)
     qa = q.arrays
     cas = [g.arrays for g in graphs]
@@ -266,22 +273,27 @@ def build_affinities(q, graphs):
     node_owner = np.repeat(np.arange(n), sizes)
 
     # candidate pairs of every problem from one part-id comparison, ordered
-    # by problem, then query node, then candidate node
+    # by walk position, then query node, then candidate node
     qi, k = np.nonzero(qa.part[:, None] == np.concatenate([ca.part for ca in cas]))
-    by_problem = np.argsort(node_owner[k], kind="stable")
-    qi, k = qi[by_problem], k[by_problem]
-    m = np.bincount(node_owner[k], minlength=n) + 1  # candidates per problem
+    owner = node_owner[k]
+    m = np.bincount(owner, minlength=n) + 1  # candidates per problem
+    order = np.argsort(m, kind="stable")
+    walk_pos = np.empty(n, dtype=np.intp)
+    walk_pos[order] = np.arange(n)
+    by_problem = np.argsort(walk_pos[owner], kind="stable")
+    qi, k, owner = qi[by_problem], k[by_problem], owner[by_problem]
+    m = m[order]
     ends = np.cumsum(m)
     starts = ends - m
     total = int(ends[-1])
-    problem = np.repeat(np.arange(n), m)
+    problem = np.repeat(np.arange(n), m)  # walk position of each candidate
+    source = order[problem]  # and the index of its graph
     local = np.ones(total, dtype=bool)
     local[starts] = False
     cq = np.full(total, GLOBAL)
     cq[local] = qi
     cc = np.full(total, GLOBAL)
-    cc[local] = k - (np.cumsum(sizes) - sizes)[node_owner[k]]
-    pairs = list(zip(cq.tolist(), cc.tolist()))
+    cc[local] = k - (np.cumsum(sizes) - sizes)[owner]
 
     # unary terms: histogram overlap on the global pairs, as the integer
     # ratio sum(min) / sum(max) over both histograms' part ids ...
@@ -294,7 +306,7 @@ def build_affinities(q, graphs):
     similarity = np.divide(lo, hi, out=np.ones(n), where=hi != 0)
     cand_area = np.array([g.area_fraction for g in graphs], dtype=np.float64)
     diag = np.empty(total)
-    diag[starts] = similarity * np.sqrt(q.area_fraction * cand_area)
+    diag[starts] = (similarity * np.sqrt(q.area_fraction * cand_area))[order]
     # ... and extent and centroid closeness on the local pairs
     qv, cv = qa.nodes[qi], np.concatenate([ca.nodes for ca in cas])[k]
     d_ext = np.abs(qv[:, 0] - cv[:, 0])
@@ -315,8 +327,8 @@ def build_affinities(q, graphs):
     eq = qa.edges.reshape(2, -1)[:, qnode[r] * (len(qa.part) + 1) + qnode[c]]
     side = sizes + 1
     edge_start = np.cumsum(side * side) - side * side
-    cnode = np.where(cc == GLOBAL, sizes[problem], cc)
-    pr = problem[r]
+    cnode = np.where(cc == GLOBAL, sizes[source], cc)
+    pr = source[r]
     at = edge_start[pr] + cnode[r] * side[pr] + cnode[c]
     ec = np.concatenate([ca.edges.reshape(2, -1) for ca in cas], axis=1)[:, at]
     both = ~(np.isnan(eq[0]) | np.isnan(ec[0]))
@@ -326,7 +338,8 @@ def build_affinities(q, graphs):
     d_theta = np.abs(np.fromiter(wrapped, np.float64, len(t)))
     pairwise = _apply(math.exp, -np.abs(eq[0] - ec[0]) / SIGMA_RADIUS - d_theta / SIGMA_THETA)
 
-    # one scatter into one buffer holding every matrix
+    # one scatter into one buffer holding every matrix in walk order, so a
+    # size class's matrices are one block of it
     area = m * m
     matrix_start = np.cumsum(area) - area
     pos = np.arange(total) - starts[problem]
@@ -335,12 +348,49 @@ def build_affinities(q, graphs):
     buf[row + pos] = diag
     buf[row[r] + pos[c]] = pairwise
     buf[row[c] + pos[r]] = pairwise
-    return [
-        Affinity(pairs[s:e], buf[o : o + size * size].reshape(size, size), q, g)
-        for s, e, o, size, g in zip(
-            starts.tolist(), ends.tolist(), matrix_start.tolist(), m.tolist(), graphs
-        )
-    ]
+    stacks = []
+    for s, e in _class_spans(m):
+        o, size = int(matrix_start[s]), int(m[s])
+        stacks.append(buf[o : o + (e - s) * size * size].reshape(e - s, size, size))
+    # group ids by arithmetic: (problem, node) pairs numbered apart, the
+    # global node as 0
+    rows = problem * (len(qa.part) + 1) + cq + 1
+    cols = problem * (int(sizes.max()) + 1) + cc + 1
+    return _Problems(order, m, cq, cc, rows, cols, stacks)
+
+
+def _class_spans(m):
+    """(start, end) of each run of equal candidate counts in the ascending m."""
+    ends = (np.flatnonzero(np.diff(m, append=0)) + 1).tolist()
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def build_affinities(q, graphs):
+    """One constrained candidate list and affinity matrix per graph in
+    `graphs`, each matched against the query graph `q`, built in one pass.
+
+    Candidates are (query node, candidate node) pairs: the global pair
+    first, then every pair of local nodes with the same part id, query node
+    major. Unary terms sit on the diagonal: closeness in angular extent and
+    centroid, weighted by the geometric mean of the two instance areas
+    (fractions, so everything stays in [0, 1]); the global pair scores the
+    part-type histograms. Off-diagonal terms compare the polar edge
+    attributes of correspondence pairs whose edge exists in both graphs;
+    local-global anchor edges take part with the same formula. Pairs that
+    share a query or a candidate node never reinforce each other.
+
+    Every matrix is a C-contiguous view of one shared buffer.
+    """
+    if not graphs:
+        return []
+    p = _affinity_problems(q, graphs)
+    pairs = list(zip(p.cq.tolist(), p.cc.tolist()))
+    ends = np.cumsum(p.m).tolist()
+    matrices = (matrix for stack in p.stacks for matrix in stack)
+    affinities = [None] * len(graphs)
+    for g, s, e, matrix in zip(p.order.tolist(), [0, *ends[:-1]], ends, matrices):
+        affinities[g] = Affinity(pairs[s:e], matrix, q, graphs[g])
+    return affinities
 
 
 def _apply(fn, *columns):
@@ -364,11 +414,6 @@ class MatchResult:
     relaxed: np.ndarray  # final walk distribution over candidates
 
 
-def _group_ids(problem, node):
-    """Dense ids for (problem, node) pairs, so groups never span problems."""
-    return np.unique(problem * (node.max() + 2) + node + 1, return_inverse=True)[1]
-
-
 def _size_classes(stacks):
     """Where each non-empty (b, m, m) stack's problems sit in the walk: the
     stack, its span of the concatenated vector, its span of the problems,
@@ -382,49 +427,20 @@ def _size_classes(stacks):
     return layout
 
 
-def rrwm_match_all(affinities, max_iterations=300):
-    """Reweighted random walk over each affinity matrix, in lockstep, then
-    greedy one-to-one discretization; one MatchResult per affinity, in
-    order. Sinkhorn normalizes one row group per query node and one column
-    group per candidate node (the global pair gets its own row and column).
-    A walk stops when it converges or its total is not positive. Never
-    emits a pair outside the candidate list, so the matching constraints
-    hold by construction.
+def _walk(m, rows, cols, stacks, max_iterations=300):
+    """Reweighted random walks in lockstep, then the greedy pick, for
+    problems in walk order: `m` candidates each (ascending), Sinkhorn row
+    and column groups `rows` and `cols` over the concatenated candidate
+    vector, and one C-contiguous (b, m, m) matrix stack per size class.
 
-    Problems are walked sorted by candidate count m (a stable sort), so the
-    problems of one size class fill one run of the concatenated vector and
-    their matrices one C-contiguous (b, m, m) stack. Each iteration makes one
-    stacked matmul and one row-wise add.reduce per class. Both run the same
-    kernel on each slice as on a problem walked alone (the gemv of a
-    C-contiguous matrix, the pairwise sum of one contiguous row), so every
-    product and total keeps its bits. That rests on each matrix being
-    C-contiguous, which Affinity ensures: a Fortran-ordered A @ x rounds
-    differently. A class's stack is compressed on the iterations where walks
-    leave it. The greedy pick runs in lockstep too: step t tries every
-    problem's t-th heaviest candidate, and the scores come from the stacked
-    indicator products."""
-    if not affinities:
-        return []
-    if any(not aff.candidates for aff in affinities):
-        raise ContractViolation("empty candidate list")
-    n = len(affinities)
-    sizes = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
-    by_size = np.argsort(sizes, kind="stable").tolist()
-    sizes = sizes[by_size]
-    affs = [affinities[p] for p in by_size]
-    flat = [pair for aff in affs for pair in aff.candidates]
-    pairs = np.fromiter(chain.from_iterable(flat), np.intp, 2 * len(flat)).reshape(-1, 2)
-    problem = np.repeat(np.arange(n), sizes)
-    row_of = _group_ids(problem, pairs[:, 0])
-    col_of = _group_ids(problem, pairs[:, 1])
-    class_end = (np.flatnonzero(np.diff(sizes, append=0)) + 1).tolist()
-    stacks = [
-        np.stack([aff.matrix for aff in affs[s:e]])
-        for s, e in zip([0, *class_end[:-1]], class_end)
-    ]
-
-    x = np.repeat(1.0 / sizes, sizes)
-    rows, cols = row_of, col_of
+    Returns each problem's score (an array), converged flag and relaxed
+    vector, and the picked candidates of the concatenated vector in the
+    order the greedy steps took them.
+    """
+    n = m.size
+    problem = np.repeat(np.arange(n), m)
+    x = np.repeat(1.0 / m, m)
+    walk_rows, walk_cols = rows, cols
     live = np.arange(n)
     walking = stacks
     relaxed = [None] * n
@@ -434,21 +450,21 @@ def rrwm_match_all(affinities, max_iterations=300):
         if not live.size:
             break
         if moved:
-            ends = np.cumsum(sizes[live])
-            starts = ends - sizes[live]
-            owner = np.repeat(np.arange(live.size), sizes[live])
+            ends = np.cumsum(m[live])
+            starts = ends - m[live]
+            owner = np.repeat(np.arange(live.size), m[live])
             layout = _size_classes(walking)
             walked = np.empty(x.size)
             total = np.empty(live.size)
-        for stack, values, _, (b, m) in layout:
-            np.matmul(stack, x[values].reshape(b, m, 1), out=walked[values].reshape(b, m, 1))
+        for stack, values, _, (b, size) in layout:
+            np.matmul(stack, x[values].reshape(b, size, 1), out=walked[values].reshape(b, size, 1))
         jump = np.exp(BETA * x / np.maximum.reduceat(x, starts)[owner])
         for _ in range(SINKHORN_ITERATIONS):
-            jump = jump / np.bincount(rows, weights=jump)[rows]
-            jump = jump / np.bincount(cols, weights=jump)[cols]
+            jump = jump / np.bincount(walk_rows, weights=jump)[walk_rows]
+            jump = jump / np.bincount(walk_cols, weights=jump)[walk_cols]
         y = ALPHA * walked + (1.0 - ALPHA) * jump
-        for _, values, probs, (b, m) in layout:
-            np.add.reduce(y[values].reshape(b, m), axis=1, out=total[probs])
+        for _, values, probs, (b, size) in layout:
+            np.add.reduce(y[values].reshape(b, size), axis=1, out=total[probs])
         stuck = total <= 0
         y = y / np.where(stuck, 1.0, total)[owner]
         done = ~stuck & (np.maximum.reduceat(np.abs(y - x), starts) < TOL)
@@ -466,43 +482,81 @@ def rrwm_match_all(affinities, max_iterations=300):
             for stack, _, probs, _ in layout
         ]
         keep = staying[owner]
-        x, rows, cols = y[keep], rows[keep], cols[keep]
+        x, walk_rows, walk_cols = y[keep], walk_rows[keep], walk_cols[keep]
         live = live[staying]
-    ends = np.cumsum(sizes[live])
-    for p, s, e in zip(live, ends - sizes[live], ends):
+    ends = np.cumsum(m[live])
+    for p, s, e in zip(live, ends - m[live], ends):
         relaxed[p] = x[s:e]
 
     # greedy one-to-one pick, every problem in lockstep: step t tries each
     # problem's t-th heaviest candidate (ties in candidate order), unless a
     # pick of an earlier step took its row or column group
-    starts = np.cumsum(sizes) - sizes
+    starts = np.cumsum(m) - m
     heaviest = np.lexsort((-np.concatenate(relaxed), problem))
     rank = np.arange(problem.size) - starts[problem]
     tries = heaviest[np.argsort(rank, kind="stable")]
     step_end = np.cumsum(np.bincount(rank)).tolist()
     taken = np.zeros(tries.size, dtype=bool)
-    row_used = np.zeros(row_of.max() + 1, dtype=bool)
-    col_used = np.zeros(col_of.max() + 1, dtype=bool)
+    row_used = np.zeros(rows.max() + 1, dtype=bool)
+    col_used = np.zeros(cols.max() + 1, dtype=bool)
     for s, e in zip([0, *step_end[:-1]], step_end):
         tried = tries[s:e]
-        r, c = row_of[tried], col_of[tried]
+        r, c = rows[tried], cols[tried]
         free = ~(row_used[r] | col_used[c])
         row_used[r[free]] = True
         col_used[c[free]] = True
         taken[s:e] = free
     picked = tries[taken]
-    picked = picked[np.argsort(problem[picked], kind="stable")]  # each problem's in pick order
     indicator = np.zeros(problem.size)
     indicator[picked] = 1.0
     score = np.empty(n)
-    for stack, values, probs, (b, m) in _size_classes(stacks):
+    for stack, values, probs, (b, size) in _size_classes(stacks):
         ind = indicator[values]
-        score[probs] = (ind.reshape(b, 1, m) @ stack @ ind.reshape(b, m, 1)).reshape(b)
+        score[probs] = (ind.reshape(b, 1, size) @ stack @ ind.reshape(b, size, 1)).reshape(b)
+    return score, converged, relaxed, picked
+
+
+def rrwm_match_all(affinities, max_iterations=300):
+    """Reweighted random walk over each affinity matrix, in lockstep, then
+    greedy one-to-one discretization; one MatchResult per affinity, in
+    order. Sinkhorn normalizes one row group per query node and one column
+    group per candidate node (the global pair gets its own row and column).
+    A walk stops when it converges or its total is not positive. Never
+    emits a pair outside the candidate list, so the matching constraints
+    hold by construction.
+
+    This is the adapter from Affinity lists to the walk core that `rerank`
+    calls on the builder's arrays. It lays the problems out as the builder
+    does: a stable sort by candidate count m, each size class's matrices
+    stacked into one C-contiguous (b, m, m) array, and group ids numbered
+    apart across problems by arithmetic, problem * (nodes + 1) + node + 1
+    with the global node as 0. The stacked kernels keep every product,
+    total and score bit-identical to walking each problem alone only for
+    C-contiguous matrices, which Affinity ensures: a Fortran-ordered A @ x
+    rounds differently."""
+    if not affinities:
+        return []
+    if any(not aff.candidates for aff in affinities):
+        raise ContractViolation("empty candidate list")
+    n = len(affinities)
+    m = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
+    order = np.argsort(m, kind="stable").tolist()
+    m = m[order]
+    affs = [affinities[p] for p in order]
+    flat = [pair for aff in affs for pair in aff.candidates]
+    cq, cc = np.fromiter(chain.from_iterable(flat), np.intp, 2 * len(flat)).reshape(-1, 2).T
+    problem = np.repeat(np.arange(n), m)
+    rows = problem * (cq.max() + 2) + cq + 1
+    cols = problem * (cc.max() + 2) + cc + 1
+    stacks = [np.stack([aff.matrix for aff in affs[s:e]]) for s, e in _class_spans(m)]
+    score, converged, relaxed, picked = _walk(m, rows, cols, stacks, max_iterations)
+
+    picked = picked[np.argsort(problem[picked], kind="stable")]  # each problem's in pick order
     pick_end = np.cumsum(np.bincount(problem[picked], minlength=n)).tolist()
     picked = picked.tolist()
     results = [None] * n
     for p, (s, e) in enumerate(zip([0, *pick_end[:-1]], pick_end)):
-        results[by_size[p]] = MatchResult(
+        results[order[p]] = MatchResult(
             dict(map(flat.__getitem__, picked[s:e])), float(score[p]), converged[p], relaxed[p]
         )
     return results
@@ -519,15 +573,19 @@ def rerank(query_lm, candidates, top_t=50):
     candidates is an ordered list of (id, LabelMap), best first. Scored
     entries sort by descending match score, stable against the initial
     order; everything beyond top_t keeps its position. Candidate graphs
-    come from graph_of; the query graph is built fresh.
+    come from graph_of; the query graph is built fresh. The scores are
+    those of rrwm_match_all over build_affinities, taken straight from the
+    builder's arrays by the same walk core.
     """
     if isinstance(top_t, bool) or not isinstance(top_t, Integral) or top_t < 0:
         raise ContractViolation(f"top_t must be an integer >= 0, got {top_t!r}")
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
+    if not head:
+        return [cid for cid, _ in tail]
     qg = build_graph(query_lm)
-    results = rrwm_match_all(build_affinities(qg, [graph_of(lm) for _, lm in head]))
-    scored = sorted(
-        (-result.score, rank, cid) for rank, ((cid, _), result) in enumerate(zip(head, results))
-    )
+    p = _affinity_problems(qg, [graph_of(lm) for _, lm in head])
+    score = np.empty(len(head))
+    score[p.order] = _walk(p.m, p.rows, p.cols, p.stacks)[0]
+    scored = sorted(zip((-score).tolist(), range(len(head)), (cid for cid, _ in head)))
     return [cid for _, _, cid in scored] + [cid for cid, _ in tail]

@@ -4,7 +4,9 @@ Per-pixel cross-entropy is always rebalanced by alpha_c = M / f_c, where
 f_c is a label's average pixel mass over the images containing it and M
 the median of those masses, over every label, background included, so
 small parts weigh more. The combined objective adds the pose cross-entropy
-scaled by lambda (grid-searched optimum 1.0). Training always augments:
+scaled by lambda, 1.0 by default (`TrainPlan.lam`). That is the current
+default, not a tuned optimum: short probes parsed 0.05-0.13 aIOU better at
+lambda = 0.1, so it is due to be re-tuned. Training always augments:
 each parser step draws one of the 14 rotation/mirror variants of its
 sample. A router draw is a pick, one of the 70 classifier variants and a
 dropout seed of its own. The parser (mini-batch 1) and the router train

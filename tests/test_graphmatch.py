@@ -586,6 +586,73 @@ class TestAgainstLoopOracles:
             want = [cid for _, _, cid in scored] + [cid for cid, _ in pool[top:]]
             assert rerank(query, pool, top_t=top) == want
 
+    @pytest.mark.parametrize("top_t", [0, 6, 40])
+    def test_rerank_scores_are_the_loop_oracle_scores(self, monkeypatch, top_t):
+        # rerank reads its scores from the walk core, never as MatchResults,
+        # so catch them there; they come in walk order
+        caught = []
+        real_walk = graphmatch._walk
+
+        def walk(*args, **kwargs):
+            out = real_walk(*args, **kwargs)
+            caught.append(out[0])
+            return out
+
+        monkeypatch.setattr(graphmatch, "_walk", walk)
+        rng = make_rng(101)
+        blank = LabelMap(np.zeros((24, 20), dtype=np.uint8))
+        twice = patchwork(rng, 24, 20)
+        pool = [(f"c{k}", patchwork(rng, 24, 20, rects=2 + k % 6)) for k in range(12)]
+        # the most nodes but few candidates: 55 specks of a part no query
+        # has, then one part they share, as the last node
+        speckled = np.zeros((24, 20), dtype=np.uint8)
+        speckled[::3, ::3] = 4
+        speckled[20:, 16:] = 255
+        pool[3:3] = [("blank", blank), ("twice_a", twice), ("speckled", LabelMap(speckled))]
+        pool.append(("twice_b", twice))
+        for query in (patchwork(rng, 24, 20, rects=8), blank):
+            caught.clear()
+            got = rerank(query, pool, top_t=top_t)
+            head = pool[:top_t]
+            if not head:
+                assert got == [cid for cid, _ in pool] and not caught
+                continue
+            (walked,) = caught
+            p = graphmatch._affinity_problems(build_graph(query), [graph_of(lm) for _, lm in head])
+            score = np.empty(len(head))
+            score[p.order] = walked
+            qg = build_graph_loop(query)
+            want = [
+                rrwm_match_loop(build_affinity_loop(qg, build_graph_loop(lm))).score
+                for _, lm in head
+            ]
+            assert score.tobytes() == np.array(want).tobytes()
+            order = sorted(range(len(head)), key=lambda k: -want[k])
+            assert got == [head[k][0] for k in order] + [cid for cid, _ in pool[top_t:]]
+            if query is blank:
+                assert set(p.m.tolist()) == {1}
+            elif top_t > len(pool):
+                assert len(set(p.m.tolist())) >= 4
+
+    def test_sparse_node_ids_group_as_the_loop_oracle_groups(self):
+        # node ids with gaps, as a hand-built candidate list may have them:
+        # the arithmetic group ids must still keep every problem's groups
+        # apart from the next problem's, also when no walk step runs
+        rng = make_rng(103)
+        full = [(GLOBAL, GLOBAL), (0, 3), (0, 40), (17, 3), (17, 40)]
+        lists = [full, [(GLOBAL, GLOBAL), (17, 40)], [(GLOBAL, GLOBAL), (0, 40), (17, 3)]]
+        lists += [full, [(GLOBAL, GLOBAL)], [(GLOBAL, GLOBAL), (17, 3), (0, 40)]]
+        batch = []
+        for candidates in lists:
+            a = rng.random((len(candidates), len(candidates)))
+            batch.append(Affinity(candidates, a + a.T, None, None))
+        batch.append(Affinity(full, np.zeros((5, 5)), None, None))  # tied: candidate order
+        for cap in (0, 1, 300):
+            got = rrwm_match_all(batch, max_iterations=cap)
+            assert len(got) == len(batch)
+            for r, aff in zip(got, batch):
+                assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
+
 
 # --------------------------------------------------------------------------
 # candidate graphs kept on their maps
