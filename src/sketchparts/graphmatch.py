@@ -12,19 +12,19 @@ global matches only global, and locals match only within the same part id.
 The affinity bandwidths and the walk's settings (those of Cho, Lee & Lee,
 ECCV 2010) are module constants; only the walk's iteration cap is not.
 
-`build_affinities` builds the affinity matrices of one query against many
-candidate graphs in one array pass. Each graph's attributes are read as
-`GraphArrays` (node attributes; radius and angle matrices over the local
-nodes plus the global node as one extra index, NaN where no edge exists).
-The candidate pairs of every problem come from one part-id comparison, the
-unary and pairwise terms are gathered from those arrays, and one scatter
-writes every matrix into one flat buffer. The matrices are bit-identical to
-filling each cell alone: subtraction, abs, division and sqrt run in numpy,
-which rounds them as Python does, but exp, atan2, sin, cos and hypot go
-through `math` on the gathered values, because numpy's vectorised versions
-differ from libm in the last bit on a few percent of inputs. The histogram
-term stays an exact integer min/max ratio. `build_affinity` is the same
-builder on a batch of one.
+One builder, `_affinity_problems`, builds the affinity matrices of one
+query against many candidate graphs in one array pass. Each graph's
+attributes are read as `GraphArrays` (node attributes; radius and angle
+matrices over the local nodes plus the global node as one extra index, NaN
+where no edge exists). The candidate pairs of every problem come from one
+part-id comparison, the unary and pairwise terms are gathered from those
+arrays, and one scatter writes every matrix into one flat buffer. The
+matrices are bit-identical to filling each cell alone: subtraction, abs,
+division and sqrt run in numpy, which rounds them as Python does, but exp,
+atan2, sin, cos and hypot go through `math` on the gathered values, because
+numpy's vectorised versions differ from libm in the last bit on a few
+percent of inputs. The histogram term stays an exact integer min/max ratio.
+`build_affinity` is that builder on a batch of one, read as an `Affinity`.
 
 The builder sets the walk order: problems sorted by candidate count m (a
 stable sort), so the problems of one size class fill one run of the
@@ -47,10 +47,9 @@ differently, so `Affinity` keeps its matrix in C order. The greedy
 discretization runs in lockstep too: one stable lexsort orders every
 walk's candidates, step t tries each problem's t-th heaviest, and the
 scores come from stacked indicator products. `rerank` calls the core on
-the builder's arrays and reads only the scores. `rrwm_match_all` is the
-adapter for `Affinity` lists: it sorts and stacks them, numbers their
-groups by the same arithmetic, and wraps each result in a `MatchResult`;
-`rrwm_match` is that adapter on a batch of one.
+the builder's arrays and reads only the scores. `rrwm_match` is the core
+on one `Affinity`, a stack of one whose groups are numbered by its own
+distinct node ids, with its result wrapped in a `MatchResult`.
 
 Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
@@ -69,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from numbers import Integral
 from typing import NamedTuple
 
@@ -244,8 +243,11 @@ class Affinity:
     def __post_init__(self):
         # C order pins the rounding of A @ x, which the walk's stacked
         # product reproduces only for C-contiguous matrices; a no-op (the same
-        # array, its base kept) for the views build_affinities makes
+        # array, its base kept) for the builder's views
         self.matrix = np.ascontiguousarray(self.matrix)
+        m = len(self.candidates)
+        if not m or self.matrix.shape != (m, m):
+            raise ContractViolation(f"affinity of {m} candidates with a {self.matrix.shape} matrix")
 
 
 class _Problems(NamedTuple):
@@ -265,7 +267,7 @@ class _Problems(NamedTuple):
 
 def _affinity_problems(q, graphs):
     """The query graph `q` against each of the (non-empty) `graphs`, in walk
-    order; see build_affinities."""
+    order; see build_affinity."""
     n = len(graphs)
     qa = q.arrays
     cas = [g.arrays for g in graphs]
@@ -365,9 +367,17 @@ def _class_spans(m):
     return list(zip([0, *ends[:-1]], ends))
 
 
-def build_affinities(q, graphs):
-    """One constrained candidate list and affinity matrix per graph in
-    `graphs`, each matched against the query graph `q`, built in one pass.
+def _apply(fn, *columns):
+    """fn over float64 arrays elementwise through Python floats, so results
+    match the scalar math functions to the last bit (numpy's vectorised
+    exp, arctan2 and hypot can differ from them in the last bit)."""
+    return np.fromiter(map(fn, *(col.tolist() for col in columns)), np.float64, columns[0].size)
+
+
+def build_affinity(q, c):
+    """The constrained candidate list and affinity matrix of the query graph
+    `q` against the graph `c`: `_affinity_problems` on one graph, whose
+    matrix is a C-contiguous view of the builder's buffer.
 
     Candidates are (query node, candidate node) pairs: the global pair
     first, then every pair of local nodes with the same part id, query node
@@ -378,32 +388,9 @@ def build_affinities(q, graphs):
     attributes of correspondence pairs whose edge exists in both graphs;
     local-global anchor edges take part with the same formula. Pairs that
     share a query or a candidate node never reinforce each other.
-
-    Every matrix is a C-contiguous view of one shared buffer.
     """
-    if not graphs:
-        return []
-    p = _affinity_problems(q, graphs)
-    pairs = list(zip(p.cq.tolist(), p.cc.tolist()))
-    ends = np.cumsum(p.m).tolist()
-    matrices = (matrix for stack in p.stacks for matrix in stack)
-    affinities = [None] * len(graphs)
-    for g, s, e, matrix in zip(p.order.tolist(), [0, *ends[:-1]], ends, matrices):
-        affinities[g] = Affinity(pairs[s:e], matrix, q, graphs[g])
-    return affinities
-
-
-def _apply(fn, *columns):
-    """fn over float64 arrays elementwise through Python floats, so results
-    match the scalar math functions to the last bit (numpy's vectorised
-    exp, arctan2 and hypot can differ from them in the last bit)."""
-    return np.fromiter(map(fn, *(col.tolist() for col in columns)), np.float64, columns[0].size)
-
-
-def build_affinity(q, c):
-    """The candidate list and affinity matrix of one pair of graphs; see
-    build_affinities."""
-    return build_affinities(q, [c])[0]
+    p = _affinity_problems(q, [c])
+    return Affinity(list(zip(p.cq.tolist(), p.cc.tolist())), p.stacks[0][0], q, c)
 
 
 @dataclass
@@ -516,55 +503,21 @@ def _walk(m, rows, cols, stacks, max_iterations=300):
     return score, converged, relaxed, picked
 
 
-def rrwm_match_all(affinities, max_iterations=300):
-    """Reweighted random walk over each affinity matrix, in lockstep, then
-    greedy one-to-one discretization; one MatchResult per affinity, in
-    order. Sinkhorn normalizes one row group per query node and one column
-    group per candidate node (the global pair gets its own row and column).
-    A walk stops when it converges or its total is not positive. Never
-    emits a pair outside the candidate list, so the matching constraints
-    hold by construction.
-
-    This is the adapter from Affinity lists to the walk core that `rerank`
-    calls on the builder's arrays. It lays the problems out as the builder
-    does: a stable sort by candidate count m, each size class's matrices
-    stacked into one C-contiguous (b, m, m) array, and group ids numbered
-    apart across problems by arithmetic, problem * (nodes + 1) + node + 1
-    with the global node as 0. The stacked kernels keep every product,
-    total and score bit-identical to walking each problem alone only for
-    C-contiguous matrices, which Affinity ensures: a Fortran-ordered A @ x
-    rounds differently."""
-    if not affinities:
-        return []
-    if any(not aff.candidates for aff in affinities):
-        raise ContractViolation("empty candidate list")
-    n = len(affinities)
-    m = np.array([len(aff.candidates) for aff in affinities], dtype=np.intp)
-    order = np.argsort(m, kind="stable").tolist()
-    m = m[order]
-    affs = [affinities[p] for p in order]
-    flat = [pair for aff in affs for pair in aff.candidates]
-    cq, cc = np.fromiter(chain.from_iterable(flat), np.intp, 2 * len(flat)).reshape(-1, 2).T
-    problem = np.repeat(np.arange(n), m)
-    rows = problem * (cq.max() + 2) + cq + 1
-    cols = problem * (cc.max() + 2) + cc + 1
-    stacks = [np.stack([aff.matrix for aff in affs[s:e]]) for s, e in _class_spans(m)]
+def rrwm_match(affinity, max_iterations=300):
+    """Reweighted random walk over the affinity matrix, then greedy
+    one-to-one discretization, as a MatchResult: the walk core on one
+    problem. Sinkhorn normalizes one row group per query node and one column
+    group per candidate node (the global pair gets its own row and column),
+    numbered by the problem's own distinct node ids, so no array is sized by
+    a node id. The walk stops when it converges, its total is not positive,
+    or after max_iterations steps. Never emits a pair outside the candidate
+    list, so the matching constraints hold by construction."""
+    candidates = affinity.candidates
+    rows, cols = (np.unique(ids, return_inverse=True)[1] for ids in np.array(candidates).T)
+    m, stacks = np.array([len(candidates)]), [affinity.matrix[None]]
     score, converged, relaxed, picked = _walk(m, rows, cols, stacks, max_iterations)
-
-    picked = picked[np.argsort(problem[picked], kind="stable")]  # each problem's in pick order
-    pick_end = np.cumsum(np.bincount(problem[picked], minlength=n)).tolist()
-    picked = picked.tolist()
-    results = [None] * n
-    for p, (s, e) in enumerate(zip([0, *pick_end[:-1]], pick_end)):
-        results[order[p]] = MatchResult(
-            dict(map(flat.__getitem__, picked[s:e])), float(score[p]), converged[p], relaxed[p]
-        )
-    return results
-
-
-def rrwm_match(affinity):
-    """One affinity through rrwm_match_all."""
-    return rrwm_match_all([affinity])[0]
+    pairs = dict(map(candidates.__getitem__, picked.tolist()))
+    return MatchResult(pairs, float(score[0]), converged[0], relaxed[0])
 
 
 def rerank(query_lm, candidates, top_t=50):
@@ -574,8 +527,8 @@ def rerank(query_lm, candidates, top_t=50):
     entries sort by descending match score, stable against the initial
     order; everything beyond top_t keeps its position. Candidate graphs
     come from graph_of; the query graph is built fresh. The scores are
-    those of rrwm_match_all over build_affinities, taken straight from the
-    builder's arrays by the same walk core.
+    those of rrwm_match over build_affinity for each candidate, taken
+    straight from the builder's arrays by the same walk core in one batch.
     """
     if isinstance(top_t, bool) or not isinstance(top_t, Integral) or top_t < 0:
         raise ContractViolation(f"top_t must be an integer >= 0, got {top_t!r}")

@@ -19,7 +19,6 @@ import numpy as np
 from .autograd import _interp_taps
 from .errors import ContractViolation
 
-FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 INK = 255
 CANNY_SIGMA = 1.4  # Gaussian smoothing before the Sobel gradients, in pixels
 

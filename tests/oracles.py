@@ -252,12 +252,12 @@ def label_components_loop(lm):
     (components, index map) in the library's order and dtypes."""
     from scipy import ndimage
 
-    from sketchparts.imaging import FOUR_CONN, Component
+    from sketchparts.imaging import Component
 
     labels = lm.labels
     found = []
     for pid in lm.ids():
-        comp, n = ndimage.label(labels == pid, structure=FOUR_CONN)
+        comp, n = ndimage.label(labels == pid)  # the default 4-connected cross
         for k in range(1, n + 1):
             rows, cols = np.nonzero(comp == k)
             found.append(

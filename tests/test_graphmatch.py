@@ -13,13 +13,12 @@ from sketchparts.graphmatch import (
     Affinity,
     AttributeGraph,
     LocalNode,
-    build_affinities,
+    MatchResult,
     build_affinity,
     build_graph,
     graph_of,
     rerank,
     rrwm_match,
-    rrwm_match_all,
 )
 from sketchparts.imaging import LabelMap, label_components
 from sketchparts.pipeline import part_counts
@@ -386,14 +385,44 @@ def assert_same_match(got, want):
     assert got.relaxed.tobytes() == want.relaxed.tobytes()
 
 
-def assert_same_affinities(got, q, graphs):
-    assert len(got) == len(graphs)
-    for aff, c in zip(got, graphs):
-        want = build_affinity_loop(q, c)
-        assert aff.candidates == want.candidates
-        assert aff.matrix.shape == want.matrix.shape and aff.matrix.flags.c_contiguous
-        assert aff.matrix.tobytes() == want.matrix.tobytes()
-        assert aff.query is q and aff.cand is c
+def assert_same_problems(q, graphs):
+    """The builder's blocks, read back in the caller's order, and each
+    build_affinity view against build_affinity_loop; every block one view
+    of one buffer."""
+    p = graphmatch._affinity_problems(q, graphs)
+    matrices = [matrix for stack in p.stacks for matrix in stack]
+    assert len(matrices) == len(graphs)
+    buffer = p.stacks[0].base
+    assert buffer is not None and all(stack.base is buffer for stack in p.stacks)
+    ends = np.cumsum(p.m).tolist()
+    for g, s, e, matrix in zip(p.order.tolist(), [0, *ends[:-1]], ends, matrices):
+        want = build_affinity_loop(q, graphs[g])
+        assert list(zip(p.cq[s:e].tolist(), p.cc[s:e].tolist())) == want.candidates
+        assert matrix.shape == want.matrix.shape and matrix.flags.c_contiguous
+        assert matrix.tobytes() == want.matrix.tobytes()
+        aff = build_affinity(q, graphs[g])  # the same block, read as one Affinity
+        assert aff.candidates == want.candidates and aff.matrix.tobytes() == matrix.tobytes()
+        assert aff.matrix.flags.c_contiguous and aff.query is q and aff.cand is graphs[g]
+
+
+def lockstep(m, cq, cc, rows, cols, stacks, cap):
+    """_walk over problems in walk order, one MatchResult each, its pairs in
+    the order the greedy steps took them."""
+    score, converged, relaxed, picked = graphmatch._walk(m, rows, cols, stacks, cap)
+    owner = np.repeat(np.arange(m.size), m)[picked]
+    mine = [picked[owner == k] for k in range(m.size)]
+    return [
+        MatchResult(dict(zip(cq[k].tolist(), cc[k].tolist())), float(s), c, r)
+        for k, s, c, r in zip(mine, score, converged, relaxed)
+    ]
+
+
+def walked_matches(q, graphs, cap):
+    """The walk core on the builder's output, one MatchResult per graph in
+    the caller's order, and the problems' candidate counts in walk order."""
+    p = graphmatch._affinity_problems(q, graphs)
+    walked = lockstep(p.m, p.cq, p.cc, p.rows, p.cols, p.stacks, cap)
+    return [walked[k] for k in np.argsort(p.order)], p.m
 
 
 class TestAgainstLoopOracles:
@@ -427,67 +456,75 @@ class TestAgainstLoopOracles:
         assert list(g.edges.items()) == list(want.edges.items())
 
     def test_lockstep_batch_exact(self):
+        # every oracle map's graph as the query against all of them, and
+        # perturbed synthetic pairs against those graphs: many size classes
+        # per batch, every problem compared with its own loop walk
         rng = make_rng(43)
-        affinities = []
+        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
+        queries = list(graphs)
         for n in (1, 2, 3, 5, 6):
             g, structure = synth_graph(rng, n)
             h, _ = perturb_and_permute(g, structure, rng, eps=0.05)
-            affinities.append(build_affinity(g, h))
-        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
-        affinities += [build_affinity(a, b) for a, b in zip(graphs, graphs[5:])]
-        # every local weight tied: the greedy pick runs in candidate order
-        tied = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(7)]
-        affinities.append(Affinity(tied, np.zeros((22, 22)), None, None))
-        # a walk whose total is negative stops before it divides
-        affinities.append(Affinity([(GLOBAL, GLOBAL)], np.array([[-100.0]]), None, None))
-        for cap in (4, 300):
-            want = [rrwm_match_loop(aff, max_iterations=cap) for aff in affinities]
-            got = rrwm_match_all(affinities, max_iterations=cap)
-            assert len(got) == len(want)
-            for r, o in zip(got, want):
-                assert_same_match(r, o)
-        # the capped batch mixes walks that converged with walks cut off
-        capped = [rrwm_match_loop(aff, max_iterations=4).converged for aff in affinities]
-        assert any(capped) and not all(capped[:-1])
+            queries.append(g)
+            graphs.append(h)
+        want = [[build_affinity_loop(q, c) for c in graphs] for q in queries]
+        for cap in (0, 1, 4, 8, 300):
+            for q, loops in zip(queries, want):
+                got, _ = walked_matches(q, graphs, cap)
+                assert len(got) == len(graphs)
+                for r, aff in zip(got, loops):
+                    assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
 
     def test_size_classes_leave_on_different_iterations(self):
+        # one query's batch: at a cap of 4 few walks have converged, at 8
+        # most, so size classes lose walks on different iterations
+        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
+        want = [build_affinity_loop(graphs[-1], c) for c in graphs]
+        for cap in (0, 1, 4, 8, 300):
+            got, m = walked_matches(graphs[-1], graphs, cap)
+            for r, aff in zip(got, want):
+                assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
+            assert len(set(m.tolist())) >= 10
+            converged = [r.converged for r in got]
+            if cap in (4, 8):
+                assert any(converged) and not all(converged)
+        # hand-built walks of one size class, stuck at step 1, converged at
+        # step 2 and still walking at step 4, leave the lockstep one by one;
+        # only a negative matrix gets stuck, and no builder output has one
         rng = make_rng(53)
-        # 2 x 2 complete local pairs plus the global pair: five candidates
         tied = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(2) for a in range(2)]
-        wide = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(3)]
         walk = rng.random((5, 5))
         five = {
             "stuck": Affinity(tied, np.full((5, 5), -100.0), None, None),  # total < 0 at once
             "converged": Affinity(tied, np.zeros((5, 5)), None, None),  # fixed at step 2
             "capped": Affinity(tied, walk + walk.T, None, None),  # walks past step 4
         }
-        batch = list(five.values()) + [
-            # a class whose walks all leave at step 2, while others walk on
-            Affinity(wide, np.zeros((10, 10)), None, None),
-            Affinity(wide, np.zeros((10, 10)), None, None),
-            # single-candidate problems, stuck and converged at step 1
-            Affinity([(GLOBAL, GLOBAL)], np.array([[-1.0]]), None, None),
-            Affinity([(GLOBAL, GLOBAL)], np.array([[0.5]]), None, None),
-        ]
-        graphs = [build_graph(lm) for _, lm in ORACLE_MAPS]
-        batch += build_affinities(graphs[-1], graphs)
-        shuffled = [batch[k] for k in rng.permutation(len(batch))]
-        sizes = [len(aff.candidates) for aff in shuffled]
-        assert len(set(sizes)) < len(sizes) and sizes != sorted(sizes)
+        # before them single-candidate problems, stuck and converged at step
+        # 1; after them a class whose walks all leave at step 2
+        wide = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(3)]
+        batch = [Affinity([(GLOBAL, GLOBAL)], np.array([[a]]), None, None) for a in (-1.0, 0.5)]
+        batch += list(five.values()) + [Affinity(wide, np.zeros((10, 10)), None, None)] * 2
+        m = np.array([len(aff.candidates) for aff in batch])
+        problem = np.repeat(np.arange(m.size), m)
+        cq, cc = np.array([pair for aff in batch for pair in aff.candidates]).T
+        stacks = [np.stack([a.matrix for a in batch if len(a.candidates) == k]) for k in (1, 5, 10)]
         for cap in (0, 1, 4, 300):
-            got = rrwm_match_all(shuffled, max_iterations=cap)
-            assert len(got) == len(shuffled)
-            for r, aff in zip(got, shuffled):
+            got = lockstep(m, cq, cc, problem * 4 + cq + 1, problem * 4 + cc + 1, stacks, cap)
+            for r, aff in zip(got, batch):
                 assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
-        # at a cap of 4 the five-candidate class loses one walk at each of
-        # steps 1 and 2 and keeps the third to the end
-        capped = {k: rrwm_match_loop(aff, max_iterations=4) for k, aff in five.items()}
+                assert_same_match(rrwm_match(aff, cap), rrwm_match_loop(aff, max_iterations=cap))
+        capped = {k: rrwm_match(aff, 4) for k, aff in five.items()}
         uniform = np.full(5, 0.2).tobytes()
         assert not capped["stuck"].converged and capped["stuck"].relaxed.tobytes() == uniform
         assert capped["converged"].converged
-        assert not rrwm_match_loop(five["converged"], max_iterations=1).converged
+        assert not rrwm_match(five["converged"], 1).converged
         assert not capped["capped"].converged and capped["capped"].relaxed.tobytes() != uniform
-        assert rrwm_match_loop(five["capped"]).converged
+        assert rrwm_match(five["capped"]).converged
+        # every local weight tied: the greedy pick runs in candidate order
+        tied = [(GLOBAL, GLOBAL)] + [(i, a) for i in range(3) for a in range(7)]
+        aff = Affinity(tied, np.zeros((22, 22)), None, None)
+        for cap in (0, 1, 4, 300):
+            assert_same_match(rrwm_match(aff, cap), rrwm_match_loop(aff, max_iterations=cap))
 
     def test_stacked_kernels_keep_the_per_slice_bits(self):
         # the size-class walk rests on these: a stacked matmul, a row-wise
@@ -519,20 +556,15 @@ class TestAgainstLoopOracles:
         skewed = rng.random((m, m))
         fortran = Affinity(aff.candidates, np.asfortranarray(aff.matrix), g, h)
         transposed = Affinity(aff.candidates, skewed.T, g, h)
-        batch = [fortran, aff, transposed]
-        for a in batch:
+        for a in (fortran, aff, transposed):
             assert a.matrix.flags.c_contiguous
+            assert_same_match(rrwm_match(a), rrwm_match_loop(a))
         assert fortran.matrix.tobytes() == aff.matrix.tobytes()
         assert np.array_equal(transposed.matrix, skewed.T)
-        got = rrwm_match_all(batch)
-        for r, a in zip(got, batch):
-            assert_same_match(r, rrwm_match_loop(a))
 
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_affinities_exact_on_map_graphs(self, name, lm):
-        q = build_graph(lm)
-        graphs = [build_graph(other) for _, other in ORACLE_MAPS]
-        assert_same_affinities(build_affinities(q, graphs), q, graphs)
+        assert_same_problems(build_graph(lm), [build_graph(other) for _, other in ORACLE_MAPS])
 
     def test_affinities_exact_on_synthetic_graphs(self):
         rng = make_rng(79)
@@ -540,7 +572,7 @@ class TestAgainstLoopOracles:
             g, structure = synth_graph(rng, n)
             h, _ = perturb_and_permute(g, structure, rng, eps=0.05)
             others = [h, g, synth_graph(rng, n + 1)[0], synth_graph(rng, 4, part_pool=(1, 9))[0]]
-            assert_same_affinities(build_affinities(g, others), g, others)
+            assert_same_problems(g, others)
 
     def test_affinities_exact_on_mixed_batch(self):
         background = build_graph(LabelMap(np.zeros((6, 9), dtype=np.uint8)))
@@ -556,20 +588,25 @@ class TestAgainstLoopOracles:
         maps = [build_graph(lm) for _, lm in ORACLE_MAPS[3:9]]
         batch = [background, global_only, disjoint, anchors_only, looped, q] + maps + [disjoint]
         for query in (q, looped, background, global_only, disjoint, maps[-1]):
-            affinities = build_affinities(query, batch)
-            assert_same_affinities(affinities, query, batch)
-            assert all(aff.matrix.base is affinities[0].matrix.base for aff in affinities)
-        assert_same_affinities([build_affinity(q, disjoint)], q, [disjoint])
+            assert_same_problems(query, batch)
+        assert_same_problems(q, [disjoint])
         assert build_affinity(q, disjoint).candidates == [(GLOBAL, GLOBAL)]
-        assert build_affinities(q, []) == []
 
-    def test_single_walk_and_empty_batch(self):
-        g, structure = synth_graph(make_rng(47), 4)
-        aff = build_affinity(g, g)
-        assert_same_match(rrwm_match(aff), rrwm_match_loop(aff))
-        assert rrwm_match_all([]) == []
-        with pytest.raises(ContractViolation):
-            rrwm_match_all([aff, Affinity([], np.zeros((0, 0)), g, g)])
+    @pytest.mark.parametrize(
+        "candidates,matrix",
+        [
+            ([], np.zeros((0, 0))),
+            ([(GLOBAL, GLOBAL), (0, 0)], np.zeros((3, 3))),
+            ([(GLOBAL, GLOBAL), (0, 0)], np.zeros((2, 3))),
+            ([(GLOBAL, GLOBAL)], np.zeros(1)),
+            ([(GLOBAL, GLOBAL)], np.zeros((1, 1, 1))),
+        ],
+        ids=["empty", "too_big", "not_square", "vector", "stack"],
+    )
+    def test_affinity_checks_its_shape(self, candidates, matrix):
+        # refused at construction with a typed error, not deep in the walk
+        with pytest.raises(ContractViolation, match=f"affinity of {len(candidates)} candidates"):
+            Affinity(candidates, matrix, None, None)
 
     def test_rerank_matches_per_candidate_loop(self):
         rng = make_rng(53)
@@ -634,24 +671,34 @@ class TestAgainstLoopOracles:
             elif top_t > len(pool):
                 assert len(set(p.m.tolist())) >= 4
 
-    def test_sparse_node_ids_group_as_the_loop_oracle_groups(self):
+    def test_sparse_node_ids_group_as_the_loop_oracle_groups(self, monkeypatch):
         # node ids with gaps, as a hand-built candidate list may have them:
-        # the arithmetic group ids must still keep every problem's groups
-        # apart from the next problem's, also when no walk step runs
+        # the walk's groups are numbered by the problem's own distinct ids,
+        # so no array is sized by an id, also when no walk step runs
+        caught = []
+        real_walk = graphmatch._walk
+
+        def walk(m, rows, cols, stacks, max_iterations):
+            caught.append((int(m.sum()), int(rows.max()), int(cols.max())))
+            return real_walk(m, rows, cols, stacks, max_iterations)
+
+        monkeypatch.setattr(graphmatch, "_walk", walk)
         rng = make_rng(103)
-        full = [(GLOBAL, GLOBAL), (0, 3), (0, 40), (17, 3), (17, 40)]
-        lists = [full, [(GLOBAL, GLOBAL), (17, 40)], [(GLOBAL, GLOBAL), (0, 40), (17, 3)]]
-        lists += [full, [(GLOBAL, GLOBAL)], [(GLOBAL, GLOBAL), (17, 3), (0, 40)]]
+        big = 10**6
+        full = [(GLOBAL, GLOBAL), (0, 17), (0, big), (17, 17), (17, big), (big, 0)]
+        lists = [full, [(GLOBAL, GLOBAL), (big, big)], [(GLOBAL, GLOBAL), (0, big), (17, 17)]]
+        lists += [[(GLOBAL, GLOBAL)], [(GLOBAL, GLOBAL), (17, 0), (big, big), (0, 17)]]
         batch = []
         for candidates in lists:
             a = rng.random((len(candidates), len(candidates)))
             batch.append(Affinity(candidates, a + a.T, None, None))
-        batch.append(Affinity(full, np.zeros((5, 5)), None, None))  # tied: candidate order
+        batch.append(Affinity(full, np.zeros((6, 6)), None, None))  # tied: candidate order
         for cap in (0, 1, 300):
-            got = rrwm_match_all(batch, max_iterations=cap)
-            assert len(got) == len(batch)
-            for r, aff in zip(got, batch):
-                assert_same_match(r, rrwm_match_loop(aff, max_iterations=cap))
+            for aff in batch:
+                caught.clear()
+                assert_same_match(rrwm_match(aff, cap), rrwm_match_loop(aff, max_iterations=cap))
+                ((m, rows_max, cols_max),) = caught
+                assert m == len(aff.candidates) and rows_max < m and cols_max < m
 
 
 # --------------------------------------------------------------------------
