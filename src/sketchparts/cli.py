@@ -54,13 +54,6 @@ def _load_tax(args, fallback_root=None):
     return load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
-def _seed(args):
-    """--seed; a negative one is refused before any work."""
-    if args.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
-    return args.seed
-
-
 def _given(**flags):
     """The flags that were given, so the plan's own defaults fill the rest."""
     return {k: v for k, v in flags.items() if v is not None}
@@ -72,7 +65,7 @@ def cmd_gen_corpus(args):
     spec = CorpusSpec(
         tax,
         per_category=args.per_category,
-        seed=_seed(args),
+        seed=args.seed,
         **_given(image_size=args.size, categories=categories),
     )
     written = gen_corpus(spec, args.out)
@@ -105,9 +98,8 @@ def _save_run(args, plan, log, save, net, checkpoint, log_csv):
 
 def cmd_train_parser(args):
     tax = _load_tax(args, fallback_root=args.train)
-    seed = _seed(args)
     plan = TrainPlan(
-        seed=seed,
+        seed=args.seed,
         **_given(
             iterations=args.iterations,
             lr_body=args.lr_body,
@@ -121,19 +113,18 @@ def cmd_train_parser(args):
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
     else:
-        model = build_model(ModelConfig(), tax, seed=seed)
+        model = build_model(ModelConfig(), tax, seed=plan.seed)
     log = train_parser(model, samples, plan)
     return _save_run(args, plan, log, save_checkpoint, model, "model.ckpt", "train_log.csv")
 
 
 def cmd_train_router(args):
     tax = _load_tax(args, fallback_root=args.train)
-    seed = _seed(args)
     plan = RouterPlan(
-        seed=seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
+        seed=args.seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
     )
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in load_corpus(args.train)]
-    net = build_router(tax.num_branches, seed=seed, digest=tax.digest())
+    net = build_router(tax.num_branches, seed=plan.seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
     return _save_run(args, plan, log, save_router, net, "router.ckpt", "router_log.csv")
 
@@ -293,7 +284,9 @@ def cmd_describe(args):
 
 
 def cmd_selfcheck(args):
-    results = run_selfcheck(_seed(args))
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
+    results = run_selfcheck(args.seed)
     failed = 0
     for name, ok, detail in results:
         mark = "ok  " if ok else "FAIL"

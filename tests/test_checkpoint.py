@@ -15,7 +15,8 @@ from sketchparts.checkpoint import COUNT_AT, RETIRED, VERSION, read_checkpoint, 
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT
 from sketchparts.errors import CheckpointError
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, load_checkpoint
-from sketchparts.router import ROUTER_MAGIC, build_router, load_router
+from sketchparts.model import save_checkpoint
+from sketchparts.router import ROUTER_MAGIC, build_router, load_router, save_router
 from sketchparts.taxonomy import load_taxonomy
 
 MAGIC = b"TEST"
@@ -171,6 +172,29 @@ def refused_at(tmp_path, named, magic, digest, load):
     with pytest.raises(CheckpointError) as info:
         load(path)
     return info.value
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_save_load_save_is_byte_identical(tmp_path, net):
+    named, magic, digest, load = saved_net(net)
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    write_checkpoint(first, magic, digest, named)  # what each net's save writes
+    save = save_checkpoint if net == "parser" else save_router
+    save(load(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_truncation_names_the_payloads_offset(tmp_path, net):
+    named, magic, digest, load = saved_net(net)
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, magic, digest, named)
+    path.write_bytes(path.read_bytes()[:100])  # inside the first tensor's payload
+    with pytest.raises(CheckpointError) as info:
+        load(path)
+    name, t = named[0]
+    assert info.value.offset == record_at(named, 0) + 2 + len(name) + 1 + 4 * t.data.ndim
+    assert f"truncated while reading payload of {name}" in str(info.value)
 
 
 @pytest.mark.parametrize("net", ["parser", "router"])

@@ -32,10 +32,12 @@ def test_gen_corpus_cli(tmp_path):
     out = tmp_path / "c"
     rc = main(
         ["gen-corpus", "--out", str(out), "--per-category", "2", "--seed", "1",
-         "--categories", "cat,bird"]
+         "--categories", "cat,bird", "--size", "47"]  # an odd side
     )
     assert rc == 0
-    assert len(list(out.rglob("*.sketch.pgm"))) == 4
+    sketches = list(out.rglob("*.sketch.pgm"))
+    assert len(sketches) == 4
+    assert {read_pgm(p).shape for p in sketches} == {(47, 47)}
     assert (out / "poses.csv").exists()
     assert (out / "taxonomy.tax").exists()
 
@@ -194,6 +196,10 @@ def test_rerank_several_queries_match_one_at_a_time(tmp_path):
     assert main(["rerank", "--query", *queries, "--ranking", *rankings, "--db", str(db),
                  "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(singles)
+    # --top 0 writes each ranking unchanged
+    assert main(["rerank", "--query", *queries, "--ranking", *rankings, "--db", str(db),
+                 "--top", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(Path(r).read_text() for r in rankings)
 
 
 def test_rerank_several_queries_build_each_gallery_graph_once(tmp_path, monkeypatch):
@@ -419,10 +425,14 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
         ("gen-corpus", ["--categories", "nope"], "no figure template for category 'nope'"),
         ("gen-corpus", ["--categories", "cat,nope"], "no figure template for category 'nope'"),
         ("gen-corpus", ["--taxonomy", "missing.tax"], "No such file"),
+        ("gen-corpus", ["--taxonomy", "wide.tax"], "over 255 parts"),  # part ids are 8-bit
     ],
 )
-def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, command, flags,
-                                                message):
+def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, monkeypatch,
+                                                command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    parts = ", ".join(f"p{k}" for k in range(256))
+    Path("wide.tax").write_text(f"super Small Animals\ncat cat : {parts}\n")
     out = tmp_path / "run"
     required = ["--out", str(out)]
     if command != "gen-corpus":
@@ -595,6 +605,8 @@ def test_seed_flag_defaults_to_0(small_corpus, tmp_path, command, checkpoint, ex
         assert main([*base, "--out", str(tmp_path / name), *args]) == 0
     ckpt = {name: (tmp_path / name / checkpoint).read_bytes() for name in runs}
     assert ckpt["default"] == ckpt["zero"] != ckpt["five"]
+    for path in (tmp_path / "default").iterdir():  # the checkpoint and the loss log
+        assert path.read_bytes() == (tmp_path / "zero" / path.name).read_bytes()
 
 
 def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
@@ -720,7 +732,15 @@ def test_train_router_pins_blas_unless_the_user_sets_it(small_corpus, tmp_path):
 
 
 NO_SCIPY_RUN = """
-import json, sys
+import importlib.util, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+# with scipy importable, so that a try-import fallback would load it
+installed = importlib.util.find_spec("scipy") is not None
+from sketchparts.cli import main
+on_import = scipy_modules()
 
 class RefuseScipy:
     def find_spec(self, name, path=None, target=None):
@@ -728,7 +748,6 @@ class RefuseScipy:
             raise ModuleNotFoundError(f"refused: {name}")
 
 sys.meta_path.insert(0, RefuseScipy())
-from sketchparts.cli import main
 
 d = sys.argv[1]
 ranking = f"{d}/ranking.txt"
@@ -745,14 +764,15 @@ commands = [
      "--db", f"{d}/corpus", "--out", f"{d}/reranked.txt"],
 ]
 codes = [main(argv) for argv in commands]
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+print(json.dumps({"installed": installed, "on_import": on_import, "codes": codes,
+                  "scipy": scipy_modules()}))
 """
 
 
 def test_every_command_runs_with_scipy_refused(tmp_path):
-    """The package runs on numpy alone: with any scipy import refused, every
-    command a corpus goes through exits 0 and no scipy module is loaded."""
+    """The package runs on numpy alone: importing the CLI with scipy installed
+    loads no scipy module, and with any scipy import refused, every command a
+    corpus goes through exits 0 and no scipy module is loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -762,7 +782,7 @@ def test_every_command_runs_with_scipy_refused(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+    assert report == {"installed": True, "on_import": [], "codes": [0, 0, 0, 0, 0], "scipy": []}
     assert (tmp_path / "reranked.txt").read_text().split()[0] == "car/0000"
 
 

@@ -304,7 +304,7 @@ class TestRerank:
         assert sorted(out) == sorted(cid for cid, _ in pool)
         assert out[4:] == [cid for cid, _ in pool[4:]]
 
-    def test_match_maps_smoke(self):
+    def test_self_match_keeps_the_global_node(self):
         rng = make_rng(37)
         a = random_labelmap(rng)
         result = rrwm_match(build_affinity(build_graph(a), graph_of(a)))
@@ -767,7 +767,7 @@ class TestGraphOf:
         assert not arrays.edges.flags.writeable
         assert graph_of(lm) == build_graph(lm)  # the arrays are no field
 
-    def test_match_maps_keeps_only_the_candidate_graph(self):
+    def test_matching_one_pair_keeps_only_the_candidate_graph(self):
         rng = make_rng(73)
         a, b = random_labelmap(rng), random_labelmap(rng)
         rrwm_match(build_affinity(build_graph(a), graph_of(b)))

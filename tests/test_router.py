@@ -12,8 +12,7 @@ from sketchparts import router as router_module
 from sketchparts import training as training_module
 from sketchparts.autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, linear
 from sketchparts.autograd import make_rng, maxpool2d, relu, softmax
-from sketchparts.checkpoint import write_checkpoint
-from sketchparts.errors import CheckpointError, ContractViolation
+from sketchparts.errors import ContractViolation
 from sketchparts.imaging import Raster, mirror_v
 from sketchparts.router import (
     ROUTER_SIDE,
@@ -21,9 +20,7 @@ from sketchparts.router import (
     build_router,
     classify_pooled,
     forward,
-    load_router,
     router_input,
-    save_router,
 )
 from sketchparts.training import RouterPlan, train_router
 
@@ -115,23 +112,6 @@ def test_inference_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    net = build_router(5, seed=23, digest=bytes(range(32)))
-    p = tmp_path / "router.ckpt"
-    save_router(net, p)
-    loaded = load_router(p, 5, expected_digest=bytes(range(32)))
-    for n in net.params:
-        assert np.array_equal(net.params[n].data, loaded.params[n].data)
-
-
-def test_checkpoint_digest_mismatch(tmp_path):
-    net = build_router(5, seed=23, digest=bytes(32))
-    p = tmp_path / "router.ckpt"
-    save_router(net, p)
-    with pytest.raises(CheckpointError, match="taxonomy"):
-        load_router(p, 5, expected_digest=bytes(range(32)))
-
-
 def test_float32_pooled_scores_match_float64_cast():
     net = build_router(4, seed=15)
     params64 = {n: Tensor(t.data.astype(np.float64)) for n, t in net.params.items()}
@@ -214,15 +194,6 @@ def test_extreme_shapes_still_route(shape):
 def test_net_refuses_views_of_another_size(side):
     with pytest.raises(ContractViolation, match="longer side"):
         forward(build_router(3, seed=39), np.zeros((side, side), dtype=np.float32))
-
-
-def test_old_router_checkpoint_refused(tmp_path):
-    net = build_router(4, seed=41)
-    p = tmp_path / "old.ckpt"
-    write_checkpoint(p, b"SKRC", net.digest, net.parameters())  # binary-view routers
-    with pytest.raises(CheckpointError, match="retrain") as info:
-        load_router(p, 4, net.digest)
-    assert info.value.offset == 0
 
 
 def pooled_bytes(result):
