@@ -5,7 +5,7 @@ import pytest
 
 from sketchparts.autograd import ConvSpec, Tape, Tensor, backward, conv2d, global_average_pool
 from sketchparts.autograd import linear, make_rng, relu, weighted_sum
-from sketchparts.errors import ContractViolation
+from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts.imaging import Raster
 from sketchparts.model import (
     ModelConfig,
@@ -13,7 +13,9 @@ from sketchparts.model import (
     forward_branch,
     forward_shared,
     infer,
+    load_checkpoint,
     pad_to_stride,
+    save_checkpoint,
     sketch_input,
 )
 from sketchparts.taxonomy import load_taxonomy
@@ -243,3 +245,22 @@ class TestInfer:
         assert (p.pixels[:30, :33] == 255).all()
         assert (p.pixels[30:, :] == 0).all()
 
+
+class TestCheckpoint:
+    def test_corrupt_header_rejected(self, tmp_path):
+        m = build_model(CFG, TAX2, seed=33)
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(m, p)
+        blob = bytearray(p.read_bytes())
+        blob[1] ^= 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(p, CFG, TAX2)
+
+    def test_taxonomy_mismatch_refused(self, tmp_path):
+        m = build_model(CFG, TAX2, seed=35)
+        p = tmp_path / "d.ckpt"
+        save_checkpoint(m, p)
+        other = load_taxonomy("super A\ncat a : p1, p2, p3\nsuper B\ncat b : q1, q2, q3, q4, q5\n")
+        with pytest.raises(CheckpointError, match="taxonomy"):
+            load_checkpoint(p, CFG, other)

@@ -20,7 +20,9 @@ from sketchparts.router import (
     build_router,
     classify_pooled,
     forward,
+    load_router,
     router_input,
+    save_router,
 )
 from sketchparts.training import RouterPlan, train_router
 
@@ -110,6 +112,15 @@ def test_inference_deterministic():
     b = classify_pooled(net, s)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+def test_checkpoint_roundtrip(tmp_path):
+    net = build_router(5, seed=23, digest=bytes(range(32)))
+    p = tmp_path / "router.ckpt"
+    save_router(net, p)
+    loaded = load_router(p, 5, expected_digest=bytes(range(32)))
+    for n in net.params:
+        assert np.array_equal(net.params[n].data, loaded.params[n].data)
 
 
 def test_float32_pooled_scores_match_float64_cast():
