@@ -221,14 +221,13 @@ def _cast(a, dtype):
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of one conv layer: kernel width, stride, dilation rate, output
-    channels, and the zero-pad margin (defaults to rate*(kernel-1)//2)."""
+    """Geometry of one conv layer: kernel width, stride, dilation rate and
+    output channels. The zero-pad margin is rate*(kernel-1)//2."""
 
     kernel: int
     out_channels: int
     stride: int = 1
     dilation: int = 1
-    pad: int = None
 
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1 or self.dilation < 1:
@@ -239,8 +238,6 @@ class ConvSpec:
 
     @property
     def padding(self):
-        if self.pad is not None:
-            return self.pad
         return self.dilation * (self.kernel - 1) // 2
 
     def out_size(self, size):

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .autograd import Tape, backward
+from .errors import ContractViolation, check_fields
 
 
 def fd_gradients(fn, tensors, eps=1e-3):
@@ -123,7 +125,7 @@ def best_assignment(affinity):
         for i, node in enumerate(graph.nodes):
             groups.setdefault(node.part_id, ([], []))[side].append(i)
     if any(len(qs) != len(cs) for qs, cs in groups.values()):
-        raise ValueError("each part needs as many query as candidate nodes")
+        raise ContractViolation("each part needs as many query as candidate nodes")
     group_perms = [
         [list(zip(qs, p)) for p in itertools.permutations(cs)]
         for _, (qs, cs) in sorted(groups.items())
@@ -168,7 +170,7 @@ def _check_gradients(rng):
     x = _t64(rng, (2, 6, 6))
     w = _t64(rng, (3, 2, 3, 3))
     b = _t64(rng, (3,))
-    spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2, pad=2)
+    spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2)
     gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
     pool_in = _t64(rng, (1, 6, 6))
@@ -276,8 +278,11 @@ def _check_augmentation(rng):
 
 
 def run_selfcheck(seed):
-    """Run every invariant check; returns a list of (name, passed, detail)."""
+    """Run every invariant check at `seed`, an integer >= 0; returns a list
+    of (name, passed, detail)."""
     from .autograd import make_rng
+
+    check_fields(SimpleNamespace(seed=seed), ints=("seed",))
 
     checks = [
         ("gradients-vs-finite-differences", _check_gradients),

@@ -30,7 +30,7 @@ from .augment import sketchify
 from .checks import run_selfcheck
 from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses_csv
 from .describe import describe
-from .errors import CheckpointError, ConfigError, ContractViolation, TaxonomyParseError
+from .errors import ConfigError, ContractViolation, SketchpartsError
 from .graphmatch import rerank
 from .imaging import LabelMap, Raster
 from .metrics import iou_report, pose_eval
@@ -284,8 +284,6 @@ def cmd_describe(args):
 
 
 def cmd_selfcheck(args):
-    if args.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     results = run_selfcheck(args.seed)
     failed = 0
     for name, ok, detail in results:
@@ -387,7 +385,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractViolation, ConfigError, TaxonomyParseError, CheckpointError, OSError) as exc:
+    except (SketchpartsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .augment import PairedSample, sketchify
 from .autograd import make_rng
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .imaging import LabelMap, Raster
 from .pgm import read_pgm, write_pgm
 from .poses import POSES, direction
@@ -78,17 +77,7 @@ class CorpusSpec:
     categories: tuple = ()  # empty means every taxonomy category; a list is stored as a tuple
 
     def __post_init__(self):
-        for name in ("per_category", "image_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed}")
-        if not isinstance(self.categories, (list, tuple)) or not all(
-            isinstance(c, str) for c in self.categories
-        ):
-            raise ConfigError(f"categories must be a list of names, got {self.categories!r}")
-        object.__setattr__(self, "categories", tuple(self.categories))
+        check_fields(self, ints=("per_category", "image_size", "seed"), names=("categories",))
         repeated = sorted({c for c in self.categories if self.categories.count(c) > 1})
         if repeated:
             raise ConfigError(f"categories name {repeated} more than once")

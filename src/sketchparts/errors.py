@@ -1,15 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one type check of
+plan and spec fields. Every refusal the package raises is a
+`SketchpartsError`, which the CLI prints as one `error:` line, exiting 1."""
+
+import math
+import numbers
 
 
-class ContractViolation(ValueError):
+class SketchpartsError(ValueError):
+    """Base of every refusal the package raises."""
+
+
+class ContractViolation(SketchpartsError):
     """An operation was called with arguments that break its preconditions."""
 
 
-class ConfigError(ValueError):
+class ConfigError(SketchpartsError):
     """A configuration value is inconsistent or refers to something unknown."""
 
 
-class TaxonomyParseError(ValueError):
+class TaxonomyParseError(SketchpartsError):
     """Taxonomy text is malformed; carries the offending line number."""
 
     def __init__(self, line_no, message):
@@ -17,9 +26,29 @@ class TaxonomyParseError(ValueError):
         self.line_no = line_no
 
 
-class CheckpointError(ValueError):
+class CheckpointError(SketchpartsError):
     """A checkpoint file is unreadable; carries the byte offset of the fault."""
 
     def __init__(self, offset, message):
         super().__init__(f"at byte {offset}: {message}")
         self.offset = offset
+
+
+def check_fields(owner, ints=(), reals=(), names=()):
+    """Refuse a field of `owner` of the wrong type with a ConfigError naming
+    it: `ints` must be integers >= 0, `reals` finite numbers (a bool is
+    neither), and `names` lists of strings, stored on `owner` as tuples."""
+    for name in ints:
+        value = getattr(owner, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+    for name in reals:
+        value = getattr(owner, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not real or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{name} must be a list of names, got {value!r}")
+        object.__setattr__(owner, name, tuple(value))

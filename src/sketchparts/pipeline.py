@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .describe import SketchSummary, describe
-from .errors import CheckpointError, ContractViolation
+from .errors import ContractViolation
 from .imaging import label
 from .model import infer
 from .router import classify_pooled
@@ -50,7 +50,7 @@ def infer_record(parser, router, sketch, force_branch=None, category=None):
     tax = parser.taxonomy
     if router is not None:
         if router.digest != tax.digest():
-            raise CheckpointError(8, "router and parser were built for different taxonomies")
+            raise ContractViolation("router and parser were built for different taxonomies")
         routed, scores = classify_pooled(router, sketch)
     else:
         routed, scores = None, None

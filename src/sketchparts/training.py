@@ -15,13 +15,13 @@ decay (`optim.SgdMomentum`). A router step streams its mini-batch: each
 draw is recorded and replayed on a tape of its own into one
 `autograd.GradientSum`, so the step's memory does not grow with
 batch_size, and its weights and losses are the bytes of one tape over the
-whole batch.
+whole batch. A loss that becomes non-finite, as a learning rate or lambda
+too large for the run makes it, stops training with a ConfigError that
+names the iteration.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,7 @@ from .autograd import (
     weighted_softmax_ce,
     zero_grads,
 )
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, check_fields
 from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
@@ -117,39 +117,17 @@ class TrainPlan:
     freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
 
     def __post_init__(self):
-        _require_types(
-            self,
-            ints=("iterations", "seed"),
-            reals=("lr_body", "lr_seg_head", "lr_pose_head", "lam"),
-        )
+        reals = ("lr_body", "lr_seg_head", "lr_pose_head", "lam")
+        check_fields(self, ints=("iterations", "seed"), reals=reals, names=("freeze",))
         if self.iterations < 1 or min(self.lr_body, self.lr_seg_head, self.lr_pose_head) <= 0:
             raise ConfigError("iterations and learning rates must be positive")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if not isinstance(self.freeze, (list, tuple)) or not all(
-            isinstance(g, str) for g in self.freeze
-        ):
-            raise ConfigError(f"freeze must be a list of group names, got {self.freeze!r}")
-        object.__setattr__(self, "freeze", tuple(self.freeze))
         unknown = [g for g in self.freeze if g not in PARSER_GROUPS]
         if unknown:
             raise ConfigError(
                 f"unknown freeze group(s) {unknown}; known: {list(PARSER_GROUPS)}"
             )
-
-
-def _require_types(plan, ints=(), reals=()):
-    """Reject plan fields of the wrong type, as a library caller may pass
-    them: integers (bool excluded, never negative) and finite real numbers."""
-    for name in ints:
-        value = getattr(plan, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-    for name in reals:
-        value = getattr(plan, name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not real or not math.isfinite(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def clip_gradients(params, max_norm):
@@ -177,7 +155,7 @@ def _sgd(opt, params, step, clip_norm, frozen):
     for it in range(opt.max_iterations):
         loss, row = step()
         if not np.isfinite(loss.data.item()):
-            raise RuntimeError(f"loss became non-finite at iteration {it}")
+            raise ConfigError(f"loss became non-finite at iteration {it}")
         if clip_norm is not None:
             clip_gradients(stepped, clip_norm)
         lr = opt.lr_factor() * opt.groups[0].lr
@@ -247,7 +225,7 @@ class RouterPlan:
     seed: int = 0
 
     def __post_init__(self):
-        _require_types(self, ints=("iterations", "batch_size", "seed"), reals=("lr",))
+        check_fields(self, ints=("iterations", "batch_size", "seed"), reals=("lr",))
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("iterations, lr and batch size must be positive")
 

@@ -50,23 +50,21 @@ class TestConv2d:
             t64(np.zeros((1, 16, 16))),
             t64(np.zeros((4, 1, 3, 3))),
             t64(np.zeros(4)),
-            ConvSpec(kernel=3, out_channels=4, stride=2, dilation=2, pad=2),
+            ConvSpec(kernel=3, out_channels=4, stride=2, dilation=2),
         )
         assert out.shape == (4, 8, 8)
 
-    @pytest.mark.parametrize(
-        "stride,dilation,pad", [(1, 1, 0), (1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2), (3, 1, 0)]
-    )
-    def test_matches_loop_oracle(self, stride, dilation, pad):
-        rng = make_rng(7 + stride * 10 + dilation * 100 + pad)
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_loop_oracle(self, stride, dilation):
+        rng = make_rng(7 + stride * 10 + dilation * 101)
         x = rng.standard_normal((2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        spec = ConvSpec(kernel=3, out_channels=3, stride=stride, dilation=dilation, pad=pad)
+        spec = ConvSpec(kernel=3, out_channels=3, stride=stride, dilation=dilation)
         got = conv2d(t64(x), t64(w), t64(b), spec).data
         with Tape():
             taped = conv2d(t64(x), t64(w), t64(b), spec).data
-        want = conv2d_bruteforce(x, w, b, stride, dilation, pad)
+        want = conv2d_bruteforce(x, w, b, stride, dilation, spec.padding)
         assert np.allclose(got, want, atol=1e-6)
         assert taped.tobytes() == got.tobytes()
 
@@ -84,7 +82,7 @@ class TestConv2d:
         x = t64(rng.standard_normal((2, 6, 6)))
         w = t64(rng.standard_normal((3, 2, 3, 3)))
         b = t64(rng.standard_normal(3))
-        spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2, pad=2)
+        spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2)
         gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from sketchparts import cli
+from sketchparts.checks import run_selfcheck
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
+from sketchparts.errors import ConfigError
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
@@ -420,7 +422,7 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
         ("train-router", ["--taxonomy", "missing.tax"], "No such file"),
         ("gen-corpus", ["--per-category", "0"], "per_category must be positive"),
         ("gen-corpus", ["--size", "16"], "too small to draw on"),
-        ("gen-corpus", ["--per-category", "-1"], "per_category must be positive"),
+        ("gen-corpus", ["--per-category", "-1"], "per_category must be an integer >= 0"),
         ("gen-corpus", ["--size", "4096"], "above the maximum of 2048"),
         ("gen-corpus", ["--categories", "nope"], "no figure template for category 'nope'"),
         ("gen-corpus", ["--categories", "cat,nope"], "no figure template for category 'nope'"),
@@ -631,6 +633,42 @@ def test_negative_seed_exits_1_before_writing(small_corpus, tmp_path, capsys, co
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_run_selfcheck_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got -1$"):
+        run_selfcheck(-1)
+
+
+@pytest.mark.parametrize(
+    "command,flags,iteration",
+    [
+        ("train-parser", ["--iterations", "2", "--lam", "1e300"], 0),
+        ("train-router", ["--iterations", "3", "--batch-size", "2", "--lr", "1e30"], 1),
+    ],
+)
+def test_diverging_run_exits_1_naming_the_iteration(small_corpus, tmp_path, capsys, command,
+                                                    flags, iteration):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main([command, "--train", str(small_corpus), "--out", str(out), *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: loss became non-finite at iteration {iteration}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1(small_corpus, tmp_path, capsys):
+    # a batch far past the address space: numpy refuses it before allocating
+    out = tmp_path / "run"
+    rc = main(["train-router", "--train", str(small_corpus), "--out", str(out),
+               "--batch-size", str(10**15)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
 

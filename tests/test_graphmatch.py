@@ -247,6 +247,12 @@ class TestRrwm:
                 agree += 1
         assert agree / trials >= 0.95
 
+    def test_oracle_refuses_unequal_node_counts_per_part(self):
+        nodes = tuple(LocalNode(1, 100, 0.33, 0.5, c) for c in ((0.2, 0.2), (0.8, 0.5)))
+        aff = build_affinity(_assemble(nodes, set()), _assemble(nodes[:1], set()))
+        with pytest.raises(ContractViolation, match="as many query as candidate nodes"):
+            best_assignment(aff)
+
     def test_permuted_candidate_same_score(self):
         rng = make_rng(17)
         g, structure = synth_graph(rng, 5)

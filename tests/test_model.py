@@ -18,6 +18,8 @@ from sketchparts.model import (
     save_checkpoint,
     sketch_input,
 )
+from sketchparts.pipeline import infer_record
+from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
 
 TWO_BRANCH_TEXT = """
@@ -237,6 +239,13 @@ class TestInfer:
         sketch = Raster(np.where(rng.random(shape) < 0.15, 255, 0).astype(np.uint8))
         lm, _ = infer(m, 1, sketch)
         assert (lm.height, lm.width) == shape
+
+    def test_record_refuses_a_router_of_another_taxonomy(self):
+        m = build_model(CFG, TAX2, seed=21)
+        router = build_router(TAX2.num_branches, seed=0, digest=bytes(32))
+        with pytest.raises(ContractViolation, match="different taxonomies") as exc:
+            infer_record(m, router, random_sketch(make_rng(23), 32))
+        assert "byte" not in str(exc.value)
 
     def test_pad_to_stride(self):
         s = Raster(np.full((30, 33), 255, dtype=np.uint8))

@@ -346,7 +346,7 @@ class TestTrainParser:
         samples = tiny_corpus(2)
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
         plan = TrainPlan(iterations=50, lr_body=1e6, lr_seg_head=1e6, seed=1)
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="iteration"):
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="iteration"):
             train_parser(m, samples, plan)
 
 
