@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
 from .autograd import Tape, backward
-from .errors import ContractViolation, check_fields
+from .errors import ContractViolation, check_count
 
 
 def fd_gradients(fn, tensors, eps=1e-3):
@@ -282,7 +281,7 @@ def run_selfcheck(seed):
     of (name, passed, detail)."""
     from .autograd import make_rng
 
-    check_fields(SimpleNamespace(seed=seed), ints=("seed",))
+    check_count("seed", seed)
 
     checks = [
         ("gradients-vs-finite-differences", _check_gradients),

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one type check of
-plan and spec fields. Every refusal the package raises is a
-`SketchpartsError`, which the CLI prints as one `error:` line, exiting 1."""
+plan and spec fields and of integer arguments. Every refusal the package
+raises is a `SketchpartsError`, which the CLI prints as one `error:` line,
+exiting 1."""
 
 import math
 import numbers
@@ -34,14 +35,20 @@ class CheckpointError(SketchpartsError):
         self.offset = offset
 
 
+def check_count(name, value):
+    """Refuse `value`, called `name`, with a ConfigError unless it is an
+    integer >= 0 (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def check_fields(owner, ints=(), reals=(), names=()):
     """Refuse a field of `owner` of the wrong type with a ConfigError naming
-    it: `ints` must be integers >= 0, `reals` finite numbers (a bool is
-    neither), and `names` lists of strings, stored on `owner` as tuples."""
+    it: `ints` must be integers >= 0 (check_count), `reals` finite numbers
+    (a bool is neither), and `names` lists of strings, stored on `owner` as
+    tuples."""
     for name in ints:
-        value = getattr(owner, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+        check_count(name, getattr(owner, name))
     for name in reals:
         value = getattr(owner, name)
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)

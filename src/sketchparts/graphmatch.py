@@ -69,12 +69,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_count
 from .imaging import label_components
 
 GLOBAL = -1  # node index of the global node in correspondence pairs
@@ -530,8 +529,7 @@ def rerank(query_lm, candidates, top_t=50):
     those of rrwm_match over build_affinity for each candidate, taken
     straight from the builder's arrays by the same walk core in one batch.
     """
-    if isinstance(top_t, bool) or not isinstance(top_t, Integral) or top_t < 0:
-        raise ContractViolation(f"top_t must be an integer >= 0, got {top_t!r}")
+    check_count("top_t", top_t)
     head = candidates[: min(top_t, len(candidates))]
     tail = candidates[len(head) :]
     if not head:

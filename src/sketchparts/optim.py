@@ -4,7 +4,9 @@ Update rule per parameter: v <- mu*v - lr*g, p <- p + v, with
 lr(t) = base * (1 - t/max_iterations)**power shared across groups and a
 per-group base rate (the segmentation output layer and the pose head train
 faster than the body). The parser and the router share mu = MOMENTUM and
-power = POLY_POWER.
+power = POLY_POWER. This is the update rule alone: a parameter without a
+gradient is left as it is, and what to freeze, clip or refuse is decided by
+the training loop (`training._sgd`).
 """
 
 from __future__ import annotations
@@ -41,16 +43,15 @@ class SgdMomentum:
     def lr_factor(self):
         return (1.0 - self.iteration / self.max_iterations) ** POLY_POWER
 
-    def step(self, frozen=()):
-        """Apply one update; groups named in `frozen` stay bit-identical."""
+    def step(self):
+        """Apply one update to every parameter that has a gradient; one
+        without a gradient, and its velocity, stay as they are."""
         if self.iteration >= self.max_iterations:
             raise ContractViolation(
                 f"optimizer stepped past max_iterations={self.max_iterations}"
             )
         factor = self.lr_factor()
         for group in self.groups:
-            if group.name in frozen:
-                continue
             lr = group.lr * factor
             for name, p in group.params:
                 if p.grad is None:

@@ -15,9 +15,11 @@ decay (`optim.SgdMomentum`). A router step streams its mini-batch: each
 draw is recorded and replayed on a tape of its own into one
 `autograd.GradientSum`, so the step's memory does not grow with
 batch_size, and its weights and losses are the bytes of one tape over the
-whole batch. A loss that becomes non-finite, as a learning rate or lambda
-too large for the run makes it, stops training with a ConfigError that
-names the iteration.
+whole batch. `_sgd` alone decides a step's policy: frozen groups, the
+clip, and divergence. The first overflow, invalid or divide-by-zero value
+numpy meets in an iteration, as a learning rate or lambda too large for
+the run brings about, stops training with a ConfigError that names the
+iteration.
 """
 
 from __future__ import annotations
@@ -141,25 +143,33 @@ def clip_gradients(params, max_norm):
 
 
 def _sgd(opt, params, step, clip_norm, frozen):
-    """The shared step loop: one optimizer step per step() call.
+    """The shared step loop and the one owner of step policy: one optimizer
+    step per step() call.
 
-    step() fills the parameters' .grad and returns (loss, log row).
-    Gradients are clipped to clip_norm unless it is None; the groups named
-    in `frozen` stay fixed, and their gradients count toward no clip. Each
-    log row gains "iter" first and, last, the rate of the first parameter
-    group at that step.
+    step() fills the parameters' .grad and returns (loss, log row). The
+    groups named in `frozen` then lose their gradients, so the clip, to
+    clip_norm unless it is None, and the update both pass them by. Each
+    iteration runs with numpy's overflow, invalid and divide-by-zero
+    errors raised (underflow ignored); as every weight and input entering
+    the loop is finite, the first of them is the first non-finite value,
+    and it stops training with a ConfigError naming the iteration. Each log
+    row gains "iter" first and, last, the rate of the first parameter group
+    at that step.
     """
-    fixed = {id(t) for g in opt.groups if g.name in frozen for _, t in g.params}
-    stepped = [t for t in params if id(t) not in fixed]
+    fixed = [t for g in opt.groups if g.name in frozen for _, t in g.params]
     log = []
     for it in range(opt.max_iterations):
-        loss, row = step()
-        if not np.isfinite(loss.data.item()):
-            raise ConfigError(f"loss became non-finite at iteration {it}")
-        if clip_norm is not None:
-            clip_gradients(stepped, clip_norm)
-        lr = opt.lr_factor() * opt.groups[0].lr
-        opt.step(frozen=frozen)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                loss, row = step()
+                for t in fixed:
+                    t.grad = None
+                if clip_norm is not None:
+                    clip_gradients(params, clip_norm)
+                lr = opt.lr_factor() * opt.groups[0].lr
+                opt.step()
+        except FloatingPointError as exc:
+            raise ConfigError(f"training diverged at iteration {it}: {exc}") from None
         zero_grads(params)
         log.append({"iter": it, **row, "lr": lr})
     return log
@@ -217,6 +227,11 @@ def train_parser(model, samples, plan):
     return _sgd(opt, params, step, CLIP_NORM, plan.freeze)
 
 
+# the most int64 draws one numpy array holds: a batch up to it that memory
+# cannot hold is a MemoryError, one past it a size numpy cannot express
+MAX_BATCH_SIZE = 2**60 - 1
+
+
 @dataclass(frozen=True)
 class RouterPlan:
     iterations: int = 400
@@ -228,6 +243,10 @@ class RouterPlan:
         check_fields(self, ints=("iterations", "batch_size", "seed"), reals=("lr",))
         if self.iterations < 1 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("iterations, lr and batch size must be positive")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(
+                f"batch_size must be at most {MAX_BATCH_SIZE}, got {self.batch_size}"
+            )
 
 
 def train_router(net, labelled, plan):

@@ -230,6 +230,20 @@ def test_extra_tensor_names_the_count(tmp_path, net):
     assert err.offset == COUNT_AT
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_non_finite_value_names_the_first_tensor_holding_one(tmp_path, net, value):
+    named, *rest = saved_net(net)
+    for index in (len(named) - 1, 2):  # a later tensor spoilt too
+        name, t = named[index]
+        spoilt = t.data.copy()
+        spoilt.flat[-1] = value
+        named[index] = (name, Tensor(spoilt))
+    err = refused_at(tmp_path, named, *rest)
+    assert err.offset == record_at(named, 2)
+    assert str(err) == f"at byte {err.offset}: {named[2][0]} holds a NaN or infinite value"
+
+
 @pytest.mark.parametrize("net", ["parser", "router"])
 def test_another_taxonomy_refused_at_its_digest(tmp_path, net):
     named, magic, digest, load = saved_net(net)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +429,8 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
         ("gen-corpus", ["--categories", "cat,nope"], "no figure template for category 'nope'"),
         ("gen-corpus", ["--taxonomy", "missing.tax"], "No such file"),
         ("gen-corpus", ["--taxonomy", "wide.tax"], "over 255 parts"),  # part ids are 8-bit
+        # 2**60: past the most int64 draws one numpy array holds
+        ("train-router", ["--batch-size", "1152921504606846976"], "batch_size must be at most"),
     ],
 )
 def test_bad_flag_value_exits_1_writing_nothing(small_corpus, tmp_path, capsys, monkeypatch,
@@ -646,17 +649,19 @@ def test_run_selfcheck_refuses_a_negative_seed():
     "command,flags,iteration",
     [
         ("train-parser", ["--iterations", "2", "--lam", "1e300"], 0),
+        # the loss stays finite; the first update overflows
+        ("train-parser", ["--iterations", "1", "--lr-body", "1e308"], 0),
         ("train-router", ["--iterations", "3", "--batch-size", "2", "--lr", "1e30"], 1),
     ],
 )
 def test_diverging_run_exits_1_naming_the_iteration(small_corpus, tmp_path, capsys, command,
                                                     flags, iteration):
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
-        rc = main([command, "--train", str(small_corpus), "--out", str(out), *flags])
+    rc = main([command, "--train", str(small_corpus), "--out", str(out), *flags])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: loss became non-finite at iteration {iteration}\n"
+    assert re.fullmatch(f"error: training diverged at iteration {iteration}: [^\n]+\n",
+                        captured.err)
     assert captured.out == ""
     assert not out.exists()
 

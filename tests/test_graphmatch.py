@@ -7,7 +7,7 @@ import pytest
 from sketchparts import graphmatch
 from sketchparts.autograd import make_rng
 from sketchparts.checks import best_assignment
-from sketchparts.errors import ContractViolation
+from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.graphmatch import (
     GLOBAL,
     Affinity,
@@ -321,7 +321,7 @@ class TestRerank:
     def test_bad_top_t_rejected(self, top_t):
         rng = make_rng(39)
         pool = [(f"c{k}", random_labelmap(rng)) for k in range(3)]
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError, match=r"^top_t must be an integer >= 0, got "):
             rerank(random_labelmap(rng), pool, top_t=top_t)
 
     def test_numpy_integer_top_t_accepted(self):

@@ -38,23 +38,25 @@ def test_momentum_accumulates_velocity():
     assert p.data[0] == pytest.approx(-2.9, abs=1e-3)
 
 
-def test_frozen_group_bit_identical():
-    shared = make_param([1.0, 2.0, 3.0])
-    head = make_param([4.0])
-    before = shared.data.tobytes()
+def test_parameter_without_gradient_left_untouched():
+    held = make_param([1.0, 2.0, 3.0])
+    moved = make_param([4.0])
     opt = SgdMomentum(
         [
-            ParamGroup("shared", [("s", shared)], lr=0.1),
-            ParamGroup("head", [("h", head)], lr=0.1),
+            ParamGroup("held", [("h", held)], lr=0.1),
+            ParamGroup("moved", [("m", moved)], lr=0.1),
         ],
         max_iterations=100,
     )
+    opt.step()  # both move and gain velocity
+    data, velocity = held.data.tobytes(), opt.velocity["h"].tobytes()
     for _ in range(5):
-        shared.grad = np.ones_like(shared.data)
-        head.grad = np.ones_like(head.data)
-        opt.step(frozen=("shared",))
-    assert shared.data.tobytes() == before
-    assert head.data[0] != 4.0
+        held.grad = None
+        moved.grad = np.ones_like(moved.data)
+        opt.step()
+    assert held.data.tobytes() == data
+    assert opt.velocity["h"].any() and opt.velocity["h"].tobytes() == velocity
+    assert moved.data[0] < 4.0 - 0.1
 
 
 def test_step_past_max_iterations_raises():
