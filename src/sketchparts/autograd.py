@@ -11,7 +11,7 @@ float64 tensors through the same code as a full-precision shadow, so
 finite-difference checks stay tight.
 
 Every tensor receives a gradient unless it was built with
-requires_grad=False, as the raw sketch input of model.sketch_input is:
+requires_grad=False, as the sketch input of model.forward_shared is:
 conv2d skips the input gradient of such a tensor, and backward() never
 fills its .grad. One accumulation rule, GradientSum, sums the gradients
 one tensor receives in the order they arrive: the first is kept as given,

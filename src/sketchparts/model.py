@@ -7,6 +7,11 @@ that reads the pre-softmax, pre-upsample segmentation scores. The convs
 downsample by STRIDE. A sketch runs through the trunk and then through the
 one expert it is routed to (`forward_branch`), in training as in inference.
 Every pose head runs POSE_STACK through `nets.run_head`, as the router does.
+
+The parser takes a sketch of any size H x W and returns H x W scores:
+`forward_shared` zero-pads the bottom and right edges up to STRIDE, and
+`forward_branch` crops the upsampled scores back to H x W. The pose head
+reads the expert's scores of the padded sketch.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
+from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, crop2d, make_rng
 from .checkpoint import write_checkpoint
 from .errors import ContractViolation
-from .imaging import LabelMap, Raster
+from .imaging import LabelMap
 from .nets import head_layout, init_params, load_params, run_head, run_stack, stack_layout
 from .poses import POSES
 
@@ -81,27 +86,24 @@ def build_model(config, taxonomy, seed):
     return Model(config, taxonomy, init_params(make_rng(seed), model_layout(config, taxonomy)))
 
 
-def sketch_input(sketch):
-    """Raster -> float tensor in [0, 1], shape (1, H, W); a constant, so it
-    needs no gradient."""
-    return Tensor(
-        (sketch.pixels[None, :, :].astype(np.float32)) / 255.0, requires_grad=False
-    )
-
-
-def forward_shared(model, x):
-    """Run the shared trunk on a (1, H, W) input tensor."""
-    _, h, w = x.shape
+def forward_shared(model, sketch):
+    """Run the shared trunk on a Raster, zero-padded at the bottom and right
+    to a multiple of the stride and scaled to [0, 1]. The input is a
+    constant, so it needs no gradient."""
     s = model.config.stride
-    if h % s or w % s:
-        raise ContractViolation(f"input {h}x{w} not divisible by trunk stride {s}")
+    h, w = sketch.height, sketch.width
+    x = np.zeros((1, h + (-h) % s, w + (-w) % s), dtype=np.float32)
+    x[0, :h, :w] = sketch.pixels
+    x /= 255.0
+    x = Tensor(x, requires_grad=False)
     return run_stack(x, model.config.shared_stack, "shared", model.params)
 
 
-def forward_branch(model, branch, features):
-    """Expert forward: (upsampled part scores, pose logits).
+def forward_branch(model, branch, features, height, width):
+    """Expert forward: (part scores of the height x width sketch, pose logits).
 
-    The pose head consumes the pre-softmax scores before upsampling.
+    The pose head consumes the pre-softmax scores before upsampling; the
+    upsampled scores are cropped to the sketch only where it was padded.
     """
     n = model.taxonomy.num_branches
     if not 0 <= branch < n:
@@ -113,16 +115,9 @@ def forward_branch(model, branch, features):
     scores = conv2d(x, p[f"{prefix}.seg.w"], p[f"{prefix}.seg.b"], seg_spec)
     pose_logits = run_head(scores, POSE_STACK, f"{prefix}.pose", f"{prefix}.pose.fc", p)
     scores_up = bilinear_upsample(scores, model.config.stride)
+    if scores_up.shape[1:] != (height, width):
+        scores_up = crop2d(scores_up, height, width)
     return scores_up, pose_logits
-
-
-def pad_to_stride(sketch, stride):
-    h, w = sketch.height, sketch.width
-    ph = (-h) % stride
-    pw = (-w) % stride
-    if ph == 0 and pw == 0:
-        return sketch
-    return Raster(np.pad(sketch.pixels, ((0, ph), (0, pw)), constant_values=0))
 
 
 def infer(model, branch, sketch):
@@ -132,11 +127,9 @@ def infer(model, branch, sketch):
     branch's label space; that is the best-guess behaviour for unseen
     categories.
     """
-    padded = pad_to_stride(sketch, model.config.stride)
-    feats = forward_shared(model, sketch_input(padded))
-    scores, pose_logits = forward_branch(model, branch, feats)
+    feats = forward_shared(model, sketch)
+    scores, pose_logits = forward_branch(model, branch, feats, sketch.height, sketch.width)
     pred = scores.data.argmax(axis=0).astype(np.uint8)
-    pred = pred[: sketch.height, : sketch.width]
     pose = POSES[int(pose_logits.data.argmax())]
     return LabelMap(pred), pose
 

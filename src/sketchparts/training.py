@@ -34,7 +34,6 @@ from .autograd import (
     Tape,
     add,
     backward,
-    crop2d,
     make_rng,
     reshape,
     scale,
@@ -43,7 +42,7 @@ from .autograd import (
     zero_grads,
 )
 from .errors import ConfigError, ContractViolation, check_fields
-from .model import forward_branch, forward_shared, pad_to_stride, sketch_input
+from .model import forward_branch, forward_shared
 from .optim import ParamGroup, SgdMomentum
 from .poses import POSE_INDEX
 from .router import router_input
@@ -210,12 +209,10 @@ def train_parser(model, samples, plan):
         idx = int(order.pop())
         sample = seg_variant(samples[idx], int(rng.integers(0, len(SEG_COMBOS))))
         branch = branches[idx]
-        padded = pad_to_stride(sample.sketch, model.config.stride)
+        sketch = sample.sketch
         with Tape() as tape:
-            feats = forward_shared(model, sketch_input(padded))
-            scores, pose_logits = forward_branch(model, branch, feats)
-            if (padded.height, padded.width) != (sample.sketch.height, sample.sketch.width):
-                scores = crop2d(scores, sample.sketch.height, sample.sketch.width)
+            feats = forward_shared(model, sketch)
+            scores, pose_logits = forward_branch(model, branch, feats, sketch.height, sketch.width)
             loss, seg_v, pose_v = total_loss(
                 scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
             )

@@ -6,6 +6,7 @@ import pytest
 from sketchparts.autograd import ConvSpec, Tape, Tensor, backward, conv2d, global_average_pool
 from sketchparts.autograd import linear, make_rng, relu, weighted_sum
 from sketchparts.errors import CheckpointError, ContractViolation
+from sketchparts import model as model_module
 from sketchparts.imaging import Raster
 from sketchparts.model import (
     ModelConfig,
@@ -14,9 +15,7 @@ from sketchparts.model import (
     forward_shared,
     infer,
     load_checkpoint,
-    pad_to_stride,
     save_checkpoint,
-    sketch_input,
 )
 from sketchparts.pipeline import infer_record
 from sketchparts.router import build_router
@@ -65,12 +64,6 @@ def random_sketch(rng, size=32):
     return Raster(np.where(rng.random((size, size)) < 0.15, 255, 0).astype(np.uint8))
 
 
-def test_sketch_input_needs_no_gradient():
-    x = sketch_input(random_sketch(make_rng(2), 16))
-    assert x.requires_grad is False
-    assert x.shape == (1, 16, 16)
-
-
 class TestBuild:
     def test_head_channels_include_background(self):
         m = build_model(CFG, TAX2, seed=1)
@@ -96,7 +89,7 @@ class TestBuild:
     def test_pose_logits_are_convs_then_pool_then_linear(self):
         m = build_model(CFG, TAX2, seed=41)
         sketch = Raster(np.where(make_rng(43).random((48, 80)) < 0.15, 255, 0))
-        feats = forward_shared(m, sketch_input(sketch))
+        feats = forward_shared(m, sketch)
         p = m.params
 
         def conv(y, name, spec):
@@ -107,40 +100,35 @@ class TestBuild:
         y = relu(conv(y, "pose.c1", ConvSpec(3, 32, stride=2, dilation=2)))
         y = relu(conv(y, "pose.c2", ConvSpec(11, 32)))
         want = linear(global_average_pool(y), p["branch1.pose.fc.w"], p["branch1.pose.fc.b"])
-        _, got = forward_branch(m, 1, feats)
+        _, got = forward_branch(m, 1, feats, 48, 80)
         assert np.array_equal(got.data, want.data)
 
     def test_forward_shapes(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, sketch_input(random_sketch(make_rng(3), 128)))
+        feats = forward_shared(m, random_sketch(make_rng(3), 128))
         assert feats.shape == (128, 16, 16)
-        scores, pose = forward_branch(m, 0, feats)
+        scores, pose = forward_branch(m, 0, feats, 128, 128)
         assert scores.shape == (4, 128, 128)
         assert pose.shape == (8,)
 
     def test_blank_input_finite(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, sketch_input(Raster(np.zeros((32, 32), dtype=np.uint8))))
-        scores, pose = forward_branch(m, 1, feats)
+        feats = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
+        scores, pose = forward_branch(m, 1, feats, 32, 32)
         assert np.isfinite(scores.data).all()
         assert np.isfinite(pose.data).all()
 
-    def test_indivisible_dims_rejected(self):
-        m = build_model(CFG, TAX2, seed=2)
-        with pytest.raises(ContractViolation, match="stride"):
-            forward_shared(m, sketch_input(Raster(np.zeros((30, 30), dtype=np.uint8))))
-
     def test_bad_branch_rejected(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, sketch_input(Raster(np.zeros((32, 32), dtype=np.uint8))))
+        feats = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
         with pytest.raises(ContractViolation, match="branch 2 out of range"):
-            forward_branch(m, 2, feats)
+            forward_branch(m, 2, feats, 32, 32)
 
     def test_forward_pure(self):
         m = build_model(CFG, TAX2, seed=4)
         s = random_sketch(make_rng(5))
-        a = forward_shared(m, sketch_input(s))
-        b = forward_shared(m, sketch_input(s))
+        a = forward_shared(m, s)
+        b = forward_shared(m, s)
         assert np.array_equal(a.data, b.data)
 
 
@@ -166,7 +154,7 @@ class TestRoutedEquivalence:
         def run(route_by):
             with Tape() as tape:
                 outs = [
-                    forward_branch(m, b, forward_shared(m, sketch_input(s)))[0]
+                    forward_branch(m, b, forward_shared(m, s), 32, 32)[0]
                     for s, b in zip(batch, route_by)
                 ]
                 total = None
@@ -247,12 +235,35 @@ class TestInfer:
             infer_record(m, router, random_sketch(make_rng(23), 32))
         assert "byte" not in str(exc.value)
 
-    def test_pad_to_stride(self):
-        s = Raster(np.full((30, 33), 255, dtype=np.uint8))
-        p = pad_to_stride(s, 8)
-        assert (p.height, p.width) == (32, 40)
-        assert (p.pixels[:30, :33] == 255).all()
-        assert (p.pixels[30:, :] == 0).all()
+    # any H x W sketch parses as its zero-padding to the stride, cropped back,
+    # and the pixels the trunk reads are a constant
+    @pytest.mark.parametrize("shape", [(30, 33), (47, 47), (1, 1)], ids=["30x33", "47x47", "1x1"])
+    def test_size_contract(self, shape, monkeypatch):
+        m = build_model(CFG, TAX2, seed=37)
+        h, w = shape
+        pixels = np.where(make_rng(39).random(shape) < 0.15, 255, 0).astype(np.uint8)
+        padded = np.pad(pixels, ((0, (-h) % 8), (0, (-w) % 8)))
+        lm, pose = infer(m, 1, Raster(pixels))
+        want, want_pose = infer(m, 1, Raster(padded))
+        assert (lm.height, lm.width) == shape
+        assert lm.labels.tobytes() == want.labels[:h, :w].tobytes()
+        assert pose == want_pose
+
+        inputs = []
+        real = model_module.run_stack
+
+        def recording(x, *args):
+            inputs.append(x)
+            return real(x, *args)
+
+        monkeypatch.setattr(model_module, "run_stack", recording)
+        with Tape() as tape:
+            scores, _ = forward_branch(m, 1, forward_shared(m, Raster(pixels)), h, w)
+            total = weighted_sum(scores, np.ones(scores.shape))
+        backward(tape, total)
+        assert scores.shape == (6, h, w)
+        assert inputs[0].shape == (1,) + padded.shape
+        assert inputs[0].requires_grad is False and inputs[0].grad is None
 
 
 class TestCheckpoint:

@@ -266,10 +266,12 @@ class TestTrainParser:
         )
         assert changed
 
-    def test_non_square_sketches(self):
+    # 40x64 needs no padding; 45x61 is padded to 48x64 and its scores cropped
+    @pytest.mark.parametrize("shape", [(40, 64), (45, 61)], ids=["40x64", "45x61"])
+    def test_non_square_sketches(self, shape):
         rng = make_rng(57)
         samples = []
-        for i, (h, w) in enumerate(((40, 64), (64, 40))):
+        for i, (h, w) in enumerate((shape, shape[::-1])):
             labels = np.zeros((h, w), dtype=np.uint8)
             for part in range(1, 5):
                 labels[(part - 1) * 8 : part * 8, : w // 2] = part
@@ -285,6 +287,10 @@ class TestTrainParser:
         m = build_model(ModelConfig(), TWO_CATS, seed=5)
         log = train_parser(m, samples, TrainPlan(iterations=2, seed=6))
         assert len(log) == 2 and all(np.isfinite(row["total"]) for row in log)
+        again = train_parser(
+            build_model(ModelConfig(), TWO_CATS, seed=5), samples, TrainPlan(iterations=2, seed=6)
+        )
+        assert repr(again) == repr(log)
         for s in samples:
             lm, _ = infer(m, 0, s.sketch)
             assert (lm.height, lm.width) == (s.sketch.height, s.sketch.width)
