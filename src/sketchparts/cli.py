@@ -102,9 +102,7 @@ def cmd_train_parser(args):
         seed=args.seed,
         **_given(
             iterations=args.iterations,
-            lr_body=args.lr_body,
-            lr_seg_head=args.lr_seg,
-            lr_pose_head=args.lr_pose,
+            lr=args.lr,
             lam=args.lam,
             freeze=("shared",) if args.freeze_shared else None,
         ),
@@ -322,9 +320,8 @@ def build_arg_parser():
     sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--init", default=None, help="checkpoint to fine-tune from")
     sp.add_argument("--iterations", type=int, default=None)
-    sp.add_argument("--lr-body", type=float, default=None)
-    sp.add_argument("--lr-seg", type=float, default=None)
-    sp.add_argument("--lr-pose", type=float, default=None)
+    sp.add_argument("--lr", type=float, default=None,
+                    help="the body's learning rate; the heads train at fixed multiples of it")
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--freeze-shared", action="store_true")
     sp.add_argument("--seed", type=int, default=0)

@@ -38,7 +38,6 @@ def sketch_iou(pred, gt):
 
 @dataclass
 class IouReport:
-    per_sketch: list  # (category, sIOU)
     per_category: dict  # category -> aIOU
     grand: float
     part_means: dict  # category -> {part id -> mean pwIOU}
@@ -61,17 +60,15 @@ class IouReport:
 
 def iou_report(pairs):
     """Aggregate (category, pred, gt) triples into an IouReport."""
-    per_sketch = []
     by_cat = {}
     parts_by_cat = {}
     for category, pred, gt in pairs:
         per_part, siou = sketch_iou(pred, gt)
-        per_sketch.append((category, siou))
         by_cat.setdefault(category, []).append(siou)
         bucket = parts_by_cat.setdefault(category, {})
         for part, v in per_part.items():
             bucket.setdefault(part, []).append(v)
-    if not per_sketch:
+    if not by_cat:
         raise ContractViolation("cannot average an empty list of predictions")
     per_category = {c: float(np.mean(v)) for c, v in by_cat.items()}
     part_means = {
@@ -79,7 +76,7 @@ def iou_report(pairs):
         for c, parts in parts_by_cat.items()
     }
     grand = float(np.mean(list(per_category.values())))
-    return IouReport(per_sketch, per_category, grand, part_means)
+    return IouReport(per_category, grand, part_means)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """SGD with momentum and polynomial learning-rate decay.
 
 Update rule per parameter: v <- mu*v - lr*g, p <- p + v, with
-lr(t) = base * (1 - t/max_iterations)**power shared across groups and a
-per-group base rate (the segmentation output layer and the pose head train
-faster than the body). The parser and the router share mu = MOMENTUM and
+lr(t) = base * (1 - t/max_iterations)**power shared across groups. Each
+group's base is a multiple of its plan's one rate (the parser's segmentation
+output layer and pose head train faster than its body; see
+`training.PARSER_GROUPS`). The parser and the router share mu = MOMENTUM and
 power = POLY_POWER. This is the update rule alone: a parameter without a
 gradient is left as it is, and what to freeze, clip or refuse is decided by
 the training loop (`training._sgd`).

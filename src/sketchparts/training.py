@@ -11,15 +11,17 @@ each parser step draws one of the 14 rotation/mirror variants of its
 sample. A router draw is a pick, one of the 70 classifier variants and a
 dropout seed of its own. The parser (mini-batch 1) and the router train
 through one step loop, `_sgd`: SGD with momentum under polynomial rate
-decay (`optim.SgdMomentum`). A router step streams its mini-batch: each
-draw is recorded and replayed on a tape of its own into one
-`autograd.GradientSum`, so the step's memory does not grow with
-batch_size, and its weights and losses are the bytes of one tape over the
-whole batch. `_sgd` alone decides a step's policy: frozen groups, the
-clip, and divergence. The first overflow, invalid or divide-by-zero value
-numpy meets in an iteration, as a learning rate or lambda too large for
-the run brings about, stops training with a ConfigError that names the
-iteration.
+decay (`optim.SgdMomentum`). Each plan has one learning rate, `lr`; the
+parser's groups train at their multiples of it in `PARSER_GROUPS`, its
+segmentation and pose heads 10 and 50 times faster than the body. A
+router step streams its mini-batch: each draw is recorded and replayed on
+a tape of its own into one `autograd.GradientSum`, so the step's memory
+does not grow with batch_size, and its weights and losses are the bytes
+of one tape over the whole batch. `_sgd` alone decides a step's policy:
+frozen groups, the clip, and divergence. The first overflow, invalid or
+divide-by-zero value numpy meets in an iteration, as a learning rate or
+lambda too large for the run brings about, stops training with a
+ConfigError that names the iteration.
 """
 
 from __future__ import annotations
@@ -103,25 +105,25 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
     return total, seg.data.item(), pose.data.item()
 
 
-PARSER_GROUPS = ("shared", "branch_body", "seg_head", "pose_head")
+# the parser's optimizer groups, in order, with their multiples of the plan's rate
+PARSER_GROUPS = {"shared": 1.0, "branch_body": 1.0, "seg_head": 10.0, "pose_head": 50.0}
 CLIP_NORM = 10.0  # the parser's global gradient norm cap
 
 
 @dataclass(frozen=True)
 class TrainPlan:
     iterations: int = 3000
-    lr_body: float = 5e-4
-    lr_seg_head: float = 5e-3
-    lr_pose_head: float = 2.5e-2
+    lr: float = 5e-4  # the body's rate; see PARSER_GROUPS
     lam: float = 1.0
     seed: int = 0
     freeze: tuple = ()  # of PARSER_GROUPS; a list is stored as a tuple
 
     def __post_init__(self):
-        reals = ("lr_body", "lr_seg_head", "lr_pose_head", "lam")
-        check_fields(self, ints=("iterations", "seed"), reals=reals, names=("freeze",))
-        if self.iterations < 1 or min(self.lr_body, self.lr_seg_head, self.lr_pose_head) <= 0:
-            raise ConfigError("iterations and learning rates must be positive")
+        check_fields(self, ints=("iterations", "seed"), reals=("lr", "lam"), names=("freeze",))
+        if self.iterations < 1 or self.lr <= 0:
+            raise ConfigError("iterations and lr must be positive")
+        if not np.isfinite(self.lr * max(PARSER_GROUPS.values())):
+            raise ConfigError(f"lr {self.lr!r} is too large: a group's rate overflows")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         unknown = [g for g in self.freeze if g not in PARSER_GROUPS]
@@ -181,11 +183,11 @@ def _parser_group(name):
 
 
 def _parser_groups(model, plan):
-    """PARSER_GROUPS in order, each with its base rate."""
-    rates = (plan.lr_body, plan.lr_body, plan.lr_seg_head, plan.lr_pose_head)
+    """PARSER_GROUPS in order, each at its multiple of the plan's rate."""
+    params = model.params.items()
     return [
-        ParamGroup(g, [(n, t) for n, t in model.params.items() if _parser_group(n) == g], lr)
-        for g, lr in zip(PARSER_GROUPS, rates)
+        ParamGroup(g, [(n, t) for n, t in params if _parser_group(n) == g], plan.lr * k)
+        for g, k in PARSER_GROUPS.items()
     ]
 
 

@@ -20,6 +20,7 @@ from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
+from sketchparts.training import RouterPlan, TrainPlan
 
 TAX = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
@@ -316,6 +317,9 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
         ("train-parser", "--no-class-balance"),
         ("train-parser", "--no-balance-background"),
         ("train-router", "--no-augment"),
+        ("train-parser", "--lr-body"),
+        ("train-parser", "--lr-seg"),
+        ("train-parser", "--lr-pose"),
         ("eval", "--merge4"),
         ("gen-corpus", "--config"),
         ("train-parser", "--config"),
@@ -400,21 +404,19 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
     "command,flags,message",
     [
         ("train-parser", ["--lam", "-1"], "lambda must be >= 0"),
-        ("train-parser", ["--lr-body", "nan"], "lr_body must be a finite number"),
-        ("train-parser", ["--iterations", "0"], "iterations and learning rates must be positive"),
+        ("train-parser", ["--lr", "nan"], "lr must be a finite number"),
+        ("train-parser", ["--iterations", "0"], "iterations and lr must be positive"),
         ("train-router", ["--batch-size", "0"], "batch size must be positive"),
         ("train-router", ["--lr", "inf"], "lr must be a finite number"),
-        ("train-parser", ["--lr-seg", "0"], "iterations and learning rates must be positive"),
-        ("train-parser", ["--lr-pose", "-1"], "iterations and learning rates must be positive"),
+        ("train-parser", ["--lr", "0"], "iterations and lr must be positive"),
+        ("train-parser", ["--lr", "-1"], "iterations and lr must be positive"),
         ("train-parser", ["--lam", "inf"], "lam must be a finite number"),
         ("train-parser", ["--lam", "nan"], "lam must be a finite number"),
         ("train-parser", ["--iterations", "-2"], "iterations must be an integer >= 0"),
-        ("train-parser", ["--lr-body=-inf"], "lr_body must be a finite number"),
-        ("train-parser", ["--lr-seg", "nan"], "lr_seg_head must be a finite number"),
-        ("train-parser", ["--lr-pose", "inf"], "lr_pose_head must be a finite number"),
+        ("train-parser", ["--lr=-inf"], "lr must be a finite number"),
+        ("train-parser", ["--lr", "inf"], "lr must be a finite number"),
+        ("train-parser", ["--lr", "4e306"], "lr 4e+306 is too large: "),
         ("train-parser", ["--taxonomy", "missing.tax"], "No such file"),
-        ("train-router", ["--batch-size", "0"], "batch size must be positive"),
-        ("train-router", ["--lr", "inf"], "lr must be a finite number"),
         ("train-router", ["--iterations", "0"], "iterations, lr and batch size must be positive"),
         ("train-router", ["--lr", "0"], "iterations, lr and batch size must be positive"),
         ("train-router", ["--lr", "nan"], "lr must be a finite number"),
@@ -521,9 +523,7 @@ def _built(monkeypatch, argv):
         ("gen-corpus", ["--seed", "9"], {"seed": 9}),
         ("train-parser", [], {}),
         ("train-parser", ["--iterations", "7"], {"iterations": 7}),
-        ("train-parser", ["--lr-body", "0.5"], {"lr_body": 0.5}),
-        ("train-parser", ["--lr-seg", "0.25"], {"lr_seg_head": 0.25}),
-        ("train-parser", ["--lr-pose", "0.125"], {"lr_pose_head": 0.125}),
+        ("train-parser", ["--lr", "0.5"], {"lr": 0.5}),
         ("train-parser", ["--lam", "0"], {"lam": 0.0}),
         ("train-parser", ["--seed", "9"], {"seed": 9}),
         ("train-parser", ["--freeze-shared"], {"freeze": ("shared",)}),
@@ -614,6 +614,25 @@ def test_seed_flag_defaults_to_0(small_corpus, tmp_path, command, checkpoint, ex
         assert path.read_bytes() == (tmp_path / "zero" / path.name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command,checkpoint,extra",
+    [("train-parser", "model.ckpt", ["--lr", repr(TrainPlan().lr)]),
+     ("train-router", "router.ckpt", ["--batch-size", "2", "--lr", repr(RouterPlan().lr)])],
+)
+def test_lr_flag_at_the_plan_default_writes_the_default_bytes(small_corpus, tmp_path, command,
+                                                              checkpoint, extra):
+    """`--lr` at the plan's default rate is the run without it; another rate is not."""
+    base = [command, "--train", str(small_corpus), "--iterations", "2", "--seed", "1",
+            *extra[:-2]]
+    runs = {"default": [], "given": extra[-2:], "other": ["--lr", "1e-2"]}
+    for name, args in runs.items():
+        assert main([*base, "--out", str(tmp_path / name), *args]) == 0
+    ckpt = {name: (tmp_path / name / checkpoint).read_bytes() for name in runs}
+    assert ckpt["default"] == ckpt["given"] != ckpt["other"]
+    for path in (tmp_path / "default").iterdir():  # the checkpoint and the loss log
+        assert path.read_bytes() == (tmp_path / "given" / path.name).read_bytes()
+
+
 def test_gen_corpus_repeated_category_exits_1(tmp_path, capsys):
     rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--per-category", "2",
                "--categories", "cat,cat"])
@@ -650,7 +669,7 @@ def test_run_selfcheck_refuses_a_negative_seed():
     [
         ("train-parser", ["--iterations", "2", "--lam", "1e300"], 0),
         # the loss stays finite; the first update overflows
-        ("train-parser", ["--iterations", "1", "--lr-body", "1e308"], 0),
+        ("train-parser", ["--iterations", "1", "--lr", "1e306"], 0),
         ("train-router", ["--iterations", "3", "--batch-size", "2", "--lr", "1e30"], 1),
     ],
 )

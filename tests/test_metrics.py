@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from sketchparts.autograd import make_rng
 from sketchparts.checks import iou_bruteforce
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import LabelMap
-from sketchparts.metrics import iou_report, pose_eval, sketch_iou
+from sketchparts.metrics import IouReport, iou_report, pose_eval, sketch_iou
 from sketchparts.poses import POSES
 
 
@@ -65,7 +66,7 @@ class TestAverages:
         gt = LabelMap(np.array([[1, 1], [0, 2]], dtype=np.uint8))
         pred = LabelMap(np.array([[1, 0], [0, 2]], dtype=np.uint8))
         report = iou_report([("a", pred, gt)])
-        (_, v), = report.per_sketch
+        _, v = sketch_iou(pred, gt)
         assert report.per_category == {"a": v}
         assert report.grand == v
 
@@ -73,13 +74,17 @@ class TestAverages:
         gt = LabelMap(np.array([[1, 1], [0, 0]], dtype=np.uint8))
         miss = LabelMap(np.array([[0, 0], [1, 1]], dtype=np.uint8))
         report = iou_report([("a", gt, gt), ("a", miss, gt), ("b", gt, gt)])
-        assert report.per_sketch == [("a", 1.0), ("a", 0.0), ("b", 1.0)]
         assert report.per_category == {"a": 0.5, "b": 1.0}
         assert report.grand == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation, match="empty"):
             iou_report([])
+
+    def test_report_fields(self):
+        assert [f.name for f in dataclasses.fields(IouReport)] == [
+            "per_category", "grand", "part_means",
+        ]
 
     def test_report_values_in_unit_interval(self):
         rng = make_rng(7)
@@ -89,8 +94,6 @@ class TestAverages:
             pred = LabelMap((rng.random((8, 8)) * 3).astype(np.uint8))
             pairs.append(("catA" if i % 2 else "catB", pred, gt))
         report = iou_report(pairs)
-        for _, v in report.per_sketch:
-            assert 0.0 <= v <= 1.0
         for v in report.per_category.values():
             assert 0.0 <= v <= 1.0
         assert 0.0 <= report.grand <= 1.0

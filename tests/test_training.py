@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -311,7 +312,8 @@ class TestTrainParser:
     def test_clips_only_the_gradients_the_step_applies(self, monkeypatch):
         """Under freeze, the frozen trunk's gradients do not shrink the
         branch's update: one step moves each unfrozen parameter by -lr * g,
-        g clipped on the unfrozen gradients' norm alone."""
+        lr its group's multiple of the plan's 1.0 and g clipped on the
+        unfrozen gradients' norm alone."""
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
         before = {n: t.data.astype(np.float64) for n, t in m.params.items()}
         raw = {}
@@ -324,19 +326,19 @@ class TestTrainParser:
 
         monkeypatch.setattr(training_module, "clip_gradients", recording)
         monkeypatch.setattr(training_module, "CLIP_NORM", 1.0)
-        plan = TrainPlan(iterations=1, seed=1, lr_body=1.0, lr_seg_head=1.0, lr_pose_head=1.0,
-                         freeze=("shared",))
+        plan = TrainPlan(iterations=1, seed=1, lr=1.0, freeze=("shared",))
         train_parser(m, tiny_corpus(2), plan)
         stepped = [n for n in m.params if not n.startswith("shared.")]
         norm = np.sqrt(sum((raw[n] ** 2).sum() for n in stepped))
         assert norm > 1.0
         for n in stepped:
             moved = m.params[n].data.astype(np.float64) - before[n]
+            multiple = PARSER_GROUPS[training_module._parser_group(n)]
             # a float32 weight moves in steps of its ulp, 1.2e-7 at 1.0
-            np.testing.assert_allclose(moved, -raw[n] / norm, rtol=1e-3, atol=3e-7)
+            np.testing.assert_allclose(moved, -multiple * raw[n] / norm, rtol=1e-3, atol=3e-7)
 
     def test_log_rows_and_decayed_rate(self):
-        plan = TrainPlan(iterations=4, seed=3, lr_body=0.01)
+        plan = TrainPlan(iterations=4, seed=3, lr=0.01)
         log = train_parser(build_model(ModelConfig(), TWO_CATS, seed=1), tiny_corpus(), plan)
         assert [list(row) for row in log] == [["iter", "seg_loss", "pose_loss", "total", "lr"]] * 4
         assert [row["iter"] for row in log] == [0, 1, 2, 3]
@@ -352,7 +354,7 @@ class TestTrainParser:
         monkeypatch.setattr(training_module, "CLIP_NORM", None)
         samples = tiny_corpus(2)
         m = build_model(ModelConfig(), TWO_CATS, seed=2)
-        plan = TrainPlan(iterations=50, lr_body=1e6, lr_seg_head=1e6, seed=1)
+        plan = TrainPlan(iterations=50, lr=1e6, seed=1)
         with pytest.raises(ConfigError, match=r"^training diverged at iteration \d+: "):
             train_parser(m, samples, plan)
 
@@ -363,9 +365,33 @@ class TestPlanValidation:
             TrainPlan(freeze=("shard",))
 
     def test_every_optimizer_group_can_be_frozen(self):
-        plan = TrainPlan(freeze=PARSER_GROUPS)
+        plan = TrainPlan(freeze=tuple(PARSER_GROUPS))
         groups = _parser_groups(build_model(ModelConfig(), ONE_BRANCH, seed=0), plan)
-        assert tuple(g.name for g in groups) == PARSER_GROUPS
+        assert tuple(g.name for g in groups) == tuple(PARSER_GROUPS)
+
+    @pytest.mark.parametrize(
+        "plan,rates",
+        [
+            (TrainPlan(), (5e-4, 5e-4, 5e-3, 2.5e-2)),
+            (TrainPlan(lr=2e-3), (2e-3, 2e-3, 0.02, 0.1)),
+        ],
+    )
+    def test_group_rates_are_multiples_of_the_plan_rate(self, plan, rates):
+        groups = _parser_groups(build_model(ModelConfig(), ONE_BRANCH, seed=0), plan)
+        # == on floats is bitwise here: every rate is finite and nonzero
+        assert tuple(g.lr for g in groups) == rates
+
+    # the next float above the largest lr the test below keeps
+    ABOVE_LARGEST = np.nextafter(sys.float_info.max / max(PARSER_GROUPS.values()), np.inf).item()
+
+    @pytest.mark.parametrize("lr", [ABOVE_LARGEST, 4e306, 1e308])
+    def test_lr_whose_group_rate_overflows_is_refused(self, lr):
+        with pytest.raises(ConfigError, match=r"^lr \S+ is too large: "):
+            TrainPlan(lr=lr)
+
+    def test_largest_lr_with_finite_group_rates_is_kept(self):
+        lr = sys.float_info.max / max(PARSER_GROUPS.values())
+        assert TrainPlan(lr=lr).lr == lr
 
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_train_iterations_must_be_an_integer(self, value):
@@ -378,7 +404,7 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             RouterPlan(**{field: value})
 
-    @pytest.mark.parametrize("field", ["lr_body", "lr_seg_head", "lr_pose_head", "lam"])
+    @pytest.mark.parametrize("field", ["lr", "lam"])
     @pytest.mark.parametrize("value", ["fast", None, True, float("nan"), [1.0]])
     def test_train_reals_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
@@ -400,7 +426,7 @@ class TestPlanValidation:
 
     def test_plan_fields(self):
         assert [f.name for f in dataclasses.fields(TrainPlan)] == [
-            "iterations", "lr_body", "lr_seg_head", "lr_pose_head", "lam", "seed", "freeze",
+            "iterations", "lr", "lam", "seed", "freeze",
         ]
         assert [f.name for f in dataclasses.fields(RouterPlan)] == [
             "iterations", "lr", "batch_size", "seed",
@@ -412,6 +438,9 @@ class TestPlanValidation:
             (TrainPlan, "class_balance"),
             (TrainPlan, "balance_background"),
             (TrainPlan, "augment"),
+            (TrainPlan, "lr_body"),
+            (TrainPlan, "lr_seg_head"),
+            (TrainPlan, "lr_pose_head"),
             (RouterPlan, "augment"),
         ],
     )
