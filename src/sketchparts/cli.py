@@ -6,6 +6,10 @@ same seeds and inputs writes byte-identical outputs. Run settings come from
 flags alone: a flag left out takes the default of the corpus.CorpusSpec,
 training.TrainPlan or training.RouterPlan field it sets.
 
+A sample is named by its path under the dataset root less its suffix, as
+cat/0000 for cat/0000.sketch.pgm: infer writes cat/0000.pred.pgm and
+cat/0000.json under --out, and eval reads them there under --pred.
+
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
 another order, so train-router would write other weights, and pooled
@@ -128,13 +132,15 @@ def cmd_train_router(args):
 
 
 def _sketch_files(path):
+    """(file, its path less .sketch.pgm or .pgm) pairs, relative to `path`
+    or, for a single file, to its folder."""
     path = Path(path)
-    if path.is_file():
-        return [path]
-    files = sorted(path.rglob("*.sketch.pgm"))
+    root = path.parent if path.is_file() else path
+    files = [path] if path.is_file() else sorted(path.rglob("*.sketch.pgm"))
     if not files:
         files = sorted(p for p in path.rglob("*.pgm") if not p.name.endswith(".labels.pgm"))
-    return files
+    return [(f, str(f.relative_to(root)).removesuffix(".pgm").removesuffix(".sketch"))
+            for f in files]
 
 
 def cmd_infer(args):
@@ -145,27 +151,19 @@ def cmd_infer(args):
         router = load_router(args.router, tax.num_branches, expected_digest=tax.digest())
     elif not args.force_branch:
         raise ContractViolation("infer needs --router or --force-branch")
-    if args.force_branch:
-        tax.branch_index(args.force_branch)  # an unknown name is refused before --out is made
-    jobs = {}  # output name -> (sketch path, category)
-    for path in _sketch_files(args.sketches):
-        category = path.parent.name if path.parent.name in tax.categories else None
-        stem = path.name.replace(".sketch.pgm", "").replace(".pgm", "")
-        name = f"{category}_{stem}" if category else stem
-        if name in jobs:
-            raise ConfigError(f"{jobs[name][0]} and {path} would both write {name}.pred.pgm")
-        jobs[name] = path, category
-    if not jobs:
+    sketches = _sketch_files(args.sketches)
+    if not sketches:
         raise ConfigError(f"no sketches under {args.sketches}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (path, category) in jobs.items():
-        sketch = Raster(read_pgm(path))
+    for path, rel in sketches:
         record, labelmap = infer_record(
-            parser, router, sketch, force_branch=args.force_branch, category=category
+            parser, router, Raster(read_pgm(path)), force_branch=args.force_branch,
+            category=path.parent.name,  # a folder that names no category records None
         )
-        write_pgm(out / f"{name}.pred.pgm", labelmap.labels)
-        with open(out / f"{name}.json", "w", encoding="utf-8") as fh:
+        pred_path = out / f"{rel}.pred.pgm"
+        pred_path.parent.mkdir(parents=True, exist_ok=True)
+        write_pgm(pred_path, labelmap.labels)
+        with open(out / f"{rel}.json", "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
     print(f"wrote predictions under {out}")
@@ -177,9 +175,12 @@ def _predicted_pose(json_path):
         record = json.loads(json_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{json_path}: {exc}") from None
-    if not isinstance(record, dict) or not isinstance(record.get("pose"), str):
+    pose = record.get("pose") if isinstance(record, dict) else None
+    if not isinstance(pose, str):
         raise ConfigError(f'{json_path}: expected a JSON object with a string "pose"')
-    return record["pose"]
+    if pose not in POSES:
+        raise ConfigError(f"{json_path}: unknown pose {pose!r}")
+    return pose
 
 
 def cmd_eval(args):
@@ -191,26 +192,21 @@ def cmd_eval(args):
     poses = read_poses_csv(poses_csv) if poses_csv.exists() else {}
     for gt_path in sorted(gt_root.rglob("*.labels.pgm")):
         rel = gt_path.relative_to(gt_root)
-        category = rel.parent.name
-        stem = gt_path.name.replace(".labels.pgm", "")
-        candidates = [
-            pred_root / rel.parent / f"{stem}.pred.pgm",
-            pred_root / f"{category}_{stem}.pred.pgm",
-            pred_root / rel,
-        ]
-        pred_path = next((p for p in candidates if p.exists()), None)
-        if pred_path is None:
-            raise ConfigError(f"no prediction found for {rel}")
-        pairs.append((category, LabelMap(read_pgm(pred_path)), LabelMap(read_pgm(gt_path))))
-        rel_sketch = str(rel).replace(".labels.pgm", ".sketch.pgm")
-        json_candidates = [
-            pred_root / rel.parent / f"{stem}.json",
-            pred_root / f"{category}_{stem}.json",
-        ]
-        json_path = next((p for p in json_candidates if p.exists()), None)
-        if json_path is not None and rel_sketch in poses:
+        stem = str(rel).removesuffix(".labels.pgm")  # cat/0000
+        pred_path = pred_root / f"{stem}.pred.pgm"
+        if not pred_path.exists():
+            pred_path = pred_root / rel  # a label map at the ground truth's own path
+            if not pred_path.exists():
+                raise ConfigError(f"no prediction found for {rel}")
+        pred, gt = LabelMap(read_pgm(pred_path)), LabelMap(read_pgm(gt_path))
+        if pred.labels.shape != gt.labels.shape:
+            raise ConfigError(f"{pred_path} is {pred.width}x{pred.height} but its ground "
+                              f"truth is {gt.width}x{gt.height}")
+        pairs.append((rel.parent.name, pred, gt))
+        json_path = pred_root / f"{stem}.json"
+        if json_path.exists() and f"{stem}.sketch.pgm" in poses:
             pose_preds.append(_predicted_pose(json_path))
-            pose_truths.append(poses[rel_sketch])
+            pose_truths.append(poses[f"{stem}.sketch.pgm"])
     if not pairs:
         raise ConfigError(f"no ground-truth label maps under {gt_root}")
     report = iou_report(pairs)
@@ -341,13 +337,15 @@ def build_arg_parser():
     sp.add_argument("--model", required=True)
     sp.add_argument("--router", default=None)
     sp.add_argument("--sketches", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True,
+                    help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm")
     sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="IOU, 8-way and 4-way pose reports for predictions")
-    sp.add_argument("--pred", required=True)
+    sp.add_argument("--pred", required=True,
+                    help="infer's --out: <rel>.pred.pgm and <rel>.json per --gt/<rel>.labels.pgm")
     sp.add_argument("--gt", required=True)
     sp.add_argument("--out", default=None, help="directory for iou.csv and pose.csv")
     sp.set_defaults(fn=cmd_eval)

@@ -86,7 +86,7 @@ def compute_class_balance(samples, branch, taxonomy):
 
 def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
     """Weighted segmentation CE, with per-label weights `balance`, plus lam
-    times the 8-way pose CE.
+    times the 8-way pose CE against the pose named `pose_label`.
 
     Returns (taped scalar, seg value, pose value).
     """
@@ -99,8 +99,7 @@ def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
     seg = weighted_softmax_ce(flat, labelmap.labels.reshape(-1), balance)
     if lam == 0.0:
         return seg, seg.data.item(), 0.0
-    target = POSE_INDEX[pose_label] if isinstance(pose_label, str) else int(pose_label)
-    pose = softmax_ce(pose_logits, target)
+    pose = softmax_ce(pose_logits, POSE_INDEX[pose_label])
     total = add(seg, scale(pose, lam))
     return total, seg.data.item(), pose.data.item()
 

@@ -83,9 +83,12 @@ def test_infer_and_eval_cli(small_corpus, tmp_path):
          "--taxonomy", str(small_corpus / "taxonomy.tax")]
     )
     assert rc == 0
-    preds = sorted(out.glob("*.pred.pgm"))
-    records = sorted(out.glob("*.json"))
-    assert len(preds) == 4 and len(records) == 4
+    # the predictions mirror the sketch tree: cat/0000.sketch.pgm -> cat/0000.pred.pgm
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == [f"{c}/{i}.{kind}" for c in ("car", "cat") for i in ("0000", "0001")
+                       for kind in ("json", "pred.pgm")]
+    preds = sorted(out.rglob("*.pred.pgm"))
+    records = sorted(out.rglob("*.json"))
     record = json.loads(records[0].read_text())
     assert record["format_version"] == 1
     assert record["supercategory"] == "Small Animals"
@@ -93,7 +96,7 @@ def test_infer_and_eval_cli(small_corpus, tmp_path):
     assert "description" in record
     # untrained model routed to a 4-part branch: ids stay within 0..4
     assert read_pgm(preds[0]).max() <= 4
-    # eval pairs each <category>_<stem> prediction with its ground truth
+    # eval pairs each prediction with the ground truth at its relative path
     report = tmp_path / "report"
     assert main(["eval", "--pred", str(out), "--gt", str(small_corpus), "--out", str(report)]) == 0
     iou = (report / "iou.csv").read_text().splitlines()
@@ -112,7 +115,9 @@ def test_infer_is_byte_deterministic(small_corpus, tmp_path):
               "--out", str(out), "--force-branch", "Four Wheelers",
               "--taxonomy", str(small_corpus / "taxonomy.tax")])
         outs.append(out)
-    for rel in sorted(p.name for p in outs[0].iterdir()):
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 8
+    for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
@@ -362,24 +367,45 @@ def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_infer_refuses_colliding_output_names(small_corpus, tmp_path, capsys):
+def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path):
+    """train/cat/0000 and test/cat/0000 share a category and a stem; each
+    gets its own prediction and eval scores both."""
+    data = tmp_path / "data"
+    for split, seed in (("train", "1"), ("test", "2")):
+        assert main(["gen-corpus", "--out", str(data / split), "--per-category", "1",
+                     "--categories", "cat,car", "--seed", seed]) == 0
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
-    sketches = tmp_path / "sketches"
-    for sub, src in (("a", "cat/0000"), ("b", "car/0000")):
-        (sketches / sub).mkdir(parents=True)
-        (sketches / sub / "0000.pgm").write_bytes(
-            (small_corpus / f"{src}.sketch.pgm").read_bytes()
-        )
-    out = tmp_path / "o"
-    rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
-               "--out", str(out), "--force-branch", "Small Animals",
-               "--taxonomy", str(small_corpus / "taxonomy.tax")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert str(sketches / "a" / "0000.pgm") in err and str(sketches / "b" / "0000.pgm") in err
-    assert "0000.pred.pgm" in err and "Traceback" not in err
-    assert not out.exists()
+    out = tmp_path / "out"
+    assert main(["infer", "--model", str(ckpt), "--sketches", str(data), "--out", str(out),
+                 "--force-branch", "Small Animals"]) == 0
+    preds = sorted(str(p.relative_to(out)) for p in out.rglob("*.pred.pgm"))
+    assert preds == [f"{split}/{c}/0000.pred.pgm" for split in ("test", "train")
+                     for c in ("car", "cat")]
+    for split in ("test", "train"):
+        assert (out / split / "cat" / "0000.json").exists()
+    # eval refuses a ground-truth map with no prediction, so 0 means all four were scored
+    report = tmp_path / "report"
+    assert main(["eval", "--pred", str(out), "--gt", str(data), "--out", str(report)]) == 0
+    iou = (report / "iou.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in iou[1:]] == ["car", "cat", "GRAND"]
+
+
+def test_infer_maps_have_their_sketch_sizes_at_an_odd_side(tmp_path):
+    """A 47-px sketch, no multiple of the stride, gets a 47-px map at its
+    relative path, through gen-corpus, train-parser and infer."""
+    corpus, run, out = tmp_path / "c47", tmp_path / "p47", tmp_path / "preds47"
+    assert main(["gen-corpus", "--out", str(corpus), "--per-category", "1", "--size", "47",
+                 "--categories", "cat,car", "--seed", "1"]) == 0
+    assert main(["train-parser", "--train", str(corpus), "--out", str(run),
+                 "--iterations", "2", "--seed", "1"]) == 0
+    assert main(["infer", "--model", str(run / "model.ckpt"), "--sketches", str(corpus),
+                 "--out", str(out), "--force-branch", "Small Animals"]) == 0
+    sketches = sorted(corpus.rglob("*.sketch.pgm"))
+    assert len(sketches) == 2
+    for sketch in sketches:
+        rel = str(sketch.relative_to(corpus)).removesuffix(".sketch.pgm")
+        assert read_pgm(out / f"{rel}.pred.pgm").shape == read_pgm(sketch).shape == (47, 47)
 
 
 def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
@@ -860,7 +886,7 @@ def test_train_router_then_infer_round_trip(small_corpus, tmp_path):
         assert main(["infer", "--model", str(parser), "--router", str(router),
                      "--sketches", str(small_corpus), "--out", str(run / "preds")]) == 0
         runs.append(run)
-    records = sorted((runs[0] / "preds").glob("*.json"))
+    records = sorted((runs[0] / "preds").rglob("*.json"))
     assert len(records) == 4
     for path in records:
         scores = json.loads(path.read_text())["router_scores"]
@@ -937,15 +963,34 @@ def test_train_parser_bad_poses_csv_exits_1(small_corpus, tmp_path, capsys, raw,
         (b'["E"]', 'expected a JSON object with a string "pose"'),
         (b'{"supercategory": "x"}', 'expected a JSON object with a string "pose"'),
         (b'{"pose": 3}', 'expected a JSON object with a string "pose"'),
+        (b'{"pose": "UP"}', "unknown pose 'UP'"),
     ],
-    ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string"],
+    ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string", "unknown_pose"],
 )
 def test_eval_bad_prediction_json_exits_1(small_corpus, capsys, raw, message):
     (small_corpus / "cat" / "0000.json").write_bytes(raw)
     rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "0000.json" in err and message in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {small_corpus / 'cat' / '0000.json'}: ")
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_eval_prediction_of_the_wrong_size_exits_1(small_corpus, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    for gt in small_corpus.rglob("*.labels.pgm"):
+        rel = str(gt.relative_to(small_corpus)).removesuffix(".labels.pgm")
+        (pred / rel).parent.mkdir(parents=True, exist_ok=True)
+        labels = read_pgm(gt)
+        write_pgm(pred / f"{rel}.pred.pgm", labels[:5, :7] if rel == "cat/0001" else labels)
+    rc = main(["eval", "--pred", str(pred), "--gt", str(small_corpus)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    h, w = read_pgm(small_corpus / "cat" / "0001.labels.pgm").shape
+    assert captured.err == (f"error: {pred / 'cat' / '0001.pred.pgm'} is 7x5 but its ground "
+                            f"truth is {w}x{h}\n")
+    assert captured.out == ""
 
 
 def test_eval_reads_predicted_poses(small_corpus, tmp_path):
