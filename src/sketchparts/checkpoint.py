@@ -59,52 +59,58 @@ def write_checkpoint(path, magic, digest, named_tensors):
 def read_checkpoint(path, magic):
     """Returns (digest, ordered dict name -> float32 array, dict name -> byte
     offset of the tensor's record). A RETIRED magic is refused with its
-    reason. Payloads are read through a view of the file's bytes, so each
-    tensor is copied once, into its own array."""
+    reason. The file is read record by record, each length checked against
+    the file's size before anything is allocated, and each payload straight
+    into its own array, so loading holds one copy of the weights."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(pos, f"truncated while reading {what}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
+        def take(n, what):
+            nonlocal pos
+            chunk = fh.read(n) if pos + n <= size else b""
+            if len(chunk) != n:
+                raise CheckpointError(pos, f"truncated while reading {what}")
+            pos += n
+            return chunk
 
-    got_magic = take(4, "magic").tobytes()
-    if got_magic in RETIRED:
-        raise CheckpointError(0, RETIRED[got_magic])
-    if got_magic != magic:
-        raise CheckpointError(0, f"bad magic {got_magic!r}, expected {magic!r}")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != VERSION:
-        raise CheckpointError(4, f"unsupported version {version}")
-    digest = take(32, "taxonomy digest").tobytes()
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors, offsets = {}, {}
-    for _ in range(count):
-        record_at = pos
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name_at = pos
-        try:
-            name = take(name_len, "name").tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(name_at, "tensor name is not valid UTF-8") from None
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        dims_at = pos
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n = math.prod(dims)  # exact, unlike np.prod, which wraps at 2**63
-        payload = take(4 * n, f"payload of {name}")
-        try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        except ValueError:  # an empty tensor whose other dims overflow numpy's size
-            raise CheckpointError(dims_at, f"{name}: dims {dims} too large") from None
-        offsets[name] = record_at
-    if pos != len(blob):
-        raise CheckpointError(pos, f"{len(blob) - pos} trailing bytes")
+        got_magic = take(4, "magic")
+        if got_magic in RETIRED:
+            raise CheckpointError(0, RETIRED[got_magic])
+        if got_magic != magic:
+            raise CheckpointError(0, f"bad magic {got_magic!r}, expected {magic!r}")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != VERSION:
+            raise CheckpointError(4, f"unsupported version {version}")
+        digest = take(32, "taxonomy digest")
+        (count,) = struct.unpack("<I", take(4, "tensor count"))
+        tensors, offsets = {}, {}
+        for _ in range(count):
+            record_at = pos
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name_at = pos
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(name_at, "tensor name is not valid UTF-8") from None
+            (rank,) = struct.unpack("<B", take(1, "rank"))
+            dims_at = pos
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+            n = math.prod(dims)  # exact, unlike np.prod, which wraps at 2**63
+            payload = f"payload of {name}"
+            if pos + 4 * n > size:
+                raise CheckpointError(pos, f"truncated while reading {payload}")
+            try:
+                tensor = np.empty(dims, dtype="<f4")
+            except ValueError:  # an empty tensor whose other dims overflow numpy's size
+                raise CheckpointError(dims_at, f"{name}: dims {dims} too large") from None
+            if fh.readinto(tensor.reshape(-1).view(np.uint8)) != 4 * n:  # shrank since fstat
+                raise CheckpointError(pos, f"truncated while reading {payload}")
+            pos += 4 * n
+            tensors[name] = tensor
+            offsets[name] = record_at
+    if pos != size:
+        raise CheckpointError(pos, f"{size - pos} trailing bytes")
     return digest, tensors, offsets
 
 

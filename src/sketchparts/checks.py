@@ -121,8 +121,8 @@ def best_assignment(affinity):
 
     groups = {}
     for side, graph in enumerate((affinity.query, affinity.cand)):
-        for i, node in enumerate(graph.nodes):
-            groups.setdefault(node.part_id, ([], []))[side].append(i)
+        for i, part in enumerate(graph.part.tolist()):
+            groups.setdefault(part, ([], []))[side].append(i)
     if any(len(qs) != len(cs) for qs, cs in groups.values()):
         raise ContractViolation("each part needs as many query as candidate nodes")
     group_perms = [
@@ -235,23 +235,21 @@ def _check_iou(rng):
 
 
 def _check_rrwm(rng):
-    from .graphmatch import GLOBAL, AttributeGraph, LocalNode, build_affinity, rrwm_match
+    from .graphmatch import GLOBAL, AttributeGraph, build_affinity, rrwm_match
 
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        parts = sorted(int(p) for p in rng.choice([1, 2], size=n))
+        part = np.sort(rng.choice([1, 2], size=n)).astype(np.int64)
         cents = 0.2 + 0.6 * rng.random((n, 2))
-        nodes = tuple(
-            LocalNode(parts[i], 50, 1.0 / n, float(rng.uniform(0.2, 1.5)),
-                      (float(cents[i, 0]), float(cents[i, 1])))
-            for i in range(n)
-        )
-        anchors = {
-            i: (math.hypot(c[0] - 0.5, c[1] - 0.5), math.atan2(c[0] - 0.5, c[1] - 0.5))
-            for i, c in enumerate(cents)
-        }
-        hist = {p: parts.count(p) for p in parts}
-        g = AttributeGraph(hist, 0.5, nodes, {}, anchors)
+        subtended = [float(rng.uniform(0.2, 1.5)) for _ in range(n)]
+        nodes = np.column_stack([subtended, cents, np.full(n, 1.0 / n)])
+        # no local edges, only each node's anchor to the global node
+        edges = np.full((2, n + 1, n + 1), np.nan)
+        dy, dx = (cents - 0.5).T.tolist()
+        edges[:, :n, n] = edges[:, n, :n] = [list(map(math.hypot, dy, dx)),
+                                             list(map(math.atan2, dy, dx))]
+        hist = np.column_stack(np.unique(part, return_counts=True))
+        g = AttributeGraph(part, nodes, edges, hist, 0.5)
         aff = build_affinity(g, g)
         result = rrwm_match(aff)
         best_pairs, _ = best_assignment(aff)

@@ -183,16 +183,31 @@ def _predicted_pose(json_path):
     return pose
 
 
+def _truth_poses(gt_root):
+    """Sketch path relative to `gt_root` -> pose, from every poses.csv under
+    it, so a tree of corpora is scored as one. A sketch given two different
+    poses is refused, naming both files."""
+    poses, listed_in = {}, {}
+    for poses_csv in sorted(gt_root.rglob("poses.csv")):
+        folder = poses_csv.parent.relative_to(gt_root)
+        for rel, pose in read_poses_csv(poses_csv).items():
+            key = (folder / rel).as_posix()
+            if poses.setdefault(key, pose) != pose:
+                raise ConfigError(f"{key} has pose {poses[key]!r} in {listed_in[key]} "
+                                  f"but {pose!r} in {poses_csv}")
+            listed_in.setdefault(key, poses_csv)
+    return poses
+
+
 def cmd_eval(args):
     gt_root = Path(args.gt)
     pred_root = Path(args.pred)
     pairs = []
     pose_preds, pose_truths = [], []
-    poses_csv = gt_root / "poses.csv"
-    poses = read_poses_csv(poses_csv) if poses_csv.exists() else {}
+    poses = _truth_poses(gt_root)
     for gt_path in sorted(gt_root.rglob("*.labels.pgm")):
         rel = gt_path.relative_to(gt_root)
-        stem = str(rel).removesuffix(".labels.pgm")  # cat/0000
+        stem = rel.as_posix().removesuffix(".labels.pgm")  # cat/0000
         pred_path = pred_root / f"{stem}.pred.pgm"
         if not pred_path.exists():
             pred_path = pred_root / rel  # a label map at the ground truth's own path
@@ -346,7 +361,8 @@ def build_arg_parser():
     sp = sub.add_parser("eval", help="IOU, 8-way and 4-way pose reports for predictions")
     sp.add_argument("--pred", required=True,
                     help="infer's --out: <rel>.pred.pgm and <rel>.json per --gt/<rel>.labels.pgm")
-    sp.add_argument("--gt", required=True)
+    sp.add_argument("--gt", required=True,
+                    help="ground-truth <rel>.labels.pgm maps; poses from every poses.csv under it")
     sp.add_argument("--out", default=None, help="directory for iou.csv and pose.csv")
     sp.set_defaults(fn=cmd_eval)
 

@@ -351,8 +351,8 @@ def gen_corpus(spec, root):
 
 def read_poses_csv(path):
     """Relative sketch path -> pose from a poses.csv: a header row, then
-    rows of exactly two fields. Malformed text raises ConfigError naming
-    the file."""
+    rows of exactly two fields, the second one of poses.POSES. Malformed
+    text or an unknown pose raises ConfigError naming the file and line."""
     poses = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -364,6 +364,8 @@ def read_poses_csv(path):
                     raise ConfigError(
                         f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}"
                     )
+                if row[1] not in POSES:
+                    raise ConfigError(f"{path} line {reader.line_num}: unknown pose {row[1]!r}")
                 poses[row[0]] = row[1]
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None

@@ -2,29 +2,34 @@
 
 A label map becomes one global node (part-type histogram, foreground
 fraction) plus a local node per connected part instance, each carrying its
-part id, area, angular extent seen from the image centre, and normalized
-centroid. Boundary-adjacent instances get polar relative-position edges;
-every local node also anchors to the global node through its absolute
-polar position. Matching two graphs is a quadratic assignment relaxed as a
-reweighted random walk on the candidate-correspondence affinity matrix,
-with Sinkhorn-bistochastic reweighting, under two hard constraints:
-global matches only global, and locals match only within the same part id.
-The affinity bandwidths and the walk's settings (those of Cho, Lee & Lee,
-ECCV 2010) are module constants; only the walk's iteration cap is not.
+part id, angular extent seen from the image centre, normalized centroid
+and share of the foreground. Boundary-adjacent instances get polar
+relative-position edges; every local node also anchors to the global node
+through its absolute polar position. Matching two graphs is a quadratic
+assignment relaxed as a reweighted random walk on the candidate-
+correspondence affinity matrix, with Sinkhorn-bistochastic reweighting,
+under two hard constraints: global matches only global, and locals match
+only within the same part id. The affinity bandwidths and the walk's
+settings (those of Cho, Lee & Lee, ECCV 2010) are module constants; only
+the walk's iteration cap is not.
+
+A graph has one form, the arrays the matcher reads: `AttributeGraph` holds
+part ids, a node-attribute matrix, the radius and angle matrices over the
+local nodes plus the global node as one extra index (NaN where no edge
+exists), and the part histogram. `build_graph` writes those arrays
+directly, so matching reads a graph as it was built.
 
 One builder, `_affinity_problems`, builds the affinity matrices of one
-query against many candidate graphs in one array pass. Each graph's
-attributes are read as `GraphArrays` (node attributes; radius and angle
-matrices over the local nodes plus the global node as one extra index, NaN
-where no edge exists). The candidate pairs of every problem come from one
-part-id comparison, the unary and pairwise terms are gathered from those
-arrays, and one scatter writes every matrix into one flat buffer. The
-matrices are bit-identical to filling each cell alone: subtraction, abs,
-division and sqrt run in numpy, which rounds them as Python does, but exp,
-atan2, sin, cos and hypot go through `math` on the gathered values, because
-numpy's vectorised versions differ from libm in the last bit on a few
-percent of inputs. The histogram term stays an exact integer min/max ratio.
-`build_affinity` is that builder on a batch of one, read as an `Affinity`.
+query against many candidate graphs in one array pass. The candidate pairs
+of every problem come from one part-id comparison, the unary and pairwise
+terms are gathered from the graphs' arrays, and one scatter writes every
+matrix into one flat buffer. The matrices are bit-identical to filling
+each cell alone: subtraction, abs, division and sqrt run in numpy, which
+rounds them as Python does, but exp, atan2, sin, cos and hypot go through
+`math` on the gathered values, because numpy's vectorised versions differ
+from libm in the last bit on a few percent of inputs. The histogram term
+stays an exact integer min/max ratio. `build_affinity` is that builder on a
+batch of one, read as an `Affinity`.
 
 The builder sets the walk order: problems sorted by candidate count m (a
 stable sort), so the problems of one size class fill one run of the
@@ -55,19 +60,14 @@ Gallery graphs are built once per map: `graph_of` keeps a map's graph on
 the (immutable) LabelMap itself, so re-ranking one gallery for many queries
 builds each candidate's graph on first use only (the `rerank` CLI reads
 each gallery map once for all its queries). The query graph is built
-fresh, since a query is used once. A graph builds its GraphArrays on
-first use and keeps them (`AttributeGraph.arrays`, not a dataclass field,
-so graphs still compare by their five fields), so a kept gallery graph
-carries its arrays from query to query while a hand-built graph gets them
-on the fly. Kept graphs and their arrays are shared; treat them as
-read-only (the arrays are).
+fresh, since a query is used once. Kept graphs are shared, so a graph's
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -89,60 +89,22 @@ SINKHORN_ITERATIONS = 10  # RRWM: Sinkhorn rounds per iteration
 TOL = 1e-8  # RRWM: a walk has converged once no entry moves by this much
 
 
-@dataclass(frozen=True)
-class LocalNode:
-    part_id: int
-    area: int
-    area_fraction: float  # of the non-background area
-    subtended: float  # angular extent from the image centre, radians
-    centroid: tuple  # (row, col) normalized to [0, 1)
-
-
-class GraphArrays(NamedTuple):
-    """An AttributeGraph's attributes as arrays, for gathering affinity terms.
-
-    Rows follow the graph's node order. The edge matrices index the local
-    nodes 0..n-1 and the global node as n, so its anchor edges fill the
-    last row and column; a cell is NaN where the graph has no edge.
-    """
-
-    part: np.ndarray  # (n,) part ids
-    nodes: np.ndarray  # (n, 4): subtended, centroid row, centroid col, area fraction
-    edges: np.ndarray  # (2, n + 1, n + 1): radius, angle
-    hist: np.ndarray  # (k, 2): part id, instance count
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributeGraph:
-    histogram: dict  # part id -> instance count
-    area_fraction: float  # foreground pixels / all pixels
-    nodes: tuple
-    edges: dict  # (i, j) -> (r, theta), stored in both directions
-    anchors: dict  # i -> (r, theta) relative to the image centre
+    """A part graph as the arrays the affinity builder reads. Local nodes
+    0..n-1 are ordered by part id; the edge matrices index the global node
+    as n, so its anchor edges fill the last row and column. The arrays are
+    made read-only on construction, since kept graphs are shared."""
 
-    @cached_property
-    def arrays(self):
-        """GraphArrays of this graph, built on first use and kept with it
-        (not a field, so graphs still compare by their five fields)."""
-        n = len(self.nodes)
-        part = np.array([nd.part_id for nd in self.nodes], dtype=np.int64)
-        nodes = np.array(
-            [(nd.subtended, *nd.centroid, nd.area_fraction) for nd in self.nodes],
-            dtype=np.float64,
-        ).reshape(n, 4)
-        edges = np.full((2, n + 1, n + 1), np.nan)
-        if self.edges:
-            i, j = np.array(list(self.edges), dtype=np.intp).T
-            edges[:, i, j] = np.array(list(self.edges.values()), dtype=np.float64).T
-        if self.anchors:
-            i = np.array(list(self.anchors), dtype=np.intp)
-            edges[:, i, n] = edges[:, n, i] = np.array(
-                list(self.anchors.values()), dtype=np.float64
-            ).T
-        hist = np.array(list(self.histogram.items()), dtype=np.int64).reshape(-1, 2)
-        for a in (part, nodes, edges, hist):
+    part: np.ndarray  # (n,) int64 part ids
+    nodes: np.ndarray  # (n, 4): subtended, centroid row, centroid col, area fraction
+    edges: np.ndarray  # (2, n + 1, n + 1): radius, angle; NaN where no edge exists
+    hist: np.ndarray  # (k, 2) int64: part id, instance count, ascending part id
+    area_fraction: float  # foreground pixels / all pixels
+
+    def __post_init__(self):
+        for a in (self.part, self.nodes, self.edges, self.hist):
             a.flags.writeable = False
-        return GraphArrays(part, nodes, edges, hist)
 
 
 def _angular_extent(rows, cols, cy, cx):
@@ -156,35 +118,32 @@ def _angular_extent(rows, cols, cy, cx):
 
 def build_graph(lm):
     h, w = lm.labels.shape
-    comps, comp_map = label_components(lm)
+    comps, lab = label_components(lm)
     foreground = int((lm.labels != 0).sum())
-    if foreground == 0:
-        return AttributeGraph({}, 0.0, (), {}, {})
-
-    kept = np.array([c.area >= MIN_AREA_FRACTION * foreground for c in comps])
+    kept = np.array([c.area >= MIN_AREA_FRACTION * foreground for c in comps], dtype=bool)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    nodes = []
-    for c in compress(comps, kept):
-        nodes.append(
-            LocalNode(
-                part_id=c.part_id,
-                area=c.area,
-                area_fraction=c.area / foreground,
-                subtended=_angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
-                centroid=(c.centroid[0] / h, c.centroid[1] / w),
+    local = list(compress(comps, kept))
+    n = len(local)
+    part = np.array([c.part_id for c in local], dtype=np.int64)
+    nodes = np.array(
+        [
+            (
+                _angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
+                c.centroid[0] / h,
+                c.centroid[1] / w,
+                c.area / foreground,
             )
-        )
-
-    histogram = {}
-    for n in nodes:
-        histogram[n.part_id] = histogram.get(n.part_id, 0) + 1
+            for c in local
+        ],
+        dtype=np.float64,
+    ).reshape(n, 4)
+    hist = np.column_stack(np.unique(part, return_counts=True))
 
     # adjacency: any 4-neighbouring pixel pair from two kept components.
     # Pairs are gathered row-pass first, each pass in scan order; the first
-    # occurrence of an unordered pair decides which direction gets atan2 and
-    # which the wrapped reverse, and edges enter the dict in that order.
+    # occurrence of an unordered pair (i, j) decides that i -> j gets atan2
+    # and j -> i the wrapped reverse.
     kept_at = np.where(kept, np.cumsum(kept) - 1, -1)
-    lab = comp_map
     ka, kb = [], []
     for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
         touching = (a >= 0) & (b >= 0) & (a != b)
@@ -193,34 +152,26 @@ def build_graph(lm):
     ka, kb = np.concatenate(ka), np.concatenate(kb)
     both = (ka >= 0) & (kb >= 0)
     ka, kb = ka[both], kb[both]
-    _, first = np.unique(
-        np.minimum(ka, kb) * len(nodes) + np.maximum(ka, kb), return_index=True
-    )
-    first.sort()
-    edges = {}
-    for i, j in zip(ka[first].tolist(), kb[first].tolist()):
-        dy = nodes[j].centroid[0] - nodes[i].centroid[0]
-        dx = nodes[j].centroid[1] - nodes[i].centroid[1]
-        r = math.hypot(dy, dx)
-        theta = math.atan2(dy, dx)
-        edges[(i, j)] = (r, theta)
-        edges[(j, i)] = (r, _wrap_angle(theta + math.pi))
-
-    anchors = {}
-    for i, n in enumerate(nodes):
-        dy = n.centroid[0] - 0.5
-        dx = n.centroid[1] - 0.5
-        anchors[i] = (math.hypot(dy, dx), math.atan2(dy, dx))
-
-    return AttributeGraph(histogram, foreground / (h * w), tuple(nodes), edges, anchors)
+    _, first = np.unique(np.minimum(ka, kb) * n + np.maximum(ka, kb), return_index=True)
+    i, j = ka[first], kb[first]
+    edges = np.full((2, n + 1, n + 1), np.nan)
+    dy, dx = nodes[j, 1] - nodes[i, 1], nodes[j, 2] - nodes[i, 2]
+    theta = _apply(math.atan2, dy, dx)
+    edges[0, i, j] = edges[0, j, i] = _apply(math.hypot, dy, dx)
+    edges[1, i, j] = theta
+    edges[1, j, i] = _apply(_wrap_angle, theta + math.pi)
+    # anchors: each local node's polar position from the image centre
+    dy, dx = nodes[:, 1] - 0.5, nodes[:, 2] - 0.5
+    edges[0, :n, n] = edges[0, n, :n] = _apply(math.hypot, dy, dx)
+    edges[1, :n, n] = edges[1, n, :n] = _apply(math.atan2, dy, dx)
+    return AttributeGraph(part, nodes, edges, hist, foreground / (h * w) if foreground else 0.0)
 
 
 def graph_of(lm):
     """build_graph(lm), built on the map's first use and kept on the map.
 
     A LabelMap is immutable, so its graph stays valid for as long as the
-    map lives and dies with it, and with the graph its GraphArrays, once
-    a first match has built them. Two threads may both build it on first
+    map lives and dies with it. Two threads may both build it on first
     use; either equal graph is kept.
     """
     if lm._graph is None:
@@ -268,14 +219,12 @@ def _affinity_problems(q, graphs):
     """The query graph `q` against each of the (non-empty) `graphs`, in walk
     order; see build_affinity."""
     n = len(graphs)
-    qa = q.arrays
-    cas = [g.arrays for g in graphs]
-    sizes = np.array([len(ca.part) for ca in cas], dtype=np.intp)
+    sizes = np.array([len(g.part) for g in graphs], dtype=np.intp)
     node_owner = np.repeat(np.arange(n), sizes)
 
     # candidate pairs of every problem from one part-id comparison, ordered
     # by walk position, then query node, then candidate node
-    qi, k = np.nonzero(qa.part[:, None] == np.concatenate([ca.part for ca in cas]))
+    qi, k = np.nonzero(q.part[:, None] == np.concatenate([g.part for g in graphs]))
     owner = node_owner[k]
     m = np.bincount(owner, minlength=n) + 1  # candidates per problem
     order = np.argsort(m, kind="stable")
@@ -298,18 +247,17 @@ def _affinity_problems(q, graphs):
 
     # unary terms: histogram overlap on the global pairs, as the integer
     # ratio sum(min) / sum(max) over both histograms' part ids ...
-    hists = [ca.hist for ca in cas]
-    hist = np.concatenate(hists)
-    hist_owner = np.repeat(np.arange(n), [len(h) for h in hists])
-    shared = np.minimum(qa.hist[:, 1, None], hist[:, 1]) * (qa.hist[:, 0, None] == hist[:, 0])
+    hist = np.concatenate([g.hist for g in graphs])
+    hist_owner = np.repeat(np.arange(n), [len(g.hist) for g in graphs])
+    shared = np.minimum(q.hist[:, 1, None], hist[:, 1]) * (q.hist[:, 0, None] == hist[:, 0])
     lo = np.bincount(hist_owner, shared.sum(axis=0), minlength=n)
-    hi = qa.hist[:, 1].sum() + np.bincount(hist_owner, hist[:, 1], minlength=n) - lo
+    hi = q.hist[:, 1].sum() + np.bincount(hist_owner, hist[:, 1], minlength=n) - lo
     similarity = np.divide(lo, hi, out=np.ones(n), where=hi != 0)
     cand_area = np.array([g.area_fraction for g in graphs], dtype=np.float64)
     diag = np.empty(total)
     diag[starts] = (similarity * np.sqrt(q.area_fraction * cand_area))[order]
     # ... and extent and centroid closeness on the local pairs
-    qv, cv = qa.nodes[qi], np.concatenate([ca.nodes for ca in cas])[k]
+    qv, cv = q.nodes[qi], np.concatenate([g.nodes for g in graphs])[k]
     d_ext = np.abs(qv[:, 0] - cv[:, 0])
     d_cen = _apply(math.hypot, qv[:, 1] - cv[:, 1], qv[:, 2] - cv[:, 2])
     closeness = _apply(math.exp, -d_ext / SIGMA_SUBTENDED - d_cen / SIGMA_CENTROID)
@@ -324,14 +272,14 @@ def _affinity_problems(q, graphs):
     r, c = r[apart], c[apart]
     # ... and unless either graph lacks the edge. Edge matrices index the
     # global node as n, one past the graph's local nodes.
-    qnode = np.where(cq == GLOBAL, len(qa.part), cq)
-    eq = qa.edges.reshape(2, -1)[:, qnode[r] * (len(qa.part) + 1) + qnode[c]]
+    qnode = np.where(cq == GLOBAL, len(q.part), cq)
+    eq = q.edges.reshape(2, -1)[:, qnode[r] * (len(q.part) + 1) + qnode[c]]
     side = sizes + 1
     edge_start = np.cumsum(side * side) - side * side
     cnode = np.where(cc == GLOBAL, sizes[source], cc)
     pr = source[r]
     at = edge_start[pr] + cnode[r] * side[pr] + cnode[c]
-    ec = np.concatenate([ca.edges.reshape(2, -1) for ca in cas], axis=1)[:, at]
+    ec = np.concatenate([g.edges.reshape(2, -1) for g in graphs], axis=1)[:, at]
     both = ~(np.isnan(eq[0]) | np.isnan(ec[0]))
     r, c, eq, ec = r[both], c[both], eq[:, both], ec[:, both]
     t = (eq[1] - ec[1]).tolist()
@@ -355,7 +303,7 @@ def _affinity_problems(q, graphs):
         stacks.append(buf[o : o + (e - s) * size * size].reshape(e - s, size, size))
     # group ids by arithmetic: (problem, node) pairs numbered apart, the
     # global node as 0
-    rows = problem * (len(qa.part) + 1) + cq + 1
+    rows = problem * (len(q.part) + 1) + cq + 1
     cols = problem * (int(sizes.max()) + 1) + cc + 1
     return _Problems(order, m, cq, cc, rows, cols, stacks)
 

@@ -278,60 +278,57 @@ def label_components_loop(lm):
 def build_graph_loop(lm):
     """Attribute graph with edges found by a loop over every touching pixel
     pair, row pass then column pass; the first pair seen for two nodes
-    gives the forward direction."""
-    from sketchparts.graphmatch import (
-        MIN_AREA_FRACTION,
-        AttributeGraph,
-        LocalNode,
-        _angular_extent,
-        _wrap_angle,
-    )
+    gives the forward direction. Cells are written one at a time."""
+    from sketchparts.graphmatch import MIN_AREA_FRACTION, AttributeGraph, _angular_extent, _wrap_angle
 
     h, w = lm.labels.shape
     comps, comp_map = label_components_loop(lm)
     foreground = int((lm.labels != 0).sum())
-    if foreground == 0:
-        return AttributeGraph({}, 0.0, (), {}, {})
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     kept_at = {}
-    nodes = []
+    part, nodes = [], []
     for original_idx, c in enumerate(comps):
         if c.area < MIN_AREA_FRACTION * foreground:
             continue
         kept_at[original_idx] = len(nodes)
+        part.append(c.part_id)
         nodes.append(
-            LocalNode(
-                part_id=c.part_id,
-                area=c.area,
-                area_fraction=c.area / foreground,
-                subtended=_angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
-                centroid=(c.centroid[0] / h, c.centroid[1] / w),
+            (
+                _angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
+                c.centroid[0] / h,
+                c.centroid[1] / w,
+                c.area / foreground,
             )
         )
     histogram = {}
-    for n in nodes:
-        histogram[n.part_id] = histogram.get(n.part_id, 0) + 1
+    for pid in part:
+        histogram[pid] = histogram.get(pid, 0) + 1
 
-    edges = {}
+    n = len(nodes)
+    edges = np.full((2, n + 1, n + 1), np.nan)
     neighbours = [(r, c, r, c + 1) for r in range(h) for c in range(w - 1)]
     neighbours += [(r, c, r + 1, c) for r in range(h - 1) for c in range(w)]
     for r0, c0, r1, c1 in neighbours:
         ka = kept_at.get(int(comp_map[r0, c0]), -1)
         kb = kept_at.get(int(comp_map[r1, c1]), -1)
-        if ka < 0 or kb < 0 or ka == kb or (ka, kb) in edges:
+        if ka < 0 or kb < 0 or ka == kb or not math.isnan(edges[0, ka, kb]):
             continue
-        dy = nodes[kb].centroid[0] - nodes[ka].centroid[0]
-        dx = nodes[kb].centroid[1] - nodes[ka].centroid[1]
+        dy = nodes[kb][1] - nodes[ka][1]
+        dx = nodes[kb][2] - nodes[ka][2]
         r, theta = math.hypot(dy, dx), math.atan2(dy, dx)
-        edges[(ka, kb)] = (r, theta)
-        edges[(kb, ka)] = (r, _wrap_angle(theta + math.pi))
+        edges[:, ka, kb] = r, theta
+        edges[:, kb, ka] = r, _wrap_angle(theta + math.pi)
 
-    anchors = {}
-    for i, n in enumerate(nodes):
-        dy = n.centroid[0] - 0.5
-        dx = n.centroid[1] - 0.5
-        anchors[i] = (math.hypot(dy, dx), math.atan2(dy, dx))
-    return AttributeGraph(histogram, foreground / (h * w), tuple(nodes), edges, anchors)
+    for i, (_, row, col, _) in enumerate(nodes):
+        dy, dx = row - 0.5, col - 0.5
+        edges[:, i, n] = edges[:, n, i] = math.hypot(dy, dx), math.atan2(dy, dx)
+    return AttributeGraph(
+        np.array(part, dtype=np.int64),
+        np.array(nodes, dtype=np.float64).reshape(n, 4),
+        edges,
+        np.array(sorted(histogram.items()), dtype=np.int64).reshape(-1, 2),
+        foreground / (h * w) if foreground else 0.0,
+    )
 
 
 def rrwm_match_loop(affinity, max_iterations=300):
@@ -384,7 +381,8 @@ def rrwm_match_loop(affinity, max_iterations=300):
 def build_affinity_loop(q, c):
     """Affinity of one graph pair, one matrix cell at a time: the global
     pair first, then same-part local pairs query node major; each unordered
-    candidate pair looks its edges up in the graphs' dicts."""
+    candidate pair reads its edges from the graphs' cells, NaN meaning no
+    edge."""
     from sketchparts.graphmatch import GLOBAL, Affinity
     from sketchparts.graphmatch import SIGMA_CENTROID, SIGMA_RADIUS, SIGMA_SUBTENDED, SIGMA_THETA
 
@@ -392,6 +390,7 @@ def build_affinity_loop(q, c):
         return math.atan2(math.sin(t), math.cos(t))
 
     def hist_similarity(ha, hb):
+        ha, hb = dict(ha.tolist()), dict(hb.tolist())
         keys = set(ha) | set(hb)
         if not keys:
             return 1.0
@@ -400,31 +399,29 @@ def build_affinity_loop(q, c):
         return lo / hi if hi else 1.0
 
     def edge_between(graph, i, j):
-        if i == GLOBAL:
-            return graph.anchors.get(j)
-        if j == GLOBAL:
-            return graph.anchors.get(i)
-        return graph.edges.get((i, j))
+        n = len(graph.part)
+        r, theta = graph.edges[:, n if i == GLOBAL else i, n if j == GLOBAL else j].tolist()
+        return None if math.isnan(r) else (r, theta)
 
     candidates = [(GLOBAL, GLOBAL)]
-    for i, nq in enumerate(q.nodes):
-        for a, nc in enumerate(c.nodes):
-            if nq.part_id == nc.part_id:
+    for i, pq in enumerate(q.part.tolist()):
+        for a, pc in enumerate(c.part.tolist()):
+            if pq == pc:
                 candidates.append((i, a))
     m = len(candidates)
     A = np.zeros((m, m))
     for idx, (i, a) in enumerate(candidates):
         if i == GLOBAL:
-            A[idx, idx] = hist_similarity(q.histogram, c.histogram) * math.sqrt(
+            A[idx, idx] = hist_similarity(q.hist, c.hist) * math.sqrt(
                 q.area_fraction * c.area_fraction
             )
         else:
-            nq, nc = q.nodes[i], c.nodes[a]
-            d_ext = abs(nq.subtended - nc.subtended)
-            d_cen = math.hypot(nq.centroid[0] - nc.centroid[0], nq.centroid[1] - nc.centroid[1])
-            A[idx, idx] = math.exp(
-                -d_ext / SIGMA_SUBTENDED - d_cen / SIGMA_CENTROID
-            ) * math.sqrt(nq.area_fraction * nc.area_fraction)
+            (sq, rq, cq, aq), (sc, rc, cc, ac) = q.nodes[i].tolist(), c.nodes[a].tolist()
+            d_ext = abs(sq - sc)
+            d_cen = math.hypot(rq - rc, cq - cc)
+            A[idx, idx] = math.exp(-d_ext / SIGMA_SUBTENDED - d_cen / SIGMA_CENTROID) * math.sqrt(
+                aq * ac
+            )
     for m1, (i, a) in enumerate(candidates):
         for m2 in range(m1 + 1, m):
             j, b = candidates[m2]

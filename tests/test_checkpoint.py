@@ -286,9 +286,9 @@ def test_load_builds_no_throwaway_net(tmp_path, monkeypatch, net):
         assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
-def test_router_load_copies_each_payload_once(tmp_path):
-    """Loading holds the file's bytes and the loaded tensors, and no second
-    copy of any payload."""
+def test_router_load_holds_one_copy_of_its_weights(tmp_path):
+    """Loading reads each payload straight into its own array: no copy of
+    the file's bytes is held beside the loaded tensors."""
     named, magic, digest, load = saved_net("router")
     path = tmp_path / "net.ckpt"
     write_checkpoint(path, magic, digest, named)
@@ -299,4 +299,4 @@ def test_router_load_copies_each_payload_once(tmp_path):
     finally:
         tracemalloc.stop()
     kept = sum(t.data.nbytes for _, t in loaded.parameters())
-    assert peak <= path.stat().st_size + kept + 2**19, (peak, kept)
+    assert peak <= 1.2 * kept, (peak, kept)

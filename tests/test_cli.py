@@ -367,7 +367,7 @@ def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path):
+def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path, capsys):
     """train/cat/0000 and test/cat/0000 share a category and a stem; each
     gets its own prediction and eval scores both."""
     data = tmp_path / "data"
@@ -385,10 +385,32 @@ def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path):
     for split in ("test", "train"):
         assert (out / split / "cat" / "0000.json").exists()
     # eval refuses a ground-truth map with no prediction, so 0 means all four were scored
+    # and it reads each corpus's own poses.csv, so all four poses are scored
     report = tmp_path / "report"
     assert main(["eval", "--pred", str(out), "--gt", str(data), "--out", str(report)]) == 0
     iou = (report / "iou.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in iou[1:]] == ["car", "cat", "GRAND"]
+    printed = capsys.readouterr().out
+    assert "8-way accuracy: " in printed and "4-way accuracy: " in printed
+    pose = (report / "pose.csv").read_text().splitlines()
+    assert sum(int(v) for row in pose[1:9] for v in row.split(",")[1:]) == 4
+    assert sum(int(v) for row in pose[11:15] for v in row.split(",")[1:]) == 4
+
+
+def test_eval_refuses_a_sketch_given_two_poses(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-corpus", "--out", str(data / "a"), "--per-category", "1",
+                 "--categories", "cat", "--seed", "1"]) == 0
+    rel, pose = (data / "a" / "poses.csv").read_text().splitlines()[1].split(",")
+    other = "N" if pose != "N" else "S"
+    (data / "poses.csv").write_text(f"relative_path,pose\na/{rel},{other}\n")
+    capsys.readouterr()
+    rc = main(["eval", "--pred", str(data), "--gt", str(data)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: a/{rel} has pose {pose!r} in {data / 'a' / 'poses.csv'} "
+        f"but {other!r} in {data / 'poses.csv'}\n"
+    )
 
 
 def test_infer_maps_have_their_sketch_sizes_at_an_odd_side(tmp_path):
@@ -929,10 +951,11 @@ BAD_POSES_CSV = [
     (b"relative_path,pose\ncat/0000.sketch.pgm\n", "line 2: expected 2 fields, got 1"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,E,extra\n", "line 2: expected 2 fields, got 3"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,\xff\n", "not UTF-8"),
+    (b"relative_path,pose\ncat/0000.sketch.pgm,UP\n", "line 2: unknown pose 'UP'"),
 ]
 
 
-POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8"]
+POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose"]
 
 
 @pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)
@@ -942,6 +965,17 @@ def test_eval_bad_poses_csv_exits_1(small_corpus, capsys, raw, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert "poses.csv" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)
+def test_train_router_bad_poses_csv_exits_1(small_corpus, tmp_path, capsys, raw, message):
+    (small_corpus / "poses.csv").write_bytes(raw)
+    rc = main(["train-router", "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+               "--iterations", "1", "--batch-size", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "poses.csv" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)

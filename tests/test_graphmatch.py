@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sketchparts import graphmatch
+from sketchparts import checks, graphmatch
 from sketchparts.autograd import make_rng
 from sketchparts.checks import best_assignment
 from sketchparts.errors import ConfigError, ContractViolation
@@ -12,7 +12,6 @@ from sketchparts.graphmatch import (
     GLOBAL,
     Affinity,
     AttributeGraph,
-    LocalNode,
     MatchResult,
     build_affinity,
     build_graph,
@@ -35,71 +34,59 @@ def synth_graph(rng, n_nodes, part_pool=(1, 2, 3)):
     centroids = 0.15 + 0.7 * rng.random((n_nodes, 2))
     areas = rng.random(n_nodes) + 0.3
     areas = areas / areas.sum()
-    nodes = tuple(
-        LocalNode(
-            part_id=parts[i],
-            area=int(areas[i] * 1000) + 1,
-            area_fraction=float(areas[i]),
-            subtended=float(rng.uniform(0.1, 2.0)),
-            centroid=(float(centroids[i, 0]), float(centroids[i, 1])),
-        )
-        for i in range(n_nodes)
-    )
+    subtended = [float(rng.uniform(0.1, 2.0)) for _ in range(n_nodes)]
+    nodes = np.column_stack([subtended, centroids, areas])
     structure = {
         (i, j)
         for i in range(n_nodes)
         for j in range(i + 1, n_nodes)
         if rng.random() < 0.5
     }
-    return _assemble(nodes, structure), structure
+    return _assemble(np.array(parts, dtype=np.int64), nodes, structure), structure
 
 
-def _assemble(nodes, structure):
-    edges = {}
+def _assemble(part, nodes, structure):
+    """A graph over `nodes` (rows of subtended, centroid row, centroid col,
+    area fraction) with an edge both ways for each (i, j) in `structure`."""
+    n = len(part)
+    cen = nodes[:, 1:3].tolist()
+    edges = np.full((2, n + 1, n + 1), np.nan)
     for i, j in structure:
-        dy = nodes[j].centroid[0] - nodes[i].centroid[0]
-        dx = nodes[j].centroid[1] - nodes[i].centroid[1]
-        r, t = math.hypot(dy, dx), math.atan2(dy, dx)
-        edges[(i, j)] = (r, t)
-        edges[(j, i)] = (r, math.atan2(-dy, -dx))
-    anchors = {
-        i: (
-            math.hypot(n.centroid[0] - 0.5, n.centroid[1] - 0.5),
-            math.atan2(n.centroid[0] - 0.5, n.centroid[1] - 0.5),
+        dy, dx = cen[j][0] - cen[i][0], cen[j][1] - cen[i][1]
+        edges[:, i, j] = math.hypot(dy, dx), math.atan2(dy, dx)
+        edges[:, j, i] = math.hypot(dy, dx), math.atan2(-dy, -dx)
+    for i, (row, col) in enumerate(cen):
+        edges[:, i, n] = edges[:, n, i] = (
+            math.hypot(row - 0.5, col - 0.5),
+            math.atan2(row - 0.5, col - 0.5),
         )
-        for i, n in enumerate(nodes)
-    }
-    hist = {}
-    for n in nodes:
-        hist[n.part_id] = hist.get(n.part_id, 0) + 1
-    area_fraction = min(0.9, sum(n.area_fraction for n in nodes) * 0.5)
-    return AttributeGraph(hist, area_fraction, nodes, edges, anchors)
+    hist = np.column_stack(np.unique(part, return_counts=True))
+    area_fraction = min(0.9, sum(nodes[:, 3].tolist()) * 0.5)
+    return AttributeGraph(part, nodes, edges, hist, area_fraction)
 
 
 def perturb_and_permute(graph, structure, rng, eps=0.02):
     """Jittered copy with shuffled node order; returns (graph, truth map)."""
-    n = len(graph.nodes)
-    perm = list(rng.permutation(n))  # new_index = perm.index(old)? define below
-    placement = {old: perm.index(old) for old in range(n)}
-    new_nodes = [None] * n
+    n = len(graph.part)
+    perm = list(rng.permutation(n))
+    placement = {old: perm.index(old) for old in range(n)}  # old node -> its new index
+    nodes = np.empty((n, 4))
     area_jitter = 2.5 * eps
-    for old, node in enumerate(graph.nodes):
-        new_nodes[placement[old]] = LocalNode(
-            part_id=node.part_id,
-            area=node.area,
-            area_fraction=max(
-                1e-4, node.area_fraction * float(rng.uniform(1 - area_jitter, 1 + area_jitter))
-            ),
-            subtended=float(np.clip(node.subtended + rng.uniform(-eps, eps), 0, 2 * np.pi)),
-            centroid=(
-                float(np.clip(node.centroid[0] + rng.uniform(-eps, eps), 0, 1)),
-                float(np.clip(node.centroid[1] + rng.uniform(-eps, eps), 0, 1)),
-            ),
-        )
+    for old, (subtended, row, col, area) in enumerate(graph.nodes.tolist()):
+        area = max(1e-4, area * float(rng.uniform(1 - area_jitter, 1 + area_jitter)))
+        subtended = float(np.clip(subtended + rng.uniform(-eps, eps), 0, 2 * np.pi))
+        row = float(np.clip(row + rng.uniform(-eps, eps), 0, 1))
+        col = float(np.clip(col + rng.uniform(-eps, eps), 0, 1))
+        nodes[placement[old]] = subtended, row, col, area
     new_structure = {
         tuple(sorted((placement[i], placement[j]))) for i, j in structure
     }
-    return _assemble(tuple(new_nodes), new_structure), placement
+    return _assemble(graph.part[perm], nodes, new_structure), placement
+
+
+def part_one_nodes(*centroids):
+    """Part-1 nodes of one extent and area at `centroids`: (part, nodes)."""
+    return np.ones(len(centroids), dtype=np.int64), np.array([(0.5, r, c, 0.33) for r, c in centroids])
 
 
 def check_constraints(result, q, c):
@@ -107,7 +94,16 @@ def check_constraints(result, q, c):
     locals_ = {k: v for k, v in result.pairs.items() if k != GLOBAL}
     assert len(set(locals_.values())) == len(locals_)
     for i, a in locals_.items():
-        assert q.nodes[i].part_id == c.nodes[a].part_id
+        assert q.part[i] == c.part[a]
+
+
+def assert_same_graph(got, want):
+    """Field by field, dtypes and shapes too, NaN equal to NaN."""
+    for name in ("part", "nodes", "edges", "hist"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b, equal_nan=True), name
+    assert got.area_fraction == want.area_fraction
 
 
 # --------------------------------------------------------------------------
@@ -118,15 +114,15 @@ class TestBuildGraph:
         lm = np.zeros((10, 10), dtype=np.uint8)
         lm[2:7, 2:7] = 3
         g = build_graph(LabelMap(lm))
-        assert g.histogram == {3: 1}
+        assert g.hist.tolist() == [[3, 1]]
         assert g.area_fraction == pytest.approx(0.25)
-        assert len(g.nodes) == 1
-        assert g.nodes[0].area == 25
+        assert g.part.tolist() == [3]
+        assert g.nodes[0, 1:].tolist() == [0.4, 0.4, 1.0]  # centroid row, col; area fraction
 
     def test_background_only_graph(self):
         g = build_graph(LabelMap(np.zeros((8, 8), dtype=np.uint8)))
-        assert g.nodes == ()
-        assert g.histogram == {}
+        assert g.part.shape == (0,) and g.nodes.shape == (0, 4) and g.hist.shape == (0, 2)
+        assert g.edges.shape == (2, 1, 1) and np.isnan(g.edges).all()
         assert g.area_fraction == 0.0
 
     def test_tiny_component_dropped(self):
@@ -134,8 +130,8 @@ class TestBuildGraph:
         lm[2:62, 2:34] = 1  # 1920 px of foreground
         lm[50, 60] = 2  # 1 px, below 0.1% of foreground
         g = build_graph(LabelMap(lm))
-        assert [n.part_id for n in g.nodes] == [1]
-        assert g.histogram == {1: 1}
+        assert g.part.tolist() == [1]
+        assert g.hist.tolist() == [[1, 1]]
 
     def test_touching_parts_reciprocal_edge(self):
         lm = np.zeros((10, 10), dtype=np.uint8)
@@ -143,9 +139,9 @@ class TestBuildGraph:
         lm[2:8, 5:8] = 2
         g = build_graph(LabelMap(lm))
         assert len(g.nodes) == 2
-        assert set(g.edges) == {(0, 1), (1, 0)}
-        r01, t01 = g.edges[(0, 1)]
-        r10, t10 = g.edges[(1, 0)]
+        assert np.isnan(g.edges[:, :2, :2]).tolist() == [[[True, False], [False, True]]] * 2
+        r01, t01 = g.edges[:, 0, 1]
+        r10, t10 = g.edges[:, 1, 0]
         assert r01 == pytest.approx(r10)
         diff = abs((t01 - t10 + math.pi) % (2 * math.pi) - math.pi)
         assert diff == pytest.approx(math.pi)
@@ -155,13 +151,14 @@ class TestBuildGraph:
         lm[1:3, 1:3] = 1
         lm[7:9, 7:9] = 2
         g = build_graph(LabelMap(lm))
-        assert g.edges == {}
+        assert np.isnan(g.edges[:, :2, :2]).all()
+        assert not np.isnan(g.edges[:, :2, 2]).any()  # each still anchors to the global node
 
     def test_subtended_angle_full_surround(self):
         lm = np.zeros((11, 11), dtype=np.uint8)
         lm[:, :] = 1  # covers the centre: extent wraps almost fully
         g = build_graph(LabelMap(lm))
-        assert g.nodes[0].subtended > 5.0
+        assert g.nodes[0, 0] > 5.0
 
 
 class TestAffinity:
@@ -189,7 +186,7 @@ class TestAffinity:
         c, _ = synth_graph(rng, 5)
         aff = build_affinity(q, c)
         for i, a in aff.candidates[1:]:
-            assert q.nodes[i].part_id == c.nodes[a].part_id
+            assert q.part[i] == c.part[a]
 
     def test_candidate_count_bound(self):
         rng = make_rng(7)
@@ -197,8 +194,9 @@ class TestAffinity:
         c, _ = synth_graph(rng, 6)
         aff = build_affinity(q, c)
         bound = 1
-        for part, nq in q.histogram.items():
-            bound += nq * c.histogram.get(part, 0)
+        counts = dict(c.hist.tolist())
+        for part, nq in q.hist.tolist():
+            bound += nq * counts.get(part, 0)
         assert len(aff.candidates) <= bound
 
     def test_affinities_in_unit_interval(self):
@@ -221,12 +219,7 @@ class TestRrwm:
         assert result.score == pytest.approx(aff.matrix[0, 0])
 
     def test_identity_recovered_on_identical_triangle(self):
-        rng = make_rng(11)
-        nodes = tuple(
-            LocalNode(1, 100, 0.33, 0.5, c)
-            for c in ((0.2, 0.2), (0.2, 0.8), (0.8, 0.5))
-        )
-        g = _assemble(nodes, {(0, 1), (1, 2), (0, 2)})
+        g = _assemble(*part_one_nodes((0.2, 0.2), (0.2, 0.8), (0.8, 0.5)), {(0, 1), (1, 2), (0, 2)})
         result = rrwm_match(build_affinity(g, g))
         for i in range(3):
             assert result.pairs[i] == i
@@ -248,10 +241,29 @@ class TestRrwm:
         assert agree / trials >= 0.95
 
     def test_oracle_refuses_unequal_node_counts_per_part(self):
-        nodes = tuple(LocalNode(1, 100, 0.33, 0.5, c) for c in ((0.2, 0.2), (0.8, 0.5)))
-        aff = build_affinity(_assemble(nodes, set()), _assemble(nodes[:1], set()))
+        part, nodes = part_one_nodes((0.2, 0.2), (0.8, 0.5))
+        aff = build_affinity(_assemble(part, nodes, set()), _assemble(part[:1], nodes[:1], set()))
         with pytest.raises(ContractViolation, match="as many query as candidate nodes"):
             best_assignment(aff)
+
+    def test_selfcheck_rrwm_case_runs_on_array_graphs(self, monkeypatch):
+        # selfcheck's graphs carry anchor edges only; the builder reads them
+        # as the loop oracle does
+        seen = []
+        real = graphmatch.build_affinity
+        monkeypatch.setattr(graphmatch, "build_affinity", lambda q, c: seen.append(q) or real(q, c))
+        checks._check_rrwm(make_rng(5))
+        assert len(seen) == 10
+        for g in seen:
+            n = len(g.part)
+            assert g.nodes.shape == (n, 4) and g.edges.shape == (2, n + 1, n + 1)
+            assert np.isnan(g.edges[:, :n, :n]).all() and np.isnan(g.edges[:, n, n]).all()
+            dy, dx = (g.nodes[:, 1:3] - 0.5).T.tolist()
+            assert g.edges[0, :n, n].tolist() == g.edges[0, n, :n].tolist() == list(
+                map(math.hypot, dy, dx)
+            )
+            assert g.edges[1, :n, n].tolist() == list(map(math.atan2, dy, dx))
+            assert_same_problems(g, [g])
 
     def test_permuted_candidate_same_score(self):
         rng = make_rng(17)
@@ -457,9 +469,7 @@ class TestAgainstLoopOracles:
 
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_build_graph_exact(self, name, lm):
-        g, want = build_graph(lm), build_graph_loop(lm)
-        assert g == want
-        assert list(g.edges.items()) == list(want.edges.items())
+        assert_same_graph(build_graph(lm), build_graph_loop(lm))
 
     def test_lockstep_batch_exact(self):
         # every oracle map's graph as the query against all of them, and
@@ -582,15 +592,21 @@ class TestAgainstLoopOracles:
 
     def test_affinities_exact_on_mixed_batch(self):
         background = build_graph(LabelMap(np.zeros((6, 9), dtype=np.uint8)))
-        global_only = AttributeGraph({4: 2}, 0.3, (), {}, {})
+        no_edge = np.full((2, 1, 1), np.nan)
+        global_only = AttributeGraph(np.zeros(0, np.int64), np.zeros((0, 4)), no_edge,
+                                     np.array([[4, 2]]), 0.3)
         rng = make_rng(83)
         q, _ = synth_graph(rng, 6)
         disjoint, _ = synth_graph(rng, 4, part_pool=(7, 8))  # no part id shared with q
         # anchors only, as selfcheck builds them
-        anchors_only = AttributeGraph(q.histogram, 0.5, q.nodes, {}, q.anchors)
+        n = len(q.part)
+        anchors = q.edges.copy()
+        anchors[:, :n, :n] = np.nan
+        anchors_only = AttributeGraph(q.part, q.nodes, anchors, q.hist, 0.5)
         # self-loops never reinforce two pairs that share a node
-        loops = {(i, i): (0.0, 0.0) for i in range(len(q.nodes))}
-        looped = AttributeGraph(q.histogram, 0.4, q.nodes, {**q.edges, **loops}, q.anchors)
+        loops = q.edges.copy()
+        loops[:, np.arange(n), np.arange(n)] = 0.0
+        looped = AttributeGraph(q.part, q.nodes, loops, q.hist, 0.4)
         maps = [build_graph(lm) for _, lm in ORACLE_MAPS[3:9]]
         batch = [background, global_only, disjoint, anchors_only, looped, q] + maps + [disjoint]
         for query in (q, looped, background, global_only, disjoint, maps[-1]):
@@ -723,11 +739,7 @@ class TestGraphOf:
     def test_kept_graph_equals_a_fresh_build(self, name, lm):
         g = graph_of(lm)
         assert graph_of(lm) is g
-        want = build_graph(lm)
-        assert g == want
-        assert list(g.edges.items()) == list(want.edges.items())
-        assert list(g.anchors.items()) == list(want.anchors.items())
-        assert list(g.histogram.items()) == list(want.histogram.items())
+        assert_same_graph(g, build_graph(lm))
 
     def test_rerank_builds_each_candidate_graph_once(self, monkeypatch):
         calls = []
@@ -765,13 +777,16 @@ class TestGraphOf:
             )
             assert got == [cid for _, _, cid in scored]
 
-    def test_kept_graph_keeps_its_arrays(self):
+    def test_kept_graph_is_read_only_and_outlives_a_rerank(self):
         lm = patchwork(make_rng(89), 20, 16)
-        arrays = graph_of(lm).arrays
+        g = graph_of(lm)
         rerank(patchwork(make_rng(97), 20, 16), [("c", lm)])
-        assert graph_of(lm).arrays is arrays
-        assert not arrays.edges.flags.writeable
-        assert graph_of(lm) == build_graph(lm)  # the arrays are no field
+        assert graph_of(lm) is g
+        for a in (g.part, g.nodes, g.edges, g.hist):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert_same_graph(g, build_graph(lm))
 
     def test_matching_one_pair_keeps_only_the_candidate_graph(self):
         rng = make_rng(73)
