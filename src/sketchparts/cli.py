@@ -8,7 +8,8 @@ training.TrainPlan or training.RouterPlan field it sets.
 
 A sample is named by its path under the dataset root less its suffix, as
 cat/0000 for cat/0000.sketch.pgm: infer writes cat/0000.pred.pgm and
-cat/0000.json under --out, and eval reads them there under --pred.
+cat/0000.json under --out, and eval reads them there under --pred. Each of
+--train, --sketches and --gt takes a corpus or a tree of corpora.
 
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from .augment import sketchify
 from .checks import run_selfcheck
-from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses_csv
+from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses
 from .describe import describe
 from .errors import ConfigError, ContractViolation, SketchpartsError
 from .graphmatch import rerank
@@ -183,28 +184,12 @@ def _predicted_pose(json_path):
     return pose
 
 
-def _truth_poses(gt_root):
-    """Sketch path relative to `gt_root` -> pose, from every poses.csv under
-    it, so a tree of corpora is scored as one. A sketch given two different
-    poses is refused, naming both files."""
-    poses, listed_in = {}, {}
-    for poses_csv in sorted(gt_root.rglob("poses.csv")):
-        folder = poses_csv.parent.relative_to(gt_root)
-        for rel, pose in read_poses_csv(poses_csv).items():
-            key = (folder / rel).as_posix()
-            if poses.setdefault(key, pose) != pose:
-                raise ConfigError(f"{key} has pose {poses[key]!r} in {listed_in[key]} "
-                                  f"but {pose!r} in {poses_csv}")
-            listed_in.setdefault(key, poses_csv)
-    return poses
-
-
 def cmd_eval(args):
     gt_root = Path(args.gt)
     pred_root = Path(args.pred)
     pairs = []
     pose_preds, pose_truths = [], []
-    poses = _truth_poses(gt_root)
+    poses = read_poses(gt_root)
     for gt_path in sorted(gt_root.rglob("*.labels.pgm")):
         rel = gt_path.relative_to(gt_root)
         stem = rel.as_posix().removesuffix(".labels.pgm")  # cat/0000
@@ -325,8 +310,9 @@ def build_arg_parser():
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_sketchify)
 
+    train_help = "a corpus or a tree of corpora; every poses.csv under it lists samples"
     sp = sub.add_parser("train-parser", help="train the routed part parser")
-    sp.add_argument("--train", required=True)
+    sp.add_argument("--train", required=True, help=train_help)
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--init", default=None, help="checkpoint to fine-tune from")
@@ -339,7 +325,7 @@ def build_arg_parser():
     sp.set_defaults(fn=cmd_train_parser)
 
     sp = sub.add_parser("train-router", help="train the super-category classifier")
-    sp.add_argument("--train", required=True)
+    sp.add_argument("--train", required=True, help=train_help)
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--iterations", type=int, default=None)

@@ -27,7 +27,10 @@ Dataset layout on disk:
     <root>/taxonomy.tax
     <root>/<category>/<id>.sketch.pgm
     <root>/<category>/<id>.labels.pgm
-    <root>/poses.csv            # rows: relative sketch path,pose
+    <root>/poses.csv            # header relative_path,pose; rows: sketch path,pose
+
+A root may hold a tree of corpora instead: every poses.csv under it is read,
+keyed by sketch path relative to that root, as a/cat/0000.sketch.pgm.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ cat bird : body, wing, tail
 """
 
 BACKGROUND_GRAY = 248
+POSES_HEADER = ["relative_path", "pose"]  # the first row of every poses.csv
 # largest canvas side a corpus is drawn at; far past it a single figure's
 # masks no longer fit in memory
 MAX_IMAGE_SIZE = 2048
@@ -325,70 +329,80 @@ def make_sample(category, pose, rng, size, taxonomy):
     return PairedSample(sketch=sketch, labels=labels, category=category, pose=pose)
 
 
-def gen_corpus(spec, root):
-    """Write the dataset under `root`; same spec and seed give identical bytes."""
-    categories = spec.category_list()  # an unknown category is refused before root is made
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "taxonomy.tax").write_text(spec.taxonomy.to_text(), encoding="utf-8")
-    rows = []
-    for ci, category in enumerate(categories):
-        (root / category).mkdir(exist_ok=True)
+def draw_corpus(spec):
+    """(sample name, PairedSample) pairs, drawn one at a time: sample
+    <category>/<i:04d> of category index ci comes from make_rng((seed, ci,
+    i)), which draws its pose and then its figure. An unknown category is
+    refused at the first draw."""
+    for ci, category in enumerate(spec.category_list()):
         for i in range(spec.per_category):
             rng = make_rng((spec.seed, ci, i))
             pose = POSES[int(rng.integers(0, len(POSES)))]
-            sample = make_sample(category, pose, rng, spec.image_size, spec.taxonomy)
-            stem = f"{i:04d}"
-            write_pgm(root / category / f"{stem}.sketch.pgm", sample.sketch.pixels)
-            write_pgm(root / category / f"{stem}.labels.pgm", sample.labels.labels)
-            rows.append((f"{category}/{stem}.sketch.pgm", pose))
+            yield f"{category}/{i:04d}", make_sample(category, pose, rng, spec.image_size,
+                                                     spec.taxonomy)
+
+
+def gen_corpus(spec, root):
+    """Write draw_corpus(spec) under `root`; same spec and seed give identical
+    bytes. Nothing is written before the first sample is drawn, so an unknown
+    category leaves no root behind."""
+    root = Path(root)
+    rows = []
+    for name, sample in draw_corpus(spec):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        write_pgm(root / f"{name}.sketch.pgm", sample.sketch.pixels)
+        write_pgm(root / f"{name}.labels.pgm", sample.labels.labels)
+        rows.append((f"{name}.sketch.pgm", sample.pose))
+    (root / "taxonomy.tax").write_text(spec.taxonomy.to_text(), encoding="utf-8")
     with open(root / "poses.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relative_path", "pose"])
-        writer.writerows(rows)
+        csv.writer(fh).writerows([POSES_HEADER, *rows])
     return [r for r, _ in rows]
 
 
-def read_poses_csv(path):
-    """Relative sketch path -> pose from a poses.csv: a header row, then
-    rows of exactly two fields, the second one of poses.POSES. Malformed
-    text or an unknown pose raises ConfigError naming the file and line."""
-    poses = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) is None:
-                raise ConfigError(f"{path} is empty; expected a header row")
-            for row in reader:
-                if len(row) != 2:
-                    raise ConfigError(
-                        f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}"
-                    )
-                if row[1] not in POSES:
-                    raise ConfigError(f"{path} line {reader.line_num}: unknown pose {row[1]!r}")
-                poses[row[0]] = row[1]
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path} is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return poses
+def read_poses(root):
+    """Sketch path relative to `root` -> pose, from every poses.csv under it.
+    Each holds the header row, then rows of exactly two fields: a path
+    relative to the file's folder and one of poses.POSES. Malformed text, an
+    unknown pose, or a sketch given two poses, in one file or two, raises
+    ConfigError naming the file and line (of both rows, for two poses)."""
+    root = Path(root)
+    listed = {}  # key -> (pose, "<file> line <n>")
+    for path in sorted(root.rglob("poses.csv")):
+        folder = path.parent.relative_to(root)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise ConfigError(f"{path} is empty; expected a header row")
+                if header != POSES_HEADER:
+                    raise ConfigError(f"{path} line 1: expected the header relative_path,pose")
+                for row in reader:
+                    at = f"{path} line {reader.line_num}"
+                    if len(row) != 2:
+                        raise ConfigError(f"{at}: expected 2 fields, got {len(row)}")
+                    if row[1] not in POSES:
+                        raise ConfigError(f"{at}: unknown pose {row[1]!r}")
+                    key = (folder / row[0]).as_posix()
+                    pose, first = listed.setdefault(key, (row[1], at))
+                    if pose != row[1]:
+                        raise ConfigError(f"{key} has pose {pose!r} in {first} "
+                                          f"but {row[1]!r} in {at}")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return {key: pose for key, (pose, _) in listed.items()}
 
 
 def load_corpus(root):
-    """Read a dataset directory back into PairedSamples (sorted by path)."""
+    """Read a corpus, or a tree of corpora, back into PairedSamples, sorted by
+    sketch path relative to `root`."""
     root = Path(root)
-    poses = read_poses_csv(root / "poses.csv")
-    samples = []
-    for rel in sorted(poses):
-        sketch_path = root / rel
-        labels_path = root / rel.replace(".sketch.pgm", ".labels.pgm")
-        category = Path(rel).parent.name
-        samples.append(
-            PairedSample(
-                sketch=Raster(read_pgm(sketch_path)),
-                labels=LabelMap(read_pgm(labels_path)),
-                category=category,
-                pose=poses[rel],
-            )
-        )
-    return samples
+    poses = read_poses(root)
+    if not poses:
+        raise ConfigError(f"no poses.csv under {root} lists a sketch")
+    return [PairedSample(Raster(read_pgm(root / rel)),
+                         LabelMap(read_pgm(root / rel.replace(".sketch.pgm", ".labels.pgm"))),
+                         Path(rel).parent.name, pose)
+            for rel, pose in sorted(poses.items())]

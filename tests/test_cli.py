@@ -408,9 +408,33 @@ def test_eval_refuses_a_sketch_given_two_poses(tmp_path, capsys):
     rc = main(["eval", "--pred", str(data), "--gt", str(data)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: a/{rel} has pose {pose!r} in {data / 'a' / 'poses.csv'} "
-        f"but {other!r} in {data / 'poses.csv'}\n"
+        f"error: a/{rel} has pose {pose!r} in {data / 'a' / 'poses.csv'} line 2 "
+        f"but {other!r} in {data / 'poses.csv'} line 2\n"
     )
+
+
+def test_training_takes_a_tree_of_corpora(tmp_path, capsys):
+    data = tmp_path / "data"
+    for sub, seed in (("a", "1"), ("b", "2")):
+        assert main(["gen-corpus", "--out", str(data / sub), "--per-category", "1",
+                     "--categories", "cat,car", "--size", "32", "--seed", seed]) == 0
+    assert main(["train-parser", "--train", str(data), "--out", str(tmp_path / "p"),
+                 "--iterations", "1"]) == 0
+    assert main(["train-router", "--train", str(data), "--out", str(tmp_path / "r"),
+                 "--iterations", "1", "--batch-size", "4"]) == 0
+    # the same sketch given another pose one level up is refused, naming both rows
+    rel, pose = (data / "a" / "poses.csv").read_text().splitlines()[1].split(",")
+    other = "N" if pose != "N" else "S"
+    (data / "poses.csv").write_text(f"relative_path,pose\na/{rel},{other}\n")
+    capsys.readouterr()
+    out = tmp_path / "p2"
+    assert main(["train-parser", "--train", str(data), "--out", str(out),
+                 "--iterations", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a/{rel} has pose {pose!r} in {data / 'a' / 'poses.csv'} line 2 "
+        f"but {other!r} in {data / 'poses.csv'} line 2\n"
+    )
+    assert not out.exists()
 
 
 def test_infer_maps_have_their_sketch_sizes_at_an_odd_side(tmp_path):
@@ -952,10 +976,15 @@ BAD_POSES_CSV = [
     (b"relative_path,pose\ncat/0000.sketch.pgm,E,extra\n", "line 2: expected 2 fields, got 3"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,\xff\n", "not UTF-8"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,UP\n", "line 2: unknown pose 'UP'"),
+    (b"cat/0000.sketch.pgm,E\ncat/0001.sketch.pgm,E\n",
+     "line 1: expected the header relative_path,pose"),
+    (b"relative_path,pose\ncat/0000.sketch.pgm,N\ncat/0000.sketch.pgm,S\n",
+     "line 2 but 'S' in "),
 ]
 
 
-POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose"]
+POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose", "no_header",
+                 "two_poses"]
 
 
 @pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)

@@ -13,12 +13,13 @@ from sketchparts.corpus import (
     DEFAULT_TAXONOMY_TEXT,
     MAX_IMAGE_SIZE,
     CorpusSpec,
+    draw_corpus,
     draw_figure,
     gen_corpus,
     load_corpus,
     make_sample,
 )
-from sketchparts.errors import ConfigError
+from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.poses import POSES
 from sketchparts.taxonomy import load_taxonomy
 
@@ -123,8 +124,12 @@ def test_sample_sketch_has_ink_and_blank_interior():
         (b"", "is empty"),
         (b"relative_path,pose\ncat/0000.sketch.pgm\n", "expected 2 fields"),
         (b"relative_path,pose\n\xff,E\n", "not UTF-8"),
+        (b"cat/0000.sketch.pgm,E\ncat/0001.sketch.pgm,E\n",
+         "line 1: expected the header relative_path,pose"),
+        (b"relative_path,pose\ncat/0000.sketch.pgm,N\ncat/0000.sketch.pgm,S\n",
+         "line 2 but 'S' in "),
     ],
-    ids=["empty", "one_field", "not_utf8"],
+    ids=["empty", "one_field", "not_utf8", "no_header", "two_poses"],
 )
 def test_load_corpus_bad_poses_csv_rejected(tmp_path, raw, message):
     gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), tmp_path / "c")
@@ -132,6 +137,67 @@ def test_load_corpus_bad_poses_csv_rejected(tmp_path, raw, message):
     with pytest.raises(ConfigError, match=message) as exc:
         load_corpus(tmp_path / "c")
     assert "poses.csv" in str(exc.value)
+
+
+def test_load_corpus_names_both_lines_of_a_sketch_given_two_poses(tmp_path):
+    gen_corpus(CorpusSpec(TAX, per_category=2, seed=0, categories=("cat",)), tmp_path / "c")
+    csv_path = tmp_path / "c" / "poses.csv"
+    csv_path.write_text("relative_path,pose\ncat/0000.sketch.pgm,N\n"
+                        "cat/0001.sketch.pgm,E\ncat/0000.sketch.pgm,S\n")
+    with pytest.raises(ConfigError) as exc:
+        load_corpus(tmp_path / "c")
+    assert str(exc.value) == (
+        f"cat/0000.sketch.pgm has pose 'N' in {csv_path} line 2 but 'S' in {csv_path} line 4"
+    )
+
+
+def test_load_corpus_reads_a_sketch_listed_twice_with_one_pose_once(tmp_path):
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), tmp_path / "c")
+    csv_path = tmp_path / "c" / "poses.csv"
+    header, row = csv_path.read_text().splitlines()
+    csv_path.write_text(f"{header}\n{row}\n{row}\n")
+    assert len(load_corpus(tmp_path / "c")) == 1
+
+
+def test_load_corpus_without_poses_csv_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="no poses.csv under .* lists a sketch"):
+        load_corpus(tmp_path / "missing")
+
+
+def test_gen_corpus_writes_the_drawn_samples(tmp_path):
+    spec = CorpusSpec(TAX, per_category=3, seed=4, image_size=48, categories=("dog", "car"))
+    drawn = list(draw_corpus(spec))
+    assert [name for name, _ in drawn] == [f"{c}/{i:04d}" for c in ("dog", "car") for i in range(3)]
+    assert gen_corpus(spec, tmp_path / "c") == [f"{name}.sketch.pgm" for name, _ in drawn]
+    by_path = sorted(drawn, key=lambda pair: f"{pair[0]}.sketch.pgm")
+    assert load_corpus(tmp_path / "c") == [sample for _, sample in by_path]
+
+
+def test_draw_corpus_draws_one_sample_at_a_time():
+    spec = CorpusSpec(TAX, per_category=10**6, seed=0, image_size=32, categories=("cat",))
+    name, sample = next(draw_corpus(spec))
+    assert name == "cat/0000" and sample.category == "cat"
+
+
+@pytest.mark.parametrize("categories,error,message", [
+    (("cat", "submarine"), ConfigError, "no figure template for category 'submarine'"),
+    # a template, but not a category of the taxonomy
+    (("cat", "fox"), ContractViolation, "unknown category 'fox'"),
+])
+def test_gen_corpus_unknown_category_leaves_no_root(tmp_path, categories, error, message):
+    spec = CorpusSpec(TAX, per_category=1, seed=0, categories=categories)
+    with pytest.raises(error, match=message):
+        gen_corpus(spec, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
+def test_load_corpus_reads_a_tree_of_corpora(tmp_path):
+    data = tmp_path / "data"
+    gen_corpus(CorpusSpec(TAX, per_category=2, seed=1, image_size=40, categories=("cat", "bus")),
+               data / "a")
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=2, image_size=40, categories=("bird",)),
+               data / "b")
+    assert load_corpus(data) == load_corpus(data / "a") + load_corpus(data / "b")
 
 
 # canvas sides: the smallest allowed, odd, just under the default and twice it
