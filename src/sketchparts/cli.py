@@ -11,6 +11,10 @@ cat/0000 for cat/0000.sketch.pgm: infer writes cat/0000.pred.pgm and
 cat/0000.json under --out, and eval reads them there under --pred. Each of
 --train, --sketches and --gt takes a corpus or a tree of corpora.
 
+train-parser and train-router read the taxonomy their --train tree was drawn
+with (corpus.read_taxonomy). infer takes --taxonomy, else its --sketches
+tree's; gen-corpus and describe take --taxonomy, else the default.
+
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
 another order, so train-router would write other weights, and pooled
@@ -33,7 +37,8 @@ from pathlib import Path
 
 from .augment import sketchify
 from .checks import run_selfcheck
-from .corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses
+from .corpus import (DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses,
+                     read_taxonomy)
 from .describe import describe
 from .errors import ConfigError, ContractViolation, SketchpartsError
 from .graphmatch import rerank
@@ -48,15 +53,9 @@ from .taxonomy import load_taxonomy, load_taxonomy_file
 from .training import RouterPlan, TrainPlan, train_parser, train_router
 
 
-def _load_tax(args, fallback_root=None):
-    """--taxonomy, then <root>/taxonomy.tax, then the default."""
-    if args.taxonomy:
-        return load_taxonomy_file(args.taxonomy)
-    if fallback_root is not None:
-        candidate = Path(fallback_root) / "taxonomy.tax"
-        if candidate.exists():
-            return load_taxonomy_file(candidate)
-    return load_taxonomy(DEFAULT_TAXONOMY_TEXT)
+def _load_tax(path):
+    """The taxonomy file at `path`, else the default."""
+    return load_taxonomy_file(path) if path else load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
 def _given(**flags):
@@ -65,7 +64,7 @@ def _given(**flags):
 
 
 def cmd_gen_corpus(args):
-    tax = _load_tax(args)
+    tax = _load_tax(args.taxonomy)
     categories = tuple(args.categories.split(",")) if args.categories else None
     spec = CorpusSpec(
         tax,
@@ -102,7 +101,6 @@ def _save_run(args, plan, log, save, net, checkpoint, log_csv):
 
 
 def cmd_train_parser(args):
-    tax = _load_tax(args, fallback_root=args.train)
     plan = TrainPlan(
         seed=args.seed,
         **_given(
@@ -112,7 +110,8 @@ def cmd_train_parser(args):
             freeze=("shared",) if args.freeze_shared else None,
         ),
     )
-    samples = load_corpus(args.train)  # after the plan, so a bad flag value is refused first
+    tax = read_taxonomy(args.train)  # after the plan, so a bad flag value is refused first
+    samples = load_corpus(args.train)
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
     else:
@@ -122,10 +121,10 @@ def cmd_train_parser(args):
 
 
 def cmd_train_router(args):
-    tax = _load_tax(args, fallback_root=args.train)
     plan = RouterPlan(
         seed=args.seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
     )
+    tax = read_taxonomy(args.train)
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in load_corpus(args.train)]
     net = build_router(tax.num_branches, seed=plan.seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
@@ -145,7 +144,7 @@ def _sketch_files(path):
 
 
 def cmd_infer(args):
-    tax = _load_tax(args, fallback_root=args.sketches)
+    tax = _load_tax(args.taxonomy) if args.taxonomy else read_taxonomy(args.sketches)
     parser = load_checkpoint(args.model, ModelConfig(), tax)
     router = None
     if args.router:
@@ -262,7 +261,7 @@ def cmd_rerank(args):
 
 
 def cmd_describe(args):
-    tax = _load_tax(args)
+    tax = _load_tax(args.taxonomy)
     labels = LabelMap(read_pgm(args.labels))
     if args.category:
         branch = tax.branch_of(args.category)
@@ -310,11 +309,11 @@ def build_arg_parser():
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_sketchify)
 
-    train_help = "a corpus or a tree of corpora; every poses.csv under it lists samples"
+    train_help = ("a corpus or a tree of corpora; every poses.csv under it lists samples, "
+                  "and every taxonomy.tax under it must name one taxonomy, the default if none")
     sp = sub.add_parser("train-parser", help="train the routed part parser")
     sp.add_argument("--train", required=True, help=train_help)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--init", default=None, help="checkpoint to fine-tune from")
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None,
@@ -327,7 +326,6 @@ def build_arg_parser():
     sp = sub.add_parser("train-router", help="train the super-category classifier")
     sp.add_argument("--train", required=True, help=train_help)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--taxonomy", default=None)
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
@@ -337,10 +335,11 @@ def build_arg_parser():
     sp = sub.add_parser("infer", help="route and parse sketches")
     sp.add_argument("--model", required=True)
     sp.add_argument("--router", default=None)
-    sp.add_argument("--sketches", required=True)
+    sp.add_argument("--sketches", required=True, help="a sketch, a corpus or a tree of corpora")
     sp.add_argument("--out", required=True,
                     help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm")
-    sp.add_argument("--taxonomy", default=None)
+    sp.add_argument("--taxonomy", default=None,
+                    help="the models' taxonomy; by default the one of the --sketches tree")
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 

@@ -30,7 +30,8 @@ Dataset layout on disk:
     <root>/poses.csv            # header relative_path,pose; rows: sketch path,pose
 
 A root may hold a tree of corpora instead: every poses.csv under it is read,
-keyed by sketch path relative to that root, as a/cat/0000.sketch.pgm.
+keyed by sketch path relative to that root, as a/cat/0000.sketch.pgm, and
+every taxonomy.tax under it must name the one taxonomy of the tree.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import ConfigError, check_fields
 from .imaging import LabelMap, Raster
 from .pgm import read_pgm, write_pgm
 from .poses import POSES, direction
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, load_taxonomy, load_taxonomy_file
 
 DEFAULT_TAXONOMY_TEXT = """\
 super Small Animals
@@ -393,6 +394,18 @@ def read_poses(root):
         except csv.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
     return {key: pose for key, (pose, _) in listed.items()}
+
+
+def read_taxonomy(root):
+    """The one taxonomy of every taxonomy.tax under `root`, in read_poses'
+    order and compared by digest, so comments and spacing do not count; two
+    that differ raise ConfigError naming both. None under `root`, as under a
+    file, gives the default."""
+    found = [(load_taxonomy_file(p), p) for p in sorted(Path(root).rglob("taxonomy.tax"))]
+    for tax, path in found[1:]:
+        if tax.digest() != found[0][0].digest():
+            raise ConfigError(f"{found[0][1]} and {path} name different taxonomies")
+    return found[0][0] if found else load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
 def load_corpus(root):

@@ -20,11 +20,11 @@ class ConfigError(SketchpartsError):
 
 
 class TaxonomyParseError(SketchpartsError):
-    """Taxonomy text is malformed; carries the offending line number."""
+    """Taxonomy text is malformed; carries the line number and message, and names its file."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no, message, path=None):
+        super().__init__(f"{'' if path is None else f'{path} '}line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
 
 
 class CheckpointError(SketchpartsError):

@@ -130,14 +130,16 @@ def load_taxonomy(text):
 
 
 def load_taxonomy_file(path):
+    """Parse the file at `path`; every TaxonomyParseError names it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return load_taxonomy(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
-        raise TaxonomyParseError(line_no, f"{path} is not UTF-8 text (byte {exc.start})") from None
-    return load_taxonomy(text)
+        raise TaxonomyParseError(line_no, f"not UTF-8 text (byte {exc.start})", path) from None
+    except TaxonomyParseError as exc:
+        raise TaxonomyParseError(exc.line_no, exc.message, path) from None
 
 
 def _jaccard(a, b):

@@ -18,7 +18,7 @@ from sketchparts.errors import ConfigError
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
-from sketchparts.router import build_router
+from sketchparts.router import ROUTER_MAGIC, build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import RouterPlan, TrainPlan
 
@@ -329,6 +329,8 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
         ("gen-corpus", "--config"),
         ("train-parser", "--config"),
         ("train-router", "--config"),
+        ("train-parser", "--taxonomy"),
+        ("train-router", "--taxonomy"),
     ],
 )
 def test_retired_switch_flag_exits_2(tmp_path, capsys, command, flag):
@@ -488,13 +490,11 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
         ("train-parser", ["--lr=-inf"], "lr must be a finite number"),
         ("train-parser", ["--lr", "inf"], "lr must be a finite number"),
         ("train-parser", ["--lr", "4e306"], "lr 4e+306 is too large: "),
-        ("train-parser", ["--taxonomy", "missing.tax"], "No such file"),
         ("train-router", ["--iterations", "0"], "iterations, lr and batch size must be positive"),
         ("train-router", ["--lr", "0"], "iterations, lr and batch size must be positive"),
         ("train-router", ["--lr", "nan"], "lr must be a finite number"),
         ("train-router", ["--batch-size", "-3"], "batch_size must be an integer >= 0"),
         ("train-router", ["--iterations", "-1"], "iterations must be an integer >= 0"),
-        ("train-router", ["--taxonomy", "missing.tax"], "No such file"),
         ("gen-corpus", ["--per-category", "0"], "per_category must be positive"),
         ("gen-corpus", ["--size", "16"], "too small to draw on"),
         ("gen-corpus", ["--per-category", "-1"], "per_category must be an integer >= 0"),
@@ -622,25 +622,75 @@ def test_each_flag_sets_its_field_and_the_rest_keep_their_defaults(
 
 
 @pytest.mark.parametrize("command", ["train-parser", "train-router"])
-@pytest.mark.parametrize("source", ["flag", "corpus", "default"])
-def test_taxonomy_is_the_flag_then_the_corpus_file_then_the_default(
+@pytest.mark.parametrize("source", ["corpus", "tree", "default"])
+def test_taxonomy_is_the_corpus_file_then_the_default(
     small_corpus, tmp_path, monkeypatch, command, source
 ):
-    flag_tax = (
+    corpus_tax = (
         "super Pets\ncat cat : head, body, leg, tail\nsuper Cars\ncat car : body, wheel, window\n"
     )
-    corpus_tax = flag_tax.replace("Pets", "Small Animals")
-    (tmp_path / "flag.tax").write_text(flag_tax)
     (small_corpus / "taxonomy.tax").write_text(corpus_tax)
-    argv = [command, "--train", str(small_corpus), "--out", str(tmp_path / "run")]
-    if source == "flag":
-        argv += ["--taxonomy", str(tmp_path / "flag.tax")]
-    elif source == "default":
+    # the tree is tmp_path, which holds the corpus one level down
+    root = tmp_path if source == "tree" else small_corpus
+    if source == "default":
         (small_corpus / "taxonomy.tax").unlink()
-    expected = {"flag": flag_tax, "corpus": corpus_tax, "default": DEFAULT_TAXONOMY_TEXT}
+    argv = [command, "--train", str(root), "--out", str(tmp_path / "run")]
     net = _built(monkeypatch, argv)[0]
     digest = net.taxonomy.digest() if command == "train-parser" else net.digest
-    assert digest == load_taxonomy(expected[source]).digest()
+    expected = DEFAULT_TAXONOMY_TEXT if source == "default" else corpus_tax
+    assert digest == load_taxonomy(expected).digest()
+
+
+TWO_BRANCH_TAX = (
+    "# pets and vehicles only\n"
+    "super Pets\ncat cat : head, body, leg, tail\n"
+    "super Vehicles\ncat car : body, wheel, window\ncat bus : body, wheel, window\n"
+)
+
+
+def test_a_tree_drawn_with_another_taxonomy_trains_infers_and_evals_under_it(tmp_path):
+    (tmp_path / "t.tax").write_text(TWO_BRANCH_TAX)
+    tax = load_taxonomy(TWO_BRANCH_TAX)
+    data = tmp_path / "data"
+    for split, seed in (("a", "1"), ("b", "2")):
+        assert main(["gen-corpus", "--out", str(data / split), "--per-category", "1",
+                     "--size", "32", "--seed", seed, "--taxonomy", str(tmp_path / "t.tax")]) == 0
+    assert main(["train-parser", "--train", str(data), "--out", str(tmp_path / "parser"),
+                 "--iterations", "1", "--seed", "1"]) == 0
+    assert main(["train-router", "--train", str(data), "--out", str(tmp_path / "router"),
+                 "--iterations", "1", "--batch-size", "2", "--seed", "1"]) == 0
+    parser_digest, _, _ = read_checkpoint(tmp_path / "parser" / "model.ckpt", MODEL_MAGIC)
+    router_digest, _, _ = read_checkpoint(tmp_path / "router" / "router.ckpt", ROUTER_MAGIC)
+    assert parser_digest == router_digest == tax.digest()
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(tmp_path / "parser" / "model.ckpt"),
+                 "--router", str(tmp_path / "router" / "router.ckpt"),
+                 "--sketches", str(data), "--out", str(out)]) == 0
+    assert len(list(out.rglob("*.pred.pgm"))) == 6
+    assert main(["eval", "--pred", str(out), "--gt", str(data)]) == 0
+
+
+@pytest.mark.parametrize("command", ["train-parser", "train-router"])
+@pytest.mark.parametrize("case", ["bad", "two"])
+def test_training_refuses_a_tree_without_one_taxonomy(tmp_path, capsys, command, case):
+    nested = tmp_path / "data" / "a" / "taxonomy.tax"
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), nested.parent)
+    if case == "bad":
+        nested.write_text("super Small Animals\nbogus line\n")
+        names = [f"{nested} line 2: unrecognized line 'bogus line'"]
+    else:
+        other = tmp_path / "data" / "b" / "taxonomy.tax"
+        gen_corpus(CorpusSpec(TAX, per_category=1, seed=1, categories=("cat",)), other.parent)
+        other.write_text(TWO_BRANCH_TAX)
+        names = [str(nested), str(other)]
+    out = tmp_path / "run"
+    # one iteration bounds the run should the tree be read as one taxonomy
+    rc = main([command, "--train", str(tmp_path / "data"), "--out", str(out), "--iterations", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert all(name in captured.err for name in names) and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_gen_corpus_oversize_exits_1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from sketchparts.corpus import (
     gen_corpus,
     load_corpus,
     make_sample,
+    read_taxonomy,
 )
 from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.poses import POSES
@@ -198,6 +199,41 @@ def test_load_corpus_reads_a_tree_of_corpora(tmp_path):
     gen_corpus(CorpusSpec(TAX, per_category=1, seed=2, image_size=40, categories=("bird",)),
                data / "b")
     assert load_corpus(data) == load_corpus(data / "a") + load_corpus(data / "b")
+
+
+PETS_TEXT = "super Pets\ncat cat : head, body, leg, tail\n"
+
+
+def test_read_taxonomy_reads_the_corpus_file(tmp_path):
+    (tmp_path / "taxonomy.tax").write_text(PETS_TEXT)
+    assert read_taxonomy(tmp_path).to_text() == PETS_TEXT
+
+
+def test_read_taxonomy_reads_a_tree_whose_files_differ_only_in_comments(tmp_path):
+    spaced = "# pets\nsuper  Pets \n\ncat cat:head,body,leg,tail  # four parts\n"
+    for name, text in (("a", PETS_TEXT), ("b/c", spaced)):
+        (tmp_path / name).mkdir(parents=True)
+        (tmp_path / name / "taxonomy.tax").write_text(text)
+    assert read_taxonomy(tmp_path).to_text() == PETS_TEXT
+
+
+def test_read_taxonomy_refuses_two_files_that_differ_naming_both(tmp_path):
+    for name, text in (("a", PETS_TEXT), ("b", DEFAULT_TAXONOMY_TEXT)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "taxonomy.tax").write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        read_taxonomy(tmp_path)
+    assert str(exc.value) == (f"{tmp_path / 'a' / 'taxonomy.tax'} and "
+                              f"{tmp_path / 'b' / 'taxonomy.tax'} name different taxonomies")
+
+
+def test_read_taxonomy_without_a_file_gives_the_default(tmp_path):
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, image_size=32, categories=("cat",)),
+               tmp_path / "c")
+    (tmp_path / "c" / "taxonomy.tax").unlink()
+    default = load_taxonomy(DEFAULT_TAXONOMY_TEXT).digest()
+    assert read_taxonomy(tmp_path).digest() == default
+    assert read_taxonomy(tmp_path / "c" / "cat" / "0000.sketch.pgm").digest() == default
 
 
 # canvas sides: the smallest allowed, odd, just under the default and twice it

@@ -171,12 +171,22 @@ class TestAssignNewCategory:
         assert t.to_text() == before
 
 
-def test_non_utf8_file_names_the_line(tmp_path):
+@pytest.mark.parametrize(
+    "raw,line_no,message",
+    [
+        (b"super S\nbogus line\n", 2, "unrecognized line 'bogus line'"),
+        (b"super S\ncat thing : a, b\n\xff\xfe\n", 3, "not UTF-8 text (byte 25)"),
+        (b"", 0, "no super-categories defined"),
+    ],
+    ids=["unrecognized_line", "not_utf8", "empty"],
+)
+def test_every_file_parse_error_names_the_file_and_line(tmp_path, raw, line_no, message):
     path = tmp_path / "bad.tax"
-    path.write_bytes(b"super S\ncat thing : a, b\n\xff\xfe\n")
-    with pytest.raises(TaxonomyParseError, match="UTF-8") as exc:
+    path.write_bytes(raw)
+    with pytest.raises(TaxonomyParseError) as exc:
         load_taxonomy_file(path)
-    assert exc.value.line_no == 3
+    assert str(exc.value) == f"{path} line {line_no}: {message}"
+    assert exc.value.line_no == line_no
 
 
 def test_file_matches_text(tmp_path):
