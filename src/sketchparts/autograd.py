@@ -36,6 +36,13 @@ C) buffer, one slice-add per tap in tap order over rows of Wo*C values; a
 tap that reads only zero padding along a side is skipped, since the crop to
 the input drops everything it would write.
 
+He init writes each float32 weight chunk by chunk: at most HE_DRAW_CHUNK
+float64 normals (1 MiB) are drawn, scaled and cast into it at a time, so
+building a net never stages a weight's whole float64 draw, 4.7 MB for a
+router 256x256x3x3 conv. The generator's stream is the same drawn whole or
+in pieces, so the bytes are those of the cast whole draw. Below 1 MiB a net
+takes more minor page faults to build; above it, building one peaks higher.
+
 Max pooling is separable: a running np.maximum over the window's column
 taps of each zero-padded row, then over the window's row taps of those row
 maxima, so no window is ever copied out. Only while a tape records does the
@@ -56,6 +63,7 @@ import numpy as np
 from .errors import ContractViolation
 
 DEFAULT_DTYPE = np.float32
+HE_DRAW_CHUNK = 1 << 17  # float64 values he_normal draws at a time, 1 MiB
 
 
 def make_rng(seed):
@@ -627,7 +635,14 @@ def weighted_sum(x, weights):
 def he_normal(rng, shape, fan_in):
     """He fan-in init used for all conv/linear weights."""
     std = math.sqrt(2.0 / fan_in)
-    # allocated before the float64 draw, so the freed draw leaves no heap hole under the weight
+    # allocated before any draw, so no freed draw leaves a heap hole under the weight
     out = np.empty(shape, DEFAULT_DTYPE)
-    np.multiply(rng.standard_normal(shape), std, out=out)
+    flat = out.reshape(-1)
+    # each chunk is scaled in place (a multiply cast into `out` would stage a
+    # 64 KiB buffer too), cast into the weight, and freed before the next draw
+    for s in range(0, flat.size, HE_DRAW_CHUNK):
+        draw = rng.standard_normal(min(HE_DRAW_CHUNK, flat.size - s))
+        draw *= std
+        flat[s : s + draw.size] = draw
+        del draw
     return Tensor(out)

@@ -12,8 +12,10 @@ cat/0000.json under --out, and eval reads them there under --pred. Each of
 --train, --sketches and --gt takes a corpus or a tree of corpora.
 
 train-parser and train-router read the taxonomy their --train tree was drawn
-with (corpus.read_taxonomy). infer takes --taxonomy, else its --sketches
-tree's; gen-corpus and describe take --taxonomy, else the default.
+with (corpus.read_taxonomy). infer and describe take --taxonomy, else the
+one their --sketches or --labels path was drawn with: a sketch, label map or
+category folder with no taxonomy.tax under it reads the nearest one above it,
+its corpus's. gen-corpus takes --taxonomy, else the default.
 
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
@@ -54,7 +56,7 @@ from .training import RouterPlan, TrainPlan, train_parser, train_router
 
 
 def _load_tax(path):
-    """The taxonomy file at `path`, else the default."""
+    """The taxonomy file at `path`, else the default: gen-corpus's taxonomy."""
     return load_taxonomy_file(path) if path else load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
@@ -144,7 +146,7 @@ def _sketch_files(path):
 
 
 def cmd_infer(args):
-    tax = _load_tax(args.taxonomy) if args.taxonomy else read_taxonomy(args.sketches)
+    tax = load_taxonomy_file(args.taxonomy) if args.taxonomy else read_taxonomy(args.sketches)
     parser = load_checkpoint(args.model, ModelConfig(), tax)
     router = None
     if args.router:
@@ -261,7 +263,7 @@ def cmd_rerank(args):
 
 
 def cmd_describe(args):
-    tax = _load_tax(args.taxonomy)
+    tax = load_taxonomy_file(args.taxonomy) if args.taxonomy else read_taxonomy(args.labels)
     labels = LabelMap(read_pgm(args.labels))
     if args.category:
         branch = tax.branch_of(args.category)
@@ -339,7 +341,8 @@ def build_arg_parser():
     sp.add_argument("--out", required=True,
                     help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm")
     sp.add_argument("--taxonomy", default=None,
-                    help="the models' taxonomy; by default the one of the --sketches tree")
+                    help="the models' taxonomy; by default the one of the --sketches tree, "
+                         "or for a sketch or sub-folder, the nearest taxonomy.tax above it")
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 
@@ -363,7 +366,9 @@ def build_arg_parser():
 
     sp = sub.add_parser("describe", help="template description for a label map")
     sp.add_argument("--labels", required=True)
-    sp.add_argument("--taxonomy", default=None)
+    sp.add_argument("--taxonomy", default=None,
+                    help="the label map's taxonomy; by default the nearest taxonomy.tax "
+                         "above --labels, as its corpus's, else the default")
     sp.add_argument("--category", default=None)
     sp.add_argument("--supercategory", default=None)
     sp.add_argument("--pose", required=True, choices=POSES)

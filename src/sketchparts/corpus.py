@@ -31,7 +31,10 @@ Dataset layout on disk:
 
 A root may hold a tree of corpora instead: every poses.csv under it is read,
 keyed by sketch path relative to that root, as a/cat/0000.sketch.pgm, and
-every taxonomy.tax under it must name the one taxonomy of the tree.
+every taxonomy.tax under it must name the one taxonomy of the tree. A path
+with no taxonomy.tax under it, as a sketch, a label map or a category
+folder, takes the one of the nearest folder above it, so <root>/cat reads
+<root>/taxonomy.tax; with none there either, the default.
 """
 
 from __future__ import annotations
@@ -399,13 +402,20 @@ def read_poses(root):
 def read_taxonomy(root):
     """The one taxonomy of every taxonomy.tax under `root`, in read_poses'
     order and compared by digest, so comments and spacing do not count; two
-    that differ raise ConfigError naming both. None under `root`, as under a
-    file, gives the default."""
+    that differ raise ConfigError naming both. With none under `root`, as
+    under a file, the taxonomy.tax of the nearest folder above it, so a
+    sketch, label map or category folder reads its corpus's; else the
+    default."""
     found = [(load_taxonomy_file(p), p) for p in sorted(Path(root).rglob("taxonomy.tax"))]
     for tax, path in found[1:]:
         if tax.digest() != found[0][0].digest():
             raise ConfigError(f"{found[0][1]} and {path} name different taxonomies")
-    return found[0][0] if found else load_taxonomy(DEFAULT_TAXONOMY_TEXT)
+    if found:
+        return found[0][0]
+    for folder in Path(root).absolute().parents:
+        if (folder / "taxonomy.tax").is_file():
+            return load_taxonomy_file(folder / "taxonomy.tax")
+    return load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
 def load_corpus(root):

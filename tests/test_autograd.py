@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import col2im_loop, conv2d_bruteforce, conv2d_grads_transposed, interp_matrix_loop
 from oracles import he_normal_astype, maxpool2d_bruteforce
 from sketchparts.autograd import (
+    HE_DRAW_CHUNK,
     ConvSpec,
     GradientSum,
     Tape,
@@ -268,7 +270,10 @@ class TestFloat64ReductionsInPlace:
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("shape", [(256, 256, 3, 3), (128, 128, 3, 3), (8, 32), (5,)])
+@pytest.mark.parametrize(
+    "shape",
+    [(256, 256, 3, 3), (128, 128, 3, 3), (8, 32), (5,), (HE_DRAW_CHUNK,), (HE_DRAW_CHUNK + 1,)],
+)
 def test_he_normal_writes_the_bytes_of_the_cast_draw(seed, shape):
     """The float32 weight written by its draw holds the draw's float64
     scaling cast to float32, and takes as many draws from the generator."""
@@ -279,6 +284,23 @@ def test_he_normal_writes_the_bytes_of_the_cast_draw(seed, shape):
     assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
     assert got.shape == shape and got.tobytes() == want.tobytes()
     assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+def test_he_normal_stages_at_most_one_chunk():
+    """Building a weight holds at most one chunk of float64 draws on top of
+    the float32 weight itself."""
+    rng = make_rng(0)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        w = he_normal(rng, (256, 256, 3, 3), 2304)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before <= w.data.nbytes + 8 * HE_DRAW_CHUNK + 64 * 1024
 
 
 def test_interp_matrix_matches_row_loop():

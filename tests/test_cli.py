@@ -693,6 +693,42 @@ def test_training_refuses_a_tree_without_one_taxonomy(tmp_path, capsys, command,
     assert captured.out == "" and not out.exists()
 
 
+REVERSED_CAT_TAX = "super Pets\ncat cat : tail, leg, body, head\n"
+
+
+@pytest.fixture()
+def reversed_cat_corpus(tmp_path):
+    """A corpus drawn with a taxonomy whose cat part ids run tail to head."""
+    (tmp_path / "rev.tax").write_text(REVERSED_CAT_TAX)
+    root = tmp_path / "b"
+    assert main(["gen-corpus", "--out", str(root), "--per-category", "1", "--size", "32",
+                 "--seed", "1", "--taxonomy", str(tmp_path / "rev.tax")]) == 0
+    return root
+
+
+def test_describe_reads_the_taxonomy_of_the_label_maps_corpus(reversed_cat_corpus, capsys):
+    labels = str(reversed_cat_corpus / "cat" / "0000.labels.pgm")
+    argv = ["describe", "--labels", labels, "--category", "cat", "--pose", "E"]
+    assert main(argv) == 0
+    read = capsys.readouterr().out
+    assert main([*argv, "--taxonomy", str(reversed_cat_corpus / "taxonomy.tax")]) == 0
+    assert read == capsys.readouterr().out
+    assert read == ("This is a sketch of a cat (a Pet) facing east, with one tail, one leg, "
+                    "one body and one head.\n")
+
+
+@pytest.mark.parametrize("sketches", ["cat/0000.sketch.pgm", "cat"])
+def test_infer_on_a_sketch_or_sub_folder_reads_its_corpus_taxonomy(reversed_cat_corpus, tmp_path,
+                                                                  sketches):
+    assert main(["train-parser", "--train", str(reversed_cat_corpus), "--out",
+                 str(tmp_path / "parser"), "--iterations", "1", "--seed", "1"]) == 0
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(tmp_path / "parser" / "model.ckpt"),
+                 "--sketches", str(reversed_cat_corpus / sketches), "--out", str(out),
+                 "--force-branch", "Pets"]) == 0
+    assert [p.name for p in out.rglob("*.pred.pgm")] == ["0000.pred.pgm"]
+
+
 def test_gen_corpus_oversize_exits_1(tmp_path, capsys):
     out = tmp_path / "c"
     rc = main(["gen-corpus", "--out", str(out), "--size", "1000000", "--per-category", "1"])

@@ -236,6 +236,16 @@ def test_read_taxonomy_without_a_file_gives_the_default(tmp_path):
     assert read_taxonomy(tmp_path / "c" / "cat" / "0000.sketch.pgm").digest() == default
 
 
+@pytest.mark.parametrize("rel", ["cat/0000.sketch.pgm", "cat/0000.labels.pgm", "cat"])
+def test_read_taxonomy_of_a_file_or_sub_folder_is_the_nearest_one_above(tmp_path, rel):
+    root = tmp_path / "c"
+    gen_corpus(CorpusSpec(load_taxonomy(PETS_TEXT), per_category=1, seed=0, image_size=32), root)
+    assert read_taxonomy(root / rel).to_text() == PETS_TEXT
+    nearer = PETS_TEXT.replace("Pets", "Cats")  # under cat, or above its files: it wins
+    (root / "cat" / "taxonomy.tax").write_text(nearer)
+    assert read_taxonomy(root / rel).to_text() == nearer
+
+
 # canvas sides: the smallest allowed, odd, just under the default and twice it
 WINDOW_SIZES = (32, 33, 127, 256)
 
