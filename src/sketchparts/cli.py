@@ -11,11 +11,16 @@ cat/0000 for cat/0000.sketch.pgm: infer writes cat/0000.pred.pgm and
 cat/0000.json under --out, and eval reads them there under --pred. Each of
 --train, --sketches and --gt takes a corpus or a tree of corpora.
 
-train-parser and train-router read the taxonomy their --train tree was drawn
-with (corpus.read_taxonomy). infer and describe take --taxonomy, else the
-one their --sketches or --labels path was drawn with: a sketch, label map or
-category folder with no taxonomy.tax under it reads the nearest one above it,
-its corpus's. gen-corpus takes --taxonomy, else the default.
+A folder the CLI writes names the taxonomy of what it holds in its
+taxonomy.tax, and a command takes its taxonomy from what it is given
+(corpus.read_taxonomy): a file or sub-folder with no taxonomy.tax under it
+reads the nearest one above it. gen-corpus draws with --taxonomy, else the
+default, and is the one command that takes the flag. train-parser and
+train-router read the taxonomy of their --train tree, infer that of its
+--model checkpoint's run folder, and describe that of the folder holding
+--labels, a corpus or infer's --out. train-parser, train-router and infer
+write theirs into --out, and refuse an --out whose taxonomy.tax names
+another taxonomy before they start.
 
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
@@ -39,10 +44,10 @@ from pathlib import Path
 
 from .augment import sketchify
 from .checks import run_selfcheck
-from .corpus import (DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus, load_corpus, read_poses,
-                     read_taxonomy)
+from .corpus import (DEFAULT_TAXONOMY_TEXT, CorpusSpec, check_taxonomy_root, gen_corpus,
+                     load_corpus, read_poses, read_taxonomy, write_taxonomy)
 from .describe import describe
-from .errors import ConfigError, ContractViolation, SketchpartsError
+from .errors import ConfigError, ContractViolation, SketchpartsError, TaxonomyMismatch
 from .graphmatch import rerank
 from .imaging import LabelMap, Raster
 from .metrics import iou_report, pose_eval
@@ -55,18 +60,16 @@ from .taxonomy import load_taxonomy, load_taxonomy_file
 from .training import RouterPlan, TrainPlan, train_parser, train_router
 
 
-def _load_tax(path):
-    """The taxonomy file at `path`, else the default: gen-corpus's taxonomy."""
-    return load_taxonomy_file(path) if path else load_taxonomy(DEFAULT_TAXONOMY_TEXT)
-
-
 def _given(**flags):
     """The flags that were given, so the plan's own defaults fill the rest."""
     return {k: v for k, v in flags.items() if v is not None}
 
 
 def cmd_gen_corpus(args):
-    tax = _load_tax(args.taxonomy)
+    if args.taxonomy:
+        tax = load_taxonomy_file(args.taxonomy)
+    else:
+        tax = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
     categories = tuple(args.categories.split(",")) if args.categories else None
     spec = CorpusSpec(
         tax,
@@ -88,8 +91,9 @@ def cmd_sketchify(args):
     return 0
 
 
-def _save_run(args, plan, log, save, net, checkpoint, log_csv):
-    """Write the trained net and its loss log, one column per log key, under --out."""
+def _save_run(args, plan, log, save, net, tax, checkpoint, log_csv):
+    """Write the trained net, its loss log, one column per log key, and last
+    its taxonomy under --out."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save(net, out / checkpoint)
@@ -98,6 +102,7 @@ def _save_run(args, plan, log, save, net, checkpoint, log_csv):
         writer.writerow(list(log[0]))
         for row in log:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_taxonomy(out, tax)
     print(f"trained {plan.iterations} iterations; wrote {out / checkpoint}")
     return 0
 
@@ -113,13 +118,15 @@ def cmd_train_parser(args):
         ),
     )
     tax = read_taxonomy(args.train)  # after the plan, so a bad flag value is refused first
+    check_taxonomy_root(args.out, tax)
     samples = load_corpus(args.train)
     if args.init:
         model = load_checkpoint(args.init, ModelConfig(), tax)
     else:
         model = build_model(ModelConfig(), tax, seed=plan.seed)
     log = train_parser(model, samples, plan)
-    return _save_run(args, plan, log, save_checkpoint, model, "model.ckpt", "train_log.csv")
+    return _save_run(args, plan, log, save_checkpoint, model, tax, "model.ckpt",
+                     "train_log.csv")
 
 
 def cmd_train_router(args):
@@ -127,10 +134,11 @@ def cmd_train_router(args):
         seed=args.seed, **_given(iterations=args.iterations, lr=args.lr, batch_size=args.batch_size)
     )
     tax = read_taxonomy(args.train)
+    check_taxonomy_root(args.out, tax)
     labelled = [(s.sketch, tax.branch_of(s.category)) for s in load_corpus(args.train)]
     net = build_router(tax.num_branches, seed=plan.seed, digest=tax.digest())
     log = train_router(net, labelled, plan)
-    return _save_run(args, plan, log, save_router, net, "router.ckpt", "router_log.csv")
+    return _save_run(args, plan, log, save_router, net, tax, "router.ckpt", "router_log.csv")
 
 
 def _sketch_files(path):
@@ -146,8 +154,14 @@ def _sketch_files(path):
 
 
 def cmd_infer(args):
-    tax = load_taxonomy_file(args.taxonomy) if args.taxonomy else read_taxonomy(args.sketches)
-    parser = load_checkpoint(args.model, ModelConfig(), tax)
+    tax = read_taxonomy(args.model)
+    check_taxonomy_root(args.out, tax)
+    try:
+        parser = load_checkpoint(args.model, ModelConfig(), tax)
+    except TaxonomyMismatch as exc:
+        raise ConfigError(f"{exc}; the model's taxonomy is the nearest taxonomy.tax beside "
+                          "or above it, so a checkpoint moved out of its run folder needs "
+                          "that folder's taxonomy.tax beside it") from None
     router = None
     if args.router:
         router = load_router(args.router, tax.num_branches, expected_digest=tax.digest())
@@ -168,6 +182,7 @@ def cmd_infer(args):
         with open(out / f"{rel}.json", "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
+    write_taxonomy(out, tax)
     print(f"wrote predictions under {out}")
     return 0
 
@@ -263,17 +278,13 @@ def cmd_rerank(args):
 
 
 def cmd_describe(args):
-    tax = load_taxonomy_file(args.taxonomy) if args.taxonomy else read_taxonomy(args.labels)
+    tax = read_taxonomy(args.labels)
     labels = LabelMap(read_pgm(args.labels))
     if args.category:
         branch = tax.branch_of(args.category)
-        category = args.category
-    elif args.supercategory:
-        branch = tax.branch_index(args.supercategory)
-        category = None
     else:
-        raise ContractViolation("describe needs --category or --supercategory")
-    summary = summarize(labels, tax, branch, args.pose, category=category)
+        branch = tax.branch_index(args.supercategory)
+    summary = summarize(labels, tax, branch, args.pose, category=args.category)
     print(describe(summary))
     return 0
 
@@ -298,7 +309,9 @@ def build_arg_parser():
 
     sp = sub.add_parser("gen-corpus", help="write a synthetic paired corpus")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--taxonomy", default=None)
+    sp.add_argument("--taxonomy", default=None,
+                    help="the taxonomy file to draw with, else the default; written to "
+                         "--out/taxonomy.tax")
     sp.add_argument("--per-category", type=int, default=10)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--categories", default=None)
@@ -313,9 +326,11 @@ def build_arg_parser():
 
     train_help = ("a corpus or a tree of corpora; every poses.csv under it lists samples, "
                   "and every taxonomy.tax under it must name one taxonomy, the default if none")
+    out_help = ("the run folder: the checkpoint, its loss log and the --train tree's "
+                "taxonomy.tax")
     sp = sub.add_parser("train-parser", help="train the routed part parser")
     sp.add_argument("--train", required=True, help=train_help)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, help=out_help)
     sp.add_argument("--init", default=None, help="checkpoint to fine-tune from")
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None,
@@ -327,7 +342,7 @@ def build_arg_parser():
 
     sp = sub.add_parser("train-router", help="train the super-category classifier")
     sp.add_argument("--train", required=True, help=train_help)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, help=out_help)
     sp.add_argument("--iterations", type=int, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--batch-size", type=int, default=None)
@@ -335,14 +350,15 @@ def build_arg_parser():
     sp.set_defaults(fn=cmd_train_router)
 
     sp = sub.add_parser("infer", help="route and parse sketches")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--router", default=None)
+    sp.add_argument("--model", required=True,
+                    help="a train-parser checkpoint; its taxonomy is the nearest taxonomy.tax "
+                         "beside or above it, its run folder's")
+    sp.add_argument("--router", default=None,
+                    help="a train-router checkpoint trained on the model's taxonomy")
     sp.add_argument("--sketches", required=True, help="a sketch, a corpus or a tree of corpora")
     sp.add_argument("--out", required=True,
-                    help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm")
-    sp.add_argument("--taxonomy", default=None,
-                    help="the models' taxonomy; by default the one of the --sketches tree, "
-                         "or for a sketch or sub-folder, the nearest taxonomy.tax above it")
+                    help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm, "
+                         "and the model's taxonomy.tax")
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 
@@ -365,12 +381,12 @@ def build_arg_parser():
     sp.set_defaults(fn=cmd_rerank)
 
     sp = sub.add_parser("describe", help="template description for a label map")
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--taxonomy", default=None,
-                    help="the label map's taxonomy; by default the nearest taxonomy.tax "
-                         "above --labels, as its corpus's, else the default")
-    sp.add_argument("--category", default=None)
-    sp.add_argument("--supercategory", default=None)
+    sp.add_argument("--labels", required=True,
+                    help="a label map; its taxonomy is the nearest taxonomy.tax above it, "
+                         "that of its corpus or of infer's --out, else the default")
+    names = sp.add_mutually_exclusive_group(required=True)
+    names.add_argument("--category")
+    names.add_argument("--supercategory", help="for a sketch of no known category")
     sp.add_argument("--pose", required=True, choices=POSES)
     sp.set_defaults(fn=cmd_describe)
 

@@ -35,6 +35,11 @@ every taxonomy.tax under it must name the one taxonomy of the tree. A path
 with no taxonomy.tax under it, as a sketch, a label map or a category
 folder, takes the one of the nearest folder above it, so <root>/cat reads
 <root>/taxonomy.tax; with none there either, the default.
+
+A training run's folder and a folder of predictions are roots too: each
+holds the taxonomy.tax of the taxonomy its checkpoint or label maps were
+written for (write_taxonomy), so <run>/model.ckpt and
+<preds>/cat/0000.pred.pgm read theirs as a corpus sample does.
 """
 
 from __future__ import annotations
@@ -349,17 +354,18 @@ def draw_corpus(spec):
 def gen_corpus(spec, root):
     """Write draw_corpus(spec) under `root`; same spec and seed give identical
     bytes. Nothing is written before the first sample is drawn, so an unknown
-    category leaves no root behind."""
+    category, or a root that names another taxonomy, leaves no root behind."""
     root = Path(root)
+    check_taxonomy_root(root, spec.taxonomy)
     rows = []
     for name, sample in draw_corpus(spec):
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         write_pgm(root / f"{name}.sketch.pgm", sample.sketch.pixels)
         write_pgm(root / f"{name}.labels.pgm", sample.labels.labels)
         rows.append((f"{name}.sketch.pgm", sample.pose))
-    (root / "taxonomy.tax").write_text(spec.taxonomy.to_text(), encoding="utf-8")
     with open(root / "poses.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([POSES_HEADER, *rows])
+    write_taxonomy(root, spec.taxonomy)
     return [r for r, _ in rows]
 
 
@@ -399,14 +405,38 @@ def read_poses(root):
     return {key: pose for key, (pose, _) in listed.items()}
 
 
+def _taxonomy_files(root):
+    """(taxonomy, path) of every taxonomy.tax under `root`, in read_poses' order."""
+    return [(load_taxonomy_file(p), p) for p in sorted(Path(root).rglob("taxonomy.tax"))]
+
+
+def check_taxonomy_root(root, tax):
+    """Refuse, with a ConfigError naming the file, a `root` under which a
+    taxonomy.tax names a taxonomy other than `tax` (by digest), so that
+    writing `tax` there could not re-label what the root already holds. A
+    root that does not exist yet passes."""
+    for found, path in _taxonomy_files(root):
+        if found.digest() != tax.digest():
+            raise ConfigError(f"{path} names another taxonomy; "
+                              f"{root} cannot hold outputs of two taxonomies")
+
+
+def write_taxonomy(root, tax):
+    """Write `tax` to <root>/taxonomy.tax, after check_taxonomy_root. Every
+    command that writes a folder writes it last, after its other outputs,
+    and checks the root before it starts."""
+    check_taxonomy_root(root, tax)
+    (Path(root) / "taxonomy.tax").write_text(tax.to_text(), encoding="utf-8")
+
+
 def read_taxonomy(root):
     """The one taxonomy of every taxonomy.tax under `root`, in read_poses'
     order and compared by digest, so comments and spacing do not count; two
     that differ raise ConfigError naming both. With none under `root`, as
     under a file, the taxonomy.tax of the nearest folder above it, so a
-    sketch, label map or category folder reads its corpus's; else the
-    default."""
-    found = [(load_taxonomy_file(p), p) for p in sorted(Path(root).rglob("taxonomy.tax"))]
+    sketch, label map, category folder or checkpoint reads its corpus's or
+    run's; else the default."""
+    found = _taxonomy_files(root)
     for tax, path in found[1:]:
         if tax.digest() != found[0][0].digest():
             raise ConfigError(f"{found[0][1]} and {path} name different taxonomies")

@@ -35,6 +35,10 @@ class CheckpointError(SketchpartsError):
         self.offset = offset
 
 
+class TaxonomyMismatch(CheckpointError):
+    """A checkpoint was written for another taxonomy than the one it is read with."""
+
+
 def check_count(name, value):
     """Refuse `value`, called `name`, with a ConfigError unless it is an
     integer >= 0 (a bool is not)."""

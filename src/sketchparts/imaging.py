@@ -37,15 +37,25 @@ _SOBEL_DIFF = np.array([-1.0, 0.0, 1.0])
 _SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
 
 
+def _eight_bit(values, kind, what):
+    """`values` as an array, refused with a ContractViolation unless it is
+    2-d and, when not already uint8, every value lies in 0..255, so that
+    the cast to uint8 keeps every value."""
+    a = np.asarray(values)
+    if a.ndim != 2:
+        raise ContractViolation(f"{kind} must be 2-d, got shape {a.shape}")
+    if a.dtype != np.uint8 and a.size and not 0 <= a.min() <= a.max() <= 255:
+        raise ContractViolation(f"{what} must lie in 0..255, got {a.min()}..{a.max()}")
+    return a
+
+
 class Raster:
     """2-d uint8 image, 0 = blank, 255 = ink."""
 
     __slots__ = ("pixels",)
 
     def __init__(self, pixels):
-        a = np.asarray(pixels)
-        if a.ndim != 2:
-            raise ContractViolation(f"raster must be 2-d, got shape {a.shape}")
+        a = _eight_bit(pixels, "raster", "pixel values")
         self.pixels = np.ascontiguousarray(a, dtype=np.uint8)
 
     @property
@@ -75,12 +85,7 @@ class LabelMap:
     __slots__ = ("_labels", "_graph")
 
     def __init__(self, labels):
-        a = np.asarray(labels)
-        if a.ndim != 2:
-            raise ContractViolation(f"label map must be 2-d, got shape {a.shape}")
-        if a.dtype != np.uint8 and a.size and not 0 <= a.min() <= a.max() <= 255:
-            raise ContractViolation(f"label ids must lie in 0..255, got {a.min()}..{a.max()}")
-        a = np.array(a, dtype=np.uint8, order="C")
+        a = np.array(_eight_bit(labels, "label map", "label ids"), dtype=np.uint8, order="C")
         a.flags.writeable = False
         # A view of a read-only array cannot be made writeable again.
         self._labels = a.view()

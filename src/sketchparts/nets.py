@@ -15,7 +15,7 @@ from __future__ import annotations
 from .autograd import ConvSpec, Tensor, conv2d, dropout, global_average_pool, he_normal, linear
 from .autograd import maxpool2d, relu
 from .checkpoint import check_layout, read_checkpoint
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, TaxonomyMismatch
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def load_params(path, magic, digest, layout, what):
     is refused at the record of the first tensor holding one."""
     got, tensors, offsets = read_checkpoint(path, magic)
     if got != digest:
-        raise CheckpointError(
+        raise TaxonomyMismatch(
             8, "checkpoint was written for a different taxonomy (digest mismatch)"
         )
     check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)

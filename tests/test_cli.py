@@ -79,14 +79,14 @@ def test_infer_and_eval_cli(small_corpus, tmp_path):
     out = tmp_path / "preds"
     rc = main(
         ["infer", "--model", str(ckpt), "--sketches", str(small_corpus),
-         "--out", str(out), "--force-branch", "Small Animals",
-         "--taxonomy", str(small_corpus / "taxonomy.tax")]
+         "--out", str(out), "--force-branch", "Small Animals"]
     )
     assert rc == 0
     # the predictions mirror the sketch tree: cat/0000.sketch.pgm -> cat/0000.pred.pgm
     written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
     assert written == [f"{c}/{i}.{kind}" for c in ("car", "cat") for i in ("0000", "0001")
-                       for kind in ("json", "pred.pgm")]
+                       for kind in ("json", "pred.pgm")] + ["taxonomy.tax"]
+    assert (out / "taxonomy.tax").read_text() == TAX.to_text()
     preds = sorted(out.rglob("*.pred.pgm"))
     records = sorted(out.rglob("*.json"))
     record = json.loads(records[0].read_text())
@@ -112,11 +112,10 @@ def test_infer_is_byte_deterministic(small_corpus, tmp_path):
     for name in ("o1", "o2"):
         out = tmp_path / name
         main(["infer", "--model", str(ckpt), "--sketches", str(small_corpus),
-              "--out", str(out), "--force-branch", "Four Wheelers",
-              "--taxonomy", str(small_corpus / "taxonomy.tax")])
+              "--out", str(out), "--force-branch", "Four Wheelers"])
         outs.append(out)
     files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-    assert len(files) == 8
+    assert len(files) == 9  # a map and a record per sketch, and the taxonomy
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
@@ -247,18 +246,37 @@ def test_rerank_default_top_is_50(tmp_path, capsys):
 
 
 def test_describe_cli(tmp_path, capsys):
-    (tmp_path / "t.tax").write_text(DEFAULT_TAXONOMY_TEXT)
     lm = np.zeros((32, 32), dtype=np.uint8)
     lm[4:12, 4:12] = 1  # head
     lm[14:26, 4:28] = 2  # body
     write_pgm(tmp_path / "l.pgm", lm)
-    rc = main(["describe", "--labels", str(tmp_path / "l.pgm"),
-               "--taxonomy", str(tmp_path / "t.tax"),
-               "--category", "cat", "--pose", "W"])
+    rc = main(["describe", "--labels", str(tmp_path / "l.pgm"), "--category", "cat",
+               "--pose", "W"])
     assert rc == 0
     text = capsys.readouterr().out
     assert text.startswith("This is a sketch of a cat (a Small Animal) facing west")
     assert "one head" in text and "one body" in text
+
+
+def test_describe_names_a_supercategory_alone(tmp_path, capsys):
+    lm = np.zeros((32, 32), dtype=np.uint8)
+    lm[4:12, 4:12] = 1
+    write_pgm(tmp_path / "l.pgm", lm)
+    (tmp_path / "taxonomy.tax").write_text(REVERSED_CAT_TAX)
+    assert main(["describe", "--labels", str(tmp_path / "l.pgm"), "--supercategory", "Pets",
+                 "--pose", "N"]) == 0
+    assert capsys.readouterr().out == "This is a sketch of a Pet facing north, with one tail.\n"
+
+
+@pytest.mark.parametrize("names", [["--category", "cat", "--supercategory", "Nope"], []])
+def test_describe_takes_a_category_or_a_supercategory(tmp_path, capsys, names):
+    lm = tmp_path / "l.pgm"
+    write_pgm(lm, np.zeros((8, 8), dtype=np.uint8))
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", "--labels", str(lm), *names, "--pose", "E"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("not allowed with argument" if names else "one of the arguments") in err
 
 
 def test_describe_refuses_a_part_id_outside_the_branch(tmp_path, capsys):
@@ -331,6 +349,8 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
         ("train-router", "--config"),
         ("train-parser", "--taxonomy"),
         ("train-router", "--taxonomy"),
+        ("infer", "--taxonomy"),
+        ("describe", "--taxonomy"),
     ],
 )
 def test_retired_switch_flag_exits_2(tmp_path, capsys, command, flag):
@@ -338,6 +358,11 @@ def test_retired_switch_flag_exits_2(tmp_path, capsys, command, flag):
         required = ["--pred", str(tmp_path), "--gt", str(tmp_path)]
     elif command == "gen-corpus":
         required = ["--out", str(tmp_path / "run")]
+    elif command == "infer":
+        required = ["--model", str(tmp_path / "m.ckpt"), "--sketches", str(tmp_path),
+                    "--out", str(tmp_path / "run")]
+    elif command == "describe":
+        required = ["--labels", str(tmp_path / "l.pgm"), "--category", "cat", "--pose", "E"]
     else:
         required = ["--train", str(tmp_path), "--out", str(tmp_path / "run")]
     with pytest.raises(SystemExit) as exc:
@@ -354,15 +379,14 @@ def test_contract_violation_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_infer_bad_pgm_header_exits_1(small_corpus, tmp_path, capsys):
+def test_infer_bad_pgm_header_exits_1(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
     sketches = tmp_path / "sketches"
     sketches.mkdir()
     (sketches / "broken.sketch.pgm").write_bytes(b"P5\nwide 8\n255\n" + bytes(64))
     rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
-               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals",
-               "--taxonomy", str(small_corpus / "taxonomy.tax")])
+               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "broken.sketch.pgm" in err and "width" in err
@@ -456,7 +480,7 @@ def test_infer_maps_have_their_sketch_sizes_at_an_odd_side(tmp_path):
         assert read_pgm(out / f"{rel}.pred.pgm").shape == read_pgm(sketch).shape == (47, 47)
 
 
-def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
+def test_infer_non_utf8_checkpoint_name_exits_1(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
     blob = bytearray(ckpt.read_bytes())
@@ -466,8 +490,7 @@ def test_infer_non_utf8_checkpoint_name_exits_1(small_corpus, tmp_path, capsys):
     sketches = tmp_path / "sketches"
     sketches.mkdir()
     rc = main(["infer", "--model", str(ckpt), "--sketches", str(sketches),
-               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals",
-               "--taxonomy", str(small_corpus / "taxonomy.tax")])
+               "--out", str(tmp_path / "o"), "--force-branch", "Small Animals"])
     assert rc == 1
     err = capsys.readouterr().err
     assert f"at byte {name_at}" in err and "UTF-8" in err
@@ -668,6 +691,10 @@ def test_a_tree_drawn_with_another_taxonomy_trains_infers_and_evals_under_it(tmp
                  "--sketches", str(data), "--out", str(out)]) == 0
     assert len(list(out.rglob("*.pred.pgm"))) == 6
     assert main(["eval", "--pred", str(out), "--gt", str(data)]) == 0
+    # each run folder and the predictions name the tree's taxonomy
+    for folder in ("parser", "router", "preds"):
+        assert (tmp_path / folder / "taxonomy.tax").read_bytes() == (
+            data / "a" / "taxonomy.tax").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train-parser", "train-router"])
@@ -708,25 +735,83 @@ def reversed_cat_corpus(tmp_path):
 
 def test_describe_reads_the_taxonomy_of_the_label_maps_corpus(reversed_cat_corpus, capsys):
     labels = str(reversed_cat_corpus / "cat" / "0000.labels.pgm")
-    argv = ["describe", "--labels", labels, "--category", "cat", "--pose", "E"]
-    assert main(argv) == 0
-    read = capsys.readouterr().out
-    assert main([*argv, "--taxonomy", str(reversed_cat_corpus / "taxonomy.tax")]) == 0
-    assert read == capsys.readouterr().out
-    assert read == ("This is a sketch of a cat (a Pet) facing east, with one tail, one leg, "
-                    "one body and one head.\n")
+    assert main(["describe", "--labels", labels, "--category", "cat", "--pose", "E"]) == 0
+    assert capsys.readouterr().out == (
+        "This is a sketch of a cat (a Pet) facing east, with one tail, one leg, "
+        "one body and one head.\n"
+    )
 
 
-@pytest.mark.parametrize("sketches", ["cat/0000.sketch.pgm", "cat"])
-def test_infer_on_a_sketch_or_sub_folder_reads_its_corpus_taxonomy(reversed_cat_corpus, tmp_path,
-                                                                  sketches):
-    assert main(["train-parser", "--train", str(reversed_cat_corpus), "--out",
-                 str(tmp_path / "parser"), "--iterations", "1", "--seed", "1"]) == 0
+@pytest.fixture()
+def reversed_cat_run(reversed_cat_corpus, tmp_path):
+    """A parser trained on reversed_cat_corpus, in its run folder."""
+    run = tmp_path / "run"
+    assert main(["train-parser", "--train", str(reversed_cat_corpus), "--out", str(run),
+                 "--iterations", "1", "--seed", "1"]) == 0
+    return run
+
+
+@pytest.mark.parametrize("sketches", ["b/cat/0000.sketch.pgm", "b/cat", "loose"])
+def test_infer_reads_the_taxonomy_of_the_models_run_folder(reversed_cat_run, tmp_path, sketches):
+    """A sketch in its corpus, a category folder, or a copy outside any corpus."""
+    loose = tmp_path / "loose"
+    loose.mkdir()
+    (loose / "0000.sketch.pgm").write_bytes((tmp_path / "b/cat/0000.sketch.pgm").read_bytes())
     out = tmp_path / "preds"
-    assert main(["infer", "--model", str(tmp_path / "parser" / "model.ckpt"),
-                 "--sketches", str(reversed_cat_corpus / sketches), "--out", str(out),
+    assert main(["infer", "--model", str(reversed_cat_run / "model.ckpt"),
+                 "--sketches", str(tmp_path / sketches), "--out", str(out),
                  "--force-branch", "Pets"]) == 0
     assert [p.name for p in out.rglob("*.pred.pgm")] == ["0000.pred.pgm"]
+    assert (out / "taxonomy.tax").read_text() == REVERSED_CAT_TAX
+
+
+def test_describe_reads_the_taxonomy_of_infers_predictions(reversed_cat_run, tmp_path, capsys):
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(reversed_cat_run / "model.ckpt"),
+                 "--sketches", str(tmp_path / "b"), "--out", str(out),
+                 "--force-branch", "Pets"]) == 0
+    capsys.readouterr()
+    assert main(["describe", "--labels", str(out / "cat" / "0000.pred.pgm"), "--category", "cat",
+                 "--pose", "E"]) == 0
+    assert capsys.readouterr().out.startswith("This is a sketch of a cat (a Pet) facing east")
+
+
+def test_infer_with_a_checkpoint_moved_out_of_its_run_folder_names_the_fix(
+        reversed_cat_run, tmp_path, capsys):
+    moved = tmp_path / "moved.ckpt"
+    moved.write_bytes((reversed_cat_run / "model.ckpt").read_bytes())
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(moved), "--sketches", str(tmp_path / "b"),
+                 "--out", str(out), "--force-branch", "Pets"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: at byte 8: ") and err.count("\n") == 1
+    assert "digest mismatch" in err and "taxonomy.tax beside it" in err
+    assert not out.exists()
+    (tmp_path / "taxonomy.tax").write_bytes((reversed_cat_run / "taxonomy.tax").read_bytes())
+    assert main(["infer", "--model", str(moved), "--sketches", str(tmp_path / "b"),
+                 "--out", str(out), "--force-branch", "Pets"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train-parser", "train-router", "infer"])
+def test_an_out_holding_another_taxonomy_is_refused_before_any_work(reversed_cat_run, tmp_path,
+                                                                    capsys, command):
+    """--out already names the default taxonomy; the run's is the reversed one."""
+    out = tmp_path / "data"
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), out)
+    before = sorted(out.rglob("*"))
+    if command == "infer":
+        argv = ["infer", "--model", str(reversed_cat_run / "model.ckpt"),
+                "--sketches", str(tmp_path / "b"), "--force-branch", "Pets"]
+    else:
+        argv = [command, "--train", str(tmp_path / "b"), "--iterations", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out / 'taxonomy.tax'} names another taxonomy; "
+                            f"{out} cannot hold outputs of two taxonomies\n")
+    assert captured.out == ""
+    assert sorted(out.rglob("*")) == before
+    assert (out / "taxonomy.tax").read_text() == TAX.to_text()
 
 
 def test_gen_corpus_oversize_exits_1(tmp_path, capsys):
@@ -1025,7 +1110,7 @@ def test_train_router_then_infer_round_trip(small_corpus, tmp_path):
         assert len(scores) == TAX.num_branches
         assert sum(scores) == pytest.approx(1.0, abs=1e-6)
     files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
-    assert len(files) == 2 + 2 * len(records)
+    assert len(files) == 3 + 2 * len(records) + 1  # each folder holds its taxonomy.tax
     for rel in files:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes()
 

@@ -19,6 +19,7 @@ from sketchparts.corpus import (
     load_corpus,
     make_sample,
     read_taxonomy,
+    write_taxonomy,
 )
 from sketchparts.errors import ConfigError, ContractViolation
 from sketchparts.poses import POSES
@@ -244,6 +245,21 @@ def test_read_taxonomy_of_a_file_or_sub_folder_is_the_nearest_one_above(tmp_path
     nearer = PETS_TEXT.replace("Pets", "Cats")  # under cat, or above its files: it wins
     (root / "cat" / "taxonomy.tax").write_text(nearer)
     assert read_taxonomy(root / rel).to_text() == nearer
+
+
+def test_write_taxonomy_refuses_a_root_that_names_another(tmp_path):
+    nested = tmp_path / "a" / "taxonomy.tax"
+    nested.parent.mkdir()
+    nested.write_text("# pets\n" + PETS_TEXT)
+    write_taxonomy(tmp_path, load_taxonomy(PETS_TEXT))  # one digest: comments do not count
+    assert (tmp_path / "taxonomy.tax").read_text() == PETS_TEXT
+    before = sorted(tmp_path.rglob("*"))
+    spec = CorpusSpec(TAX, per_category=1, seed=0, image_size=32, categories=("cat",))
+    with pytest.raises(ConfigError) as exc:
+        gen_corpus(spec, tmp_path)  # refused before a sample is written
+    assert str(exc.value) == (f"{nested} names another taxonomy; "
+                              f"{tmp_path} cannot hold outputs of two taxonomies")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # canvas sides: the smallest allowed, odd, just under the default and twice it
