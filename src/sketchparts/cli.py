@@ -6,10 +6,13 @@ same seeds and inputs writes byte-identical outputs. Run settings come from
 flags alone: a flag left out takes the default of the corpus.CorpusSpec,
 training.TrainPlan or training.RouterPlan field it sets.
 
-A sample is named by its path under the dataset root less its suffix, as
-cat/0000 for cat/0000.sketch.pgm: infer writes cat/0000.pred.pgm and
-cat/0000.json under --out, and eval reads them there under --pred. Each of
---train, --sketches and --gt takes a corpus or a tree of corpora.
+Every command reads samples by the one layout rule that the corpus module
+states. --train, --sketches and --gt each take any path inside a corpus or a
+tree of corpora, a root, a category folder or one file, and read that slice
+of it, with its names, categories and poses. infer writes each sketch's map
+and record under --out by the sketch's name, as cat/0000.pred.pgm and
+cat/0000.json for cat/0000.sketch.pgm; eval reads them by that name under
+--pred, and rerank reads each candidate id's label map under --db.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -20,7 +23,8 @@ train-router read the taxonomy of their --train tree, infer that of its
 --model checkpoint's run folder, and describe that of the folder holding
 --labels, a corpus or infer's --out. train-parser, train-router and infer
 write theirs into --out, and refuse an --out whose taxonomy.tax names
-another taxonomy before they start.
+another taxonomy before they start. eval refuses a --pred and --gt, and
+rerank a --db and query, whose taxonomies differ, before it prints.
 
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: under threaded BLAS a GEMM may sum in
@@ -44,8 +48,10 @@ from pathlib import Path
 
 from .augment import sketchify
 from .checks import run_selfcheck
-from .corpus import (DEFAULT_TAXONOMY_TEXT, CorpusSpec, check_taxonomy_root, gen_corpus,
-                     load_corpus, read_poses, read_taxonomy, write_taxonomy)
+from .corpus import (DEFAULT_TAXONOMY_TEXT, LABELS, PRED, RECORD, SKETCH, CorpusSpec,
+                     category_of, check_one_taxonomy, check_taxonomy_root, gen_corpus,
+                     load_corpus, read_poses, read_taxonomy, sample_files, sample_path,
+                     sketch_files, write_taxonomy)
 from .describe import describe
 from .errors import ConfigError, ContractViolation, SketchpartsError, TaxonomyMismatch
 from .graphmatch import rerank
@@ -141,18 +147,6 @@ def cmd_train_router(args):
     return _save_run(args, plan, log, save_router, net, tax, "router.ckpt", "router_log.csv")
 
 
-def _sketch_files(path):
-    """(file, its path less .sketch.pgm or .pgm) pairs, relative to `path`
-    or, for a single file, to its folder."""
-    path = Path(path)
-    root = path.parent if path.is_file() else path
-    files = [path] if path.is_file() else sorted(path.rglob("*.sketch.pgm"))
-    if not files:
-        files = sorted(p for p in path.rglob("*.pgm") if not p.name.endswith(".labels.pgm"))
-    return [(f, str(f.relative_to(root)).removesuffix(".pgm").removesuffix(".sketch"))
-            for f in files]
-
-
 def cmd_infer(args):
     tax = read_taxonomy(args.model)
     check_taxonomy_root(args.out, tax)
@@ -167,19 +161,19 @@ def cmd_infer(args):
         router = load_router(args.router, tax.num_branches, expected_digest=tax.digest())
     elif not args.force_branch:
         raise ContractViolation("infer needs --router or --force-branch")
-    sketches = _sketch_files(args.sketches)
+    sketches = sketch_files(args.sketches)
     if not sketches:
         raise ConfigError(f"no sketches under {args.sketches}")
     out = Path(args.out)
-    for path, rel in sketches:
+    for name, path in sketches:
         record, labelmap = infer_record(
             parser, router, Raster(read_pgm(path)), force_branch=args.force_branch,
-            category=path.parent.name,  # a folder that names no category records None
+            category=category_of(path),  # a folder that names no category records None
         )
-        pred_path = out / f"{rel}.pred.pgm"
+        pred_path = sample_path(out, name, PRED)
         pred_path.parent.mkdir(parents=True, exist_ok=True)
         write_pgm(pred_path, labelmap.labels)
-        with open(out / f"{rel}.json", "w", encoding="utf-8") as fh:
+        with open(sample_path(out, name, RECORD), "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
     write_taxonomy(out, tax)
@@ -201,30 +195,29 @@ def _predicted_pose(json_path):
 
 
 def cmd_eval(args):
-    gt_root = Path(args.gt)
-    pred_root = Path(args.pred)
+    check_one_taxonomy([args.pred, args.gt])
     pairs = []
     pose_preds, pose_truths = [], []
-    poses = read_poses(gt_root)
-    for gt_path in sorted(gt_root.rglob("*.labels.pgm")):
-        rel = gt_path.relative_to(gt_root)
-        stem = rel.as_posix().removesuffix(".labels.pgm")  # cat/0000
-        pred_path = pred_root / f"{stem}.pred.pgm"
+    poses = read_poses(args.gt)
+    for name, gt_path in sample_files(args.gt, LABELS):
+        pred_path = sample_path(args.pred, name, PRED)
         if not pred_path.exists():
-            pred_path = pred_root / rel  # a label map at the ground truth's own path
+            # a label map at the ground truth's own path
+            pred_path = sample_path(args.pred, name, LABELS)
             if not pred_path.exists():
-                raise ConfigError(f"no prediction found for {rel}")
+                raise ConfigError(f"no prediction found for {gt_path}")
         pred, gt = LabelMap(read_pgm(pred_path)), LabelMap(read_pgm(gt_path))
         if pred.labels.shape != gt.labels.shape:
             raise ConfigError(f"{pred_path} is {pred.width}x{pred.height} but its ground "
                               f"truth is {gt.width}x{gt.height}")
-        pairs.append((rel.parent.name, pred, gt))
-        json_path = pred_root / f"{stem}.json"
-        if json_path.exists() and f"{stem}.sketch.pgm" in poses:
+        pairs.append((category_of(gt_path), pred, gt))
+        json_path = sample_path(args.pred, name, RECORD)
+        pose = poses.get(f"{name}{SKETCH}")
+        if json_path.exists() and pose is not None:
             pose_preds.append(_predicted_pose(json_path))
-            pose_truths.append(poses[f"{stem}.sketch.pgm"])
+            pose_truths.append(pose)
     if not pairs:
-        raise ConfigError(f"no ground-truth label maps under {gt_root}")
+        raise ConfigError(f"no ground-truth label maps under {args.gt}")
     report = iou_report(pairs)
     print(report.table())
     outputs = {}
@@ -247,7 +240,7 @@ def cmd_rerank(args):
             f"--query names {len(args.query)} sketches but --ranking names "
             f"{len(args.ranking)} files; give one ranking per query"
         )
-    db = Path(args.db)
+    check_one_taxonomy([args.db, *args.query])
     # Each gallery map is read once and shared by every query that ranks it,
     # so graphmatch.graph_of builds its part graph once per run.
     gallery = {}
@@ -263,7 +256,7 @@ def cmd_rerank(args):
             if not cid:
                 continue
             if cid not in gallery:
-                path = db / f"{cid}.labels.pgm"
+                path = sample_path(args.db, cid, LABELS)
                 if not path.exists():
                     raise ConfigError(f"candidate label map {path} does not exist")
                 gallery[cid] = LabelMap(read_pgm(path))
@@ -324,8 +317,10 @@ def build_arg_parser():
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_sketchify)
 
-    train_help = ("a corpus or a tree of corpora; every poses.csv under it lists samples, "
-                  "and every taxonomy.tax under it must name one taxonomy, the default if none")
+    train_help = ("any path inside a corpus or a tree of corpora: a root, a category folder "
+                  "or one sketch; every poses.csv under it, else the nearest above it, lists "
+                  "its samples, and every taxonomy.tax under it must name one taxonomy, else "
+                  "the nearest above it, else the default")
     out_help = ("the run folder: the checkpoint, its loss log and the --train tree's "
                 "taxonomy.tax")
     sp = sub.add_parser("train-parser", help="train the routed part parser")
@@ -355,18 +350,24 @@ def build_arg_parser():
                          "beside or above it, its run folder's")
     sp.add_argument("--router", default=None,
                     help="a train-router checkpoint trained on the model's taxonomy")
-    sp.add_argument("--sketches", required=True, help="a sketch, a corpus or a tree of corpora")
+    sp.add_argument("--sketches", required=True,
+                    help="a sketch, or a folder: its .sketch.pgm files, else every .pgm in it "
+                         "but a .labels.pgm; each is named by its path less the suffix, "
+                         "relative to the folder or to a file's own folder")
     sp.add_argument("--out", required=True,
-                    help="<rel>.pred.pgm and <rel>.json for each --sketches/<rel>.sketch.pgm, "
+                    help="<name>.pred.pgm and <name>.json for each sketch <name>, "
                          "and the model's taxonomy.tax")
     sp.add_argument("--force-branch", default=None)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="IOU, 8-way and 4-way pose reports for predictions")
     sp.add_argument("--pred", required=True,
-                    help="infer's --out: <rel>.pred.pgm and <rel>.json per --gt/<rel>.labels.pgm")
+                    help="infer's --out: <name>.pred.pgm, else <name>.labels.pgm, and "
+                         "<name>.json per ground-truth map <name>; its taxonomy must be --gt's")
     sp.add_argument("--gt", required=True,
-                    help="ground-truth <rel>.labels.pgm maps; poses from every poses.csv under it")
+                    help="any path inside a corpus or a tree of corpora: its <name>.labels.pgm "
+                         "maps, each scored under the category of the folder that holds it, "
+                         "and the poses of every poses.csv under it, else the nearest above it")
     sp.add_argument("--out", default=None, help="directory for iou.csv and pose.csv")
     sp.set_defaults(fn=cmd_eval)
 
@@ -374,7 +375,9 @@ def build_arg_parser():
     sp.add_argument("--query", required=True, nargs="+", help="query label maps")
     sp.add_argument("--ranking", required=True, nargs="+",
                     help="one file of candidate ids per query, best first")
-    sp.add_argument("--db", required=True)
+    sp.add_argument("--db", required=True,
+                    help="the folder that holds <id>.labels.pgm for each candidate id; its "
+                         "taxonomy must be each query's")
     sp.add_argument("--top", type=int, default=50)
     sp.add_argument("--out", default=None,
                     help="re-ranked lists in query order, separated by a blank line")

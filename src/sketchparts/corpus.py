@@ -22,19 +22,32 @@ outside it is False on the whole-canvas grid too.
 Inside the window each cell gets the same arithmetic, so the masks, and so
 every corpus byte, are those of the whole-canvas evaluation.
 
-Dataset layout on disk:
+Dataset layout on disk, the one statement of it that every command follows:
 
     <root>/taxonomy.tax
     <root>/<category>/<id>.sketch.pgm
     <root>/<category>/<id>.labels.pgm
     <root>/poses.csv            # header relative_path,pose; rows: sketch path,pose
 
-A root may hold a tree of corpora instead: every poses.csv under it is read,
-keyed by sketch path relative to that root, as a/cat/0000.sketch.pgm, and
-every taxonomy.tax under it must name the one taxonomy of the tree. A path
-with no taxonomy.tax under it, as a sketch, a label map or a category
-folder, takes the one of the nearest folder above it, so <root>/cat reads
-<root>/taxonomy.tax; with none there either, the default.
+A sample is named by its file's path less its suffix, as cat/0000 for
+cat/0000.sketch.pgm (SKETCH) and cat/0000.labels.pgm (LABELS). Predictions
+keep the name: infer writes cat/0000.pred.pgm (PRED) and cat/0000.json
+(RECORD). sample_path(root, name, suffix) builds each such path. A sample's
+category is the name of the folder that holds its file (category_of).
+
+A root may hold a tree of corpora instead, and any path inside one, a root,
+a tree, a category folder or one file, reads as that slice of the corpus:
+- sample_files walks it. Names are relative to the given path, or to a
+  file's own folder: a/cat/0000 under a tree, 0000 under <root>/cat and for
+  <root>/cat/0000.sketch.pgm. sketch_files takes, in a folder with no
+  .sketch.pgm under it, every .pgm but a label map.
+- read_poses reads every poses.csv under it, keyed by sketch path relative
+  to it, as a/cat/0000.sketch.pgm under a tree. With none under it, it
+  reads the nearest poses.csv above it, keeping the rows of files under it.
+- read_taxonomy reads every taxonomy.tax under it, which must name the one
+  taxonomy of the tree. With none under it, it reads the nearest
+  taxonomy.tax above it, so <root>/cat reads <root>/taxonomy.tax; with none
+  there either, the default.
 
 A training run's folder and a folder of predictions are roots too: each
 holds the taxonomy.tax of the taxonomy its checkpoint or label maps were
@@ -76,6 +89,8 @@ cat bird : body, wing, tail
 
 BACKGROUND_GRAY = 248
 POSES_HEADER = ["relative_path", "pose"]  # the first row of every poses.csv
+# the suffix of each file of a sample; its name is the file's path less it
+SKETCH, LABELS, PRED, RECORD = ".sketch.pgm", ".labels.pgm", ".pred.pgm", ".json"
 # largest canvas side a corpus is drawn at; far past it a single figure's
 # masks no longer fit in memory
 MAX_IMAGE_SIZE = 2048
@@ -360,24 +375,70 @@ def gen_corpus(spec, root):
     rows = []
     for name, sample in draw_corpus(spec):
         (root / name).parent.mkdir(parents=True, exist_ok=True)
-        write_pgm(root / f"{name}.sketch.pgm", sample.sketch.pixels)
-        write_pgm(root / f"{name}.labels.pgm", sample.labels.labels)
-        rows.append((f"{name}.sketch.pgm", sample.pose))
+        write_pgm(sample_path(root, name, SKETCH), sample.sketch.pixels)
+        write_pgm(sample_path(root, name, LABELS), sample.labels.labels)
+        rows.append((f"{name}{SKETCH}", sample.pose))
     with open(root / "poses.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([POSES_HEADER, *rows])
     write_taxonomy(root, spec.taxonomy)
     return [r for r, _ in rows]
 
 
-def read_poses(root):
-    """Sketch path relative to `root` -> pose, from every poses.csv under it.
-    Each holds the header row, then rows of exactly two fields: a path
-    relative to the file's folder and one of poses.POSES. Malformed text, an
-    unknown pose, or a sketch given two poses, in one file or two, raises
-    ConfigError naming the file and line (of both rows, for two poses)."""
-    root = Path(root)
+# ---------------------------------------------------------------------------
+# any path inside a corpus: its samples, poses and taxonomy
+
+
+def sample_path(root, name, suffix):
+    """<root>/<name><suffix>: the file of sample `name` of one kind, SKETCH,
+    LABELS, PRED or RECORD."""
+    return Path(root) / f"{name}{suffix}"
+
+
+def category_of(file):
+    """A sample's category: the name of the folder that holds its file."""
+    return Path(file).absolute().parent.name
+
+
+def _names_root(path):
+    """The folder that names under `path` are relative to: `path`, or a
+    file's own folder."""
+    return path.parent if path.is_file() else path
+
+
+def sample_files(path, suffix):
+    """(sample name, file) of every file under `path`, or of `path` itself,
+    whose name ends in `suffix`, sorted by file; a name is the file's path
+    relative to `path`, or to a file's own folder, less `suffix`."""
+    path = Path(path)
+    files = [path] if path.is_file() else sorted(path.rglob(f"*{suffix}"))
+    root = _names_root(path)
+    return [(f.relative_to(root).as_posix().removesuffix(suffix), f)
+            for f in files if f.name.endswith(suffix)]
+
+
+def sketch_files(path):
+    """sample_files(path, SKETCH); where that finds none, as for sketches from
+    outside any corpus, every .pgm under `path` but a label map, each named
+    less .pgm."""
+    return sample_files(path, SKETCH) or [
+        (name, f) for name, f in sample_files(path, ".pgm") if not f.name.endswith(LABELS)]
+
+
+def _nearest_above(path, name):
+    """The file `name` in the nearest folder above `path`, or None; a
+    relative `path` gives a relative file up to the working folder."""
+    path = Path(path)
+    for folder in [*path.parents, *(() if path.is_absolute() else Path.cwd().parents)]:
+        if (folder / name).is_file():
+            return folder / name
+    return None
+
+
+def _read_poses_files(files, root):
+    """Sketch path relative to `root` -> pose, from each poses.csv of `files`
+    in turn; see read_poses."""
     listed = {}  # key -> (pose, "<file> line <n>")
-    for path in sorted(root.rglob("poses.csv")):
+    for path in files:
         folder = path.parent.relative_to(root)
         try:
             with open(path, newline="", encoding="utf-8") as fh:
@@ -391,6 +452,8 @@ def read_poses(root):
                     at = f"{path} line {reader.line_num}"
                     if len(row) != 2:
                         raise ConfigError(f"{at}: expected 2 fields, got {len(row)}")
+                    if not row[0].endswith(SKETCH):
+                        raise ConfigError(f"{at}: {row[0]!r} does not name a {SKETCH} file")
                     if row[1] not in POSES:
                         raise ConfigError(f"{at}: unknown pose {row[1]!r}")
                     key = (folder / row[0]).as_posix()
@@ -403,6 +466,48 @@ def read_poses(root):
         except csv.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
     return {key: pose for key, (pose, _) in listed.items()}
+
+
+def read_poses(path):
+    """Sketch path -> pose for the sketches under `path`, keyed relative to
+    it, or to a file's own folder: from every poses.csv under it, else from
+    the nearest one above it, keeping the rows of files under `path`. Each
+    poses.csv holds the header row, then rows of exactly two fields: a
+    .sketch.pgm path relative to the file's folder and one of poses.POSES.
+    Malformed text, another path, an unknown pose, or a sketch given two
+    poses, in one file or two, raises ConfigError naming the file and line
+    (of both rows, for two poses)."""
+    path = Path(path)
+    root = _names_root(path)
+    files = sorted(path.rglob("poses.csv"))
+    if files:
+        return _read_poses_files(files, root)
+    above = _nearest_above(path, "poses.csv")
+    if above is None:
+        return {}
+    inside, root = path.absolute(), root.absolute()
+    rows = {(above.parent / key).absolute(): pose
+            for key, pose in _read_poses_files([above], above.parent).items()}
+    return {file.relative_to(root).as_posix(): pose for file, pose in rows.items()
+            if file.is_relative_to(inside)}
+
+
+def load_corpus(path):
+    """Read the samples under `path`, any path inside a corpus or a tree of
+    corpora, back into PairedSamples, sorted by read_poses(path)'s keys."""
+    path = Path(path)
+    poses = read_poses(path)
+    if not poses:
+        raise ConfigError(f"no poses.csv under or above {path} lists a sketch under it")
+    root = _names_root(path)
+    samples = []
+    for rel, pose in sorted(poses.items()):
+        name = rel.removesuffix(SKETCH)
+        sketch = sample_path(root, name, SKETCH)
+        samples.append(PairedSample(Raster(read_pgm(sketch)),
+                                    LabelMap(read_pgm(sample_path(root, name, LABELS))),
+                                    category_of(sketch), pose))
+    return samples
 
 
 def _taxonomy_files(root):
@@ -429,33 +534,40 @@ def write_taxonomy(root, tax):
     (Path(root) / "taxonomy.tax").write_text(tax.to_text(), encoding="utf-8")
 
 
-def read_taxonomy(root):
-    """The one taxonomy of every taxonomy.tax under `root`, in read_poses'
+def _one_taxonomy(found):
+    """The first of (taxonomy, source) pairs that all name one taxonomy by
+    digest; two that differ raise ConfigError naming both sources."""
+    for tax, source in found[1:]:
+        if tax.digest() != found[0][0].digest():
+            raise ConfigError(f"{found[0][1]} and {source} name different taxonomies")
+    return found[0]
+
+
+def _read_taxonomy_from(path):
+    """(read_taxonomy(path), the file it came from or, for the default, words
+    that say so)."""
+    found = _taxonomy_files(path)
+    if found:
+        return _one_taxonomy(found)
+    above = _nearest_above(path, "taxonomy.tax")
+    if above is not None:
+        return load_taxonomy_file(above), above
+    return (load_taxonomy(DEFAULT_TAXONOMY_TEXT),
+            f"the default taxonomy (no taxonomy.tax under or above {path})")
+
+
+def read_taxonomy(path):
+    """The one taxonomy of every taxonomy.tax under `path`, in read_poses'
     order and compared by digest, so comments and spacing do not count; two
-    that differ raise ConfigError naming both. With none under `root`, as
+    that differ raise ConfigError naming both. With none under `path`, as
     under a file, the taxonomy.tax of the nearest folder above it, so a
     sketch, label map, category folder or checkpoint reads its corpus's or
     run's; else the default."""
-    found = _taxonomy_files(root)
-    for tax, path in found[1:]:
-        if tax.digest() != found[0][0].digest():
-            raise ConfigError(f"{found[0][1]} and {path} name different taxonomies")
-    if found:
-        return found[0][0]
-    for folder in Path(root).absolute().parents:
-        if (folder / "taxonomy.tax").is_file():
-            return load_taxonomy_file(folder / "taxonomy.tax")
-    return load_taxonomy(DEFAULT_TAXONOMY_TEXT)
+    return _read_taxonomy_from(path)[0]
 
 
-def load_corpus(root):
-    """Read a corpus, or a tree of corpora, back into PairedSamples, sorted by
-    sketch path relative to `root`."""
-    root = Path(root)
-    poses = read_poses(root)
-    if not poses:
-        raise ConfigError(f"no poses.csv under {root} lists a sketch")
-    return [PairedSample(Raster(read_pgm(root / rel)),
-                         LabelMap(read_pgm(root / rel.replace(".sketch.pgm", ".labels.pgm"))),
-                         Path(rel).parent.name, pose)
-            for rel, pose in sorted(poses.items())]
+def check_one_taxonomy(paths):
+    """Refuse, with a ConfigError naming both files, `paths` of which two read
+    taxonomies (read_taxonomy) that differ by digest: their part ids number
+    the parts of two id spaces, so comparing them would mean nothing."""
+    _one_taxonomy([_read_taxonomy_from(p) for p in paths])

@@ -423,6 +423,49 @@ def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path, capsys
     assert sum(int(v) for row in pose[11:15] for v in row.split(",")[1:]) == 4
 
 
+def test_eval_scores_a_category_folder_under_its_category(small_corpus, tmp_path, capsys):
+    """--gt <corpus>/cat: each map is scored as a cat, and its pose comes
+    from the corpus's poses.csv above the folder."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    out = tmp_path / "pc"
+    assert main(["infer", "--model", str(ckpt), "--sketches", str(small_corpus / "cat"),
+                 "--out", str(out), "--force-branch", "Small Animals"]) == 0
+    assert json.loads((out / "0000.json").read_text())["category"] == "cat"
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(out), "--gt", str(small_corpus / "cat")]) == 0
+    printed = capsys.readouterr().out
+    assert [row.split()[0] for row in printed.splitlines()[1:3]] == ["cat", "AVG"]
+    assert "8-way accuracy: " in printed
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train-parser", []),
+    ("train-router", ["--batch-size", "2"]),
+])
+def test_training_takes_a_category_folder(small_corpus, tmp_path, command, flags):
+    """--train <corpus>/cat reads its sketches' rows of the poses.csv above it."""
+    assert main([command, "--train", str(small_corpus / "cat"), "--out", str(tmp_path / "run"),
+                 "--iterations", "1", *flags]) == 0
+
+
+def test_infer_names_plain_pgm_sketches_and_skips_label_maps(small_corpus, tmp_path):
+    """A folder with no .sketch.pgm: each other .pgm is a sketch named less
+    .pgm, and a .labels.pgm beside them is not one."""
+    sketches = tmp_path / "loose"
+    sketches.mkdir()
+    for name, rel in (("a.pgm", "cat/0000.sketch.pgm"), ("b.pgm", "car/0001.sketch.pgm"),
+                      ("c.labels.pgm", "cat/0000.labels.pgm")):
+        (sketches / name).write_bytes((small_corpus / rel).read_bytes())
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(ckpt), "--sketches", str(sketches), "--out", str(out),
+                 "--force-branch", "Small Animals"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.json", "a.pred.pgm", "b.json", "b.pred.pgm", "taxonomy.tax"]
+
+
 def test_eval_refuses_a_sketch_given_two_poses(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-corpus", "--out", str(data / "a"), "--per-category", "1",
@@ -774,6 +817,39 @@ def test_describe_reads_the_taxonomy_of_infers_predictions(reversed_cat_run, tmp
     assert main(["describe", "--labels", str(out / "cat" / "0000.pred.pgm"), "--category", "cat",
                  "--pose", "E"]) == 0
     assert capsys.readouterr().out.startswith("This is a sketch of a cat (a Pet) facing east")
+
+
+def test_eval_refuses_predictions_of_another_taxonomy(small_corpus, reversed_cat_corpus,
+                                                      capsys):
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(small_corpus), "--gt", str(reversed_cat_corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {small_corpus / 'taxonomy.tax'} and "
+                            f"{reversed_cat_corpus / 'taxonomy.tax'} name different "
+                            "taxonomies\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("query_in", ["corpus", "loose"])
+def test_rerank_refuses_a_query_of_another_taxonomy(small_corpus, reversed_cat_corpus, tmp_path,
+                                                    capsys, query_in):
+    """A query in a corpus of the default taxonomy, or outside any corpus, so
+    of the default too, against a --db of the reversed one."""
+    query = small_corpus / "cat" / "0000.labels.pgm"
+    if query_in == "loose":
+        (tmp_path / "loose").mkdir()
+        query = tmp_path / "loose" / "q.labels.pgm"
+        query.write_bytes((small_corpus / "cat" / "0000.labels.pgm").read_bytes())
+    (tmp_path / "ranking.txt").write_text("cat/0000\n")
+    capsys.readouterr()
+    assert main(["rerank", "--query", str(query), "--ranking", str(tmp_path / "ranking.txt"),
+                 "--db", str(reversed_cat_corpus)]) == 1
+    source = (small_corpus / "taxonomy.tax" if query_in == "corpus" else
+              f"the default taxonomy (no taxonomy.tax under or above {query})")
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {reversed_cat_corpus / 'taxonomy.tax'} and {source} name "
+                            "different taxonomies\n")
+    assert captured.out == ""
 
 
 def test_infer_with_a_checkpoint_moved_out_of_its_run_folder_names_the_fix(
@@ -1147,6 +1223,8 @@ BAD_POSES_CSV = [
     (b"relative_path,pose\ncat/0000.sketch.pgm,E,extra\n", "line 2: expected 2 fields, got 3"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,\xff\n", "not UTF-8"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,UP\n", "line 2: unknown pose 'UP'"),
+    (b"relative_path,pose\ncat/0000.pgm,E\n",
+     "line 2: 'cat/0000.pgm' does not name a .sketch.pgm file"),
     (b"cat/0000.sketch.pgm,E\ncat/0001.sketch.pgm,E\n",
      "line 1: expected the header relative_path,pose"),
     (b"relative_path,pose\ncat/0000.sketch.pgm,N\ncat/0000.sketch.pgm,S\n",
@@ -1154,8 +1232,8 @@ BAD_POSES_CSV = [
 ]
 
 
-POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose", "no_header",
-                 "two_poses"]
+POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose", "not_a_sketch",
+                 "no_header", "two_poses"]
 
 
 @pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)

@@ -18,7 +18,10 @@ from sketchparts.corpus import (
     gen_corpus,
     load_corpus,
     make_sample,
+    read_poses,
     read_taxonomy,
+    sample_files,
+    sketch_files,
     write_taxonomy,
 )
 from sketchparts.errors import ConfigError, ContractViolation
@@ -126,12 +129,14 @@ def test_sample_sketch_has_ink_and_blank_interior():
         (b"", "is empty"),
         (b"relative_path,pose\ncat/0000.sketch.pgm\n", "expected 2 fields"),
         (b"relative_path,pose\n\xff,E\n", "not UTF-8"),
+        (b"relative_path,pose\ncat/0000.pgm,E\n",
+         "line 2: 'cat/0000.pgm' does not name a .sketch.pgm file"),
         (b"cat/0000.sketch.pgm,E\ncat/0001.sketch.pgm,E\n",
          "line 1: expected the header relative_path,pose"),
         (b"relative_path,pose\ncat/0000.sketch.pgm,N\ncat/0000.sketch.pgm,S\n",
          "line 2 but 'S' in "),
     ],
-    ids=["empty", "one_field", "not_utf8", "no_header", "two_poses"],
+    ids=["empty", "one_field", "not_utf8", "not_a_sketch", "no_header", "two_poses"],
 )
 def test_load_corpus_bad_poses_csv_rejected(tmp_path, raw, message):
     gen_corpus(CorpusSpec(TAX, per_category=1, seed=0, categories=("cat",)), tmp_path / "c")
@@ -200,6 +205,45 @@ def test_load_corpus_reads_a_tree_of_corpora(tmp_path):
     gen_corpus(CorpusSpec(TAX, per_category=1, seed=2, image_size=40, categories=("bird",)),
                data / "b")
     assert load_corpus(data) == load_corpus(data / "a") + load_corpus(data / "b")
+
+
+@pytest.mark.parametrize("where", ["category_folder", "sketch_file"])
+def test_a_category_folder_or_one_sketch_reads_the_poses_csv_above_it(tmp_path, where):
+    data = tmp_path / "data"
+    gen_corpus(CorpusSpec(TAX, per_category=2, seed=1, image_size=32, categories=("cat", "car")),
+               data / "a")
+    poses, samples = read_poses(data), load_corpus(data)
+    path = data / "a" / "cat" if where == "category_folder" else data / "a/cat/0001.sketch.pgm"
+    expected = ["0000", "0001"] if where == "category_folder" else ["0001"]
+    # keyed relative to the folder, or to the file's own folder
+    assert read_poses(path) == {f"{n}.sketch.pgm": poses[f"a/cat/{n}.sketch.pgm"]
+                                for n in expected}
+    assert load_corpus(path) == [s for s in samples if s.category == "cat"][-len(expected):]
+    assert {s.category for s in load_corpus(path)} == {"cat"}
+
+
+def test_a_label_map_lists_no_sketch(tmp_path):
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=1, image_size=32, categories=("cat",)),
+               tmp_path / "c")
+    assert read_poses(tmp_path / "c" / "cat" / "0000.labels.pgm") == {}
+
+
+def test_sample_files_names_relative_to_the_path_or_a_files_folder(tmp_path):
+    data = tmp_path / "data"
+    gen_corpus(CorpusSpec(TAX, per_category=1, seed=1, image_size=32, categories=("cat", "car")),
+               data / "a")
+    labels = data / "a" / "cat" / "0000.labels.pgm"
+    assert sample_files(data, ".labels.pgm") == [("a/car/0000", data / "a/car/0000.labels.pgm"),
+                                                 ("a/cat/0000", labels)]
+    assert sample_files(data / "a" / "cat", ".labels.pgm") == [("0000", labels)]
+    assert sample_files(labels, ".labels.pgm") == [("0000", labels)]
+    assert sample_files(labels, ".sketch.pgm") == []
+    assert sketch_files(data / "a" / "cat") == [("0000", data / "a/cat/0000.sketch.pgm")]
+    # a label map is never a sketch, even given alone
+    assert sketch_files(labels) == []
+    plain = tmp_path / "plain.pgm"
+    plain.write_bytes(labels.read_bytes())
+    assert sketch_files(plain) == [("plain", plain)]
 
 
 PETS_TEXT = "super Pets\ncat cat : head, body, leg, tail\n"
