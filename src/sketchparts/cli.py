@@ -9,10 +9,12 @@ training.TrainPlan or training.RouterPlan field it sets.
 Every command reads samples by the one layout rule that the corpus module
 states. --train, --sketches and --gt each take any path inside a corpus or a
 tree of corpora, a root, a category folder or one file, and read that slice
-of it, with its names, categories and poses. infer writes each sketch's map
-and record under --out by the sketch's name, as cat/0000.pred.pgm and
-cat/0000.json for cat/0000.sketch.pgm; eval reads them by that name under
---pred, and rerank reads each candidate id's label map under --db.
+of it, with its names, categories and poses. In a folder with no .sketch.pgm
+under it, --sketches takes every .pgm but a label map or a prediction. infer
+writes each sketch's map and record under --out by the sketch's name, as
+cat/0000.pred.pgm and cat/0000.json for cat/0000.sketch.pgm; eval reads them
+by that name under --pred, and rerank reads each candidate id's label map
+under --db.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -352,8 +354,8 @@ def build_arg_parser():
                     help="a train-router checkpoint trained on the model's taxonomy")
     sp.add_argument("--sketches", required=True,
                     help="a sketch, or a folder: its .sketch.pgm files, else every .pgm in it "
-                         "but a .labels.pgm; each is named by its path less the suffix, "
-                         "relative to the folder or to a file's own folder")
+                         "but a label map or a prediction; each is named by its path less "
+                         "the suffix, relative to the folder or to a file's own folder")
     sp.add_argument("--out", required=True,
                     help="<name>.pred.pgm and <name>.json for each sketch <name>, "
                          "and the model's taxonomy.tax")

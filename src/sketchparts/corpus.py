@@ -40,7 +40,7 @@ a tree, a category folder or one file, reads as that slice of the corpus:
 - sample_files walks it. Names are relative to the given path, or to a
   file's own folder: a/cat/0000 under a tree, 0000 under <root>/cat and for
   <root>/cat/0000.sketch.pgm. sketch_files takes, in a folder with no
-  .sketch.pgm under it, every .pgm but a label map.
+  .sketch.pgm under it, every .pgm but a label map or a prediction.
 - read_poses reads every poses.csv under it, keyed by sketch path relative
   to it, as a/cat/0000.sketch.pgm under a tree. With none under it, it
   reads the nearest poses.csv above it, keeping the rows of files under it.
@@ -418,10 +418,11 @@ def sample_files(path, suffix):
 
 def sketch_files(path):
     """sample_files(path, SKETCH); where that finds none, as for sketches from
-    outside any corpus, every .pgm under `path` but a label map, each named
-    less .pgm."""
+    outside any corpus, every .pgm under `path` but a label map or a
+    prediction, each named less .pgm."""
     return sample_files(path, SKETCH) or [
-        (name, f) for name, f in sample_files(path, ".pgm") if not f.name.endswith(LABELS)]
+        (name, f) for name, f in sample_files(path, ".pgm")
+        if not f.name.endswith((LABELS, PRED))]
 
 
 def _nearest_above(path, name):

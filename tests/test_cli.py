@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -451,11 +453,12 @@ def test_training_takes_a_category_folder(small_corpus, tmp_path, command, flags
 
 def test_infer_names_plain_pgm_sketches_and_skips_label_maps(small_corpus, tmp_path):
     """A folder with no .sketch.pgm: each other .pgm is a sketch named less
-    .pgm, and a .labels.pgm beside them is not one."""
+    .pgm, and a .labels.pgm or .pred.pgm beside them is not one."""
     sketches = tmp_path / "loose"
     sketches.mkdir()
     for name, rel in (("a.pgm", "cat/0000.sketch.pgm"), ("b.pgm", "car/0001.sketch.pgm"),
-                      ("c.labels.pgm", "cat/0000.labels.pgm")):
+                      ("c.labels.pgm", "cat/0000.labels.pgm"),
+                      ("d.pred.pgm", "cat/0000.labels.pgm")):
         (sketches / name).write_bytes((small_corpus / rel).read_bytes())
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
@@ -799,7 +802,7 @@ def test_infer_reads_the_taxonomy_of_the_models_run_folder(reversed_cat_run, tmp
     """A sketch in its corpus, a category folder, or a copy outside any corpus."""
     loose = tmp_path / "loose"
     loose.mkdir()
-    (loose / "0000.sketch.pgm").write_bytes((tmp_path / "b/cat/0000.sketch.pgm").read_bytes())
+    (loose / "0000.pgm").write_bytes((tmp_path / "b/cat/0000.sketch.pgm").read_bytes())
     out = tmp_path / "preds"
     assert main(["infer", "--model", str(reversed_cat_run / "model.ckpt"),
                  "--sketches", str(tmp_path / sketches), "--out", str(out),
@@ -1165,6 +1168,19 @@ def test_every_command_runs_with_scipy_refused(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report == {"installed": True, "on_import": [], "codes": [0, 0, 0, 0, 0], "scipy": []}
     assert (tmp_path / "reranked.txt").read_text().split()[0] == "car/0000"
+
+
+def test_the_console_script_ci_step_runs_each_subcommand_once():
+    """The CI step that runs the installed script starts one `sketchparts
+    <name>` line per subcommand, and train-parser one more, for the refused
+    flag; what each command prints is checked by the tests here."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    step = workflow.read_text().split("- name: Installed console script", 1)[1]
+    step = step.split("\n      - name: ", 1)[0]
+    started = Counter(re.findall(r"^\s*sketchparts ([\w-]+)", step, re.MULTILINE))
+    subparsers = next(a for a in cli.build_arg_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert dict(started) == {name: 1 + (name == "train-parser") for name in subparsers.choices}
 
 
 def test_train_router_then_infer_round_trip(small_corpus, tmp_path):
