@@ -43,7 +43,8 @@ a tree, a category folder or one file, reads as that slice of the corpus:
   .sketch.pgm under it, every .pgm but a label map or a prediction.
 - read_poses reads every poses.csv under it, keyed by sketch path relative
   to it, as a/cat/0000.sketch.pgm under a tree. With none under it, it
-  reads the nearest poses.csv above it, keeping the rows of files under it.
+  reads the nearest poses.csv above it, keeping the rows of files under it,
+  or, for a label map, the row of its own sample's sketch.
 - read_taxonomy reads every taxonomy.tax under it, which must name the one
   taxonomy of the tree. With none under it, it reads the nearest
   taxonomy.tax above it, so <root>/cat reads <root>/taxonomy.tax; with none
@@ -472,7 +473,8 @@ def _read_poses_files(files, root):
 def read_poses(path):
     """Sketch path -> pose for the sketches under `path`, keyed relative to
     it, or to a file's own folder: from every poses.csv under it, else from
-    the nearest one above it, keeping the rows of files under `path`. Each
+    the nearest one above it, keeping the rows of files under `path`, or,
+    for a label map, the row of its own sample's sketch. Each
     poses.csv holds the header row, then rows of exactly two fields: a
     .sketch.pgm path relative to the file's folder and one of poses.POSES.
     Malformed text, another path, an unknown pose, or a sketch given two
@@ -487,6 +489,9 @@ def read_poses(path):
     if above is None:
         return {}
     inside, root = path.absolute(), root.absolute()
+    if path.is_file() and path.name.endswith(LABELS):
+        # a label map keeps the row of its own sample's sketch
+        inside = sample_path(root, path.name.removesuffix(LABELS), SKETCH)
     rows = {(above.parent / key).absolute(): pose
             for key, pose in _read_poses_files([above], above.parent).items()}
     return {file.relative_to(root).as_posix(): pose for file, pose in rows.items()

@@ -68,13 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation, check_count
-from .imaging import label_components
+from .imaging import label
 
 GLOBAL = -1  # node index of the global node in correspondence pairs
 
@@ -116,27 +115,47 @@ def _angular_extent(rows, cols, cy, cx):
     return float(2 * math.pi - max(gaps.max(), wrap))
 
 
+def _instances(lm):
+    """A label map's part instances, the 4-connected components of each
+    nonzero id, ordered by (part id, centroid row, centroid col), ties in
+    `label`'s raster order: (part ids, areas, (n, 2) centroids, (N, 2)
+    pixels, index map). Each instance's pixels, in scan order, are the next
+    `area` rows of `pixels`; the index map holds each pixel's instance, -1
+    on background."""
+    comp, part_ids = label(lm.labels)
+    flat = comp.ravel()
+    inked = np.flatnonzero(flat > 0)
+    owner = flat[inked]
+    # one stable sort groups the pixels by component, each in scan order
+    order = inked[np.argsort(owner, kind="stable")]
+    area = np.bincount(owner, minlength=part_ids.size + 1)[1:]
+    grouped = np.column_stack(np.divmod(order, lm.width))
+    offsets = np.cumsum(area) - area
+    # coordinate sums are whole numbers, exact in float64 in any order, so
+    # sum / area is the bytes `mean` gives
+    centroids = np.add.reduceat(grouped, offsets) / area[:, None]
+    rank = np.lexsort((centroids[:, 1], centroids[:, 0], part_ids))
+    blocks = zip(offsets[rank].tolist(), area[rank].tolist())
+    # grouped[:0] keeps the (0, 2) shape of a map with no instances
+    pixels = np.concatenate([grouped[:0], *(grouped[o : o + a] for o, a in blocks)])
+    position = np.full(part_ids.size + 1, -1, dtype=np.int32)
+    position[rank + 1] = np.arange(rank.size, dtype=np.int32)
+    return (part_ids[rank].astype(np.int64), area[rank], centroids[rank], pixels,
+            np.take(position, comp))
+
+
 def build_graph(lm):
     h, w = lm.labels.shape
-    comps, lab = label_components(lm)
-    foreground = int((lm.labels != 0).sum())
-    kept = np.array([c.area >= MIN_AREA_FRACTION * foreground for c in comps], dtype=bool)
+    part, area, centroids, pixels, lab = _instances(lm)
+    foreground = int(area.sum())
+    kept = area >= MIN_AREA_FRACTION * foreground
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    local = list(compress(comps, kept))
-    n = len(local)
-    part = np.array([c.part_id for c in local], dtype=np.int64)
-    nodes = np.array(
-        [
-            (
-                _angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
-                c.centroid[0] / h,
-                c.centroid[1] / w,
-                c.area / foreground,
-            )
-            for c in local
-        ],
-        dtype=np.float64,
-    ).reshape(n, 4)
+    ends = np.cumsum(area)
+    spans = zip((ends - area)[kept].tolist(), ends[kept].tolist())
+    extent = [_angular_extent(pixels[s:e, 0], pixels[s:e, 1], cy, cx) for s, e in spans]
+    part = part[kept]
+    n = part.size
+    nodes = np.column_stack((extent, centroids[kept] / (h, w), area[kept] / foreground))
     hist = np.column_stack(np.unique(part, return_counts=True))
 
     # adjacency: any 4-neighbouring pixel pair from two kept components.

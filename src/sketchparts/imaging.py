@@ -5,14 +5,13 @@ whole gray range). Label maps carry a part id per pixel, 0 = background.
 Everything is written in numpy alone. Geometric resampling is explicit so
 that flips commute exactly with resizing. Gaussian smoothing, Sobel and
 dilation reproduce scipy.ndimage's filters byte for byte, and one run-based
-labeller finds connected components for Canny's hysteresis and for part
-instances.
+labeller finds connected components for Canny's hysteresis, part counts
+and part graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,14 +352,6 @@ def crops_and_pad(sketch, crop_fraction, side):
 # connected components
 
 
-@dataclass(frozen=True)
-class Component:
-    part_id: int
-    pixels: np.ndarray  # (n, 2) row/col coordinates, scan order
-    area: int
-    centroid: tuple  # (row, col) floats
-
-
 def label(ids, connectivity=4):
     """Connected components of equal nonzero ids: (components, part_ids).
 
@@ -421,37 +412,3 @@ def label(ids, connectivity=4):
     components = np.repeat(seg_comp, seg_end - seg).reshape(ids.shape)
     return components, flat[start[root]]
 
-
-def label_components(lm):
-    """4-connected components of every nonzero part id.
-
-    Returns (components, index_map) where index_map holds each pixel's
-    position in the component list, -1 for background. Components are
-    ordered by (part id, centroid row, centroid col), ties in `label`'s
-    raster order. Each component lists its pixels in scan order.
-    """
-    comp, part_ids = label(lm.labels)
-    flat = comp.ravel()
-    inked = np.flatnonzero(flat > 0)
-    owner = flat[inked]
-    # one stable sort groups the pixels by component, each in scan order
-    order = inked[np.argsort(owner, kind="stable")]
-    area = np.bincount(owner, minlength=part_ids.size + 1)[1:]
-    pixels = np.column_stack(np.divmod(order, lm.width))
-    offsets = np.cumsum(area) - area
-    # coordinate sums are whole numbers, exact in float64 in any order, so
-    # sum / area is the bytes `mean` gives
-    centroids = np.add.reduceat(pixels, offsets) / area[:, None]
-    rank = np.lexsort((centroids[:, 1], centroids[:, 0], part_ids))
-    found = [
-        Component(
-            part_id=int(part_ids[k]),
-            pixels=pixels[offsets[k] : offsets[k] + area[k]],
-            area=int(area[k]),
-            centroid=tuple(centroids[k].tolist()),
-        )
-        for k in rank
-    ]
-    position = np.full(part_ids.size + 1, -1, dtype=np.int32)
-    position[rank + 1] = np.arange(rank.size, dtype=np.int32)
-    return found, np.take(position, comp)

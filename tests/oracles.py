@@ -249,10 +249,9 @@ def interp_matrix_loop(n_out, n_in):
 
 def label_components_loop(lm):
     """Per-id component labelling with one whole-map scan per component:
-    (components, index map) in the library's order and dtypes."""
+    (part ids, areas, centroids, pixels, index map) in the order and dtypes
+    of graphmatch._instances, each instance's pixels the next `area` rows."""
     from scipy import ndimage
-
-    from sketchparts.imaging import Component
 
     labels = lm.labels
     found = []
@@ -260,19 +259,18 @@ def label_components_loop(lm):
         comp, n = ndimage.label(labels == pid)  # the default 4-connected cross
         for k in range(1, n + 1):
             rows, cols = np.nonzero(comp == k)
-            found.append(
-                Component(
-                    part_id=pid,
-                    pixels=np.column_stack([rows, cols]),
-                    area=rows.size,
-                    centroid=(rows.mean().item(), cols.mean().item()),
-                )
-            )
-    found.sort(key=lambda c: (c.part_id, c.centroid[0], c.centroid[1]))
+            found.append((pid, rows.mean().item(), cols.mean().item(), np.column_stack([rows, cols])))
+    found.sort(key=lambda c: c[:3])
     index_map = np.full(labels.shape, -1, dtype=np.int32)
-    for i, c in enumerate(found):
-        index_map[c.pixels[:, 0], c.pixels[:, 1]] = i
-    return found, index_map
+    for i, (*_, pixels) in enumerate(found):
+        index_map[pixels[:, 0], pixels[:, 1]] = i
+    return (
+        np.array([pid for pid, *_ in found], dtype=np.int64),
+        np.array([len(pixels) for *_, pixels in found], dtype=np.intp),
+        np.array([(row, col) for _, row, col, _ in found], dtype=np.float64).reshape(-1, 2),
+        np.concatenate([np.zeros((0, 2), dtype=np.intp), *(pixels for *_, pixels in found)]),
+        index_map,
+    )
 
 
 def build_graph_loop(lm):
@@ -282,22 +280,26 @@ def build_graph_loop(lm):
     from sketchparts.graphmatch import MIN_AREA_FRACTION, AttributeGraph, _angular_extent, _wrap_angle
 
     h, w = lm.labels.shape
-    comps, comp_map = label_components_loop(lm)
+    part_ids, areas, centroids, pixels, comp_map = label_components_loop(lm)
     foreground = int((lm.labels != 0).sum())
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     kept_at = {}
     part, nodes = [], []
-    for original_idx, c in enumerate(comps):
-        if c.area < MIN_AREA_FRACTION * foreground:
+    start = 0
+    for original_idx, area in enumerate(areas.tolist()):
+        own = pixels[start : start + area]
+        start += area
+        if area < MIN_AREA_FRACTION * foreground:
             continue
         kept_at[original_idx] = len(nodes)
-        part.append(c.part_id)
+        part.append(int(part_ids[original_idx]))
+        row, col = centroids[original_idx].tolist()
         nodes.append(
             (
-                _angular_extent(c.pixels[:, 0], c.pixels[:, 1], cy, cx),
-                c.centroid[0] / h,
-                c.centroid[1] / w,
-                c.area / foreground,
+                _angular_extent(own[:, 0], own[:, 1], cy, cx),
+                row / h,
+                col / w,
+                area / foreground,
             )
         )
     histogram = {}

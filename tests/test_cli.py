@@ -425,9 +425,10 @@ def test_infer_mirrors_a_tree_of_two_corpora_and_eval_scores_it(tmp_path, capsys
     assert sum(int(v) for row in pose[11:15] for v in row.split(",")[1:]) == 4
 
 
-def test_eval_scores_a_category_folder_under_its_category(small_corpus, tmp_path, capsys):
-    """--gt <corpus>/cat: each map is scored as a cat, and its pose comes
-    from the corpus's poses.csv above the folder."""
+@pytest.mark.parametrize("gt", ["cat", "cat/0000.labels.pgm"])
+def test_eval_scores_a_category_folder_under_its_category(small_corpus, tmp_path, capsys, gt):
+    """--gt <corpus>/cat, or one label map in it: each map is scored as a
+    cat, and its pose comes from the corpus's poses.csv above the folder."""
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
     out = tmp_path / "pc"
@@ -435,10 +436,10 @@ def test_eval_scores_a_category_folder_under_its_category(small_corpus, tmp_path
                  "--out", str(out), "--force-branch", "Small Animals"]) == 0
     assert json.loads((out / "0000.json").read_text())["category"] == "cat"
     capsys.readouterr()
-    assert main(["eval", "--pred", str(out), "--gt", str(small_corpus / "cat")]) == 0
+    assert main(["eval", "--pred", str(out), "--gt", str(small_corpus / gt)]) == 0
     printed = capsys.readouterr().out
     assert [row.split()[0] for row in printed.splitlines()[1:3]] == ["cat", "AVG"]
-    assert "8-way accuracy: " in printed
+    assert "8-way accuracy: " in printed and "4-way accuracy: " in printed
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -222,10 +222,13 @@ def test_a_category_folder_or_one_sketch_reads_the_poses_csv_above_it(tmp_path, 
     assert {s.category for s in load_corpus(path)} == {"cat"}
 
 
-def test_a_label_map_lists_no_sketch(tmp_path):
-    gen_corpus(CorpusSpec(TAX, per_category=1, seed=1, image_size=32, categories=("cat",)),
+def test_a_label_map_keeps_the_row_of_its_own_sketch(tmp_path):
+    gen_corpus(CorpusSpec(TAX, per_category=2, seed=1, image_size=32, categories=("cat",)),
                tmp_path / "c")
-    assert read_poses(tmp_path / "c" / "cat" / "0000.labels.pgm") == {}
+    poses, labels = read_poses(tmp_path / "c"), tmp_path / "c" / "cat" / "0001.labels.pgm"
+    assert read_poses(labels) == {"0001.sketch.pgm": poses["cat/0001.sketch.pgm"]}
+    # so the label map reads as its one sample, as training reads it
+    assert load_corpus(labels) == load_corpus(tmp_path / "c")[1:]
 
 
 def test_sample_files_names_relative_to_the_path_or_a_files_folder(tmp_path):

@@ -19,7 +19,7 @@ from sketchparts.graphmatch import (
     rerank,
     rrwm_match,
 )
-from sketchparts.imaging import LabelMap, label_components
+from sketchparts.imaging import LabelMap, label
 from sketchparts.pipeline import part_counts
 
 from oracles import build_affinity_loop, build_graph_loop, label_components_loop, rrwm_match_loop
@@ -107,6 +107,52 @@ def assert_same_graph(got, want):
 
 
 # --------------------------------------------------------------------------
+
+
+class TestInstances:
+    """graphmatch._instances: (part ids, areas, centroids, pixels, index map)."""
+
+    def test_background_only(self):
+        part, area, centroids, pixels, index_map = graphmatch._instances(
+            LabelMap(np.zeros((8, 8), dtype=np.uint8))
+        )
+        assert part.size == area.size == 0
+        assert centroids.shape == pixels.shape == (0, 2)
+        assert (index_map == -1).all()
+
+    def test_two_blobs_same_id(self):
+        lm = np.zeros((10, 10), dtype=np.uint8)
+        lm[1:3, 1:3] = 2
+        lm[6:9, 6:9] = 2
+        part, area, *_ = graphmatch._instances(LabelMap(lm))
+        assert part.tolist() == [2, 2]
+        assert area.tolist() == [4, 9]
+
+    def test_diagonal_touch_stays_separate(self):
+        lm = np.zeros((4, 4), dtype=np.uint8)
+        lm[0, 0] = 1
+        lm[1, 1] = 1
+        assert graphmatch._instances(LabelMap(lm))[0].size == 2
+
+    def test_areas_partition_nonzero_pixels(self):
+        rng = make_rng(41)
+        for _ in range(10):
+            lm = LabelMap((rng.random((16, 16)) * 4).astype(np.uint8))
+            _, area, _, pixels, _ = graphmatch._instances(lm)
+            assert area.sum() == len(pixels) == int((lm.labels != 0).sum())
+            assert len({(r, c) for r, c in pixels.tolist()}) == len(pixels)
+
+    def test_deterministic_ordering(self):
+        lm = np.zeros((10, 10), dtype=np.uint8)
+        lm[8, 8] = 1
+        lm[0, 0] = 1
+        lm[4, 4] = 3
+        part, _, centroids, _, _ = graphmatch._instances(LabelMap(lm))
+        assert list(zip(part.tolist(), centroids.tolist())) == [
+            (1, [0.0, 0.0]),
+            (1, [8.0, 8.0]),
+            (3, [4.0, 4.0]),
+        ]
 
 
 class TestBuildGraph:
@@ -446,19 +492,15 @@ def walked_matches(q, graphs, cap):
 class TestAgainstLoopOracles:
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_label_components_exact(self, name, lm):
-        comps, index_map = label_components(lm)
-        want, want_map = label_components_loop(lm)
-        assert index_map.dtype == want_map.dtype and np.array_equal(index_map, want_map)
-        assert len(comps) == len(want)
-        for c, o in zip(comps, want):
-            assert (c.part_id, c.area, c.centroid) == (o.part_id, o.area, o.centroid)
-            assert c.pixels.dtype == o.pixels.dtype and np.array_equal(c.pixels, o.pixels)
+        got, want = graphmatch._instances(lm), label_components_loop(lm)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("named", [3, 255])
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_part_counts_are_label_components_per_id(self, name, lm, named):
         names = [f"part{i}" for i in range(1, named + 1)]
-        per_id = Counter(c.part_id for c in label_components(lm)[0])
+        per_id = Counter(label(lm.labels)[1].tolist())
         if max(per_id, default=0) > named:
             with pytest.raises(ContractViolation, match=f"part id {max(per_id)},"):
                 part_counts(lm, PartNames(names), branch=0)

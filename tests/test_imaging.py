@@ -17,7 +17,6 @@ from sketchparts.imaging import (
     dilate_square,
     grey_view,
     label,
-    label_components,
     mirror_v,
     rescale,
     rotate,
@@ -389,49 +388,6 @@ class TestCropsAndPad:
     )
     def test_view_shape_scales_the_longer_side(self, shape, side, want):
         assert view_shape(*shape, side) == want
-
-
-class TestComponents:
-    def test_background_only(self):
-        assert label_components(LabelMap(np.zeros((8, 8), dtype=np.uint8)))[0] == []
-
-    def test_two_blobs_same_id(self):
-        lm = np.zeros((10, 10), dtype=np.uint8)
-        lm[1:3, 1:3] = 2
-        lm[6:9, 6:9] = 2
-        comps = label_components(LabelMap(lm))[0]
-        assert [c.part_id for c in comps] == [2, 2]
-        assert [c.area for c in comps] == [4, 9]
-
-    def test_diagonal_touch_stays_separate(self):
-        lm = np.zeros((4, 4), dtype=np.uint8)
-        lm[0, 0] = 1
-        lm[1, 1] = 1
-        assert len(label_components(LabelMap(lm))[0]) == 2
-
-    def test_areas_partition_nonzero_pixels(self):
-        rng = make_rng(41)
-        for _ in range(10):
-            lm = LabelMap((rng.random((16, 16)) * 4).astype(np.uint8))
-            comps = label_components(lm)[0]
-            assert sum(c.area for c in comps) == int((lm.labels != 0).sum())
-            seen = set()
-            for c in comps:
-                for r, col in c.pixels:
-                    assert (r, col) not in seen
-                    seen.add((r, col))
-
-    def test_deterministic_ordering(self):
-        lm = np.zeros((10, 10), dtype=np.uint8)
-        lm[8, 8] = 1
-        lm[0, 0] = 1
-        lm[4, 4] = 3
-        comps = label_components(LabelMap(lm))[0]
-        assert [(c.part_id, c.centroid) for c in comps] == [
-            (1, (0.0, 0.0)),
-            (1, (8.0, 8.0)),
-            (3, (4.0, 4.0)),
-        ]
 
 
 class TestPgm:
