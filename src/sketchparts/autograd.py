@@ -10,6 +10,11 @@ float64 being the reduction's own dtype. Results are cast back. Tests run
 float64 tensors through the same code as a full-precision shadow, so
 finite-difference checks stay tight.
 
+The parser's scores reach its loss through no shape glue:
+bilinear_upsample returns the top-left height x width window of its
+upsampled grid, and weighted_softmax_ce reads logits of any shape (L, ...)
+as L scores at each position and returns its gradient in that shape.
+
 Every tensor receives a gradient unless it was built with
 requires_grad=False, as the sketch input of model.forward_shared is:
 conv2d skips the input gradient of such a tensor, and backward() never
@@ -482,24 +487,33 @@ def _interp_matrix(n_out, n_in):
     return m
 
 
-def bilinear_upsample(x, factor):
-    """Upsample x[C,H,W] by an integer factor (align-corners-false)."""
+def bilinear_upsample(x, factor, height, width):
+    """The top-left height x width window of x[C,H,W] upsampled by an
+    integer factor (align-corners-false).
+
+    The window is sliced from the whole factor*H x factor*W grid, and the
+    backward pass zero-pads the gradient back to that grid, so the bytes are
+    those of upsampling whole and then cropping.
+    """
     if int(factor) != factor or factor < 1:
         raise ContractViolation(f"upsample factor must be a positive integer, got {factor}")
     factor = int(factor)
-    if factor == 1:
-        return x
     C, H, W = x.shape
-    wy = _interp_matrix(H * factor, H)
-    wx = _interp_matrix(W * factor, W)
+    Hf, Wf = H * factor, W * factor
+    if not (1 <= height <= Hf and 1 <= width <= Wf):
+        raise ContractViolation(f"window {height}x{width} is not within the upsampled {Hf}x{Wf}")
+    wy = _interp_matrix(Hf, H)
+    wx = _interp_matrix(Wf, W)
     t = np.tensordot(_f64(x.data), wy, axes=([1], [1]))  # (C, W, Hf)
     out_data = np.tensordot(t, wx, axes=([1], [1]))  # (C, Hf, Wf)
-    out = Tensor(_cast(out_data, x.dtype))
+    out = Tensor(_cast(out_data[:, :height, :width], x.dtype))
 
     if _recording():
 
         def grad_fn(g):
-            t2 = np.tensordot(_f64(g), wy, axes=([1], [0]))  # (C, Wf, H)
+            full = np.zeros((C, Hf, Wf))
+            full[:, :height, :width] = g
+            t2 = np.tensordot(full, wy, axes=([1], [0]))  # (C, Wf, H)
             dx = np.tensordot(t2, wx, axes=([1], [0]))  # (C, H, W)
             return (dx,)
 
@@ -533,10 +547,14 @@ def softmax(x):
 def weighted_softmax_ce(logits, targets, weights):
     """Mean over positions of weights[target] * (-log softmax(logits)[target]).
 
-    logits is [L, P]; targets is a length-P int sequence; weights is a
-    length-L positive vector. Returns a scalar tensor.
+    logits is [L, ...]: L scores at each position of its trailing axes,
+    taken in C order; targets holds one int per position; weights is a
+    length-L positive vector. Returns a scalar tensor, and a gradient in the
+    logits' shape.
     """
-    L, P = logits.shape
+    L = logits.shape[0]
+    z = _f64(logits.data).reshape(L, -1)
+    P = z.shape[1]
     t = np.asarray(targets, dtype=np.intp).reshape(-1)
     if t.shape[0] != P:
         raise ContractViolation(f"{t.shape[0]} targets for {P} positions")
@@ -549,7 +567,6 @@ def weighted_softmax_ce(logits, targets, weights):
     if w.shape[0] != L:
         raise ContractViolation(f"{w.shape[0]} weights for {L} labels")
 
-    z = _f64(logits.data)
     z = z - z.max(axis=0, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=0))
     cols = np.arange(P)
@@ -564,7 +581,7 @@ def weighted_softmax_ce(logits, targets, weights):
             soft = np.exp(z - logsumexp[None, :])
             d = soft * wt[None, :]
             d[t, cols] -= wt
-            return (g.item() / P * d,)
+            return ((g.item() / P * d).reshape(logits.shape),)
 
         _record(out, (logits,), grad_fn)
     return out
@@ -572,37 +589,11 @@ def weighted_softmax_ce(logits, targets, weights):
 
 def softmax_ce(logits, target):
     """Plain cross-entropy of a logit vector against one class index."""
-    (L,) = logits.shape
-    flat = reshape(logits, (L, 1))
-    return weighted_softmax_ce(flat, [target], np.ones(L))
+    return weighted_softmax_ce(logits, [target], np.ones(logits.shape[0]))
 
 
 # ---------------------------------------------------------------------------
-# shape / arithmetic glue
-
-
-def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
-    if _recording():
-        _record(out, (x,), lambda g: (g.reshape(x.shape),))
-    return out
-
-
-def crop2d(x, height, width):
-    """Keep the top-left height x width window of x[C,H,W]."""
-    C, H, W = x.shape
-    if height > H or width > W:
-        raise ContractViolation(f"crop {height}x{width} exceeds input {H}x{W}")
-    out = Tensor(np.ascontiguousarray(x.data[:, :height, :width]))
-    if _recording():
-
-        def grad_fn(g):
-            dx = np.zeros((C, H, W), dtype=np.float64)
-            dx[:, :height, :width] = g
-            return (dx,)
-
-        _record(out, (x,), grad_fn)
-    return out
+# arithmetic glue
 
 
 def add(x, y):

@@ -182,7 +182,8 @@ def _check_gradients(rng):
     gradcheck(probe(rng, lambda: linear(v, lw, lb)), [v, lw, lb])
     gradcheck(probe(rng, lambda: relu(x)), [x], tol=1e-3)
     gradcheck(probe(rng, lambda: global_average_pool(x)), [x])
-    gradcheck(probe(rng, lambda: bilinear_upsample(x, 2)), [x])
+    # cut below its 12x12 grid, so the backward's zero-pad is checked too
+    gradcheck(probe(rng, lambda: bilinear_upsample(x, 2, 11, 9)), [x])
     gradcheck(probe(rng, lambda: softmax(v)), [v])
 
     logits = _t64(rng, (4, 6))

@@ -14,7 +14,8 @@ under it, --sketches takes every .pgm but a label map or a prediction. infer
 writes each sketch's map and record under --out by the sketch's name, as
 cat/0000.pred.pgm and cat/0000.json for cat/0000.sketch.pgm; eval reads them
 by that name under --pred, and rerank reads each candidate id's label map
-under --db.
+under --db. eval scores a prediction whose record names another
+super-category than its category's by part name, in the truth's ids.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -183,7 +184,9 @@ def cmd_infer(args):
     return 0
 
 
-def _predicted_pose(json_path):
+def _read_record(json_path, tax):
+    """(pose, branch) of a prediction's record; the branch, from its
+    supercategory, is None where the record names none."""
     try:
         record = json.loads(json_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -193,11 +196,16 @@ def _predicted_pose(json_path):
         raise ConfigError(f'{json_path}: expected a JSON object with a string "pose"')
     if pose not in POSES:
         raise ConfigError(f"{json_path}: unknown pose {pose!r}")
-    return pose
+    if "supercategory" not in record:
+        return pose, None
+    if record["supercategory"] not in tax.branch_names:
+        raise ConfigError(f"{json_path}: supercategory {record['supercategory']!r} is not one "
+                          f"of the taxonomy's {tax.branch_names}")
+    return pose, tax.branch_index(record["supercategory"])
 
 
 def cmd_eval(args):
-    check_one_taxonomy([args.pred, args.gt])
+    tax = check_one_taxonomy([args.pred, args.gt])
     pairs = []
     pose_preds, pose_truths = [], []
     poses = read_poses(args.gt)
@@ -212,12 +220,19 @@ def cmd_eval(args):
         if pred.labels.shape != gt.labels.shape:
             raise ConfigError(f"{pred_path} is {pred.width}x{pred.height} but its ground "
                               f"truth is {gt.width}x{gt.height}")
-        pairs.append((category_of(gt_path), pred, gt))
+        category = category_of(gt_path)
         json_path = sample_path(args.pred, name, RECORD)
-        pose = poses.get(f"{name}{SKETCH}")
-        if json_path.exists() and pose is not None:
-            pose_preds.append(_predicted_pose(json_path))
-            pose_truths.append(pose)
+        pose, branch = _read_record(json_path, tax) if json_path.exists() else (None, None)
+        # a map parsed by another expert is scored by part name, in the truth's ids
+        if branch is not None and category in tax.categories:
+            truth_branch = tax.branch_of(category)
+            if branch != truth_branch:
+                pred = LabelMap(tax.part_id_table(branch, truth_branch)[pred.labels])
+        pairs.append((category, pred, gt))
+        truth = poses.get(f"{name}{SKETCH}")
+        if pose is not None and truth is not None:
+            pose_preds.append(pose)
+            pose_truths.append(truth)
     if not pairs:
         raise ConfigError(f"no ground-truth label maps under {args.gt}")
     report = iou_report(pairs)

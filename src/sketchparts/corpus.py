@@ -573,7 +573,8 @@ def read_taxonomy(path):
 
 
 def check_one_taxonomy(paths):
-    """Refuse, with a ConfigError naming both files, `paths` of which two read
-    taxonomies (read_taxonomy) that differ by digest: their part ids number
-    the parts of two id spaces, so comparing them would mean nothing."""
-    _one_taxonomy([_read_taxonomy_from(p) for p in paths])
+    """The one taxonomy that `paths` read (read_taxonomy). Refuse, with a
+    ConfigError naming both files, `paths` of which two read taxonomies that
+    differ by digest: their part ids number the parts of two id spaces, so
+    comparing them would mean nothing."""
+    return _one_taxonomy([_read_taxonomy_from(p) for p in paths])[0]

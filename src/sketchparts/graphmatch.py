@@ -9,7 +9,10 @@ through its absolute polar position. Matching two graphs is a quadratic
 assignment relaxed as a reweighted random walk on the candidate-
 correspondence affinity matrix, with Sinkhorn-bistochastic reweighting,
 under two hard constraints: global matches only global, and locals match
-only within the same part id. The affinity bandwidths and the walk's
+only within the same part id. Part ids are compared raw, with no taxonomy:
+the maps of a query and a gallery item parsed by different experts pair
+parts that share only an id, as a car's wheel and a bird's wing (both 2 in
+the default taxonomy). The affinity bandwidths and the walk's
 settings (those of Cho, Lee & Lee, ECCV 2010) are module constants; only
 the walk's iteration cap is not.
 
@@ -495,6 +498,10 @@ def rerank(query_lm, candidates, top_t=50):
     come from graph_of; the query graph is built fresh. The scores are
     those of rrwm_match over build_affinity for each candidate, taken
     straight from the builder's arrays by the same walk core in one batch.
+
+    Nodes match by raw part id, so the query and the candidates should be
+    maps in one branch's ids: a candidate parsed by another expert than the
+    query scores by the parts that merely share an id with the query's.
     """
     check_count("top_t", top_t)
     head = candidates[: min(top_t, len(candidates))]

@@ -10,8 +10,9 @@ Every pose head runs POSE_STACK through `nets.run_head`, as the router does.
 
 The parser takes a sketch of any size H x W and returns H x W scores:
 `forward_shared` zero-pads the bottom and right edges up to STRIDE, and
-`forward_branch` crops the upsampled scores back to H x W. The pose head
-reads the expert's scores of the padded sketch.
+`forward_branch` upsamples the expert's scores by STRIDE to the top-left
+H x W of the padded grid. The pose head reads the expert's scores of the
+padded sketch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, crop2d, make_rng
+from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
 from .checkpoint import write_checkpoint
 from .errors import ContractViolation
 from .imaging import LabelMap
@@ -103,7 +104,8 @@ def forward_branch(model, branch, features, height, width):
     """Expert forward: (part scores of the height x width sketch, pose logits).
 
     The pose head consumes the pre-softmax scores before upsampling; the
-    upsampled scores are cropped to the sketch only where it was padded.
+    scores upsample by the stride straight to the sketch's height x width,
+    dropping the rows and columns of the trunk's padding.
     """
     n = model.taxonomy.num_branches
     if not 0 <= branch < n:
@@ -114,10 +116,7 @@ def forward_branch(model, branch, features, height, width):
     seg_spec = ConvSpec(1, model.taxonomy.n_parts(branch) + 1)
     scores = conv2d(x, p[f"{prefix}.seg.w"], p[f"{prefix}.seg.b"], seg_spec)
     pose_logits = run_head(scores, POSE_STACK, f"{prefix}.pose", f"{prefix}.pose.fc", p)
-    scores_up = bilinear_upsample(scores, model.config.stride)
-    if scores_up.shape[1:] != (height, width):
-        scores_up = crop2d(scores_up, height, width)
-    return scores_up, pose_logits
+    return bilinear_upsample(scores, model.config.stride, height, width), pose_logits
 
 
 def infer(model, branch, sketch):

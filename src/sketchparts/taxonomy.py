@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import warnings
 
+import numpy as np
+
 from .errors import ContractViolation, TaxonomyParseError
 
 
@@ -63,6 +65,15 @@ class Taxonomy:
         """Branch part names ordered by id (index 0 is id 1)."""
         table = self.part_ids[branch]
         return sorted(table, key=table.get)
+
+    def part_id_table(self, src, dst):
+        """uint8[256] that takes each part id of branch `src` to the id of the
+        part of the same name in branch `dst`. Background, a name that `dst`
+        lacks and an id past `src`'s parts go to 0, which no part has."""
+        table = np.zeros(256, dtype=np.uint8)
+        for name, pid in self.part_ids[src].items():
+            table[pid] = self.part_ids[dst].get(name, 0)
+        return table
 
     def category_part_ids(self, category):
         branch = self.branch_of(category)

@@ -37,7 +37,6 @@ from .autograd import (
     add,
     backward,
     make_rng,
-    reshape,
     scale,
     softmax_ce,
     weighted_softmax_ce,
@@ -86,17 +85,17 @@ def compute_class_balance(samples, branch, taxonomy):
 
 def total_loss(seg_scores, labelmap, balance, pose_logits, pose_label, lam):
     """Weighted segmentation CE, with per-label weights `balance`, plus lam
-    times the 8-way pose CE against the pose named `pose_label`.
+    times the 8-way pose CE against the pose named `pose_label`. The
+    segmentation CE reads the (labels, H, W) scores as they are.
 
     Returns (taped scalar, seg value, pose value).
     """
-    n_labels, h, w = seg_scores.shape
+    _, h, w = seg_scores.shape
     if (h, w) != (labelmap.height, labelmap.width):
         raise ContractViolation(
             f"scores {w}x{h} vs labels {labelmap.width}x{labelmap.height}"
         )
-    flat = reshape(seg_scores, (n_labels, h * w))
-    seg = weighted_softmax_ce(flat, labelmap.labels.reshape(-1), balance)
+    seg = weighted_softmax_ce(seg_scores, labelmap.labels, balance)
     if lam == 0.0:
         return seg, seg.data.item(), 0.0
     pose = softmax_ce(pose_logits, POSE_INDEX[pose_label])

@@ -6,7 +6,8 @@ affinity, the RRWM walk) as plain loops, or one windowed or broadcast path
 (the corpus mask primitives, rotation and rescaling, Canny's direction
 and ridge test) over the whole canvas grid, or one two-lane path (pooled
 routing) as the serial loop it replaced, or one streamed path (the router's
-mini-batch) as the single tape it replaced, or one in-place path (conv
+mini-batch) as the single tape it replaced, or one fused op (the upsample
+to a window) as the two taped ops it replaced, or one in-place path (conv
 backward's channel-last dx columns and float64 bias sum, He init's weight
 written by its draw, the clip's float64 squares) as the copies it
 replaced, and the tests compare the library against it. No package code
@@ -21,7 +22,7 @@ from scipy import ndimage
 
 from sketchparts.augment import CLS_COMBOS, cls_variant
 from sketchparts.autograd import Tape, add, backward, make_rng, scale, softmax, softmax_ce
-from sketchparts.autograd import _im2col, zero_grads
+from sketchparts.autograd import Tensor, _im2col, _interp_matrix, _record, zero_grads
 from sketchparts.imaging import CANNY_SIGMA, INK, LabelMap, Raster, _bilinear_sample, _inside
 from sketchparts.imaging import crops_and_pad, mirror_v
 from sketchparts.optim import ParamGroup, SgdMomentum
@@ -245,6 +246,32 @@ def interp_matrix_loop(n_out, n_in):
             m[j, n_in - 1 - lo] += 1.0 - t
             m[j, n_in - 1 - hi] += t
     return m
+
+
+def upsample_then_crop(x, factor, height, width):
+    """autograd.bilinear_upsample as the two taped ops it replaced: the whole
+    factor-times grid through _interp_matrix's two tensordots, then a crop
+    to the top-left height x width window, whose backward zero-pads the
+    gradient back to the grid in float64."""
+    C, H, W = x.shape
+    wy, wx = _interp_matrix(H * factor, H), _interp_matrix(W * factor, W)
+    t = np.tensordot(x.data.astype(np.float64), wy, axes=([1], [1]))
+    grid = Tensor(np.tensordot(t, wx, axes=([1], [1])).astype(x.dtype))
+
+    def upsample_grad(g):
+        t2 = np.tensordot(g.astype(np.float64), wy, axes=([1], [0]))
+        return (np.tensordot(t2, wx, axes=([1], [0])),)
+
+    _record(grid, (x,), upsample_grad)
+    out = Tensor(grid.data[:, :height, :width])
+
+    def crop_grad(g):
+        dx = np.zeros(grid.shape, dtype=np.float64)
+        dx[:, :height, :width] = g
+        return (dx,)
+
+    _record(out, (grid,), crop_grad)
+    return out
 
 
 def label_components_loop(lm):

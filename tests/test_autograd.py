@@ -17,7 +17,6 @@ from sketchparts.autograd import (
     backward,
     bilinear_upsample,
     conv2d,
-    crop2d,
     dropout,
     global_average_pool,
     he_normal,
@@ -25,7 +24,6 @@ from sketchparts.autograd import (
     make_rng,
     maxpool2d,
     relu,
-    reshape,
     scale,
     softmax,
     softmax_ce,
@@ -364,14 +362,14 @@ class TestPointwise:
 
     def test_upsample_shapes_and_constant(self):
         x = t64(np.full((2, 4, 4), 3.0))
-        out = bilinear_upsample(x, 2)
+        out = bilinear_upsample(x, 2, 8, 8)
         assert out.shape == (2, 8, 8)
         assert np.allclose(out.data, 3.0)
 
     def test_upsample_keeps_one_hot_corner(self):
         x = np.zeros((1, 3, 5))
         x[0, 0, 4] = 1.0  # top-right
-        out = bilinear_upsample(t64(x), 4).data[0]
+        out = bilinear_upsample(t64(x), 4, 12, 20).data[0]
         assert out.shape == (12, 20)
         assert out[0, 19] == out.max() == pytest.approx(1.0)
         assert out[:6, 10:].sum() == pytest.approx(out.sum())
@@ -379,15 +377,21 @@ class TestPointwise:
     def test_upsample_gradcheck_non_square(self):
         rng = make_rng(43)
         x = t64(rng.standard_normal((2, 3, 7)))
-        assert bilinear_upsample(x, 4).shape == (2, 12, 28)
-        gradcheck(probe(rng, lambda: bilinear_upsample(x, 4)), [x])
+        assert bilinear_upsample(x, 4, 12, 28).shape == (2, 12, 28)
+        gradcheck(probe(rng, lambda: bilinear_upsample(x, 4, 12, 28)), [x])
+
+    @pytest.mark.parametrize("height,width", [(13, 20), (12, 21), (0, 20)])
+    def test_upsample_window_outside_the_grid_refused(self, height, width):
+        x = t64(np.zeros((1, 3, 5)))  # a 12x20 grid at factor 4
+        with pytest.raises(ContractViolation, match="not within the upsampled 12x20"):
+            bilinear_upsample(x, 4, height, width)
 
     def test_gradchecks(self):
         rng = make_rng(23)
         x = t64(rng.standard_normal((2, 4, 4)))
         gradcheck(probe(rng, lambda: relu(x)), [x], tol=1e-3)
         gradcheck(probe(rng, lambda: global_average_pool(x)), [x])
-        gradcheck(probe(rng, lambda: bilinear_upsample(x, 3)), [x])
+        gradcheck(probe(rng, lambda: bilinear_upsample(x, 3, 12, 12)), [x])
         v = t64(rng.standard_normal(6))
         gradcheck(probe(rng, lambda: softmax(v)), [v])
         mask_rng_seed = 29
@@ -400,14 +404,13 @@ class TestPointwise:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: crop2d(x, 2, 4),
+            lambda x: bilinear_upsample(x, 2, 3, 9),
             lambda x: scale(x, -1.7),
-            lambda x: reshape(x, (5, 6)),
             global_average_pool,
             relu,
             lambda x: dropout(x, 0.4, make_rng(31), training=True),
         ],
-        ids=["crop2d", "scale", "reshape", "global_average_pool", "relu", "dropout"],
+        ids=["bilinear_upsample_cut", "scale", "global_average_pool", "relu", "dropout"],
     )
     def test_gradcheck_asymmetric_shape(self, op):
         rng = make_rng(47)
@@ -439,6 +442,26 @@ class TestWeightedCrossEntropy:
     def test_out_of_range_label_names_position(self):
         with pytest.raises(ContractViolation, match="position 1"):
             weighted_softmax_ce(t64(np.zeros((2, 3))), [0, 5, 1], [1.0, 1.0])
+
+    # logits of any shape (L, ...) read as L scores at each position in C
+    # order: the value and gradient bytes of their (L, positions) view, the
+    # gradient in the logits' shape
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (4,)], ids=["LxHxW", "L"])
+    def test_any_shape_is_its_flat_view(self, shape):
+        rng = make_rng(53)
+        data = rng.standard_normal(shape)
+        targets = rng.integers(0, 4, size=shape[1:])
+        weights = rng.random(4) + 0.5
+        results = []
+        for logits in (t64(data), t64(data.reshape(4, -1))):
+            with Tape() as tape:
+                loss = weighted_softmax_ce(logits, targets, weights)
+            backward(tape, loss)
+            assert logits.grad.shape == logits.shape
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1]
+        with pytest.raises(ContractViolation, match=f"0 targets for {targets.size} positions"):
+            weighted_softmax_ce(t64(data), [], weights)
 
     def test_gradcheck(self):
         rng = make_rng(37)
@@ -486,9 +509,9 @@ class TestTape:
         x = Tensor(rng.standard_normal(6).astype(np.float32))
         w = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
         b = Tensor(np.zeros(4, dtype=np.float32))
-        d = [rng.standard_normal(shape) for shape in ((2, 3), 6, 6, 4, 4, 4)]
+        d = [rng.standard_normal(shape) for shape in (6, 6, 6, 4, 4, 4)]
         terms = [
-            lambda: weighted_sum(reshape(x, (2, 3)), d[0]),  # x gets a view of its gradient
+            lambda: weighted_softmax_ce(x, [2], np.exp(d[0])),  # x gets a view, of a (6, 1) array
             lambda: weighted_sum(add(x, x), d[1]),  # x gets one gradient array twice
             lambda: weighted_sum(x, d[2]),  # a float64 gradient
             lambda: weighted_sum(linear(x, w, b), d[3]),  # float32 x, w; float64 b

@@ -17,6 +17,8 @@ from sketchparts.checks import run_selfcheck
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
 from sketchparts.errors import ConfigError
+from sketchparts.imaging import LabelMap
+from sketchparts.metrics import sketch_iou
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
@@ -1293,8 +1295,10 @@ def test_train_parser_bad_poses_csv_exits_1(small_corpus, tmp_path, capsys, raw,
         (b'{"supercategory": "x"}', 'expected a JSON object with a string "pose"'),
         (b'{"pose": 3}', 'expected a JSON object with a string "pose"'),
         (b'{"pose": "UP"}', "unknown pose 'UP'"),
+        (b'{"pose": "E", "supercategory": "Pets"}', "supercategory 'Pets' is not one of"),
     ],
-    ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string", "unknown_pose"],
+    ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string", "unknown_pose",
+         "unknown_supercategory"],
 )
 def test_eval_bad_prediction_json_exits_1(small_corpus, capsys, raw, message):
     (small_corpus / "cat" / "0000.json").write_bytes(raw)
@@ -1304,6 +1308,49 @@ def test_eval_bad_prediction_json_exits_1(small_corpus, capsys, raw, message):
     assert captured.err.startswith(f"error: {small_corpus / 'cat' / '0000.json'}: ")
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_eval_scores_a_car_parsed_as_a_flying_thing_by_part_name(small_corpus, tmp_path):
+    """Each car's own map, recorded as parsed by the Flying Things expert:
+    its ids read as that expert's body, wing and tail, so only the body
+    (id 1 in both branches) scores. By raw id the car would score 1.0."""
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    want = []
+    for gt_path in sorted((small_corpus / "car").glob("*.labels.pgm")):
+        stem = gt_path.name.removesuffix(".labels.pgm")
+        labels = read_pgm(gt_path)
+        write_pgm(pred / f"{stem}.pred.pgm", labels)
+        (pred / f"{stem}.json").write_text(
+            json.dumps({"pose": "E", "supercategory": "Flying Things"}))
+        want.append(sketch_iou(LabelMap(np.where(labels == 1, 1, 0)), LabelMap(labels))[1])
+    out = tmp_path / "report"
+    assert main(["eval", "--pred", str(pred), "--gt", str(small_corpus / "car"),
+                 "--out", str(out)]) == 0
+    aiou = float(np.mean(want))
+    assert aiou < 1.0
+    assert (out / "iou.csv").read_text() == f"category,aiou\ncar,{aiou!r}\nGRAND,{aiou!r}\n"
+
+
+def test_eval_of_a_cat_parsed_as_a_large_animal_is_by_raw_id(small_corpus, tmp_path, capsys):
+    """Large Animals names its parts as Small Animals does, in the same
+    order, so eval prints the bytes of its records without a supercategory."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(), TAX, seed=1), ckpt)
+    out = tmp_path / "preds"
+    assert main(["infer", "--model", str(ckpt), "--sketches", str(small_corpus / "cat"),
+                 "--out", str(out), "--force-branch", "Large Animals"]) == 0
+    capsys.readouterr()
+    printed = []
+    for _ in range(2):
+        assert main(["eval", "--pred", str(out), "--gt", str(small_corpus / "cat")]) == 0
+        printed.append(capsys.readouterr().out)
+        for path in out.glob("*.json"):
+            record = json.loads(path.read_text())
+            assert record.pop("supercategory", "Large Animals") == "Large Animals"
+            path.write_text(json.dumps(record))
+    assert "8-way accuracy: " in printed[0]
+    assert printed[0] == printed[1]
 
 
 def test_eval_prediction_of_the_wrong_size_exits_1(small_corpus, tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sketchparts.autograd import ConvSpec, Tape, Tensor, backward, conv2d, global_average_pool
-from sketchparts.autograd import linear, make_rng, relu, weighted_sum
+from sketchparts.autograd import linear, make_rng, relu, weighted_sum, zero_grads
 from sketchparts.errors import CheckpointError, ContractViolation
 from sketchparts import model as model_module
-from sketchparts.imaging import Raster
+from sketchparts.imaging import LabelMap, Raster
 from sketchparts.model import (
     ModelConfig,
     build_model,
@@ -20,6 +20,9 @@ from sketchparts.model import (
 from sketchparts.pipeline import infer_record
 from sketchparts.router import build_router
 from sketchparts.taxonomy import load_taxonomy
+from sketchparts.training import total_loss
+
+from oracles import upsample_then_crop
 
 TWO_BRANCH_TEXT = """
 super Alpha
@@ -264,6 +267,37 @@ class TestInfer:
         assert scores.shape == (6, h, w)
         assert inputs[0].shape == (1,) + padded.shape
         assert inputs[0].requires_grad is False and inputs[0].grad is None
+
+
+# forward_branch upsamples straight to the sketch's H x W; the bytes are
+# those of the whole x8 grid and then a crop, two ops on the tape, in the
+# scores, the pose logits and every parameter gradient of the training loss.
+# 40x64 needs no crop.
+@pytest.mark.parametrize(
+    "shape", [(45, 61), (61, 45), (30, 33), (1, 1), (40, 64)],
+    ids=["45x61", "61x45", "30x33", "1x1", "40x64"],
+)
+def test_upsample_to_the_sketch_is_upsample_then_crop(shape, monkeypatch):
+    m = build_model(CFG, TAX2, seed=45)
+    rng = make_rng(47)
+    sketch = Raster(np.where(rng.random(shape) < 0.15, 255, 0).astype(np.uint8))
+    labels = LabelMap(rng.integers(0, 6, size=shape))
+    balance = rng.random(6) + 0.5
+
+    def step():
+        with Tape() as tape:
+            scores, pose_logits = forward_branch(m, 1, forward_shared(m, sketch), *shape)
+            loss, _, _ = total_loss(scores, labels, balance, pose_logits, "SW", 1.0)
+        backward(tape, loss)
+        grads = {n: t.grad.tobytes() for n, t in m.params.items() if t.grad is not None}
+        zero_grads(m.params.values())
+        return scores.data.tobytes(), pose_logits.data.tobytes(), grads
+
+    got = step()
+    monkeypatch.setattr(model_module, "bilinear_upsample", upsample_then_crop)
+    want = step()
+    assert set(got[2]) == {n for n in m.params if not n.startswith("branch0.")}
+    assert got == want
 
 
 class TestCheckpoint:

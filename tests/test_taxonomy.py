@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,23 @@ def test_id_table_is_bijection():
     for b in range(t.num_branches):
         ids = sorted(t.part_ids[b].values())
         assert ids == list(range(1, t.n_parts(b) + 1))
+
+
+# Large Animals numbers Small Animals' four parts alike and adds the cow's
+# horn (5), which Small Animals lacks; Four Wheelers' body is Small Animals'
+# id 2, and its wheel and window have no namesake there
+@pytest.mark.parametrize(
+    "src, dst, want",
+    [("Small Animals", "Large Animals", [0, 1, 2, 3, 4, 0]),
+     ("Large Animals", "Small Animals", [0, 1, 2, 3, 4, 0]),
+     ("Four Wheelers", "Small Animals", [0, 2, 0, 0, 0, 0])],
+    ids=["small_to_large", "large_to_small", "wheelers_to_small"],
+)
+def test_part_id_table_maps_by_name(src, dst, want):
+    tax = load_taxonomy(ELEVEN_CATEGORY_TEXT)
+    table = tax.part_id_table(tax.branch_index(src), tax.branch_index(dst))
+    assert table.dtype == np.uint8 and table.shape == (256,)
+    assert table[:6].tolist() == want and not table[6:].any()
 
 
 def test_duplicate_category_line_number():
