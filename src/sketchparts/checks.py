@@ -3,9 +3,11 @@ brute-force oracles behind `selfcheck`.
 
 This module is the one home of every oracle that `selfcheck` runs
 (`gradcheck` with its `probe` direction, `iou_bruteforce`,
-`balance_bruteforce`, `best_assignment`), and the tests import them from
-here. Loop replicas of production code that only the tests use stay in
-`tests/oracles.py`.
+`balance_bruteforce`, `best_assignment`) and of the one list of gradient
+cases, `GRADIENT_CASES`, on non-square shapes. Tier-1 runs each case by
+name and the whole suite at several seeds, so no test restates a
+comparison made here. Loop replicas of production code that only the
+tests use stay in `tests/oracles.py`.
 
 The gradient checker only ever calls forward evaluations, so it is an
 independent oracle for the taped backward pass. Run it on float64 tensors;
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from .autograd import Tape, backward
+from . import autograd
+from .autograd import ConvSpec
 from .errors import ContractViolation, check_count
 
 
@@ -61,9 +64,9 @@ def gradcheck(fn, tensors, eps=1e-3, tol=1e-4):
 
     Returns the worst relative error; raises AssertionError above tol.
     """
-    with Tape() as tape:
+    with autograd.Tape() as tape:
         loss = fn()
-    backward(tape, loss)
+    autograd.backward(tape, loss)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
     numeric = fd_gradients(fn, tensors, eps=eps)
     err = max_rel_error(analytic, numeric)
@@ -74,10 +77,8 @@ def gradcheck(fn, tensors, eps=1e-3, tol=1e-4):
 
 def probe(rng, op):
     """Collapse an op's output to a scalar against a fixed random direction."""
-    from .autograd import weighted_sum
-
     w = rng.standard_normal(op().shape)
-    return lambda: weighted_sum(op(), w)
+    return lambda: autograd.weighted_sum(op(), w)
 
 
 def iou_bruteforce(pred, gt):
@@ -146,55 +147,98 @@ def best_assignment(affinity):
 
 
 def _t64(rng, shape):
-    from .autograd import Tensor
-
-    return Tensor(rng.standard_normal(shape))
+    return autograd.Tensor(rng.standard_normal(shape))
 
 
-def _check_gradients(rng):
-    from .autograd import (
-        ConvSpec,
-        bilinear_upsample,
-        conv2d,
-        dropout,
-        global_average_pool,
-        linear,
-        make_rng,
-        maxpool2d,
-        relu,
-        softmax,
-        weighted_softmax_ce,
-    )
+def _probed(op, *shapes):
+    """A case that probes op on float64 inputs of the given shapes."""
 
-    x = _t64(rng, (2, 6, 6))
-    w = _t64(rng, (3, 2, 3, 3))
-    b = _t64(rng, (3,))
-    spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2)
-    gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
+    def build(rng):
+        tensors = [_t64(rng, shape) for shape in shapes]
+        return probe(rng, lambda: op(*tensors)), tensors
 
-    pool_in = _t64(rng, (1, 6, 6))
-    pool_in.data[:] = rng.permutation(36).reshape(1, 6, 6) * 0.1
-    gradcheck(probe(rng, lambda: maxpool2d(pool_in, 3, 2)), [pool_in], tol=1e-3)
+    return build
 
-    v = _t64(rng, (4,))
-    lw = _t64(rng, (3, 4))
-    lb = _t64(rng, (3,))
-    gradcheck(probe(rng, lambda: linear(v, lw, lb)), [v, lw, lb])
-    gradcheck(probe(rng, lambda: relu(x)), [x], tol=1e-3)
-    gradcheck(probe(rng, lambda: global_average_pool(x)), [x])
-    # cut below its 12x12 grid, so the backward's zero-pad is checked too
-    gradcheck(probe(rng, lambda: bilinear_upsample(x, 2, 11, 9)), [x])
-    gradcheck(probe(rng, lambda: softmax(v)), [v])
 
+def _conv(in_shape, spec):
+    f, k = spec.out_channels, spec.kernel
+    weights = (f, in_shape[0], k, k)
+    return _probed(lambda x, w, b: autograd.conv2d(x, w, b, spec), in_shape, weights, (f,))
+
+
+def _maxpool(rng):
+    # distinct positive values 0.1 apart, so each window's argmax holds under
+    # the perturbation and never ties the zero padding
+    x = autograd.Tensor((rng.permutation(70) + 1).reshape(2, 5, 7) * 0.1)
+    return probe(rng, lambda: autograd.maxpool2d(x, 3, 2)), [x]
+
+
+def _relu(rng):
+    # every entry further from the kink at 0 than the perturbation reaches
+    x = _t64(rng, (2, 3, 5))
+    x.data += np.copysign(0.01, x.data)
+    return probe(rng, lambda: autograd.relu(x)), [x]
+
+
+def _dropout(rng):
+    seed = int(rng.integers(1 << 30))
+    x = _t64(rng, (2, 3, 5))
+
+    def dropped():
+        return autograd.dropout(x, 0.4, autograd.make_rng(seed), training=True)
+
+    return probe(rng, dropped), [x]
+
+
+def _weighted_softmax_ce(rng):
     logits = _t64(rng, (4, 6))
     targets = rng.integers(0, 4, size=6)
     weights = rng.random(4) + 0.5
-    gradcheck(lambda: weighted_softmax_ce(logits, targets, weights), [logits])
+    return lambda: autograd.weighted_softmax_ce(logits, targets, weights), [logits]
 
-    drop_rng_seed = int(rng.integers(1 << 30))
-    gradcheck(
-        probe(rng, lambda: dropout(x, 0.4, make_rng(drop_rng_seed), training=True)), [x]
-    )
+
+def _softmax_ce(rng):
+    logits = _t64(rng, (8,))
+    target = int(rng.integers(8))
+    return lambda: autograd.softmax_ce(logits, target), [logits]
+
+
+# conv2d's geometries in the nets, none of them square
+CONV_SHAPES = {
+    "k15_s3": ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
+    "k5_s1": ((3, 7, 10), ConvSpec(5, 4)),  # router c1
+    "k3_s2_r2": ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
+    "k11_over_4x5": ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
+    "k1_unpadded": ((3, 5, 7), ConvSpec(1, 4)),  # router c5: 1x1, no padding
+}
+
+# The one list of gradient cases, each a builder that takes an rng and
+# returns gradcheck's scalar fn and the tensors it differentiates. The ops
+# are looked up on `autograd` when a case runs, so a patched op is the one
+# checked.
+GRADIENT_CASES = {
+    **{f"conv2d_{name}": _conv(*shape) for name, shape in CONV_SHAPES.items()},
+    "maxpool2d": _maxpool,
+    "linear": _probed(lambda x, w, b: autograd.linear(x, w, b), (4,), (3, 4), (3,)),
+    "softmax": _probed(lambda v: autograd.softmax(v), (6,)),
+    "bilinear_upsample": _probed(lambda x: autograd.bilinear_upsample(x, 4, 12, 28), (2, 3, 7)),
+    # cut below its 6x10 grid, so the backward's zero-pad is checked too
+    "bilinear_upsample_cut": _probed(lambda x: autograd.bilinear_upsample(x, 2, 3, 9), (2, 3, 5)),
+    "scale": _probed(lambda x: autograd.scale(x, -1.7), (2, 3, 5)),
+    "global_average_pool": _probed(lambda x: autograd.global_average_pool(x), (2, 3, 5)),
+    "relu": _relu,
+    "dropout": _dropout,
+    "weighted_softmax_ce": _weighted_softmax_ce,
+    "softmax_ce": _softmax_ce,
+}
+
+
+def _check_gradients(rng):
+    for name, build in GRADIENT_CASES.items():
+        try:
+            gradcheck(*build(rng))
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from None
 
 
 def _check_class_balance(rng):
@@ -206,7 +250,7 @@ def _check_class_balance(rng):
     tax = load_taxonomy("super S\ncat thing : a, b, c\n")
     for _ in range(10):
         arrays = []
-        for _ in range(int(rng.integers(2, 5))):
+        for _ in range(int(rng.integers(2, 6))):
             arr = (rng.random((8, 8)) * 4).astype(np.uint8)
             arr[0, :4] = [1, 2, 3, 1]
             arrays.append(arr)
@@ -231,7 +275,7 @@ def _check_iou(rng):
         want, siou = iou_bruteforce(pred, gt)
         if got_parts != want:
             raise AssertionError("sketch_iou differs from pixel-count oracle")
-        if abs(got_siou - siou) > 1e-15:
+        if got_siou != siou:
             raise AssertionError("sIOU differs from pixel-count oracle")
 
 
@@ -278,8 +322,6 @@ def _check_augmentation(rng):
 def run_selfcheck(seed):
     """Run every invariant check at `seed`, an integer >= 0; returns a list
     of (name, passed, detail)."""
-    from .autograd import make_rng
-
     check_count("seed", seed)
 
     checks = [
@@ -292,7 +334,7 @@ def run_selfcheck(seed):
     results = []
     for name, fn in checks:
         try:
-            fn(make_rng((seed, len(name))))
+            fn(autograd.make_rng((seed, len(name))))
             results.append((name, True, ""))
         except AssertionError as exc:
             results.append((name, False, str(exc)))

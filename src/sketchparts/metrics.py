@@ -50,7 +50,7 @@ class IouReport:
         return "\n".join(lines) + "\n"
 
     def table(self):
-        width = max([len(c) for c in self.per_category] + [5])
+        width = max(len(c) for c in ["category", *self.per_category])
         rows = [f"{'category':<{width}}  aIOU"]
         for cat in sorted(self.per_category):
             rows.append(f"{cat:<{width}}  {self.per_category[cat]:.4f}")
@@ -115,16 +115,18 @@ def pose_eval(preds, truths):
     folds NE,SE into E and NW,SW into W on both sides before scoring."""
     if len(preds) != len(truths):
         raise ContractViolation(f"{len(preds)} predictions vs {len(truths)} truths")
+    if not preds:
+        raise ContractViolation("cannot score an empty list of poses")
     for label in list(preds) + list(truths):
         if label not in POSE_INDEX:
             raise ContractViolation(f"unknown pose label {label!r}")
     m8 = np.zeros((8, 8), dtype=np.int64)
     for p, t in zip(preds, truths):
         m8[POSE_INDEX[t], POSE_INDEX[p]] += 1
-    acc8 = float(np.trace(m8) / len(preds)) if preds else 1.0
+    acc8 = float(np.trace(m8) / len(preds))
     idx4 = {p: FOUR_WAY.index(MERGE4[p]) for p in POSES}
     m4 = np.zeros((4, 4), dtype=np.int64)
     for p, t in zip(preds, truths):
         m4[idx4[t], idx4[p]] += 1
-    acc4 = float(np.trace(m4) / len(preds)) if preds else 1.0
+    acc4 = float(np.trace(m4) / len(preds))
     return PoseReport(m8, acc8, m4, acc4)

@@ -51,9 +51,6 @@ class TestSketchify:
 
 
 class TestAugmentSeg:
-    def test_exactly_fourteen(self):
-        assert len(augment_seg(square_sample())) == 14
-
     def test_mirrored_pose_flips(self):
         variants = augment_seg(square_sample("E"))
         assert sorted({v.pose for v in variants}) == ["E", "W"]
@@ -80,11 +77,6 @@ class TestAugmentSeg:
 
 
 class TestAugmentCls:
-    def test_exactly_seventy(self):
-        rng = make_rng(9)
-        sketch = Raster(np.where(rng.random((64, 64)) < 0.1, INK, 0).astype(np.uint8))
-        assert len(augment_cls(sketch)) == 70
-
     def test_identity_member(self):
         rng = make_rng(11)
         sketch = Raster(np.where(rng.random((48, 48)) < 0.1, INK, 0).astype(np.uint8))

@@ -24,13 +24,11 @@ from sketchparts.autograd import (
     make_rng,
     maxpool2d,
     relu,
-    scale,
     softmax,
-    softmax_ce,
     weighted_softmax_ce,
     weighted_sum,
 )
-from sketchparts.checks import gradcheck, probe
+from sketchparts.checks import CONV_SHAPES, GRADIENT_CASES, gradcheck
 from sketchparts.errors import ContractViolation
 
 
@@ -77,40 +75,21 @@ class TestConv2d:
                 ConvSpec(3, 3),
             )
 
-    def test_gradcheck(self):
-        rng = make_rng(11)
-        x = t64(rng.standard_normal((2, 6, 6)))
-        w = t64(rng.standard_normal((3, 2, 3, 3)))
-        b = t64(rng.standard_normal(3))
-        spec = ConvSpec(kernel=3, out_channels=3, stride=2, dilation=2)
-        gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
+
+@pytest.mark.parametrize("name", list(GRADIENT_CASES))
+def test_gradient_case(name):
+    """Each of selfcheck's gradient cases at a seed of its own."""
+    gradcheck(*GRADIENT_CASES[name](make_rng(61)))
 
 
 BACKWARD_SHAPES = pytest.mark.parametrize(
-    "in_shape,spec",
-    [
-        ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
-        ((3, 7, 10), ConvSpec(5, 4)),  # router c1
-        ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
-        ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
-        ((3, 5, 7), ConvSpec(1, 4)),  # router c5: 1x1, no padding
-    ],
-    ids=["k15_s3", "k5_s1", "k3_s2_r2", "k11_over_4x5", "k1_unpadded"],
+    "in_shape,spec", list(CONV_SHAPES.values()), ids=list(CONV_SHAPES)
 )
 
 
 class TestConvBackward:
     """One GEMM for dw and one for dx, and no dx for inputs that need no
     gradient."""
-
-    @BACKWARD_SHAPES
-    def test_gradcheck_non_square(self, in_shape, spec):
-        rng = make_rng(61)
-        k = spec.kernel
-        x = t64(rng.standard_normal(in_shape))
-        w = t64(rng.standard_normal((spec.out_channels, in_shape[0], k, k)))
-        b = t64(rng.standard_normal(spec.out_channels))
-        gradcheck(probe(rng, lambda: conv2d(x, w, b, spec)), [x, w, b])
 
     @BACKWARD_SHAPES
     def test_float32_input_grad_is_the_col2im_loop(self, in_shape, spec):
@@ -196,14 +175,6 @@ class TestMaxpool:
     def test_nonpositive_window_raises(self):
         with pytest.raises(ContractViolation):
             maxpool2d(t64(np.zeros((1, 4, 4))), window=0, stride=1)
-
-    def test_gradcheck(self):
-        rng = make_rng(13)
-        # distinct values so the argmax is stable under the fd perturbation
-        vals = rng.permutation(36).astype(np.float64).reshape(1, 6, 6)
-        x = t64(vals * 0.1)
-        err = gradcheck(probe(rng, lambda: maxpool2d(x, 3, 2)), [x], tol=1e-3)
-        assert err < 1e-3
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("window,stride", [(3, 2), (2, 2), (2, 3), (1, 1), (3, 1), (4, 3)])
@@ -322,13 +293,6 @@ class TestLinear:
         with pytest.raises(ContractViolation):
             linear(t64([1.0, 2.0]), t64(np.zeros((2, 3))), t64(np.zeros(2)))
 
-    def test_gradcheck(self):
-        rng = make_rng(17)
-        x = t64(rng.standard_normal(4))
-        w = t64(rng.standard_normal((3, 4)))
-        b = t64(rng.standard_normal(3))
-        gradcheck(probe(rng, lambda: linear(x, w, b)), [x, w, b])
-
 
 class TestPointwise:
     def test_relu_values(self):
@@ -361,9 +325,9 @@ class TestPointwise:
             assert abs(s.sum() - 1.0) < 1e-6
 
     def test_upsample_shapes_and_constant(self):
-        x = t64(np.full((2, 4, 4), 3.0))
-        out = bilinear_upsample(x, 2, 8, 8)
-        assert out.shape == (2, 8, 8)
+        x = t64(np.full((2, 3, 7), 3.0))
+        out = bilinear_upsample(x, 4, 12, 28)
+        assert out.shape == (2, 12, 28)
         assert np.allclose(out.data, 3.0)
 
     def test_upsample_keeps_one_hot_corner(self):
@@ -374,48 +338,11 @@ class TestPointwise:
         assert out[0, 19] == out.max() == pytest.approx(1.0)
         assert out[:6, 10:].sum() == pytest.approx(out.sum())
 
-    def test_upsample_gradcheck_non_square(self):
-        rng = make_rng(43)
-        x = t64(rng.standard_normal((2, 3, 7)))
-        assert bilinear_upsample(x, 4, 12, 28).shape == (2, 12, 28)
-        gradcheck(probe(rng, lambda: bilinear_upsample(x, 4, 12, 28)), [x])
-
     @pytest.mark.parametrize("height,width", [(13, 20), (12, 21), (0, 20)])
     def test_upsample_window_outside_the_grid_refused(self, height, width):
         x = t64(np.zeros((1, 3, 5)))  # a 12x20 grid at factor 4
         with pytest.raises(ContractViolation, match="not within the upsampled 12x20"):
             bilinear_upsample(x, 4, height, width)
-
-    def test_gradchecks(self):
-        rng = make_rng(23)
-        x = t64(rng.standard_normal((2, 4, 4)))
-        gradcheck(probe(rng, lambda: relu(x)), [x], tol=1e-3)
-        gradcheck(probe(rng, lambda: global_average_pool(x)), [x])
-        gradcheck(probe(rng, lambda: bilinear_upsample(x, 3, 12, 12)), [x])
-        v = t64(rng.standard_normal(6))
-        gradcheck(probe(rng, lambda: softmax(v)), [v])
-        mask_rng_seed = 29
-
-        def dropped():
-            return dropout(x, 0.4, make_rng(mask_rng_seed), training=True)
-
-        gradcheck(probe(rng, dropped), [x])
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda x: bilinear_upsample(x, 2, 3, 9),
-            lambda x: scale(x, -1.7),
-            global_average_pool,
-            relu,
-            lambda x: dropout(x, 0.4, make_rng(31), training=True),
-        ],
-        ids=["bilinear_upsample_cut", "scale", "global_average_pool", "relu", "dropout"],
-    )
-    def test_gradcheck_asymmetric_shape(self, op):
-        rng = make_rng(47)
-        x = t64(rng.standard_normal((2, 3, 5)))
-        gradcheck(probe(rng, lambda: op(x)), [x], tol=1e-3)
 
 
 class TestWeightedCrossEntropy:
@@ -462,18 +389,6 @@ class TestWeightedCrossEntropy:
         assert results[0] == results[1]
         with pytest.raises(ContractViolation, match=f"0 targets for {targets.size} positions"):
             weighted_softmax_ce(t64(data), [], weights)
-
-    def test_gradcheck(self):
-        rng = make_rng(37)
-        logits = t64(rng.standard_normal((4, 6)))
-        targets = rng.integers(0, 4, size=6)
-        weights = rng.random(4) + 0.5
-        gradcheck(lambda: weighted_softmax_ce(logits, targets, weights), [logits])
-
-    def test_softmax_ce_gradcheck(self):
-        rng = make_rng(41)
-        logits = t64(rng.standard_normal(8))
-        gradcheck(lambda: softmax_ce(logits, 3), [logits])
 
 
 class TestTape:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchparts import cli
+from sketchparts import autograd, cli
 from sketchparts.checks import run_selfcheck
 from sketchparts.cli import main
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
@@ -296,11 +296,18 @@ def test_describe_refuses_a_part_id_outside_the_branch(tmp_path, capsys):
     assert "part id 9" in captured.err and "Traceback" not in captured.err
 
 
-def test_selfcheck_cli(capsys):
-    rc = main(["selfcheck"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_selfcheck_cli(capsys, seed):
+    rc = main(["selfcheck", "--seed", str(seed)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "5/5 checks passed" in out
+    assert capsys.readouterr().out == (
+        "ok   gradients-vs-finite-differences\n"
+        "ok   class-balance-oracle\n"
+        "ok   iou-oracle\n"
+        "ok   rrwm-permutation-oracle\n"
+        "ok   augmentation-cardinalities\n"
+        "5/5 checks passed\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -320,6 +327,19 @@ def test_selfcheck_fails_on_a_perturbed_result(monkeypatch, capsys, module, name
     assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL {check}" in out
+    assert "4/5 checks passed" in out
+
+
+def test_selfcheck_names_the_gradient_case_a_wrong_backward_fails(monkeypatch, capsys):
+    def relu_doubling_its_gradient(x):
+        out = autograd.Tensor(np.maximum(x.data, 0))
+        autograd._record(out, (x,), lambda g: (2 * g * (x.data > 0),))
+        return out
+
+    monkeypatch.setattr(autograd, "relu", relu_doubling_its_gradient)
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL gradients-vs-finite-differences (relu: gradient mismatch: rel err" in out
     assert "4/5 checks passed" in out
 
 
