@@ -89,11 +89,6 @@ def seg_variant(sample, index):
     return out
 
 
-def augment_seg(sample):
-    """The 14 training variants: 7 rotations for each of the two mirrorings."""
-    return [seg_variant(sample, k) for k in range(len(SEG_COMBOS))]
-
-
 CLS_COMBOS = tuple(
     (mirrored, deg, s)
     for mirrored in (False, True)
@@ -111,8 +106,3 @@ def cls_variant(sketch, index):
     if s != 1.0:
         out = rescale(out, s)
     return out
-
-
-def augment_cls(sketch):
-    """The 70 classifier variants: 7 rotations x 5 scales x 2 mirrorings."""
-    return [cls_variant(sketch, k) for k in range(len(CLS_COMBOS))]

@@ -15,7 +15,10 @@ writes each sketch's map and record under --out by the sketch's name, as
 cat/0000.pred.pgm and cat/0000.json for cat/0000.sketch.pgm; eval reads them
 by that name under --pred, and rerank reads each candidate id's label map
 under --db. eval scores a prediction whose record names another
-super-category than its category's by part name, in the truth's ids.
+super-category than its category's by part name, in the truth's ids, and
+refuses a ground-truth map or a prediction that holds a part id its branch
+lacks: the truth's category's branch, and the branch the prediction's
+record names, else the truth's.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -223,11 +226,16 @@ def cmd_eval(args):
         category = category_of(gt_path)
         json_path = sample_path(args.pred, name, RECORD)
         pose, branch = _read_record(json_path, tax) if json_path.exists() else (None, None)
+        truth_branch = tax.branch_of(category) if category in tax.categories else None
+        if branch is None:
+            branch = truth_branch
+        # a map holding an id its branch lacks is refused, not scored
+        for lm, b, path in ((gt, truth_branch, gt_path), (pred, branch, pred_path)):
+            if b is not None:
+                tax.label_counts(lm.labels, b, path)
         # a map parsed by another expert is scored by part name, in the truth's ids
-        if branch is not None and category in tax.categories:
-            truth_branch = tax.branch_of(category)
-            if branch != truth_branch:
-                pred = LabelMap(tax.part_id_table(branch, truth_branch)[pred.labels])
+        if truth_branch is not None and branch != truth_branch:
+            pred = LabelMap(tax.part_id_table(branch, truth_branch)[pred.labels])
         pairs.append((category, pred, gt))
         truth = poses.get(f"{name}{SKETCH}")
         if pose is not None and truth is not None:
@@ -384,7 +392,8 @@ def build_arg_parser():
     sp.add_argument("--gt", required=True,
                     help="any path inside a corpus or a tree of corpora: its <name>.labels.pgm "
                          "maps, each scored under the category of the folder that holds it, "
-                         "and the poses of every poses.csv under it, else the nearest above it")
+                         "and the poses of every poses.csv under it, else the nearest above it; "
+                         "a map holding a part id its category's branch lacks is refused")
     sp.add_argument("--out", default=None, help="directory for iou.csv and pose.csv")
     sp.set_defaults(fn=cmd_eval)
 

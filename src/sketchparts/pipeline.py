@@ -19,12 +19,7 @@ def part_counts(labelmap, taxonomy, branch):
     A part id past the branch's parts breaks the contract.
     """
     names = taxonomy.part_names(branch)
-    counts = np.bincount(label(labelmap.labels)[1], minlength=len(names) + 1)
-    if counts.size > len(names) + 1:
-        raise ContractViolation(
-            f"label map holds part id {counts.size - 1}, but branch {branch} "
-            f"has parts 1..{len(names)}"
-        )
+    counts = taxonomy.label_counts(label(labelmap.labels)[1], branch)
     return {names[pid - 1]: int(counts[pid]) for pid in np.flatnonzero(counts)}
 
 

@@ -66,6 +66,18 @@ class Taxonomy:
         table = self.part_ids[branch]
         return sorted(table, key=table.get)
 
+    def label_counts(self, ids, branch, what="label map"):
+        """np.bincount of `ids` over the labels 0..n of branch `branch`,
+        background first. An id past the branch's parts breaks the contract,
+        in a message that opens with `what`."""
+        n = self.n_parts(branch)
+        counts = np.bincount(np.ravel(ids), minlength=n + 1)
+        if counts.size > n + 1:
+            raise ContractViolation(
+                f"{what} holds part id {counts.size - 1}, but branch {branch} has parts 1..{n}"
+            )
+        return counts
+
     def part_id_table(self, src, dst):
         """uint8[256] that takes each part id of branch `src` to the id of the
         part of the same name in branch `dst`. Background, a name that `dst`

@@ -65,12 +65,7 @@ def compute_class_balance(samples, branch, taxonomy):
     for s in samples:
         if taxonomy.branch_of(s.category) != branch:
             continue
-        counts = np.bincount(s.labels.labels.ravel(), minlength=n_labels)
-        if counts.size > n_labels:
-            raise ContractViolation(
-                f"{s.category} label map holds part id {counts.size - 1}, but branch "
-                f"{branch} has parts 1..{n_labels - 1}"
-            )
+        counts = taxonomy.label_counts(s.labels.labels, branch, f"{s.category} label map")
         pixel_count += counts
         image_count += counts > 0
     for label in range(n_labels):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sketchparts.augment import PairedSample, augment_cls, augment_seg, label_boundary, sketchify
+from sketchparts.augment import CLS_COMBOS, SEG_COMBOS, PairedSample, cls_variant, label_boundary
+from sketchparts.augment import seg_variant, sketchify
 from sketchparts.autograd import make_rng
 from sketchparts.errors import ContractViolation
 from sketchparts.imaging import INK, LabelMap, Raster, canny, dilate_square
-from sketchparts.poses import MIRROR, POSES
 
 
 def square_sample(pose="E"):
@@ -50,41 +50,34 @@ class TestSketchify:
             )
 
 
-class TestAugmentSeg:
-    def test_mirrored_pose_flips(self):
-        variants = augment_seg(square_sample("E"))
-        assert sorted({v.pose for v in variants}) == ["E", "W"]
-        assert sum(v.pose == "W" for v in variants) == 7
+def test_family_sizes():
+    assert len(SEG_COMBOS) == 14  # 7 rotations for each of the two mirrorings
+    assert len(CLS_COMBOS) == 70  # 7 rotations x 5 scales x 2 mirrorings
 
-    def test_pose_mirror_is_involution(self):
-        for p in POSES:
-            assert MIRROR[MIRROR[p]] == p
 
-    def test_no_new_label_ids(self):
+class TestSegVariant:
+    @pytest.mark.parametrize("k", range(len(SEG_COMBOS)))
+    def test_variant(self, k):
+        s = square_sample("E")
+        v = seg_variant(s, k)
+        mirrored, _ = SEG_COMBOS[k]
+        assert v.pose == ("W" if mirrored else "E")  # mirroring flips the pose east/west
+        assert set(v.labels.ids()) <= set(s.labels.ids())
+        assert (v.sketch.height, v.sketch.width) == (32, 32)
+        assert (v.labels.height, v.labels.width) == (32, 32)
+
+    def test_first_is_identity(self):
         s = square_sample()
-        for v in augment_seg(s):
-            assert set(v.labels.ids()) <= set(s.labels.ids())
-
-    def test_dims_preserved(self):
-        s = square_sample()
-        for v in augment_seg(s):
-            assert (v.sketch.height, v.sketch.width) == (32, 32)
-            assert (v.labels.height, v.labels.width) == (32, 32)
-
-    def test_contains_identity(self):
-        s = square_sample()
-        assert any(v.sketch == s.sketch and v.pose == s.pose for v in augment_seg(s))
+        assert seg_variant(s, 0) == s
 
 
-class TestAugmentCls:
-    def test_identity_member(self):
-        rng = make_rng(11)
-        sketch = Raster(np.where(rng.random((48, 48)) < 0.1, INK, 0).astype(np.uint8))
-        variants = augment_cls(sketch)
-        assert variants[0] == sketch
+class TestClsVariant:
+    SKETCH = Raster(np.where(make_rng(13).random((40, 56)) < 0.1, INK, 0).astype(np.uint8))
 
-    def test_all_retain_dimensions(self):
-        rng = make_rng(13)
-        sketch = Raster(np.where(rng.random((40, 56)) < 0.1, INK, 0).astype(np.uint8))
-        for v in augment_cls(sketch):
-            assert (v.height, v.width) == (40, 56)
+    @pytest.mark.parametrize("k", range(len(CLS_COMBOS)))
+    def test_retains_dimensions(self, k):
+        v = cls_variant(self.SKETCH, k)
+        assert (v.height, v.width) == (40, 56)
+
+    def test_first_is_identity(self):
+        assert cls_variant(self.SKETCH, 0) == self.SKETCH

@@ -26,6 +26,8 @@ from sketchparts.router import ROUTER_MAGIC, build_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import RouterPlan, TrainPlan
 
+from test_corpus import BAD_POSES_CSV, POSES_CSV_IDS
+
 TAX = load_taxonomy(DEFAULT_TAXONOMY_TEXT)
 
 
@@ -305,8 +307,7 @@ def test_selfcheck_cli(capsys, seed):
         "ok   class-balance-oracle\n"
         "ok   iou-oracle\n"
         "ok   rrwm-permutation-oracle\n"
-        "ok   augmentation-cardinalities\n"
-        "5/5 checks passed\n"
+        "4/4 checks passed\n"
     )
 
 
@@ -327,7 +328,7 @@ def test_selfcheck_fails_on_a_perturbed_result(monkeypatch, capsys, module, name
     assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL {check}" in out
-    assert "4/5 checks passed" in out
+    assert "3/4 checks passed" in out
 
 
 def test_selfcheck_names_the_gradient_case_a_wrong_backward_fails(monkeypatch, capsys):
@@ -340,7 +341,7 @@ def test_selfcheck_names_the_gradient_case_a_wrong_backward_fails(monkeypatch, c
     assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     assert "FAIL gradients-vs-finite-differences (relu: gradient mismatch: rel err" in out
-    assert "4/5 checks passed" in out
+    assert "3/4 checks passed" in out
 
 
 def test_selfcheck_deterministic_output(capsys):
@@ -1256,25 +1257,6 @@ def test_rerank_non_utf8_ranking_exits_1(tmp_path, capsys):
     assert "r.txt" in err and "UTF-8" in err and "Traceback" not in err
 
 
-BAD_POSES_CSV = [
-    (b"", "is empty"),
-    (b"relative_path,pose\ncat/0000.sketch.pgm\n", "line 2: expected 2 fields, got 1"),
-    (b"relative_path,pose\ncat/0000.sketch.pgm,E,extra\n", "line 2: expected 2 fields, got 3"),
-    (b"relative_path,pose\ncat/0000.sketch.pgm,\xff\n", "not UTF-8"),
-    (b"relative_path,pose\ncat/0000.sketch.pgm,UP\n", "line 2: unknown pose 'UP'"),
-    (b"relative_path,pose\ncat/0000.pgm,E\n",
-     "line 2: 'cat/0000.pgm' does not name a .sketch.pgm file"),
-    (b"cat/0000.sketch.pgm,E\ncat/0001.sketch.pgm,E\n",
-     "line 1: expected the header relative_path,pose"),
-    (b"relative_path,pose\ncat/0000.sketch.pgm,N\ncat/0000.sketch.pgm,S\n",
-     "line 2 but 'S' in "),
-]
-
-
-POSES_CSV_IDS = ["empty", "one_field", "three_fields", "not_utf8", "unknown_pose", "not_a_sketch",
-                 "no_header", "two_poses"]
-
-
 @pytest.mark.parametrize("raw,message", BAD_POSES_CSV, ids=POSES_CSV_IDS)
 def test_eval_bad_poses_csv_exits_1(small_corpus, capsys, raw, message):
     (small_corpus / "poses.csv").write_bytes(raw)
@@ -1371,6 +1353,42 @@ def test_eval_of_a_cat_parsed_as_a_large_animal_is_by_raw_id(small_corpus, tmp_p
             path.write_text(json.dumps(record))
     assert "8-way accuracy: " in printed[0]
     assert printed[0] == printed[1]
+
+
+def test_eval_refuses_a_ground_truth_map_holding_an_id_past_its_branch(small_corpus, capsys):
+    gt = small_corpus / "cat" / "0000.labels.pgm"
+    labels = read_pgm(gt)
+    labels[0, 0] = 9  # cat's branch has parts 1..4
+    write_pgm(gt, labels)
+    assert main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {gt} holds part id 9, but branch 0 has parts 1..4\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("supercategory,branch", [(None, 2), ("Flying Things", 3)],
+                         ids=["truth_branch", "record_branch"])
+def test_eval_refuses_a_prediction_holding_an_id_past_its_branch(small_corpus, tmp_path, capsys,
+                                                                  supercategory, branch):
+    """Each car's own map, one pixel of the second set to 4: both Four
+    Wheelers, the car's branch, and Flying Things have parts 1..3, and the
+    map is checked in the branch its record names, else in the car's."""
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for gt_path in sorted((small_corpus / "car").glob("*.labels.pgm")):
+        stem = gt_path.name.removesuffix(".labels.pgm")
+        labels = read_pgm(gt_path)
+        if stem == "0001":
+            labels[0, 0] = 4
+        write_pgm(pred / f"{stem}.pred.pgm", labels)
+        if supercategory:
+            (pred / f"{stem}.json").write_text(
+                json.dumps({"pose": "E", "supercategory": supercategory}))
+    assert main(["eval", "--pred", str(pred), "--gt", str(small_corpus / "car")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {pred / '0001.pred.pgm'} holds part id 4, but branch "
+                            f"{branch} has parts 1..3\n")
+    assert captured.out == ""
 
 
 def test_eval_prediction_of_the_wrong_size_exits_1(small_corpus, tmp_path, capsys):

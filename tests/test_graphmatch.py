@@ -21,6 +21,7 @@ from sketchparts.graphmatch import (
 )
 from sketchparts.imaging import LabelMap, label
 from sketchparts.pipeline import part_counts
+from sketchparts.taxonomy import load_taxonomy
 
 from oracles import build_affinity_loop, build_graph_loop, label_components_loop, rrwm_match_loop
 
@@ -432,16 +433,6 @@ def oracle_maps():
 ORACLE_MAPS = oracle_maps()
 
 
-class PartNames:
-    """Taxonomy stand-in: the same part names for every branch, id 1 first."""
-
-    def __init__(self, names):
-        self.names = names
-
-    def part_names(self, branch):
-        return self.names
-
-
 def assert_same_match(got, want):
     assert list(got.pairs.items()) == list(want.pairs.items())
     assert got.score == want.score
@@ -500,13 +491,14 @@ class TestAgainstLoopOracles:
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_part_counts_are_label_components_per_id(self, name, lm, named):
         names = [f"part{i}" for i in range(1, named + 1)]
+        tax = load_taxonomy("super s\ncat c : " + ", ".join(names) + "\n")  # ids 1..named
         per_id = Counter(label(lm.labels)[1].tolist())
         if max(per_id, default=0) > named:
             with pytest.raises(ContractViolation, match=f"part id {max(per_id)},"):
-                part_counts(lm, PartNames(names), branch=0)
+                part_counts(lm, tax, branch=0)
             return
         want = {names[pid - 1]: per_id[pid] for pid in sorted(per_id)}
-        got = part_counts(lm, PartNames(names), branch=0)
+        got = part_counts(lm, tax, branch=0)
         assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
