@@ -207,7 +207,9 @@ def _softmax_ce(rng):
 CONV_SHAPES = {
     "k15_s3": ((1, 19, 25), ConvSpec(15, 2, stride=3)),  # router c0
     "k5_s1": ((3, 7, 10), ConvSpec(5, 4)),  # router c1
-    "k3_s2_r2": ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # parser branch
+    "k3_s2": ((2, 9, 13), ConvSpec(3, 3, stride=2)),  # parser shared c0-c2
+    "k3_r2": ((2, 7, 11), ConvSpec(3, 3, dilation=2)),  # parser shared c3-c4, branch c0
+    "k3_s2_r2": ((2, 9, 13), ConvSpec(3, 3, stride=2, dilation=2)),  # pose head c0-c1
     "k11_over_4x5": ((2, 4, 5), ConvSpec(11, 3)),  # pose head: taps wholly in the padding
     "k1_unpadded": ((3, 5, 7), ConvSpec(1, 4)),  # router c5: 1x1, no padding
 }

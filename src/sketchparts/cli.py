@@ -13,12 +13,13 @@ of it, with its names, categories and poses. In a folder with no .sketch.pgm
 under it, --sketches takes every .pgm but a label map or a prediction. infer
 writes each sketch's map and record under --out by the sketch's name, as
 cat/0000.pred.pgm and cat/0000.json for cat/0000.sketch.pgm; eval reads them
-by that name under --pred, and rerank reads each candidate id's label map
-under --db. eval scores a prediction whose record names another
-super-category than its category's by part name, in the truth's ids, and
-refuses a ground-truth map or a prediction that holds a part id its branch
-lacks: the truth's category's branch, and the branch the prediction's
-record names, else the truth's.
+by that name under --pred (the record's fields and file format are the
+pipeline module's), and rerank reads each candidate id's label map under
+--db. eval scores a prediction whose record names another super-category
+than its category's by part name, in the truth's ids, and refuses a
+ground-truth map or a prediction that holds a part id its branch lacks: the
+truth's category's branch, and the branch the prediction's record names,
+else the truth's.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -48,7 +49,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -65,7 +65,7 @@ from .imaging import LabelMap, Raster
 from .metrics import iou_report, pose_eval
 from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .pgm import read_pgm, write_pgm
-from .pipeline import infer_record, summarize
+from .pipeline import infer_record, read_record, summarize, write_record
 from .poses import POSES
 from .router import build_router, load_router, save_router
 from .taxonomy import load_taxonomy, load_taxonomy_file
@@ -179,32 +179,10 @@ def cmd_infer(args):
         pred_path = sample_path(out, name, PRED)
         pred_path.parent.mkdir(parents=True, exist_ok=True)
         write_pgm(pred_path, labelmap.labels)
-        with open(sample_path(out, name, RECORD), "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        write_record(sample_path(out, name, RECORD), record)
     write_taxonomy(out, tax)
     print(f"wrote predictions under {out}")
     return 0
-
-
-def _read_record(json_path, tax):
-    """(pose, branch) of a prediction's record; the branch, from its
-    supercategory, is None where the record names none."""
-    try:
-        record = json.loads(json_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{json_path}: {exc}") from None
-    pose = record.get("pose") if isinstance(record, dict) else None
-    if not isinstance(pose, str):
-        raise ConfigError(f'{json_path}: expected a JSON object with a string "pose"')
-    if pose not in POSES:
-        raise ConfigError(f"{json_path}: unknown pose {pose!r}")
-    if "supercategory" not in record:
-        return pose, None
-    if record["supercategory"] not in tax.branch_names:
-        raise ConfigError(f"{json_path}: supercategory {record['supercategory']!r} is not one "
-                          f"of the taxonomy's {tax.branch_names}")
-    return pose, tax.branch_index(record["supercategory"])
 
 
 def cmd_eval(args):
@@ -225,7 +203,7 @@ def cmd_eval(args):
                               f"truth is {gt.width}x{gt.height}")
         category = category_of(gt_path)
         json_path = sample_path(args.pred, name, RECORD)
-        pose, branch = _read_record(json_path, tax) if json_path.exists() else (None, None)
+        pose, branch = read_record(json_path, tax) if json_path.exists() else (None, None)
         truth_branch = tax.branch_of(category) if category in tax.categories else None
         if branch is None:
             branch = truth_branch
@@ -302,8 +280,7 @@ def cmd_describe(args):
         branch = tax.branch_of(args.category)
     else:
         branch = tax.branch_index(args.supercategory)
-    summary = summarize(labels, tax, branch, args.pose, category=args.category)
-    print(describe(summary))
+    print(describe(summarize(labels, tax, branch, args.pose, category=args.category)))
     return 0
 
 

@@ -2,31 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContractViolation
 from .poses import PHRASES, POSES
 
 COUNT_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
 IRREGULAR_PLURALS = {"body": "bodies"}
-
-
-@dataclass(frozen=True)
-class SketchSummary:
-    """What the pipeline knows about one sketch: category (when known),
-    super-category, per-part instance counts, and the 8-way pose."""
-
-    supercategory: str
-    part_counts: dict  # part name -> connected-instance count, sentence order
-    pose: str
-    category: str | None = None
-
-    def __post_init__(self):
-        if self.pose not in POSES:
-            raise ContractViolation(f"unknown pose {self.pose!r}")
-        for part, count in self.part_counts.items():
-            if count < 1:
-                raise ContractViolation(f"part {part!r} has count {count}")
 
 
 def count_word(n):
@@ -51,17 +31,23 @@ def with_article(noun):
 def describe(summary):
     """Deterministic sentence naming the category, pose and every part count.
 
-    With an unknown category the super-category carries the noun phrase;
-    with no parts the part clause is omitted.
+    `summary` holds a parse record's "category" (None when unknown),
+    "supercategory", "pose" and "part_counts" (pipeline.summarize); an
+    unknown pose or a count below 1 breaks the contract. With an unknown
+    category the super-category carries the noun phrase; with no parts the
+    part clause is omitted.
     """
-    head = with_article(_singular(summary.supercategory))
-    if summary.category:
-        head = f"{with_article(summary.category)} ({head})"
-    sentence = f"This is a sketch of {head} facing {PHRASES[summary.pose]}"
-    items = [
-        f"{count_word(count)} {pluralize(part, count)}"
-        for part, count in summary.part_counts.items()
-    ]
+    pose, counts = summary["pose"], summary["part_counts"]
+    if pose not in POSES:
+        raise ContractViolation(f"unknown pose {pose!r}")
+    for part, count in counts.items():
+        if count < 1:
+            raise ContractViolation(f"part {part!r} has count {count}")
+    head = with_article(_singular(summary["supercategory"]))
+    if summary["category"]:
+        head = f"{with_article(summary['category'])} ({head})"
+    sentence = f"This is a sketch of {head} facing {PHRASES[pose]}"
+    items = [f"{count_word(count)} {pluralize(part, count)}" for part, count in counts.items()]
     if not items:
         return sentence + "."
     if len(items) == 1:

@@ -28,11 +28,12 @@ class TaxonomyParseError(SketchpartsError):
 
 
 class CheckpointError(SketchpartsError):
-    """A checkpoint file is unreadable; carries the byte offset of the fault."""
+    """A checkpoint file is unreadable; carries the byte offset of the fault
+    and the message, and names its file."""
 
-    def __init__(self, offset, message):
-        super().__init__(f"at byte {offset}: {message}")
-        self.offset = offset
+    def __init__(self, offset, message, path=None):
+        super().__init__(f"{'' if path is None else f'{path} '}at byte {offset}: {message}")
+        self.offset, self.message = offset, message
 
 
 class TaxonomyMismatch(CheckpointError):

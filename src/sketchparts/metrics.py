@@ -86,27 +86,26 @@ class PoseReport:
     matrix4: np.ndarray  # FOUR_WAY order after merging
     accuracy4: float
 
+    def _blocks(self):
+        """(CSV header, poses, matrix, accuracy, way) of the 8-, then 4-way view."""
+        return (("labels", POSES, self.matrix8, self.accuracy8, 8),
+                ("labels4", FOUR_WAY, self.matrix4, self.accuracy4, 4))
+
     def csv(self):
-        lines = ["labels," + ",".join(POSES)]
-        for i, p in enumerate(POSES):
-            lines.append(p + "," + ",".join(str(int(v)) for v in self.matrix8[i]))
-        lines.append(f"accuracy8,{self.accuracy8!r}")
-        lines.append("labels4," + ",".join(FOUR_WAY))
-        for i, p in enumerate(FOUR_WAY):
-            lines.append(p + "," + ",".join(str(int(v)) for v in self.matrix4[i]))
-        lines.append(f"accuracy4,{self.accuracy4!r}")
+        lines = []
+        for head, names, matrix, accuracy, way in self._blocks():
+            lines.append(",".join([head, *names]))
+            lines += [",".join([p, *map(str, row)]) for p, row in zip(names, matrix.tolist())]
+            lines.append(f"accuracy{way},{accuracy!r}")
         return "\n".join(lines) + "\n"
 
     def table(self):
-        head = "      " + "".join(f"{p:>5}" for p in POSES)
-        rows = [head]
-        for i, p in enumerate(POSES):
-            rows.append(f"{p:>5} " + "".join(f"{int(v):>5}" for v in self.matrix8[i]))
-        rows.append(f"8-way accuracy: {self.accuracy8:.4f}")
-        rows.append("      " + "".join(f"{p:>5}" for p in FOUR_WAY))
-        for i, p in enumerate(FOUR_WAY):
-            rows.append(f"{p:>5} " + "".join(f"{int(v):>5}" for v in self.matrix4[i]))
-        rows.append(f"4-way accuracy: {self.accuracy4:.4f}")
+        rows = []
+        for _, names, matrix, accuracy, way in self._blocks():
+            rows.append("      " + "".join(f"{p:>5}" for p in names))
+            rows += [f"{p:>5} " + "".join(f"{v:>5}" for v in row)
+                     for p, row in zip(names, matrix.tolist())]
+            rows.append(f"{way}-way accuracy: {accuracy:.4f}")
         return "\n".join(rows)
 
 
@@ -121,12 +120,10 @@ def pose_eval(preds, truths):
         if label not in POSE_INDEX:
             raise ContractViolation(f"unknown pose label {label!r}")
     m8 = np.zeros((8, 8), dtype=np.int64)
-    for p, t in zip(preds, truths):
-        m8[POSE_INDEX[t], POSE_INDEX[p]] += 1
+    np.add.at(m8, ([POSE_INDEX[t] for t in truths], [POSE_INDEX[p] for p in preds]), 1)
     acc8 = float(np.trace(m8) / len(preds))
-    idx4 = {p: FOUR_WAY.index(MERGE4[p]) for p in POSES}
+    idx4 = np.array([FOUR_WAY.index(MERGE4[p]) for p in POSES])
     m4 = np.zeros((4, 4), dtype=np.int64)
-    for p, t in zip(preds, truths):
-        m4[idx4[t], idx4[p]] += 1
+    np.add.at(m4, (idx4[:, None], idx4[None, :]), m8)
     acc4 = float(np.trace(m4) / len(preds))
     return PoseReport(m8, acc8, m4, acc4)

@@ -60,17 +60,23 @@ def load_params(path, magic, digest, layout, what):
     """The parameters of the checkpoint at `path`, refused unless it holds
     `magic` and taxonomy `digest`, its tensors' names and shapes follow
     `layout` (check_layout) and every value is finite. A non-finite value
-    is refused at the record of the first tensor holding one."""
-    got, tensors, offsets = read_checkpoint(path, magic)
-    if got != digest:
-        raise TaxonomyMismatch(
-            8, "checkpoint was written for a different taxonomy (digest mismatch)"
-        )
-    check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)
-    for name, a in tensors.items():
-        # min and max carry any NaN or infinity, and allocate nothing
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise CheckpointError(offsets[name], f"{name} holds a NaN or infinite value")
+    is refused at the record of the first tensor holding one. Every
+    CheckpointError names `path`."""
+    try:
+        got, tensors, offsets = read_checkpoint(path, magic)
+        if got != digest:
+            raise TaxonomyMismatch(
+                8, "checkpoint was written for a different taxonomy (digest mismatch)"
+            )
+        check_layout(tensors, offsets, {name: shape for name, shape, _ in layout}, what)
+        for name, a in tensors.items():
+            # min and max carry any NaN or infinity, and allocate nothing
+            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise CheckpointError(offsets[name], f"{name} holds a NaN or infinite value")
+    except TaxonomyMismatch as exc:
+        raise TaxonomyMismatch(exc.offset, exc.message, path) from None
+    except CheckpointError as exc:
+        raise CheckpointError(exc.offset, exc.message, path) from None
     return {name: Tensor(a) for name, a in tensors.items()}
 
 

@@ -1,13 +1,19 @@
-"""End-to-end orchestration: route, parse, describe."""
+"""End-to-end orchestration: route, parse, describe. The one home of the
+parse record, which `infer_record` builds, `write_record` writes for `infer`
+and `read_record` reads back for `eval`."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from .describe import SketchSummary, describe
-from .errors import ContractViolation
+from .describe import describe
+from .errors import ConfigError, ContractViolation
 from .imaging import label
 from .model import infer
+from .poses import POSES
 from .router import classify_pooled
 
 RECORD_VERSION = 1
@@ -24,12 +30,13 @@ def part_counts(labelmap, taxonomy, branch):
 
 
 def summarize(labelmap, taxonomy, branch, pose, category=None):
-    return SketchSummary(
-        supercategory=taxonomy.branch_names[branch],
-        part_counts=part_counts(labelmap, taxonomy, branch),
-        pose=pose,
-        category=category,
-    )
+    """The record's summary fields of one parse, in record order."""
+    return {
+        "category": category,
+        "supercategory": taxonomy.branch_names[branch],
+        "pose": pose,
+        "part_counts": part_counts(labelmap, taxonomy, branch),
+    }
 
 
 def infer_record(parser, router, sketch, force_branch=None, category=None):
@@ -62,12 +69,35 @@ def infer_record(parser, router, sketch, force_branch=None, category=None):
     summary = summarize(labelmap, tax, branch, pose, category=category)
     record = {
         "format_version": RECORD_VERSION,
-        "category": category,
-        "supercategory": tax.branch_names[branch],
-        "pose": pose,
-        "part_counts": summary.part_counts,
+        **summary,
         "description": describe(summary),
         "router_scores": None if scores is None else [float(s) for s in scores],
     }
     return record, labelmap
 
+
+def write_record(path, record):
+    """Write a record as indented JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+def read_record(path, taxonomy):
+    """(pose, branch) of the record at `path`; the branch, from its
+    supercategory, is None where the record names none."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    pose = record.get("pose") if isinstance(record, dict) else None
+    if not isinstance(pose, str):
+        raise ConfigError(f'{path}: expected a JSON object with a string "pose"')
+    if pose not in POSES:
+        raise ConfigError(f"{path}: unknown pose {pose!r}")
+    if "supercategory" not in record:
+        return pose, None
+    if record["supercategory"] not in taxonomy.branch_names:
+        raise ConfigError(f"{path}: supercategory {record['supercategory']!r} is not one "
+                          f"of the taxonomy's {taxonomy.branch_names}")
+    return pose, taxonomy.branch_index(record["supercategory"])

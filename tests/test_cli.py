@@ -22,7 +22,7 @@ from sketchparts.metrics import sketch_iou
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
 from sketchparts.checkpoint import read_checkpoint, write_checkpoint
-from sketchparts.router import ROUTER_MAGIC, build_router
+from sketchparts.router import ROUTER_MAGIC, build_router, save_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import RouterPlan, TrainPlan
 
@@ -78,7 +78,7 @@ def test_sketchify_cli(tmp_path):
     assert read_pgm(tmp_path / "s.pgm").any()
 
 
-def test_infer_and_eval_cli(small_corpus, tmp_path):
+def test_infer_and_eval_cli(small_corpus, tmp_path, capsys):
     model = build_model(ModelConfig(), TAX, seed=1)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(model, ckpt)
@@ -94,12 +94,17 @@ def test_infer_and_eval_cli(small_corpus, tmp_path):
                        for kind in ("json", "pred.pgm")] + ["taxonomy.tax"]
     assert (out / "taxonomy.tax").read_text() == TAX.to_text()
     preds = sorted(out.rglob("*.pred.pgm"))
-    records = sorted(out.rglob("*.json"))
-    record = json.loads(records[0].read_text())
+    record = json.loads((out / "cat" / "0000.json").read_text())
+    assert list(record) == ["format_version", "category", "supercategory", "pose",
+                            "part_counts", "description", "router_scores"]
     assert record["format_version"] == 1
     assert record["supercategory"] == "Small Animals"
     assert record["pose"] in {"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
-    assert "description" in record
+    # describe of the same map and pose prints the record's own sentence
+    capsys.readouterr()
+    assert main(["describe", "--labels", str(out / "cat" / "0000.pred.pgm"),
+                 "--category", "cat", "--pose", record["pose"]]) == 0
+    assert capsys.readouterr().out == record["description"] + "\n"
     # untrained model routed to a 4-part branch: ids stay within 0..4
     assert read_pgm(preds[0]).max() <= 4
     # eval pairs each prediction with the ground truth at its relative path
@@ -563,7 +568,7 @@ def test_infer_non_utf8_checkpoint_name_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "o"), "--force-branch", "Small Animals"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"at byte {name_at}" in err and "UTF-8" in err
+    assert err.startswith(f"error: {ckpt} at byte {name_at}: ") and "UTF-8" in err
     assert "Traceback" not in err
 
 
@@ -887,7 +892,7 @@ def test_infer_with_a_checkpoint_moved_out_of_its_run_folder_names_the_fix(
     assert main(["infer", "--model", str(moved), "--sketches", str(tmp_path / "b"),
                  "--out", str(out), "--force-branch", "Pets"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: at byte 8: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {moved} at byte 8: ") and err.count("\n") == 1
     assert "digest mismatch" in err and "taxonomy.tax beside it" in err
     assert not out.exists()
     (tmp_path / "taxonomy.tax").write_bytes((reversed_cat_run / "taxonomy.tax").read_bytes())
@@ -1091,9 +1096,35 @@ def test_fine_tune_keeps_frozen_shared_layers(small_corpus, tmp_path, capsys):
     rc = main([*base, "--out", str(tmp_path / "refused"), "--init", str(other)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and err.startswith("error:") and "taxonomy" in err
-    assert "Traceback" not in err
+    assert err.count("error:") == 1 and err.startswith(f"error: {other} at byte 8: ")
+    assert "taxonomy" in err and "Traceback" not in err
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("fault", ["truncated", "other_taxonomy"])
+@pytest.mark.parametrize("flag", ["--model", "--router", "--init"])
+def test_a_refused_checkpoint_names_its_file(small_corpus, tmp_path, capsys, flag, fault):
+    """infer's --model and --router, and train-parser's --init: of two
+    checkpoints, the refusal names the one at fault."""
+    other = load_taxonomy("super Small Animals\ncat cat : head, body, leg, tail\n")
+    model, router = tmp_path / "model.ckpt", tmp_path / "router.ckpt"
+    bad = router if flag == "--router" else model
+    tax = {path: other if fault == "other_taxonomy" and path == bad else TAX
+           for path in (model, router)}
+    save_checkpoint(build_model(ModelConfig(), tax[model], seed=1), model)
+    save_router(build_router(TAX.num_branches, seed=1, digest=tax[router].digest()), router)
+    if fault == "truncated":
+        bad.write_bytes(bad.read_bytes()[:-10])
+    if flag == "--init":
+        argv = ["train-parser", "--train", str(small_corpus), "--out", str(tmp_path / "run"),
+                "--init", str(model), "--iterations", "1"]
+    else:
+        argv = ["infer", "--model", str(model), "--router", str(router),
+                "--sketches", str(small_corpus), "--out", str(tmp_path / "preds")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} at byte ") and err.count("\n") == 1
+    assert ("truncated" if fault == "truncated" else "digest mismatch") in err
 
 
 def test_train_parser_refuses_a_part_id_outside_the_branch(small_corpus, tmp_path, capsys):

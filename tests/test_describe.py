@@ -1,16 +1,18 @@
 import pytest
 
-from sketchparts.describe import SketchSummary, count_word, describe, pluralize
+from sketchparts.describe import count_word, describe, pluralize
 from sketchparts.errors import ContractViolation
 
 
+def summary(supercategory, part_counts, pose, category=None):
+    """A parse record's summary fields, as pipeline.summarize returns them."""
+    return {"category": category, "supercategory": supercategory, "pose": pose,
+            "part_counts": part_counts}
+
+
 def test_cat_sentence():
-    s = SketchSummary(
-        category="cat",
-        supercategory="Small Animals",
-        part_counts={"head": 1, "body": 1, "leg": 4, "tail": 1},
-        pose="W",
-    )
+    s = summary("Small Animals", {"head": 1, "body": 1, "leg": 4, "tail": 1}, "W",
+                category="cat")
     assert describe(s) == (
         "This is a sketch of a cat (a Small Animal) facing west, "
         "with one head, one body, four legs and one tail."
@@ -18,27 +20,27 @@ def test_cat_sentence():
 
 
 def test_intercardinal_phrase():
-    s = SketchSummary("Flying Things", {"wing": 2}, "NE", category="bird")
+    s = summary("Flying Things", {"wing": 2}, "NE", category="bird")
     assert "facing north-east" in describe(s)
 
 
 def test_unknown_category_uses_supercategory():
-    s = SketchSummary("Four Wheelers", {"wheel": 2}, "E")
+    s = summary("Four Wheelers", {"wheel": 2}, "E")
     assert describe(s) == "This is a sketch of a Four Wheeler facing east, with two wheels."
 
 
 def test_empty_parts_omits_clause():
-    s = SketchSummary("Small Animals", {}, "S", category="dog")
+    s = summary("Small Animals", {}, "S", category="dog")
     assert describe(s) == "This is a sketch of a dog (a Small Animal) facing south."
 
 
 def test_single_part_no_comma():
-    s = SketchSummary("Small Animals", {"head": 1}, "N", category="cat")
+    s = summary("Small Animals", {"head": 1}, "N", category="cat")
     assert describe(s).endswith("facing north, with one head.")
 
 
 def test_deterministic():
-    s = SketchSummary("Small Animals", {"leg": 4}, "SW", category="dog")
+    s = summary("Small Animals", {"leg": 4}, "SW", category="dog")
     assert describe(s) == describe(s)
 
 
@@ -54,7 +56,7 @@ def test_irregular_plural():
 
 
 def test_output_mentions_everything():
-    s = SketchSummary("Large Animals", {"head": 1, "leg": 4}, "E", category="horse")
+    s = summary("Large Animals", {"head": 1, "leg": 4}, "E", category="horse")
     text = describe(s)
     for token in ("horse", "east", "one head", "four legs"):
         assert token in text
@@ -62,18 +64,18 @@ def test_output_mentions_everything():
 
 def test_bad_pose_rejected():
     with pytest.raises(ContractViolation):
-        SketchSummary("X", {}, "UP")
+        describe(summary("X", {}, "UP"))
 
 
 def test_zero_count_rejected():
     with pytest.raises(ContractViolation):
-        SketchSummary("X", {"head": 0}, "N")
+        describe(summary("X", {"head": 0}, "N"))
 
 
 def test_vowel_initial_nouns_take_an():
-    s = SketchSummary("Flying Things", {"wing": 2}, "N", category="airplane")
+    s = summary("Flying Things", {"wing": 2}, "N", category="airplane")
     assert describe(s).startswith("This is a sketch of an airplane (a Flying Thing) facing")
-    s = SketchSummary("Insects", {"wing": 4}, "N")
+    s = summary("Insects", {"wing": 4}, "N")
     assert describe(s).startswith("This is a sketch of an Insect facing")
-    s = SketchSummary("Insects", {}, "N", category="bee")
+    s = summary("Insects", {}, "N", category="bee")
     assert describe(s) == "This is a sketch of a bee (an Insect) facing north."
