@@ -16,7 +16,7 @@ upsampled grid, and weighted_softmax_ce reads logits of any shape (L, ...)
 as L scores at each position and returns its gradient in that shape.
 
 Every tensor receives a gradient unless it was built with
-requires_grad=False, as the sketch input of model.forward_shared is:
+requires_grad=False, as model.forward_shared's padded sketch is:
 conv2d skips the input gradient of such a tensor, and backward() never
 fills its .grad. One accumulation rule, GradientSum, sums the gradients
 one tensor receives in the order they arrive: the first is kept as given,

@@ -255,9 +255,14 @@ def cmd_rerank(args):
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{ranking_path} is not UTF-8 text (byte {exc.start})") from None
         candidates = []
-        for cid in (line.strip() for line in text.splitlines()):
+        listed = {}  # candidate id -> its line in the ranking
+        for n, cid in enumerate((line.strip() for line in text.splitlines()), start=1):
             if not cid:
                 continue
+            if cid in listed:
+                raise ConfigError(f"{ranking_path} lists {cid} twice, on lines {listed[cid]} "
+                                  f"and {n}")
+            listed[cid] = n
             if cid not in gallery:
                 path = sample_path(args.db, cid, LABELS)
                 if not path.exists():
@@ -377,7 +382,7 @@ def build_arg_parser():
     sp = sub.add_parser("rerank", help="re-rank retrieval results by part graphs")
     sp.add_argument("--query", required=True, nargs="+", help="query label maps")
     sp.add_argument("--ranking", required=True, nargs="+",
-                    help="one file of candidate ids per query, best first")
+                    help="one file of candidate ids per query, best first, each id once")
     sp.add_argument("--db", required=True,
                     help="the folder that holds <id>.labels.pgm for each candidate id; its "
                          "taxonomy must be each query's")

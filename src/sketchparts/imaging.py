@@ -38,13 +38,15 @@ _SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
 
 def _eight_bit(values, kind, what):
     """`values` as an array, refused with a ContractViolation unless it is
-    2-d and, when not already uint8, every value lies in 0..255, so that
-    the cast to uint8 keeps every value."""
+    2-d and, when not already uint8, every value is an integer in 0..255,
+    so that the cast to uint8 keeps every value."""
     a = np.asarray(values)
     if a.ndim != 2:
         raise ContractViolation(f"{kind} must be 2-d, got shape {a.shape}")
     if a.dtype != np.uint8 and a.size and not 0 <= a.min() <= a.max() <= 255:
         raise ContractViolation(f"{what} must lie in 0..255, got {a.min()}..{a.max()}")
+    if a.dtype.kind == "f" and (fraction := a[a != np.trunc(a)]).size:
+        raise ContractViolation(f"{what} must be integers, got {fraction[0]}")
     return a
 
 

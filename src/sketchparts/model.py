@@ -9,10 +9,10 @@ one expert it is routed to (`forward_branch`), in training as in inference.
 Every pose head runs POSE_STACK through `nets.run_head`, as the router does.
 
 The parser takes a sketch of any size H x W and returns H x W scores:
-`forward_shared` zero-pads the bottom and right edges up to STRIDE, and
+`forward_shared` zero-pads the bottom and right edges up to STRIDE and
+returns the trunk's features with the sketch's frame (H, W), from which
 `forward_branch` upsamples the expert's scores by STRIDE to the top-left
-H x W of the padded grid. The pose head reads the expert's scores of the
-padded sketch.
+H x W. The pose head reads the expert's scores of the padded sketch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .autograd import ConvSpec, Tensor, bilinear_upsample, conv2d, make_rng
 from .checkpoint import write_checkpoint
 from .errors import ContractViolation
-from .imaging import LabelMap
+from .imaging import INK, LabelMap
 from .nets import head_layout, init_params, load_params, run_head, run_stack, stack_layout
 from .poses import POSES
 
@@ -88,28 +88,29 @@ def build_model(config, taxonomy, seed):
 
 
 def forward_shared(model, sketch):
-    """Run the shared trunk on a Raster, zero-padded at the bottom and right
-    to a multiple of the stride and scaled to [0, 1]. The input is a
-    constant, so it needs no gradient."""
+    """(features, (height, width)): the shared trunk on a Raster zero-padded
+    at the bottom and right to the stride and scaled to [0, 1], and the
+    Raster's own frame. The input is a constant, so it needs no gradient."""
     s = model.config.stride
     h, w = sketch.height, sketch.width
     x = np.zeros((1, h + (-h) % s, w + (-w) % s), dtype=np.float32)
     x[0, :h, :w] = sketch.pixels
-    x /= 255.0
+    x /= INK
     x = Tensor(x, requires_grad=False)
-    return run_stack(x, model.config.shared_stack, "shared", model.params)
+    return run_stack(x, model.config.shared_stack, "shared", model.params), (h, w)
 
 
-def forward_branch(model, branch, features, height, width):
-    """Expert forward: (part scores of the height x width sketch, pose logits).
+def forward_branch(model, branch, trunk):
+    """Expert forward on forward_shared's pair: (frame-sized scores, pose logits).
 
     The pose head consumes the pre-softmax scores before upsampling; the
-    scores upsample by the stride straight to the sketch's height x width,
+    scores upsample by the stride straight to the frame's height x width,
     dropping the rows and columns of the trunk's padding.
     """
     n = model.taxonomy.num_branches
     if not 0 <= branch < n:
         raise ContractViolation(f"branch {branch} out of range [0, {n})")
+    features, (height, width) = trunk
     prefix = f"branch{branch}"
     p = model.params
     x = run_stack(features, model.config.branch_stack, prefix, p)
@@ -120,14 +121,13 @@ def forward_branch(model, branch, features, height, width):
 
 
 def infer(model, branch, sketch):
-    """Parse one sketch through a chosen expert: (LabelMap, pose label).
+    """Parse one sketch through a chosen expert: (H x W LabelMap, pose label).
 
     A deliberately mis-routed branch still yields a valid map in that
     branch's label space; that is the best-guess behaviour for unseen
     categories.
     """
-    feats = forward_shared(model, sketch)
-    scores, pose_logits = forward_branch(model, branch, feats, sketch.height, sketch.width)
+    scores, pose_logits = forward_branch(model, branch, forward_shared(model, sketch))
     pred = scores.data.argmax(axis=0).astype(np.uint8)
     pose = POSES[int(pose_logits.data.argmax())]
     return LabelMap(pred), pose

@@ -85,7 +85,8 @@ def write_record(path, record):
 
 def read_record(path, taxonomy):
     """(pose, branch) of the record at `path`; the branch, from its
-    supercategory, is None where the record names none."""
+    supercategory, is None where the record names none. A record whose
+    format_version is missing or is not RECORD_VERSION is refused."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -95,9 +96,14 @@ def read_record(path, taxonomy):
         raise ConfigError(f'{path}: expected a JSON object with a string "pose"')
     if pose not in POSES:
         raise ConfigError(f"{path}: unknown pose {pose!r}")
-    if "supercategory" not in record:
-        return pose, None
-    if record["supercategory"] not in taxonomy.branch_names:
-        raise ConfigError(f"{path}: supercategory {record['supercategory']!r} is not one "
-                          f"of the taxonomy's {taxonomy.branch_names}")
-    return pose, taxonomy.branch_index(record["supercategory"])
+    branch = None
+    if "supercategory" in record:
+        if record["supercategory"] not in taxonomy.branch_names:
+            raise ConfigError(f"{path}: supercategory {record['supercategory']!r} is not one "
+                              f"of the taxonomy's {taxonomy.branch_names}")
+        branch = taxonomy.branch_index(record["supercategory"])
+    version = record.get("format_version")
+    if type(version) is not int or version != RECORD_VERSION:
+        found = f"format_version {version!r}" if "format_version" in record else "no format_version"
+        raise ConfigError(f"{path}: {found}; expected format_version {RECORD_VERSION}")
+    return pose, branch

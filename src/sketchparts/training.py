@@ -206,8 +206,7 @@ def train_parser(model, samples, plan):
         branch = branches[idx]
         sketch = sample.sketch
         with Tape() as tape:
-            feats = forward_shared(model, sketch)
-            scores, pose_logits = forward_branch(model, branch, feats, sketch.height, sketch.width)
+            scores, pose_logits = forward_branch(model, branch, forward_shared(model, sketch))
             loss, seg_v, pose_v = total_loss(
                 scores, sample.labels, balances[branch], pose_logits, sample.pose, plan.lam
             )

@@ -242,6 +242,18 @@ def test_rerank_query_ranking_count_mismatch_exits_1(tmp_path, capsys):
     assert "3 sketches" in err and "2 files" in err and "Traceback" not in err
 
 
+def test_rerank_refuses_a_ranking_listing_a_candidate_twice(tmp_path, capsys):
+    """The second query's ranking names cand2 on lines 2 and 5, a blank line
+    between; nothing is printed, not even the first query's ranking."""
+    db, queries, rankings = _rerank_db(tmp_path)
+    Path(rankings[1]).write_text("cand0\ncand2\ncand1\n\ncand2\ncand3\n")
+    rc = main(["rerank", "--query", *queries, "--ranking", *rankings, "--db", str(db)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {rankings[1]} lists cand2 twice, on lines 2 and 5\n"
+    assert captured.out == ""
+
+
 def test_rerank_default_top_is_50(tmp_path, capsys):
     db = tmp_path / "db"
     db.mkdir()
@@ -1329,9 +1341,15 @@ def test_train_parser_bad_poses_csv_exits_1(small_corpus, tmp_path, capsys, raw,
         (b'{"pose": 3}', 'expected a JSON object with a string "pose"'),
         (b'{"pose": "UP"}', "unknown pose 'UP'"),
         (b'{"pose": "E", "supercategory": "Pets"}', "supercategory 'Pets' is not one of"),
+        (b'{"pose": "N"}', "no format_version; expected format_version 1\n"),
+        (b'{"format_version": 99, "pose": "N"}', "format_version 99; expected"),
+        (b'{"format_version": "1", "pose": "N"}', "format_version '1'; expected"),
+        (b'{"format_version": true, "pose": "N"}', "format_version True; expected"),
+        (b'{"format_version": 1.0, "pose": "N"}', "format_version 1.0; expected"),
     ],
     ids=["truncated", "not_utf8", "list", "no_pose", "pose_not_a_string", "unknown_pose",
-         "unknown_supercategory"],
+         "unknown_supercategory", "no_format_version", "format_version_99",
+         "format_version_string", "format_version_true", "format_version_float"],
 )
 def test_eval_bad_prediction_json_exits_1(small_corpus, capsys, raw, message):
     (small_corpus / "cat" / "0000.json").write_bytes(raw)
@@ -1354,8 +1372,8 @@ def test_eval_scores_a_car_parsed_as_a_flying_thing_by_part_name(small_corpus, t
         stem = gt_path.name.removesuffix(".labels.pgm")
         labels = read_pgm(gt_path)
         write_pgm(pred / f"{stem}.pred.pgm", labels)
-        (pred / f"{stem}.json").write_text(
-            json.dumps({"pose": "E", "supercategory": "Flying Things"}))
+        (pred / f"{stem}.json").write_text(json.dumps(
+            {"format_version": 1, "pose": "E", "supercategory": "Flying Things"}))
         want.append(sketch_iou(LabelMap(np.where(labels == 1, 1, 0)), LabelMap(labels))[1])
     out = tmp_path / "report"
     assert main(["eval", "--pred", str(pred), "--gt", str(small_corpus / "car"),
@@ -1413,8 +1431,8 @@ def test_eval_refuses_a_prediction_holding_an_id_past_its_branch(small_corpus, t
             labels[0, 0] = 4
         write_pgm(pred / f"{stem}.pred.pgm", labels)
         if supercategory:
-            (pred / f"{stem}.json").write_text(
-                json.dumps({"pose": "E", "supercategory": supercategory}))
+            (pred / f"{stem}.json").write_text(json.dumps(
+                {"format_version": 1, "pose": "E", "supercategory": supercategory}))
     assert main(["eval", "--pred", str(pred), "--gt", str(small_corpus / "car")]) == 1
     captured = capsys.readouterr()
     assert captured.err == (f"error: {pred / '0001.pred.pgm'} holds part id 4, but branch "
@@ -1441,7 +1459,7 @@ def test_eval_prediction_of_the_wrong_size_exits_1(small_corpus, tmp_path, capsy
 def test_eval_reads_predicted_poses(small_corpus, tmp_path):
     for rel in sorted(small_corpus.rglob("*.sketch.pgm")):
         stem = rel.name.replace(".sketch.pgm", "")
-        (rel.parent / f"{stem}.json").write_text(json.dumps({"pose": "N"}))
+        (rel.parent / f"{stem}.json").write_text(json.dumps({"format_version": 1, "pose": "N"}))
     out = tmp_path / "report"
     rc = main(["eval", "--pred", str(small_corpus), "--gt", str(small_corpus),
                "--out", str(out)])

@@ -262,9 +262,19 @@ class TestLabelMapImmutable:
             kind(np.array([[0, 1], [2, value]]))
 
     @pytest.mark.parametrize("kind", [LabelMap, Raster])
-    def test_ids_at_the_eight_bit_bounds_kept(self, kind):
-        kept = kind(np.array([[0, 255]], dtype=np.int64))
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_ids_at_the_eight_bit_bounds_kept(self, kind, dtype):
+        kept = kind(np.array([[0, 255]], dtype=dtype))
         assert (kept.labels if kind is LabelMap else kept.pixels).tolist() == [[0, 255]]
+
+    @pytest.mark.parametrize("kind", [LabelMap, Raster])
+    @pytest.mark.parametrize("values,bad", [(np.full((2, 2), 12.7), "12.7"),
+                                            ([[2.0, 2.5]], "2.5"),
+                                            (np.array([[1, 254.5]], np.float32), "254.5")],
+                             ids=["12.7", "2.5", "float32"])
+    def test_non_integral_floats_rejected(self, values, bad, kind):
+        with pytest.raises(ContractViolation, match=f"must be integers, got {bad}$"):
+            kind(values)
 
 
 class TestGeometry:

@@ -92,7 +92,7 @@ class TestBuild:
     def test_pose_logits_are_convs_then_pool_then_linear(self):
         m = build_model(CFG, TAX2, seed=41)
         sketch = Raster(np.where(make_rng(43).random((48, 80)) < 0.15, 255, 0))
-        feats = forward_shared(m, sketch)
+        feats, _ = trunk = forward_shared(m, sketch)
         p = m.params
 
         def conv(y, name, spec):
@@ -103,35 +103,34 @@ class TestBuild:
         y = relu(conv(y, "pose.c1", ConvSpec(3, 32, stride=2, dilation=2)))
         y = relu(conv(y, "pose.c2", ConvSpec(11, 32)))
         want = linear(global_average_pool(y), p["branch1.pose.fc.w"], p["branch1.pose.fc.b"])
-        _, got = forward_branch(m, 1, feats, 48, 80)
+        _, got = forward_branch(m, 1, trunk)
         assert np.array_equal(got.data, want.data)
 
     def test_forward_shapes(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, random_sketch(make_rng(3), 128))
+        feats, _ = trunk = forward_shared(m, random_sketch(make_rng(3), 128))
         assert feats.shape == (128, 16, 16)
-        scores, pose = forward_branch(m, 0, feats, 128, 128)
+        scores, pose = forward_branch(m, 0, trunk)
         assert scores.shape == (4, 128, 128)
         assert pose.shape == (8,)
 
     def test_blank_input_finite(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
-        scores, pose = forward_branch(m, 1, feats, 32, 32)
+        trunk = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
+        scores, pose = forward_branch(m, 1, trunk)
         assert np.isfinite(scores.data).all()
         assert np.isfinite(pose.data).all()
 
     def test_bad_branch_rejected(self):
         m = build_model(CFG, TAX2, seed=2)
-        feats = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
+        trunk = forward_shared(m, Raster(np.zeros((32, 32), dtype=np.uint8)))
         with pytest.raises(ContractViolation, match="branch 2 out of range"):
-            forward_branch(m, 2, feats, 32, 32)
+            forward_branch(m, 2, trunk)
 
     def test_forward_pure(self):
         m = build_model(CFG, TAX2, seed=4)
         s = random_sketch(make_rng(5))
-        a = forward_shared(m, s)
-        b = forward_shared(m, s)
+        (a, _), (b, _) = forward_shared(m, s), forward_shared(m, s)
         assert np.array_equal(a.data, b.data)
 
 
@@ -157,7 +156,7 @@ class TestRoutedEquivalence:
         def run(route_by):
             with Tape() as tape:
                 outs = [
-                    forward_branch(m, b, forward_shared(m, s), 32, 32)[0]
+                    forward_branch(m, b, forward_shared(m, s))[0]
                     for s, b in zip(batch, route_by)
                 ]
                 total = None
@@ -261,9 +260,11 @@ class TestInfer:
 
         monkeypatch.setattr(model_module, "run_stack", recording)
         with Tape() as tape:
-            scores, _ = forward_branch(m, 1, forward_shared(m, Raster(pixels)), h, w)
+            trunk = forward_shared(m, Raster(pixels))
+            scores, _ = forward_branch(m, 1, trunk)
             total = weighted_sum(scores, np.ones(scores.shape))
         backward(tape, total)
+        assert trunk[1] == shape
         assert scores.shape == (6, h, w)
         assert inputs[0].shape == (1,) + padded.shape
         assert inputs[0].requires_grad is False and inputs[0].grad is None
@@ -286,7 +287,7 @@ def test_upsample_to_the_sketch_is_upsample_then_crop(shape, monkeypatch):
 
     def step():
         with Tape() as tape:
-            scores, pose_logits = forward_branch(m, 1, forward_shared(m, sketch), *shape)
+            scores, pose_logits = forward_branch(m, 1, forward_shared(m, sketch))
             loss, _, _ = total_loss(scores, labels, balance, pose_logits, "SW", 1.0)
         backward(tape, loss)
         grads = {n: t.grad.tobytes() for n, t in m.params.items() if t.grad is not None}
