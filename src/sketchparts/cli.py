@@ -15,11 +15,12 @@ writes each sketch's map and record under --out by the sketch's name, as
 cat/0000.pred.pgm and cat/0000.json for cat/0000.sketch.pgm; eval reads them
 by that name under --pred (the record's fields and file format are the
 pipeline module's), and rerank reads each candidate id's label map under
---db. eval scores a prediction whose record names another super-category
-than its category's by part name, in the truth's ids, and refuses a
-ground-truth map or a prediction that holds a part id its branch lacks: the
-truth's category's branch, and the branch the prediction's record names,
-else the truth's.
+--db and refuses a query or candidate map holding an id past every branch's
+parts, as a sketch's ink does. eval scores a prediction whose record names
+another super-category than its category's by part name, in the truth's
+ids, and refuses a ground-truth map or a prediction that holds a part id
+its branch lacks: the truth's category's branch, and the branch the
+prediction's record names, else the truth's.
 
 A folder the CLI writes names the taxonomy of what it holds in its
 taxonomy.tax, and a command takes its taxonomy from what it is given
@@ -237,19 +238,31 @@ def cmd_eval(args):
     return 0
 
 
+def _read_part_map(path, most):
+    """The label map at `path`, refused unless its ids are part ids of some
+    branch, `most` parts the largest: a sketch's ink reads as id 255."""
+    lm = LabelMap(read_pgm(path))
+    top = int(lm.labels.max(initial=0))
+    if top > most:
+        raise ConfigError(f"{path} holds part id {top}, but no branch of its taxonomy has "
+                          f"more than {most} parts; is it a label map?")
+    return lm
+
+
 def cmd_rerank(args):
     if len(args.query) != len(args.ranking):
         raise ConfigError(
             f"--query names {len(args.query)} sketches but --ranking names "
             f"{len(args.ranking)} files; give one ranking per query"
         )
-    check_one_taxonomy([args.db, *args.query])
+    tax = check_one_taxonomy([args.db, *args.query])
+    most = max(tax.n_parts(b) for b in range(tax.num_branches))
     # Each gallery map is read once and shared by every query that ranks it,
     # so graphmatch.graph_of builds its part graph once per run.
     gallery = {}
     blocks = []
     for query_path, ranking_path in zip(args.query, args.ranking):
-        query = LabelMap(read_pgm(query_path))
+        query = _read_part_map(query_path, most)
         try:
             text = Path(ranking_path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -267,7 +280,7 @@ def cmd_rerank(args):
                 path = sample_path(args.db, cid, LABELS)
                 if not path.exists():
                     raise ConfigError(f"candidate label map {path} does not exist")
-                gallery[cid] = LabelMap(read_pgm(path))
+                gallery[cid] = _read_part_map(path, most)
             candidates.append((cid, gallery[cid]))
         blocks.append("\n".join(rerank(query, candidates, top_t=args.top)) + "\n")
     text = "\n".join(blocks)

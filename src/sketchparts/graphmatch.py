@@ -20,7 +20,11 @@ A graph has one form, the arrays the matcher reads: `AttributeGraph` holds
 part ids, a node-attribute matrix, the radius and angle matrices over the
 local nodes plus the global node as one extra index (NaN where no edge
 exists), and the part histogram. `build_graph` writes those arrays
-directly, so matching reads a graph as it was built.
+directly, so matching reads a graph as it was built. It reads the
+labeller's runs (`imaging.label_runs`), not a pixel map: areas and
+centroids are sums over runs, contacts are runs abutting in a row and the
+labeller's different-id overlaps of runs in adjacent rows, and only the
+kept instances' pixels are rebuilt, for their angular extents.
 
 One builder, `_affinity_problems`, builds the affinity matrices of one
 query against many candidate graphs in one array pass. The candidate pairs
@@ -76,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, check_count
-from .imaging import label
+from .imaging import label_runs
 
 GLOBAL = -1  # node index of the global node in correspondence pairs
 
@@ -118,60 +122,64 @@ def _angular_extent(rows, cols, cy, cx):
     return float(2 * math.pi - max(gaps.max(), wrap))
 
 
-def _instances(lm):
-    """A label map's part instances, the 4-connected components of each
-    nonzero id, ordered by (part id, centroid row, centroid col), ties in
-    `label`'s raster order: (part ids, areas, (n, 2) centroids, (N, 2)
-    pixels, index map). Each instance's pixels, in scan order, are the next
-    `area` rows of `pixels`; the index map holds each pixel's instance, -1
-    on background."""
-    comp, part_ids = label(lm.labels)
-    flat = comp.ravel()
-    inked = np.flatnonzero(flat > 0)
-    owner = flat[inked]
-    # one stable sort groups the pixels by component, each in scan order
-    order = inked[np.argsort(owner, kind="stable")]
-    area = np.bincount(owner, minlength=part_ids.size + 1)[1:]
-    grouped = np.column_stack(np.divmod(order, lm.width))
-    offsets = np.cumsum(area) - area
-    # coordinate sums are whole numbers, exact in float64 in any order, so
-    # sum / area is the bytes `mean` gives
-    centroids = np.add.reduceat(grouped, offsets) / area[:, None]
-    rank = np.lexsort((centroids[:, 1], centroids[:, 0], part_ids))
-    blocks = zip(offsets[rank].tolist(), area[rank].tolist())
-    # grouped[:0] keeps the (0, 2) shape of a map with no instances
-    pixels = np.concatenate([grouped[:0], *(grouped[o : o + a] for o, a in blocks)])
-    position = np.full(part_ids.size + 1, -1, dtype=np.int32)
-    position[rank + 1] = np.arange(rank.size, dtype=np.int32)
-    return (part_ids[rank].astype(np.int64), area[rank], centroids[rank], pixels,
-            np.take(position, comp))
-
-
 def build_graph(lm):
+    """The attribute graph of label map `lm`, from the labeller's runs.
+
+    A component's area is the sum of its run lengths and its centroid the
+    sums of its pixels' rows and columns (a run's columns are an arithmetic
+    series) over its area. Instances rank by (part id, centroid row,
+    centroid col), ties in `label`'s raster order, and those below
+    MIN_AREA_FRACTION of the foreground are dropped. A kept instance's
+    angular extent is measured over its pixels, rebuilt from its runs in
+    scan order. Two kept instances share an edge where any of their pixels
+    are 4-neighbours: two runs that abut in one row, or a different-id
+    overlap of runs in adjacent rows. The row contacts come first, then the
+    column contacts, each in the scan order of its first pixel (the left
+    one, `end - 1`, in a row; `max(start_upper, start_lower - width)` in
+    the upper row of an overlap); the first contact of an unordered pair
+    (i, j) decides that i -> j gets atan2 and j -> i the wrapped reverse.
+    """
     h, w = lm.labels.shape
-    part, area, centroids, pixels, lab = _instances(lm)
+    runs = label_runs(lm.labels)
+    length = runs.end - runs.start
+    row, col = np.divmod(runs.start, w)
+    # per-component sums of whole numbers, exact in float64 in any order, so
+    # sum / area is the bytes the mean of the pixels' coordinates gives
+    size = runs.part_ids.size + 1
+    area = np.bincount(runs.comp, length, size)[1:]
+    sums = [np.bincount(runs.comp, v, size)[1:]
+            for v in (row * length, (2 * col + length - 1) * length // 2)]
+    centroids = np.column_stack(sums) / area[:, None]
+    rank = np.lexsort((centroids[:, 1], centroids[:, 0], runs.part_ids))
+    area, centroids = area[rank].astype(np.int64), centroids[rank]
     foreground = int(area.sum())
     kept = area >= MIN_AREA_FRACTION * foreground
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ends = np.cumsum(area)
-    spans = zip((ends - area)[kept].tolist(), ends[kept].tolist())
-    extent = [_angular_extent(pixels[s:e, 0], pixels[s:e, 1], cy, cx) for s, e in spans]
-    part = part[kept]
+    part = runs.part_ids[rank][kept].astype(np.int64)
     n = part.size
+    # each run's local node, -1 for the runs of a dropped instance
+    node_of = np.full(size, -1)
+    node_of[rank[kept] + 1] = np.arange(n)
+    node = node_of[runs.comp]
+
+    # the kept instances' pixels, node by node, each node's in scan order
+    mine = np.flatnonzero(node >= 0)
+    mine = mine[np.argsort(node[mine], kind="stable")]
+    span = length[mine]
+    skip = np.repeat(runs.start[mine] - (np.cumsum(span) - span), span)
+    rows, cols = np.divmod(np.arange(skip.size) + skip, w)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ends = np.cumsum(area[kept]).tolist()
+    spans = zip([0, *ends[:-1]], ends)
+    extent = [_angular_extent(rows[s:e], cols[s:e], cy, cx) for s, e in spans]
     nodes = np.column_stack((extent, centroids[kept] / (h, w), area[kept] / foreground))
     hist = np.column_stack(np.unique(part, return_counts=True))
 
-    # adjacency: any 4-neighbouring pixel pair from two kept components.
-    # Pairs are gathered row-pass first, each pass in scan order; the first
-    # occurrence of an unordered pair (i, j) decides that i -> j gets atan2
-    # and j -> i the wrapped reverse.
-    kept_at = np.where(kept, np.cumsum(kept) - 1, -1)
-    ka, kb = [], []
-    for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
-        touching = (a >= 0) & (b >= 0) & (a != b)
-        ka.append(kept_at[a[touching]])
-        kb.append(kept_at[b[touching]])
-    ka, kb = np.concatenate(ka), np.concatenate(kb)
+    # contacts: runs abutting in one row, not across a row's end, then the
+    # labeller's overlaps, each pass already in the scan order of its first
+    # contact pixel
+    beside = np.flatnonzero((runs.end[:-1] == runs.start[1:]) & (runs.start[1:] % w != 0))
+    ka = np.concatenate((node[beside], node[runs.upper]))
+    kb = np.concatenate((node[beside + 1], node[runs.lower]))
     both = (ka >= 0) & (kb >= 0)
     ka, kb = ka[both], kb[both]
     _, first = np.unique(np.minimum(ka, kb) * n + np.maximum(ka, kb), return_index=True)

@@ -5,13 +5,14 @@ whole gray range). Label maps carry a part id per pixel, 0 = background.
 Everything is written in numpy alone. Geometric resampling is explicit so
 that flips commute exactly with resizing. Gaussian smoothing, Sobel and
 dilation reproduce scipy.ndimage's filters byte for byte, and one run-based
-labeller finds connected components for Canny's hysteresis, part counts
-and part graphs.
+labeller finds connected components: Canny's hysteresis reads them as a
+pixel map (`label`), part counts and part graphs as runs (`label_runs`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,20 +355,30 @@ def crops_and_pad(sketch, crop_fraction, side):
 # connected components
 
 
-def label(ids, connectivity=4):
-    """Connected components of equal nonzero ids: (components, part_ids).
+class Runs(NamedTuple):
+    """A label array's inked runs, the maximal stretches of one nonzero id
+    along a row, in scan order, and how they join (see label_runs)."""
+
+    start: np.ndarray  # (r,) flat index of each run's first pixel, ascending
+    end: np.ndarray  # (r,) one past each run's last pixel
+    comp: np.ndarray  # (r,) int32 component of each run, 1..n as `label` numbers them
+    part_ids: np.ndarray  # (n,) the id component k carries at k - 1
+    upper: np.ndarray  # (k,) run a row above of each different-id overlap,
+    lower: np.ndarray  # (k,) and the run it overlaps, ordered by lower, then upper
+
+
+def label_runs(ids, connectivity=4):
+    """The labeller's pass over runs: `Runs` of a 2-d id array.
 
     Two pixels join when they hold the same nonzero id and share an edge
-    (connectivity 4) or an edge or a corner (8). `components` is an int32
-    map numbering each pixel's component 1..n, 0 on background, in raster
-    order of each component's first pixel as ndimage.label numbers them;
-    part_ids[k - 1] is the id component k carries.
-
-    The work is on runs, the maximal stretches of one id along a row. A run
-    meets the runs of the row above that overlap its span, widened by a
-    pixel each side at connectivity 8. Each round hooks the later root of
-    every unjoined pair under the earlier and pointer-jumps every run to its
-    root, so a component's root ends up its first run.
+    (connectivity 4) or an edge or a corner (8). A run meets the runs of the
+    row above that overlap its span, widened by a pixel each side at
+    connectivity 8. Overlaps of one id join; the rest are kept as
+    (upper, lower), which at connectivity 4 are all the vertical contacts
+    of two components. Each round hooks the later root of every unjoined
+    pair under the earlier and pointer-jumps every run to its root, so a
+    component's root ends up its first run, and components are numbered in
+    raster order of their first pixel, as ndimage.label numbers them.
     """
     if connectivity not in (4, 8):
         raise ContractViolation(f"connectivity must be 4 or 8, got {connectivity}")
@@ -376,16 +387,18 @@ def label(ids, connectivity=4):
         raise ContractViolation(f"ids must be 2-d, got shape {ids.shape}")
     flat = ids.ravel()
     if flat.size == 0:
-        return np.zeros(ids.shape, dtype=np.int32), flat
+        none = np.zeros(0, dtype=np.intp)
+        return Runs(none, none, none.astype(np.int32), flat, none, none)
     w = ids.shape[1]
     change = np.empty(flat.size, dtype=bool)
     change[0] = True
     np.not_equal(flat[1:], flat[:-1], out=change[1:])
     change[::w] = True
     seg = np.flatnonzero(change)  # stretches of one value within a row
-    seg_end = np.append(seg[1:], flat.size)
-    inked = flat[seg] != 0
-    start, end = seg[inked], seg_end[inked]
+    run_id = flat[seg]
+    inked = run_id != 0
+    start, run_id = seg[inked], run_id[inked]
+    end = np.append(seg[1:], flat.size)[inked]
 
     below = np.flatnonzero(start >= w)
     lo, hi = start[below] - w, end[below] - w  # the span a row up
@@ -396,7 +409,8 @@ def label(ids, connectivity=4):
     count = np.searchsorted(start, hi) - first
     b = np.repeat(below, count)
     a = np.arange(b.size) + np.repeat(first - np.cumsum(count) + count, count)
-    same = flat[start[a]] == flat[start[b]]
+    same = run_id[a] == run_id[b]
+    upper, lower = a[~same], b[~same]
     a, b = a[same], b[same]
 
     parent = np.arange(start.size)
@@ -409,8 +423,25 @@ def label(ids, connectivity=4):
         a, b = np.minimum(a[apart], b[apart]), np.maximum(a[apart], b[apart])
 
     root = parent == np.arange(start.size)
-    seg_comp = np.zeros(seg.size, dtype=np.int32)
-    seg_comp[inked] = np.cumsum(root, dtype=np.int32)[parent]
-    components = np.repeat(seg_comp, seg_end - seg).reshape(ids.shape)
-    return components, flat[start[root]]
+    comp = np.cumsum(root, dtype=np.int32)[parent]
+    return Runs(start, end, comp, run_id[root], upper, lower)
 
+
+def label(ids, connectivity=4):
+    """Connected components of equal nonzero ids: (components, part_ids).
+
+    `components` is an int32 map numbering each pixel's component 1..n, 0
+    on background, in raster order of each component's first pixel as
+    ndimage.label numbers them; part_ids[k - 1] is the id component k
+    carries. It is label_runs(ids, connectivity) written out pixel by
+    pixel: each run's component, and 0 on the gaps between runs.
+    """
+    runs = label_runs(ids, connectivity)
+    shape = np.shape(ids)
+    bounds = np.empty(2 * runs.start.size + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, math.prod(shape)
+    bounds[1:-1:2], bounds[2:-1:2] = runs.start, runs.end
+    values = np.zeros(bounds.size - 1, dtype=np.int32)
+    values[1::2] = runs.comp
+    components = np.repeat(values, np.diff(bounds)).reshape(shape)
+    return components, runs.part_ids

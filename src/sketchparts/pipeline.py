@@ -11,7 +11,7 @@ import numpy as np
 
 from .describe import describe
 from .errors import ConfigError, ContractViolation
-from .imaging import label
+from .imaging import label_runs
 from .model import infer
 from .poses import POSES
 from .router import classify_pooled
@@ -20,12 +20,13 @@ RECORD_VERSION = 1
 
 
 def part_counts(labelmap, taxonomy, branch):
-    """Connected-instance counts keyed by part name, in branch id order.
+    """Connected-instance counts keyed by part name, in branch id order:
+    the part ids of the labeller's components, counted per id.
 
     A part id past the branch's parts breaks the contract.
     """
     names = taxonomy.part_names(branch)
-    counts = taxonomy.label_counts(label(labelmap.labels)[1], branch)
+    counts = taxonomy.label_counts(label_runs(labelmap.labels).part_ids, branch)
     return {names[pid - 1]: int(counts[pid]) for pid in np.flatnonzero(counts)}
 
 

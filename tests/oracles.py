@@ -276,8 +276,10 @@ def upsample_then_crop(x, factor, height, width):
 
 def label_components_loop(lm):
     """Per-id component labelling with one whole-map scan per component:
-    (part ids, areas, centroids, pixels, index map) in the order and dtypes
-    of graphmatch._instances, each instance's pixels the next `area` rows."""
+    (part ids, areas, centroids, pixels, index map), instances ordered by
+    (part id, centroid row, centroid col), each instance's pixels the next
+    `area` rows, in scan order; the index map holds each pixel's instance,
+    -1 on background."""
     from scipy import ndimage
 
     labels = lm.labels

@@ -254,6 +254,27 @@ def test_rerank_refuses_a_ranking_listing_a_candidate_twice(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("given_as", ["query", "candidate"])
+def test_rerank_refuses_a_sketch_given_as_a_label_map(small_corpus, tmp_path, capsys, given_as):
+    """A sketch's ink reads as part id 255, past every branch's parts (at
+    most 4 in the default taxonomy); nothing is printed."""
+    sketch = small_corpus / "car" / "0001.sketch.pgm"
+    query = small_corpus / "cat" / "0000.labels.pgm"
+    if given_as == "query":
+        query = sketch
+    else:
+        (small_corpus / "car" / "0001.labels.pgm").write_bytes(sketch.read_bytes())
+    (tmp_path / "ranking.txt").write_text("cat/0000\ncar/0001\ncat/0001\n")
+    rc = main(["rerank", "--query", str(query), "--ranking", str(tmp_path / "ranking.txt"),
+               "--db", str(small_corpus)])
+    assert rc == 1
+    refused = sketch if given_as == "query" else small_corpus / "car" / "0001.labels.pgm"
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {refused} holds part id 255, but no branch of its "
+                            "taxonomy has more than 4 parts; is it a label map?\n")
+    assert captured.out == ""
+
+
 def test_rerank_default_top_is_50(tmp_path, capsys):
     db = tmp_path / "db"
     db.mkdir()

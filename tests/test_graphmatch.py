@@ -19,7 +19,7 @@ from sketchparts.graphmatch import (
     rerank,
     rrwm_match,
 )
-from sketchparts.imaging import LabelMap, label
+from sketchparts.imaging import LabelMap, label, label_runs
 from sketchparts.pipeline import part_counts
 from sketchparts.taxonomy import load_taxonomy
 
@@ -110,50 +110,73 @@ def assert_same_graph(got, want):
 # --------------------------------------------------------------------------
 
 
-class TestInstances:
-    """graphmatch._instances: (part ids, areas, centroids, pixels, index map)."""
+def run_pixels(runs, w):
+    """Each run's (row, col) pixels, left to right."""
+    return [[divmod(f, w) for f in range(s, e)] for s, e in zip(runs.start.tolist(), runs.end.tolist())]
+
+
+def instances_of(lm):
+    """label_runs(lm.labels) read as label_components_loop reads a map, by
+    a loop over the runs: (part ids, areas, centroids, pixels, index map),
+    instances ordered by (part id, centroid row, centroid col), ties in the
+    labeller's numbering, each instance's pixels in scan order."""
+    runs = label_runs(lm.labels)
+    owned = [[] for _ in runs.part_ids]
+    for k, pixels in zip(runs.comp.tolist(), run_pixels(runs, lm.width)):
+        owned[k - 1].extend(pixels)
+    found = []
+    for pid, pixels in zip(runs.part_ids.tolist(), owned):
+        rows, cols = np.array(pixels).T
+        assert (lm.labels[rows, cols] == pid).all()
+        found.append((pid, rows.mean().item(), cols.mean().item(), np.column_stack([rows, cols])))
+    found.sort(key=lambda c: c[:3])
+    index_map = np.full(lm.labels.shape, -1, dtype=np.int32)
+    for i, (*_, pixels) in enumerate(found):
+        index_map[pixels[:, 0], pixels[:, 1]] = i
+    return (
+        np.array([pid for pid, *_ in found], dtype=np.int64),
+        np.array([len(pixels) for *_, pixels in found], dtype=np.intp),
+        np.array([(row, col) for _, row, col, _ in found], dtype=np.float64).reshape(-1, 2),
+        np.concatenate([np.zeros((0, 2), dtype=np.intp), *(pixels for *_, pixels in found)]),
+        index_map,
+    )
+
+
+class TestRuns:
+    """imaging.label_runs: inked runs, their components, part ids and the
+    different-id overlaps of runs in adjacent rows."""
 
     def test_background_only(self):
-        part, area, centroids, pixels, index_map = graphmatch._instances(
-            LabelMap(np.zeros((8, 8), dtype=np.uint8))
-        )
-        assert part.size == area.size == 0
-        assert centroids.shape == pixels.shape == (0, 2)
-        assert (index_map == -1).all()
+        runs = label_runs(np.zeros((8, 8), dtype=np.uint8))
+        assert runs.start.size == runs.end.size == runs.comp.size == 0
+        assert runs.part_ids.size == runs.upper.size == runs.lower.size == 0
 
     def test_two_blobs_same_id(self):
         lm = np.zeros((10, 10), dtype=np.uint8)
         lm[1:3, 1:3] = 2
         lm[6:9, 6:9] = 2
-        part, area, *_ = graphmatch._instances(LabelMap(lm))
-        assert part.tolist() == [2, 2]
-        assert area.tolist() == [4, 9]
+        runs = label_runs(lm)
+        assert runs.part_ids.tolist() == [2, 2]
+        assert np.bincount(runs.comp, runs.end - runs.start)[1:].tolist() == [4, 9]
 
     def test_diagonal_touch_stays_separate(self):
         lm = np.zeros((4, 4), dtype=np.uint8)
         lm[0, 0] = 1
         lm[1, 1] = 1
-        assert graphmatch._instances(LabelMap(lm))[0].size == 2
+        runs = label_runs(lm)
+        assert runs.part_ids.size == 2 and runs.upper.size == 0
 
-    def test_areas_partition_nonzero_pixels(self):
+    def test_runs_partition_nonzero_pixels(self):
         rng = make_rng(41)
         for _ in range(10):
-            lm = LabelMap((rng.random((16, 16)) * 4).astype(np.uint8))
-            _, area, _, pixels, _ = graphmatch._instances(lm)
-            assert area.sum() == len(pixels) == int((lm.labels != 0).sum())
-            assert len({(r, c) for r, c in pixels.tolist()}) == len(pixels)
-
-    def test_deterministic_ordering(self):
-        lm = np.zeros((10, 10), dtype=np.uint8)
-        lm[8, 8] = 1
-        lm[0, 0] = 1
-        lm[4, 4] = 3
-        part, _, centroids, _, _ = graphmatch._instances(LabelMap(lm))
-        assert list(zip(part.tolist(), centroids.tolist())) == [
-            (1, [0.0, 0.0]),
-            (1, [8.0, 8.0]),
-            (3, [4.0, 4.0]),
-        ]
+            ids = (rng.random((16, 16)) * 4).astype(np.uint8)
+            runs = label_runs(ids)
+            flat = ids.ravel()
+            assert (runs.end > runs.start).all() and (runs.start[1:] >= runs.end[:-1]).all()
+            assert ((runs.end - 1) // 16 == runs.start // 16).all()  # each within one row
+            assert (runs.end - runs.start).sum() == int((flat != 0).sum())
+            for s, e in zip(runs.start.tolist(), runs.end.tolist()):
+                assert flat[s] != 0 and (flat[s:e] == flat[s]).all()
 
 
 class TestBuildGraph:
@@ -165,6 +188,15 @@ class TestBuildGraph:
         assert g.area_fraction == pytest.approx(0.25)
         assert g.part.tolist() == [3]
         assert g.nodes[0, 1:].tolist() == [0.4, 0.4, 1.0]  # centroid row, col; area fraction
+
+    def test_nodes_rank_by_part_then_centroid(self):
+        lm = np.zeros((10, 10), dtype=np.uint8)
+        lm[8, 8] = 1
+        lm[0, 0] = 1
+        lm[4, 4] = 3
+        g = build_graph(LabelMap(lm))
+        assert g.part.tolist() == [1, 1, 3]
+        assert (g.nodes[:, 1:3] * 10).tolist() == [[0.0, 0.0], [8.0, 8.0], [4.0, 4.0]]
 
     def test_background_only_graph(self):
         g = build_graph(LabelMap(np.zeros((8, 8), dtype=np.uint8)))
@@ -406,6 +438,20 @@ def patchwork(rng, h, w, ids=(1, 2, 3, 255), rects=6, specks=4):
     return LabelMap(lm)
 
 
+def dropped_bridge():
+    """Parts 1 and 2 a column apart, bridged by 1-pixel instances below
+    MIN_AREA_FRACTION of the foreground: a part 3 alone, and a part 3 over a
+    part 4; and a 1-pixel part 4 inside 1."""
+    lm = np.zeros((24, 48), dtype=np.uint8)
+    lm[:, :23] = 1
+    lm[:, 24:] = 2
+    lm[12, 23] = lm[20, 23] = 3
+    lm[21, 23] = 4
+    lm[5, 5] = 4
+    assert 1 < graphmatch.MIN_AREA_FRACTION * np.count_nonzero(lm)
+    return lm
+
+
 def oracle_maps():
     """Hand-made edge cases, then random maps, square and not."""
     maps = {
@@ -421,6 +467,12 @@ def oracle_maps():
             [[3, 3, 0, 0, 4], [0, 0, 0, 0, 4], [0, 5, 5, 0, 0], [255, 0, 0, 0, 6]]
         ),
         "one_id_many_pieces": np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]),
+        # 1 ends a row and 2 starts the next: adjacent in flat index only
+        "row_end_beside_next_row_start": np.array([[0, 0, 1], [2, 0, 0], [2, 2, 1]]),
+        "one_pixel_strips": np.tile([1, 2, 1, 3], (5, 2)),
+        # the lower run first meets 1 at its own start, then 2
+        "lower_run_under_two": np.array([[1, 1, 2, 2, 0], [0, 3, 3, 3, 3], [0, 0, 3, 0, 0]]),
+        "dropped_bridge": dropped_bridge(),
     }
     out = [(name, LabelMap(np.asarray(a, dtype=np.uint8))) for name, a in maps.items()]
     rng = make_rng(41)
@@ -483,9 +535,25 @@ def walked_matches(q, graphs, cap):
 class TestAgainstLoopOracles:
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
     def test_label_components_exact(self, name, lm):
-        got, want = graphmatch._instances(lm), label_components_loop(lm)
+        got, want = instances_of(lm), label_components_loop(lm)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
+    def test_overlaps_are_the_vertical_contacts(self, name, lm):
+        # every run pair with a pixel of the upper right above one of the
+        # lower and different ids, ordered by lower run, then upper
+        runs = label_runs(lm.labels)
+        run_at = np.full(lm.labels.shape, -1)
+        for k, pixels in enumerate(run_pixels(runs, lm.width)):
+            for r, c in pixels:
+                run_at[r, c] = k
+        want = sorted(
+            {(int(run_at[r + 1, c]), int(run_at[r, c]))
+             for r in range(lm.height - 1) for c in range(lm.width)
+             if 0 != lm.labels[r, c] != lm.labels[r + 1, c] != 0}
+        )
+        assert list(zip(runs.lower.tolist(), runs.upper.tolist())) == want
 
     @pytest.mark.parametrize("named", [3, 255])
     @pytest.mark.parametrize("name,lm", ORACLE_MAPS, ids=[n for n, _ in ORACLE_MAPS])
