@@ -128,7 +128,7 @@ def build_graph(lm):
     A component's area is the sum of its run lengths and its centroid the
     sums of its pixels' rows and columns (a run's columns are an arithmetic
     series) over its area. Instances rank by (part id, centroid row,
-    centroid col), ties in `label`'s raster order, and those below
+    centroid col), ties in `label_runs`'s numbering, and those below
     MIN_AREA_FRACTION of the foreground are dropped. A kept instance's
     angular extent is measured over its pixels, rebuilt from its runs in
     scan order. Two kept instances share an edge where any of their pixels

@@ -5,8 +5,8 @@ whole gray range). Label maps carry a part id per pixel, 0 = background.
 Everything is written in numpy alone. Geometric resampling is explicit so
 that flips commute exactly with resizing. Gaussian smoothing, Sobel and
 dilation reproduce scipy.ndimage's filters byte for byte, and one run-based
-labeller finds connected components: Canny's hysteresis reads them as a
-pixel map (`label`), part counts and part graphs as runs (`label_runs`).
+labeller finds connected components as row runs (`label_runs`), read by
+Canny's hysteresis, part counts and part graphs.
 """
 
 from __future__ import annotations
@@ -196,13 +196,18 @@ def canny(photo, low=0.2, high=0.4):
     weak = np.zeros(mag.shape, dtype=bool)
     weak[rows[ridge], cols[ridge]] = True
     strong = weak & (mag >= high * peak)
-    if not strong.any():
-        return Raster(np.zeros_like(photo.pixels))
-    comp, ids = label(weak, connectivity=8)
-    # a weak component is kept when it holds a strong pixel
-    ink = np.zeros(ids.size + 1, dtype=np.uint8)
-    ink[comp[strong]] = INK
-    return Raster(np.take(ink, comp))
+    # a weak component is kept when it holds a strong pixel: the component
+    # of the run each strong pixel falls in
+    runs = label_runs(weak, connectivity=8)
+    held = runs.comp[np.searchsorted(runs.start, np.flatnonzero(strong), side="right") - 1]
+    keep = np.zeros(runs.part_ids.size + 1, dtype=bool)
+    keep[held] = True
+    kept = np.flatnonzero(keep[runs.comp])
+    span = runs.end[kept] - runs.start[kept]
+    skip = np.repeat(runs.start[kept] - (np.cumsum(span) - span), span)
+    ink = np.zeros(weak.size, dtype=np.uint8)
+    ink[np.arange(skip.size) + skip] = INK
+    return Raster(ink.reshape(weak.shape))
 
 
 def dilate_square(r, side):
@@ -361,7 +366,7 @@ class Runs(NamedTuple):
 
     start: np.ndarray  # (r,) flat index of each run's first pixel, ascending
     end: np.ndarray  # (r,) one past each run's last pixel
-    comp: np.ndarray  # (r,) int32 component of each run, 1..n as `label` numbers them
+    comp: np.ndarray  # (r,) int32 component of each run, 1..n as ndimage.label numbers them
     part_ids: np.ndarray  # (n,) the id component k carries at k - 1
     upper: np.ndarray  # (k,) run a row above of each different-id overlap,
     lower: np.ndarray  # (k,) and the run it overlaps, ordered by lower, then upper
@@ -426,22 +431,3 @@ def label_runs(ids, connectivity=4):
     comp = np.cumsum(root, dtype=np.int32)[parent]
     return Runs(start, end, comp, run_id[root], upper, lower)
 
-
-def label(ids, connectivity=4):
-    """Connected components of equal nonzero ids: (components, part_ids).
-
-    `components` is an int32 map numbering each pixel's component 1..n, 0
-    on background, in raster order of each component's first pixel as
-    ndimage.label numbers them; part_ids[k - 1] is the id component k
-    carries. It is label_runs(ids, connectivity) written out pixel by
-    pixel: each run's component, and 0 on the gaps between runs.
-    """
-    runs = label_runs(ids, connectivity)
-    shape = np.shape(ids)
-    bounds = np.empty(2 * runs.start.size + 2, dtype=np.intp)
-    bounds[0], bounds[-1] = 0, math.prod(shape)
-    bounds[1:-1:2], bounds[2:-1:2] = runs.start, runs.end
-    values = np.zeros(bounds.size - 1, dtype=np.int32)
-    values[1::2] = runs.comp
-    components = np.repeat(values, np.diff(bounds)).reshape(shape)
-    return components, runs.part_ids

@@ -47,10 +47,8 @@ def read_pgm(path):
 
     def positive_int(name):
         tok = token()
-        try:
-            value = int(tok)
-        except ValueError:
-            value = 0
+        # ASCII digits alone: int() would also take a sign or underscores
+        value = int(tok) if tok.isdigit() else 0
         if value <= 0:
             raise ContractViolation(f"{path}: PGM {name} must be a positive integer, got {tok!r}")
         return value

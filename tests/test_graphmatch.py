@@ -19,7 +19,7 @@ from sketchparts.graphmatch import (
     rerank,
     rrwm_match,
 )
-from sketchparts.imaging import LabelMap, label, label_runs
+from sketchparts.imaging import LabelMap, label_runs
 from sketchparts.pipeline import part_counts
 from sketchparts.taxonomy import load_taxonomy
 
@@ -140,43 +140,6 @@ def instances_of(lm):
         np.concatenate([np.zeros((0, 2), dtype=np.intp), *(pixels for *_, pixels in found)]),
         index_map,
     )
-
-
-class TestRuns:
-    """imaging.label_runs: inked runs, their components, part ids and the
-    different-id overlaps of runs in adjacent rows."""
-
-    def test_background_only(self):
-        runs = label_runs(np.zeros((8, 8), dtype=np.uint8))
-        assert runs.start.size == runs.end.size == runs.comp.size == 0
-        assert runs.part_ids.size == runs.upper.size == runs.lower.size == 0
-
-    def test_two_blobs_same_id(self):
-        lm = np.zeros((10, 10), dtype=np.uint8)
-        lm[1:3, 1:3] = 2
-        lm[6:9, 6:9] = 2
-        runs = label_runs(lm)
-        assert runs.part_ids.tolist() == [2, 2]
-        assert np.bincount(runs.comp, runs.end - runs.start)[1:].tolist() == [4, 9]
-
-    def test_diagonal_touch_stays_separate(self):
-        lm = np.zeros((4, 4), dtype=np.uint8)
-        lm[0, 0] = 1
-        lm[1, 1] = 1
-        runs = label_runs(lm)
-        assert runs.part_ids.size == 2 and runs.upper.size == 0
-
-    def test_runs_partition_nonzero_pixels(self):
-        rng = make_rng(41)
-        for _ in range(10):
-            ids = (rng.random((16, 16)) * 4).astype(np.uint8)
-            runs = label_runs(ids)
-            flat = ids.ravel()
-            assert (runs.end > runs.start).all() and (runs.start[1:] >= runs.end[:-1]).all()
-            assert ((runs.end - 1) // 16 == runs.start // 16).all()  # each within one row
-            assert (runs.end - runs.start).sum() == int((flat != 0).sum())
-            for s, e in zip(runs.start.tolist(), runs.end.tolist()):
-                assert flat[s] != 0 and (flat[s:e] == flat[s]).all()
 
 
 class TestBuildGraph:
@@ -560,7 +523,7 @@ class TestAgainstLoopOracles:
     def test_part_counts_are_label_components_per_id(self, name, lm, named):
         names = [f"part{i}" for i in range(1, named + 1)]
         tax = load_taxonomy("super s\ncat c : " + ", ".join(names) + "\n")  # ids 1..named
-        per_id = Counter(label(lm.labels)[1].tolist())
+        per_id = Counter(label_components_loop(lm)[0].tolist())
         if max(per_id, default=0) > named:
             with pytest.raises(ContractViolation, match=f"part id {max(per_id)},"):
                 part_counts(lm, tax, branch=0)

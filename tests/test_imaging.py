@@ -16,7 +16,7 @@ from sketchparts.imaging import (
     crops_and_pad,
     dilate_square,
     grey_view,
-    label,
+    label_runs,
     mirror_v,
     rescale,
     rotate,
@@ -171,52 +171,60 @@ class TestMatchesScipy:
 
     @pytest.mark.parametrize("shape", [*SCIPY_SHAPES, (128, 128)])
     def test_label_numbers_binary_maps_like_ndimage(self, shape):
+        # a run is one component, so its first pixel carries its number
         rng = make_rng(13)
         for density in (0.05, 0.3, 0.6):
             mask = rng.random(shape) < density
             for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
                 want, n = ndimage.label(mask, structure=structure)
-                got, ids = label(mask, connectivity)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                assert ids.size == n and ids.all()
+                runs = label_runs(mask, connectivity)
+                assert runs.comp.dtype == want.dtype
+                assert np.array_equal(runs.comp, want.ravel()[runs.start])
+                assert runs.part_ids.size == n and runs.part_ids.all()
 
     def test_label_splits_ids_like_ndimage_per_id(self):
         rng = make_rng(14)
         for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
             for _ in range(20):
                 ids = rng.integers(0, 4, size=(23, 17)) * (rng.random((23, 17)) < 0.7)
-                comp, part_ids = label(ids, connectivity)
+                runs = label_runs(ids, connectivity)
                 for pid in range(1, 4):
                     want, n = ndimage.label(ids == pid, structure=structure)
-                    mine = np.flatnonzero(part_ids == pid) + 1
-                    # the same pixel sets, numbered in the same order
+                    mine = np.flatnonzero(runs.part_ids == pid) + 1
+                    of = ids.ravel()[runs.start] == pid
+                    # the same components, numbered in the same order
                     assert mine.size == n
-                    assert np.array_equal(np.searchsorted(mine, comp[ids == pid]) + 1,
-                                          want[ids == pid])
+                    assert np.array_equal(np.searchsorted(mine, runs.comp[of]) + 1,
+                                          want.ravel()[runs.start[of]])
 
     def test_diagonal_touch_joins_only_at_eight(self):
         # id 2 touches itself along the diagonal, id 3 along the
         # anti-diagonal, and each touches the other at an edge or a corner
         ids = np.array([[2, 0, 0, 3], [0, 2, 3, 0], [0, 2, 0, 0], [3, 0, 0, 0]], dtype=np.uint8)
-        four, four_ids = label(ids, 4)
-        eight, eight_ids = label(ids, 8)
-        assert four_ids.tolist() == [2, 3, 2, 3, 3]
-        assert eight_ids.tolist() == [2, 3, 3]
-        assert four[0, 0] != four[1, 1] and four[0, 3] != four[1, 2]
-        assert eight[0, 0] == eight[1, 1] == eight[2, 1] and eight[0, 3] == eight[1, 2]
-        assert eight[1, 2] != eight[1, 1] and eight[3, 0] != eight[1, 2]
-        for connectivity, structure in ((4, None), (8, EIGHT_CONN)):
+        four, eight = label_runs(ids, 4), label_runs(ids, 8)
+
+        def comp(runs, r, c):
+            return runs.comp[np.searchsorted(runs.start, r * 4 + c, side="right") - 1]
+
+        assert four.part_ids.tolist() == [2, 3, 2, 3, 3] and four.upper.size == 0
+        assert eight.part_ids.tolist() == [2, 3, 3]
+        assert comp(four, 0, 0) != comp(four, 1, 1) and comp(four, 0, 3) != comp(four, 1, 2)
+        assert comp(eight, 0, 0) == comp(eight, 1, 1) == comp(eight, 2, 1)
+        assert comp(eight, 0, 3) == comp(eight, 1, 2)
+        assert comp(eight, 1, 2) != comp(eight, 1, 1) and comp(eight, 3, 0) != comp(eight, 1, 2)
+        for runs, structure in ((four, None), (eight, EIGHT_CONN)):
             for pid in (2, 3):
                 _, n = ndimage.label(ids == pid, structure=structure)
-                assert (label(ids, connectivity)[1] == pid).sum() == n
+                assert (runs.part_ids == pid).sum() == n
 
     def test_label_empty_and_bad_connectivity(self):
-        comp, ids = label(np.zeros((0, 5), dtype=np.uint8))
-        assert comp.shape == (0, 5) and comp.dtype == np.int32 and ids.size == 0
-        comp, ids = label(np.zeros((3, 5), dtype=np.uint8))
-        assert not comp.any() and ids.size == 0
+        runs = label_runs(np.zeros((0, 5), dtype=np.uint8))
+        assert runs.comp.dtype == np.int32
+        assert runs.start.size == runs.comp.size == runs.part_ids.size == 0
+        runs = label_runs(np.zeros((3, 5), dtype=np.uint8))
+        assert runs.start.size == runs.part_ids.size == 0
         with pytest.raises(ContractViolation):
-            label(np.ones((2, 2), dtype=np.uint8), connectivity=6)
+            label_runs(np.ones((2, 2), dtype=np.uint8), connectivity=6)
 
     @pytest.mark.parametrize("shape", SCIPY_SHAPES)
     @pytest.mark.parametrize("side", [1, 3, 5, 9, 15, 301])
@@ -228,6 +236,36 @@ class TestMatchesScipy:
             want = ndimage.maximum_filter(r.pixels, size=side, mode="constant", cval=0)
             got = dilate_square(r, side).pixels
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestRuns:
+    """imaging.label_runs: inked runs, their components, part ids and the
+    different-id overlaps of runs in adjacent rows."""
+
+    def test_background_only(self):
+        runs = label_runs(np.zeros((8, 8), dtype=np.uint8))
+        assert runs.start.size == runs.end.size == runs.comp.size == 0
+        assert runs.part_ids.size == runs.upper.size == runs.lower.size == 0
+
+    def test_two_blobs_same_id(self):
+        lm = np.zeros((10, 10), dtype=np.uint8)
+        lm[1:3, 1:3] = 2
+        lm[6:9, 6:9] = 2
+        runs = label_runs(lm)
+        assert runs.part_ids.tolist() == [2, 2]
+        assert np.bincount(runs.comp, runs.end - runs.start)[1:].tolist() == [4, 9]
+
+    def test_runs_partition_nonzero_pixels(self):
+        rng = make_rng(41)
+        for _ in range(10):
+            ids = (rng.random((16, 16)) * 4).astype(np.uint8)
+            runs = label_runs(ids)
+            flat = ids.ravel()
+            assert (runs.end > runs.start).all() and (runs.start[1:] >= runs.end[:-1]).all()
+            assert ((runs.end - 1) // 16 == runs.start // 16).all()  # each within one row
+            assert (runs.end - runs.start).sum() == int((flat != 0).sum())
+            for s, e in zip(runs.start.tolist(), runs.end.tolist()):
+                assert flat[s] != 0 and (flat[s:e] == flat[s]).all()
 
 
 class TestLabelMapImmutable:

@@ -16,7 +16,8 @@ def test_roundtrip_non_square(tmp_path):
 @pytest.mark.parametrize(
     "header",
     [b"P5\nabc 4\n255\n", b"P5\n4 x4\n255\n", b"P5\n4 4\nfull\n", b"P5\n0 0\n255\n",
-     b"P5\n-3 4\n255\n", b"P5\n4 0\n255\n"],
+     b"P5\n-3 4\n255\n", b"P5\n4 0\n255\n", b"P5\n1_0 1\n255\n", b"P5\n+10 1\n255\n",
+     b"P5\n10 1\n2_55\n"],
 )
 def test_bad_header_is_typed_and_names_file(tmp_path, header):
     path = tmp_path / "bad.pgm"
