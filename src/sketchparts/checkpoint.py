@@ -5,7 +5,8 @@ count, then per tensor: u16 name length + UTF-8 name, u8 rank, u32 dims,
 float32 LE payload in C order. Saving the same tensors twice produces
 identical bytes. A save goes to a temporary file beside the target and is
 renamed over it only once complete, so a failed save leaves the previous
-checkpoint intact.
+checkpoint intact. A load reads the file once, in order, against the
+layout it expects, so a file is refused at its first fault in file order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import uuid
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, TaxonomyMismatch
 
 VERSION = 1
 COUNT_AT = 40  # byte offset of the tensor count, after magic, version and digest
@@ -56,76 +57,79 @@ def write_checkpoint(path, magic, digest, named_tensors):
         raise
 
 
-def read_checkpoint(path, magic):
-    """Returns (digest, ordered dict name -> float32 array, dict name -> byte
-    offset of the tensor's record). A RETIRED magic is refused with its
-    reason. The file is read record by record, each length checked against
-    the file's size before anything is allocated, and each payload straight
-    into its own array, so loading holds one copy of the weights."""
+def read_checkpoint(path, magic, digest, shapes, what):
+    """The tensors of the checkpoint at `path`, an ordered dict name ->
+    float32 array, refused unless the file holds `magic`, taxonomy `digest`
+    and the tensors of `shapes`, the ordered name -> shape layout of `what`,
+    with every value finite. A RETIRED magic is refused with its reason.
+
+    One pass reads the file in order and checks each field where its bytes
+    are read: magic, version, digest (a TaxonomyMismatch), tensor count,
+    then per record its name and dims against the layout's next entry, its
+    payload's length and its values, and last that nothing trails. So a
+    file is refused at its first fault in file order, at that fault's byte
+    offset, and every CheckpointError names `path`. Each length is checked
+    against the file's size, and each dims against the layout, before
+    anything is allocated, and each payload is read straight into its own
+    array, so loading holds one copy of the weights."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         pos = 0
 
-        def take(n, what):
+        def take(n, field):
             nonlocal pos
             chunk = fh.read(n) if pos + n <= size else b""
             if len(chunk) != n:
-                raise CheckpointError(pos, f"truncated while reading {what}")
+                raise CheckpointError(pos, f"truncated while reading {field}", path)
             pos += n
             return chunk
 
         got_magic = take(4, "magic")
         if got_magic in RETIRED:
-            raise CheckpointError(0, RETIRED[got_magic])
+            raise CheckpointError(0, RETIRED[got_magic], path)
         if got_magic != magic:
-            raise CheckpointError(0, f"bad magic {got_magic!r}, expected {magic!r}")
+            raise CheckpointError(0, f"bad magic {got_magic!r}, expected {magic!r}", path)
         (version,) = struct.unpack("<I", take(4, "version"))
         if version != VERSION:
-            raise CheckpointError(4, f"unsupported version {version}")
-        digest = take(32, "taxonomy digest")
+            raise CheckpointError(4, f"unsupported version {version}", path)
+        if take(32, "taxonomy digest") != digest:
+            raise TaxonomyMismatch(
+                8, "checkpoint was written for a different taxonomy (digest mismatch)", path
+            )
         (count,) = struct.unpack("<I", take(4, "tensor count"))
-        tensors, offsets = {}, {}
-        for _ in range(count):
+        if count != len(shapes):
+            raise CheckpointError(COUNT_AT, f"{count} tensors, {what} expects {len(shapes)}", path)
+        tensors = {}
+        for i, (want_name, want) in enumerate(shapes.items()):
             record_at = pos
             (name_len,) = struct.unpack("<H", take(2, "name length"))
             name_at = pos
             try:
                 name = take(name_len, "name").decode("utf-8")
             except UnicodeDecodeError:
-                raise CheckpointError(name_at, "tensor name is not valid UTF-8") from None
+                raise CheckpointError(name_at, "tensor name is not valid UTF-8", path) from None
+            if name != want_name:
+                raise CheckpointError(
+                    record_at, f"tensor {i} is {name!r}, {what} expects {want_name!r}", path
+                )
             (rank,) = struct.unpack("<B", take(1, "rank"))
-            dims_at = pos
             dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+            if dims != want:
+                raise CheckpointError(
+                    record_at, f"{name}: shape {dims}, {what} expects {want}", path
+                )
             n = math.prod(dims)  # exact, unlike np.prod, which wraps at 2**63
             payload = f"payload of {name}"
             if pos + 4 * n > size:
-                raise CheckpointError(pos, f"truncated while reading {payload}")
-            try:
-                tensor = np.empty(dims, dtype="<f4")
-            except ValueError:  # an empty tensor whose other dims overflow numpy's size
-                raise CheckpointError(dims_at, f"{name}: dims {dims} too large") from None
+                raise CheckpointError(pos, f"truncated while reading {payload}", path)
+            tensor = np.empty(dims, dtype="<f4")
             if fh.readinto(tensor.reshape(-1).view(np.uint8)) != 4 * n:  # shrank since fstat
-                raise CheckpointError(pos, f"truncated while reading {payload}")
+                raise CheckpointError(pos, f"truncated while reading {payload}", path)
             pos += 4 * n
+            # min and max carry any NaN or infinity, and allocate nothing
+            if n and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
+                raise CheckpointError(record_at, f"{name} holds a NaN or infinite value", path)
             tensors[name] = tensor
-            offsets[name] = record_at
     if pos != size:
-        raise CheckpointError(pos, f"{size - pos} trailing bytes")
-    return digest, tensors, offsets
-
-
-def check_layout(tensors, offsets, shapes, what):
-    """Refuse checkpoint tensors that differ from `shapes`, the ordered
-    name -> shape layout of `what`. The error names the byte offset of the
-    first tensor that differs, or of the tensor count when only the count
-    does."""
-    for i, (got, want) in enumerate(zip(tensors, shapes)):
-        if got != want:
-            raise CheckpointError(offsets[got], f"tensor {i} is {got!r}, {what} expects {want!r}")
-    if len(tensors) != len(shapes):
-        raise CheckpointError(COUNT_AT, f"{len(tensors)} tensors, {what} expects {len(shapes)}")
-    for name, want in shapes.items():
-        if tensors[name].shape != want:
-            raise CheckpointError(
-                offsets[name], f"{name}: shape {tensors[name].shape}, {what} expects {want}"
-            )
+        raise CheckpointError(pos, f"{size - pos} trailing bytes", path)
+    return tensors

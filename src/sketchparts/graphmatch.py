@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, check_count
-from .imaging import label_runs
+from .imaging import label_runs, run_pixels
 
 GLOBAL = -1  # node index of the global node in correspondence pairs
 
@@ -164,9 +164,7 @@ def build_graph(lm):
     # the kept instances' pixels, node by node, each node's in scan order
     mine = np.flatnonzero(node >= 0)
     mine = mine[np.argsort(node[mine], kind="stable")]
-    span = length[mine]
-    skip = np.repeat(runs.start[mine] - (np.cumsum(span) - span), span)
-    rows, cols = np.divmod(np.arange(skip.size) + skip, w)
+    rows, cols = np.divmod(run_pixels(runs, mine), w)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     ends = np.cumsum(area[kept]).tolist()
     spans = zip([0, *ends[:-1]], ends)

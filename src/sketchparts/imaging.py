@@ -174,8 +174,6 @@ def canny(photo, low=0.2, high=0.4):
     gy = _sobel(img, 0)
     mag = np.hypot(gx, gy)
     peak = mag.max()
-    if peak == 0.0:
-        return Raster(np.zeros_like(photo.pixels))
 
     # only pixels at or above the low threshold can become edges, so the
     # direction and the neighbour test are computed at those alone
@@ -202,11 +200,8 @@ def canny(photo, low=0.2, high=0.4):
     held = runs.comp[np.searchsorted(runs.start, np.flatnonzero(strong), side="right") - 1]
     keep = np.zeros(runs.part_ids.size + 1, dtype=bool)
     keep[held] = True
-    kept = np.flatnonzero(keep[runs.comp])
-    span = runs.end[kept] - runs.start[kept]
-    skip = np.repeat(runs.start[kept] - (np.cumsum(span) - span), span)
     ink = np.zeros(weak.size, dtype=np.uint8)
-    ink[np.arange(skip.size) + skip] = INK
+    ink[run_pixels(runs, np.flatnonzero(keep[runs.comp]))] = INK
     return Raster(ink.reshape(weak.shape))
 
 
@@ -431,3 +426,10 @@ def label_runs(ids, connectivity=4):
     comp = np.cumsum(root, dtype=np.int32)[parent]
     return Runs(start, end, comp, run_id[root], upper, lower)
 
+
+def run_pixels(runs, which):
+    """Flat indices of the pixels of `runs`' runs `which`, run by run in
+    that order, each run's left to right."""
+    span = runs.end[which] - runs.start[which]
+    skip = np.repeat(runs.start[which] - (np.cumsum(span) - span), span)
+    return np.arange(skip.size) + skip

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -13,7 +15,7 @@ from sketchparts import router as router_module
 from sketchparts.autograd import Tensor
 from sketchparts.checkpoint import COUNT_AT, RETIRED, VERSION, read_checkpoint, write_checkpoint
 from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT
-from sketchparts.errors import CheckpointError
+from sketchparts.errors import CheckpointError, TaxonomyMismatch
 from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, load_checkpoint
 from sketchparts.model import save_checkpoint
 from sketchparts.router import ROUTER_MAGIC, build_router, load_router, save_router
@@ -36,6 +38,12 @@ TENSORS = [
     ("w", Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))),
     ("b", Tensor(np.array([1.5], dtype=np.float32))),
 ]
+
+
+def read_as_saved(path, named, magic=MAGIC):
+    """read_checkpoint of `path` against the layout `named` spells."""
+    shapes = {name: np.shape(t.data) for name, t in named}
+    return read_checkpoint(path, magic, DIGEST, shapes, "the test layout")
 
 
 def test_save_writes_the_documented_layout(tmp_path):
@@ -62,7 +70,7 @@ def test_save_writes_any_array_as_c_order_little_endian_float32(tmp_path):
         data = np.ascontiguousarray(t.data, dtype="<f4")
         want += record(name.encode(), data.shape, data.tobytes())
     assert path.read_bytes() == want
-    _, tensors, _ = read_checkpoint(path, MAGIC)
+    tensors = read_as_saved(path, odd)
     for name, t in odd:
         assert np.array_equal(tensors[name], t.data) and tensors[name].dtype == np.float32
 
@@ -75,7 +83,7 @@ def test_failed_overwrite_keeps_the_old_checkpoint(tmp_path):
         write_checkpoint(path, MAGIC, DIGEST, TENSORS + [("\ud800", TENSORS[1][1])])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.ckpt"]
-    assert list(read_checkpoint(path, MAGIC)[1]) == ["w"]
+    assert list(read_as_saved(path, TENSORS[:1])) == ["w"]
 
 
 def test_failed_first_save_leaves_no_file(tmp_path):
@@ -88,7 +96,7 @@ def test_non_utf8_name_names_its_offset(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(HEADER + struct.pack("<I", 1) + record(b"\xff\xfe", (1,), bytes(4)))
     with pytest.raises(CheckpointError, match="UTF-8") as info:
-        read_checkpoint(path, MAGIC)
+        read_as_saved(path, TENSORS[1:])
     assert info.value.offset == NAME_AT
 
 
@@ -98,53 +106,78 @@ def test_retired_magic_refused_with_its_reason(tmp_path, retired):
     write_checkpoint(path, retired, DIGEST, TENSORS)
     for magic in (MAGIC, MODEL_MAGIC, ROUTER_MAGIC):
         with pytest.raises(CheckpointError) as info:
-            read_checkpoint(path, magic)
+            read_as_saved(path, TENSORS, magic)
         assert info.value.offset == 0 and RETIRED[retired] in str(info.value)
 
 
 @pytest.mark.parametrize(
-    "dims,message",
+    "dims,layout,message,offset",
     [
-        ((65536,) * 4, "truncated"),  # 2**64 elements, which np.prod wraps to 0
-        ((0, 2**32 - 1, 2**32 - 1), "too large"),  # empty, but beyond numpy's size limit
+        # 2**64 elements, which np.prod wraps to 0, in a layout of the same
+        # dims: refused at the payload
+        ((65536,) * 4, (65536,) * 4, "truncated", NAME_AT + 1 + 1 + 4 * 4),
+        # empty, but beyond numpy's size limit: refused at the record, before
+        # anything is allocated
+        ((0, 2**32 - 1, 2**32 - 1), (0, 3), "expects (0, 3)", NAME_AT - 2),
     ],
 )
-def test_oversized_dims(tmp_path, dims, message):
+def test_oversized_dims(tmp_path, dims, layout, message, offset):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(HEADER + struct.pack("<I", 1) + record(b"w", dims))
-    with pytest.raises(CheckpointError, match=message):
-        read_checkpoint(path, MAGIC)
+    with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        read_checkpoint(path, MAGIC, DIGEST, {"w": layout}, "the test layout")
+    assert info.value.offset == offset
 
 
 dim = st.one_of(st.integers(0, 4), st.sampled_from([65536, 2**32 - 1]))
-tensor_record = st.builds(
-    record,
+tensor_fields = st.tuples(
     st.binary(max_size=6),
     st.lists(dim, max_size=4).map(tuple),
     st.binary(max_size=32),
 )
-checkpoint_like = st.builds(
-    lambda head, count, records, tail: head + struct.pack("<I", count) + b"".join(records) + tail,
-    st.sampled_from([HEADER, MAGIC + struct.pack("<I", VERSION + 1) + DIGEST, HEADER[:-3]]),
-    st.integers(0, 3),
-    st.lists(tensor_record, max_size=3),
-    st.binary(max_size=8),
+any_layout = st.dictionaries(
+    st.text(max_size=3), st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=3
 )
 
 
+def declarable(dims):
+    """Whether a net's layout can hold a tensor of `dims`: numpy refuses a
+    shape whose nonzero dims' bytes pass its size limit, empty or not."""
+    return 4 * math.prod(d for d in dims if d) < 2**63
+
+
+@st.composite
+def checkpoint_like(draw):
+    """A blob in the checkpoint's form, and a layout: the one its count and
+    records spell, so the read goes on through every record the count
+    names, when a net could declare it; or any other."""
+    head = draw(st.sampled_from(
+        [HEADER, MAGIC + struct.pack("<I", VERSION + 1) + DIGEST, HEADER[:-3]]))
+    count = draw(st.integers(0, 3))
+    fields = draw(st.lists(tensor_fields, max_size=3))
+    tail = draw(st.binary(max_size=8))
+    blob = head + struct.pack("<I", count) + b"".join(record(*f) for f in fields) + tail
+    spelled = [(name.decode("utf-8", "replace"), dims) for name, dims, _ in fields[:count]]
+    spelled = dict(spelled + [(f"t{i}", ()) for i in range(len(spelled), count)])
+    layouts = any_layout
+    if all(declarable(dims) for dims in spelled.values()):
+        layouts = st.one_of(st.just(spelled), any_layout)
+    return blob, draw(layouts)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.binary(max_size=96), checkpoint_like))
-def test_fuzz_only_checkpoint_errors_escape(tmp_path_factory, blob):
+@given(st.one_of(st.tuples(st.binary(max_size=96), any_layout), checkpoint_like()))
+def test_fuzz_only_checkpoint_errors_escape(tmp_path_factory, blob_and_layout):
+    blob, layout = blob_and_layout
     path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
     path.write_bytes(blob)
     try:
-        digest, tensors, offsets = read_checkpoint(path, MAGIC)
+        tensors = read_checkpoint(path, MAGIC, DIGEST, layout, "the drawn layout")
     except CheckpointError:
         return
-    assert len(digest) == 32
-    assert all(a.dtype == np.float32 for a in tensors.values())
-    assert list(offsets) == list(tensors)
-    assert all(len(HEADER) + 4 <= at < len(blob) for at in offsets.values())
+    assert list(tensors) == list(layout)
+    for name, a in tensors.items():
+        assert a.dtype == np.float32 and a.shape == layout[name] and np.isfinite(a).all()
 
 
 def record_at(named, index):
@@ -243,6 +276,27 @@ def test_non_finite_value_names_the_first_tensor_holding_one(tmp_path, net, valu
     err = refused_at(tmp_path, named, *rest)
     assert err.offset == record_at(named, 2)
     assert err.message == f"{named[2][0]} holds a NaN or infinite value"
+
+
+@pytest.mark.parametrize("net", ["parser", "router"])
+def test_a_file_with_several_faults_is_refused_at_its_first_in_file_order(tmp_path, net):
+    named, magic, digest, load = saved_net(net)
+    path = tmp_path / "net.ckpt"
+    # another taxonomy's checkpoint, truncated inside its first payload
+    write_checkpoint(path, magic, bytes(b ^ 0xFF for b in digest), named)
+    path.write_bytes(path.read_bytes()[:100])
+    with pytest.raises(TaxonomyMismatch) as info:
+        load(path)
+    assert info.value.offset == 8
+    # a NaN in tensor 1, then tensor 2 renamed
+    name, t = named[1]
+    spoilt = t.data.copy()
+    spoilt.flat[0] = np.nan
+    named[1] = (name, Tensor(spoilt))
+    named[2] = ("renamed", named[2][1])
+    err = refused_at(tmp_path, named, magic, digest, load)
+    assert type(err) is CheckpointError and err.offset == record_at(named, 1)
+    assert err.message == f"{name} holds a NaN or infinite value"
 
 
 @pytest.mark.parametrize("net", ["parser", "router"])

@@ -19,10 +19,10 @@ from sketchparts.corpus import DEFAULT_TAXONOMY_TEXT, CorpusSpec, gen_corpus
 from sketchparts.errors import ConfigError
 from sketchparts.imaging import LabelMap
 from sketchparts.metrics import sketch_iou
-from sketchparts.model import MODEL_MAGIC, ModelConfig, build_model, save_checkpoint
+from sketchparts.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from sketchparts.pgm import read_pgm, write_pgm
-from sketchparts.checkpoint import read_checkpoint, write_checkpoint
-from sketchparts.router import ROUTER_MAGIC, build_router, save_router
+from sketchparts.checkpoint import write_checkpoint
+from sketchparts.router import build_router, load_router, save_router
 from sketchparts.taxonomy import load_taxonomy
 from sketchparts.training import RouterPlan, TrainPlan
 
@@ -790,9 +790,9 @@ def test_a_tree_drawn_with_another_taxonomy_trains_infers_and_evals_under_it(tmp
                  "--iterations", "1", "--seed", "1"]) == 0
     assert main(["train-router", "--train", str(data), "--out", str(tmp_path / "router"),
                  "--iterations", "1", "--batch-size", "2", "--seed", "1"]) == 0
-    parser_digest, _, _ = read_checkpoint(tmp_path / "parser" / "model.ckpt", MODEL_MAGIC)
-    router_digest, _, _ = read_checkpoint(tmp_path / "router" / "router.ckpt", ROUTER_MAGIC)
-    assert parser_digest == router_digest == tax.digest()
+    # each checkpoint loads under the tree's taxonomy, which refuses any other digest
+    load_checkpoint(tmp_path / "parser" / "model.ckpt", ModelConfig(), tax)
+    load_router(tmp_path / "router" / "router.ckpt", tax.num_branches, tax.digest())
     out = tmp_path / "preds"
     assert main(["infer", "--model", str(tmp_path / "parser" / "model.ckpt"),
                  "--router", str(tmp_path / "router" / "router.ckpt"),
@@ -1114,8 +1114,8 @@ def test_fine_tune_keeps_frozen_shared_layers(small_corpus, tmp_path, capsys):
     init = tmp_path / "init" / "model.ckpt"
     assert main([*base, "--out", str(tmp_path / "tuned"), "--init", str(init),
                  "--freeze-shared"]) == 0
-    _, before, _ = read_checkpoint(init, MODEL_MAGIC)
-    _, after, _ = read_checkpoint(tmp_path / "tuned" / "model.ckpt", MODEL_MAGIC)
+    before, after = ({n: t.data for n, t in load_checkpoint(p, ModelConfig(), TAX).parameters()}
+                     for p in (init, tmp_path / "tuned" / "model.ckpt"))
     assert list(after) == list(before)
     shared = [n for n in before if n.startswith("shared.")]
     assert shared and all(after[n].tobytes() == before[n].tobytes() for n in shared)

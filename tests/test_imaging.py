@@ -22,7 +22,6 @@ from sketchparts.imaging import (
     rotate,
     view_shape,
 )
-from sketchparts.pgm import read_pgm, write_pgm
 from oracles import canny_full_grid, rescale_full_grid, rotate_full_grid
 
 
@@ -436,29 +435,3 @@ class TestCropsAndPad:
     )
     def test_view_shape_scales_the_longer_side(self, shape, side, want):
         assert view_shape(*shape, side) == want
-
-
-class TestPgm:
-    def test_roundtrip(self, tmp_path):
-        rng = make_rng(43)
-        arr = (rng.random((13, 17)) * 255).astype(np.uint8)
-        p = tmp_path / "img.pgm"
-        write_pgm(p, arr)
-        assert np.array_equal(read_pgm(p), arr)
-
-    def test_comment_header(self, tmp_path):
-        p = tmp_path / "c.pgm"
-        p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 1, 2, 3]))
-        assert np.array_equal(read_pgm(p), [[0, 1], [2, 3]])
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.pgm"
-        p.write_bytes(b"P2\n2 2\n255\n0 1 2 3")
-        with pytest.raises(ContractViolation):
-            read_pgm(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        p = tmp_path / "short.pgm"
-        p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(ContractViolation):
-            read_pgm(p)

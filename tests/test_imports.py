@@ -1,4 +1,4 @@
-"""No module in src/, tests/ or demos/ imports a name it never uses."""
+"""No module in src/, tests/, demos/ or perfbench/ imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
-                  *(ROOT / "demos").glob("*.py")])
+                  *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source):

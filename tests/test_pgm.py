@@ -13,6 +13,26 @@ def test_roundtrip_non_square(tmp_path):
     assert np.array_equal(read_pgm(tmp_path / "a.pgm"), a)
 
 
+def test_comment_header(tmp_path):
+    p = tmp_path / "c.pgm"
+    p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 1, 2, 3]))
+    assert np.array_equal(read_pgm(p), [[0, 1], [2, 3]])
+
+
+def test_bad_magic_rejected(tmp_path):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(b"P2\n2 2\n255\n0 1 2 3")
+    with pytest.raises(ContractViolation):
+        read_pgm(p)
+
+
+def test_truncated_payload_rejected(tmp_path):
+    p = tmp_path / "short.pgm"
+    p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
+    with pytest.raises(ContractViolation):
+        read_pgm(p)
+
+
 @pytest.mark.parametrize(
     "header",
     [b"P5\nabc 4\n255\n", b"P5\n4 x4\n255\n", b"P5\n4 4\nfull\n", b"P5\n0 0\n255\n",
